@@ -13,14 +13,13 @@ Exit codes: 0 success, 2 config error, 3 numerical-guard failure, 4 internal
 error.  On failure a machine-readable JSON error record goes to stderr.
 Artifacts land in output.directory (override with --out) and embed the
 effective config plus a content hash.  --seed is echoed into artifacts only;
-the pipeline is deterministic.  SCNLS_WORKERS sets sweep-row parallelism.
+the pipeline is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -28,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import hashed_csv, hashed_json
 from .config import RunConfig, blowup_options, focusing_options, parse_config
 from .corrector import evolve_corrector, tilde_amplitude
 from .errors import ConfigError, NumericalGuardError
@@ -51,35 +51,15 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     payload = dict(payload)
     payload["config"] = cfg.effective()
     payload["config_hash"] = cfg.content_hash()
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["content_hash"] = "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(hashed_json(payload) + "\n")
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict],
                cfg: RunConfig) -> None:
-    head = [
+    path.write_text(hashed_csv([
         "# columns: " + ",".join(columns),
         "# config_hash: " + cfg.content_hash(),
-    ]
-    body = [",".join(columns)]
-    for row in rows:
-        body.append(",".join(_cell(row[c]) for c in columns))
-    text = "\n".join(body)
-    head.append("# content_hash: sha256:" + hashlib.sha256(text.encode()).hexdigest())
-    path.write_text("\n".join(head) + "\n" + text + "\n")
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, np.ndarray):
-        return '"' + ";".join(repr(float(x)) for x in v.ravel()) + '"'
-    return str(v)
+    ], columns, rows))
 
 
 def _outdir(cfg: RunConfig, override: str | None) -> Path:

@@ -20,10 +20,11 @@ is the identity), and every artifact embeds the effective config.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
+from . import artifacts
 from .errors import ConfigError
 from .grid import Grid
 from .presets import InitialData, make_amplitude, make_phase
@@ -107,8 +108,7 @@ class RunConfig:
         return json.dumps(self.effective(), sort_keys=True, indent=1)
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.effective(), sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        return artifacts.content_hash(self.effective())
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,33 @@ def _as_int(value, key: str) -> int:
 def _as_num(value, key: str) -> float:
     _need(isinstance(value, (int, float)) and not isinstance(value, bool), key,
           f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    _need(math.isfinite(out), key, f"expected a finite number, got {value!r}")
+    return out
+
+
+def _positive(value, key: str, kind=_as_num):
+    out = kind(value, key)
+    _need(out > 0, key, f"must be positive, got {value!r}")
+    return out
+
+
+def _positive_list(value, key: str, kind=_as_num) -> list:
+    _need(isinstance(value, list) and value, key, "must be a non-empty list")
+    return [_positive(v, key, kind) for v in value]
+
+
+# demo sections: key -> validator of its value
+_DEMO_CHECKS = {
+    "blowup": {"max_time": _positive, "amplitudes": _positive_list,
+               "radius": _positive, "grid_length": _positive},
+    "focusing": {"wavenumbers": lambda v, key: _positive_list(v, key, _as_int),
+                 "delta": _positive, "window": _positive, "dt": _positive,
+                 "rho0": _positive},
+}
 
 
 def _axis_tuple(value, dim: int, key: str, kind):
@@ -204,10 +230,18 @@ def parse_config(text: str) -> RunConfig:
     directory = out.get("directory", "scnls-out")
     _need(isinstance(directory, str) and directory, "output.directory",
           "must be a non-empty string")
-    formats = tuple(out.get("formats", ["csv", "json"]))
+    formats = out.get("formats", ["csv", "json"])
+    _need(isinstance(formats, list)
+          and all(isinstance(f, str) for f in formats), "output.formats",
+          "must be a list of strings")
+    formats = tuple(formats)
     bad = set(formats) - _FORMATS
     _need(not bad, "output.formats", f"unknown formats: {sorted(bad)}")
 
+    for section, checks in _DEMO_CHECKS.items():
+        for key, check in checks.items():
+            if key in doc.get(section, {}):
+                check(doc[section][key], f"{section}.{key}")
     blow = dict(doc.get("blowup", {}))
     foc = dict(doc.get("focusing", {}))
     seed = doc.get("seed")

@@ -12,23 +12,22 @@ a_tilde = a * exp(i*phi1); |a_tilde| = |a| pointwise, and phi1 stays
 identically zero when a0 is real-valued and a1 purely imaginary (the system
 is then homogeneous in (phi1, Re(conj(a) w))).
 
-Integration is classical RK4 with spectral derivatives and 2/3 dealiasing,
-run directly on (phi1, w); the corrector step is twice the limit step so
-that RK4 stage times land exactly on stored limit nodes (this preserves
-fourth-order self-convergence).  Coefficient derivatives (div v, grad a,
-Lap a) are cached per node.
+Integration is classical RK4 (the limit solver's rk4_step) with spectral
+derivatives and 2/3 dealiasing, run directly on (phi1, w); the corrector step
+is twice the limit step so that RK4 stage times land exactly on stored limit
+nodes (this preserves fourth-order self-convergence).  Coefficient
+derivatives (div v, grad a, Lap a) are cached per node.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
-from .grid import Grid
-from .limit import LimitState, LimitTrajectory
+from .grid import Grid, node_index
+from .limit import LimitState, LimitTrajectory, rk4_step
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,7 @@ class CorrectorTrajectory:
     dt: float
 
     def index_at(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not a stored corrector node")
-        return i
+        return node_index(self.times, t)
 
     def state(self, i: int) -> CorrectorState:
         return CorrectorState(grid=self.grid, time=float(self.times[i]),
@@ -89,7 +85,7 @@ class _CoefficientCache:
                 self._grad_a[i], self._lap_a[i])
 
 
-def _rhs(phi1, w, coeffs, grid: Grid, sigma: int, mask):
+def _rhs(phi1, w, coeffs, grid: Grid, sigma: int):
     v, div_v, a, grad_a, lap_a = coeffs
     grad_phi1 = grid.gradient(phi1)
     lap_phi1 = grid.laplacian(phi1).real
@@ -100,19 +96,15 @@ def _rhs(phi1, w, coeffs, grid: Grid, sigma: int, mask):
     adv_w = sum(v[j] * grad_w[j] for j in range(grid.dim))
     cross = sum(grad_phi1[j].real * grad_a[j] for j in range(grid.dim))
     dw = -(adv_w + cross + 0.5 * w * div_v + 0.5 * a * lap_phi1) + 0.5j * lap_a
-    dphi1 = np.fft.ifftn(mask * np.fft.fftn(dphi1)).real
-    dw = np.fft.ifftn(mask * np.fft.fftn(dw))
-    return dphi1, dw
+    return grid.dealias(dphi1).real, grid.dealias(dw)
 
 
-def evolve_corrector(limit_traj: LimitTrajectory, a1: np.ndarray,
-                     dt: float | None = None) -> CorrectorTrajectory:
+def evolve_corrector(limit_traj: LimitTrajectory,
+                     a1: np.ndarray) -> CorrectorTrajectory:
     """Integrate the corrector pair over the limit trajectory's window.
 
     The limit trajectory must be stored at a uniform step h; the corrector
-    step defaults to 2h and must be an even multiple of h so that RK4 stages
-    hit stored nodes.  Other steps fall back to linear interpolation of the
-    coefficients between nodes (second-order accurate; a warning is issued).
+    step is 2h, so that the RK4 stage times hit stored nodes.
     """
     grid = limit_traj.grid
     sigma = limit_traj.sigma
@@ -126,23 +118,8 @@ def evolve_corrector(limit_traj: LimitTrajectory, a1: np.ndarray,
     if not np.allclose(np.diff(times), h, rtol=0, atol=1e-9 * max(h, 1.0)):
         raise ConfigError("time.T", "limit trajectory nodes must be uniform")
 
-    if dt is None:
-        stride = 1
-    else:
-        ratio = dt / (2.0 * h)
-        stride = int(round(ratio))
-        if stride < 1 or abs(ratio - stride) > 1e-9:
-            warnings.warn(
-                "corrector step is not an even multiple of the limit step; "
-                "falling back to linearly interpolated coefficients "
-                "(second-order accurate)", stacklevel=2)
-            return _evolve_interpolated(limit_traj, a1, float(dt))
-    n_nodes = times.size
-    n_steps = (n_nodes - 1) // (2 * stride)
-    if n_steps < 1:
-        raise ConfigError("time.T", "corrector step exceeds the window")
-    dtc = 2.0 * stride * h
-    mask = grid.dealias_mask
+    n_steps = (times.size - 1) // 2
+    dtc = 2.0 * h
     cache = _CoefficientCache(limit_traj)
 
     phi1 = np.zeros(grid.shape)
@@ -151,68 +128,19 @@ def evolve_corrector(limit_traj: LimitTrajectory, a1: np.ndarray,
     out_phi1 = [phi1.copy()]
     out_w = [w.copy()]
     for n in range(n_steps):
-        i0 = 2 * stride * n
-        c0 = cache.at(i0)
-        ch = cache.at(i0 + stride)
-        c1 = cache.at(i0 + 2 * stride)
-        k1 = _rhs(phi1, w, c0, grid, sigma, mask)
-        k2 = _rhs(phi1 + 0.5 * dtc * k1[0], w + 0.5 * dtc * k1[1], ch, grid, sigma, mask)
-        k3 = _rhs(phi1 + 0.5 * dtc * k2[0], w + 0.5 * dtc * k2[1], ch, grid, sigma, mask)
-        k4 = _rhs(phi1 + dtc * k3[0], w + dtc * k3[1], c1, grid, sigma, mask)
-        phi1 = phi1 + dtc / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w = w + dtc / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        i0 = 2 * n
+
+        def rhs(y, c):
+            return _rhs(*y, cache.at(i0 + int(2 * c)), grid, sigma)
+
+        phi1, w = rk4_step(rhs, (phi1, w), dtc)
         if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(w.view(float)))):
             raise NumericalGuardError(
-                f"corrector became non-finite at t={times[i0 + 2 * stride]:.6g}")
-        out_t.append(float(times[i0 + 2 * stride]))
+                f"corrector became non-finite at t={times[i0 + 2]:.6g}")
+        out_t.append(float(times[i0 + 2]))
         out_phi1.append(phi1.copy())
         out_w.append(w.copy())
 
-    return CorrectorTrajectory(
-        grid=grid, sigma=sigma, times=np.asarray(out_t),
-        phi1=np.asarray(out_phi1), w=np.asarray(out_w), dt=dtc,
-    )
-
-
-def _evolve_interpolated(limit_traj: LimitTrajectory, a1: np.ndarray,
-                         dt: float) -> CorrectorTrajectory:
-    grid = limit_traj.grid
-    sigma = limit_traj.sigma
-    times = limit_traj.times
-    t_end = float(times[-1])
-    n_steps = max(1, int(round(t_end / dt)))
-    dtc = t_end / n_steps
-    mask = grid.dealias_mask
-
-    def coeffs_at(t: float):
-        t = min(max(t, float(times[0])), t_end)
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), times.size - 2)
-        lam = (t - times[i]) / (times[i + 1] - times[i])
-        v = (1 - lam) * limit_traj.v[i] + lam * limit_traj.v[i + 1]
-        a = (1 - lam) * limit_traj.a[i] + lam * limit_traj.a[i + 1]
-        return (v, grid.divergence(v).real, a, grid.gradient(a), grid.laplacian(a))
-
-    phi1 = np.zeros(grid.shape)
-    w = np.asarray(a1, dtype=complex).copy()
-    out_t = [0.0]
-    out_phi1 = [phi1.copy()]
-    out_w = [w.copy()]
-    t = 0.0
-    for _ in range(n_steps):
-        c0 = coeffs_at(t)
-        ch = coeffs_at(t + 0.5 * dtc)
-        c1 = coeffs_at(t + dtc)
-        k1 = _rhs(phi1, w, c0, grid, sigma, mask)
-        k2 = _rhs(phi1 + 0.5 * dtc * k1[0], w + 0.5 * dtc * k1[1], ch, grid, sigma, mask)
-        k3 = _rhs(phi1 + 0.5 * dtc * k2[0], w + 0.5 * dtc * k2[1], ch, grid, sigma, mask)
-        k4 = _rhs(phi1 + dtc * k3[0], w + dtc * k3[1], c1, grid, sigma, mask)
-        phi1 = phi1 + dtc / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w = w + dtc / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t += dtc
-        out_t.append(t)
-        out_phi1.append(phi1.copy())
-        out_w.append(w.copy())
     return CorrectorTrajectory(
         grid=grid, sigma=sigma, times=np.asarray(out_t),
         phi1=np.asarray(out_phi1), w=np.asarray(out_w), dt=dtc,

@@ -29,6 +29,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def node_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time node equal to t (relative tolerance 1e-9)."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not a stored node")
+    return i
+
+
 class Grid:
     """Uniform periodic grid on a 1-D or 2-D torus."""
 
@@ -102,26 +110,18 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keeps |k| <= N/3 per axis."""
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            n = self.shape[axis]
-            k_int = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-            keep = np.abs(k_int) <= n // 3
-            shape = [1] * self.dim
-            shape[axis] = n
-            mask = mask & keep.reshape(shape)
-        return mask
+        return self.mode_mask(tuple(n // 3 for n in self.shape))
 
-    def mode_mask(self, cutoff: int) -> np.ndarray:
-        """Boolean mask keeping integer modes |k| <= cutoff on every axis."""
+    def mode_mask(self, cutoff: int | tuple[int, ...]) -> np.ndarray:
+        """Boolean mask keeping integer modes |k| <= cutoff on every axis
+        (one cutoff for all axes, or a tuple with one per axis)."""
+        cutoffs = cutoff if isinstance(cutoff, tuple) else (cutoff,) * self.dim
         mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            n = self.shape[axis]
-            k_int = np.fft.fftfreq(n, d=1.0 / n)
-            keep = np.abs(k_int) <= cutoff
+        for axis, (n, c) in enumerate(zip(self.shape, cutoffs)):
+            k_int = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
             shape = [1] * self.dim
             shape[axis] = n
-            mask = mask & keep.reshape(shape)
+            mask = mask & (np.abs(k_int) <= c).reshape(shape)
         return mask
 
     # -- transforms and calculus ------------------------------------------
@@ -171,9 +171,12 @@ class Grid:
         """Second-derivative multiplier -|xi|^2 (Nyquist included: even order)."""
         return np.fft.ifftn(-self.k_squared * np.fft.fftn(self._check(f)))
 
-    def dealias(self, f: np.ndarray) -> np.ndarray:
-        """Project onto the 2/3 band (use on quadratic/cubic products)."""
-        return np.fft.ifftn(self.dealias_mask * np.fft.fftn(self._check(f)))
+    def dealias(self, f: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Project onto ``mask``, by default the 2/3 band (use on
+        quadratic/cubic products)."""
+        if mask is None:
+            mask = self.dealias_mask
+        return np.fft.ifftn(mask * np.fft.fftn(self._check(f)))
 
     # -- norms -------------------------------------------------------------
 

@@ -36,10 +36,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
-from .grid import Grid
+from .grid import Grid, node_index
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
+# default step = DT_SAFETY * initial CFL step (headroom for the phase
+# quadrature); adaptive runs stop once the step falls below DT_FLOOR_FACTOR * dt
+DT_SAFETY = 0.1
+DT_FLOOR_FACTOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +87,7 @@ class LimitTrajectory:
     phi0_periodic: np.ndarray
     phi0_wavevector: tuple[float, ...]
     dt: float | None                  # uniform step, None if adapted
-    status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop
+    status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop|max_steps
     step_times: np.ndarray            # every accepted step
     grad_v_max: np.ndarray            # max |d_i v_j| per step
     div_v_max: np.ndarray             # max |div v| per step
@@ -95,10 +99,7 @@ class LimitTrajectory:
         return reconstruct_phase(self)
 
     def index_at(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not a stored node")
-        return i
+        return node_index(self.times, t)
 
     def state(self, i: int) -> LimitState:
         return LimitState(
@@ -116,10 +117,6 @@ class LimitTrajectory:
 # right-hand side
 
 
-def _mask_c(fld: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(mask * np.fft.fftn(fld))
-
-
 def _rhs(v, S, a, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
     dim = grid.dim
     grad_v = [grid.gradient(v[i]).real for i in range(dim)]  # grad_v[i][j] = d_j v_i
@@ -131,12 +128,25 @@ def _rhs(v, S, a, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
     dv = np.empty_like(v)
     for i in range(dim):
         adv = sum(v[j] * grad_v[i][j] for j in range(dim))
-        dv[i] = _mask_c(-(adv + psign * grad_p[i]), mask).real
+        dv[i] = grid.dealias(-(adv + psign * grad_p[i]), mask).real
     adv_S = sum(v[j] * grad_S[j] for j in range(dim))
-    dS = _mask_c(-(adv_S + 0.5 * sigma * S * div_v), mask)
+    dS = grid.dealias(-(adv_S + 0.5 * sigma * S * div_v), mask)
     adv_a = sum(v[j] * grad_a[j] for j in range(dim))
-    da = _mask_c(-(adv_a + 0.5 * a * div_v), mask)
+    da = grid.dealias(-(adv_a + 0.5 * a * div_v), mask)
     return dv, dS, da
+
+
+def rk4_step(rhs, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step for a tuple of fields.  ``rhs(y, c)`` returns
+    the tuple of time derivatives at stage time t + c*dt, c in {0, 1/2, 1}."""
+    h = 0.5 * dt
+    k1 = rhs(y, 0.0)
+    k2 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k1)), 0.5)
+    k3 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k2)), 0.5)
+    k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)), 1.0)
+    w = dt / 6.0
+    return tuple(yi + w * (a + 2 * b + 2 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def _wave_speed(v, S, sigma: int) -> float:
@@ -181,8 +191,6 @@ def evolve_limit(
     strict: bool = True,
     store_every: int = 1,
     spectral_cutoff: int | None = None,
-    dt_safety: float = 0.1,
-    dt_floor_factor: float = 1e-6,
     grad_stop: float | None = None,
     max_steps: int = 2_000_000,
 ) -> LimitTrajectory:
@@ -190,7 +198,7 @@ def evolve_limit(
 
     With dt=None the step is set from the initial CFL estimate
     dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)), shrunk by
-    dt_safety: RK4 is stable at the CFL bound but the trapezoidal phase
+    DT_SAFETY: RK4 is stable at the CFL bound but the trapezoidal phase
     quadrature is only second order, and the phase-consistency contract
     ||grad phi - v|| < 1e-6 needs the extra headroom.  When n_obs is given
     the step is rounded so each of the n_obs-1 uniform observation intervals
@@ -198,6 +206,8 @@ def evolve_limit(
     nodes).  adaptive=True re-derives dt from the pure CFL rule every step
     and is meant for breakdown hunting; the trajectory then truncates instead
     of raising when dt collapses or fields stop being finite (strict=False).
+    A run that reaches max_steps before final_time ends with status
+    "max_steps", which raises like every other early stop when strict.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -212,9 +222,9 @@ def evolve_limit(
         v0[j] += kj
     a0 = np.asarray(init.a0, dtype=complex)
     S0 = a0**sigma
-    v = np.stack([_mask_c(v0[j], mask).real for j in range(grid.dim)])
-    S = _mask_c(S0, mask)
-    a = _mask_c(a0, mask)
+    v = np.stack([grid.dealias(v0[j], mask).real for j in range(grid.dim)])
+    S = grid.dealias(S0, mask)
+    a = grid.dealias(a0, mask)
 
     dx_min = min(grid.dx)
     speed0 = _wave_speed(v, S, sigma)
@@ -223,7 +233,7 @@ def evolve_limit(
         # the absolute ceiling keeps the O(dt^2) phase quadrature within its
         # 1e-6 consistency budget for unit-scale data on coarse grids, where
         # the CFL bound alone would allow much larger steps
-        dt_target = dt_cfl0 if adaptive else min(dt_safety * dt_cfl0, 8e-4)
+        dt_target = dt_cfl0 if adaptive else min(DT_SAFETY * dt_cfl0, 8e-4)
         if n_obs is not None and n_obs >= 2:
             delta = final_time / (n_obs - 1)
             m = max(1, math.ceil(delta / (2.0 * dt_target)))
@@ -232,7 +242,7 @@ def evolve_limit(
             n_steps = 2 * max(1, math.ceil(final_time / (2.0 * dt_target)))
             dt = final_time / n_steps
     dt = float(dt)
-    dt_floor = dt * dt_floor_factor
+    dt_floor = dt * DT_FLOOR_FACTOR
 
     times = [0.0]
     vs, Ss, As = [v.copy()], [S.copy()], [a.copy()]
@@ -248,6 +258,9 @@ def evolve_limit(
         cfl_hist.append(step_dt * speed / dx_min)
 
     record_scalars(v, a, dt, speed0)
+
+    def rhs(y, c):
+        return _rhs(*y, grid, sigma, pressure_sign, mask)
 
     status = "completed"
     t = 0.0
@@ -266,18 +279,7 @@ def evolve_limit(
                 status = "cfl"
                 break
 
-        k1 = _rhs(v, S, a, grid, sigma, pressure_sign, mask)
-        h = 0.5 * step_dt
-        k2 = _rhs(v + h * k1[0], S + h * k1[1], a + h * k1[2],
-                  grid, sigma, pressure_sign, mask)
-        k3 = _rhs(v + h * k2[0], S + h * k2[1], a + h * k2[2],
-                  grid, sigma, pressure_sign, mask)
-        k4 = _rhs(v + step_dt * k3[0], S + step_dt * k3[1], a + step_dt * k3[2],
-                  grid, sigma, pressure_sign, mask)
-        w = step_dt / 6.0
-        v = v + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        S = S + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        a = a + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        v, S, a = rk4_step(rhs, (v, S, a), step_dt)
         t += step_dt
         n += 1
 
@@ -296,6 +298,8 @@ def evolve_limit(
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
+    if status == "completed" and t < final_time - 1e-12:
+        status = "max_steps"
 
     if status != "completed" and strict:
         raise NumericalGuardError(
@@ -451,7 +455,8 @@ def blowup_monitor(traj: LimitTrajectory, factor: float = 10.0,
     if crossing.size:
         i = int(crossing[0])
         t_est = float(ts[i])
-    elif traj.status in ("nonfinite", "dt_floor", "cfl", "grad_stop"):
+    elif traj.status in ("nonfinite", "dt_floor", "cfl", "grad_stop",
+                         "max_steps"):
         t_est = float(ts[-1])
 
     spacing = float(np.max(np.diff(ts))) if ts.size > 1 else 0.0

@@ -19,12 +19,12 @@ integration at dt/2 and comparing final states (the halving guard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, NumericalGuardError
-from .grid import Grid
+from .grid import Grid, node_index
 from .presets import InitialData, snap_wavevector
 
 
@@ -70,10 +70,7 @@ class NLSTrajectory:
     mass_history: np.ndarray | None = None
 
     def state_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not in trajectory")
-        return self.states[i]
+        return self.states[node_index(self.times, t)]
 
 
 def build_initial_data(data: InitialData, epsilon: float,
@@ -121,7 +118,7 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
     full_kick = half_kick * half_kick
 
     def freeze(arr: np.ndarray) -> np.ndarray:
-        # snapshots are shared read-only (observers, concurrent sweep rows)
+        # snapshots are shared read-only with the observers
         arr.setflags(write=False)
         return arr
 
@@ -175,12 +172,7 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None,
         mass_history=np.array([grid.l2_norm(s) for s in states]),
     )
     if cfg.self_check:
-        fine_cfg = NLSConfig(
-            grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-            final_time=cfg.final_time, dt0=cfg.dt0,
-            dt_exponent=cfg.dt_exponent,
-            dt_override=dt / 2.0, self_check=False,
-        )
+        fine_cfg = replace(cfg, dt_override=dt / 2.0, self_check=False)
         fine_states, _ = _evolve_raw(u0, fine_cfg, obs_times)
         err = grid.l2_norm(states[-1] - fine_states[-1])
         tol = cfg.self_check_factor * cfg.epsilon * max(grid.l2_norm(u0), 1e-300)

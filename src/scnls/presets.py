@@ -123,49 +123,70 @@ _AMPLITUDE_PRESETS = {
 _PHASE_PRESETS = {"zero", "neg_cos", "compact_bump", "linear"}
 
 
+# what a preset function raises on parameter values it cannot use
+_BAD_VALUE = (TypeError, ValueError, IndexError, ArithmeticError)
+
+
+def _finite(fld: np.ndarray, key: str, preset: str) -> np.ndarray:
+    if not np.all(np.isfinite(fld)):
+        raise ConfigError(key, f"parameters of preset {preset!r} give non-finite values")
+    return fld
+
+
 def make_amplitude(grid: Grid, preset: str, params: dict, key: str) -> np.ndarray:
     """Build a complex amplitude field from a config preset description."""
-    if preset not in _AMPLITUDE_PRESETS:
+    if not isinstance(preset, str) or preset not in _AMPLITUDE_PRESETS:
         raise ConfigError(key, f"unknown amplitude preset {preset!r}; "
                                f"choose from {sorted(_AMPLITUDE_PRESETS)}")
     params = dict(params)
-    amp_re = params.pop("amplitude_re", None)
-    amp_im = params.pop("amplitude_im", None)
-    if amp_re is not None or amp_im is not None:
-        params["amplitude"] = complex(amp_re or 0.0, amp_im or 0.0)
     try:
-        fld = _AMPLITUDE_PRESETS[preset](grid, **params)
-    except TypeError as exc:
+        amp_re = params.pop("amplitude_re", None)
+        amp_im = params.pop("amplitude_im", None)
+        if amp_re is not None or amp_im is not None:
+            params["amplitude"] = complex(amp_re or 0.0, amp_im or 0.0)
+        with np.errstate(all="ignore"):  # non-finite fields are rejected below
+            fld = np.asarray(_AMPLITUDE_PRESETS[preset](grid, **params),
+                             dtype=complex)
+    except _BAD_VALUE as exc:
         raise ConfigError(key, f"bad parameters for preset {preset!r}: {exc}") from exc
-    return np.asarray(fld, dtype=complex)
+    return _finite(fld, key, preset)
 
 
 def make_phase(grid: Grid, preset: str, params: dict, key: str):
     """Build (periodic part, wavevector) for a phi0 preset description."""
-    if preset not in _PHASE_PRESETS:
+    if not isinstance(preset, str) or preset not in _PHASE_PRESETS:
         raise ConfigError(key, f"unknown phase preset {preset!r}; "
                                f"choose from {sorted(_PHASE_PRESETS)}")
     params = dict(params)
+    try:
+        with np.errstate(all="ignore"):  # non-finite fields are rejected below
+            per, kvec = _phase_fields(grid, preset, params)
+    except _BAD_VALUE as exc:
+        raise ConfigError(key, f"bad parameters for preset {preset!r}: {exc}") from exc
+    if params:
+        raise ConfigError(key, f"unknown parameters for preset {preset!r}: {sorted(params)}")
+    _finite(np.asarray(kvec), key, preset)
+    return _finite(per, key, preset), kvec
+
+
+def _phase_fields(grid: Grid, preset: str, params: dict):
+    """(periodic part, wavevector) of a phase preset; pops the parameters
+    it uses from params."""
     if preset == "zero":
-        per = np.zeros(grid.shape)
-        kvec = (0.0,) * grid.dim
-    elif preset == "neg_cos":
-        per = neg_cos_phase(grid, amplitude=float(params.pop("amplitude", 1.0)))
-        kvec = (0.0,) * grid.dim
-    elif preset == "compact_bump":
+        return np.zeros(grid.shape), (0.0,) * grid.dim
+    if preset == "neg_cos":
+        amp = float(params.pop("amplitude", 1.0))
+        return neg_cos_phase(grid, amplitude=amp), (0.0,) * grid.dim
+    if preset == "compact_bump":
         per = np.real(compact_bump(
             grid,
             radius=float(params.pop("radius", 3.0)),
             amplitude=float(params.pop("amplitude", 1.0)),
         ))
-        kvec = (0.0,) * grid.dim
-    else:  # linear
-        k = params.pop("wavenumber", 1.0)
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        if k.size == 1 and grid.dim > 1:
-            k = np.full(grid.dim, float(k[0]))
-        per = np.zeros(grid.shape)
-        kvec = tuple(float(v) for v in k)
-    if params:
-        raise ConfigError(key, f"unknown parameters for preset {preset!r}: {sorted(params)}")
-    return per, kvec
+        return per, (0.0,) * grid.dim
+    # linear
+    k = params.pop("wavenumber", 1.0)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if k.size == 1 and grid.dim > 1:
+        k = np.full(grid.dim, float(k[0]))
+    return np.zeros(grid.shape), tuple(float(v) for v in k)

@@ -13,22 +13,18 @@ modulation diagnostics, then reduces everything into a per-epsilon row table:
 
 Log-log least squares (fit_rate) turns error columns into convergence rates.
 The pipeline is deterministic: identical plans give byte-identical CSV/JSON.
-Rows may be computed concurrently (SCNLS_WORKERS); results are keyed and
-sorted by epsilon so assembly order cannot matter.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
+from .artifacts import hashed_csv, hashed_json
 from .corrector import CorrectorTrajectory, evolve_corrector, tilde_amplitude
 from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
@@ -141,31 +137,14 @@ class SweepResult:
                      for name, f in self.fits.items()},
             "environment": self.environment,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        payload["content_hash"] = "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return hashed_json(payload)
 
     def to_csv(self) -> str:
-        lines = [
+        return hashed_csv([
             "# epsilon-sweep result; columns: " + ",".join(ROW_COLUMNS),
             "# config: " + json.dumps(self.plan_echo, sort_keys=True,
                                       separators=(",", ":")),
-        ]
-        body = [",".join(ROW_COLUMNS)]
-        for row in self.rows:
-            body.append(",".join(_csv_cell(row[c]) for c in ROW_COLUMNS))
-        text = "\n".join(body)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        lines.append("# content_hash: sha256:" + digest)
-        return "\n".join(lines) + "\n" + text + "\n"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        ], ROW_COLUMNS, self.rows)
 
 
 def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
@@ -183,9 +162,7 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
         check_ok = traj.self_check_ok
     except NumericalGuardError as exc:
         # flagged row: rerun without the guard so the sweep can continue
-        cfg = NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
-                        final_time=plan.final_time, dt0=plan.dt0,
-                        dt_exponent=plan.dt_exponent, self_check=False)
+        cfg = replace(cfg, self_check=False)
         traj = evolve_nls(u0, cfg, obs_times)
         check_err = exc.value if exc.value is not None else -2.0
         check_ok = False
@@ -248,7 +225,7 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
     }
 
 
-def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Execute the sweep: one shared limit/corrector run, one wavefunction run
     per epsilon, diagnostics, and rate fits."""
     grid = plan.initial.grid
@@ -259,36 +236,18 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     initial = plan.initial
     if any(kj != 0.0 for kj in initial.phi0_wavevector):
         snapped, _ = snap_wavevector(initial.phi0_wavevector, grid, eps_ref)
-        initial = InitialData(
-            grid=grid, a0=initial.a0, a1=initial.a1,
-            phi0_periodic=initial.phi0_periodic,
-            phi0_wavevector=snapped, label=initial.label,
-        )
+        initial = replace(initial, phi0_wavevector=snapped)
 
     limit_traj = evolve_limit(initial, sigma, plan.final_time, n_obs=plan.n_obs)
-    _ = limit_traj.phi_periodic  # materialize before sharing across workers
     corr_traj = evolve_corrector(limit_traj, initial.a1)
     c_hat = gronwall_constant(limit_traj)
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
 
-    plan2 = SweepPlan(
-        initial=initial, sigma=sigma, epsilon_list=plan.epsilon_list,
-        final_time=plan.final_time, n_obs=plan.n_obs, dt0=plan.dt0,
-        dt_exponent=plan.dt_exponent, self_check=plan.self_check,
-        config_echo=plan.config_echo,
-    )
-
-    if workers is None:
-        workers = int(os.environ.get("SCNLS_WORKERS", "1"))
-    args = [(eps, plan2, limit_traj, corr_traj, obs_times, eps_ref, c_hat, k, sup_p)
+    plan2 = replace(plan, initial=initial)
+    rows = [_sweep_row(eps, plan2, limit_traj, corr_traj, obs_times, eps_ref,
+                       c_hat, k, sup_p)
             for eps in plan.epsilon_list]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _sweep_row(*a), args))
-    else:
-        rows = [_sweep_row(*a) for a in args]
-    rows.sort(key=lambda r: -r["epsilon"])
 
     fits: dict[str, FitResult] = {}
     eps = [r["epsilon"] for r in rows]

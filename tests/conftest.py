@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -19,6 +21,25 @@ def subprocess_env() -> dict:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+def hash_of_json(doc: dict) -> str:
+    """content_hash of a JSON artifact: sha256 of the canonical document
+    without its content_hash entry."""
+    rest = {k: v for k, v in doc.items() if k != "content_hash"}
+    blob = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+
+
+def hash_of_csv(text: str) -> tuple[str, str]:
+    """(stated, recomputed) content hash of a CSV artifact: the recomputed
+    one is the sha256 of the data lines (everything but '#' comments)."""
+    lines = text.splitlines()
+    stated = [ln.split(": ", 1)[1] for ln in lines
+              if ln.startswith("# content_hash: ")]
+    assert len(stated) == 1
+    data = "\n".join(ln for ln in lines if not ln.startswith("#"))
+    return stated[0], "sha256:" + hashlib.sha256(data.encode()).hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,31 @@ import pytest
 from scnls.config import parse_config
 from scnls.errors import ConfigError
 
-from conftest import subprocess_env
+from conftest import hash_of_csv, hash_of_json, subprocess_env
+
+
+# malformed documents that must be rejected as config errors (exit 2), with
+# the key the error names and the command that would consume the value
+MALFORMED = [
+    ('{"blowup": {"amplitudes": "x"}}', "blowup.amplitudes", "blowup"),
+    ('{"blowup": {"max_time": -1.0}}', "blowup.max_time", "blowup"),
+    ('{"focusing": {"wavenumbers": [1.5, 2.5]}}', "focusing.wavenumbers",
+     "focusing-demo"),
+    ('{"focusing": {"wavenumbers": []}}', "focusing.wavenumbers",
+     "focusing-demo"),
+    ('{"initial": {"a0_params": {"amplitude_re": "x"}}}', "initial.a0_preset",
+     "simulate"),
+    ('{"initial": {"a0_params": {"width": 0}}}', "initial.a0_preset",
+     "simulate"),
+    ('{"initial": {"phi0_preset": "neg_cos", "phi0_params": {"amplitude": "x"}}}',
+     "initial.phi0_preset", "simulate"),
+    ('{"initial": {"phi0_preset": "linear", "phi0_params": {"wavenumber": "x"}}}',
+     "initial.phi0_preset", "simulate"),
+    ('{"output": {"formats": [[1]]}}', "output.formats", "simulate"),
+    ('{"time": {"T": Infinity}}', "time.T", "simulate"),
+    ('{"time": {"dt0": Infinity}}', "time.dt0", "simulate"),
+    ('{"grid": {"L": Infinity}}', "grid.L", "simulate"),
+]
 
 
 class TestParseConfig:
@@ -76,6 +100,12 @@ class TestParseConfig:
         assert again == cfg
         assert again.content_hash() == cfg.content_hash()
 
+    @pytest.mark.parametrize("text,key,_command", MALFORMED)
+    def test_malformed_value_rejected(self, text, key, _command):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.key == key
+
     def test_2d_axis_lists(self):
         cfg = parse_config('{"grid": {"dim": 2, "N": [32, 64], "L": [4.0, 8.0]}}')
         assert cfg.n == (32, 64)
@@ -121,6 +151,9 @@ class TestCliCommands:
         assert summary["mass_drift_rel"] < 1e-12
         assert summary["self_check_ok"] is True
         assert "config_hash" in summary and "content_hash" in summary
+        assert summary["content_hash"] == hash_of_json(summary)
+        stated, recomputed = hash_of_csv((out / "invariants.csv").read_text())
+        assert stated == recomputed
 
     def test_limit_and_report_artifacts(self, tiny_config, tmp_path):
         path, out = tiny_config
@@ -165,6 +198,17 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == "physics.sigma"
+
+    @pytest.mark.parametrize("text,key,command", MALFORMED)
+    def test_malformed_config_exit_2(self, tmp_path, text, key, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = run_cli([command, str(bad), "--out", str(tmp_path / "o")],
+                       tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["key"] == key
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli(["simulate", str(tmp_path / "nope.json")], tmp_path)

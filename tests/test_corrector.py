@@ -45,10 +45,13 @@ class TestSelfConvergence:
         assert 14.0 <= ratio_w <= 18.0
         assert 14.0 <= ratio_p <= 18.0
 
-    def test_interpolation_fallback_warns(self, gaussian_data):
+
+    def test_step_is_twice_limit_step(self, gaussian_data):
+        # RK4 stage times of the corrector land on stored limit nodes
         traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3)
-        with pytest.warns(UserWarning):
-            corr = evolve_corrector(traj, gaussian_data.a1, dt=1.7e-3)
+        corr = evolve_corrector(traj, gaussian_data.a1)
+        assert corr.dt == pytest.approx(2e-3, rel=1e-12)
+        np.testing.assert_array_equal(corr.times, traj.times[::2])
         assert corr.times[-1] == pytest.approx(0.05)
 
 

@@ -5,7 +5,7 @@ from scnls import Grid
 from scnls.errors import NumericalGuardError
 from scnls.limit import (blowup_monitor, characteristic_gradient_scale,
                          euler_invariants, evolve_limit, focusing_demo,
-                         power_consistency)
+                         power_consistency, rk4_step)
 from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData, compact_bump, gaussian
 
@@ -86,6 +86,36 @@ class TestEvolve:
         # dt far above the CFL bound: flagged, raises under strict
         with pytest.raises(NumericalGuardError):
             evolve_limit(data, 2, 1.0, dt=0.9)
+
+    def test_max_steps_status(self, gaussian_data):
+        # a run cut by max_steps is not "completed": strict raises, and the
+        # lenient run reports the cut and ends before final_time
+        with pytest.raises(NumericalGuardError, match="max_steps"):
+            evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, max_steps=3)
+        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, max_steps=3,
+                            strict=False)
+        assert traj.status == "max_steps"
+        assert traj.times[-1] < 0.05
+        assert len(traj.step_times) == 4
+        assert blowup_monitor(traj).t_estimate == pytest.approx(traj.step_times[-1])
+
+
+class TestRK4Step:
+    def test_taylor_polynomial_of_linear_growth(self):
+        # y' = y: one RK4 step is the degree-4 Taylor polynomial of exp(h)
+        h = 0.1
+        (y,) = rk4_step(lambda y, c: (y[0],), (np.array([1.0]),), h)
+        assert y[0] == pytest.approx(1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24,
+                                     rel=1e-15)
+
+    def test_stage_fractions_integrate_cubic_exactly(self):
+        # y' = (t0 + c*h)^3 with y untouched: RK4 reduces to Simpson's rule,
+        # exact for cubics, so the stage fraction c must be passed through
+        t0, h = 0.3, 0.2
+        (y, z) = rk4_step(lambda y, c: ((t0 + c * h) ** 3, 0.0 * y[1]),
+                          (0.0, np.ones(2)), h)
+        assert y == pytest.approx(((t0 + h) ** 4 - t0**4) / 4, rel=1e-14)
+        np.testing.assert_array_equal(z, np.ones(2))
 
 
 class TestPhase:
