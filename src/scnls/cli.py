@@ -38,7 +38,7 @@ from .limit import (blowup_monitor, characteristic_gradient_scale,
 from .nls import NLSConfig, build_initial_data, evolve_nls, nls_invariants
 from .presets import InitialData, compact_bump, constant
 from .snapshots import write_snapshots
-from .sweep import SweepPlan, run_sweep
+from .sweep import SCHEME, SweepPlan, run_sweep
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_INTERNAL = 0, 2, 3, 4
 
@@ -82,7 +82,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     data = cfg.make_initial_data(grid)
     u0 = build_initial_data(data, cfg.epsilon)
     ncfg = NLSConfig(grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-                     final_time=cfg.final_time, dt0=cfg.dt0)
+                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
     traj = evolve_nls(u0, ncfg, _obs_times(cfg))
     rows = []
     for t, u in zip(traj.times, traj.states):
@@ -106,6 +106,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     summary = {
         "command": "simulate",
         "epsilon": cfg.epsilon, "sigma": cfg.sigma, "dt": traj.dt,
+        "scheme": ncfg.scheme,
         "mass_drift_rel": abs(mT - m0) / m0 if m0 else 0.0,
         "energy_drift_rel": abs(rows[-1]["energy"] - rows[0]["energy"])
         / max(abs(rows[0]["energy"]), 1e-300),
@@ -213,7 +214,7 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
     data = cfg.make_initial_data(grid)
     u0 = build_initial_data(data, cfg.epsilon)
     ncfg = NLSConfig(grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-                     final_time=cfg.final_time, dt0=cfg.dt0)
+                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
     traj = evolve_nls(u0, ncfg, _obs_times(cfg))
     ltraj = evolve_limit(data, cfg.sigma, cfg.final_time,
                          n_obs=cfg.observation_count)
@@ -244,6 +245,7 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
         _write_csv(out / "conservation.csv", cols, rows, cfg)
     summary = {
         "command": "conserve",
+        "dt": traj.dt, "scheme": ncfg.scheme,
         "max_nls_mass_drift": max(r["nls_mass_drift"] for r in rows),
         "max_nls_energy_drift": max(r["nls_energy_drift"] for r in rows),
         "max_nls_momentum_drift": max(r["nls_momentum_drift"] for r in rows),

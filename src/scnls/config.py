@@ -5,7 +5,8 @@ Sections and keys (all optional unless noted):
     grid:     dim (1|2), N (power of two >= 16, per axis), L (> 0, per axis)
     physics:  sigma (int, 1..6), epsilon (in (0,1]) or epsilon_list
               (strictly decreasing, in (0,1])
-    time:     T (> 0), dt0 (> 0), observation_count (int >= 3)
+    time:     T (> 0), dt0 (> 0; sets the Strang-equivalent splitting error,
+              Strang step dt0*eps^1.5), observation_count (int >= 3)
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from . import artifacts
 from .errors import ConfigError
 from .grid import Grid
+from .nls import check_step_count, yoshida4_step
 from .presets import InitialData, make_amplitude, make_phase
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -220,6 +222,12 @@ def parse_config(text: str) -> RunConfig:
     _need(dt0 > 0, "time.dt0", "must be positive")
     n_obs = _as_int(tm.get("observation_count", 20), "time.observation_count")
     _need(n_obs >= 3, "time.observation_count", "must be >= 3")
+    # fail fast on a wavefunction step too small to finish (the commands
+    # integrate with yoshida4 at the Strang step dt0*eps^1.5)
+    for key, values in (("physics.epsilon", (epsilon,)),
+                        ("physics.epsilon_list", eps_list)):
+        for e in values:
+            check_step_count(final_time, yoshida4_step(dt0 * e**1.5, e), key)
 
     ini = doc.get("initial", {})
     for pk in ("a0_params", "a1_params", "phi0_params"):

@@ -1,24 +1,35 @@
-"""Strang-splitting spectral integrator for the semiclassical NLS
+"""Split-step spectral integrators for the semiclassical NLS
 
     i*eps*du/dt + (eps^2/2)*Lap(u) = |u|^(2*sigma) * u,
     u(0) = (a0 + eps*a1) * exp(i*phi0/eps),
 
-on the periodic cell.  One step of size dt is
+on the periodic cell.  One Strang step of size h is
 
-    kinetic half step   u_hat <- exp(-i*eps*|xi|^2*dt/4) * u_hat
-    nonlinear full step u     <- u * exp(-i*|u|^(2*sigma)*dt/eps)
+    kinetic half step   u_hat <- exp(-i*eps*|xi|^2*h/4) * u_hat
+    nonlinear full step u     <- u * exp(-i*|u|^(2*sigma)*h/eps)
     kinetic half step
 
 Both substeps preserve |u_hat| resp. |u| pointwise, so the L2 mass is
 conserved to roundoff; the nonlinear step is exact because |u| is invariant
-under it.  The semiclassical splitting error scales like dt^2/eps, hence the
-default step dt = dt0 * eps^(3/2) keeps the solver error o(eps) uniformly
-over an epsilon ladder.  Every run can verify itself by repeating the
-integration at dt/2 and comparing final states (the halving guard).
+under it.  A scheme is a composition of Strang substeps with weights
+summing to one (SCHEMES): ``strang`` is the single substep, ``yoshida4``
+Yoshida's fourth-order triple jump h = (w1, 1 - 2*w1, w1)*dt with
+w1 = 1/(2 - 2^(1/3)).  Kinetic half steps of neighbouring substeps merge,
+also across steps inside an observation interval, so a yoshida4 step costs
+three nonlinear substeps and three FFT pairs.
+
+An order-p splitting error behaves like (dt/eps)^p * eps in the
+semiclassical regime.  The Strang step dt_s = dt0 * eps^(3/2) keeps it
+o(eps) uniformly over an epsilon ladder; yoshida4 takes the step
+sqrt(dt_s * eps), for which (dt/eps)^4 = (dt_s/eps)^2, so dt0 sets the same
+Strang-equivalent error for both schemes.  Every run can verify itself by
+repeating the integration at dt/2 with the same scheme and comparing final
+states (the halving guard).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +37,13 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError, NumericalGuardError
 from .grid import Grid, node_index
 from .presets import InitialData, snap_wavevector
+
+# substep weights of each composition of the Strang step
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
+
+# most steps one run may take: a larger count is a step too small to finish
+MAX_NLS_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -39,22 +57,50 @@ class NLSConfig:
     dt_override: float | None = None
     self_check: bool = True
     self_check_factor: float = 0.05
+    scheme: str = "strang"
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ConfigError("scheme", f"unknown scheme {self.scheme!r}; "
+                                        f"choose from {sorted(SCHEMES)}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError("physics.epsilon", f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.sigma < 1:
             raise ConfigError("physics.sigma", f"sigma must be >= 1, got {self.sigma}")
         if self.final_time <= 0:
             raise ConfigError("time.T", "final_time must be positive")
-        if self.dt_raw >= self.final_time:
+        if self.dt_strang >= self.final_time:
             raise ConfigError("time.dt0", "time step must be smaller than final_time")
+        check_step_count(self.final_time, self.dt_raw)
 
     @property
-    def dt_raw(self) -> float:
+    def dt_strang(self) -> float:
+        """dt_override, or the Strang step dt0*eps^dt_exponent."""
         if self.dt_override is not None:
             return self.dt_override
         return self.dt0 * self.epsilon**self.dt_exponent
+
+    @property
+    def dt_raw(self) -> float:
+        """The step requested of the scheme: dt_override, or the step whose
+        splitting error matches the Strang step's."""
+        if self.dt_override is not None or self.scheme == "strang":
+            return self.dt_strang
+        return yoshida4_step(self.dt_strang, self.epsilon)
+
+
+def yoshida4_step(dt_strang: float, epsilon: float) -> float:
+    """The yoshida4 step with the Strang step's error: (dt/eps)^4 = (dt_s/eps)^2."""
+    return math.sqrt(dt_strang * epsilon)
+
+
+def check_step_count(final_time: float, dt: float,
+                     key: str = "physics.epsilon") -> None:
+    """Reject a step that underflowed to zero or needs more than
+    MAX_NLS_STEPS steps to reach final_time."""
+    if not (dt > 0.0 and final_time / dt <= MAX_NLS_STEPS):
+        raise ConfigError(key, f"time step {dt:.3g} needs more than "
+                               f"{MAX_NLS_STEPS} steps to reach T={final_time:g}")
 
 
 @dataclass
@@ -114,8 +160,14 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
     m = _split_obs_interval(float(deltas[0]), cfg.dt_raw)
     dt = float(deltas[0]) / m
     k2 = grid.k_squared
-    half_kick = np.exp(-1j * eps * k2 * dt / 4.0)
-    full_kick = half_kick * half_kick
+    weights = SCHEMES[cfg.scheme]
+    n_w = len(weights)
+    n_sub = m * n_w  # substeps per observation interval
+    halves = [np.exp(-1j * eps * k2 * (w * dt) / 4.0) for w in weights]
+    # kick before substep j: the half steps of substeps j-1 and j merged
+    # (kicks[0] joins the last substep of one step to the next step)
+    kicks = [halves[j - 1] * halves[j] for j in range(n_w)]
+    phases = [(-1j * (w * dt) / eps) for w in weights]
 
     def freeze(arr: np.ndarray) -> np.ndarray:
         # snapshots are shared read-only with the observers
@@ -129,11 +181,12 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
     for delta in deltas:
         if abs(delta - deltas[0]) > 1e-12 * max(1.0, abs(delta)):
             raise ConfigError("time.observation_count", "observation times must be uniform")
-        uh = np.fft.fftn(u) * half_kick
-        for step in range(m):
+        uh = np.fft.fftn(u) * halves[0]
+        for i in range(n_sub):
             u = np.fft.ifftn(uh)
-            u = u * np.exp((-1j * dt / eps) * np.abs(u) ** (2 * sigma))
-            uh = np.fft.fftn(u) * (full_kick if step < m - 1 else half_kick)
+            u = u * np.exp(phases[i % n_w] * np.abs(u) ** (2 * sigma))
+            uh = np.fft.fftn(u) * (kicks[(i + 1) % n_w] if i < n_sub - 1
+                                   else halves[-1])
         u = np.fft.ifftn(uh)
         if not np.all(np.isfinite(u.view(float))):
             raise NumericalGuardError(
@@ -151,9 +204,9 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None,
 
     obs_times must be uniformly spaced, starting at 0 and ending at
     final_time (default: 0 and final_time only).  The actual step divides the
-    observation interval, rounded down from dt0*eps^dt_exponent.  With
-    self_check enabled the run is repeated at dt/2 and aborts if the final
-    states differ by more than self_check_factor*eps*||u|| in L2.
+    observation interval, rounded down from cfg.dt_raw.  With self_check
+    enabled the run is repeated at dt/2 with the same scheme and aborts if
+    the final states differ by more than self_check_factor*eps*||u|| in L2.
     """
     grid = cfg.grid
     u0 = np.asarray(u0)

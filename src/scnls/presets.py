@@ -16,6 +16,7 @@ spectral lattice 2*pi*Z/L, which makes exp(i*k.x/epsilon) grid-periodic.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,29 @@ _PHASE_PRESETS = {"zero", "neg_cos", "compact_bump", "linear"}
 _BAD_VALUE = (TypeError, ValueError, IndexError, ArithmeticError)
 
 
+def _numbers(value):
+    """Every number in a parameter value, through nested lists and dicts."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+        yield value
+
+
+def _check_params(grid: Grid, params: dict, key: str, preset: str) -> None:
+    """Reject non-finite numbers anywhere in params, and per-axis lists whose
+    length is neither 1 nor grid.dim (presets never read entries past dim)."""
+    for name, value in params.items():
+        if isinstance(value, (list, tuple)) and len(value) not in (1, grid.dim):
+            raise ConfigError(key, f"parameter {name!r} of preset {preset!r} takes "
+                                   f"1 or dim={grid.dim} values, got {len(value)}")
+        if not all(cmath.isfinite(v) for v in _numbers(value)):
+            raise ConfigError(key, f"parameter {name!r} of preset {preset!r} "
+                                   "is not finite")
+
+
 def _finite(fld: np.ndarray, key: str, preset: str) -> np.ndarray:
     if not np.all(np.isfinite(fld)):
         raise ConfigError(key, f"parameters of preset {preset!r} give non-finite values")
@@ -140,6 +164,7 @@ def make_amplitude(grid: Grid, preset: str, params: dict, key: str) -> np.ndarra
                                f"choose from {sorted(_AMPLITUDE_PRESETS)}")
     params = dict(params)
     try:
+        _check_params(grid, params, key, preset)
         amp_re = params.pop("amplitude_re", None)
         amp_im = params.pop("amplitude_im", None)
         if amp_re is not None or amp_im is not None:
@@ -159,6 +184,7 @@ def make_phase(grid: Grid, preset: str, params: dict, key: str):
                                f"choose from {sorted(_PHASE_PRESETS)}")
     params = dict(params)
     try:
+        _check_params(grid, params, key, preset)
         with np.errstate(all="ignore"):  # non-finite fields are rejected below
             per, kvec = _phase_fields(grid, preset, params)
     except _BAD_VALUE as exc:

@@ -34,6 +34,10 @@ from .nls import NLSConfig, build_initial_data, evolve_nls
 from .presets import InitialData, snap_wavevector
 
 
+# the wavefunction integrator of the sweep rows and the CLI runs (nls.SCHEMES)
+SCHEME = "yoshida4"
+
+
 def sobolev_index(sigma: int, dim: int) -> int:
     """Order k of the uniform bound: 2 for sigma<=2 in 1-D (free choice for
     sigma=1, forced for sigma=2), 1 for sigma=2 in dim>=2, sigma otherwise."""
@@ -155,7 +159,8 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
     u0 = build_initial_data(plan.initial, eps, epsilon_ref=eps_ref)
     cfg = NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
                     final_time=plan.final_time, dt0=plan.dt0,
-                    dt_exponent=plan.dt_exponent, self_check=plan.self_check)
+                    dt_exponent=plan.dt_exponent, self_check=plan.self_check,
+                    scheme=SCHEME)
     try:
         traj = evolve_nls(u0, cfg, obs_times)
         check_err = traj.self_check_error
@@ -271,6 +276,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "n_obs": plan.n_obs,
         "dt0": plan.dt0,
         "dt_exponent": plan.dt_exponent,
+        "scheme": SCHEME,
         "self_check": plan.self_check,
         "initial_label": initial.label,
         "config": plan.config_echo,

@@ -32,6 +32,9 @@ MALFORMED = [
     ('{"time": {"T": Infinity}}', "time.T", "simulate"),
     ('{"time": {"dt0": Infinity}}', "time.dt0", "simulate"),
     ('{"grid": {"L": Infinity}}', "grid.L", "simulate"),
+    ('{"physics": {"epsilon": 1e-300}}', "physics.epsilon", "simulate"),
+    ('{"initial": {"a0_params": {"center": [0, NaN]}}}', "initial.a0_preset",
+     "simulate"),
 ]
 
 
@@ -178,6 +181,23 @@ class TestCliCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_nls_mass_drift"] < 1e-12
         assert summary["max_euler_mass_drift"] < 1e-8
+
+    def test_artifacts_name_scheme(self, tiny_config):
+        # in-process: the wavefunction runs of the commands use yoshida4
+        # at the order-matched step, and their artifacts say so
+        from scnls.cli import main
+        path, out = tiny_config
+        for command, artifact in (("simulate", "summary.json"),
+                                  ("conserve", "summary.json"),
+                                  ("sweep", "report.json")):
+            assert main([command, str(path), "--out", str(out / command)]) == 0
+            doc = json.loads((out / command / artifact).read_text())
+            echo = doc["plan"] if command == "sweep" else doc
+            assert echo["scheme"] == "yoshida4"
+            if command != "sweep":
+                # the step sqrt(0.01 * 0.25^2.5) = 0.018 exceeds the
+                # observation interval 0.01 (Strang would take 0.00125)
+                assert doc["dt"] == pytest.approx(0.01)
 
     def test_sweep_and_report(self, tiny_config, tmp_path):
         path, out = tiny_config

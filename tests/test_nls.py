@@ -3,7 +3,8 @@ import pytest
 
 from scnls import Grid
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
-from scnls.nls import NLSConfig, build_initial_data, evolve_nls, nls_invariants
+from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
+                       evolve_nls, nls_invariants)
 from scnls.presets import InitialData, gaussian, snap_wavevector
 
 
@@ -180,6 +181,105 @@ class TestEvolve:
     def test_dt_must_fit_final_time(self, grid_1d):
         with pytest.raises(ConfigError):
             NLSConfig(grid=grid_1d, epsilon=1.0, sigma=1, final_time=0.005)
+
+
+class TestYoshida4:
+    def test_richardson_fourth_order(self, gaussian_data):
+        # fourth-order composition: halving dt shrinks the defect ~16x
+        g = gaussian_data.grid
+        eps = 0.5
+        u0 = build_initial_data(gaussian_data, eps)
+
+        def final(dt):
+            cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=0.2,
+                            dt_override=dt, self_check=False, scheme="yoshida4")
+            return evolve_nls(u0, cfg).states[-1]
+
+        f1, f2, f4 = final(1e-2), final(5e-3), final(2.5e-3)
+        ratio = g.l2_norm(f1 - f2) / g.l2_norm(f2 - f4)
+        assert 12.0 <= ratio <= 20.0
+
+    def test_plane_wave_exact(self):
+        # at the order-matched default step, not only at a tiny one
+        g = Grid(256, 2 * np.pi)
+        eps, sigma, A, T = 0.125, 2, 0.8, 0.1
+        data, k = make_plane_wave_data(g, A, 0.5, eps)
+        u0 = build_initial_data(data, eps)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
+                        self_check=False, scheme="yoshida4")
+        traj = evolve_nls(u0, cfg)
+        omega = k**2 / 2 + A ** (2 * sigma)
+        exact = A * np.exp(1j * (k * g.axes[0] - omega * T) / eps)
+        assert np.max(np.abs(traj.states[-1] - exact)) < 1e-8
+
+    def test_mass_drift_1000_steps(self, gaussian_data):
+        g = gaussian_data.grid
+        u0 = build_initial_data(gaussian_data, 0.125)
+        cfg = NLSConfig(grid=g, epsilon=0.125, sigma=2, final_time=0.1,
+                        dt_override=1e-4, self_check=False, scheme="yoshida4")
+        traj = evolve_nls(u0, cfg)  # exactly 1000 steps, 3000 substeps
+        m = traj.mass_history
+        assert abs(m[-1] - m[0]) / m[0] < 1e-12
+
+    def test_order_matched_step(self, grid_1d):
+        # (dt/eps)^4 = (dt_s/eps)^2 with the Strang step dt_s = dt0*eps^1.5
+        eps, dt0 = 0.125, 0.01
+        cfg = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
+                        dt0=dt0, scheme="yoshida4")
+        assert cfg.dt_raw == np.sqrt(dt0 * eps**1.5 * eps)
+        strang = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
+                           dt0=dt0)
+        assert strang.dt_raw == dt0 * eps**1.5
+
+    def test_step_longer_than_final_time(self, gaussian_data):
+        # the Strang step 0.01 fits T = 0.04; the sqrt step 0.1 does not and
+        # is cut to one step per observation interval
+        g = gaussian_data.grid
+        cfg = NLSConfig(grid=g, epsilon=1.0, sigma=2, final_time=0.04,
+                        scheme="yoshida4")
+        assert cfg.dt_raw > cfg.final_time
+        traj = evolve_nls(build_initial_data(gaussian_data, 1.0), cfg)
+        assert traj.dt == pytest.approx(0.04)
+        assert traj.self_check_ok
+
+    def test_guard_rerun_keeps_scheme(self, gaussian_data, monkeypatch):
+        import scnls.nls as nls
+        schemes = []
+        raw = nls._evolve_raw
+
+        def spy(u0, cfg, obs_times, observers=()):
+            schemes.append(cfg.scheme)
+            return raw(u0, cfg, obs_times, observers)
+
+        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,
+                        final_time=0.05, scheme="yoshida4")
+        evolve_nls(build_initial_data(gaussian_data, 0.25), cfg)
+        assert schemes == ["yoshida4", "yoshida4"]
+
+    def test_unknown_scheme_rejected(self, grid_1d):
+        with pytest.raises(ConfigError):
+            NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.1,
+                      scheme="rk4")
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-100])
+    def test_tiny_epsilon_rejected(self, grid_1d, scheme, eps):
+        # 1e-300: the step underflows to 0; 1e-100: ~1e149 steps
+        with pytest.raises(ConfigError) as err:
+            NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
+                      scheme=scheme)
+        assert err.value.key == "physics.epsilon"
+
+    def test_step_count_limit(self, grid_1d):
+        T = 1.0
+        NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
+                  dt_override=T / MAX_NLS_STEPS)
+        with pytest.raises(ConfigError):
+            NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
+                      dt_override=T / (2 * MAX_NLS_STEPS))
 
 
 class TestInvariants:
