@@ -151,6 +151,8 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
                         extra={"config_hash": cfg.content_hash()})
     summary = {
         "command": "limit", "sigma": cfg.sigma, "dt": traj.dt,
+        "steps": len(traj.step_times) - 1,
+        "cfl_max": float(np.max(traj.cfl_numbers)),
         "status": traj.status,
         "grad_phi_minus_v_l2_max": grad_phi_err,
         "power_consistency_banded_max": power_consistency(traj, banded=True),
@@ -188,6 +190,7 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
         np.max(np.abs(a0.imag)) < 1e-14 and np.max(np.abs(a1.real)) < 1e-14)
     summary = {
         "command": "corrector", "sigma": cfg.sigma, "dt": corr.dt,
+        "steps": len(corr.times) - 1,
         "phi1_linf_max": phi1_max,
         "corrected_modulus_gap_max": modulus_gap,
         "real_data_case": real_data_case,

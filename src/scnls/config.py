@@ -14,9 +14,10 @@ Sections and keys (all optional unless noted):
     focusing: wavenumbers, delta, window, dt, rho0 (frequency-growth command)
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
-Unknown sections or keys are rejected, naming the offending key.  The parsed
-config serializes back to a canonical document (parse -> serialize -> parse
-is the identity), and every artifact embeds the effective config.
+Unknown sections or keys are rejected, naming the offending key, and so is
+a run whose grid or stored snapshots exceed the memory budget below.  The
+parsed config serializes back to a canonical document (parse -> serialize ->
+parse is the identity), and every artifact embeds the effective config.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from . import artifacts
 from .errors import ConfigError
 from .grid import Grid
+from .limit import MAX_STORED_BYTES
 from .nls import check_step_count, yoshida4_step
 from .presets import InitialData, make_amplitude, make_phase
 
@@ -46,6 +48,15 @@ _KEYS = {
     "focusing": {"wavenumbers", "delta", "window", "dt", "rho0"},
 }
 _FORMATS = {"csv", "json", "snapshots"}
+
+# memory budget, checked before anything is allocated: the grid size, and
+# observation_count x grid points x SNAPSHOT_BYTES_PER_POINT against
+# limit.MAX_STORED_BYTES, where the bytes one observation stores per point are
+# a wavefunction and its halving-guard rerun (2 x 16), at least two limit
+# nodes (2 x (8*dim + 40)) and a corrector node (24).  evolve_limit checks
+# its own node count, which grows with N at the CFL step, before it runs.
+MAX_GRID_POINTS = 2**20
+SNAPSHOT_BYTES_PER_POINT = 168
 
 
 @dataclass(frozen=True)
@@ -191,6 +202,9 @@ def parse_config(text: str) -> RunConfig:
     for ni in n:
         _need(ni >= 16 and (ni & (ni - 1)) == 0, "grid.N",
               f"must be a power of two >= 16, got {ni}")
+    points = math.prod(n)
+    _need(points <= MAX_GRID_POINTS, "grid.N",
+          f"{points} grid points exceed the budget of {MAX_GRID_POINTS}")
     length = _axis_tuple(g.get("L", 16.0), dim, "grid.L", _as_num)
     for li in length:
         _need(li > 0, "grid.L", f"must be positive, got {li}")
@@ -222,6 +236,10 @@ def parse_config(text: str) -> RunConfig:
     _need(dt0 > 0, "time.dt0", "must be positive")
     n_obs = _as_int(tm.get("observation_count", 20), "time.observation_count")
     _need(n_obs >= 3, "time.observation_count", "must be >= 3")
+    stored = n_obs * points * SNAPSHOT_BYTES_PER_POINT
+    _need(stored <= MAX_STORED_BYTES, "time.observation_count",
+          f"{n_obs} snapshots of {points} points need {stored} bytes, "
+          f"over the budget of {MAX_STORED_BYTES}")
     # fail fast on a wavefunction step too small to finish (the commands
     # integrate with yoshida4 at the Strang step dt0*eps^1.5)
     for key, values in (("physics.epsilon", (epsilon,)),

@@ -6,11 +6,12 @@ The eikonal/transport pair for (phi, a),
     d_t a   + grad phi . grad a + (1/2) a Lap phi = 0,
 
 is integrated as a first-order system in the unknowns v = grad phi and
-S = a^sigma, together with the linear transport of a itself:
+S = a^sigma, together with the linear transport of a itself and the phase:
 
     d_t v + (v.grad) v + s * grad(|S|^2) = 0,
     d_t S + v.grad S + (sigma/2) S div v  = 0,
-    d_t a + v.grad a + (1/2)  a  div v    = 0.
+    d_t a + v.grad a + (1/2)  a  div v    = 0,
+    d_t phi + |v|^2/2 + s*|S|^2           = 0.
 
 The (v, S) form stays hyperbolic with a constant symmetrizer through vacuum
 (zeros of a), which is what makes sigma >= 2 tractable; S and a^sigma obey
@@ -18,12 +19,12 @@ the same linear equation so S = a^sigma propagates.  s = +1 is the defocusing
 (well-posed) sign; s = -1 gives the ill-posed elliptic analogue used by the
 frequency-growth demo.
 
-The phase is recovered by time quadrature,
-
-    phi(t) = phi0 - int_0^t ( |v|^2/2 + s*|S|^2 ) dtau,
-
-so that d_t(grad phi - v) = 0.  Spatial derivatives are spectral; quadratic
-and cubic products are 2/3-dealiased; time stepping is classical RK4, with an
+The phase is integrated with the flow, not reconstructed afterwards.  For
+curl-free v, (v.grad) v = grad(|v|^2/2), and the 2/3 projection P commutes
+with grad, so every RK4 stage has d_t v = grad(d_t phi) to roundoff; RK4 is
+linear in its stages, so grad phi - v keeps its initial value whatever the
+step.  Spatial derivatives are spectral; quadratic and cubic products are
+2/3-dealiased; time stepping is classical RK4 at the CFL step, with an
 optional per-step CFL-adapted step for breakdown hunting.
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .grid import Grid, node_index
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
-# default step = DT_SAFETY * initial CFL step (headroom for the phase
-# quadrature); adaptive runs stop once the step falls below DT_FLOOR_FACTOR * dt
-DT_SAFETY = 0.1
+# memory budget for the stored nodes of one trajectory, checked before the run
+MAX_STORED_BYTES = 2**31
+# adaptive runs stop once the step falls below DT_FLOOR_FACTOR * dt
 DT_FLOOR_FACTOR = 1e-6
 
 
@@ -84,7 +84,7 @@ class LimitTrajectory:
     v: np.ndarray                     # (nt, dim, *shape)
     S: np.ndarray                     # (nt, *shape)
     a: np.ndarray                     # (nt, *shape)
-    phi0_periodic: np.ndarray
+    phi: np.ndarray                   # (nt, *shape), periodic phase part
     phi0_wavevector: tuple[float, ...]
     dt: float | None                  # uniform step, None if adapted
     status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop|max_steps
@@ -94,7 +94,7 @@ class LimitTrajectory:
     total_pressure: np.ndarray        # int rho^(sigma+1) per step
     cfl_numbers: np.ndarray
 
-    @cached_property
+    @property
     def phi_periodic(self) -> np.ndarray:
         return reconstruct_phase(self)
 
@@ -117,13 +117,14 @@ class LimitTrajectory:
 # right-hand side
 
 
-def _rhs(v, S, a, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
+def _rhs(v, S, a, phi, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
     dim = grid.dim
     grad_v = [grid.gradient(v[i]).real for i in range(dim)]  # grad_v[i][j] = d_j v_i
     div_v = sum(grad_v[i][i] for i in range(dim))
     grad_S = grid.gradient(S)
     grad_a = grid.gradient(a)
-    grad_p = grid.gradient(np.abs(S) ** 2).real
+    p = np.abs(S) ** 2
+    grad_p = grid.gradient(p).real
 
     dv = np.empty_like(v)
     for i in range(dim):
@@ -133,7 +134,8 @@ def _rhs(v, S, a, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
     dS = grid.dealias(-(adv_S + 0.5 * sigma * S * div_v), mask)
     adv_a = sum(v[j] * grad_a[j] for j in range(dim))
     da = grid.dealias(-(adv_a + 0.5 * a * div_v), mask)
-    return dv, dS, da
+    dphi = grid.dealias(-(0.5 * np.sum(v**2, axis=0) + psign * p), mask).real
+    return dv, dS, da, dphi
 
 
 def rk4_step(rhs, y: tuple, dt: float) -> tuple:
@@ -196,18 +198,18 @@ def evolve_limit(
 ) -> LimitTrajectory:
     """Integrate the limit system up to final_time (or until breakdown).
 
-    With dt=None the step is set from the initial CFL estimate
-    dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)), shrunk by
-    DT_SAFETY: RK4 is stable at the CFL bound but the trapezoidal phase
-    quadrature is only second order, and the phase-consistency contract
-    ||grad phi - v|| < 1e-6 needs the extra headroom.  When n_obs is given
-    the step is rounded so each of the n_obs-1 uniform observation intervals
-    holds an even number of steps (corrector integration consumes half-step
-    nodes).  adaptive=True re-derives dt from the pure CFL rule every step
-    and is meant for breakdown hunting; the trajectory then truncates instead
-    of raising when dt collapses or fields stop being finite (strict=False).
-    A run that reaches max_steps before final_time ends with status
-    "max_steps", which raises like every other early stop when strict.
+    With dt=None the step is the initial CFL step
+    dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)); the phase is
+    integrated with the flow, so the step needs no further margin.  When
+    n_obs is given the step is rounded down so each of the n_obs-1 uniform
+    observation intervals holds an even number of steps (corrector
+    integration consumes half-step nodes).  adaptive=True re-derives dt from
+    the pure CFL rule every step and is meant for breakdown hunting; the
+    trajectory then truncates instead of raising when dt collapses or fields
+    stop being finite (strict=False).  A run that reaches max_steps before
+    final_time ends with status "max_steps", which raises like every other
+    early stop when strict.  A run whose stored nodes would exceed
+    MAX_STORED_BYTES raises ConfigError before it starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -230,22 +232,26 @@ def evolve_limit(
     speed0 = _wave_speed(v, S, sigma)
     dt_cfl0 = CFL_NUMBER * dx_min / max(speed0, 1e-12)
     if dt is None:
-        # the absolute ceiling keeps the O(dt^2) phase quadrature within its
-        # 1e-6 consistency budget for unit-scale data on coarse grids, where
-        # the CFL bound alone would allow much larger steps
-        dt_target = dt_cfl0 if adaptive else min(DT_SAFETY * dt_cfl0, 8e-4)
         if n_obs is not None and n_obs >= 2:
             delta = final_time / (n_obs - 1)
-            m = max(1, math.ceil(delta / (2.0 * dt_target)))
+            m = max(1, math.ceil(delta / (2.0 * dt_cfl0)))
             dt = delta / (2 * m)
         else:
-            n_steps = 2 * max(1, math.ceil(final_time / (2.0 * dt_target)))
+            n_steps = 2 * max(1, math.ceil(final_time / (2.0 * dt_cfl0)))
             dt = final_time / n_steps
     dt = float(dt)
     dt_floor = dt * DT_FLOOR_FACTOR
+    # v, S, a and phi per node; an adaptive step only shrinks, so this is a
+    # lower bound there, capped by max_steps
+    nodes = 1 + math.ceil(min(final_time / dt, max_steps) / store_every)
+    stored = nodes * grid.size * (8 * grid.dim + 40)
+    if stored > MAX_STORED_BYTES:
+        raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
+                          f"bytes, over the budget of {MAX_STORED_BYTES}")
 
+    phi = np.asarray(init.phi0_periodic, dtype=float)
     times = [0.0]
-    vs, Ss, As = [v.copy()], [S.copy()], [a.copy()]
+    vs, Ss, As, phis = [v.copy()], [S.copy()], [a.copy()], [phi.copy()]
     step_times = [0.0]
     grad_hist, div_hist, press_hist, cfl_hist = [], [], [], []
 
@@ -279,7 +285,7 @@ def evolve_limit(
                 status = "cfl"
                 break
 
-        v, S, a = rk4_step(rhs, (v, S, a), step_dt)
+        v, S, a, phi = rk4_step(rhs, (v, S, a, phi), step_dt)
         t += step_dt
         n += 1
 
@@ -295,6 +301,7 @@ def evolve_limit(
             vs.append(v.copy())
             Ss.append(S.copy())
             As.append(a.copy())
+            phis.append(phi.copy())
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
@@ -313,8 +320,7 @@ def evolve_limit(
 
     return LimitTrajectory(
         grid=grid, sigma=sigma, pressure_sign=pressure_sign,
-        times=pack(times), v=pack(vs), S=pack(Ss), a=pack(As),
-        phi0_periodic=np.asarray(init.phi0_periodic, dtype=float),
+        times=pack(times), v=pack(vs), S=pack(Ss), a=pack(As), phi=pack(phis),
         phi0_wavevector=tuple(init.phi0_wavevector),
         dt=None if adaptive else dt, status=status,
         step_times=pack(step_times),
@@ -344,27 +350,10 @@ def power_consistency(traj: LimitTrajectory, banded: bool = True) -> float:
 
 
 def reconstruct_phase(traj: LimitTrajectory) -> np.ndarray:
-    """Periodic phase parts on the stored nodes by trapezoidal quadrature of
-    |v|^2/2 + s*|S|^2; the linear part of phi0 is carried separately and is
-    constant in time.  The quadratic integrand is 2/3-dealiased like every
-    other product in the solver.  Consistency check: grad phi(t) = v(t)."""
-    grid = traj.grid
-    nt = traj.times.size
-    phi = np.empty((nt, *grid.shape))
-    phi[0] = traj.phi0_periodic
-
-    def integrand(i):
-        f = 0.5 * np.sum(traj.v[i] ** 2, axis=0) \
-            + traj.pressure_sign * np.abs(traj.S[i]) ** 2
-        return grid.dealias(f).real
-
-    f_prev = integrand(0)
-    for i in range(1, nt):
-        f_next = integrand(i)
-        h = traj.times[i] - traj.times[i - 1]
-        phi[i] = phi[i - 1] - 0.5 * h * (f_prev + f_next)
-        f_prev = f_next
-    return phi
+    """Periodic phase parts on the stored nodes, integrated with the flow;
+    the linear part of phi0 is carried separately and is constant in time.
+    Consistency check: grad phi(t) = v(t)."""
+    return traj.phi
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ MALFORMED = [
     ('{"physics": {"epsilon": 1e-300}}', "physics.epsilon", "simulate"),
     ('{"initial": {"a0_params": {"center": [0, NaN]}}}', "initial.a0_preset",
      "simulate"),
+    # over the memory budget: rejected before anything is allocated
+    ('{"time": {"observation_count": 1000000000}}', "time.observation_count",
+     "simulate"),
+    ('{"grid": {"dim": 2, "N": 1048576}}', "grid.N", "simulate"),
 ]
 
 
@@ -166,6 +170,11 @@ class TestCliCommands:
         assert summary["grad_phi_minus_v_l2_max"] < 1e-6
         assert summary["power_consistency_banded_max"] < 1e-8
         assert summary["status"] == "completed"
+        # the CFL step exceeds half the observation interval 0.01, so the
+        # step is 0.005: 8 steps over T = 0.04, well inside the CFL bound
+        assert summary["steps"] == 8
+        assert summary["dt"] * summary["steps"] == pytest.approx(0.04)
+        assert 0.0 < summary["cfl_max"] <= 0.5
 
     def test_corrector(self, tiny_config, tmp_path):
         path, out = tiny_config
@@ -173,6 +182,9 @@ class TestCliCommands:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert summary["corrected_modulus_gap_max"] < 1e-13
+        # one corrector step per two limit steps
+        assert summary["steps"] == 4
+        assert summary["dt"] == pytest.approx(0.01)
 
     def test_conserve(self, tiny_config, tmp_path):
         path, out = tiny_config
@@ -229,6 +241,17 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == key
+
+    def test_limit_over_memory_budget_exit_2(self, tmp_path):
+        # the config parses (20 snapshots of 65,536 points fit the budget),
+        # but the limit run would store 3,572 CFL-step nodes
+        bad = tmp_path / "big.json"
+        bad.write_text('{"grid": {"N": 65536}}')
+        proc = run_cli(["limit", str(bad), "--out", str(tmp_path / "o")],
+                       tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["key"] == "grid.N"
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli(["simulate", str(tmp_path / "nope.json")], tmp_path)

@@ -45,6 +45,22 @@ class TestSelfConvergence:
         assert 14.0 <= ratio_w <= 18.0
         assert 14.0 <= ratio_p <= 18.0
 
+    def test_default_step_matches_fine_limit(self, gaussian_data):
+        # the corrector steps at 2h on the CFL-step limit; against a run on
+        # a limit at h/8 the gap measured 1.5e-7 (phi1) and 1.1e-6 (w), in
+        # L2 max over nodes: the bounds are 10x those
+        g = gaussian_data.grid
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20)
+        fine = evolve_limit(gaussian_data, 2, 0.25, dt=traj.dt / 8)
+        corr = evolve_corrector(traj, gaussian_data.a1)
+        ref = evolve_corrector(fine, gaussian_data.a1)
+        nodes = [ref.index_at(t) for t in corr.times]
+        np.testing.assert_allclose(ref.times[nodes], corr.times, atol=1e-12)
+        pairs = list(enumerate(nodes))
+        gap_p = max(g.l2_norm(corr.phi1[i] - ref.phi1[k]) for i, k in pairs)
+        gap_w = max(g.l2_norm(corr.w[i] - ref.w[k]) for i, k in pairs)
+        assert gap_p < 1.5e-6
+        assert gap_w < 1.2e-5
 
     def test_step_is_twice_limit_step(self, gaussian_data):
         # RK4 stage times of the corrector land on stored limit nodes
