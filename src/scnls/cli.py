@@ -167,8 +167,8 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
     data = cfg.make_initial_data(grid)
     limit_traj = evolve_limit(data, cfg.sigma, cfg.final_time,
-                              n_obs=cfg.observation_count)
-    corr = evolve_corrector(limit_traj, data.a1)
+                              n_obs=cfg.observation_count, a1=data.a1)
+    corr = evolve_corrector(limit_traj)
     phi1_max = 0.0
     modulus_gap = 0.0
     recs = []
@@ -190,7 +190,7 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
         np.max(np.abs(a0.imag)) < 1e-14 and np.max(np.abs(a1.real)) < 1e-14)
     summary = {
         "command": "corrector", "sigma": cfg.sigma, "dt": corr.dt,
-        "steps": len(corr.times) - 1,
+        "steps": len(limit_traj.step_times) - 1,
         "phi1_linf_max": phi1_max,
         "corrected_modulus_gap_max": modulus_gap,
         "real_data_case": real_data_case,
@@ -341,11 +341,45 @@ def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
     }, cfg)
 
 
-def cmd_report(path_arg: str) -> None:
+_REPORT_COLUMNS = ("epsilon", "err_two_term_l2", "err_one_term_l2",
+                   "a_eps_hk_max", "q_eps_hkm1_max", "cur_l1_max",
+                   "envelope_ok", "self_check_ok")
+
+
+def _load_report(path_arg: str) -> dict:
+    """The sweep report at path_arg (report.json or its directory), checked
+    for everything cmd_report prints; ConfigError names the key <report>."""
     p = Path(path_arg)
     if p.is_dir():
         p = p / "report.json"
-    doc = json.loads(p.read_text())
+    try:
+        doc = json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError("<report>", f"cannot read {p}: {exc}") from exc
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ConfigError("<report>", f"{p}: {what}")
+
+    need(isinstance(doc, dict), "not a JSON object")
+    need(isinstance(doc.get("plan", {}), dict), "plan is not an object")
+    rows = doc.get("rows", [])
+    need(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
+         "rows is not a list of objects")
+    for i, row in enumerate(rows):
+        missing = [c for c in _REPORT_COLUMNS if c not in row]
+        need(not missing, f"row {i} lacks {missing}")
+    fits = doc.get("fits", {})
+    need(isinstance(fits, dict), "fits is not an object")
+    for name, fit in fits.items():
+        need(isinstance(fit, dict) and all(
+            isinstance(fit.get(k), (int, float)) for k in ("slope", "r2")),
+            f"fit {name} lacks a numeric slope and r2")
+    return doc
+
+
+def cmd_report(path_arg: str) -> None:
+    doc = _load_report(path_arg)
     plan = doc.get("plan", {})
     print(f"sweep report: sigma={plan.get('sigma')} "
           f"grid={plan.get('grid')} T={plan.get('final_time')}")
@@ -353,14 +387,11 @@ def cmd_report(path_arg: str) -> None:
           f"gronwall_constant={doc.get('gronwall_constant')}")
     rows = doc.get("rows", [])
     if rows:
-        cols = ["epsilon", "err_two_term_l2", "err_one_term_l2",
-                "a_eps_hk_max", "q_eps_hkm1_max", "cur_l1_max",
-                "envelope_ok", "self_check_ok"]
-        print("  ".join(f"{c:>18}" for c in cols))
+        print("  ".join(f"{c:>18}" for c in _REPORT_COLUMNS))
         for r in rows:
             print("  ".join(
                 f"{r[c]:>18.6g}" if isinstance(r[c], float) else f"{r[c]!s:>18}"
-                for c in cols))
+                for c in _REPORT_COLUMNS))
     for name, fit in sorted(doc.get("fits", {}).items()):
         tag = " (noisy)" if fit.get("noisy") else ""
         print(f"fit {name}: slope={fit['slope']:.4f} r2={fit['r2']:.5f}{tag}")

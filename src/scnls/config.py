@@ -52,9 +52,11 @@ _FORMATS = {"csv", "json", "snapshots"}
 # memory budget, checked before anything is allocated: the grid size, and
 # observation_count x grid points x SNAPSHOT_BYTES_PER_POINT against
 # limit.MAX_STORED_BYTES, where the bytes one observation stores per point are
-# a wavefunction and its halving-guard rerun (2 x 16), at least two limit
-# nodes (2 x (8*dim + 40)) and a corrector node (24).  evolve_limit checks
-# its own node count, which grows with N at the CFL step, before it runs.
+# a wavefunction and its halving-guard rerun (2 x 16) and one joint limit +
+# corrector node (8*dim + 64; the 168 keep the earlier margin of a second
+# limit node).  evolve_limit checks its own node count before it runs: runs
+# without observation times (blowup) store every few CFL steps, so theirs
+# grows with N.
 MAX_GRID_POINTS = 2**20
 SNAPSHOT_BYTES_PER_POINT = 168
 

@@ -12,22 +12,25 @@ a_tilde = a * exp(i*phi1); |a_tilde| = |a| pointwise, and phi1 stays
 identically zero when a0 is real-valued and a1 purely imaginary (the system
 is then homogeneous in (phi1, Re(conj(a) w))).
 
-Integration is classical RK4 (the limit solver's rk4_step) with spectral
-derivatives and 2/3 dealiasing, run directly on (phi1, w); the corrector step
-is twice the limit step so that RK4 stage times land exactly on stored limit
-nodes (this preserves fourth-order self-convergence).  Coefficient
-derivatives (div v, grad a, Lap a) are cached per node.
+The pair is integrated inside the limit run, as two more components of its
+classical RK4 state (scnls.limit.evolve_limit with a1): every stage
+evaluates this module's right-hand side on the limit stage's (v, a) and the
+div v and grad a its right-hand side already computed, with spectral
+derivatives and 2/3 dealiasing.  evolve_corrector reads the carried pair off
+the limit trajectory, on its stored nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, NumericalGuardError
 from .grid import Grid, node_index
-from .limit import LimitState, LimitTrajectory, rk4_step
+
+if TYPE_CHECKING:  # scnls.limit imports this module for _rhs
+    from .limit import LimitState, LimitTrajectory
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class CorrectorTrajectory:
     times: np.ndarray
     phi1: np.ndarray      # (nt, *shape) real
     w: np.ndarray         # (nt, *shape) complex
-    dt: float
+    dt: float | None      # the limit run's step, None if adapted
 
     def index_at(self, t: float) -> int:
         return node_index(self.times, t)
@@ -65,28 +68,7 @@ class CorrectedAmplitude:
     a_tilde: np.ndarray
 
 
-class _CoefficientCache:
-    """Spectral coefficient fields of the limit flow, computed once per node."""
-
-    def __init__(self, traj: LimitTrajectory):
-        self.traj = traj
-        self.grid = traj.grid
-        self._div_v: dict[int, np.ndarray] = {}
-        self._grad_a: dict[int, np.ndarray] = {}
-        self._lap_a: dict[int, np.ndarray] = {}
-
-    def at(self, i: int):
-        g = self.grid
-        if i not in self._div_v:
-            self._div_v[i] = g.divergence(self.traj.v[i]).real
-            self._grad_a[i] = g.gradient(self.traj.a[i])
-            self._lap_a[i] = g.laplacian(self.traj.a[i])
-        return (self.traj.v[i], self._div_v[i], self.traj.a[i],
-                self._grad_a[i], self._lap_a[i])
-
-
-def _rhs(phi1, w, coeffs, grid: Grid, sigma: int):
-    v, div_v, a, grad_a, lap_a = coeffs
+def _rhs(phi1, w, v, a, div_v, grad_a, grid: Grid, sigma: int):
     grad_phi1 = grid.gradient(phi1)
     lap_phi1 = grid.laplacian(phi1).real
     abs_pow = np.abs(a) ** (2 * sigma - 2)
@@ -95,55 +77,20 @@ def _rhs(phi1, w, coeffs, grid: Grid, sigma: int):
     grad_w = grid.gradient(w)
     adv_w = sum(v[j] * grad_w[j] for j in range(grid.dim))
     cross = sum(grad_phi1[j].real * grad_a[j] for j in range(grid.dim))
-    dw = -(adv_w + cross + 0.5 * w * div_v + 0.5 * a * lap_phi1) + 0.5j * lap_a
+    dw = (-(adv_w + cross + 0.5 * w * div_v + 0.5 * a * lap_phi1)
+          + 0.5j * grid.laplacian(a))
     return grid.dealias(dphi1).real, grid.dealias(dw)
 
 
-def evolve_corrector(limit_traj: LimitTrajectory,
-                     a1: np.ndarray) -> CorrectorTrajectory:
-    """Integrate the corrector pair over the limit trajectory's window.
-
-    The limit trajectory must be stored at a uniform step h; the corrector
-    step is 2h, so that the RK4 stage times hit stored nodes.
-    """
-    grid = limit_traj.grid
-    sigma = limit_traj.sigma
-    a1 = np.asarray(a1, dtype=complex)
-    if a1.shape != grid.shape:
-        raise ConfigError("initial.a1", "a1 shape does not match grid")
-    times = limit_traj.times
-    if times.size < 3:
-        raise ConfigError("time.T", "limit trajectory too short for the corrector")
-    h = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), h, rtol=0, atol=1e-9 * max(h, 1.0)):
-        raise ConfigError("time.T", "limit trajectory nodes must be uniform")
-
-    n_steps = (times.size - 1) // 2
-    dtc = 2.0 * h
-    cache = _CoefficientCache(limit_traj)
-
-    phi1 = np.zeros(grid.shape)
-    w = a1.copy()
-    out_t = [float(times[0])]
-    out_phi1 = [phi1.copy()]
-    out_w = [w.copy()]
-    for n in range(n_steps):
-        i0 = 2 * n
-
-        def rhs(y, c):
-            return _rhs(*y, cache.at(i0 + int(2 * c)), grid, sigma)
-
-        phi1, w = rk4_step(rhs, (phi1, w), dtc)
-        if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(w.view(float)))):
-            raise NumericalGuardError(
-                f"corrector became non-finite at t={times[i0 + 2]:.6g}")
-        out_t.append(float(times[i0 + 2]))
-        out_phi1.append(phi1.copy())
-        out_w.append(w.copy())
-
+def evolve_corrector(limit_traj: LimitTrajectory) -> CorrectorTrajectory:
+    """The corrector pair carried by a limit run started with
+    evolve_limit(..., a1=a1), on the run's stored nodes."""
+    if limit_traj.w is None:
+        raise ValueError("the limit run carried no corrector: "
+                         "pass a1 to evolve_limit")
     return CorrectorTrajectory(
-        grid=grid, sigma=sigma, times=np.asarray(out_t),
-        phi1=np.asarray(out_phi1), w=np.asarray(out_w), dt=dtc,
+        grid=limit_traj.grid, sigma=limit_traj.sigma, times=limit_traj.times,
+        phi1=limit_traj.phi1, w=limit_traj.w, dt=limit_traj.dt,
     )
 
 

@@ -23,7 +23,10 @@ The phase is integrated with the flow, not reconstructed afterwards.  For
 curl-free v, (v.grad) v = grad(|v|^2/2), and the 2/3 projection P commutes
 with grad, so every RK4 stage has d_t v = grad(d_t phi) to roundoff; RK4 is
 linear in its stages, so grad phi - v keeps its initial value whatever the
-step.  Spatial derivatives are spectral; quadratic and cubic products are
+step.  Given the corrector's initial amplitude a1, the run carries the
+first-order corrector pair (phi1, w) of scnls.corrector as two more RK4
+components, whose right-hand side reuses the div v and grad a of the same
+stage.  Spatial derivatives are spectral; quadratic and cubic products are
 2/3-dealiased; time stepping is classical RK4 at the CFL step, with an
 optional per-step CFL-adapted step for breakdown hunting.
 """
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import corrector
 from .errors import ConfigError, NumericalGuardError
 from .grid import Grid, node_index
 from .presets import InitialData
@@ -91,8 +95,11 @@ class LimitTrajectory:
     step_times: np.ndarray            # every accepted step
     grad_v_max: np.ndarray            # max |d_i v_j| per step
     div_v_max: np.ndarray             # max |div v| per step
+    grad_div_v_max: np.ndarray        # max |d_i div v| per step
     total_pressure: np.ndarray        # int rho^(sigma+1) per step
     cfl_numbers: np.ndarray
+    phi1: np.ndarray | None           # (nt, *shape) corrector phase, if carried
+    w: np.ndarray | None              # (nt, *shape) corrector amplitude
 
     @property
     def phi_periodic(self) -> np.ndarray:
@@ -135,7 +142,7 @@ def _rhs(v, S, a, phi, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
     adv_a = sum(v[j] * grad_a[j] for j in range(dim))
     da = grid.dealias(-(adv_a + 0.5 * a * div_v), mask)
     dphi = grid.dealias(-(0.5 * np.sum(v**2, axis=0) + psign * p), mask).real
-    return dv, dS, da, dphi
+    return (dv, dS, da, dphi), div_v, grad_a
 
 
 def rk4_step(rhs, y: tuple, dt: float) -> tuple:
@@ -158,12 +165,14 @@ def _wave_speed(v, S, sigma: int) -> float:
     )
 
 
-def _v_scalars(v, grid: Grid) -> tuple[float, float]:
-    """(max |d_j v_i|, max |div v|) via spectral derivatives."""
+def _v_scalars(v, grid: Grid) -> tuple[float, float, float]:
+    """(max |d_j v_i|, max |div v|, max |d_j div v|) via spectral
+    derivatives."""
     grad_v = [grid.gradient(v[i]).real for i in range(grid.dim)]
     div_v = sum(grad_v[i][i] for i in range(grid.dim))
     gmax = max(float(np.max(np.abs(g))) for g in grad_v)
-    return gmax, float(np.max(np.abs(div_v)))
+    return (gmax, float(np.max(np.abs(div_v))),
+            float(np.max(np.abs(grid.gradient(div_v).real))))
 
 
 def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
@@ -172,7 +181,7 @@ def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
     characteristic speeds v +- sqrt((sigma+1) rho^sigma) of the data.  Used
     as the breakdown-detector baseline; data at rest (v = 0) still carries a
     meaningful scale through the sound-speed gradient."""
-    gv, _ = _v_scalars(v, grid)
+    gv = _v_scalars(v, grid)[0]
     grad_c = grid.gradient(np.abs(S))
     gc = max(float(np.max(np.abs(grad_c[j].real))) for j in range(grid.dim))
     return gv + math.sqrt(sigma + 1) * gc
@@ -195,21 +204,27 @@ def evolve_limit(
     spectral_cutoff: int | None = None,
     grad_stop: float | None = None,
     max_steps: int = 2_000_000,
+    a1: np.ndarray | None = None,
 ) -> LimitTrajectory:
     """Integrate the limit system up to final_time (or until breakdown).
 
     With dt=None the step is the initial CFL step
     dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)); the phase is
     integrated with the flow, so the step needs no further margin.  When
-    n_obs is given the step is rounded down so each of the n_obs-1 uniform
-    observation intervals holds an even number of steps (corrector
-    integration consumes half-step nodes).  adaptive=True re-derives dt from
-    the pure CFL rule every step and is meant for breakdown hunting; the
-    trajectory then truncates instead of raising when dt collapses or fields
-    stop being finite (strict=False).  A run that reaches max_steps before
-    final_time ends with status "max_steps", which raises like every other
-    early stop when strict.  A run whose stored nodes would exceed
-    MAX_STORED_BYTES raises ConfigError before it starts.
+    n_obs is given (fixed-step runs) the step is cut to a whole number of
+    steps per each of the n_obs-1 uniform observation intervals, and only
+    the n_obs observation times are stored (store_every is then that
+    number); without it every store_every-th step is.  The per-step scalars
+    (grad_v_max, ...) cover every step either way.  Given a1, the run also
+    carries the corrector pair (phi1, w) from (0, a1), which
+    scnls.corrector.evolve_corrector reads off the trajectory.
+    adaptive=True re-derives dt from the pure CFL rule every step and is
+    meant for breakdown hunting; the trajectory then truncates instead of
+    raising when dt collapses or fields stop being finite (strict=False).
+    A run that reaches max_steps before final_time ends with status
+    "max_steps", which raises like every other early stop when strict.
+    Initial data without a finite wave speed, and a run whose stored nodes
+    would exceed MAX_STORED_BYTES, raise ConfigError before the run starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -217,6 +232,10 @@ def evolve_limit(
     mask = grid.dealias_mask
     if spectral_cutoff is not None:
         mask = mask & grid.mode_mask(spectral_cutoff)
+    if a1 is not None:
+        a1 = np.asarray(a1, dtype=complex)
+        if a1.shape != grid.shape:
+            raise ConfigError("initial.a1", "a1 shape does not match grid")
 
     v0 = np.stack([grid.spectral_derivative(init.phi0_periodic, j).real
                    for j in range(grid.dim)])
@@ -231,34 +250,40 @@ def evolve_limit(
     dx_min = min(grid.dx)
     speed0 = _wave_speed(v, S, sigma)
     dt_cfl0 = CFL_NUMBER * dx_min / max(speed0, 1e-12)
-    if dt is None:
-        if n_obs is not None and n_obs >= 2:
-            delta = final_time / (n_obs - 1)
-            m = max(1, math.ceil(delta / (2.0 * dt_cfl0)))
-            dt = delta / (2 * m)
-        else:
-            n_steps = 2 * max(1, math.ceil(final_time / (2.0 * dt_cfl0)))
-            dt = final_time / n_steps
+    if not (math.isfinite(speed0) and dt_cfl0 > 0):
+        raise ConfigError("initial.a0", f"the initial wave speed {speed0:g} "
+                          "gives no positive CFL step")
+    if n_obs is not None and n_obs >= 2:
+        delta = final_time / (n_obs - 1)
+        store_every = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
+        dt = delta / store_every
+    elif dt is None:
+        dt = final_time / max(1, math.ceil(final_time / dt_cfl0))
     dt = float(dt)
     dt_floor = dt * DT_FLOOR_FACTOR
-    # v, S, a and phi per node; an adaptive step only shrinks, so this is a
-    # lower bound there, capped by max_steps
+    # v, S, a, phi (and phi1, w) per node; an adaptive step only shrinks, so
+    # this is a lower bound there, capped by max_steps
     nodes = 1 + math.ceil(min(final_time / dt, max_steps) / store_every)
-    stored = nodes * grid.size * (8 * grid.dim + 40)
+    per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
+    stored = nodes * grid.size * per_point
     if stored > MAX_STORED_BYTES:
         raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
                           f"bytes, over the budget of {MAX_STORED_BYTES}")
 
-    phi = np.asarray(init.phi0_periodic, dtype=float)
+    y = (v, S, a, np.asarray(init.phi0_periodic, dtype=float))
+    if a1 is not None:
+        y += (np.zeros(grid.shape), a1)
     times = [0.0]
-    vs, Ss, As, phis = [v.copy()], [S.copy()], [a.copy()], [phi.copy()]
+    stored_y = [y]
     step_times = [0.0]
-    grad_hist, div_hist, press_hist, cfl_hist = [], [], [], []
+    grad_hist, div_hist, grad_div_hist = [], [], []
+    press_hist, cfl_hist = [], []
 
     def record_scalars(v_now, a_now, step_dt, speed):
-        gmax, dmax = _v_scalars(v_now, grid)
+        gmax, dmax, gdmax = _v_scalars(v_now, grid)
         grad_hist.append(gmax)
         div_hist.append(dmax)
+        grad_div_hist.append(gdmax)
         rho = np.abs(a_now) ** 2
         press_hist.append(float(grid.integral(rho ** (sigma + 1)).real))
         cfl_hist.append(step_dt * speed / dx_min)
@@ -266,13 +291,19 @@ def evolve_limit(
     record_scalars(v, a, dt, speed0)
 
     def rhs(y, c):
-        return _rhs(*y, grid, sigma, pressure_sign, mask)
+        # both right-hand sides are looked up as module attributes at every
+        # stage, so a wrapper installed on either one sees every call
+        dy, div_v, grad_a = _rhs(*y[:4], grid, sigma, pressure_sign, mask)
+        if len(y) == 4:
+            return dy
+        return dy + corrector._rhs(*y[4:], y[0], y[2], div_v, grad_a,
+                                   grid, sigma)
 
     status = "completed"
     t = 0.0
     n = 0
     while t < final_time - 1e-12 and n < max_steps:
-        speed = _wave_speed(v, S, sigma)
+        speed = _wave_speed(y[0], y[1], sigma)
         if adaptive:
             step_dt = min(CFL_NUMBER * dx_min / max(speed, 1e-12), dt,
                           final_time - t)
@@ -285,23 +316,19 @@ def evolve_limit(
                 status = "cfl"
                 break
 
-        v, S, a, phi = rk4_step(rhs, (v, S, a, phi), step_dt)
+        y = rk4_step(rhs, y, step_dt)
         t += step_dt
         n += 1
 
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(S.view(float)))
-                and np.all(np.isfinite(a.view(float)))):
+        if not all(np.all(np.isfinite(yi)) for yi in y):
             status = "nonfinite"
             break
 
         step_times.append(t)
-        record_scalars(v, a, step_dt, speed)
+        record_scalars(y[0], y[2], step_dt, speed)
         if n % store_every == 0 or t >= final_time - 1e-12:
             times.append(t)
-            vs.append(v.copy())
-            Ss.append(S.copy())
-            As.append(a.copy())
-            phis.append(phi.copy())
+            stored_y.append(y)
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
@@ -318,16 +345,21 @@ def evolve_limit(
         out.setflags(write=False)  # trajectories are shared read-only
         return out
 
+    v, S, a, phi, *corr = (pack([yi[k] for yi in stored_y])
+                           for k in range(len(y)))
+    phi1, w = corr if corr else (None, None)
     return LimitTrajectory(
         grid=grid, sigma=sigma, pressure_sign=pressure_sign,
-        times=pack(times), v=pack(vs), S=pack(Ss), a=pack(As), phi=pack(phis),
+        times=pack(times), v=v, S=S, a=a, phi=phi,
         phi0_wavevector=tuple(init.phi0_wavevector),
         dt=None if adaptive else dt, status=status,
         step_times=pack(step_times),
         grad_v_max=pack(grad_hist),
         div_v_max=pack(div_hist),
+        grad_div_v_max=pack(grad_div_hist),
         total_pressure=pack(press_hist),
         cfl_numbers=pack(cfl_hist),
+        phi1=phi1, w=w,
     )
 
 

@@ -1,8 +1,9 @@
 """Epsilon-ladder sweeps: WKB error curves, uniformity tables, rate fits.
 
-One sweep runs, for a shared limit + corrector solution and each epsilon in a
-strictly decreasing ladder, a wavefunction integration with per-snapshot
-modulation diagnostics, then reduces everything into a per-epsilon row table:
+One sweep runs one joint limit + corrector integration (evolve_limit with a1,
+stored at the observation times only) and, for each epsilon in a strictly
+decreasing ladder, a wavefunction integration with per-snapshot modulation
+diagnostics, then reduces everything into a per-epsilon row table:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
@@ -231,8 +232,8 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Execute the sweep: one shared limit/corrector run, one wavefunction run
-    per epsilon, diagnostics, and rate fits."""
+    """Execute the sweep: one shared joint limit + corrector run, one
+    wavefunction run per epsilon, diagnostics, and rate fits."""
     grid = plan.initial.grid
     sigma = plan.sigma
     eps_ref = max(plan.epsilon_list)
@@ -243,8 +244,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         snapped, _ = snap_wavevector(initial.phi0_wavevector, grid, eps_ref)
         initial = replace(initial, phi0_wavevector=snapped)
 
-    limit_traj = evolve_limit(initial, sigma, plan.final_time, n_obs=plan.n_obs)
-    corr_traj = evolve_corrector(limit_traj, initial.a1)
+    limit_traj = evolve_limit(initial, sigma, plan.final_time, n_obs=plan.n_obs,
+                              a1=initial.a1)
+    corr_traj = evolve_corrector(limit_traj)
     c_hat = gronwall_constant(limit_traj)
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)

@@ -170,9 +170,9 @@ class TestCliCommands:
         assert summary["grad_phi_minus_v_l2_max"] < 1e-6
         assert summary["power_consistency_banded_max"] < 1e-8
         assert summary["status"] == "completed"
-        # the CFL step exceeds half the observation interval 0.01, so the
-        # step is 0.005: 8 steps over T = 0.04, well inside the CFL bound
-        assert summary["steps"] == 8
+        # the CFL step 0.0347 exceeds the observation interval 0.01, so the
+        # step is 0.01: 4 steps over T = 0.04, well inside the CFL bound
+        assert summary["steps"] == 4
         assert summary["dt"] * summary["steps"] == pytest.approx(0.04)
         assert 0.0 < summary["cfl_max"] <= 0.5
 
@@ -182,7 +182,8 @@ class TestCliCommands:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert summary["corrected_modulus_gap_max"] < 1e-13
-        # one corrector step per two limit steps
+        # the pair rides in the limit run: one joint step per observation
+        # interval, as in test_limit_and_report_artifacts
         assert summary["steps"] == 4
         assert summary["dt"] == pytest.approx(0.01)
 
@@ -244,14 +245,50 @@ class TestCliCommands:
 
     def test_limit_over_memory_budget_exit_2(self, tmp_path):
         # the config parses (20 snapshots of 65,536 points fit the budget),
-        # but the limit run would store 3,572 CFL-step nodes
+        # but the breakdown hunt stores every 50th of its CFL steps: 1,420
+        # nodes, 4.47 GB, refused before the run starts
         bad = tmp_path / "big.json"
         bad.write_text('{"grid": {"N": 65536}}')
-        proc = run_cli(["limit", str(bad), "--out", str(tmp_path / "o")],
+        proc = run_cli(["blowup", str(bad), "--out", str(tmp_path / "o")],
                        tmp_path)
         assert proc.returncode == 2, proc.stderr
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["key"] == "grid.N"
+
+    @pytest.mark.parametrize("command,text", [
+        ("limit", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
+        ("corrector", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
+        ("blowup", '{"blowup": {"amplitudes": [1e80]}}'),
+    ])
+    def test_overflowing_amplitude_exit_2(self, tmp_path, command, text):
+        # a^sigma overflows, so the initial wave speed is not finite and no
+        # CFL step exists: a config error, not a NaN step count
+        doc = json.loads(text) | {"grid": {"N": 64}}
+        bad = tmp_path / "amp.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli([command, str(bad), "--out", str(tmp_path / "o")],
+                       tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["key"] == "initial.a0"
+
+    @pytest.mark.parametrize("name,text", [
+        ("missing.json", None),
+        ("text.json", "not json"),
+        ("list.json", "[1, 2]"),
+        ("row.json", '{"rows": [{"epsilon": 0.125}]}'),
+    ])
+    def test_bad_report_exit_2(self, tmp_path, name, text):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        proc = run_cli(["report", str(path)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""  # rejected before anything is printed
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["key"] == "<report>"
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli(["simulate", str(tmp_path / "nope.json")], tmp_path)

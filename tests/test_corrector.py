@@ -8,8 +8,9 @@ from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 
 class TestInitialConditions:
     def test_phase_zero_amplitude_a1(self, gaussian_data):
-        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3)
-        corr = evolve_corrector(traj, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
         assert np.max(np.abs(corr.phi1[0])) == 0.0
         assert np.max(np.abs(corr.w[0] - gaussian_data.a1)) == 0.0
 
@@ -18,13 +19,15 @@ class TestRealDataCriterion:
     def test_phase_stays_zero(self, real_imag_data):
         # a0 real, a1 purely imaginary: the (phi1, Re(conj(a) w)) pair solves
         # a homogeneous linear system from zero data, so phi1 == 0 throughout
-        traj = evolve_limit(real_imag_data, 2, 0.25, n_obs=20)
-        corr = evolve_corrector(traj, real_imag_data.a1)
+        traj = evolve_limit(real_imag_data, 2, 0.25, n_obs=20,
+                            a1=real_imag_data.a1)
+        corr = evolve_corrector(traj)
         assert max(float(np.max(np.abs(p))) for p in corr.phi1) < 1e-9
 
     def test_phase_nonzero_for_complex_data(self, gaussian_data):
-        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20)
-        corr = evolve_corrector(traj, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
         assert float(np.max(np.abs(corr.phi1[-1]))) > 1e-3
 
 
@@ -32,28 +35,32 @@ class TestSelfConvergence:
     def test_rk4_richardson_ratio(self, gaussian_data):
         g = gaussian_data.grid
 
-        def final(dt_lim):
-            traj = evolve_limit(gaussian_data, 2, 0.1, dt=dt_lim)
-            corr = evolve_corrector(traj, gaussian_data.a1)
+        # the corrector rides in the limit run, so these are joint steps
+        def final(dt):
+            traj = evolve_limit(gaussian_data, 2, 0.1, dt=dt,
+                                a1=gaussian_data.a1)
+            corr = evolve_corrector(traj)
             return corr.phi1[-1], corr.w[-1]
 
-        p1, w1 = final(2e-3)
-        p2, w2 = final(1e-3)
-        p4, w4 = final(5e-4)
+        p1, w1 = final(4e-3)
+        p2, w2 = final(2e-3)
+        p4, w4 = final(1e-3)
         ratio_w = g.l2_norm(w1 - w2) / g.l2_norm(w2 - w4)
         ratio_p = g.l2_norm(p1 - p2) / g.l2_norm(p2 - p4)
         assert 14.0 <= ratio_w <= 18.0
         assert 14.0 <= ratio_p <= 18.0
 
     def test_default_step_matches_fine_limit(self, gaussian_data):
-        # the corrector steps at 2h on the CFL-step limit; against a run on
-        # a limit at h/8 the gap measured 1.5e-7 (phi1) and 1.1e-6 (w), in
-        # L2 max over nodes: the bounds are 10x those
+        # the pair rides in the limit run at its step h (two per observation
+        # interval here); against a joint run at h/8 the gap measured
+        # 2.0e-8 (phi1) and 2.3e-7 (w), in L2 max over nodes
         g = gaussian_data.grid
-        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20)
-        fine = evolve_limit(gaussian_data, 2, 0.25, dt=traj.dt / 8)
-        corr = evolve_corrector(traj, gaussian_data.a1)
-        ref = evolve_corrector(fine, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
+                            a1=gaussian_data.a1)
+        fine = evolve_limit(gaussian_data, 2, 0.25, dt=traj.dt / 8,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
+        ref = evolve_corrector(fine)
         nodes = [ref.index_at(t) for t in corr.times]
         np.testing.assert_allclose(ref.times[nodes], corr.times, atol=1e-12)
         pairs = list(enumerate(nodes))
@@ -62,34 +69,44 @@ class TestSelfConvergence:
         assert gap_p < 1.5e-6
         assert gap_w < 1.2e-5
 
-    def test_step_is_twice_limit_step(self, gaussian_data):
-        # RK4 stage times of the corrector land on stored limit nodes
-        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3)
-        corr = evolve_corrector(traj, gaussian_data.a1)
-        assert corr.dt == pytest.approx(2e-3, rel=1e-12)
-        np.testing.assert_array_equal(corr.times, traj.times[::2])
+    def test_shares_limit_times_and_step(self, gaussian_data):
+        # the pair is carried by the limit run: same nodes, same step
+        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
+        assert corr.dt == traj.dt
+        np.testing.assert_array_equal(corr.times, traj.times)
         assert corr.times[-1] == pytest.approx(0.05)
+
+    def test_limit_run_without_a1_carries_none(self, gaussian_data):
+        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3)
+        assert traj.phi1 is None and traj.w is None
+        with pytest.raises(ValueError):
+            evolve_corrector(traj)
 
 
 class TestTildeAmplitude:
     def test_zero_phase_is_identity(self, gaussian_data):
-        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3)
-        corr = evolve_corrector(traj, np.zeros(gaussian_data.grid.shape, complex))
+        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3,
+                            a1=np.zeros(gaussian_data.grid.shape, complex))
+        corr = evolve_corrector(traj)
         # a1 = 0 and phi1(0) = 0: at t=0 the corrected amplitude equals a
         til = tilde_amplitude(traj.state_at(0.0), corr.state_at(0.0))
         assert np.max(np.abs(til.a_tilde - traj.a[0])) == 0.0
 
     def test_modulus_preserved_pointwise(self, gaussian_data):
-        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20)
-        corr = evolve_corrector(traj, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
         for t in (0.0, 0.25):
             ls, cs = traj.state_at(t), corr.state_at(t)
             til = tilde_amplitude(ls, cs)
             assert np.max(np.abs(np.abs(til.a_tilde) - np.abs(ls.a))) < 1e-14
 
     def test_time_mismatch_rejected(self, gaussian_data):
-        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3)
-        corr = evolve_corrector(traj, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
         with pytest.raises(ValueError):
             tilde_amplitude(traj.state_at(0.05), corr.state_at(0.0))
 
@@ -98,8 +115,9 @@ class TestTildeAmplitude:
         # amplitude halves the WKB defect (complex a0 with active phi1)
         g = gaussian_data.grid
         sigma, T, eps = 2, 0.1, 1.0 / 32.0
-        traj = evolve_limit(gaussian_data, sigma, T, n_obs=3)
-        corr = evolve_corrector(traj, gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, sigma, T, n_obs=3,
+                            a1=gaussian_data.a1)
+        corr = evolve_corrector(traj)
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                         self_check=False)

@@ -239,6 +239,22 @@ class TestModulatedEnergy:
         for rec in recs:
             assert rec.modulated_energy <= me0 * np.exp(c_hat * rec.time) * (1 + 1e-9)
 
+    def test_gronwall_matches_node_scan(self, gaussian_data):
+        # without n_obs every step is a stored node, so the per-step scalars
+        # must reproduce the constant scanned off the stored velocity fields
+        g = gaussian_data.grid
+        ltraj = evolve_limit(gaussian_data, 2, 0.25)
+        scan = 0.0
+        for v in ltraj.v:
+            grad_v = [g.gradient(v[j]).real for j in range(g.dim)]
+            div_v = sum(grad_v[j][j] for j in range(g.dim))
+            grad_div = g.gradient(div_v).real
+            scan = max(scan, 2 * float(np.max(np.abs(div_v)))
+                       + 2.0 * max(float(np.max(np.abs(gv))) for gv in grad_v)
+                       + float(np.max(np.abs(grad_div))) + 1.0)
+        assert ltraj.times.size == ltraj.step_times.size
+        assert gronwall_constant(ltraj) == pytest.approx(scan, rel=1e-12)
+
 
 class TestDensityMetrics:
     def test_zero_when_matched(self, grid_1d):

@@ -100,16 +100,33 @@ class TestEvolve:
         assert blowup_monitor(traj).t_estimate == pytest.approx(traj.step_times[-1])
 
     def test_stored_nodes_over_budget(self):
-        # the CFL step shrinks with dx, so the node count grows with N: the
-        # default run on 65,536 points would store 3,572 nodes (11 GB) and
-        # is refused before anything is stored
+        # the CFL step shrinks with dx, so without n_obs the node count (one
+        # per step) grows with N: the default run on 65,536 points would
+        # store 3,549 nodes (11 GB) and is refused before anything is stored
         g = Grid(65536, 16.0)
         data = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
                            a1=np.zeros(g.shape, dtype=complex),
                            phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
         with pytest.raises(ConfigError) as err:
-            evolve_limit(data, 2, 0.25, n_obs=20)
+            evolve_limit(data, 2, 0.25)
         assert err.value.key == "grid.N"
+
+    def test_n_obs_stores_only_observation_times(self, gaussian_data):
+        # a whole number of steps per observation interval; the stored
+        # nodes are the observation times, with or without the corrector
+        obs = np.linspace(0.0, 0.25, 20)
+        for a1 in (None, gaussian_data.a1):
+            traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20, a1=a1)
+            np.testing.assert_allclose(traj.times, obs, rtol=0, atol=1e-12)
+            fields = [traj.v, traj.S, traj.a, traj.phi]
+            if a1 is not None:
+                fields += [traj.phi1, traj.w]
+            assert all(f.shape[0] == obs.size for f in fields)
+            steps = len(traj.step_times) - 1
+            assert steps % (obs.size - 1) == 0
+            assert traj.dt * steps == pytest.approx(0.25)
+            # the per-step scalars still cover every step
+            assert traj.grad_div_v_max.size == steps + 1
 
 
 class TestRK4Step:
