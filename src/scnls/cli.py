@@ -35,10 +35,11 @@ from .grid import Grid
 from .limit import (blowup_monitor, characteristic_gradient_scale,
                     euler_invariants, evolve_limit, focusing_demo,
                     power_consistency)
-from .nls import NLSConfig, build_initial_data, evolve_nls, nls_invariants
+from .nls import (SCHEME, NLSConfig, build_initial_data, evolve_nls,
+                  nls_invariants)
 from .presets import InitialData, compact_bump, constant
 from .snapshots import write_snapshots
-from .sweep import SCHEME, SweepPlan, run_sweep
+from .sweep import SweepPlan, run_sweep
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_INTERNAL = 0, 2, 3, 4
 

@@ -30,7 +30,7 @@ from . import artifacts
 from .errors import ConfigError
 from .grid import Grid
 from .limit import MAX_STORED_BYTES
-from .nls import check_step_count, yoshida4_step
+from .nls import SCHEME, check_step_count, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -242,12 +242,12 @@ def parse_config(text: str) -> RunConfig:
     _need(stored <= MAX_STORED_BYTES, "time.observation_count",
           f"{n_obs} snapshots of {points} points need {stored} bytes, "
           f"over the budget of {MAX_STORED_BYTES}")
-    # fail fast on a wavefunction step too small to finish (the commands
-    # integrate with yoshida4 at the Strang step dt0*eps^1.5)
+    # fail fast on a wavefunction step too small to finish, at the commands'
+    # scheme and step law
     for key, values in (("physics.epsilon", (epsilon,)),
                         ("physics.epsilon_list", eps_list)):
         for e in values:
-            check_step_count(final_time, yoshida4_step(dt0 * e**1.5, e), key)
+            check_step_count(final_time, scheme_step(SCHEME, dt0, e), key)
 
     ini = doc.get("initial", {})
     for pk in ("a0_params", "a1_params", "phi0_params"):

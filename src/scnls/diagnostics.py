@@ -15,6 +15,11 @@ removed).  From it:
   whose integral obeys a Gronwall envelope with a constant measured from the
   limit solution;
 * position/current density gaps with their expected small-eps rates.
+
+Everything is read off a_eps, so no record keeps u or its gradient: since
+|exp(i*phi/eps)| = 1, the WKB error ||u - b*exp(i*phi/eps)|| of an amplitude
+b equals ||a_eps - b||, and the current Im(eps*conj(u) grad u) equals
+|a_eps|^2 grad phi + Im(eps*conj(a_eps) grad a_eps).
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ def q_g_fields(a_eps: np.ndarray, a: np.ndarray, epsilon: float,
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-snapshot modulation diagnostics."""
+    """Per-snapshot modulation diagnostics, built from the filtered
+    amplitude a_eps and the limit state alone.  The transport residual
+    spans three records and is computed by residual_transport."""
 
     time: float
     epsilon: float
@@ -67,11 +74,8 @@ class DiagnosticsRecord:
     q_eps: np.ndarray
     g_eps: np.ndarray
     beta_eps: np.ndarray
-    position_density: np.ndarray         # |u|^2
-    current_density: np.ndarray          # Im(eps * conj(u) grad u), (dim, ...)
     sobolev: dict = field(default_factory=dict)   # {"a_eps": {s: norm}, ...}
     modulated_energy: float = 0.0
-    residual_transport: float | None = None
 
 
 def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
@@ -81,9 +85,6 @@ def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
     a_eps = modulate(u, limit_state.phi_total(), epsilon, grid)
     psi = grid.gradient(a_eps)
     q, g = q_g_fields(a_eps, limit_state.a, epsilon, sigma)
-    gu = grid.gradient(u)
-    current = np.stack([epsilon * np.imag(np.conj(u) * gu[j])
-                        for j in range(grid.dim)])
     sob: dict = {"a_eps": {}, "q_eps": {}}
     for s in sobolev_orders:
         sob["a_eps"][s] = grid.sobolev_norm(a_eps, s)
@@ -91,9 +92,7 @@ def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
             sob["q_eps"][s - 1] = grid.sobolev_norm(q, s - 1)
     rec = DiagnosticsRecord(
         time=t, epsilon=epsilon, sigma=sigma, a_eps=a_eps, psi_eps=psi,
-        q_eps=q, g_eps=g, beta_eps=epsilon * q,
-        position_density=np.abs(u) ** 2, current_density=current,
-        sobolev=sob,
+        q_eps=q, g_eps=g, beta_eps=epsilon * q, sobolev=sob,
     )
     rec.modulated_energy = modulated_energy(rec, grid)
     return rec

@@ -183,9 +183,6 @@ class Grid:
     def integral(self, f: np.ndarray) -> complex | float:
         return np.sum(f) * self.cell_volume
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        return np.sum(np.conj(f) * g) * self.cell_volume
-
     def l2_norm(self, f: np.ndarray) -> float:
         return math.sqrt(float(np.sum(np.abs(f) ** 2)) * self.cell_volume)
 

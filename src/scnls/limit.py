@@ -34,7 +34,7 @@ optional per-step CFL-adapted step for breakdown hunting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -221,8 +221,12 @@ def evolve_limit(
     adaptive=True re-derives dt from the pure CFL rule every step and is
     meant for breakdown hunting; the trajectory then truncates instead of
     raising when dt collapses or fields stop being finite (strict=False).
-    A run that reaches max_steps before final_time ends with status
-    "max_steps", which raises like every other early stop when strict.
+    A fixed-step run takes a step count set before it starts
+    (ceil(final_time/dt), or the steps per observation interval times
+    n_obs-1), so roundoff in the summed time cannot add a sliver step; an
+    adaptive run stops when the summed time reaches final_time.  A run that
+    reaches max_steps first ends with status "max_steps", which raises like
+    every other early stop when strict.
     Initial data without a finite wave speed, and a run whose stored nodes
     would exceed MAX_STORED_BYTES, raise ConfigError before the run starts.
     """
@@ -257,13 +261,17 @@ def evolve_limit(
         delta = final_time / (n_obs - 1)
         store_every = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
         dt = delta / store_every
+        n_steps = store_every * (n_obs - 1)
     elif dt is None:
-        dt = final_time / max(1, math.ceil(final_time / dt_cfl0))
+        n_steps = max(1, math.ceil(final_time / dt_cfl0))
+        dt = final_time / n_steps
+    else:
+        n_steps = max(1, math.ceil(final_time / dt - 1e-9))
     dt = float(dt)
     dt_floor = dt * DT_FLOOR_FACTOR
     # v, S, a, phi (and phi1, w) per node; an adaptive step only shrinks, so
     # this is a lower bound there, capped by max_steps
-    nodes = 1 + math.ceil(min(final_time / dt, max_steps) / store_every)
+    nodes = 1 + math.ceil(min(n_steps, max_steps) / store_every)
     per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
     stored = nodes * grid.size * per_point
     if stored > MAX_STORED_BYTES:
@@ -299,10 +307,14 @@ def evolve_limit(
         return dy + corrector._rhs(*y[4:], y[0], y[2], div_v, grad_a,
                                    grid, sigma)
 
+    def unfinished() -> bool:
+        # fixed-step runs count steps: the summed t can end a hair short
+        return t < final_time - 1e-12 if adaptive else n < n_steps
+
     status = "completed"
     t = 0.0
     n = 0
-    while t < final_time - 1e-12 and n < max_steps:
+    while n < max_steps and unfinished():
         speed = _wave_speed(y[0], y[1], sigma)
         if adaptive:
             step_dt = min(CFL_NUMBER * dx_min / max(speed, 1e-12), dt,
@@ -326,13 +338,13 @@ def evolve_limit(
 
         step_times.append(t)
         record_scalars(y[0], y[2], step_dt, speed)
-        if n % store_every == 0 or t >= final_time - 1e-12:
+        if n % store_every == 0 or not unfinished():
             times.append(t)
             stored_y.append(y)
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
-    if status == "completed" and t < final_time - 1e-12:
+    if status == "completed" and unfinished():
         status = "max_steps"
 
     if status != "completed" and strict:
@@ -533,10 +545,12 @@ def focusing_demo(
 ) -> list[GrowthRow]:
     """Short-time growth rates of sinusoidal perturbations per wavenumber.
 
-    The background from ``init`` (intended: constant amplitude, zero phase)
-    is evolved with the given pressure sign; for each integer mode k a run
-    with a0 + delta*cos(2*pi*k*x/L) is compared against it.  The perturbation
-    size is the symmetrized wave energy
+    The background from ``init`` must be a constant amplitude with zero
+    phase (else ConfigError with key initial.a0).  Such a state at rest is
+    a fixed point of the flow for either pressure sign, so it is not
+    integrated: rho_bg = |a0|^2 and v_bg = 0.  For each integer mode k a run
+    with a0 + delta*cos(2*pi*k*x/L) is compared against it.  The
+    perturbation size is the symmetrized wave energy
 
         W^2 = int ( sigma*rho0^(sigma-1) * drho^2 + rho0 * |dv|^2 ) dx,
 
@@ -546,39 +560,35 @@ def focusing_demo(
     suppresses roundoff-seeded growth above the probed band.
     """
     grid = init.grid
+    a0 = np.asarray(init.a0)
+    if (np.any(a0 != a0.flat[0]) or np.any(init.phi0_periodic != 0)
+            or any(init.phi0_wavevector)):
+        raise ConfigError("initial.a0", "the focusing-demo background must "
+                          "be a constant amplitude with zero phase")
     ks = [int(k) for k in perturbation_wavenumbers]
     if spectral_cutoff is None and ks:
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
     store = max(1, int(round((window / dt) / (n_snap - 1))))
-
-    def run(a0_field) -> LimitTrajectory:
-        data = InitialData(
-            grid=grid, a0=a0_field, a1=np.zeros(grid.shape, dtype=complex),
-            phi0_periodic=init.phi0_periodic,
-            phi0_wavevector=init.phi0_wavevector, label="focusing-demo",
-        )
-        return evolve_limit(
-            data, sigma, window, dt=dt, pressure_sign=pressure_sign,
-            strict=False, store_every=store, spectral_cutoff=spectral_cutoff,
-        )
-
-    base = run(init.a0)
-    rho_bg = np.abs(base.a) ** 2
-    rho0 = float(np.mean(rho_bg[0]))
+    rho_bg = np.abs(a0) ** 2
+    rho0 = float(np.mean(rho_bg))
 
     rows = []
     for k in ks:
         xi = 2.0 * np.pi * k / grid.lengths[0]
         pert = delta * np.cos(xi * grid.coords[0])
-        traj = run(init.a0 + pert)
-        nt = min(traj.times.size, base.times.size)
+        traj = evolve_limit(
+            replace(init, a0=a0 + pert), sigma, window, dt=dt,
+            pressure_sign=pressure_sign, strict=False, store_every=store,
+            spectral_cutoff=spectral_cutoff,
+        )
+        nt = traj.times.size
         w = np.empty(nt)
         for i in range(nt):
-            drho = np.abs(traj.a[i]) ** 2 - rho_bg[i]
-            dv = traj.v[i] - base.v[i]
+            drho = np.abs(traj.a[i]) ** 2 - rho_bg
+            dv2 = np.sum(traj.v[i] ** 2, axis=0)  # v_bg = 0
             w[i] = math.sqrt(max(
                 sigma * rho0 ** (sigma - 1) * float(grid.integral(drho**2).real)
-                + rho0 * float(grid.integral(np.sum(dv**2, axis=0)).real), 0.0))
+                + rho0 * float(grid.integral(dv2).real), 0.0))
         w0 = w[0]
         if w0 == 0.0 or np.all(w <= 0):
             rows.append(GrowthRow(mode=k, xi=xi, rate=0.0, max_growth=0.0, w0=0.0))

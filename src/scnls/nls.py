@@ -44,6 +44,10 @@ SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
 
 # most steps one run may take: a larger count is a step too small to finish
 MAX_NLS_STEPS = 10**7
+# the wavefunction integrator of the sweep rows and the CLI runs, and the
+# exponent of their Strang step dt0*eps^DT_EXPONENT
+SCHEME = "yoshida4"
+DT_EXPONENT = 1.5
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class NLSConfig:
     sigma: int
     final_time: float
     dt0: float = 0.01
-    dt_exponent: float = 1.5
+    dt_exponent: float = DT_EXPONENT
     dt_override: float | None = None
     self_check: bool = True
     self_check_factor: float = 0.05
@@ -84,14 +88,19 @@ class NLSConfig:
     def dt_raw(self) -> float:
         """The step requested of the scheme: dt_override, or the step whose
         splitting error matches the Strang step's."""
-        if self.dt_override is not None or self.scheme == "strang":
-            return self.dt_strang
-        return yoshida4_step(self.dt_strang, self.epsilon)
+        if self.dt_override is not None:
+            return self.dt_override
+        return scheme_step(self.scheme, self.dt0, self.epsilon,
+                           self.dt_exponent)
 
 
-def yoshida4_step(dt_strang: float, epsilon: float) -> float:
-    """The yoshida4 step with the Strang step's error: (dt/eps)^4 = (dt_s/eps)^2."""
-    return math.sqrt(dt_strang * epsilon)
+def scheme_step(scheme: str, dt0: float, epsilon: float,
+                dt_exponent: float = DT_EXPONENT) -> float:
+    """The step of ``scheme`` at epsilon: the Strang step
+    dt_s = dt0*eps^dt_exponent, and for yoshida4 the step with the same
+    splitting error, sqrt(dt_s*eps): (dt/eps)^4 = (dt_s/eps)^2."""
+    dt_strang = dt0 * epsilon**dt_exponent
+    return dt_strang if scheme == "strang" else math.sqrt(dt_strang * epsilon)
 
 
 def check_step_count(final_time: float, dt: float,
@@ -152,8 +161,8 @@ def _split_obs_interval(delta: float, dt_raw: float) -> int:
     return max(1, int(np.ceil(delta / dt_raw - 1e-12)))
 
 
-def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
-                observers=()) -> tuple[list[np.ndarray], float]:
+def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
+                obs_times: np.ndarray) -> tuple[list[np.ndarray], float]:
     grid = cfg.grid
     eps, sigma = cfg.epsilon, cfg.sigma
     deltas = np.diff(obs_times)
@@ -170,14 +179,12 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
     phases = [(-1j * (w * dt) / eps) for w in weights]
 
     def freeze(arr: np.ndarray) -> np.ndarray:
-        # snapshots are shared read-only with the observers
+        # snapshots are shared read-only
         arr.setflags(write=False)
         return arr
 
     u = np.array(u0, dtype=complex)
     states = [freeze(u.copy())]
-    for cb in observers:
-        cb(float(obs_times[0]), states[0])
     for delta in deltas:
         if abs(delta - deltas[0]) > 1e-12 * max(1.0, abs(delta)):
             raise ConfigError("time.observation_count", "observation times must be uniform")
@@ -193,13 +200,10 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig, obs_times: np.ndarray,
                 f"non-finite wavefunction at t={obs_times[len(states)]:.6g}; reduce dt0"
             )
         states.append(freeze(u.copy()))
-        for cb in observers:
-            cb(float(obs_times[len(states) - 1]), states[-1])
     return states, dt
 
 
-def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None,
-               observers=()) -> NLSTrajectory:
+def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None) -> NLSTrajectory:
     """Integrate to final_time, returning snapshots at the observation times.
 
     obs_times must be uniformly spaced, starting at 0 and ending at
@@ -218,7 +222,7 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None,
     if obs_times[0] != 0.0 or abs(obs_times[-1] - cfg.final_time) > 1e-12:
         raise ConfigError("time.T", "observation times must span [0, final_time]")
 
-    states, dt = _evolve_raw(u0, cfg, obs_times, observers)
+    states, dt = _evolve_raw(u0, cfg, obs_times)
     traj = NLSTrajectory(
         grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
         times=obs_times.copy(), states=states, dt=dt,

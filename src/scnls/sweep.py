@@ -7,7 +7,8 @@ diagnostics, then reduces everything into a per-epsilon row table:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
-  (L^6 instead of L^inf when sigma = 2 in dimension >= 2);
+  (L^6 instead of L^inf when sigma = 2 in dimension >= 2), taken as
+  ||a_eps - a|| and ||a_eps - a_tilde|| of the filtered amplitude;
 * uniformity norms max_t ||a_eps||_{H^k}, max_t ||q_eps||_{H^(k-1)} with
   k = 2 (sigma <= 2, 1-D), k = 1 (sigma = 2, higher dim), k = sigma otherwise;
 * density-gap metrics and the modulated-energy envelope check.
@@ -31,12 +32,8 @@ from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
 from .errors import ConfigError, NumericalGuardError
 from .limit import LimitTrajectory, evolve_limit
-from .nls import NLSConfig, build_initial_data, evolve_nls
+from .nls import DT_EXPONENT, SCHEME, NLSConfig, build_initial_data, evolve_nls
 from .presets import InitialData, snap_wavevector
-
-
-# the wavefunction integrator of the sweep rows and the CLI runs (nls.SCHEMES)
-SCHEME = "yoshida4"
 
 
 def sobolev_index(sigma: int, dim: int) -> int:
@@ -95,7 +92,7 @@ class SweepPlan:
     final_time: float
     n_obs: int = 20
     dt0: float = 0.01
-    dt_exponent: float = 1.5
+    dt_exponent: float = DT_EXPONENT
     self_check: bool = True
     config_echo: dict = field(default_factory=dict)
 
@@ -119,6 +116,10 @@ ROW_COLUMNS = (
     "mod_energy_0", "mod_energy_max",
     "envelope_ok", "self_check_error", "self_check_ok",
 )
+
+# the per-snapshot lists a row carries into the JSON report
+SERIES_KEYS = ("time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
+               "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")
 
 
 @dataclass
@@ -173,61 +174,45 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
         check_err = exc.value if exc.value is not None else -2.0
         check_ok = False
 
-    err2_l2 = err2_sup = err1_l2 = err1_sup = 0.0
-    a_hk = q_hk = 0.0
-    pos_max = pow_max = cur_t_max = cur_1_max = 0.0
-    series: dict[str, list] = {key: [] for key in (
-        "time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
-        "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")}
-    envelope_ok = True
+    snapshots = []
     for t, u in zip(traj.times, traj.states):
         ls = limit_traj.state_at(float(t))
-        cs = corr_traj.state_at(float(t))
-        til = tilde_amplitude(ls, cs)
+        til = tilde_amplitude(ls, corr_traj.state_at(float(t)))
         rec = diagnostics_record(u, float(t), ls, eps, sigma,
                                  sobolev_orders=(float(k),))
-        carrier = np.exp(1j * ls.phi_total() / eps)
-        diff2 = u - til.a_tilde * carrier
-        diff1 = u - ls.a * carrier
-        e2, e1 = grid.l2_norm(diff2), grid.l2_norm(diff1)
-        err2_l2 = max(err2_l2, e2)
-        err2_sup = max(err2_sup, grid.lebesgue_norm(diff2, sup_p))
-        err1_l2 = max(err1_l2, e1)
-        err1_sup = max(err1_sup, grid.lebesgue_norm(diff1, sup_p))
-        a_now = rec.sobolev["a_eps"][float(k)]
-        q_now = rec.sobolev["q_eps"][float(k) - 1]
-        a_hk = max(a_hk, a_now)
-        q_hk = max(q_hk, q_now)
+        # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
+        diff2 = rec.a_eps - til.a_tilde
+        diff1 = rec.a_eps - ls.a
         dm = density_metrics(rec, ls, sigma, eps)
-        pos_max = max(pos_max, dm.pos_err_lsp1)
-        pow_max = max(pow_max, dm.pos_err_lsp1 ** (sigma + 1))
-        cur_t_max = max(cur_t_max, dm.cur_err_transport)
-        cur_1_max = max(cur_1_max, dm.cur_err_l1)
-        series["time"].append(float(t))
-        series["err_two_term_l2"].append(e2)
-        series["err_one_term_l2"].append(e1)
-        series["a_eps_hk"].append(a_now)
-        series["q_eps_hkm1"].append(q_now)
-        series["pos_gap_lsp1"].append(dm.pos_err_lsp1)
-        series["cur_l1"].append(dm.cur_err_l1)
-        series["mod_energy"].append(rec.modulated_energy)
-    me_vals = series["mod_energy"]
-    me0 = me_vals[0]
-    for t, me in zip(traj.times, me_vals):
-        if me > me0 * math.exp(c_hat * float(t)) * (1.0 + 1e-9):
-            envelope_ok = False
+        snapshots.append({
+            "time": float(t),
+            "err_two_term_l2": grid.l2_norm(diff2),
+            "err_two_term_sup": grid.lebesgue_norm(diff2, sup_p),
+            "err_one_term_l2": grid.l2_norm(diff1),
+            "err_one_term_sup": grid.lebesgue_norm(diff1, sup_p),
+            "a_eps_hk": rec.sobolev["a_eps"][float(k)],
+            "q_eps_hkm1": rec.sobolev["q_eps"][float(k) - 1],
+            "pos_gap_lsp1": dm.pos_err_lsp1,
+            "pos_gap_pow": dm.pos_err_lsp1 ** (sigma + 1),
+            "cur_transport_lsp1": dm.cur_err_transport,
+            "cur_l1": dm.cur_err_l1,
+            "mod_energy": rec.modulated_energy,
+        })
+    # one list per quantity over the observation times; a row column is the
+    # max of its list
+    table = {key: [snap[key] for snap in snapshots] for key in snapshots[0]}
+    me0 = table["mod_energy"][0]
+    envelope_ok = all(me <= me0 * math.exp(c_hat * t) * (1.0 + 1e-9)
+                      for t, me in zip(table["time"], table["mod_energy"]))
+    # the error columns keep their names, the other maxima gain "_max"
+    row = {key if key.startswith("err_") else key + "_max": max(vals)
+           for key, vals in table.items() if key != "time"}
     return {
-        "epsilon": eps,
-        "err_two_term_l2": err2_l2, "err_two_term_sup": err2_sup,
-        "err_one_term_l2": err1_l2, "err_one_term_sup": err1_sup,
-        "a_eps_hk_max": a_hk, "q_eps_hkm1_max": q_hk,
-        "pos_gap_lsp1_max": pos_max, "pos_gap_pow_max": pow_max,
-        "cur_transport_lsp1_max": cur_t_max, "cur_l1_max": cur_1_max,
-        "mod_energy_0": me0, "mod_energy_max": max(me_vals),
+        "epsilon": eps, **row, "mod_energy_0": me0,
         "envelope_ok": envelope_ok,
         "self_check_error": -1.0 if check_err is None else float(check_err),
         "self_check_ok": bool(check_ok),
-        "series": series,  # one diagnostics row per observation time (JSON)
+        "series": {key: table[key] for key in SERIES_KEYS},  # JSON only
     }
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -186,6 +187,21 @@ class TestCliCommands:
         # interval, as in test_limit_and_report_artifacts
         assert summary["steps"] == 4
         assert summary["dt"] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("command", ["limit", "corrector"])
+    def test_fixed_step_count(self, tmp_path, command):
+        # T/dt = 620 while the summed steps stop 1.1e-12 short of T: the
+        # summary counts the 620 steps, not a 621st sliver step
+        doc = {"grid": {"N": 16, "L": 2 * math.pi}, "physics": {"sigma": 2},
+               "time": {"T": 70.175, "observation_count": 5},
+               "initial": {"a0_preset": "constant", "a1_preset": "zero"},
+               "output": {"directory": str(tmp_path / "out")}}
+        path = tmp_path / "steps.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli([command, str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["steps"] == 620
 
     def test_conserve(self, tiny_config, tmp_path):
         path, out = tiny_config

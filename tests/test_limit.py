@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scnls import Grid
 from scnls.errors import ConfigError, NumericalGuardError
-from scnls.limit import (blowup_monitor, characteristic_gradient_scale,
-                         euler_invariants, evolve_limit, focusing_demo,
-                         power_consistency, rk4_step)
+from scnls.limit import (GrowthRow, blowup_monitor,
+                         characteristic_gradient_scale, euler_invariants,
+                         evolve_limit, focusing_demo, power_consistency,
+                         rk4_step)
 from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData, compact_bump, gaussian
 
@@ -110,6 +113,17 @@ class TestEvolve:
         with pytest.raises(ConfigError) as err:
             evolve_limit(data, 2, 0.25)
         assert err.value.key == "grid.N"
+
+    def test_fixed_step_count_with_roundoff(self):
+        # 620 steps of T/620 sum to 1.1e-12 short of T = 70.175: the run
+        # takes its 620 steps and stores 5 nodes, with no sliver step
+        g = Grid(16, 2 * np.pi)
+        traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
+                            n_obs=5)
+        assert traj.status == "completed"
+        assert len(traj.step_times) - 1 == 620
+        assert traj.times.size == 5
+        assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
 
     def test_n_obs_stores_only_observation_times(self, gaussian_data):
         # a whole number of steps per observation interval; the stored
@@ -327,6 +341,50 @@ class TestFocusingDemo:
         rows = focusing_demo(background, [4, 8, 16, 32], 1, pressure_sign=1)
         for row in rows:
             assert 0.8 <= row.max_growth <= 1.2
+
+    def test_row_equals_explicit_background_run(self, background):
+        # the old reduction: the background evolved alongside the perturbed
+        # run and subtracted node by node; at rest it stays bit-for-bit put
+        # the defaults of focusing_demo; the cutoff is its default for k = 8
+        k, sigma, psign, delta, window, dt = 8, 1, -1, 1e-7, 0.35, 2e-3
+        g = background.grid
+        store = int(round((window / dt) / 35))
+
+        def run(a0):
+            data = InitialData(grid=g, a0=a0, a1=background.a1,
+                               phi0_periodic=background.phi0_periodic,
+                               phi0_wavevector=background.phi0_wavevector)
+            return evolve_limit(data, sigma, window, dt=dt,
+                                pressure_sign=psign, strict=False,
+                                store_every=store, spectral_cutoff=16)
+
+        base = run(background.a0)
+        xi = 2.0 * np.pi * k / g.lengths[0]
+        traj = run(background.a0 + delta * np.cos(xi * g.coords[0]))
+        rho_bg = np.abs(base.a) ** 2
+        rho0 = float(np.mean(rho_bg[0]))
+        w = np.array([np.sqrt(
+            sigma * rho0 ** (sigma - 1)
+            * float(g.integral((np.abs(traj.a[i]) ** 2 - rho_bg[i]) ** 2).real)
+            + rho0 * float(g.integral(
+                np.sum((traj.v[i] - base.v[i]) ** 2, axis=0)).real))
+            for i in range(traj.times.size)])
+        half = w.size // 2
+        rate = float(np.polyfit(traj.times[half:],
+                                np.log(np.maximum(w[half:], 1e-300)), 1)[0])
+        ref = GrowthRow(mode=k, xi=xi, rate=rate,
+                        max_growth=float(np.max(w) / w[0]), w0=float(w[0]))
+        assert focusing_demo(background, [k], sigma, pressure_sign=psign,
+                             delta=delta, window=window, dt=dt) == [ref]
+
+    @pytest.mark.parametrize("key", ["a0", "phi0_periodic", "phi0_wavevector"])
+    def test_background_must_be_constant_at_rest(self, background, key):
+        bump = 0.1 * np.cos(background.grid.coords[0])
+        changed = {"a0": background.a0 + bump, "phi0_periodic": bump,
+                   "phi0_wavevector": (1.0,)}[key]
+        with pytest.raises(ConfigError) as err:
+            focusing_demo(replace(background, **{key: changed}), [4], 1)
+        assert err.value.key == "initial.a0"
 
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)

@@ -149,11 +149,9 @@ class TestEvolve:
         cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.1,
                         self_check=False)
         obs = np.linspace(0.0, 0.1, 6)
-        seen = []
-        traj = evolve_nls(u0, cfg, obs, observers=[lambda t, u: seen.append(t)])
+        traj = evolve_nls(u0, cfg, obs)
         assert np.allclose(traj.times, obs)
         assert len(traj.states) == 6
-        assert seen == list(obs)
 
     def test_self_check_guard_raises(self, gaussian_data):
         g = gaussian_data.grid
@@ -247,9 +245,9 @@ class TestYoshida4:
         schemes = []
         raw = nls._evolve_raw
 
-        def spy(u0, cfg, obs_times, observers=()):
+        def spy(u0, cfg, obs_times):
             schemes.append(cfg.scheme)
-            return raw(u0, cfg, obs_times, observers)
+            return raw(u0, cfg, obs_times)
 
         monkeypatch.setattr(nls, "_evolve_raw", spy)
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from scnls import Grid
+from scnls.corrector import evolve_corrector, tilde_amplitude
 from scnls.errors import ConfigError
+from scnls.limit import evolve_limit
+from scnls.nls import SCHEME, NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
 from scnls.sweep import (SweepPlan, fit_rate, run_sweep, sobolev_index,
                          sup_exponent)
@@ -81,6 +84,41 @@ class TestRunSweep:
         fit = res.fits["two_term_l2"]
         assert 0.8 <= fit.slope <= 1.2
         assert fit.r2 >= 0.98
+
+    def test_errors_match_carrier_form(self, small_sweep):
+        # the error columns come from a_eps - a_tilde and a_eps - a; they
+        # must equal ||u - a_tilde e^{i phi/eps}|| and ||u - a e^{i phi/eps}||
+        # taken on the same (deterministic) trajectories
+        plan, res = small_sweep
+        data, grid = plan.initial, plan.initial.grid
+        obs = np.linspace(0.0, plan.final_time, plan.n_obs)
+        limit_traj = evolve_limit(data, plan.sigma, plan.final_time,
+                                  n_obs=plan.n_obs, a1=data.a1)
+        corr = evolve_corrector(limit_traj)
+        p = sup_exponent(plan.sigma, grid.dim)
+        for row in res.rows:
+            eps = row["epsilon"]
+            cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
+                            final_time=plan.final_time, self_check=False,
+                            scheme=SCHEME)
+            u0 = build_initial_data(data, eps,
+                                    epsilon_ref=max(plan.epsilon_list))
+            errs = {"err_two_term_l2": [], "err_two_term_sup": [],
+                    "err_one_term_l2": [], "err_one_term_sup": []}
+            for t, u in zip(obs, evolve_nls(u0, cfg, obs).states):
+                ls = limit_traj.state_at(t)
+                carrier = np.exp(1j * ls.phi_total() / eps)
+                a_tilde = tilde_amplitude(ls, corr.state_at(t)).a_tilde
+                for name, amp in (("two_term", a_tilde), ("one_term", ls.a)):
+                    diff = u - amp * carrier
+                    errs[f"err_{name}_l2"].append(grid.l2_norm(diff))
+                    errs[f"err_{name}_sup"].append(grid.lebesgue_norm(diff, p))
+            for col, vals in errs.items():
+                assert row[col] == pytest.approx(max(vals), rel=1e-12, abs=0)
+            assert row["series"]["err_two_term_l2"] == pytest.approx(
+                errs["err_two_term_l2"], rel=1e-12, abs=0)
+            assert row["series"]["err_one_term_l2"] == pytest.approx(
+                errs["err_one_term_l2"], rel=1e-12, abs=0)
 
     def test_deterministic_artifacts(self, small_sweep):
         plan, res = small_sweep
