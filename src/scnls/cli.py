@@ -133,10 +133,9 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
             "total_pressure": inv.total_pressure,
             "boundary_tail": inv.boundary_tail, "support_ok": inv.support_ok,
         })
-        for j in range(grid.dim):
-            dphi = grid.spectral_derivative(st.phi_periodic, j).real \
-                + st.phi_wavevector[j]
-            grad_phi_err = max(grad_phi_err, grid.l2_norm(dphi - st.v[j]))
+        k = np.reshape(st.phi_wavevector, (-1,) + (1,) * grid.dim)
+        dphi = grid.gradient(st.phi_periodic).real + k
+        grad_phi_err = max(grad_phi_err, *map(grid.l2_norm, dphi - st.v))
     cols = ("time", "mass", "energy", "momentum", "pseudo_conformal",
             "center_of_mass", "total_pressure", "boundary_tail", "support_ok")
     if "csv" in cfg.formats:
@@ -146,8 +145,7 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
         for t in _obs_times(cfg):
             st = traj.state_at(float(t))
             recs.append(("a", float(t), st.a, grid))
-            for j in range(grid.dim):
-                recs.append((f"v{j}", float(t), st.v[j], grid))
+            recs += [(f"v{j}", float(t), vj, grid) for j, vj in enumerate(st.v)]
         write_snapshots(out / "limit.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
     summary = {

@@ -69,14 +69,14 @@ class CorrectedAmplitude:
 
 
 def _rhs(phi1, w, v, a, div_v, grad_a, grid: Grid, sigma: int):
-    grad_phi1 = grid.gradient(phi1)
+    grad_phi1 = grid.gradient(phi1).real
     lap_phi1 = grid.laplacian(phi1).real
     abs_pow = np.abs(a) ** (2 * sigma - 2)
-    adv_phi1 = sum(v[j] * grad_phi1[j].real for j in range(grid.dim))
+    adv_phi1 = np.sum(v * grad_phi1, axis=0)
     dphi1 = -(adv_phi1 + 2.0 * sigma * np.real(np.conj(a) * w) * abs_pow)
     grad_w = grid.gradient(w)
-    adv_w = sum(v[j] * grad_w[j] for j in range(grid.dim))
-    cross = sum(grad_phi1[j].real * grad_a[j] for j in range(grid.dim))
+    adv_w = np.sum(v * grad_w, axis=0)
+    cross = np.sum(grad_phi1 * grad_a, axis=0)
     dw = (-(adv_w + cross + 0.5 * w * div_v + 0.5 * a * lap_phi1)
           + 0.5j * grid.laplacian(a))
     return grid.dealias(dphi1).real, grid.dealias(dw)

@@ -100,10 +100,8 @@ def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
 
 def modulated_energy(record: DiagnosticsRecord, grid: Grid) -> float:
     """int (|a_eps|^2 + |grad a_eps|^2 + |q_eps|^2); nonnegative."""
-    total = grid.l2_norm(record.a_eps) ** 2 + grid.l2_norm(record.q_eps) ** 2
-    for j in range(grid.dim):
-        total += grid.l2_norm(record.psi_eps[j]) ** 2
-    return float(total)
+    return float(grid.l2_norm(record.a_eps) ** 2 + grid.l2_norm(record.q_eps) ** 2
+                 + grid.l2_norm(record.psi_eps) ** 2)
 
 
 def gronwall_constant(limit_traj: LimitTrajectory) -> float:
@@ -132,13 +130,9 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
     sigma = rec_mid.sigma
     eps = rec_mid.epsilon
     dbeta_dt = (rec_next.beta_eps - rec_prev.beta_eps) / (2.0 * dt)
-    flux = grid.divergence(
-        np.stack([np.imag(np.conj(rec_mid.a_eps) * rec_mid.psi_eps[j])
-                  for j in range(grid.dim)])
-    ).real
+    flux = grid.divergence(np.imag(np.conj(rec_mid.a_eps) * rec_mid.psi_eps)).real
     v = limit_state.v
-    grad_beta = grid.gradient(rec_mid.beta_eps)
-    adv = sum(v[j] * grad_beta[j].real for j in range(grid.dim))
+    adv = np.sum(v * grid.gradient(rec_mid.beta_eps).real, axis=0)
     div_v = grid.divergence(v).real
     resid = (dbeta_dt + eps * rec_mid.g_eps * flux + adv
              + 0.5 * (sigma + 1) * rec_mid.beta_eps * div_v)
@@ -161,8 +155,7 @@ def density_metrics(record: DiagnosticsRecord, limit_state: LimitState,
     pos = grid.lebesgue_norm(gap, p)
     v_mag = np.sqrt(np.sum(limit_state.v ** 2, axis=0))
     cur_t = grid.lebesgue_norm(gap * v_mag, p)
-    cur_field = np.sqrt(sum(
-        np.imag(epsilon * np.conj(record.a_eps) * record.psi_eps[j]) ** 2
-        for j in range(grid.dim)))
+    cur_field = np.sqrt(np.sum(
+        np.imag(epsilon * np.conj(record.a_eps) * record.psi_eps) ** 2, axis=0))
     cur_1 = grid.lebesgue_norm(cur_field, 1)
     return DensityMetrics(pos_err_lsp1=pos, cur_err_transport=cur_t, cur_err_l1=cur_1)

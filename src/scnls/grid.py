@@ -9,10 +9,14 @@ Conventions used throughout the package:
 * norms are quadrature norms: ||f||_{L^2}^2 = sum |f_j|^2 * dV, and the H^s
   norm uses Parseval weights so that H^0 coincides with L^2.
 
-Fields are plain numpy arrays of shape ``grid.shape``; vector fields stack the
-axis components first, shape ``(dim, *grid.shape)``.  Grid objects are
-immutable after construction and all operations are pure, so they are safe to
-share across concurrent runs.
+Fields are numpy arrays of shape ``(*batch, *grid.shape)``: transforms,
+calculus and integrals act on the trailing ``dim`` axes, any leading axes are
+a batch of independent members, and the results are bitwise those of one call
+per member.  Vector fields stack the components first, shape
+``(dim, *batch, *grid.shape)``, so ``v[j]`` is component j of every member.
+The norms reduce over all axes.  Grid objects are immutable after
+construction and all operations are pure, so they are safe to share across
+concurrent runs.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class Grid:
         self.dx = tuple(l / ni for l, ni in zip(lengths, shape))
         self.cell_volume = math.prod(self.dx)
         self.size = math.prod(shape)
+        self._axes = tuple(range(-dim, 0))  # the grid axes of a field
 
     # -- geometry ---------------------------------------------------------
 
@@ -95,17 +100,19 @@ class Grid:
         return np.sum(self.wavenumbers**2, axis=0)
 
     @cached_property
-    def _deriv_multipliers(self) -> tuple[np.ndarray, ...]:
-        # i*xi per axis with the asymmetric Nyquist mode removed
-        mults = []
-        for axis in range(self.dim):
-            xi = self.wavenumbers[axis].copy()
-            n = self.shape[axis]
-            nyq = [slice(None)] * self.dim
-            nyq[axis] = n // 2
+    def _deriv_multipliers(self) -> np.ndarray:
+        # i*xi per axis with the asymmetric Nyquist mode removed, (dim, *shape)
+        xi = self.wavenumbers.copy()
+        for axis, n in enumerate(self.shape):
+            nyq = [axis] + [slice(None)] * self.dim
+            nyq[1 + axis] = n // 2
             xi[tuple(nyq)] = 0.0
-            mults.append(1j * xi)
-        return tuple(mults)
+        return 1j * xi
+
+    def _component_multipliers(self, ndim: int) -> np.ndarray:
+        # i*xi per axis, shaped (dim, 1, ..., 1, *shape) for a field of ndim axes
+        batch = (1,) * (ndim - self.dim)
+        return self._deriv_multipliers.reshape((self.dim, *batch, *self.shape))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -127,16 +134,16 @@ class Grid:
     # -- transforms and calculus ------------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f)
+        return np.fft.fftn(f, axes=self._axes)
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fh)
+        return np.fft.ifftn(fh, axes=self._axes)
 
     def _check(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
-        if f.shape != self.shape:
+        if f.shape[-self.dim:] != self.shape:
             raise GridMismatchError(
-                f"field shape {f.shape} does not match grid shape {self.shape}"
+                f"field shape {f.shape} does not end in grid shape {self.shape}"
             )
         return f
 
@@ -144,44 +151,39 @@ class Grid:
         """d/dx_axis by multiplication with i*xi in spectral space."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        f = self._check(f)
-        return np.fft.ifftn(self._deriv_multipliers[axis] * np.fft.fftn(f))
+        return self.ifft(self._deriv_multipliers[axis] * self.fft(self._check(f)))
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
-        """All first derivatives, shape (dim, *shape)."""
-        fh = np.fft.fftn(self._check(f))
-        return np.stack(
-            [np.fft.ifftn(m * fh) for m in self._deriv_multipliers]
-        )
+        """All first derivatives, shape (dim, *f.shape)."""
+        fh = self.fft(self._check(f))
+        return self.ifft(self._component_multipliers(fh.ndim) * fh)
 
     def divergence(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.dim, *self.shape):
+        """sum_j d_j vec[j] for a vector field of shape (dim, *batch, *shape)."""
+        vec = self._check(vec)
+        if vec.ndim <= self.dim or vec.shape[0] != self.dim:
             raise GridMismatchError(
-                f"vector field shape {vec.shape} != {(self.dim, *self.shape)}"
+                f"vector field shape {vec.shape} does not start with dim {self.dim}"
             )
-        out = np.zeros(self.shape, dtype=complex)
-        for axis in range(self.dim):
-            out += np.fft.ifftn(
-                self._deriv_multipliers[axis] * np.fft.fftn(vec[axis])
-            )
-        return out
+        mults = self._component_multipliers(vec.ndim - 1)
+        return np.sum(self.ifft(mults * self.fft(vec)), axis=0)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Second-derivative multiplier -|xi|^2 (Nyquist included: even order)."""
-        return np.fft.ifftn(-self.k_squared * np.fft.fftn(self._check(f)))
+        return self.ifft(-self.k_squared * self.fft(self._check(f)))
 
     def dealias(self, f: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Project onto ``mask``, by default the 2/3 band (use on
         quadratic/cubic products)."""
         if mask is None:
             mask = self.dealias_mask
-        return np.fft.ifftn(mask * np.fft.fftn(self._check(f)))
+        return self.ifft(mask * self.fft(self._check(f)))
 
     # -- norms -------------------------------------------------------------
 
-    def integral(self, f: np.ndarray) -> complex | float:
-        return np.sum(f) * self.cell_volume
+    def integral(self, f: np.ndarray) -> np.ndarray | complex | float:
+        """Quadrature over the cell: one value per leading index of f."""
+        return np.sum(f, axis=self._axes) * self.cell_volume
 
     def l2_norm(self, f: np.ndarray) -> float:
         return math.sqrt(float(np.sum(np.abs(f) ** 2)) * self.cell_volume)
@@ -191,7 +193,7 @@ class Grid:
         if s < 0:
             raise ValueError(f"Sobolev order must be >= 0, got {s}")
         if space == "physical":
-            fh = np.fft.fftn(self._check(f))
+            fh = self.fft(self._check(f))
         elif space == "spectral":
             fh = self._check(f)
         else:

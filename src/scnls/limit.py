@@ -72,11 +72,8 @@ class LimitState:
 
     def phi_total(self) -> np.ndarray:
         """Phase samples including the linear (non-periodic) part."""
-        out = np.array(self.phi_periodic, dtype=float)
-        for j, kj in enumerate(self.phi_wavevector):
-            if kj != 0.0:
-                out = out + kj * self.grid.coords[j]
-        return out
+        k = np.reshape(self.phi_wavevector, (-1,) + (1,) * self.grid.dim)
+        return self.phi_periodic + np.sum(k * self.grid.coords, axis=0)
 
 
 @dataclass
@@ -85,7 +82,7 @@ class LimitTrajectory:
     sigma: int
     pressure_sign: int
     times: np.ndarray                 # times of stored field snapshots
-    v: np.ndarray                     # (nt, dim, *shape)
+    v: np.ndarray                     # (nt, dim, *shape); shape = (*batch, *grid.shape)
     S: np.ndarray                     # (nt, *shape)
     a: np.ndarray                     # (nt, *shape)
     phi: np.ndarray                   # (nt, *shape), periodic phase part
@@ -96,7 +93,7 @@ class LimitTrajectory:
     grad_v_max: np.ndarray            # max |d_i v_j| per step
     div_v_max: np.ndarray             # max |div v| per step
     grad_div_v_max: np.ndarray        # max |d_i div v| per step
-    total_pressure: np.ndarray        # int rho^(sigma+1) per step
+    total_pressure: np.ndarray        # int rho^(sigma+1) per step, max over a batch
     cfl_numbers: np.ndarray
     phi1: np.ndarray | None           # (nt, *shape) corrector phase, if carried
     w: np.ndarray | None              # (nt, *shape) corrector amplitude
@@ -125,21 +122,18 @@ class LimitTrajectory:
 
 
 def _rhs(v, S, a, phi, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
-    dim = grid.dim
-    grad_v = [grid.gradient(v[i]).real for i in range(dim)]  # grad_v[i][j] = d_j v_i
-    div_v = sum(grad_v[i][i] for i in range(dim))
+    grad_v = grid.gradient(v).real  # grad_v[j, i] = d_j v_i
+    div_v = np.trace(grad_v)
     grad_S = grid.gradient(S)
     grad_a = grid.gradient(a)
     p = np.abs(S) ** 2
     grad_p = grid.gradient(p).real
 
-    dv = np.empty_like(v)
-    for i in range(dim):
-        adv = sum(v[j] * grad_v[i][j] for j in range(dim))
-        dv[i] = grid.dealias(-(adv + psign * grad_p[i]), mask).real
-    adv_S = sum(v[j] * grad_S[j] for j in range(dim))
+    adv_v = np.sum(v[:, None] * grad_v, axis=0)
+    dv = grid.dealias(-(adv_v + psign * grad_p), mask).real
+    adv_S = np.sum(v * grad_S, axis=0)
     dS = grid.dealias(-(adv_S + 0.5 * sigma * S * div_v), mask)
-    adv_a = sum(v[j] * grad_a[j] for j in range(dim))
+    adv_a = np.sum(v * grad_a, axis=0)
     da = grid.dealias(-(adv_a + 0.5 * a * div_v), mask)
     dphi = grid.dealias(-(0.5 * np.sum(v**2, axis=0) + psign * p), mask).real
     return (dv, dS, da, dphi), div_v, grad_a
@@ -168,10 +162,9 @@ def _wave_speed(v, S, sigma: int) -> float:
 def _v_scalars(v, grid: Grid) -> tuple[float, float, float]:
     """(max |d_j v_i|, max |div v|, max |d_j div v|) via spectral
     derivatives."""
-    grad_v = [grid.gradient(v[i]).real for i in range(grid.dim)]
-    div_v = sum(grad_v[i][i] for i in range(grid.dim))
-    gmax = max(float(np.max(np.abs(g))) for g in grad_v)
-    return (gmax, float(np.max(np.abs(div_v))),
+    grad_v = grid.gradient(v).real
+    div_v = np.trace(grad_v)
+    return (float(np.max(np.abs(grad_v))), float(np.max(np.abs(div_v))),
             float(np.max(np.abs(grid.gradient(div_v).real))))
 
 
@@ -182,8 +175,7 @@ def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
     as the breakdown-detector baseline; data at rest (v = 0) still carries a
     meaningful scale through the sound-speed gradient."""
     gv = _v_scalars(v, grid)[0]
-    grad_c = grid.gradient(np.abs(S))
-    gc = max(float(np.max(np.abs(grad_c[j].real))) for j in range(grid.dim))
+    gc = float(np.max(np.abs(grid.gradient(np.abs(S)).real)))
     return gv + math.sqrt(sigma + 1) * gc
 
 
@@ -218,17 +210,23 @@ def evolve_limit(
     (grad_v_max, ...) cover every step either way.  Given a1, the run also
     carries the corrector pair (phi1, w) from (0, a1), which
     scnls.corrector.evolve_corrector reads off the trajectory.
+    Fields of init and a1 of shape (*batch, *grid.shape) are independent
+    runs integrated as one, stored with their batch axes.  The members share
+    the step, the status and the per-step scalars (each a max over the
+    members): one member breaking the CFL bound or going non-finite stops
+    them all.
     adaptive=True re-derives dt from the pure CFL rule every step and is
     meant for breakdown hunting; the trajectory then truncates instead of
     raising when dt collapses or fields stop being finite (strict=False).
     A fixed-step run takes a step count set before it starts
     (ceil(final_time/dt), or the steps per observation interval times
-    n_obs-1), so roundoff in the summed time cannot add a sliver step; an
-    adaptive run stops when the summed time reaches final_time.  A run that
-    reaches max_steps first ends with status "max_steps", which raises like
-    every other early stop when strict.
+    n_obs-1); step n ends at n*dt and the last one at final_time exactly.
+    An adaptive run stops when its summed steps reach final_time.  A run
+    that reaches max_steps first ends with status "max_steps", which raises
+    like every other early stop when strict.
     Initial data without a finite wave speed, and a run whose stored nodes
-    would exceed MAX_STORED_BYTES, raise ConfigError before the run starts.
+    (of every batch member) would exceed MAX_STORED_BYTES, raise ConfigError
+    before the run starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -236,19 +234,17 @@ def evolve_limit(
     mask = grid.dealias_mask
     if spectral_cutoff is not None:
         mask = mask & grid.mode_mask(spectral_cutoff)
+    a0, phi0 = np.broadcast_arrays(np.asarray(init.a0, dtype=complex),
+                                   np.asarray(init.phi0_periodic, dtype=float))
     if a1 is not None:
         a1 = np.asarray(a1, dtype=complex)
-        if a1.shape != grid.shape:
-            raise ConfigError("initial.a1", "a1 shape does not match grid")
+        if a1.shape != a0.shape:
+            raise ConfigError("initial.a1", "a1 shape does not match a0")
 
-    v0 = np.stack([grid.spectral_derivative(init.phi0_periodic, j).real
-                   for j in range(grid.dim)])
-    for j, kj in enumerate(init.phi0_wavevector):
-        v0[j] += kj
-    a0 = np.asarray(init.a0, dtype=complex)
-    S0 = a0**sigma
-    v = np.stack([grid.dealias(v0[j], mask).real for j in range(grid.dim)])
-    S = grid.dealias(S0, mask)
+    wavevector = np.reshape(init.phi0_wavevector, (grid.dim,) + (1,) * a0.ndim)
+    v0 = grid.gradient(phi0).real + wavevector
+    v = grid.dealias(v0, mask).real
+    S = grid.dealias(a0**sigma, mask)
     a = grid.dealias(a0, mask)
 
     dx_min = min(grid.dx)
@@ -273,16 +269,29 @@ def evolve_limit(
     # this is a lower bound there, capped by max_steps
     nodes = 1 + math.ceil(min(n_steps, max_steps) / store_every)
     per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
-    stored = nodes * grid.size * per_point
+    stored = nodes * a.size * per_point
     if stored > MAX_STORED_BYTES:
         raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
                           f"bytes, over the budget of {MAX_STORED_BYTES}")
 
-    y = (v, S, a, np.asarray(init.phi0_periodic, dtype=float))
+    y = (v, S, a, phi0)
     if a1 is not None:
-        y += (np.zeros(grid.shape), a1)
-    times = [0.0]
-    stored_y = [y]
+        y += (np.zeros(a.shape), a1)
+    # the stored nodes, one block per field written in place (no copy of
+    # every node at the end): the node count is exact for fixed steps, and
+    # the blocks double when an adaptive run outgrows it
+    fields = [np.empty((nodes, *yi.shape), yi.dtype) for yi in y]
+    times = []
+
+    def store(t_now, y_now):
+        nonlocal fields
+        if len(times) == len(fields[0]):
+            fields = [np.concatenate([f, f]) for f in fields]
+        for f, yi in zip(fields, y_now):
+            f[len(times)] = yi
+        times.append(t_now)
+
+    store(0.0, y)
     step_times = [0.0]
     grad_hist, div_hist, grad_div_hist = [], [], []
     press_hist, cfl_hist = [], []
@@ -293,7 +302,7 @@ def evolve_limit(
         div_hist.append(dmax)
         grad_div_hist.append(gdmax)
         rho = np.abs(a_now) ** 2
-        press_hist.append(float(grid.integral(rho ** (sigma + 1)).real))
+        press_hist.append(float(np.max(grid.integral(rho ** (sigma + 1)).real)))
         cfl_hist.append(step_dt * speed / dx_min)
 
     record_scalars(v, a, dt, speed0)
@@ -308,7 +317,6 @@ def evolve_limit(
                                    grid, sigma)
 
     def unfinished() -> bool:
-        # fixed-step runs count steps: the summed t can end a hair short
         return t < final_time - 1e-12 if adaptive else n < n_steps
 
     status = "completed"
@@ -329,8 +337,9 @@ def evolve_limit(
                 break
 
         y = rk4_step(rhs, y, step_dt)
-        t += step_dt
         n += 1
+        # a fixed step ends at n*dt, the last one at final_time exactly
+        t = t + step_dt if adaptive else (n * dt if n < n_steps else final_time)
 
         if not all(np.all(np.isfinite(yi)) for yi in y):
             status = "nonfinite"
@@ -339,8 +348,7 @@ def evolve_limit(
         step_times.append(t)
         record_scalars(y[0], y[2], step_dt, speed)
         if n % store_every == 0 or not unfinished():
-            times.append(t)
-            stored_y.append(y)
+            store(t, y)
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
@@ -357,8 +365,7 @@ def evolve_limit(
         out.setflags(write=False)  # trajectories are shared read-only
         return out
 
-    v, S, a, phi, *corr = (pack([yi[k] for yi in stored_y])
-                           for k in range(len(y)))
+    v, S, a, phi, *corr = (pack(f[:len(times)]) for f in fields)
     phi1, w = corr if corr else (None, None)
     return LimitTrajectory(
         grid=grid, sigma=sigma, pressure_sign=pressure_sign,
@@ -383,14 +390,10 @@ def power_consistency(traj: LimitTrajectory, banded: bool = True) -> float:
     grows out-of-band tails as the solution steepens, so the raw comparison
     measures spectral truncation rather than transport consistency.
     """
-    grid = traj.grid
-    worst = 0.0
-    for i in range(traj.times.size):
-        power = traj.a[i] ** traj.sigma
-        if banded:
-            power = grid.dealias(power)
-        worst = max(worst, float(np.max(np.abs(traj.S[i] - power))))
-    return worst
+    power = traj.a ** traj.sigma
+    if banded:
+        power = traj.grid.dealias(power)  # the nodes are a batch
+    return float(np.max(np.abs(traj.S - power)))
 
 
 def reconstruct_phase(traj: LimitTrajectory) -> np.ndarray:
@@ -429,13 +432,11 @@ def euler_invariants(state: LimitState, sigma: int,
     p_int = float(grid.integral(rho ** (sigma + 1)).real)
     mass = float(grid.integral(rho).real)
     energy = float(grid.integral(0.5 * rho * v2).real) + p_int / (sigma + 1)
-    momentum = np.array([float(grid.integral(rho * v[j]).real)
-                         for j in range(grid.dim)])
-    x = grid.coords
-    shifted2 = sum((x[j] - t * v[j]) ** 2 for j in range(grid.dim))
-    pc = 0.5 * float(grid.integral(shifted2 * rho).real) + t**2 / (sigma + 1) * p_int
-    center = np.array([float(grid.integral((x[j] - t * v[j]) * rho).real)
-                       for j in range(grid.dim)])
+    momentum = grid.integral(rho * v).real
+    shifted = grid.coords - t * v
+    pc = (0.5 * float(grid.integral(np.sum(shifted**2, axis=0) * rho).real)
+          + t**2 / (sigma + 1) * p_int)
+    center = grid.integral(shifted * rho).real
     tail = grid.boundary_tail_fraction(state.a)
     return EulerInvariants(
         time=t, mass=mass, energy=energy, momentum=momentum,
@@ -557,7 +558,10 @@ def focusing_demo(
     conserved by the linearized defocusing flow, exponentially growing in the
     ill-posed sign.  The rate is the log-linear slope of W over the second
     half of the window.  A spectral cutoff (default 1.5x the largest mode)
-    suppresses roundoff-seeded growth above the probed band.
+    suppresses roundoff-seeded growth above the probed band.  The runs are
+    one batched evolve_limit call, so they share the fixed step dt and the
+    cutoff, and a member that breaks the CFL bound or stops being finite
+    truncates every run at the same time.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -566,39 +570,39 @@ def focusing_demo(
         raise ConfigError("initial.a0", "the focusing-demo background must "
                           "be a constant amplitude with zero phase")
     ks = [int(k) for k in perturbation_wavenumbers]
-    if spectral_cutoff is None and ks:
+    if not ks:
+        return []
+    if spectral_cutoff is None:
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
     store = max(1, int(round((window / dt) / (n_snap - 1))))
     rho_bg = np.abs(a0) ** 2
     rho0 = float(np.mean(rho_bg))
 
+    xi = 2.0 * np.pi * np.array(ks) / grid.lengths[0]
+    pert = delta * np.cos(xi.reshape((-1,) + (1,) * grid.dim) * grid.coords[0])
+    traj = evolve_limit(
+        replace(init, a0=a0 + pert), sigma, window, dt=dt,
+        pressure_sign=pressure_sign, strict=False, store_every=store,
+        spectral_cutoff=spectral_cutoff,
+    )
+    # W per (node, member), one node at a time; v_bg = 0
+    w = np.array([np.sqrt(np.maximum(
+        sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real
+        + rho0 * grid.integral(np.sum(v**2, axis=0)).real, 0.0))
+        for a, v in zip(traj.a, traj.v)])
+    half = traj.times.size // 2
     rows = []
-    for k in ks:
-        xi = 2.0 * np.pi * k / grid.lengths[0]
-        pert = delta * np.cos(xi * grid.coords[0])
-        traj = evolve_limit(
-            replace(init, a0=a0 + pert), sigma, window, dt=dt,
-            pressure_sign=pressure_sign, strict=False, store_every=store,
-            spectral_cutoff=spectral_cutoff,
-        )
-        nt = traj.times.size
-        w = np.empty(nt)
-        for i in range(nt):
-            drho = np.abs(traj.a[i]) ** 2 - rho_bg
-            dv2 = np.sum(traj.v[i] ** 2, axis=0)  # v_bg = 0
-            w[i] = math.sqrt(max(
-                sigma * rho0 ** (sigma - 1) * float(grid.integral(drho**2).real)
-                + rho0 * float(grid.integral(dv2).real), 0.0))
-        w0 = w[0]
-        if w0 == 0.0 or np.all(w <= 0):
-            rows.append(GrowthRow(mode=k, xi=xi, rate=0.0, max_growth=0.0, w0=0.0))
+    for k, xi_k, w_k in zip(ks, xi, w.T):
+        w0 = w_k[0]
+        if w0 == 0.0 or np.all(w_k <= 0):
+            rows.append(GrowthRow(mode=k, xi=float(xi_k), rate=0.0,
+                                  max_growth=0.0, w0=0.0))
             continue
-        half = nt // 2
-        tt = traj.times[half:nt]
-        ww = np.log(np.maximum(w[half:nt], 1e-300))
+        tt = traj.times[half:]
+        ww = np.log(np.maximum(w_k[half:], 1e-300))
         slope = float(np.polyfit(tt, ww, 1)[0]) if tt.size >= 2 else 0.0
         rows.append(GrowthRow(
-            mode=k, xi=xi, rate=slope,
-            max_growth=float(np.max(w) / w0), w0=float(w0),
+            mode=k, xi=float(xi_k), rate=slope,
+            max_growth=float(np.max(w_k) / w0), w0=float(w0),
         ))
     return rows

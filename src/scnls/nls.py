@@ -272,19 +272,14 @@ def nls_invariants(u: np.ndarray, t: float, grid: Grid, epsilon: float,
     rho = np.abs(u) ** 2
     mass = grid.l2_norm(u)
     p_pot = float(grid.integral(rho ** (sigma + 1)).real)
-    energy = 0.5 * epsilon**2 * float(sum(grid.integral(np.abs(gu[j]) ** 2).real
-                                          for j in range(grid.dim))) \
+    energy = 0.5 * epsilon**2 * float(np.sum(grid.integral(np.abs(gu) ** 2).real)) \
         + p_pot / (sigma + 1)
-    momentum = np.array([
-        epsilon * float(grid.integral(np.imag(np.conj(u) * gu[j])))
-        for j in range(grid.dim)
-    ])
+    momentum = epsilon * grid.integral(np.imag(np.conj(u) * gu))
     x = grid.coords
-    j_op = [x[j] * u + 1j * epsilon * t * gu[j] for j in range(grid.dim)]
-    pc = 0.5 * float(sum(grid.integral(np.abs(jj) ** 2).real for jj in j_op)) \
+    j_op = x * u + 1j * epsilon * t * gu
+    pc = 0.5 * float(np.sum(grid.integral(np.abs(j_op) ** 2).real)) \
         + t**2 / (sigma + 1) * p_pot
-    center = np.array([float(grid.integral(x[j] * rho).real) for j in range(grid.dim)]) \
-        - t * momentum
+    center = grid.integral(x * rho).real - t * momentum
     tail = grid.boundary_tail_fraction(u)
     return NLSInvariants(
         time=t, mass=mass, energy=energy, momentum=momentum,

@@ -30,7 +30,9 @@ class InitialData:
     """Amplitudes and phase for one run: u(0) = (a0 + eps*a1) e^{i phi0/eps}.
 
     phi0 = phi0_wavevector . x + phi0_periodic; phi0_wavevector is snapped
-    per-epsilon when building wavefunctions.
+    per-epsilon when building wavefunctions.  The fields end in the grid
+    shape; leading batch axes describe independent runs (see
+    scnls.limit.evolve_limit).
     """
 
     grid: Grid
@@ -43,8 +45,8 @@ class InitialData:
     def __post_init__(self):
         for name in ("a0", "a1", "phi0_periodic"):
             arr = getattr(self, name)
-            if arr.shape != self.grid.shape:
-                raise ConfigError(f"initial.{name}", "field shape does not match grid")
+            if arr.shape[-self.grid.dim:] != self.grid.shape:
+                raise ConfigError(f"initial.{name}", "field shape must end in the grid shape")
         if np.iscomplexobj(self.phi0_periodic):
             raise ConfigError("initial.phi0", "phase must be real-valued")
         if len(self.phi0_wavevector) != self.grid.dim:

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .artifacts import hashed_csv, hashed_json
-from .corrector import CorrectorTrajectory, evolve_corrector, tilde_amplitude
+from .corrector import evolve_corrector, tilde_amplitude
 from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
 from .errors import ConfigError, NumericalGuardError
-from .limit import LimitTrajectory, evolve_limit
+from .limit import LimitState, evolve_limit
 from .nls import DT_EXPONENT, SCHEME, NLSConfig, build_initial_data, evolve_nls
 from .presets import InitialData, snap_wavevector
 
@@ -153,9 +153,12 @@ class SweepResult:
         ], ROW_COLUMNS, self.rows)
 
 
-def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
-               corr_traj: CorrectorTrajectory, obs_times: np.ndarray,
-               eps_ref: float, c_hat: float, k: int, sup_p: float) -> dict:
+def _sweep_row(eps: float, plan: SweepPlan,
+               limit_states: list[tuple[LimitState, np.ndarray]],
+               obs_times: np.ndarray, eps_ref: float, c_hat: float, k: int,
+               sup_p: float) -> dict:
+    """One ladder rung; limit_states holds (limit state, a_tilde) per
+    observation time, shared by every rung."""
     grid = plan.initial.grid
     sigma = plan.sigma
     u0 = build_initial_data(plan.initial, eps, epsilon_ref=eps_ref)
@@ -175,13 +178,11 @@ def _sweep_row(eps: float, plan: SweepPlan, limit_traj: LimitTrajectory,
         check_ok = False
 
     snapshots = []
-    for t, u in zip(traj.times, traj.states):
-        ls = limit_traj.state_at(float(t))
-        til = tilde_amplitude(ls, corr_traj.state_at(float(t)))
+    for t, u, (ls, a_tilde) in zip(traj.times, traj.states, limit_states):
         rec = diagnostics_record(u, float(t), ls, eps, sigma,
                                  sobolev_orders=(float(k),))
         # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
-        diff2 = rec.a_eps - til.a_tilde
+        diff2 = rec.a_eps - a_tilde
         diff1 = rec.a_eps - ls.a
         dm = density_metrics(rec, ls, sigma, eps)
         snapshots.append({
@@ -232,12 +233,15 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     limit_traj = evolve_limit(initial, sigma, plan.final_time, n_obs=plan.n_obs,
                               a1=initial.a1)
     corr_traj = evolve_corrector(limit_traj)
+    states = [limit_traj.state_at(float(t)) for t in obs_times]
+    limit_states = [(ls, tilde_amplitude(ls, corr_traj.state_at(ls.time)).a_tilde)
+                    for ls in states]
     c_hat = gronwall_constant(limit_traj)
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
 
     plan2 = replace(plan, initial=initial)
-    rows = [_sweep_row(eps, plan2, limit_traj, corr_traj, obs_times, eps_ref,
+    rows = [_sweep_row(eps, plan2, limit_states, obs_times, eps_ref,
                        c_hat, k, sup_p)
             for eps in plan.epsilon_list]
 

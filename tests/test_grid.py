@@ -89,6 +89,64 @@ class TestDerivative:
         assert np.max(np.abs(div.real - expected)) < 1e-11
 
 
+BATCH_OPS = {
+    "fft": lambda g, f: g.fft(f),
+    "ifft": lambda g, f: g.ifft(f),
+    "gradient": lambda g, f: g.gradient(f),
+    "laplacian": lambda g, f: g.laplacian(f),
+    "dealias": lambda g, f: g.dealias(f),
+    "spectral_derivative": lambda g, f: g.spectral_derivative(f, g.dim - 1),
+    "integral": lambda g, f: g.integral(f),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 16)], ids=["1d", "2d"])
+class TestBatchAxes:
+    """Leading axes are a batch: every transform-based operation equals the
+    stack of its per-member results bit for bit."""
+
+    @pytest.fixture
+    def grid_and_fields(self, shape):
+        g = Grid(shape, (2.0, 3.0)[: len(shape)])
+        rng = np.random.default_rng(21)
+        batch = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        vec = rng.standard_normal((g.dim, 3, *shape))
+        return g, batch, vec
+
+    @pytest.mark.parametrize("name", sorted(BATCH_OPS))
+    def test_batch_equals_members(self, grid_and_fields, name):
+        g, batch, vec = grid_and_fields
+        op = BATCH_OPS[name]
+        lead = 1 if name == "gradient" else 0  # gradient prepends the components
+        for field in (batch, vec):
+            out = op(g, field)
+            for idx in np.ndindex(field.shape[: field.ndim - g.dim]):
+                member = out[(slice(None),) * lead + idx]
+                assert bits(member) == bits(op(g, field[idx]))
+
+    def test_divergence_batch_equals_members(self, grid_and_fields):
+        g, _, vec = grid_and_fields
+        out = g.divergence(vec)
+        assert out.shape == vec.shape[1:]
+        for m in range(vec.shape[1]):
+            assert bits(out[m]) == bits(g.divergence(vec[:, m]))
+
+    @pytest.mark.parametrize("name", ["gradient", "laplacian", "dealias",
+                                      "spectral_derivative", "divergence"])
+    def test_wrong_trailing_shape_raises(self, grid_and_fields, name):
+        g, *_ = grid_and_fields
+        op = BATCH_OPS.get(name, lambda g, f: g.divergence(f))
+        wrong = (g.dim, 3, *g.shape[:-1], g.shape[-1] // 2)
+        with pytest.raises(GridMismatchError):
+            op(g, np.zeros(wrong))
+        with pytest.raises(GridMismatchError):  # batch axis trailing
+            op(g, np.zeros((g.dim, *g.shape, 3)))
+
+
 class TestRoundTrip:
     def test_fft_round_trip(self, grid_1d):
         rng = np.random.default_rng(3)

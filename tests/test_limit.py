@@ -125,6 +125,82 @@ class TestEvolve:
         assert traj.times.size == 5
         assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["reproducer", "n_obs", "dt"])
+    def test_fixed_step_times_exact(self, gaussian_data, case):
+        # step n ends at n*dt and the last step at final_time itself, not at
+        # the summed step times (70.17499999999886 for the reproducer)
+        if case == "reproducer":
+            data, T = constant_state_data(Grid(16, 2 * np.pi), rho0=1.0), 70.175
+            traj = evolve_limit(data, 2, T, n_obs=5)
+        elif case == "n_obs":
+            data, T = gaussian_data, 0.25
+            traj = evolve_limit(data, 2, T, n_obs=20, a1=data.a1)
+        else:  # 0.003 does not divide 0.05: 17 steps, the last one shorter
+            data, T = gaussian_data, 0.05
+            traj = evolve_limit(data, 2, T, dt=0.003)
+        assert traj.times[-1] == T
+        steps = traj.step_times
+        assert steps[-1] == T
+        np.testing.assert_array_equal(steps[:-1], np.arange(steps.size - 1) * traj.dt)
+
+    def test_batch_equals_members(self, gaussian_data):
+        # two initial data as one (2, N) batch: each member's fields and the
+        # shared step equal its own run bit for bit when neither run's
+        # CFL step decides the shared one (fixed dt)
+        g = gaussian_data.grid
+        other = replace(gaussian_data, a0=0.8 * gaussian_data.a0,
+                        phi0_periodic=0.1 * gaussian(g, 2.0))
+        members = [gaussian_data, other]
+        batch = InitialData(
+            grid=g, a0=np.stack([d.a0 for d in members]),
+            a1=np.stack([d.a1 for d in members]),
+            phi0_periodic=np.stack([d.phi0_periodic for d in members]),
+            phi0_wavevector=(0.0,))
+        kw = dict(dt=0.0125, n_obs=3)
+        traj = evolve_limit(batch, 2, 0.05, a1=batch.a1, **kw)
+        for m, d in enumerate(members):
+            one = evolve_limit(d, 2, 0.05, a1=d.a1, **kw)
+            np.testing.assert_array_equal(traj.times, one.times)
+            for name in ("S", "a", "phi", "phi1", "w"):
+                np.testing.assert_array_equal(getattr(traj, name)[:, m],
+                                              getattr(one, name))
+            np.testing.assert_array_equal(traj.v[:, :, m], one.v)
+        assert traj.v.shape == (3, 1, 2, *g.shape)
+
+    def test_batch_over_budget_refused_before_run(self, monkeypatch):
+        # 2,001 nodes of 512 points fit the budget once (49 MB) but not as a
+        # batch of 64 members (3.1 GB); the refusal comes before any stage
+        g = Grid(512, 16.0)
+        one = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
+                          a1=np.zeros(g.shape, dtype=complex),
+                          phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        batch = replace(one, a0=np.broadcast_to(one.a0, (64, *g.shape)))
+
+        def no_stage(*args):
+            raise RuntimeError("right-hand side evaluated")
+
+        monkeypatch.setattr("scnls.limit._rhs", no_stage)
+        with pytest.raises(RuntimeError):  # the single run passes the check
+            evolve_limit(one, 2, 2.0, dt=1e-3)
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(batch, 2, 2.0, dt=1e-3)
+        assert err.value.key == "grid.N"
+
+    def test_adaptive_run_outgrowing_its_node_estimate(self):
+        # the adaptive step shrinks as the bump steepens, so the run takes
+        # more steps than its first step predicts and the node blocks grow;
+        # every stored node is still the state whose scalars its step recorded
+        g = Grid(128, 16.0)
+        data = InitialData(grid=g, a0=compact_bump(g, 3.0, 1.2).astype(complex),
+                           a1=np.zeros(g.shape, dtype=complex),
+                           phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        traj = evolve_limit(data, 2, 3.0, adaptive=True, strict=False)
+        assert traj.status == "completed"
+        np.testing.assert_array_equal(traj.times, traj.step_times)
+        assert traj.times.size > 1 + round(3.0 / traj.step_times[1])
+        for v, gmax in zip(traj.v, traj.grad_v_max):
+            assert np.max(np.abs(g.gradient(v).real)) == gmax
+
     def test_n_obs_stores_only_observation_times(self, gaussian_data):
         # a whole number of steps per observation interval; the stored
         # nodes are the observation times, with or without the corrector
@@ -376,6 +452,16 @@ class TestFocusingDemo:
                         max_growth=float(np.max(w) / w[0]), w0=float(w[0]))
         assert focusing_demo(background, [k], sigma, pressure_sign=psign,
                              delta=delta, window=window, dt=dt) == [ref]
+
+    def test_batched_rows_equal_single_runs(self, background):
+        # one batched run for all wavenumbers gives the rows of one run per
+        # wavenumber once they share the cutoff (the default depends on ks)
+        ks = [4, 8, 16]
+        for psign in (-1, 1):
+            rows = focusing_demo(background, ks, 1, pressure_sign=psign,
+                                 spectral_cutoff=32)
+            assert rows == [focusing_demo(background, [k], 1, pressure_sign=psign,
+                                          spectral_cutoff=32)[0] for k in ks]
 
     @pytest.mark.parametrize("key", ["a0", "phi0_periodic", "phi0_wavevector"])
     def test_background_must_be_constant_at_rest(self, background, key):
