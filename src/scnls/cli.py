@@ -112,6 +112,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         "energy_drift_rel": abs(rows[-1]["energy"] - rows[0]["energy"])
         / max(abs(rows[0]["energy"]), 1e-300),
         "self_check_error": traj.self_check_error,
+        "self_check_dt": traj.self_check_dt,
         "self_check_ok": traj.self_check_ok,
     }
     _write_json(out / "summary.json", summary, cfg)

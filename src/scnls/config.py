@@ -52,11 +52,13 @@ _FORMATS = {"csv", "json", "snapshots"}
 # memory budget, checked before anything is allocated: the grid size, and
 # observation_count x grid points x SNAPSHOT_BYTES_PER_POINT against
 # limit.MAX_STORED_BYTES, where the bytes one observation stores per point are
-# a wavefunction and its halving-guard rerun (2 x 16) and one joint limit +
-# corrector node (8*dim + 64; the 168 keep the earlier margin of a second
-# limit node).  evolve_limit checks its own node count before it runs: runs
-# without observation times (blowup) store every few CFL steps, so theirs
-# grows with N.
+# a wavefunction snapshot (16) and one joint limit + corrector node
+# (8*dim + 64).  The step-doubling guard's run keeps only its two end states,
+# which do not grow with observation_count.  The 168 keep the earlier margins
+# (a second wavefunction and a second limit node), so no configuration that
+# was refused is now accepted.  evolve_limit checks its own node count before
+# it runs: runs without observation times (blowup) store every few CFL steps,
+# so theirs grows with N.
 MAX_GRID_POINTS = 2**20
 SNAPSHOT_BYTES_PER_POINT = 168
 

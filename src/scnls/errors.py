@@ -23,8 +23,13 @@ class GridMismatchError(ScnlsError):
 
 class NumericalGuardError(ScnlsError):
     """A solver self-check failed (non-finite values, CFL breach,
-    or a dt-halving convergence guard above tolerance)."""
+    or a step-doubling convergence guard above tolerance).
 
-    def __init__(self, message: str, value: float | None = None):
+    ``trajectory`` is the flagged run when the check came after a complete
+    integration (the wavefunction's step-doubling guard), else None."""
+
+    def __init__(self, message: str, value: float | None = None,
+                 trajectory=None):
         self.value = value
+        self.trajectory = trajectory
         super().__init__(message)

@@ -174,7 +174,7 @@ def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
     characteristic speeds v +- sqrt((sigma+1) rho^sigma) of the data.  Used
     as the breakdown-detector baseline; data at rest (v = 0) still carries a
     meaningful scale through the sound-speed gradient."""
-    gv = _v_scalars(v, grid)[0]
+    gv = float(np.max(np.abs(grid.gradient(v).real)))
     gc = float(np.max(np.abs(grid.gradient(np.abs(S)).real)))
     return gv + math.sqrt(sigma + 1) * gc
 

@@ -23,8 +23,11 @@ semiclassical regime.  The Strang step dt_s = dt0 * eps^(3/2) keeps it
 o(eps) uniformly over an epsilon ladder; yoshida4 takes the step
 sqrt(dt_s * eps), for which (dt/eps)^4 = (dt_s/eps)^2, so dt0 sets the same
 Strang-equivalent error for both schemes.  Every run can verify itself by
-repeating the integration at dt/2 with the same scheme and comparing final
-states (the halving guard).
+step doubling: one more integration with the same scheme at about 2*dt over
+the whole horizon, whose final state must agree with the run's (the
+step-doubling guard; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  For
+an order-p scheme the pair's difference is about 2^p - 1 times the run's own
+error, so a passed check bounds that error with margin.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ class NLSTrajectory:
     dt: float
     self_check_error: float | None = None
     self_check_ok: bool = True
+    self_check_dt: float | None = None
     mass_history: np.ndarray | None = None
 
     def state_at(self, t: float) -> np.ndarray:
@@ -209,8 +213,11 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None) -> NLSTrajectory:
     obs_times must be uniformly spaced, starting at 0 and ending at
     final_time (default: 0 and final_time only).  The actual step divides the
     observation interval, rounded down from cfg.dt_raw.  With self_check
-    enabled the run is repeated at dt/2 with the same scheme and aborts if
-    the final states differ by more than self_check_factor*eps*||u|| in L2.
+    enabled a step-doubling check follows: if the run took n steps, one more
+    run with the same scheme covers [0, T] in n // 2 steps (2*n when n <= 3,
+    where no coarser step is left) and stores only its end state.  If the
+    final states differ by more than self_check_factor*eps*||u0|| in L2, it
+    raises NumericalGuardError carrying the flagged trajectory.
     """
     grid = cfg.grid
     u0 = np.asarray(u0)
@@ -229,17 +236,21 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None) -> NLSTrajectory:
         mass_history=np.array([grid.l2_norm(s) for s in states]),
     )
     if cfg.self_check:
-        fine_cfg = replace(cfg, dt_override=dt / 2.0, self_check=False)
-        fine_states, _ = _evolve_raw(u0, fine_cfg, obs_times)
-        err = grid.l2_norm(states[-1] - fine_states[-1])
+        t_end = float(obs_times[-1])
+        n = round(t_end / dt)
+        n_check = n // 2 if n >= 4 else 2 * n
+        check_cfg = replace(cfg, dt_override=t_end / n_check, self_check=False)
+        check_states, traj.self_check_dt = _evolve_raw(
+            u0, check_cfg, np.array([0.0, t_end]))
+        err = grid.l2_norm(states[-1] - check_states[-1])
         tol = cfg.self_check_factor * cfg.epsilon * max(grid.l2_norm(u0), 1e-300)
         traj.self_check_error = err
         traj.self_check_ok = err <= tol
         if not traj.self_check_ok:
             raise NumericalGuardError(
-                f"dt-halving self-check failed: |u_dt - u_dt/2| = {err:.3e} "
+                f"step-doubling self-check failed: |u_dt - u_2dt| = {err:.3e} "
                 f"> {tol:.3e}; reduce dt0 (eps={cfg.epsilon}, dt={dt:.3e})",
-                value=err,
+                value=err, trajectory=traj,
             )
     return traj
 

@@ -168,14 +168,12 @@ def _sweep_row(eps: float, plan: SweepPlan,
                     scheme=SCHEME)
     try:
         traj = evolve_nls(u0, cfg, obs_times)
-        check_err = traj.self_check_error
-        check_ok = traj.self_check_ok
     except NumericalGuardError as exc:
-        # flagged row: rerun without the guard so the sweep can continue
-        cfg = replace(cfg, self_check=False)
-        traj = evolve_nls(u0, cfg, obs_times)
-        check_err = exc.value if exc.value is not None else -2.0
-        check_ok = False
+        # a failed step-doubling check holds the run it flagged: keep the
+        # row, marked, and go on
+        if exc.trajectory is None:
+            raise
+        traj = exc.trajectory
 
     snapshots = []
     for t, u, (ls, a_tilde) in zip(traj.times, traj.states, limit_states):
@@ -211,8 +209,9 @@ def _sweep_row(eps: float, plan: SweepPlan,
     return {
         "epsilon": eps, **row, "mod_energy_0": me0,
         "envelope_ok": envelope_ok,
-        "self_check_error": -1.0 if check_err is None else float(check_err),
-        "self_check_ok": bool(check_ok),
+        "self_check_error": (-1.0 if traj.self_check_error is None
+                             else float(traj.self_check_error)),
+        "self_check_ok": bool(traj.self_check_ok),
         "series": {key: table[key] for key in SERIES_KEYS},  # JSON only
     }
 

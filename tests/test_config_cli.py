@@ -163,6 +163,16 @@ class TestCliCommands:
         stated, recomputed = hash_of_csv((out / "invariants.csv").read_text())
         assert stated == recomputed
 
+    def test_simulate_records_check_step(self, tiny_config, tmp_path):
+        # one step per observation interval, 4 in all: the step-doubling
+        # check takes 2 steps of twice the size
+        path, out = tiny_config
+        proc = run_cli(["simulate", str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["dt"] == pytest.approx(0.01)
+        assert summary["self_check_dt"] == pytest.approx(0.02)
+
     def test_limit_and_report_artifacts(self, tiny_config, tmp_path):
         path, out = tiny_config
         proc = run_cli(["limit", str(path)], tmp_path)

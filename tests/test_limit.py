@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from scnls import Grid
 from scnls.errors import ConfigError, NumericalGuardError
-from scnls.limit import (GrowthRow, blowup_monitor,
+from scnls.limit import (GrowthRow, _v_scalars, blowup_monitor,
                          characteristic_gradient_scale, euler_invariants,
                          evolve_limit, focusing_demo, power_consistency,
                          rk4_step)
@@ -380,6 +381,19 @@ class TestBlowup:
             assert rep.envelope_ok
             t_flagged.append(rep.t_estimate)
         assert t_flagged[1] < t_flagged[0]  # doubling amplitude breaks earlier
+
+    @pytest.mark.parametrize("shape, lengths", [(128, 10.0),
+                                                ((32, 16), (10.0, 8.0))])
+    def test_gradient_scale_matches_v_scalars(self, shape, lengths):
+        # max|grad v| taken directly equals the first of _v_scalars
+        g = Grid(shape, lengths)
+        v = np.stack([np.sin(2 * np.pi * (j + 1) * c / g.lengths[j])
+                      * np.exp(-c**2) for j, c in enumerate(g.coords)])
+        S = (1.0 + 0.3 * np.exp(-sum(c**2 for c in g.coords))
+             * (1 + 0.5j)).astype(complex)
+        old = (_v_scalars(v, g)[0] + math.sqrt(3)
+               * float(np.max(np.abs(g.gradient(np.abs(S)).real))))
+        assert characteristic_gradient_scale(g, v, S, 2) == old
 
 
 @pytest.fixture(scope="module")

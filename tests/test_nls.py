@@ -362,3 +362,89 @@ class TestInvariants:
         invT = nls_invariants(traj.states[-1], 0.02, g, 0.5, 1)
         assert abs(invT.mass - inv0.mass) / inv0.mass < 1e-12
         assert invT.momentum.shape == (2,)
+
+
+class TestStepDoublingGuard:
+    """The self-check pairs the reported run at dt with one run at about
+    2*dt over the whole horizon (2*n steps only when n <= 3)."""
+
+    T = 0.04
+
+    def spied_run(self, gaussian_data, monkeypatch, n):
+        # eps = 1, dt0 = 0.01: the yoshida4 step 0.1 exceeds every one of
+        # the n observation intervals, so the reported run takes n steps
+        import scnls.nls as nls
+        calls = []
+        raw = nls._evolve_raw
+
+        def spy(u0, cfg, obs_times):
+            calls.append((cfg.dt_override, np.array(obs_times)))
+            return raw(u0, cfg, obs_times)
+
+        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        cfg = NLSConfig(grid=gaussian_data.grid, epsilon=1.0, sigma=2,
+                        final_time=self.T, scheme="yoshida4")
+        u0 = build_initial_data(gaussian_data, 1.0)
+        traj = evolve_nls(u0, cfg, np.linspace(0.0, self.T, n + 1))
+        return traj, calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_check_step(self, gaussian_data, monkeypatch, n):
+        traj, calls = self.spied_run(gaussian_data, monkeypatch, n)
+        assert traj.dt == pytest.approx(self.T / n)
+        assert len(calls) == 2
+        assert calls[0][0] is None  # the reported run
+        check_dt, check_obs = calls[1]
+        n_check = n // 2 if n >= 4 else 2 * n
+        assert check_dt == self.T / n_check
+        assert check_dt < self.T
+        assert np.array_equal(check_obs, [0.0, self.T])
+        assert traj.self_check_dt == pytest.approx(check_dt)
+        # never a rerun at the same step count
+        assert traj.self_check_error > 0.0
+        assert traj.self_check_ok
+
+    def test_reported_states_unchanged(self, gaussian_data):
+        u0 = build_initial_data(gaussian_data, 0.25)
+        obs = np.linspace(0.0, 0.05, 6)
+        checked = evolve_nls(u0, NLSConfig(
+            grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
+            scheme="yoshida4"), obs)
+        plain = evolve_nls(u0, NLSConfig(
+            grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
+            scheme="yoshida4", self_check=False), obs)
+        assert checked.dt == plain.dt
+        assert plain.self_check_dt is None
+        assert checked.self_check_dt > checked.dt
+        assert len(checked.states) == len(plain.states)
+        for a, b in zip(checked.states, plain.states):
+            assert np.array_equal(a, b)
+
+    def test_doubled_pair_is_16x_the_halved_pair(self, gaussian_data):
+        # fourth order: |u_2dt - u_dt| ~ 2^4 |u_dt - u_dt/2|
+        g = gaussian_data.grid
+        u0 = build_initial_data(gaussian_data, 0.5)
+
+        def final(dt):
+            cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
+                            dt_override=dt, self_check=False, scheme="yoshida4")
+            return evolve_nls(u0, cfg).states[-1]
+
+        u2, u1, uh = final(1e-2), final(5e-3), final(2.5e-3)
+        ratio = g.l2_norm(u2 - u1) / g.l2_norm(u1 - uh)
+        assert 12.0 <= ratio <= 20.0
+
+    def test_failed_check_carries_trajectory(self, gaussian_data):
+        g = gaussian_data.grid
+        u0 = build_initial_data(gaussian_data, 0.5)
+        cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
+                        dt_override=0.05, self_check_factor=1e-9)
+        with pytest.raises(NumericalGuardError) as info:
+            evolve_nls(u0, cfg)
+        traj = info.value.trajectory
+        assert traj is not None and not traj.self_check_ok
+        assert traj.self_check_error == info.value.value
+        plain = evolve_nls(u0, NLSConfig(grid=g, epsilon=0.5, sigma=2,
+                                         final_time=0.2, dt_override=0.05,
+                                         self_check=False))
+        assert np.array_equal(traj.states[-1], plain.states[-1])

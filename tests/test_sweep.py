@@ -170,6 +170,31 @@ class TestGuardAndVariants:
             assert row["err_two_term_l2"] > 0
             assert row["self_check_error"] != -1.0  # outcome recorded
 
+    def test_failed_self_check_runs_no_rerun(self, monkeypatch):
+        # a failed check keeps the run it flagged: each rung integrates
+        # exactly twice, the reported run and its step-doubling check
+        import scnls.nls as nls
+        calls = []
+        raw = nls._evolve_raw
+
+        def spy(u0, cfg, obs_times):
+            calls.append(cfg.epsilon)
+            return raw(u0, cfg, obs_times)
+
+        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        g = Grid(256, 16.0)
+        a0 = (2.5 * np.exp(-(g.axes[0] / 1.5) ** 2)).astype(complex)
+        data = InitialData(grid=g, a0=a0,
+                           a1=np.zeros(g.shape, dtype=complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(0.0,))
+        plan = SweepPlan(initial=data, sigma=2,
+                         epsilon_list=(0.25, 0.125), final_time=0.05,
+                         n_obs=3, dt0=0.02, dt_exponent=0.0, self_check=True)
+        res = run_sweep(plan)
+        assert any(not r["self_check_ok"] for r in res.rows)
+        assert calls == [0.25, 0.25, 0.125, 0.125]
+
     def test_sigma1_ladder(self, gaussian_data):
         # cubic case: corrected amplitude still first-order accurate,
         # uniformity reported at the k=2 choice
