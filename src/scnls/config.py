@@ -5,8 +5,9 @@ Sections and keys (all optional unless noted):
     grid:     dim (1|2), N (power of two >= 16, per axis), L (> 0, per axis)
     physics:  sigma (int, 1..6), epsilon (in (0,1]) or epsilon_list
               (strictly decreasing, in (0,1])
-    time:     T (> 0), dt0 (> 0; sets the Strang-equivalent splitting error,
-              Strang step dt0*eps^1.5), observation_count (int >= 3)
+    time:     T (> 0), dt0 (> 0; Strang step dt0*eps, yoshida4 step
+              sqrt(dt0)*eps, splitting error about dt0^2*eps for both),
+              observation_count (int >= 3)
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)

@@ -19,10 +19,12 @@ also across steps inside an observation interval, so a yoshida4 step costs
 three nonlinear substeps and three FFT pairs.
 
 An order-p splitting error behaves like (dt/eps)^p * eps in the
-semiclassical regime.  The Strang step dt_s = dt0 * eps^(3/2) keeps it
-o(eps) uniformly over an epsilon ladder; yoshida4 takes the step
-sqrt(dt_s * eps), for which (dt/eps)^4 = (dt_s/eps)^2, so dt0 sets the same
-Strang-equivalent error for both schemes.  Every run can verify itself by
+semiclassical regime, so steps linear in eps hold it at a fixed fraction of
+eps over an epsilon ladder (Bao, Jin & Markowich, J. Comput. Phys. 175,
+2002).  The Strang step is dt_s = dt0 * eps, with error about dt0^2 * eps;
+yoshida4 takes the step sqrt(dt_s * eps) = sqrt(dt0) * eps, for which
+(dt/eps)^4 = (dt_s/eps)^2, so dt0 sets the same Strang-equivalent error for
+both schemes.  Every run can verify itself by
 step doubling: one more integration with the same scheme at about 2*dt over
 the whole horizon, whose final state must agree with the run's (the
 step-doubling guard; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  For
@@ -50,7 +52,7 @@ MAX_NLS_STEPS = 10**7
 # the wavefunction integrator of the sweep rows and the CLI runs, and the
 # exponent of their Strang step dt0*eps^DT_EXPONENT
 SCHEME = "yoshida4"
-DT_EXPONENT = 1.5
+DT_EXPONENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,13 @@ class NLSConfig:
             raise ConfigError("physics.sigma", f"sigma must be >= 1, got {self.sigma}")
         if self.final_time <= 0:
             raise ConfigError("time.T", "final_time must be positive")
-        if self.dt_strang >= self.final_time:
+        # an explicit step, and the strang law step, must be shorter than
+        # the horizon; the longer yoshida4 law step is cut to the
+        # observation interval
+        if ((self.dt_override is not None or self.scheme == "strang")
+                and self.dt_raw >= self.final_time):
             raise ConfigError("time.dt0", "time step must be smaller than final_time")
         check_step_count(self.final_time, self.dt_raw)
-
-    @property
-    def dt_strang(self) -> float:
-        """dt_override, or the Strang step dt0*eps^dt_exponent."""
-        if self.dt_override is not None:
-            return self.dt_override
-        return self.dt0 * self.epsilon**self.dt_exponent
 
     @property
     def dt_raw(self) -> float:

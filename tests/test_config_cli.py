@@ -234,8 +234,8 @@ class TestCliCommands:
             echo = doc["plan"] if command == "sweep" else doc
             assert echo["scheme"] == "yoshida4"
             if command != "sweep":
-                # the step sqrt(0.01 * 0.25^2.5) = 0.018 exceeds the
-                # observation interval 0.01 (Strang would take 0.00125)
+                # the step sqrt(0.01) * 0.25 = 0.025 exceeds the
+                # observation interval 0.01 (Strang would take 0.0025)
                 assert doc["dt"] == pytest.approx(0.01)
 
     def test_sweep_and_report(self, tiny_config, tmp_path):
@@ -321,7 +321,7 @@ class TestCliCommands:
         assert proc.returncode == 2, proc.stderr
 
     def test_guard_failure_exit_3(self, tmp_path):
-        # a deliberately huge base step trips the dt-halving guard
+        # a deliberately huge base step trips the step-doubling guard
         doc = {
             "grid": {"N": 64, "L": 16.0},
             "physics": {"sigma": 2, "epsilon": 1.0},
@@ -336,6 +336,22 @@ class TestCliCommands:
         assert proc.returncode == 3, proc.stderr
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "numerical_guard"
+
+    def test_step_past_final_time_runs(self, tmp_path):
+        # the Strang-equivalent step dt0*eps = 0.00125 exceeds T; the
+        # yoshida4 run cuts its step to the observation interval
+        doc = {
+            "grid": {"N": 64, "L": 16.0},
+            "physics": {"sigma": 2, "epsilon": 0.125},
+            "time": {"T": 0.001, "dt0": 0.01, "observation_count": 3},
+            "output": {"directory": str(tmp_path / "outT")},
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["simulate", str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "outT" / "summary.json").read_text())
+        assert summary["dt"] == pytest.approx(0.0005)
 
     def test_conserve_plane_wave_drifts(self, tmp_path):
         # exact plane-wave pair: both systems hold their invariants to roundoff

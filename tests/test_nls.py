@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scnls import Grid
+from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
 from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
                        evolve_nls, nls_invariants)
@@ -220,14 +221,23 @@ class TestYoshida4:
         assert abs(m[-1] - m[0]) / m[0] < 1e-12
 
     def test_order_matched_step(self, grid_1d):
-        # (dt/eps)^4 = (dt_s/eps)^2 with the Strang step dt_s = dt0*eps^1.5
+        # (dt/eps)^4 = (dt_s/eps)^2 with the Strang step dt_s = dt0*eps
         eps, dt0 = 0.125, 0.01
         cfg = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
                         dt0=dt0, scheme="yoshida4")
-        assert cfg.dt_raw == np.sqrt(dt0 * eps**1.5 * eps)
+        assert cfg.dt_raw == np.sqrt(dt0 * eps * eps)
         strang = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
                            dt0=dt0)
-        assert strang.dt_raw == dt0 * eps**1.5
+        assert strang.dt_raw == dt0 * eps
+
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    def test_step_linear_in_epsilon(self, grid_1d, scheme):
+        # dt/eps is one constant over the default ladder: sqrt(dt0) for
+        # yoshida4, dt0 for Strang
+        ratios = [NLSConfig(grid=grid_1d, epsilon=eps, sigma=2,
+                            final_time=0.25, scheme=scheme).dt_raw / eps
+                  for eps in DEFAULT_EPSILON_LADDER]
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
     def test_step_longer_than_final_time(self, gaussian_data):
         # the Strang step 0.01 fits T = 0.04; the sqrt step 0.1 does not and
@@ -239,6 +249,20 @@ class TestYoshida4:
         traj = evolve_nls(build_initial_data(gaussian_data, 1.0), cfg)
         assert traj.dt == pytest.approx(0.04)
         assert traj.self_check_ok
+
+    def test_law_step_longer_than_final_time_runs(self, gaussian_data):
+        # the Strang-equivalent step dt0*eps = 0.00125 exceeds T = 0.001;
+        # the yoshida4 step is cut to the observation interval and runs, while
+        # an explicit step of T is still refused
+        g = gaussian_data.grid
+        cfg = NLSConfig(grid=g, epsilon=0.125, sigma=2, final_time=0.001,
+                        scheme="yoshida4")
+        traj = evolve_nls(build_initial_data(gaussian_data, 0.125), cfg)
+        assert traj.dt == pytest.approx(0.001)
+        assert traj.self_check_ok
+        with pytest.raises(ConfigError):
+            NLSConfig(grid=g, epsilon=0.125, sigma=2, final_time=0.001,
+                      dt_override=0.001, scheme="yoshida4")
 
     def test_guard_rerun_keeps_scheme(self, gaussian_data, monkeypatch):
         import scnls.nls as nls

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,26 @@ class TestRunSweep:
             assert row["series"]["err_one_term_l2"] == pytest.approx(
                 errs["err_one_term_l2"], rel=1e-12, abs=0)
 
+    def test_nls_error_within_budget(self, small_sweep):
+        # the default step law keeps each rung's wavefunction error below
+        # 1e-3 of its two-term WKB error, against a yoshida4 reference at an
+        # eighth of the step (measured: below 1e-5 of it on every rung)
+        plan, res = small_sweep
+        data, grid = plan.initial, plan.initial.grid
+        obs = np.linspace(0.0, plan.final_time, plan.n_obs)
+        for row in res.rows:
+            eps = row["epsilon"]
+            cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
+                            final_time=plan.final_time, self_check=False,
+                            scheme=SCHEME)
+            u0 = build_initial_data(data, eps,
+                                    epsilon_ref=max(plan.epsilon_list))
+            run = evolve_nls(u0, cfg, obs)
+            ref = evolve_nls(u0, replace(cfg, dt_override=run.dt / 8), obs)
+            err = max(grid.l2_norm(u - v)
+                      for u, v in zip(run.states, ref.states))
+            assert err <= 1e-3 * row["err_two_term_l2"]
+
     def test_deterministic_artifacts(self, small_sweep):
         plan, res = small_sweep
         res_b = run_sweep(plan)
@@ -152,8 +174,8 @@ class TestRunSweep:
 class TestGuardAndVariants:
     def test_failed_self_check_flags_row_and_continues(self):
         # large-amplitude data at a deliberately huge base step trips the
-        # halving guard; the sweep must keep the row, mark it, and still
-        # fill the error columns from the unguarded rerun
+        # step-doubling guard; the sweep must keep the row, mark it, and
+        # still fill the error columns from the run the check flagged
         g = Grid(256, 16.0)
         a0 = (2.5 * np.exp(-(g.axes[0] / 1.5) ** 2)).astype(complex)
         data = InitialData(grid=g, a0=a0,
