@@ -11,8 +11,7 @@ from .nls import NLSConfig, NLSTrajectory, build_initial_data, evolve_nls, nls_i
 from .limit import (BlowupReport, EulerInvariants, LimitState, LimitTrajectory,
                     blowup_monitor, euler_invariants, evolve_limit,
                     focusing_demo, reconstruct_phase)
-from .corrector import (CorrectedAmplitude, CorrectorState, CorrectorTrajectory,
-                        evolve_corrector, tilde_amplitude)
+from .corrector import evolve_corrector, tilde_amplitude
 from .diagnostics import (DensityMetrics, DiagnosticsRecord, density_metrics,
                           diagnostics_record, gronwall_constant, modulate,
                           modulated_energy, q_g_fields, residual_transport)
@@ -27,7 +26,6 @@ __all__ = [
     "BlowupReport", "EulerInvariants", "LimitState", "LimitTrajectory",
     "blowup_monitor", "euler_invariants", "evolve_limit", "focusing_demo",
     "reconstruct_phase",
-    "CorrectedAmplitude", "CorrectorState", "CorrectorTrajectory",
     "evolve_corrector", "tilde_amplitude",
     "DensityMetrics", "DiagnosticsRecord", "density_metrics", "diagnostics_record",
     "gronwall_constant", "modulate", "modulated_energy", "q_g_fields",

@@ -166,22 +166,21 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
 def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
     data = cfg.make_initial_data(grid)
-    limit_traj = evolve_limit(data, cfg.sigma, cfg.final_time,
-                              n_obs=cfg.observation_count, a1=data.a1)
-    corr = evolve_corrector(limit_traj)
+    traj = evolve_corrector(evolve_limit(
+        data, cfg.sigma, cfg.final_time, n_obs=cfg.observation_count,
+        a1=data.a1))
     phi1_max = 0.0
     modulus_gap = 0.0
     recs = []
     for t in _obs_times(cfg):
-        ls = limit_traj.state_at(float(t))
-        cs = corr.state_at(float(t))
-        til = tilde_amplitude(ls, cs)
-        phi1_max = max(phi1_max, float(np.max(np.abs(cs.phi1))))
+        ls = traj.state_at(float(t))
+        a_tilde = tilde_amplitude(ls)
+        phi1_max = max(phi1_max, float(np.max(np.abs(ls.phi1))))
         modulus_gap = max(modulus_gap, float(np.max(
-            np.abs(np.abs(til.a_tilde) - np.abs(ls.a)))))
-        recs.append(("phi1", float(t), cs.phi1, grid))
-        recs.append(("w", float(t), cs.w, grid))
-        recs.append(("a_tilde", float(t), til.a_tilde, grid))
+            np.abs(np.abs(a_tilde) - np.abs(ls.a)))))
+        recs.append(("phi1", float(t), ls.phi1, grid))
+        recs.append(("w", float(t), ls.w, grid))
+        recs.append(("a_tilde", float(t), a_tilde, grid))
     if "snapshots" in cfg.formats:
         write_snapshots(out / "corrector.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
@@ -189,8 +188,8 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     real_data_case = bool(
         np.max(np.abs(a0.imag)) < 1e-14 and np.max(np.abs(a1.real)) < 1e-14)
     summary = {
-        "command": "corrector", "sigma": cfg.sigma, "dt": corr.dt,
-        "steps": len(limit_traj.step_times) - 1,
+        "command": "corrector", "sigma": cfg.sigma, "dt": traj.dt,
+        "steps": len(traj.step_times) - 1,
         "phi1_linf_max": phi1_max,
         "corrected_modulus_gap_max": modulus_gap,
         "real_data_case": real_data_case,

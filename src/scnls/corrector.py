@@ -16,56 +16,16 @@ The pair is integrated inside the limit run, as two more components of its
 classical RK4 state (scnls.limit.evolve_limit with a1): every stage
 evaluates this module's right-hand side on the limit stage's (v, a) and the
 div v and grad a its right-hand side already computed, with spectral
-derivatives and 2/3 dealiasing.  evolve_corrector reads the carried pair off
-the limit trajectory, on its stored nodes.
+derivatives and 2/3 dealiasing.  The limit trajectory stores the pair as
+its phi1 and w on its nodes, and its states carry them; this module adds no
+container of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .grid import Grid, node_index
-
-if TYPE_CHECKING:  # scnls.limit imports this module for _rhs
-    from .limit import LimitState, LimitTrajectory
-
-
-@dataclass(frozen=True)
-class CorrectorState:
-    grid: Grid
-    time: float
-    phi1: np.ndarray      # real
-    w: np.ndarray         # complex first-order amplitude
-
-
-@dataclass
-class CorrectorTrajectory:
-    grid: Grid
-    sigma: int
-    times: np.ndarray
-    phi1: np.ndarray      # (nt, *shape) real
-    w: np.ndarray         # (nt, *shape) complex
-    dt: float | None      # the limit run's step, None if adapted
-
-    def index_at(self, t: float) -> int:
-        return node_index(self.times, t)
-
-    def state(self, i: int) -> CorrectorState:
-        return CorrectorState(grid=self.grid, time=float(self.times[i]),
-                              phi1=self.phi1[i], w=self.w[i])
-
-    def state_at(self, t: float) -> CorrectorState:
-        return self.state(self.index_at(t))
-
-
-@dataclass(frozen=True)
-class CorrectedAmplitude:
-    grid: Grid
-    time: float
-    a_tilde: np.ndarray
+from .grid import Grid
 
 
 def _rhs(phi1, w, v, a, div_v, grad_a, grid: Grid, sigma: int):
@@ -82,27 +42,19 @@ def _rhs(phi1, w, v, a, div_v, grad_a, grid: Grid, sigma: int):
     return grid.dealias(dphi1).real, grid.dealias(dw)
 
 
-def evolve_corrector(limit_traj: LimitTrajectory) -> CorrectorTrajectory:
-    """The corrector pair carried by a limit run started with
-    evolve_limit(..., a1=a1), on the run's stored nodes."""
+def evolve_corrector(limit_traj):
+    """The limit trajectory itself, once it is checked to carry the
+    corrector pair: a run started with evolve_limit(..., a1=a1)."""
     if limit_traj.w is None:
         raise ValueError("the limit run carried no corrector: "
                          "pass a1 to evolve_limit")
-    return CorrectorTrajectory(
-        grid=limit_traj.grid, sigma=limit_traj.sigma, times=limit_traj.times,
-        phi1=limit_traj.phi1, w=limit_traj.w, dt=limit_traj.dt,
-    )
+    return limit_traj
 
 
-def tilde_amplitude(limit_state: LimitState,
-                    corrector_state: CorrectorState) -> CorrectedAmplitude:
-    """Corrected amplitude a*exp(i*phi1); the factor is unimodular so
-    |a_tilde| = |a| pointwise."""
-    if abs(limit_state.time - corrector_state.time) > 1e-9 * max(1.0, abs(limit_state.time)):
-        raise ValueError(
-            f"time mismatch: limit at t={limit_state.time}, "
-            f"corrector at t={corrector_state.time}")
-    return CorrectedAmplitude(
-        grid=limit_state.grid, time=limit_state.time,
-        a_tilde=limit_state.a * np.exp(1j * corrector_state.phi1),
-    )
+def tilde_amplitude(limit_state) -> np.ndarray:
+    """Corrected amplitude a*exp(i*phi1) of a limit state that carries the
+    corrector pair; the factor is unimodular so |a_tilde| = |a| pointwise."""
+    if limit_state.phi1 is None:
+        raise ValueError("the limit state carries no corrector: "
+                         "pass a1 to evolve_limit")
+    return limit_state.a * np.exp(1j * limit_state.phi1)

@@ -65,6 +65,8 @@ class LimitState:
     a: np.ndarray           # complex
     phi_periodic: np.ndarray
     phi_wavevector: tuple[float, ...]
+    phi1: np.ndarray | None = None  # corrector pair, if the run carried it
+    w: np.ndarray | None = None
 
     @property
     def rho(self) -> np.ndarray:
@@ -111,6 +113,8 @@ class LimitTrajectory:
             S=self.S[i], a=self.a[i],
             phi_periodic=self.phi_periodic[i],
             phi_wavevector=self.phi0_wavevector,
+            phi1=None if self.phi1 is None else self.phi1[i],
+            w=None if self.w is None else self.w[i],
         )
 
     def state_at(self, t: float) -> LimitState:
@@ -208,8 +212,8 @@ def evolve_limit(
     the n_obs observation times are stored (store_every is then that
     number); without it every store_every-th step is.  The per-step scalars
     (grad_v_max, ...) cover every step either way.  Given a1, the run also
-    carries the corrector pair (phi1, w) from (0, a1), which
-    scnls.corrector.evolve_corrector reads off the trajectory.
+    carries the corrector pair (phi1, w) from (0, a1): the trajectory
+    stores it as its phi1 and w, and its states carry it (None without a1).
     Fields of init and a1 of shape (*batch, *grid.shape) are independent
     runs integrated as one, stored with their batch axes.  The members share
     the step, the status and the per-step scalars (each a max over the
@@ -542,7 +546,6 @@ def focusing_demo(
     window: float = 0.35,
     dt: float = 2e-3,
     spectral_cutoff: int | None = None,
-    n_snap: int = 36,
 ) -> list[GrowthRow]:
     """Short-time growth rates of sinusoidal perturbations per wavenumber.
 
@@ -556,12 +559,13 @@ def focusing_demo(
         W^2 = int ( sigma*rho0^(sigma-1) * drho^2 + rho0 * |dv|^2 ) dx,
 
     conserved by the linearized defocusing flow, exponentially growing in the
-    ill-posed sign.  The rate is the log-linear slope of W over the second
-    half of the window.  A spectral cutoff (default 1.5x the largest mode)
-    suppresses roundoff-seeded growth above the probed band.  The runs are
-    one batched evolve_limit call, so they share the fixed step dt and the
-    cutoff, and a member that breaks the CFL bound or stops being finite
-    truncates every run at the same time.
+    ill-posed sign.  The run stores W's inputs at about 36 nodes over the
+    window (every round(window/dt/35)-th step), and the rate is the
+    log-linear slope of W over the second half of them.  A spectral cutoff
+    (default 1.5x the largest mode) suppresses roundoff-seeded growth above
+    the probed band.  The runs are one batched evolve_limit call, so they
+    share the fixed step dt and the cutoff, and a member that breaks the CFL
+    bound or stops being finite truncates every run at the same time.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -574,7 +578,7 @@ def focusing_demo(
         return []
     if spectral_cutoff is None:
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
-    store = max(1, int(round((window / dt) / (n_snap - 1))))
+    store = max(1, int(round((window / dt) / 35)))
     rho_bg = np.abs(a0) ** 2
     rho0 = float(np.mean(rho_bg))
 

@@ -62,7 +62,6 @@ class NLSConfig:
     sigma: int
     final_time: float
     dt0: float = 0.01
-    dt_exponent: float = DT_EXPONENT
     dt_override: float | None = None
     self_check: bool = True
     self_check_factor: float = 0.05
@@ -92,16 +91,14 @@ class NLSConfig:
         splitting error matches the Strang step's."""
         if self.dt_override is not None:
             return self.dt_override
-        return scheme_step(self.scheme, self.dt0, self.epsilon,
-                           self.dt_exponent)
+        return scheme_step(self.scheme, self.dt0, self.epsilon)
 
 
-def scheme_step(scheme: str, dt0: float, epsilon: float,
-                dt_exponent: float = DT_EXPONENT) -> float:
+def scheme_step(scheme: str, dt0: float, epsilon: float) -> float:
     """The step of ``scheme`` at epsilon: the Strang step
-    dt_s = dt0*eps^dt_exponent, and for yoshida4 the step with the same
+    dt_s = dt0*eps^DT_EXPONENT, and for yoshida4 the step with the same
     splitting error, sqrt(dt_s*eps): (dt/eps)^4 = (dt_s/eps)^2."""
-    dt_strang = dt0 * epsilon**dt_exponent
+    dt_strang = dt0 * epsilon**DT_EXPONENT
     return dt_strang if scheme == "strang" else math.sqrt(dt_strang * epsilon)
 
 

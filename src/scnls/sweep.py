@@ -92,7 +92,6 @@ class SweepPlan:
     final_time: float
     n_obs: int = 20
     dt0: float = 0.01
-    dt_exponent: float = DT_EXPONENT
     self_check: bool = True
     config_echo: dict = field(default_factory=dict)
 
@@ -164,8 +163,7 @@ def _sweep_row(eps: float, plan: SweepPlan,
     u0 = build_initial_data(plan.initial, eps, epsilon_ref=eps_ref)
     cfg = NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
                     final_time=plan.final_time, dt0=plan.dt0,
-                    dt_exponent=plan.dt_exponent, self_check=plan.self_check,
-                    scheme=SCHEME)
+                    self_check=plan.self_check, scheme=SCHEME)
     try:
         traj = evolve_nls(u0, cfg, obs_times)
     except NumericalGuardError as exc:
@@ -229,12 +227,10 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         snapped, _ = snap_wavevector(initial.phi0_wavevector, grid, eps_ref)
         initial = replace(initial, phi0_wavevector=snapped)
 
-    limit_traj = evolve_limit(initial, sigma, plan.final_time, n_obs=plan.n_obs,
-                              a1=initial.a1)
-    corr_traj = evolve_corrector(limit_traj)
-    states = [limit_traj.state_at(float(t)) for t in obs_times]
-    limit_states = [(ls, tilde_amplitude(ls, corr_traj.state_at(ls.time)).a_tilde)
-                    for ls in states]
+    limit_traj = evolve_corrector(evolve_limit(
+        initial, sigma, plan.final_time, n_obs=plan.n_obs, a1=initial.a1))
+    limit_states = [(ls, tilde_amplitude(ls)) for ls in
+                    (limit_traj.state_at(float(t)) for t in obs_times)]
     c_hat = gronwall_constant(limit_traj)
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
@@ -265,7 +261,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "final_time": plan.final_time,
         "n_obs": plan.n_obs,
         "dt0": plan.dt0,
-        "dt_exponent": plan.dt_exponent,
+        "dt_exponent": DT_EXPONENT,
         "scheme": SCHEME,
         "self_check": plan.self_check,
         "initial_label": initial.label,

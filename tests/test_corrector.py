@@ -70,13 +70,12 @@ class TestSelfConvergence:
         assert gap_w < 1.2e-5
 
     def test_shares_limit_times_and_step(self, gaussian_data):
-        # the pair is carried by the limit run: same nodes, same step
+        # the pair is carried by the limit run: evolve_corrector hands back
+        # that run, so the pair has its nodes and its step
         traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3,
                             a1=gaussian_data.a1)
-        corr = evolve_corrector(traj)
-        assert corr.dt == traj.dt
-        np.testing.assert_array_equal(corr.times, traj.times)
-        assert corr.times[-1] == pytest.approx(0.05)
+        assert evolve_corrector(traj) is traj
+        assert traj.times[-1] == pytest.approx(0.05)
 
     def test_limit_run_without_a1_carries_none(self, gaussian_data):
         traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3)
@@ -91,24 +90,31 @@ class TestTildeAmplitude:
                             a1=np.zeros(gaussian_data.grid.shape, complex))
         corr = evolve_corrector(traj)
         # a1 = 0 and phi1(0) = 0: at t=0 the corrected amplitude equals a
-        til = tilde_amplitude(traj.state_at(0.0), corr.state_at(0.0))
-        assert np.max(np.abs(til.a_tilde - traj.a[0])) == 0.0
+        til = tilde_amplitude(corr.state_at(0.0))
+        assert np.max(np.abs(til - traj.a[0])) == 0.0
 
     def test_modulus_preserved_pointwise(self, gaussian_data):
         traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
                             a1=gaussian_data.a1)
         corr = evolve_corrector(traj)
         for t in (0.0, 0.25):
-            ls, cs = traj.state_at(t), corr.state_at(t)
-            til = tilde_amplitude(ls, cs)
-            assert np.max(np.abs(np.abs(til.a_tilde) - np.abs(ls.a))) < 1e-14
+            ls = corr.state_at(t)
+            til = tilde_amplitude(ls)
+            assert np.max(np.abs(np.abs(til) - np.abs(ls.a))) < 1e-14
 
-    def test_time_mismatch_rejected(self, gaussian_data):
+    def test_state_carries_the_pair(self, gaussian_data):
+        # a state of a run with a1 holds the stored node arrays of the pair;
+        # a run without a1 gives None for both, and no corrected amplitude
         traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3,
                             a1=gaussian_data.a1)
-        corr = evolve_corrector(traj)
+        for i, t in enumerate(traj.times):
+            ls = traj.state_at(float(t))
+            np.testing.assert_array_equal(ls.phi1, traj.phi1[i])
+            np.testing.assert_array_equal(ls.w, traj.w[i])
+        bare = evolve_limit(gaussian_data, 2, 0.05, n_obs=3).state_at(0.05)
+        assert bare.phi1 is None and bare.w is None
         with pytest.raises(ValueError):
-            tilde_amplitude(traj.state_at(0.05), corr.state_at(0.0))
+            tilde_amplitude(bare)
 
     def test_two_term_beats_one_term(self, gaussian_data):
         # against the wavefunction solver at small epsilon, the corrected
@@ -122,9 +128,9 @@ class TestTildeAmplitude:
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                         self_check=False)
         u_T = evolve_nls(u0, cfg).states[-1]
-        ls, cs = traj.state_at(T), corr.state_at(T)
-        til = tilde_amplitude(ls, cs)
+        ls = corr.state_at(T)
+        til = tilde_amplitude(ls)
         carrier = np.exp(1j * ls.phi_total() / eps)
-        err_two = g.l2_norm(u_T - til.a_tilde * carrier)
+        err_two = g.l2_norm(u_T - til * carrier)
         err_one = g.l2_norm(u_T - ls.a * carrier)
         assert err_two < err_one
