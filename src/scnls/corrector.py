@@ -13,12 +13,16 @@ identically zero when a0 is real-valued and a1 purely imaginary (the system
 is then homogeneous in (phi1, Re(conj(a) w))).
 
 The pair is integrated inside the limit run, as two more components of its
-classical RK4 state (scnls.limit.evolve_limit with a1): every stage
-evaluates this module's right-hand side on the limit stage's (v, a) and the
-div v and grad a its right-hand side already computed, with spectral
-derivatives and 2/3 dealiasing.  The limit trajectory stores the pair as
-its phi1 and w on its nodes, and its states carry them; this module adds no
-container of its own.
+spectral RK4 state (scnls.limit.evolve_limit with a1: phi1 as an rfftn half
+spectrum, w as a full spectrum).  At every stage the limit right-hand side
+transforms grad phi1 and Lap phi1 to the grid with its real fields, and w
+and grad w with its complex ones; this module's right-hand side forms the
+pair's products there, from those and the stage's v, a, div v and grad a,
+and adds the linear source (i/2) Lap a as a multiplier on the spectrum of
+a.  The limit stage takes the products back in its own forward transforms
+and projects the pair's derivatives onto the 2/3 band.  The limit trajectory
+stores the pair as its phi1 and w on its nodes, and its states carry them;
+this module adds no container of its own.
 """
 
 from __future__ import annotations
@@ -28,18 +32,17 @@ import numpy as np
 from .grid import Grid
 
 
-def _rhs(phi1, w, v, a, div_v, grad_a, grid: Grid, sigma: int):
-    grad_phi1 = grid.gradient(phi1).real
-    lap_phi1 = grid.laplacian(phi1).real
+def _rhs(grad_phi1, lap_phi1, w, grad_w, v, a, div_v, grad_a, a_h,
+         grid: Grid, sigma: int):
+    """The pair's time derivatives at one joint stage: d_t phi1 and the
+    product part of d_t w on the grid, and the spectrum of the linear
+    source (i/2) Lap a (a_h is the spectrum of a)."""
     abs_pow = np.abs(a) ** (2 * sigma - 2)
-    adv_phi1 = np.sum(v * grad_phi1, axis=0)
-    dphi1 = -(adv_phi1 + 2.0 * sigma * np.real(np.conj(a) * w) * abs_pow)
-    grad_w = grid.gradient(w)
-    adv_w = np.sum(v * grad_w, axis=0)
-    cross = np.sum(grad_phi1 * grad_a, axis=0)
-    dw = (-(adv_w + cross + 0.5 * w * div_v + 0.5 * a * lap_phi1)
-          + 0.5j * grid.laplacian(a))
-    return grid.dealias(dphi1).real, grid.dealias(dw)
+    dphi1 = -(np.sum(v * grad_phi1, axis=0)
+              + 2.0 * sigma * np.real(np.conj(a) * w) * abs_pow)
+    dw = -(np.sum(v * grad_w, axis=0) + np.sum(grad_phi1 * grad_a, axis=0)
+           + 0.5 * w * div_v + 0.5 * a * lap_phi1)
+    return dphi1, dw, 0.5j * grid.spectral_laplacian(a_h)
 
 
 def evolve_corrector(limit_traj):

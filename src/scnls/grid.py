@@ -17,6 +17,12 @@ per member.  Vector fields stack the components first, shape
 The norms reduce over all axes.  Grid objects are immutable after
 construction and all operations are pure, so they are safe to share across
 concurrent runs.
+
+Spectra are full (``fft``, complex fields) or rfftn half spectra (``rfft``,
+real fields, last axis N/2 + 1); the spectral multipliers (gradient, jet,
+Laplacian, projection) take either, told apart by the last axis.  A batch of
+more than CHUNK_POINTS points is transformed in chunks of whole fields, each
+member with the bits of its own call.
 """
 
 from __future__ import annotations
@@ -27,6 +33,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError
+
+# Largest batch, in grid points, that one transform call takes.  A call over
+# a batch that outgrows a core's cache costs more than one call per chunk:
+# on a 128x128 grid (numpy 2.4, one core of a 2-vCPU Xeon guest), 9 fields
+# took 4.8 ms in one ifftn against 3.0 ms in one call each, while a 2-field
+# call beat two calls (0.44 ms against 0.53).
+# On small grids the per-call overhead dominates instead: a 1-D batch of up
+# to 64 fields of 512 points is one call.
+CHUNK_POINTS = 2**15
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -100,6 +115,10 @@ class Grid:
         return np.sum(self.wavenumbers**2, axis=0)
 
     @cached_property
+    def _neg_k_squared(self) -> np.ndarray:
+        return -self.k_squared
+
+    @cached_property
     def _deriv_multipliers(self) -> np.ndarray:
         # i*xi per axis with the asymmetric Nyquist mode removed, (dim, *shape)
         xi = self.wavenumbers.copy()
@@ -109,10 +128,25 @@ class Grid:
             xi[tuple(nyq)] = 0.0
         return 1j * xi
 
-    def _component_multipliers(self, ndim: int) -> np.ndarray:
-        # i*xi per axis, shaped (dim, 1, ..., 1, *shape) for a field of ndim axes
-        batch = (1,) * (ndim - self.dim)
-        return self._deriv_multipliers.reshape((self.dim, *batch, *self.shape))
+    @cached_property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of an rfftn half spectrum: the last axis keeps k >= 0."""
+        return (*self.shape[:-1], self.shape[-1] // 2 + 1)
+
+    def _matching(self, m: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        # the full-spectrum multiplier m, or its half for a half spectrum fh
+        # (the last axes differ: N against N/2 + 1).  In FFT order the first
+        # N/2 + 1 entries of the last axis are the modes 0, ..., N/2 - 1 and
+        # the Nyquist mode, so the slice serves every multiplier and mask
+        # here: each is even in the Nyquist mode or zero there.
+        if fh.shape[-1] == self.shape[-1]:
+            return m
+        return m[..., : self.half_shape[-1]]
+
+    @cached_property
+    def _jet_multipliers(self) -> np.ndarray:
+        # 1 and i*xi per axis, (1 + dim, *shape)
+        return np.concatenate([np.ones((1, *self.shape)), self._deriv_multipliers])
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -133,11 +167,57 @@ class Grid:
 
     # -- transforms and calculus ------------------------------------------
 
+    def _transform(self, fn, f: np.ndarray, **kw) -> np.ndarray:
+        # fn over the grid axes, one call per chunk of whole fields of at
+        # most CHUNK_POINTS grid points, written into one output
+        f = np.asarray(f)
+        per = max(1, CHUNK_POINTS // self.size)
+        flat = f.reshape(-1, *f.shape[-self.dim:])
+        if len(flat) <= per:
+            return fn(f, axes=self._axes, **kw)
+        first = fn(flat[:per], axes=self._axes, **kw)
+        out = np.empty((len(flat), *first.shape[1:]), first.dtype)
+        out[:per] = first
+        for i in range(per, len(flat), per):
+            out[i:i + per] = fn(flat[i:i + per], axes=self._axes, **kw)
+        return out.reshape(*f.shape[:-self.dim], *out.shape[1:])
+
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, axes=self._axes)
+        return self._transform(np.fft.fftn, f)
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fh, axes=self._axes)
+        return self._transform(np.fft.ifftn, fh)
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field, shape (*batch, *half_shape)."""
+        return self._transform(np.fft.rfftn, f)
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        """Real field of a half spectrum."""
+        return self._transform(np.fft.irfftn, fh, s=self.shape)
+
+    def spectral_gradient(self, fh: np.ndarray) -> np.ndarray:
+        """i*xi_j * fh for a full or half spectrum fh, shape (dim, *fh.shape);
+        the lone Nyquist mode is zeroed."""
+        return self._stacked(self._deriv_multipliers, fh) * fh
+
+    def spectral_jet(self, fh: np.ndarray) -> np.ndarray:
+        """fh and its gradient, [fh, i*xi_1 fh, ..., i*xi_dim fh], shape
+        (1 + dim, *fh.shape)."""
+        return self._stacked(self._jet_multipliers, fh) * fh
+
+    def _stacked(self, m: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        # a stack of multipliers (k, *shape), shaped to broadcast over fh
+        m = self._matching(m, fh)
+        return m.reshape((len(m), *(1,) * (fh.ndim - self.dim), *m.shape[1:]))
+
+    def spectral_laplacian(self, fh: np.ndarray) -> np.ndarray:
+        """-|xi|^2 * fh for a full or half spectrum fh."""
+        return self._matching(self._neg_k_squared, fh) * fh
+
+    def project(self, fh: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """fh restricted to the modes of a grid-shaped mask."""
+        return self._matching(mask, fh) * fh
 
     def _check(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
@@ -155,8 +235,7 @@ class Grid:
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """All first derivatives, shape (dim, *f.shape)."""
-        fh = self.fft(self._check(f))
-        return self.ifft(self._component_multipliers(fh.ndim) * fh)
+        return self.ifft(self.spectral_gradient(self.fft(self._check(f))))
 
     def divergence(self, vec: np.ndarray) -> np.ndarray:
         """sum_j d_j vec[j] for a vector field of shape (dim, *batch, *shape)."""
@@ -165,19 +244,19 @@ class Grid:
             raise GridMismatchError(
                 f"vector field shape {vec.shape} does not start with dim {self.dim}"
             )
-        mults = self._component_multipliers(vec.ndim - 1)
+        mults = self._stacked(self._deriv_multipliers, vec[0])
         return np.sum(self.ifft(mults * self.fft(vec)), axis=0)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Second-derivative multiplier -|xi|^2 (Nyquist included: even order)."""
-        return self.ifft(-self.k_squared * self.fft(self._check(f)))
+        return self.ifft(self.spectral_laplacian(self.fft(self._check(f))))
 
     def dealias(self, f: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Project onto ``mask``, by default the 2/3 band (use on
         quadratic/cubic products)."""
         if mask is None:
             mask = self.dealias_mask
-        return self.ifft(mask * self.fft(self._check(f)))
+        return self.ifft(self.project(self.fft(self._check(f)), mask))
 
     # -- norms -------------------------------------------------------------
 

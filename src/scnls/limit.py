@@ -25,10 +25,24 @@ with grad, so every RK4 stage has d_t v = grad(d_t phi) to roundoff; RK4 is
 linear in its stages, so grad phi - v keeps its initial value whatever the
 step.  Given the corrector's initial amplitude a1, the run carries the
 first-order corrector pair (phi1, w) of scnls.corrector as two more RK4
-components, whose right-hand side reuses the div v and grad a of the same
-stage.  Spatial derivatives are spectral; quadratic and cubic products are
-2/3-dealiased; time stepping is classical RK4 at the CFL step, with an
-optional per-step CFL-adapted step for breakdown hunting.
+components.
+
+The RK4 state is spectral: the real fields v and phi (and phi1) are rfftn
+half spectra, the complex S and a (and w) full spectra; v, S and a start
+inside the band (the 2/3 rule, narrowed by spectral_cutoff where one is
+given), phi0 and a1 start as given, and every derivative is projected.  A
+stage makes every field and derivative it needs on the grid with one
+batched inverse transform per kind (real or complex), forms the products
+there, and takes them back with one batched forward transform per kind.
+Derivatives, grad p, the corrector's (i/2) Lap a source and the band
+projection are multipliers on the spectra, so no product makes a transform
+round trip of its own and no field is transformed again for its gradient.
+In a joint stage scnls.corrector._rhs forms the pair's products on the same
+transformed fields.  The physical v, S and a are made once per step, for the
+CFL speed, the per-step scalars, the finiteness check and the stored nodes;
+node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time stepping is
+classical RK4 at the CFL step, with an optional per-step CFL-adapted step
+for breakdown hunting.
 """
 
 from __future__ import annotations
@@ -125,22 +139,63 @@ class LimitTrajectory:
 # right-hand side
 
 
-def _rhs(v, S, a, phi, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
-    grad_v = grid.gradient(v).real  # grad_v[j, i] = d_j v_i
-    div_v = np.trace(grad_v)
-    grad_S = grid.gradient(S)
-    grad_a = grid.gradient(a)
-    p = np.abs(S) ** 2
-    grad_p = grid.gradient(p).real
+def _rhs(y, grid: Grid, sigma: int, psign: int, mask: np.ndarray) -> tuple:
+    """Time derivatives of the spectral state y = (v, S, a, phi[, phi1, w])
+    at one RK4 stage: half spectra of the real fields v, phi (and phi1),
+    full spectra of the complex S, a (and w)."""
+    d = grid.dim
+    # the stage's fields on the grid die with _products, so the forward
+    # transforms run without them (the peak memory of a 2-D stage)
+    real, cplx, source_h = _products(y, grid, sigma, psign)
+    # one forward transform per kind; grad p, the projections and the signs
+    # are multipliers
+    real_h = grid.rfft(real)
+    cplx_h = grid.fft(cplx)
+    dy = (-grid.project(real_h[:d] + grid.spectral_gradient(real_h[d]), mask),
+          *-grid.project(cplx_h[:2], mask),
+          -grid.project(real_h[d + 1], mask))
+    if source_h is not None:
+        band = grid.dealias_mask
+        dy += (grid.project(real_h[-1], band),
+               grid.project(cplx_h[2] + source_h, band))
+    return dy
 
-    adv_v = np.sum(v[:, None] * grad_v, axis=0)
-    dv = grid.dealias(-(adv_v + psign * grad_p), mask).real
-    adv_S = np.sum(v * grad_S, axis=0)
-    dS = grid.dealias(-(adv_S + 0.5 * sigma * S * div_v), mask)
-    adv_a = np.sum(v * grad_a, axis=0)
-    da = grid.dealias(-(adv_a + 0.5 * a * div_v), mask)
-    dphi = grid.dealias(-(0.5 * np.sum(v**2, axis=0) + psign * p), mask).real
-    return (dv, dS, da, dphi), div_v, grad_a
+
+def _products(y, grid: Grid, sigma: int, psign: int):
+    """The stage's fields on the grid, from one inverse transform per kind,
+    and the products of its right-hand sides, stacked per kind: the real
+    (v.grad) v, s*p, |v|^2/2 + s*p (and the phi1 part) and the complex S
+    and a parts (and the w part); with the corrector's spectral source, or
+    None without the pair."""
+    vh = y[0]
+    d = grid.dim
+    pair = len(y) > 4  # the corrector pair rides along
+    # S, a (and w) with their gradients are complex; v and grad v (and
+    # grad phi1, Lap phi1) real
+    cplx = grid.ifft(grid.spectral_jet(np.array([y[1], y[2], *y[5:]])))
+    real = grid.spectral_jet(vh).reshape(-1, *vh.shape[1:])
+    if pair:
+        real = np.concatenate([real, grid.spectral_gradient(y[4]),
+                               grid.spectral_laplacian(y[4])[None]])
+    real = grid.irfft(real)
+    v, grad_v = real[:d], real[d:d + d * d].reshape(d, d, *real.shape[1:])
+    Sa, grad_Sa = cplx[0, :2], cplx[1:, :2]
+
+    div_v = grad_v.trace()  # grad_v[j, i] = d_j v_i
+    sp = psign * np.abs(Sa[0]) ** 2
+    real_terms = [(v[:, None] * grad_v).sum(0),   # (v.grad) v
+                  sp[None], (0.5 * (v**2).sum(0) + sp)[None]]
+    # v.grad S + (sigma/2) S div v and v.grad a + (1/2) a div v
+    rates = np.array([0.5 * sigma, 0.5]).reshape((2,) + (1,) * (Sa.ndim - 1))
+    cplx_terms = (v[:, None] * grad_Sa).sum(0) + div_v * (rates * Sa)
+    source_h = None
+    if pair:
+        dphi1, dw, source_h = corrector._rhs(
+            real[d + d * d:2 * d + d * d], real[-1], cplx[0, 2], cplx[1:, 2],
+            v, Sa[1], div_v, grad_Sa[:, 1], y[2], grid, sigma)
+        real_terms.append(dphi1[None])
+        cplx_terms = np.concatenate([cplx_terms, dw[None]])
+    return np.concatenate(real_terms), cplx_terms, source_h
 
 
 def rk4_step(rhs, y: tuple, dt: float) -> tuple:
@@ -165,11 +220,15 @@ def _wave_speed(v, S, sigma: int) -> float:
 
 def _v_scalars(v, grid: Grid) -> tuple[float, float, float]:
     """(max |d_j v_i|, max |div v|, max |d_j div v|) via spectral
-    derivatives."""
-    grad_v = grid.gradient(v).real
-    div_v = np.trace(grad_v)
-    return (float(np.max(np.abs(grad_v))), float(np.max(np.abs(div_v))),
-            float(np.max(np.abs(grid.gradient(div_v).real))))
+    derivatives: one forward transform of v, one inverse call for grad v
+    and grad div v together."""
+    grad_h = grid.spectral_gradient(grid.fft(v))  # [j, i] = i xi_j v_i
+    grad_div_h = grid.spectral_gradient(np.trace(grad_h))
+    out = grid.ifft(np.concatenate([grad_h, grad_div_h[:, None]], axis=1)).real
+    grad_v = out[:, :-1]
+    return (float(np.max(np.abs(grad_v))),
+            float(np.max(np.abs(np.trace(grad_v)))),
+            float(np.max(np.abs(out[:, -1]))))
 
 
 def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
@@ -245,11 +304,23 @@ def evolve_limit(
         if a1.shape != a0.shape:
             raise ConfigError("initial.a1", "a1 shape does not match a0")
 
-    wavevector = np.reshape(init.phi0_wavevector, (grid.dim,) + (1,) * a0.ndim)
-    v0 = grid.gradient(phi0).real + wavevector
-    v = grid.dealias(v0, mask).real
-    S = grid.dealias(a0**sigma, mask)
-    a = grid.dealias(a0, mask)
+    # the spectral RK4 state: v = grad phi0 + k (the linear part of phi0 is
+    # the constant velocity k, size*k in the zero mode) and S, a projected
+    # onto the band; phi0 and a1 as given
+    phi_h = grid.rfft(phi0)
+    v_h = grid.spectral_gradient(phi_h)
+    v_h[(..., *(0,) * grid.dim)] += grid.size * np.reshape(
+        init.phi0_wavevector, (grid.dim,) + (1,) * (a0.ndim - grid.dim))
+    y = (grid.project(v_h, mask),
+         *grid.project(grid.fft(np.array([a0**sigma, a0])), mask), phi_h)
+    if a1 is not None:
+        y += (np.zeros(y[3].shape, complex), grid.fft(a1))
+
+    def physical(y):
+        """v, S and a on the grid."""
+        return (grid.irfft(y[0]), *grid.ifft(np.array(y[1:3])))
+
+    v, S, a = physical(y)
 
     dx_min = min(grid.dx)
     speed0 = _wave_speed(v, S, sigma)
@@ -278,13 +349,13 @@ def evolve_limit(
         raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
                           f"bytes, over the budget of {MAX_STORED_BYTES}")
 
-    y = (v, S, a, phi0)
+    nodes0 = (v, S, a, phi0)
     if a1 is not None:
-        y += (np.zeros(a.shape), a1)
+        nodes0 += (np.zeros(a.shape), a1)
     # the stored nodes, one block per field written in place (no copy of
     # every node at the end): the node count is exact for fixed steps, and
     # the blocks double when an adaptive run outgrows it
-    fields = [np.empty((nodes, *yi.shape), yi.dtype) for yi in y]
+    fields = [np.empty((nodes, *f.shape), f.dtype) for f in nodes0]
     times = []
 
     def store(t_now, y_now):
@@ -295,7 +366,7 @@ def evolve_limit(
             f[len(times)] = yi
         times.append(t_now)
 
-    store(0.0, y)
+    store(0.0, nodes0)
     step_times = [0.0]
     grad_hist, div_hist, grad_div_hist = [], [], []
     press_hist, cfl_hist = [], []
@@ -312,13 +383,9 @@ def evolve_limit(
     record_scalars(v, a, dt, speed0)
 
     def rhs(y, c):
-        # both right-hand sides are looked up as module attributes at every
-        # stage, so a wrapper installed on either one sees every call
-        dy, div_v, grad_a = _rhs(*y[:4], grid, sigma, pressure_sign, mask)
-        if len(y) == 4:
-            return dy
-        return dy + corrector._rhs(*y[4:], y[0], y[2], div_v, grad_a,
-                                   grid, sigma)
+        # looked up as a module attribute at every stage (and corrector._rhs
+        # inside it), so a wrapper installed on either one sees every call
+        return _rhs(y, grid, sigma, pressure_sign, mask)
 
     def unfinished() -> bool:
         return t < final_time - 1e-12 if adaptive else n < n_steps
@@ -327,7 +394,7 @@ def evolve_limit(
     t = 0.0
     n = 0
     while n < max_steps and unfinished():
-        speed = _wave_speed(y[0], y[1], sigma)
+        speed = _wave_speed(v, S, sigma)
         if adaptive:
             step_dt = min(CFL_NUMBER * dx_min / max(speed, 1e-12), dt,
                           final_time - t)
@@ -345,14 +412,16 @@ def evolve_limit(
         # a fixed step ends at n*dt, the last one at final_time exactly
         t = t + step_dt if adaptive else (n * dt if n < n_steps else final_time)
 
-        if not all(np.all(np.isfinite(yi)) for yi in y):
+        v, S, a = physical(y)  # for the speed, the scalars and the nodes
+        if not all(np.all(np.isfinite(f)) for f in (v, S, a, *y[3:])):
             status = "nonfinite"
             break
 
         step_times.append(t)
-        record_scalars(y[0], y[2], step_dt, speed)
+        record_scalars(v, a, step_dt, speed)
         if n % store_every == 0 or not unfinished():
-            store(t, y)
+            store(t, (v, S, a, *map(grid.irfft, y[3:5]),
+                      *map(grid.ifft, y[5:])))
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break

@@ -3,6 +3,7 @@ import pytest
 
 from scnls import Grid
 from scnls.errors import GridMismatchError
+from scnls.grid import CHUNK_POINTS
 
 
 def l2_quadrature(grid, f):
@@ -145,6 +146,56 @@ class TestBatchAxes:
             op(g, np.zeros(wrong))
         with pytest.raises(GridMismatchError):  # batch axis trailing
             op(g, np.zeros((g.dim, *g.shape, 3)))
+
+
+class TestHalfSpectra:
+    """Real fields as rfftn half spectra: the spectral multipliers act on
+    them as on full spectra, and transforms of large batches go in chunks
+    with the bits of one call per member."""
+
+    @pytest.fixture(params=[(64,), (32, 16)], ids=["1d", "2d"])
+    def grid_and_real(self, request):
+        g = Grid(request.param, (2.0, 3.0)[: len(request.param)])
+        rng = np.random.default_rng(31)
+        return g, rng.standard_normal((3, *g.shape))
+
+    def test_shapes_and_round_trip(self, grid_and_real):
+        g, f = grid_and_real
+        fh = g.rfft(f)
+        assert fh.shape == (3, *g.half_shape)
+        assert np.max(np.abs(g.irfft(fh) - f)) < 1e-14 * np.max(np.abs(f))
+
+    def test_multipliers_match_full_spectra(self, grid_and_real):
+        g, f = grid_and_real
+        fh, full = g.rfft(f), g.fft(f)
+        scale = np.max(np.abs(g.gradient(f)))
+        pairs = [
+            (g.spectral_gradient, g.gradient(f).real),
+            (g.spectral_laplacian, g.laplacian(f).real),
+            (lambda h: g.project(h, g.dealias_mask), g.dealias(f).real),
+        ]
+        for op, expected in pairs:
+            assert np.max(np.abs(g.irfft(op(fh)) - expected)) < 1e-12 * scale
+            assert np.max(np.abs(g.ifft(op(full)) - expected)) < 1e-12 * scale
+        jet = g.spectral_jet(fh)
+        assert jet.shape == (1 + g.dim, *fh.shape)
+        np.testing.assert_array_equal(jet[0], fh)
+        np.testing.assert_array_equal(jet[1:], g.spectral_gradient(fh))
+
+    @pytest.mark.parametrize("name", ["fft", "ifft", "rfft", "irfft"])
+    def test_chunked_batch_equals_members(self, name):
+        # 5 fields of 128x64 points pass CHUNK_POINTS, so the batch goes in
+        # chunks; every member keeps the bits of its own call
+        g = Grid((128, 64), (4.0, 2.0))
+        assert 5 * g.size > CHUNK_POINTS >= g.size
+        rng = np.random.default_rng(32)
+        real = rng.standard_normal((5, *g.shape))
+        field = {"fft": real + 1j * real[::-1], "ifft": g.fft(real),
+                 "rfft": real, "irfft": g.rfft(real)}[name]
+        op = getattr(g, name)
+        out = op(field)
+        for m in range(5):
+            assert bits(out[m]) == bits(op(field[m]))
 
 
 class TestRoundTrip:

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scnls import Grid
+from scnls import Grid, limit
 from scnls.errors import ConfigError, NumericalGuardError
+from scnls.grid import CHUNK_POINTS
 from scnls.limit import (GrowthRow, _v_scalars, blowup_monitor,
                          characteristic_gradient_scale, euler_invariants,
                          evolve_limit, focusing_demo, power_consistency,
@@ -168,6 +170,35 @@ class TestEvolve:
             np.testing.assert_array_equal(traj.v[:, :, m], one.v)
         assert traj.v.shape == (3, 1, 2, *g.shape)
 
+    def test_batch_equals_members_2d(self):
+        # the 2-D twin: a joint stage of two 128x64 members passes
+        # CHUNK_POINTS, so its transforms go in chunks, and each member
+        # still equals its own run bit for bit
+        g = Grid((128, 64), (12.0, 12.0))
+        assert 9 * 2 * g.size > CHUNK_POINTS
+        x, y = g.coords
+        bump = np.exp(-(x**2 + 0.5 * y**2))
+        members = [InitialData(grid=g, a0=amp * bump * (1 + 0.2j * bump),
+                               a1=(0.4 * np.exp(-(x**2 + y**2) / 1.4)
+                                   ).astype(complex),
+                               phi0_periodic=phase * np.exp(-(x**2 + y**2)),
+                               phi0_wavevector=(0.0, 0.0))
+                   for amp, phase in ((1.0, 0.0), (0.8, 0.1))]
+        batch = InitialData(
+            grid=g, a0=np.stack([d.a0 for d in members]),
+            a1=np.stack([d.a1 for d in members]),
+            phi0_periodic=np.stack([d.phi0_periodic for d in members]),
+            phi0_wavevector=(0.0, 0.0))
+        kw = dict(dt=0.01, n_obs=3)
+        traj = evolve_limit(batch, 2, 0.02, a1=batch.a1, **kw)
+        for m, d in enumerate(members):
+            one = evolve_limit(d, 2, 0.02, a1=d.a1, **kw)
+            for name in ("S", "a", "phi", "phi1", "w"):
+                np.testing.assert_array_equal(getattr(traj, name)[:, m],
+                                              getattr(one, name))
+            np.testing.assert_array_equal(traj.v[:, :, m], one.v)
+        assert traj.v.shape == (3, 2, 2, *g.shape)
+
     def test_batch_over_budget_refused_before_run(self, monkeypatch):
         # 2,001 nodes of 512 points fit the budget once (49 MB) but not as a
         # batch of 64 members (3.1 GB); the refusal comes before any stage
@@ -218,6 +249,119 @@ class TestEvolve:
             assert traj.dt * steps == pytest.approx(0.25)
             # the per-step scalars still cover every step
             assert traj.grad_div_v_max.size == steps + 1
+
+
+def oracle_rhs(state, grid, sigma, psign, mask):
+    """The module docstring's right-hand sides in physical space:
+    Grid.gradient for every derivative and Grid.dealias on every product
+    (onto mask for the limit fields, onto the 2/3 band for the corrector
+    pair)."""
+    v, S, a, phi, *pair = state
+    grad_v = grid.gradient(v).real
+    div_v = np.trace(grad_v)
+    grad_S, grad_a = grid.gradient(S), grid.gradient(a)
+    p = np.abs(S) ** 2
+    grad_p = grid.gradient(p).real
+    out = [
+        grid.dealias(-(np.sum(v[:, None] * grad_v, axis=0) + psign * grad_p),
+                     mask).real,
+        grid.dealias(-(np.sum(v * grad_S, axis=0) + 0.5 * sigma * S * div_v),
+                     mask),
+        grid.dealias(-(np.sum(v * grad_a, axis=0) + 0.5 * a * div_v), mask),
+        grid.dealias(-(0.5 * np.sum(v**2, axis=0) + psign * p), mask).real,
+    ]
+    if pair:
+        phi1, w = pair
+        grad_phi1 = grid.gradient(phi1).real
+        lap_phi1 = grid.laplacian(phi1).real
+        dphi1 = -(np.sum(v * grad_phi1, axis=0) + 2.0 * sigma
+                  * np.real(np.conj(a) * w) * np.abs(a) ** (2 * sigma - 2))
+        dw = (-(np.sum(v * grid.gradient(w), axis=0)
+                + np.sum(grad_phi1 * grad_a, axis=0)
+                + 0.5 * w * div_v + 0.5 * a * lap_phi1)
+              + 0.5j * grid.laplacian(a))
+        out += [grid.dealias(dphi1).real, grid.dealias(dw)]
+    return out
+
+
+REAL_FIELDS = (True, False, False, True, True, False)  # v, S, a, phi, phi1, w
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Calls of each named numpy.fft function from here on."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def spectral(state, grid):
+    return tuple(grid.rfft(f) if real else grid.fft(f)
+                 for f, real in zip(state, REAL_FIELDS))
+
+
+def joint_state(grid, batch=()):
+    """Smooth fields of the joint state (v, S, a, phi, phi1, w), a batch
+    member per leading index."""
+    r2 = sum(c**2 for c in grid.coords)
+    scale = np.reshape(np.linspace(1.0, 0.7, max(1, math.prod(batch))),
+                       batch + (1,) * grid.dim)
+    bump = scale * np.exp(-r2)
+    a = bump * (1 + 0.3j * np.exp(-r2 / 2))
+    v = np.stack([0.4 * np.sin(c) * bump for c in grid.coords])
+    phi = 0.2 * bump * np.cos(sum(grid.coords))
+    phi1 = 0.1 * bump * np.sin(sum(grid.coords))
+    w = (0.5 - 0.2j) * scale * np.exp(-r2 / 1.4)
+    return v, a**2, a, phi, phi1, w
+
+
+class TestSpectralStage:
+    @pytest.mark.parametrize("case", ["1d", "2d", "batch", "cutoff"])
+    def test_matches_physical_oracle(self, case):
+        grid = {"2d": Grid((32, 32), (10.0, 10.0))}.get(case, Grid(256, 16.0))
+        batch = (3,) if case == "batch" else ()
+        mask, psign = grid.dealias_mask, 1
+        if case == "cutoff":
+            mask, psign = mask & grid.mode_mask(20), -1
+        state = joint_state(grid, batch)
+        expected = oracle_rhs(state, grid, 2, psign, mask)
+        dy = limit._rhs(spectral(state, grid), grid, 2, psign, mask)
+        assert len(dy) == 6
+        for got_h, want, real in zip(dy, expected, REAL_FIELDS):
+            got = grid.irfft(got_h) if real else grid.ifft(got_h)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("joint", [True, False], ids=["joint", "limit"])
+    def test_one_stage_takes_at_most_four_transforms(self, monkeypatch, joint):
+        # one inverse and one forward call per kind, real and complex
+        grid = Grid(512, 16.0)
+        y = spectral(joint_state(grid), grid)[: 6 if joint else 4]
+        calls = count_calls(monkeypatch, (
+            "fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
+            "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"))
+        dy = limit._rhs(y, grid, 2, 1, grid.dealias_mask)
+        assert len(dy) == len(y)
+        assert sum(calls.values()) <= 4, calls
+
+    def test_v_scalars_from_one_transform_pair(self, monkeypatch):
+        # grad v and grad div v come from one forward transform of v: the
+        # first two scalars keep the bits of Grid.gradient, the third agrees
+        # with the gradient of div v to roundoff
+        g = Grid((32, 16), (10.0, 8.0))
+        v = joint_state(g)[0]
+        grad_v = g.gradient(v).real
+        div_v = np.trace(grad_v)
+        old = (np.max(np.abs(grad_v)), np.max(np.abs(div_v)),
+               np.max(np.abs(g.gradient(div_v).real)))
+        calls = count_calls(monkeypatch, ("fftn", "ifftn"))
+        new = _v_scalars(v, g)
+        assert calls == {"fftn": 1, "ifftn": 1}
+        assert new[:2] == old[:2]
+        assert new[2] == pytest.approx(old[2], rel=1e-12)
 
 
 class TestRK4Step:
