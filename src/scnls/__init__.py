@@ -7,7 +7,8 @@ from .grid import Grid
 from .errors import ConfigError, GridMismatchError, NumericalGuardError, ScnlsError
 from .sigma_algebra import b_sigma, c_sigma_bound, f_sigma, g_sigma, p_sigma, q_sigma
 from .presets import InitialData, snap_wavevector
-from .nls import NLSConfig, NLSTrajectory, build_initial_data, evolve_nls, nls_invariants
+from .nls import (NLSConfig, NLSTrajectory, build_initial_data, evolve_nls,
+                  evolve_nls_batch, nls_invariants)
 from .limit import (BlowupReport, EulerInvariants, LimitState, LimitTrajectory,
                     blowup_monitor, euler_invariants, evolve_limit,
                     focusing_demo, reconstruct_phase)
@@ -22,7 +23,8 @@ __all__ = [
     "Grid", "ConfigError", "GridMismatchError", "NumericalGuardError", "ScnlsError",
     "b_sigma", "c_sigma_bound", "f_sigma", "g_sigma", "p_sigma", "q_sigma",
     "InitialData", "snap_wavevector",
-    "NLSConfig", "NLSTrajectory", "build_initial_data", "evolve_nls", "nls_invariants",
+    "NLSConfig", "NLSTrajectory", "build_initial_data", "evolve_nls",
+    "evolve_nls_batch", "nls_invariants",
     "BlowupReport", "EulerInvariants", "LimitState", "LimitTrajectory",
     "blowup_monitor", "euler_invariants", "evolve_limit", "focusing_demo",
     "reconstruct_phase",

@@ -30,6 +30,15 @@ the whole horizon, whose final state must agree with the run's (the
 step-doubling guard; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  For
 an order-p scheme the pair's difference is about 2^p - 1 times the run's own
 error, so a passed check bounds that error with margin.
+
+One loop integrates a batch of runs (evolve_nls_batch): the members share
+the grid shape, sigma and scheme, and each keeps its own epsilon, step,
+step count and observation times.  Every transform acts on the whole batch
+of running members, and the step-doubling checks ride in the same batch, so
+an epsilon ladder pays the per-call overhead of a 1-D transform once per
+substep instead of once per run.  Each member's snapshots carry the bits of
+its lone run as long as the batch and the lone run fall on the same side of
+numpy's 256 KiB temporary-elision size (see _evolve_batch).
 """
 
 from __future__ import annotations
@@ -161,93 +170,184 @@ def _split_obs_interval(delta: float, dt_raw: float) -> int:
     return max(1, int(np.ceil(delta / dt_raw - 1e-12)))
 
 
-def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
-                obs_times: np.ndarray) -> tuple[list[np.ndarray], float]:
-    grid = cfg.grid
-    eps, sigma = cfg.epsilon, cfg.sigma
-    deltas = np.diff(obs_times)
+def _obs_step(obs: np.ndarray, cfg: NLSConfig) -> tuple[int, float]:
+    """Steps per observation interval and the step, cfg.dt_raw rounded down
+    to divide the interval, after checking that obs is uniformly spaced from
+    0 to cfg.final_time."""
+    if len(obs) < 2 or obs[0] != 0.0 or abs(obs[-1] - cfg.final_time) > 1e-12:
+        raise ConfigError("time.T", "observation times must span [0, final_time]")
+    deltas = np.diff(obs)
+    if np.any(np.abs(deltas - deltas[0]) > 1e-12 * np.maximum(1.0, np.abs(deltas))):
+        raise ConfigError("time.observation_count", "observation times must be uniform")
     m = _split_obs_interval(float(deltas[0]), cfg.dt_raw)
-    dt = float(deltas[0]) / m
-    k2 = grid.k_squared
-    weights = SCHEMES[cfg.scheme]
+    return m, float(deltas[0]) / m
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    # snapshots are shared read-only
+    arr.setflags(write=False)
+    return arr
+
+
+def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
+    """Integrate a batch of runs in one split-step loop; (states, dt) each.
+
+    The members share the grid shape, sigma and scheme; each has its own
+    epsilon, step, step count and observation times, and so its own kick
+    and phase multipliers.  Every member's observation times are checked
+    before any member steps.  Sorted by substep count, the members still
+    running are a prefix u[:k] of the batch; each stores its snapshot and
+    checks it for non-finite values at its own observation times, and
+    retires after its last one.
+    """
+    obs_list = [np.asarray(obs, dtype=float) for obs in obs_list]
+    steps = [_obs_step(obs, cfg) for obs, cfg in zip(obs_list, cfgs)]
+    shape, sigma, scheme = cfgs[0].grid.shape, cfgs[0].sigma, cfgs[0].scheme
+    if any((c.grid.shape, c.sigma, c.scheme) != (shape, sigma, scheme) for c in cfgs):
+        raise ValueError("batch members must share grid shape, sigma and scheme")
+    weights = SCHEMES[scheme]
     n_w = len(weights)
-    n_sub = m * n_w  # substeps per observation interval
-    halves = [np.exp(-1j * eps * k2 * (w * dt) / 4.0) for w in weights]
+    n_sub = [m * n_w for m, _ in steps]  # substeps per observation interval
+    total = [n * (len(obs) - 1) for n, obs in zip(n_sub, obs_list)]
+    order = sorted(range(len(cfgs)), key=lambda b: -total[b])
+    total = [total[b] for b in order]
+    axes = tuple(range(1, len(shape) + 1))
+
+    def fft(f):  # s given, so numpy need not read it off f's shape
+        return np.fft.fftn(f, s=shape, axes=axes)
+
+    def ifft(f):
+        return np.fft.ifftn(f, s=shape, axes=axes)
+
+    halves = [[np.exp(-1j * cfgs[b].epsilon * cfgs[b].grid.k_squared
+                      * (w * steps[b][1]) / 4.0) for w in weights] for b in order]
+    first = np.stack([h[0] for h in halves])
+    last = np.stack([h[-1] for h in halves])
     # kick before substep j: the half steps of substeps j-1 and j merged
     # (kicks[0] joins the last substep of one step to the next step)
-    kicks = [halves[j - 1] * halves[j] for j in range(n_w)]
-    phases = [(-1j * (w * dt) / eps) for w in weights]
+    kicks = [np.stack([h[j - 1] * h[j] for h in halves]) for j in range(n_w)]
+    phases = [np.array([-1j * (w * steps[b][1]) / cfgs[b].epsilon for b in order]
+                       ).reshape((-1,) + (1,) * len(shape)) for w in weights]
+    # substep index -> members (positions in the sorted batch) that reach an
+    # observation time after it
+    bounds: dict[int, list[int]] = {}
+    for p, b in enumerate(order):
+        for r in range(1, len(obs_list[b])):
+            bounds.setdefault(r * n_sub[b] - 1, []).append(p)
 
-    def freeze(arr: np.ndarray) -> np.ndarray:
-        # snapshots are shared read-only
-        arr.setflags(write=False)
-        return arr
+    u = np.stack([np.asarray(u0s[b], dtype=complex) for b in order])
+    states = [[_freeze(row.copy())] for row in u]
+    u = ifft(fft(u) * first)
+    k = len(order)
+    for i in range(total[0]):
+        # Keep this expression: numpy elides a temporary of 256 KiB or more
+        # by multiplying exp*u in place of u*exp, and the complex multiply
+        # (FMA) rounds the two orders differently.  A member's bits equal
+        # those of its lone run only when the batch and the lone member fall
+        # on the same side of that size.
+        u = u * np.exp(phases[i % n_w][:k] * np.abs(u) ** (2 * sigma))
+        uh = fft(u)
+        at = bounds.get(i)
+        mult = kicks[(i + 1) % n_w][:k]
+        if at:
+            mult = mult.copy()
+            mult[at] = last[at]
+        uh *= mult
+        u = ifft(uh)
+        if not at:
+            continue
+        for p in at:
+            if not np.all(np.isfinite(u[p].view(float))):
+                t = obs_list[order[p]][len(states[p])]
+                raise NumericalGuardError(
+                    f"non-finite wavefunction at t={t:.6g}; reduce dt0")
+            states[p].append(_freeze(u[p].copy()))
+        going = [p for p in at if total[p] > i + 1]
+        if going:
+            u[going] = ifft(fft(u[going]) * first[going])
+        while k and total[k - 1] <= i + 1:
+            k -= 1
+        u = u[:k]
 
-    u = np.array(u0, dtype=complex)
-    states = [freeze(u.copy())]
-    for delta in deltas:
-        if abs(delta - deltas[0]) > 1e-12 * max(1.0, abs(delta)):
-            raise ConfigError("time.observation_count", "observation times must be uniform")
-        uh = np.fft.fftn(u) * halves[0]
-        for i in range(n_sub):
-            u = np.fft.ifftn(uh)
-            u = u * np.exp(phases[i % n_w] * np.abs(u) ** (2 * sigma))
-            uh = np.fft.fftn(u) * (kicks[(i + 1) % n_w] if i < n_sub - 1
-                                   else halves[-1])
-        u = np.fft.ifftn(uh)
-        if not np.all(np.isfinite(u.view(float))):
-            raise NumericalGuardError(
-                f"non-finite wavefunction at t={obs_times[len(states)]:.6g}; reduce dt0"
-            )
-        states.append(freeze(u.copy()))
-    return states, dt
+    out: list = [None] * len(order)
+    for p, b in enumerate(order):
+        out[b] = (states[p], steps[b][1])
+    return out
+
+
+def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
+                obs_times: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """The one-member form of _evolve_batch (bench/layers.py traces it)."""
+    return _evolve_batch([u0], [cfg], [obs_times])[0]
+
+
+def _check_tolerance(cfg: NLSConfig, u0: np.ndarray) -> float:
+    return cfg.self_check_factor * cfg.epsilon * max(cfg.grid.l2_norm(u0), 1e-300)
+
+
+def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
+    """Integrate several runs in one split-step loop, one trajectory each.
+
+    obs_times is shared by the runs and must be uniformly spaced, starting
+    at 0 and ending at each run's final_time (default: 0 and final_time
+    only); it is checked before any run steps.  Each run's step divides the
+    observation interval, rounded down from its cfg.dt_raw.  Each run with
+    self_check enabled brings its step-doubling check into the same loop: if
+    the run takes n steps, one more member with the same scheme covers
+    [0, T] in n // 2 steps (2*n when n <= 3, where no coarser step is left)
+    and stores only its end state.  If the final states differ by more than
+    self_check_factor*eps*||u0|| in L2, the run's trajectory is flagged
+    (self_check_ok False); nothing is raised for it.
+    """
+    runs, members = [], []
+    for u0, cfg in zip(u0s, cfgs):
+        u0 = np.asarray(u0)
+        if u0.shape != cfg.grid.shape:
+            raise GridMismatchError(f"u0 shape {u0.shape} != grid shape {cfg.grid.shape}")
+        obs = np.asarray([0.0, cfg.final_time] if obs_times is None else obs_times,
+                         dtype=float)
+        runs.append((u0, cfg, obs))
+        members.append((u0, cfg, obs))
+        if cfg.self_check:
+            _, dt = _obs_step(obs, cfg)
+            t_end = float(obs[-1])
+            n = round(t_end / dt)
+            n_check = n // 2 if n >= 4 else 2 * n
+            members.append((u0, replace(cfg, dt_override=t_end / n_check,
+                                        self_check=False), np.array([0.0, t_end])))
+
+    results = iter(_evolve_batch(*zip(*members)) if members else ())
+    trajs = []
+    for u0, cfg, obs in runs:
+        states, dt = next(results)
+        grid = cfg.grid
+        traj = NLSTrajectory(
+            grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
+            times=obs.copy(), states=states, dt=dt,
+            mass_history=np.array([grid.l2_norm(s) for s in states]),
+        )
+        if cfg.self_check:
+            check_states, traj.self_check_dt = next(results)
+            traj.self_check_error = grid.l2_norm(states[-1] - check_states[-1])
+            traj.self_check_ok = traj.self_check_error <= _check_tolerance(cfg, u0)
+        trajs.append(traj)
+    return trajs
 
 
 def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None) -> NLSTrajectory:
-    """Integrate to final_time, returning snapshots at the observation times.
-
-    obs_times must be uniformly spaced, starting at 0 and ending at
-    final_time (default: 0 and final_time only).  The actual step divides the
-    observation interval, rounded down from cfg.dt_raw.  With self_check
-    enabled a step-doubling check follows: if the run took n steps, one more
-    run with the same scheme covers [0, T] in n // 2 steps (2*n when n <= 3,
-    where no coarser step is left) and stores only its end state.  If the
-    final states differ by more than self_check_factor*eps*||u0|| in L2, it
-    raises NumericalGuardError carrying the flagged trajectory.
+    """Integrate one run to final_time, returning snapshots at the
+    observation times: the one-run case of evolve_nls_batch.  A failed
+    step-doubling check raises NumericalGuardError carrying the flagged
+    trajectory.
     """
-    grid = cfg.grid
-    u0 = np.asarray(u0)
-    if u0.shape != grid.shape:
-        raise GridMismatchError(f"u0 shape {u0.shape} != grid shape {grid.shape}")
-    if obs_times is None:
-        obs_times = np.array([0.0, cfg.final_time])
-    obs_times = np.asarray(obs_times, dtype=float)
-    if obs_times[0] != 0.0 or abs(obs_times[-1] - cfg.final_time) > 1e-12:
-        raise ConfigError("time.T", "observation times must span [0, final_time]")
-
-    states, dt = _evolve_raw(u0, cfg, obs_times)
-    traj = NLSTrajectory(
-        grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-        times=obs_times.copy(), states=states, dt=dt,
-        mass_history=np.array([grid.l2_norm(s) for s in states]),
-    )
-    if cfg.self_check:
-        t_end = float(obs_times[-1])
-        n = round(t_end / dt)
-        n_check = n // 2 if n >= 4 else 2 * n
-        check_cfg = replace(cfg, dt_override=t_end / n_check, self_check=False)
-        check_states, traj.self_check_dt = _evolve_raw(
-            u0, check_cfg, np.array([0.0, t_end]))
-        err = grid.l2_norm(states[-1] - check_states[-1])
-        tol = cfg.self_check_factor * cfg.epsilon * max(grid.l2_norm(u0), 1e-300)
-        traj.self_check_error = err
-        traj.self_check_ok = err <= tol
-        if not traj.self_check_ok:
-            raise NumericalGuardError(
-                f"step-doubling self-check failed: |u_dt - u_2dt| = {err:.3e} "
-                f"> {tol:.3e}; reduce dt0 (eps={cfg.epsilon}, dt={dt:.3e})",
-                value=err, trajectory=traj,
-            )
+    (traj,) = evolve_nls_batch([u0], [cfg], obs_times)
+    if not traj.self_check_ok:
+        err, tol = traj.self_check_error, _check_tolerance(cfg, np.asarray(u0))
+        raise NumericalGuardError(
+            f"step-doubling self-check failed: |u_dt - u_2dt| = {err:.3e} "
+            f"> {tol:.3e}; reduce dt0 (eps={cfg.epsilon}, dt={traj.dt:.3e})",
+            value=err, trajectory=traj,
+        )
     return traj
 
 

@@ -3,7 +3,11 @@
 One sweep runs one joint limit + corrector integration (evolve_limit with a1,
 stored at the observation times only) and, for each epsilon in a strictly
 decreasing ladder, a wavefunction integration with per-snapshot modulation
-diagnostics, then reduces everything into a per-epsilon row table:
+diagnostics, then reduces everything into a per-epsilon row table.  The
+wavefunction runs and their step-doubling checks go through
+evolve_nls_batch, a group of whole rungs per call (rung_groups: the whole
+default 1-D ladder in one call, one rung per call on 128x128).  The row
+table holds:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
@@ -28,11 +32,15 @@ import numpy as np
 from . import __version__
 from .artifacts import hashed_csv, hashed_json
 from .corrector import evolve_corrector, tilde_amplitude
+from .config import SNAPSHOT_BYTES_PER_POINT
 from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
-from .errors import ConfigError, NumericalGuardError
-from .limit import LimitState, evolve_limit
-from .nls import DT_EXPONENT, SCHEME, NLSConfig, build_initial_data, evolve_nls
+from .errors import ConfigError
+from .grid import CHUNK_POINTS
+from .limit import MAX_STORED_BYTES, LimitState, evolve_limit
+# evolve_nls stays bound here, unused, because bench/layers.py traces it
+from .nls import (DT_EXPONENT, SCHEME, NLSConfig, NLSTrajectory,  # noqa: F401
+                  build_initial_data, evolve_nls, evolve_nls_batch)
 from .presets import InitialData, snap_wavevector
 
 
@@ -152,27 +160,29 @@ class SweepResult:
         ], ROW_COLUMNS, self.rows)
 
 
-def _sweep_row(eps: float, plan: SweepPlan,
-               limit_states: list[tuple[LimitState, np.ndarray]],
-               obs_times: np.ndarray, eps_ref: float, c_hat: float, k: int,
-               sup_p: float) -> dict:
-    """One ladder rung; limit_states holds (limit state, a_tilde) per
-    observation time, shared by every rung."""
-    grid = plan.initial.grid
-    sigma = plan.sigma
-    u0 = build_initial_data(plan.initial, eps, epsilon_ref=eps_ref)
-    cfg = NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
-                    final_time=plan.final_time, dt0=plan.dt0,
-                    self_check=plan.self_check, scheme=SCHEME)
-    try:
-        traj = evolve_nls(u0, cfg, obs_times)
-    except NumericalGuardError as exc:
-        # a failed step-doubling check holds the run it flagged: keep the
-        # row, marked, and go on
-        if exc.trajectory is None:
-            raise
-        traj = exc.trajectory
+def rung_groups(n_rungs: int, points: int, n_obs: int,
+                self_check: bool) -> list[range]:
+    """Consecutive ladder rungs integrated in one wavefunction batch.
 
+    A rung is its run plus, with self_check, its step-doubling check.  A
+    group holds at most CHUNK_POINTS grid points (a larger transform call
+    costs more than one per chunk), and no more rungs than the snapshot
+    budget that config.parse_config grants one run,
+    n_obs * points * SNAPSHOT_BYTES_PER_POINT <= MAX_STORED_BYTES, allows.
+    """
+    members = 2 if self_check else 1
+    per = max(1, min(CHUNK_POINTS // (members * points),
+                     MAX_STORED_BYTES // (n_obs * points * SNAPSHOT_BYTES_PER_POINT)))
+    return [range(i, min(i + per, n_rungs)) for i in range(0, n_rungs, per)]
+
+
+def _sweep_row(traj: NLSTrajectory,
+               limit_states: list[tuple[LimitState, np.ndarray]],
+               c_hat: float, k: int, sup_p: float) -> dict:
+    """One ladder rung from its wavefunction run; limit_states holds
+    (limit state, a_tilde) per observation time, shared by every rung."""
+    grid = traj.grid
+    eps, sigma = traj.epsilon, traj.sigma
     snapshots = []
     for t, u, (ls, a_tilde) in zip(traj.times, traj.states, limit_states):
         rec = diagnostics_record(u, float(t), ls, eps, sigma,
@@ -216,7 +226,8 @@ def _sweep_row(eps: float, plan: SweepPlan,
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Execute the sweep: one shared joint limit + corrector run, one
-    wavefunction run per epsilon, diagnostics, and rate fits."""
+    wavefunction run per epsilon (batched by rung_groups), diagnostics, and
+    rate fits."""
     grid = plan.initial.grid
     sigma = plan.sigma
     eps_ref = max(plan.epsilon_list)
@@ -235,10 +246,20 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
 
-    plan2 = replace(plan, initial=initial)
-    rows = [_sweep_row(eps, plan2, limit_states, obs_times, eps_ref,
-                       c_hat, k, sup_p)
-            for eps in plan.epsilon_list]
+    # the rungs of a group integrate as one batch; a failed step-doubling
+    # check flags its row and the sweep goes on
+    rows = []
+    for group in rung_groups(len(plan.epsilon_list), grid.size, plan.n_obs,
+                             plan.self_check):
+        ladder = [plan.epsilon_list[i] for i in group]
+        u0s = [build_initial_data(initial, eps, epsilon_ref=eps_ref)
+               for eps in ladder]
+        cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
+                          final_time=plan.final_time, dt0=plan.dt0,
+                          self_check=plan.self_check, scheme=SCHEME)
+                for eps in ladder]
+        rows += [_sweep_row(traj, limit_states, c_hat, k, sup_p)
+                 for traj in evolve_nls_batch(u0s, cfgs, obs_times)]
 
     fits: dict[str, FitResult] = {}
     eps = [r["epsilon"] for r in rows]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from scnls import Grid
 from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
 from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
-                       evolve_nls, nls_invariants)
+                       evolve_nls, evolve_nls_batch, nls_invariants)
 from scnls.presets import InitialData, gaussian, snap_wavevector
 
 
@@ -267,13 +269,13 @@ class TestYoshida4:
     def test_guard_rerun_keeps_scheme(self, gaussian_data, monkeypatch):
         import scnls.nls as nls
         schemes = []
-        raw = nls._evolve_raw
+        raw = nls._evolve_batch
 
-        def spy(u0, cfg, obs_times):
-            schemes.append(cfg.scheme)
-            return raw(u0, cfg, obs_times)
+        def spy(u0s, cfgs, obs_list):
+            schemes.extend(cfg.scheme for cfg in cfgs)
+            return raw(u0s, cfgs, obs_list)
 
-        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        monkeypatch.setattr(nls, "_evolve_batch", spy)
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,
                         final_time=0.05, scheme="yoshida4")
         evolve_nls(build_initial_data(gaussian_data, 0.25), cfg)
@@ -399,13 +401,14 @@ class TestStepDoublingGuard:
         # the n observation intervals, so the reported run takes n steps
         import scnls.nls as nls
         calls = []
-        raw = nls._evolve_raw
+        raw = nls._evolve_batch
 
-        def spy(u0, cfg, obs_times):
-            calls.append((cfg.dt_override, np.array(obs_times)))
-            return raw(u0, cfg, obs_times)
+        def spy(u0s, cfgs, obs_list):
+            calls.extend((cfg.dt_override, np.array(obs))
+                         for cfg, obs in zip(cfgs, obs_list))
+            return raw(u0s, cfgs, obs_list)
 
-        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        monkeypatch.setattr(nls, "_evolve_batch", spy)
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=1.0, sigma=2,
                         final_time=self.T, scheme="yoshida4")
         u0 = build_initial_data(gaussian_data, 1.0)
@@ -472,3 +475,144 @@ class TestStepDoublingGuard:
                                          final_time=0.2, dt_override=0.05,
                                          self_check=False))
         assert np.array_equal(traj.states[-1], plain.states[-1])
+
+
+class TestBatch:
+    """evolve_nls_batch runs every member and every step-doubling check in
+    one split-step loop; each member gets the trajectory of its lone run."""
+
+    @staticmethod
+    def ladder(grid, ladder, T, self_check=True, scheme="yoshida4"):
+        x = grid.coords
+        r2 = sum(c**2 for c in x)
+        a = np.exp(-r2) * (1 + 0.2j * np.exp(-r2))
+        u0s = [a * np.exp(0.3j * np.exp(-r2) / eps) for eps in ladder]
+        cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=2, final_time=T,
+                          self_check=self_check, scheme=scheme)
+                for eps in ladder]
+        return u0s, cfgs
+
+    @staticmethod
+    def lone_runs(u0s, cfgs, obs):
+        return [evolve_nls(u0, cfg, obs) for u0, cfg in zip(u0s, cfgs)]
+
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    def test_bitwise_lone_runs_1d(self, scheme):
+        u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625, 0.03125),
+                                0.05, scheme=scheme)
+        obs = np.linspace(0.0, 0.05, 6)
+        batch = evolve_nls_batch(u0s, cfgs, obs)
+        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, obs)):
+            assert traj.dt == lone.dt
+            assert traj.self_check_dt == lone.self_check_dt
+            assert traj.self_check_error == lone.self_check_error
+            assert len(traj.states) == len(lone.states) == 6
+            for a, b in zip(traj.states, lone.states):
+                assert np.array_equal(a, b)
+
+    def test_bitwise_lone_runs_128x128(self):
+        # batch and lone runs both hold at least 256 KiB per array
+        u0s, cfgs = self.ladder(Grid((128, 128), (12.0, 12.0)), (0.25, 0.125), 0.01)
+        obs = np.linspace(0.0, 0.01, 3)
+        batch = evolve_nls_batch(u0s, cfgs, obs)
+        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, obs)):
+            assert (traj.dt, traj.self_check_dt, traj.self_check_error) == \
+                (lone.dt, lone.self_check_dt, lone.self_check_error)
+            for a, b in zip(traj.states, lone.states):
+                assert np.array_equal(a, b)
+
+    def test_roundoff_lone_runs_64x64(self):
+        # six 64 KiB members make a 384 KiB batch, a lone run and its check
+        # two arrays of 64 KiB: numpy elides the large temporaries only, so
+        # the product u*exp rounds in another operand order and the bits may
+        # differ.  The check error is a difference of two close states, so
+        # its roundoff is bounded relative to ||u0||, not to itself.
+        g = Grid((64, 64), (12.0, 12.0))
+        u0s, cfgs = self.ladder(g, (0.25, 0.125, 0.0625), 0.02)
+        obs = np.linspace(0.0, 0.02, 5)
+        batch = evolve_nls_batch(u0s, cfgs, obs)
+        for u0, traj, lone in zip(u0s, batch, self.lone_runs(u0s, cfgs, obs)):
+            assert (traj.dt, traj.self_check_dt) == (lone.dt, lone.self_check_dt)
+            for a, b in zip(traj.states, lone.states):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            assert abs(traj.self_check_error - lone.self_check_error) \
+                <= 1e-12 * g.l2_norm(u0)
+
+    def test_members_retire_after_their_last_step(self, monkeypatch):
+        # each member is transformed once at the start, once per substep and
+        # once more at each inner observation time, and no more
+        u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625), 0.05)
+        obs = np.linspace(0.0, 0.05, 6)
+        members = []
+        fftn = np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn",
+                            lambda f, *a, **k: members.append(len(f)) or fftn(f, *a, **k))
+        trajs = evolve_nls_batch(u0s, cfgs, obs)
+        substeps = [3 * round(0.05 / t.dt) for t in trajs]  # yoshida4
+        check_substeps = [3 * round(0.05 / t.self_check_dt) for t in trajs]
+        assert sum(members) == sum(1 + n + 4 for n in substeps) \
+            + sum(1 + n for n in check_substeps)
+        assert members[0] == 6 and members[-1] == 1
+
+    def test_failed_check_flags_only_its_member(self, gaussian_data):
+        g = gaussian_data.grid
+        u0 = build_initial_data(gaussian_data, 0.5)
+        strict = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
+                           dt_override=0.05, self_check_factor=1e-9)
+        sane = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
+                         dt_override=0.05)
+        flagged, passed = evolve_nls_batch([u0, u0], [strict, sane])
+        assert not flagged.self_check_ok
+        assert passed.self_check_ok
+        assert flagged.self_check_error == passed.self_check_error
+        with pytest.raises(NumericalGuardError):
+            evolve_nls(u0, strict)
+        assert np.array_equal(flagged.states[-1], evolve_nls(u0, sane).states[-1])
+
+    def test_nonfinite_member_raises_with_own_time(self, grid_1d):
+        # |u|^4 overflows at the first substep of the second member; its
+        # first observation time is T/3, the first member's T/4
+        import scnls.nls as nls
+        T = 0.04
+        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
+                        dt_override=0.005, self_check=False)
+        ok = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
+        bad = np.full(grid_1d.shape, 1e80, dtype=complex)
+        obs4, obs3 = np.linspace(0.0, T, 5), np.linspace(0.0, T, 4)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalGuardError, match=r"t=0\.0133333;"):
+            nls._evolve_batch([ok, bad], [cfg, cfg], [obs4, obs3])
+        states, _ = nls._evolve_raw(ok, cfg, obs4)
+        assert len(states) == 5
+
+    def test_observation_times_checked_before_any_transform(self, grid_1d,
+                                                            monkeypatch):
+        import scnls.nls as nls
+        calls = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
+        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
+                        dt_override=0.005, self_check=False)
+        u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
+        uneven = np.array([0.0, 0.01, 0.02, 0.025, 0.04])
+        with pytest.raises(ConfigError) as err:
+            nls._evolve_raw(u0, cfg, uneven)
+        assert err.value.key == "time.observation_count"
+        with pytest.raises(ConfigError):
+            nls._evolve_batch([u0, u0], [cfg, cfg],
+                              [np.linspace(0.0, 0.04, 5), uneven])
+        with pytest.raises(ConfigError):
+            evolve_nls(u0, replace(cfg, self_check=True), uneven)
+        assert calls == []
+        nls._evolve_raw(u0, cfg, np.linspace(0.0, 0.04, 5))
+        assert calls  # the spies see the transforms
+
+    def test_members_share_sigma_and_scheme(self, grid_1d):
+        u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
+        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
+                        self_check=False)
+        for other in (replace(cfg, sigma=1), replace(cfg, scheme="yoshida4")):
+            with pytest.raises(ValueError):
+                evolve_nls_batch([u0, u0], [cfg, other])

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from scnls import Grid
 from scnls.corrector import evolve_corrector, tilde_amplitude
+from scnls.config import SNAPSHOT_BYTES_PER_POINT, parse_config
 from scnls.errors import ConfigError
-from scnls.limit import evolve_limit
+from scnls.limit import MAX_STORED_BYTES, evolve_limit
 from scnls.nls import SCHEME, NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
-from scnls.sweep import (SweepPlan, fit_rate, run_sweep, sobolev_index,
-                         sup_exponent)
+from scnls.sweep import (SweepPlan, fit_rate, rung_groups, run_sweep,
+                         sobolev_index, sup_exponent)
 
 from conftest import hash_of_csv, hash_of_json
 
@@ -196,13 +198,13 @@ class TestGuardAndVariants:
         # exactly twice, the reported run and its step-doubling check
         import scnls.nls as nls
         calls = []
-        raw = nls._evolve_raw
+        raw = nls._evolve_batch
 
-        def spy(u0, cfg, obs_times):
-            calls.append(cfg.epsilon)
-            return raw(u0, cfg, obs_times)
+        def spy(u0s, cfgs, obs_list):
+            calls.extend(cfg.epsilon for cfg in cfgs)
+            return raw(u0s, cfgs, obs_list)
 
-        monkeypatch.setattr(nls, "_evolve_raw", spy)
+        monkeypatch.setattr(nls, "_evolve_batch", spy)
         g = Grid(256, 16.0)
         a0 = (2.5 * np.exp(-(g.axes[0] / 1.5) ** 2)).astype(complex)
         data = InitialData(grid=g, a0=a0,
@@ -236,6 +238,69 @@ class TestGuardAndVariants:
         res = run_sweep(plan)
         assert len(res.rows) == 1
         assert res.fits == {}
+
+
+class TestRungGroups:
+    """The sweep integrates whole rungs, a run and its step-doubling check,
+    in one wavefunction batch per group."""
+
+    @staticmethod
+    def spied_sweep(monkeypatch, plan):
+        import scnls.nls as nls
+        calls = []
+        raw = nls._evolve_batch
+
+        def spy(u0s, cfgs, obs_list):
+            calls.append([cfg.epsilon for cfg in cfgs])
+            return raw(u0s, cfgs, obs_list)
+
+        monkeypatch.setattr(nls, "_evolve_batch", spy)
+        return run_sweep(plan), calls
+
+    def test_one_call_for_a_1d_ladder(self, gaussian_data, monkeypatch):
+        ladder = (2.0**-2, 2.0**-3, 2.0**-4)
+        plan = SweepPlan(initial=gaussian_data, sigma=2, epsilon_list=ladder,
+                         final_time=0.05, n_obs=3)
+        res, calls = self.spied_sweep(monkeypatch, plan)
+        assert calls == [[eps for eps in ladder for _ in range(2)]]  # run, check
+        assert [r["epsilon"] for r in res.rows] == list(ladder)
+        assert all(r["self_check_ok"] for r in res.rows)
+
+    def test_one_call_per_rung_at_128x128(self, monkeypatch):
+        g = Grid((128, 128), (12.0, 12.0))
+        x, y = g.coords
+        a0 = np.exp(-(x**2 + y**2)).astype(complex)
+        data = InitialData(grid=g, a0=a0, a1=np.zeros(g.shape, dtype=complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(0.0, 0.0))
+        plan = SweepPlan(initial=data, sigma=2, epsilon_list=(0.25, 0.125),
+                         final_time=0.01, n_obs=3)
+        res, calls = self.spied_sweep(monkeypatch, plan)
+        assert calls == [[0.25, 0.25], [0.125, 0.125]]
+        assert len(res.rows) == 2
+
+    def test_group_sizes(self):
+        assert rung_groups(5, 512, 20, True) == [range(5)]
+        assert rung_groups(3, 128 * 128, 11, True) == [range(0, 1), range(1, 2),
+                                                      range(2, 3)]
+        # without checks a rung is one member
+        assert rung_groups(3, 128 * 128, 11, False) == [range(0, 2), range(2, 3)]
+        assert rung_groups(3, 64 * 64, 5, True) == [range(3)]
+
+    def test_groups_within_snapshot_budget(self):
+        # a long ladder on a 16-point grid: the transform bound alone would
+        # put 1,024 rungs in a group, each storing 150,000 snapshots
+        ladder = [0.5 * 0.9**i for i in range(40)]
+        cfg = parse_config(json.dumps({
+            "grid": {"N": 16, "L": 8.0},
+            "physics": {"sigma": 2, "epsilon_list": ladder},
+            "time": {"T": 0.25, "observation_count": 150_000}}))
+        n_obs = cfg.observation_count
+        groups = rung_groups(len(cfg.epsilon_list), 16, n_obs, True)
+        assert [i for group in groups for i in group] == list(range(40))
+        assert len(groups) > 1
+        for group in groups:
+            assert len(group) * n_obs * 16 * SNAPSHOT_BYTES_PER_POINT <= MAX_STORED_BYTES
 
 
 class TestTwoDimensions:
