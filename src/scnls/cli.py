@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import hashed_csv, hashed_json
-from .config import RunConfig, blowup_options, focusing_options, parse_config
+from .config import RunConfig, demo_options, parse_config
 from .corrector import evolve_corrector, tilde_amplitude
 from .errors import ConfigError, NumericalGuardError
 from .grid import Grid
@@ -55,8 +55,9 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     path.write_text(hashed_json(payload) + "\n")
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict],
-               cfg: RunConfig) -> None:
+def _write_csv(path: Path, rows: list[dict], cfg: RunConfig) -> None:
+    """rows as a CSV table whose columns are the keys of rows[0], in order."""
+    columns = tuple(rows[0])
     path.write_text(hashed_csv([
         "# columns: " + ",".join(columns),
         "# config_hash: " + cfg.content_hash(),
@@ -75,42 +76,62 @@ def _obs_times(cfg: RunConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# runs shared by the commands
+
+
+def _nls_run(cfg: RunConfig, data: InitialData) -> tuple:
+    """The commands' wavefunction run over the observation times, and the
+    invariants of each of its snapshots."""
+    ncfg = NLSConfig(grid=data.grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
+                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
+    traj = evolve_nls(build_initial_data(data, cfg.epsilon), ncfg, _obs_times(cfg))
+    return traj, [nls_invariants(u, float(t), data.grid, cfg.epsilon, cfg.sigma)
+                  for t, u in zip(traj.times, traj.states)]
+
+
+def _limit_states(cfg: RunConfig, traj) -> list:
+    """(time, state) of a limit run at each observation time."""
+    return [(float(t), traj.state_at(float(t))) for t in _obs_times(cfg)]
+
+
+def _euler_row(t: float, state, sigma: int) -> dict:
+    """The invariants of a limit state as a CSV row, at observation time t
+    (the node time state.time can differ from it in the last bit)."""
+    return {**vars(euler_invariants(state, sigma)), "time": t}
+
+
+def _at_rest(grid: Grid, a0, label: str) -> InitialData:
+    """Amplitude a0 with zero phase and no first-order amplitude."""
+    return InitialData(grid=grid, a0=np.asarray(a0, dtype=complex),
+                       a1=np.zeros(grid.shape, dtype=complex),
+                       phi0_periodic=np.zeros(grid.shape),
+                       phi0_wavevector=(0.0,) * grid.dim, label=label)
+
+
+def _drift(x, x0, floor: float = 1e-300) -> float:
+    """max |x - x0| relative to max |x0|, the latter at least floor."""
+    return float(np.max(np.abs(x - x0))) / max(float(np.max(np.abs(x0))), floor)
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    grid = cfg.make_grid()
-    data = cfg.make_initial_data(grid)
-    u0 = build_initial_data(data, cfg.epsilon)
-    ncfg = NLSConfig(grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
-    traj = evolve_nls(u0, ncfg, _obs_times(cfg))
-    rows = []
-    for t, u in zip(traj.times, traj.states):
-        inv = nls_invariants(u, float(t), grid, cfg.epsilon, cfg.sigma)
-        rows.append({
-            "time": float(t), "mass": inv.mass, "energy": inv.energy,
-            "momentum": inv.momentum, "pseudo_conformal": inv.pseudo_conformal,
-            "weighted_mass_center": inv.weighted_mass_center,
-            "boundary_tail": inv.boundary_tail, "support_ok": inv.support_ok,
-        })
-    cols = ("time", "mass", "energy", "momentum", "pseudo_conformal",
-            "weighted_mass_center", "boundary_tail", "support_ok")
+    traj, invs = _nls_run(cfg, cfg.make_initial_data())
     if "csv" in cfg.formats:
-        _write_csv(out / "invariants.csv", cols, rows, cfg)
+        _write_csv(out / "invariants.csv", [vars(inv) for inv in invs], cfg)
     if "snapshots" in cfg.formats:
         write_snapshots(out / "wavefunction.snap",
-                        [("u", float(t), u, grid)
+                        [("u", float(t), u, traj.grid)
                          for t, u in zip(traj.times, traj.states)],
                         extra={"config_hash": cfg.content_hash()})
-    m0, mT = rows[0]["mass"], rows[-1]["mass"]
     summary = {
         "command": "simulate",
         "epsilon": cfg.epsilon, "sigma": cfg.sigma, "dt": traj.dt,
-        "scheme": ncfg.scheme,
-        "mass_drift_rel": abs(mT - m0) / m0 if m0 else 0.0,
-        "energy_drift_rel": abs(rows[-1]["energy"] - rows[0]["energy"])
-        / max(abs(rows[0]["energy"]), 1e-300),
+        "scheme": SCHEME,
+        "mass_drift_rel": _drift(invs[-1].mass, invs[0].mass),
+        "energy_drift_rel": _drift(invs[-1].energy, invs[0].energy),
         "self_check_error": traj.self_check_error,
         "self_check_dt": traj.self_check_dt,
         "self_check_ok": traj.self_check_ok,
@@ -120,33 +141,20 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
 
 def cmd_limit(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
-    data = cfg.make_initial_data(grid)
-    traj = evolve_limit(data, cfg.sigma, cfg.final_time, n_obs=cfg.observation_count)
-    rows = []
+    traj = evolve_limit(cfg.make_initial_data(grid), cfg.sigma, cfg.final_time,
+                        n_obs=cfg.observation_count)
+    rows, recs = [], []
     grad_phi_err = 0.0
-    for t in _obs_times(cfg):
-        st = traj.state_at(float(t))
-        inv = euler_invariants(st, cfg.sigma)
-        rows.append({
-            "time": float(t), "mass": inv.mass, "energy": inv.energy,
-            "momentum": inv.momentum, "pseudo_conformal": inv.pseudo_conformal,
-            "center_of_mass": inv.center_of_mass,
-            "total_pressure": inv.total_pressure,
-            "boundary_tail": inv.boundary_tail, "support_ok": inv.support_ok,
-        })
+    for t, st in _limit_states(cfg, traj):
+        rows.append(_euler_row(t, st, cfg.sigma))
         k = np.reshape(st.phi_wavevector, (-1,) + (1,) * grid.dim)
         dphi = grid.gradient(st.phi_periodic).real + k
         grad_phi_err = max(grad_phi_err, *map(grid.l2_norm, dphi - st.v))
-    cols = ("time", "mass", "energy", "momentum", "pseudo_conformal",
-            "center_of_mass", "total_pressure", "boundary_tail", "support_ok")
+        recs.append(("a", t, st.a, grid))
+        recs += [(f"v{j}", t, vj, grid) for j, vj in enumerate(st.v)]
     if "csv" in cfg.formats:
-        _write_csv(out / "euler_invariants.csv", cols, rows, cfg)
+        _write_csv(out / "euler_invariants.csv", rows, cfg)
     if "snapshots" in cfg.formats:
-        recs = []
-        for t in _obs_times(cfg):
-            st = traj.state_at(float(t))
-            recs.append(("a", float(t), st.a, grid))
-            recs += [(f"v{j}", float(t), vj, grid) for j, vj in enumerate(st.v)]
         write_snapshots(out / "limit.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
     summary = {
@@ -157,30 +165,27 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
         "grad_phi_minus_v_l2_max": grad_phi_err,
         "power_consistency_banded_max": power_consistency(traj, banded=True),
         "power_consistency_raw_max": power_consistency(traj, banded=False),
-        "mass_drift_rel": abs(rows[-1]["mass"] - rows[0]["mass"])
-        / max(rows[0]["mass"], 1e-300),
+        "mass_drift_rel": _drift(rows[-1]["mass"], rows[0]["mass"]),
     }
     _write_json(out / "summary.json", summary, cfg)
 
 
 def cmd_corrector(cfg: RunConfig, out: Path) -> None:
-    grid = cfg.make_grid()
-    data = cfg.make_initial_data(grid)
+    data = cfg.make_initial_data()
+    grid = data.grid
     traj = evolve_corrector(evolve_limit(
         data, cfg.sigma, cfg.final_time, n_obs=cfg.observation_count,
         a1=data.a1))
     phi1_max = 0.0
     modulus_gap = 0.0
     recs = []
-    for t in _obs_times(cfg):
-        ls = traj.state_at(float(t))
+    for t, ls in _limit_states(cfg, traj):
         a_tilde = tilde_amplitude(ls)
         phi1_max = max(phi1_max, float(np.max(np.abs(ls.phi1))))
         modulus_gap = max(modulus_gap, float(np.max(
             np.abs(np.abs(a_tilde) - np.abs(ls.a)))))
-        recs.append(("phi1", float(t), ls.phi1, grid))
-        recs.append(("w", float(t), ls.w, grid))
-        recs.append(("a_tilde", float(t), a_tilde, grid))
+        recs += [("phi1", t, ls.phi1, grid), ("w", t, ls.w, grid),
+                 ("a_tilde", t, a_tilde, grid)]
     if "snapshots" in cfg.formats:
         write_snapshots(out / "corrector.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
@@ -212,66 +217,44 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_conserve(cfg: RunConfig, out: Path) -> None:
-    grid = cfg.make_grid()
-    data = cfg.make_initial_data(grid)
-    u0 = build_initial_data(data, cfg.epsilon)
-    ncfg = NLSConfig(grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
-    traj = evolve_nls(u0, ncfg, _obs_times(cfg))
+    data = cfg.make_initial_data()
+    traj, invs = _nls_run(cfg, data)
     ltraj = evolve_limit(data, cfg.sigma, cfg.final_time,
                          n_obs=cfg.observation_count)
-    rows = []
-    base_n = nls_invariants(traj.states[0], 0.0, grid, cfg.epsilon, cfg.sigma)
-    base_e = euler_invariants(ltraj.state_at(0.0), cfg.sigma)
-    for t, u in zip(traj.times, traj.states):
-        inv = nls_invariants(u, float(t), grid, cfg.epsilon, cfg.sigma)
-        ein = euler_invariants(ltraj.state_at(float(t)), cfg.sigma)
-        rows.append({
-            "time": float(t),
-            "nls_mass_drift": abs(inv.mass - base_n.mass) / max(base_n.mass, 1e-300),
-            "nls_energy_drift": abs(inv.energy - base_n.energy)
-            / max(abs(base_n.energy), 1e-300),
-            "nls_momentum_drift": float(np.max(np.abs(inv.momentum - base_n.momentum)))
-            / max(float(np.max(np.abs(base_n.momentum))), 1.0),
-            "nls_pseudo_conformal": inv.pseudo_conformal,
-            "euler_mass_drift": abs(ein.mass - base_e.mass) / max(base_e.mass, 1e-300),
-            "euler_energy_drift": abs(ein.energy - base_e.energy)
-            / max(abs(base_e.energy), 1e-300),
-            "euler_momentum_drift": float(np.max(np.abs(ein.momentum - base_e.momentum)))
-            / max(float(np.max(np.abs(base_e.momentum))), 1.0),
-            "euler_pseudo_conformal": ein.pseudo_conformal,
-            "total_pressure": ein.total_pressure,
-        })
-    cols = tuple(rows[0].keys())
+    erows = [_euler_row(t, st, cfg.sigma) for t, st in _limit_states(cfg, ltraj)]
+    n0, e0 = invs[0], erows[0]
+    rows = [{
+        "time": inv.time,
+        "nls_mass_drift": _drift(inv.mass, n0.mass),
+        "nls_energy_drift": _drift(inv.energy, n0.energy),
+        "nls_momentum_drift": _drift(inv.momentum, n0.momentum, 1.0),
+        "nls_pseudo_conformal": inv.pseudo_conformal,
+        "euler_mass_drift": _drift(e["mass"], e0["mass"]),
+        "euler_energy_drift": _drift(e["energy"], e0["energy"]),
+        "euler_momentum_drift": _drift(e["momentum"], e0["momentum"], 1.0),
+        "euler_pseudo_conformal": e["pseudo_conformal"],
+        "total_pressure": e["total_pressure"],
+    } for inv, e in zip(invs, erows)]
     if "csv" in cfg.formats:
-        _write_csv(out / "conservation.csv", cols, rows, cfg)
-    summary = {
-        "command": "conserve",
-        "dt": traj.dt, "scheme": ncfg.scheme,
-        "max_nls_mass_drift": max(r["nls_mass_drift"] for r in rows),
-        "max_nls_energy_drift": max(r["nls_energy_drift"] for r in rows),
-        "max_nls_momentum_drift": max(r["nls_momentum_drift"] for r in rows),
-        "max_euler_mass_drift": max(r["euler_mass_drift"] for r in rows),
-        "max_euler_energy_drift": max(r["euler_energy_drift"] for r in rows),
-        "max_euler_momentum_drift": max(r["euler_momentum_drift"] for r in rows),
-    }
+        _write_csv(out / "conservation.csv", rows, cfg)
+    summary = {"command": "conserve", "dt": traj.dt, "scheme": SCHEME}
+    for name in ("nls_mass", "nls_energy", "nls_momentum", "euler_mass",
+                 "euler_energy", "euler_momentum"):
+        summary[f"max_{name}_drift"] = max(r[f"{name}_drift"] for r in rows)
     _write_json(out / "summary.json", summary, cfg)
 
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> None:
-    opts = blowup_options(cfg)
-    grid = Grid(cfg.n, (opts["grid_length"],) * cfg.dim, dim=cfg.dim)
+    opts = demo_options(cfg.blowup, "blowup")
+    length = opts["grid_length"] or cfg.length[0]
+    grid = Grid(cfg.n, (length,) * cfg.dim, dim=cfg.dim)
     rows = []
     for amp in opts["amplitudes"]:
         a0 = compact_bump(grid, radius=opts["radius"], amplitude=amp)
-        data = InitialData(grid=grid, a0=np.asarray(a0, dtype=complex),
-                           a1=np.zeros(grid.shape, dtype=complex),
-                           phi0_periodic=np.zeros(grid.shape),
-                           phi0_wavevector=(0.0,) * grid.dim,
-                           label=f"compact_bump(amp={amp})")
+        data = _at_rest(grid, a0, f"compact_bump(amp={amp})")
         scale = characteristic_gradient_scale(
-            grid, np.zeros((grid.dim, *grid.shape)),
-            np.asarray(a0, dtype=complex) ** cfg.sigma, cfg.sigma)
+            grid, np.zeros((grid.dim, *grid.shape)), data.a0 ** cfg.sigma,
+            cfg.sigma)
         traj = evolve_limit(data, cfg.sigma, opts["max_time"], adaptive=True,
                             strict=False, store_every=50,
                             grad_stop=40.0 * max(scale, 1e-8))
@@ -294,9 +277,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
         if rows[i]["amplitude"] < rows[i + 1]["amplitude"]
     )
     if "csv" in cfg.formats:
-        _write_csv(out / "blowup.csv",
-                   ("amplitude", "breakdown_flag", "t_estimate",
-                    "t_uncertainty", "status", "envelope_ok"), rows, cfg)
+        _write_csv(out / "blowup.csv", rows, cfg)
     _write_json(out / "blowup.json", {
         "command": "blowup", "sigma": cfg.sigma, "rows": rows,
         "monotone_in_amplitude": monotone,
@@ -306,32 +287,21 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
-    opts = focusing_options(cfg)
-    length = 2.0 * math.pi
-    grid = Grid(cfg.n, (length,) * cfg.dim, dim=cfg.dim)
-    a0 = constant(grid, math.sqrt(opts["rho0"]))
-    data = InitialData(grid=grid, a0=np.asarray(a0, dtype=complex),
-                       a1=np.zeros(grid.shape, dtype=complex),
-                       phi0_periodic=np.zeros(grid.shape),
-                       phi0_wavevector=(0.0,) * grid.dim,
-                       label="constant-background")
-    unstable = focusing_demo(data, opts["wavenumbers"], cfg.sigma,
-                             pressure_sign=-1, delta=opts["delta"],
-                             window=opts["window"], dt=opts["dt"])
-    control = focusing_demo(data, opts["wavenumbers"], cfg.sigma,
-                            pressure_sign=1, delta=opts["delta"],
-                            window=opts["window"], dt=opts["dt"])
-    rows = []
-    for u, c in zip(unstable, control):
-        rows.append({
-            "mode": u.mode, "xi": u.xi,
-            "rate_focusing": u.rate, "max_growth_focusing": u.max_growth,
-            "rate_defocusing": c.rate, "max_growth_defocusing": c.max_growth,
-        })
+    opts = demo_options(cfg.focusing, "focusing")
+    grid = Grid(cfg.n, (2.0 * math.pi,) * cfg.dim, dim=cfg.dim)
+    data = _at_rest(grid, constant(grid, math.sqrt(opts["rho0"])),
+                    "constant-background")
+    unstable, control = (
+        focusing_demo(data, opts["wavenumbers"], cfg.sigma, pressure_sign=sign,
+                      delta=opts["delta"], window=opts["window"], dt=opts["dt"])
+        for sign in (-1, 1))
+    rows = [{
+        "mode": u.mode, "xi": u.xi,
+        "rate_focusing": u.rate, "max_growth_focusing": u.max_growth,
+        "rate_defocusing": c.rate, "max_growth_defocusing": c.max_growth,
+    } for u, c in zip(unstable, control)]
     if "csv" in cfg.formats:
-        _write_csv(out / "focusing.csv",
-                   ("mode", "xi", "rate_focusing", "max_growth_focusing",
-                    "rate_defocusing", "max_growth_defocusing"), rows, cfg)
+        _write_csv(out / "focusing.csv", rows, cfg)
     increasing = all(rows[i + 1]["rate_focusing"] > rows[i]["rate_focusing"]
                      for i in range(len(rows) - 1))
     _write_json(out / "focusing.json", {

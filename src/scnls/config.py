@@ -11,14 +11,20 @@ Sections and keys (all optional unless noted):
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)
-    blowup:   max_time, amplitudes, radius, grid_length (breakdown command)
-    focusing: wavenumbers, delta, window, dt, rho0 (frequency-growth command)
+    blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0),
+              grid_length (grid.L): the breakdown command
+    focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
+              dt (2e-3), rho0 (1.0): the frequency-growth command, which
+              exits 2 on a wavenumber above the 2/3 band (N // 3 on axis
+              0) and on a dt over the CFL bound (its run takes no step)
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
-Unknown sections or keys are rejected, naming the offending key, and so is
-a run whose grid or stored snapshots exceed the memory budget below.  The
-parsed config serializes back to a canonical document (parse -> serialize ->
-parse is the identity), and every artifact embeds the effective config.
+Demo values are positive numbers (amplitudes and wavenumbers non-empty
+lists of them, wavenumbers integers).  Unknown sections or keys are
+rejected, naming the offending key, and so is a run whose grid or stored
+snapshots exceed the memory budget below.  The parsed config serializes
+back to a canonical document (parse -> serialize -> parse is the
+identity), and every artifact embeds the effective config.
 """
 
 from __future__ import annotations
@@ -36,18 +42,6 @@ from .presets import InitialData, make_amplitude, make_phase
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
-_SECTIONS = {"grid", "physics", "time", "initial", "output", "blowup",
-             "focusing", "seed"}
-_KEYS = {
-    "grid": {"dim", "N", "L"},
-    "physics": {"sigma", "epsilon", "epsilon_list"},
-    "time": {"T", "dt0", "observation_count"},
-    "initial": {"a0_preset", "a0_params", "a1_preset", "a1_params",
-                "phi0_preset", "phi0_params"},
-    "output": {"directory", "formats"},
-    "blowup": {"max_time", "amplitudes", "radius", "grid_length"},
-    "focusing": {"wavenumbers", "delta", "window", "dt", "rho0"},
-}
 _FORMATS = {"csv", "json", "snapshots"}
 
 # memory budget, checked before anything is allocated: the grid size, and
@@ -166,14 +160,34 @@ def _positive_list(value, key: str, kind=_as_num) -> list:
     return [_positive(v, key, kind) for v in value]
 
 
-# demo sections: key -> validator of its value
-_DEMO_CHECKS = {
-    "blowup": {"max_time": _positive, "amplitudes": _positive_list,
-               "radius": _positive, "grid_length": _positive},
-    "focusing": {"wavenumbers": lambda v, key: _positive_list(v, key, _as_int),
-                 "delta": _positive, "window": _positive, "dt": _positive,
-                 "rho0": _positive},
+# demo sections: key -> (validator of its value, default); the blowup
+# grid_length None stands for grid.L
+_DEMO = {
+    "blowup": {"max_time": (_positive, 20.0),
+               "amplitudes": (_positive_list, (0.5, 1.0)),
+               "radius": (_positive, 3.0), "grid_length": (_positive, None)},
+    "focusing": {"wavenumbers": (lambda v, key: _positive_list(v, key, _as_int),
+                                 (4, 8, 16, 32)),
+                 "delta": (_positive, 1e-7), "window": (_positive, 0.35),
+                 "dt": (_positive, 2e-3), "rho0": (_positive, 1.0)},
 }
+_KEYS = {
+    "grid": {"dim", "N", "L"},
+    "physics": {"sigma", "epsilon", "epsilon_list"},
+    "time": {"T", "dt0", "observation_count"},
+    "initial": {"a0_preset", "a0_params", "a1_preset", "a1_params",
+                "phi0_preset", "phi0_params"},
+    "output": {"directory", "formats"},
+    **{section: set(keys) for section, keys in _DEMO.items()},
+}
+_SECTIONS = {*_KEYS, "seed"}
+
+
+def demo_options(values: dict, section: str) -> dict:
+    """The options of a demo section: each value in ``values`` checked and
+    converted, each missing one its default."""
+    return {key: check(values[key], f"{section}.{key}") if key in values
+            else default for key, (check, default) in _DEMO[section].items()}
 
 
 def _axis_tuple(value, dim: int, key: str, kind):
@@ -190,6 +204,7 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
     _need(isinstance(doc, dict), "<document>", "top level must be an object")
+    default = RunConfig()
     unknown = set(doc) - _SECTIONS
     _need(not unknown, sorted(unknown)[0] if unknown else "",
           "unknown top-level section")
@@ -201,24 +216,24 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"{section}.{sorted(bad)[0]}", "unknown key")
 
     g = doc.get("grid", {})
-    dim = _as_int(g.get("dim", 1), "grid.dim")
+    dim = _as_int(g.get("dim", default.dim), "grid.dim")
     _need(dim in (1, 2), "grid.dim", f"must be 1 or 2, got {dim}")
-    n = _axis_tuple(g.get("N", 512), dim, "grid.N", _as_int)
+    n = _axis_tuple(g.get("N", default.n[0]), dim, "grid.N", _as_int)
     for ni in n:
         _need(ni >= 16 and (ni & (ni - 1)) == 0, "grid.N",
               f"must be a power of two >= 16, got {ni}")
     points = math.prod(n)
     _need(points <= MAX_GRID_POINTS, "grid.N",
           f"{points} grid points exceed the budget of {MAX_GRID_POINTS}")
-    length = _axis_tuple(g.get("L", 16.0), dim, "grid.L", _as_num)
+    length = _axis_tuple(g.get("L", default.length[0]), dim, "grid.L", _as_num)
     for li in length:
         _need(li > 0, "grid.L", f"must be positive, got {li}")
 
     p = doc.get("physics", {})
-    sigma = _as_int(p.get("sigma", 2), "physics.sigma")
+    sigma = _as_int(p.get("sigma", default.sigma), "physics.sigma")
     _need(1 <= sigma <= 6, "physics.sigma",
           f"must be an integer in 1..6 (positive nonlinearity exponent), got {sigma}")
-    epsilon = _as_num(p.get("epsilon", 0.125), "physics.epsilon")
+    epsilon = _as_num(p.get("epsilon", default.epsilon), "physics.epsilon")
     _need(0.0 < epsilon <= 1.0, "physics.epsilon",
           f"must be in (0, 1], got {epsilon}")
     if "epsilon_list" in p:
@@ -232,14 +247,15 @@ def parse_config(text: str) -> RunConfig:
         _need(all(eps_list[i + 1] < eps_list[i] for i in range(len(eps_list) - 1)),
               "physics.epsilon_list", "must be strictly decreasing")
     else:
-        eps_list = DEFAULT_EPSILON_LADDER
+        eps_list = default.epsilon_list
 
     tm = doc.get("time", {})
-    final_time = _as_num(tm.get("T", 0.25), "time.T")
+    final_time = _as_num(tm.get("T", default.final_time), "time.T")
     _need(final_time > 0, "time.T", "must be positive")
-    dt0 = _as_num(tm.get("dt0", 0.01), "time.dt0")
+    dt0 = _as_num(tm.get("dt0", default.dt0), "time.dt0")
     _need(dt0 > 0, "time.dt0", "must be positive")
-    n_obs = _as_int(tm.get("observation_count", 20), "time.observation_count")
+    n_obs = _as_int(tm.get("observation_count", default.observation_count),
+                    "time.observation_count")
     _need(n_obs >= 3, "time.observation_count", "must be >= 3")
     stored = n_obs * points * SNAPSHOT_BYTES_PER_POINT
     _need(stored <= MAX_STORED_BYTES, "time.observation_count",
@@ -253,15 +269,17 @@ def parse_config(text: str) -> RunConfig:
             check_step_count(final_time, scheme_step(SCHEME, dt0, e), key)
 
     ini = doc.get("initial", {})
+    initial = {key: ini.get(key, getattr(default, key))
+               for key in _KEYS["initial"]}
     for pk in ("a0_params", "a1_params", "phi0_params"):
-        if pk in ini:
-            _need(isinstance(ini[pk], dict), f"initial.{pk}", "must be an object")
+        _need(isinstance(initial[pk], dict), f"initial.{pk}", "must be an object")
+        initial[pk] = dict(initial[pk])
 
     out = doc.get("output", {})
-    directory = out.get("directory", "scnls-out")
+    directory = out.get("directory", default.directory)
     _need(isinstance(directory, str) and directory, "output.directory",
           "must be a non-empty string")
-    formats = out.get("formats", ["csv", "json"])
+    formats = out.get("formats", list(default.formats))
     _need(isinstance(formats, list)
           and all(isinstance(f, str) for f in formats), "output.formats",
           "must be a list of strings")
@@ -269,12 +287,8 @@ def parse_config(text: str) -> RunConfig:
     bad = set(formats) - _FORMATS
     _need(not bad, "output.formats", f"unknown formats: {sorted(bad)}")
 
-    for section, checks in _DEMO_CHECKS.items():
-        for key, check in checks.items():
-            if key in doc.get(section, {}):
-                check(doc[section][key], f"{section}.{key}")
-    blow = dict(doc.get("blowup", {}))
-    foc = dict(doc.get("focusing", {}))
+    for section in _DEMO:
+        demo_options(doc.get(section, {}), section)
     seed = doc.get("seed")
     if seed is not None:
         seed = _as_int(seed, "seed")
@@ -282,37 +296,11 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(
         dim=dim, n=n, length=length, sigma=sigma, epsilon=epsilon,
         epsilon_list=eps_list, final_time=final_time, dt0=dt0,
-        observation_count=n_obs,
-        a0_preset=ini.get("a0_preset", "gaussian"),
-        a0_params=dict(ini.get("a0_params", {})),
-        a1_preset=ini.get("a1_preset", "zero"),
-        a1_params=dict(ini.get("a1_params", {})),
-        phi0_preset=ini.get("phi0_preset", "zero"),
-        phi0_params=dict(ini.get("phi0_params", {})),
-        directory=directory, formats=formats, blowup=blow, focusing=foc,
-        seed=seed,
+        observation_count=n_obs, **initial, directory=directory,
+        formats=formats, blowup=dict(doc.get("blowup", {})),
+        focusing=dict(doc.get("focusing", {})), seed=seed,
     )
     # fail fast on bad presets/params
     cfg.make_initial_data(Grid((16,) * dim, length, dim=dim))
     return cfg
 
-
-def blowup_options(cfg: RunConfig) -> dict:
-    b = cfg.blowup
-    return {
-        "max_time": float(b.get("max_time", 20.0)),
-        "amplitudes": [float(a) for a in b.get("amplitudes", [0.5, 1.0])],
-        "radius": float(b.get("radius", 3.0)),
-        "grid_length": float(b.get("grid_length", cfg.length[0])),
-    }
-
-
-def focusing_options(cfg: RunConfig) -> dict:
-    f = cfg.focusing
-    return {
-        "wavenumbers": [int(k) for k in f.get("wavenumbers", [4, 8, 16, 32])],
-        "delta": float(f.get("delta", 1e-7)),
-        "window": float(f.get("window", 0.35)),
-        "dt": float(f.get("dt", 2e-3)),
-        "rho0": float(f.get("rho0", 1.0)),
-    }

@@ -635,6 +635,9 @@ def focusing_demo(
     the probed band.  The runs are one batched evolve_limit call, so they
     share the fixed step dt and the cutoff, and a member that breaks the CFL
     bound or stops being finite truncates every run at the same time.
+    Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
+    ConfigError with key focusing.wavenumbers), and the run must take a
+    step within the CFL bound (else focusing.dt).
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -645,6 +648,11 @@ def focusing_demo(
     ks = [int(k) for k in perturbation_wavenumbers]
     if not ks:
         return []
+    band = grid.shape[0] // 3
+    outside = [k for k in ks if abs(k) > band]
+    if outside:
+        raise ConfigError("focusing.wavenumbers", f"modes {outside} lie outside "
+                          f"the 2/3 band |k| <= {band} of axis 0")
     if spectral_cutoff is None:
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
     store = max(1, int(round((window / dt) / 35)))
@@ -658,6 +666,9 @@ def focusing_demo(
         pressure_sign=pressure_sign, strict=False, store_every=store,
         spectral_cutoff=spectral_cutoff,
     )
+    if len(traj.step_times) < 2:
+        raise ConfigError("focusing.dt", f"the run took no step of {dt} "
+                          f"(status {traj.status!r}: over the CFL bound)")
     # W per (node, member), one node at a time; v_bg = 0
     w = np.array([np.sqrt(np.maximum(
         sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real

@@ -42,6 +42,26 @@ MALFORMED = [
     ('{"grid": {"dim": 2, "N": 1048576}}', "grid.N", "simulate"),
 ]
 
+# the column header of each command's CSV table; the commands take the
+# columns from their result records (dataclass field order for the
+# invariant tables), so a reordered field would reorder a table
+CSV_COLUMNS = {
+    "simulate": ("invariants.csv", "time,mass,energy,momentum,pseudo_conformal,"
+                 "weighted_mass_center,boundary_tail,support_ok"),
+    "limit": ("euler_invariants.csv", "time,mass,energy,momentum,"
+              "pseudo_conformal,center_of_mass,total_pressure,boundary_tail,"
+              "support_ok"),
+    "conserve": ("conservation.csv", "time,nls_mass_drift,nls_energy_drift,"
+                 "nls_momentum_drift,nls_pseudo_conformal,euler_mass_drift,"
+                 "euler_energy_drift,euler_momentum_drift,"
+                 "euler_pseudo_conformal,total_pressure"),
+    "blowup": ("blowup.csv", "amplitude,breakdown_flag,t_estimate,"
+               "t_uncertainty,status,envelope_ok"),
+    "focusing-demo": ("focusing.csv", "mode,xi,rate_focusing,"
+                      "max_growth_focusing,rate_defocusing,"
+                      "max_growth_defocusing"),
+}
+
 
 class TestParseConfig:
     def test_minimal_fills_defaults(self):
@@ -249,6 +269,20 @@ class TestCliCommands:
         assert rep.returncode == 0, rep.stderr
         assert "fit two_term_l2" in rep.stdout
 
+    @pytest.mark.parametrize("command", sorted(CSV_COLUMNS))
+    def test_csv_columns(self, tiny_config, tmp_path, command):
+        from scnls.cli import main
+        path, out = tiny_config
+        doc = json.loads(path.read_text())
+        doc["blowup"] = {"max_time": 1.0, "amplitudes": [0.5]}
+        doc["focusing"] = {"wavenumbers": [2], "window": 0.05}
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 0
+        name, columns = CSV_COLUMNS[command]
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "# columns: " + columns
+        assert lines[3] == columns
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"physics": {"sigma": 0}}')
@@ -298,6 +332,25 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == "initial.a0"
+
+    @pytest.mark.parametrize("doc,key", [
+        # mode 22 lies above the 2/3 band N // 3 = 21, so the run starts
+        # with the perturbation projected away
+        ({"grid": {"N": 64}, "focusing": {"wavenumbers": [4, 20, 21, 22]}},
+         "focusing.wavenumbers"),
+        # the step is over the CFL bound at N = 512, so no step is taken
+        ({"focusing": {"dt": 0.01}}, "focusing.dt"),
+    ])
+    def test_unmeasurable_focusing_exit_2(self, tmp_path, doc, key):
+        # both used to write rows of zero rate and exit 0
+        bad = tmp_path / "focusing.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli(["focusing-demo", str(bad), "--out", str(tmp_path / "o")],
+                       tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["key"] == key
 
     @pytest.mark.parametrize("name,text", [
         ("missing.json", None),

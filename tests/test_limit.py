@@ -630,6 +630,17 @@ class TestFocusingDemo:
             focusing_demo(replace(background, **{key: changed}), [4], 1)
         assert err.value.key == "initial.a0"
 
+    @pytest.mark.parametrize("kwargs,key", [
+        # mode 86 lies above the 2/3 band N // 3 = 85: projected away at once
+        ({"perturbation_wavenumbers": [4, 85, 86]}, "focusing.wavenumbers"),
+        # a step over the CFL bound: the run stops before its first step
+        ({"perturbation_wavenumbers": [4], "dt": 0.1}, "focusing.dt"),
+    ])
+    def test_unmeasurable_run_rejected(self, background, kwargs, key):
+        with pytest.raises(ConfigError) as err:
+            focusing_demo(background, sigma=1, **kwargs)
+        assert err.value.key == key
+
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)
         assert rows[0].rate == 0.0
