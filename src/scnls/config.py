@@ -16,7 +16,10 @@ Sections and keys (all optional unless noted):
     focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
               dt (2e-3), rho0 (1.0): the frequency-growth command, which
               exits 2 on a wavenumber above the 2/3 band (N // 3 on axis
-              0) and on a dt over the CFL bound (its run takes no step)
+              0) and on a run that stops before the end of its window
+              (key focusing.dt; a shorter dt or window completes it): a
+              dt over the CFL bound, or ill-posed growth that raises the
+              wave speed past it, as the defaults do at N = 1024
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty

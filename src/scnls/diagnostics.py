@@ -4,22 +4,22 @@ Given a wavefunction u at scale eps and the limit pair (a, phi), the filtered
 amplitude is a_eps = u * exp(-i*phi/eps) (same modulus as u, oscillations
 removed).  From it:
 
-* q_eps = B(|a_eps|^2, |a|^2)/eps and g_eps = G(...) -- the rescaled
-  symmetrized density gap, with eps*q_eps*g_eps = |a_eps|^(2s) - |a|^(2s)
-  pointwise;
+* q_eps = B(|a_eps|^2, |a|^2)/eps -- the rescaled symmetrized density
+  gap; with g_eps = G(...), eps*q_eps*g_eps = |a_eps|^(2s) - |a|^(2s);
 * the transport residual of beta_eps = eps*q_eps,
       d_t beta + eps*g*div Im(conj(a_eps) grad a_eps)
                + v.grad beta + (s+1)/2 * beta * div v,
-  evaluated with a central time difference over three snapshots;
+  over three snapshots (central time difference; g_eps formed there);
 * the local energy density e_eps = |a_eps|^2 + |grad a_eps|^2 + |q_eps|^2,
   whose integral obeys a Gronwall envelope with a constant measured from the
   limit solution;
 * position/current density gaps with their expected small-eps rates.
 
-Everything is read off a_eps, so no record keeps u or its gradient: since
-|exp(i*phi/eps)| = 1, the WKB error ||u - b*exp(i*phi/eps)|| of an amplitude
-b equals ||a_eps - b||, and the current Im(eps*conj(u) grad u) equals
-|a_eps|^2 grad phi + Im(eps*conj(a_eps) grad a_eps).
+Everything is read off a_eps (one forward transform per record), so no
+record keeps u or its gradient: since |exp(i*phi/eps)| = 1, the WKB error
+||u - b*exp(i*phi/eps)|| of an amplitude b equals ||a_eps - b||, and the
+current Im(eps*conj(u) grad u) is |a_eps|^2 grad phi + Im(eps*conj(a_eps)
+grad a_eps).
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class DiagnosticsRecord:
     a_eps: np.ndarray                    # filtered amplitude
     psi_eps: np.ndarray                  # grad a_eps, shape (dim, *shape)
     q_eps: np.ndarray
-    g_eps: np.ndarray
-    beta_eps: np.ndarray
     sobolev: dict = field(default_factory=dict)   # {"a_eps": {s: norm}, ...}
     modulated_energy: float = 0.0
 
@@ -81,18 +79,21 @@ class DiagnosticsRecord:
 def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
                        epsilon: float, sigma: int,
                        sobolev_orders: tuple[float, ...] = ()) -> DiagnosticsRecord:
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     grid = limit_state.grid
     a_eps = modulate(u, limit_state.phi_total(), epsilon, grid)
-    psi = grid.gradient(a_eps)
-    q, g = q_g_fields(a_eps, limit_state.a, epsilon, sigma)
+    a_eps_h = grid.fft(a_eps)  # for grad a_eps and its H^s norms
+    psi = grid.ifft(grid.spectral_gradient(a_eps_h))
+    q = b_sigma(np.abs(a_eps) ** 2, np.abs(limit_state.a) ** 2, sigma) / epsilon
     sob: dict = {"a_eps": {}, "q_eps": {}}
     for s in sobolev_orders:
-        sob["a_eps"][s] = grid.sobolev_norm(a_eps, s)
+        sob["a_eps"][s] = grid.sobolev_norm(a_eps_h, s, space="spectral")
         if s >= 1:
             sob["q_eps"][s - 1] = grid.sobolev_norm(q, s - 1)
     rec = DiagnosticsRecord(
         time=t, epsilon=epsilon, sigma=sigma, a_eps=a_eps, psi_eps=psi,
-        q_eps=q, g_eps=g, beta_eps=epsilon * q, sobolev=sob,
+        q_eps=q, sobolev=sob,
     )
     rec.modulated_energy = modulated_energy(rec, grid)
     return rec
@@ -116,7 +117,7 @@ def gronwall_constant(limit_traj: LimitTrajectory) -> float:
 def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
                        rec_next: DiagnosticsRecord, limit_state: LimitState,
                        dt: float, grid: Grid) -> float:
-    """L2 norm of the beta transport residual at the middle snapshot.
+    """L2 norm of the beta = eps*q_eps transport residual at rec_mid.
 
     Uses a central difference (t-dt, t, t+dt) for d_t beta; the snapshots
     must be equally spaced.  Converges at the combined central-difference +
@@ -129,13 +130,15 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
         raise ValueError("snapshots must be equally spaced by dt")
     sigma = rec_mid.sigma
     eps = rec_mid.epsilon
-    dbeta_dt = (rec_next.beta_eps - rec_prev.beta_eps) / (2.0 * dt)
+    beta = [r.epsilon * r.q_eps for r in (rec_prev, rec_mid, rec_next)]
+    g = g_sigma(np.abs(rec_mid.a_eps) ** 2, np.abs(limit_state.a) ** 2, sigma)
+    dbeta_dt = (beta[2] - beta[0]) / (2.0 * dt)
     flux = grid.divergence(np.imag(np.conj(rec_mid.a_eps) * rec_mid.psi_eps)).real
     v = limit_state.v
-    adv = np.sum(v * grid.gradient(rec_mid.beta_eps).real, axis=0)
+    adv = np.sum(v * grid.gradient(beta[1]).real, axis=0)
     div_v = grid.divergence(v).real
-    resid = (dbeta_dt + eps * rec_mid.g_eps * flux + adv
-             + 0.5 * (sigma + 1) * rec_mid.beta_eps * div_v)
+    resid = (dbeta_dt + eps * g * flux + adv
+             + 0.5 * (sigma + 1) * beta[1] * div_v)
     return grid.l2_norm(resid)
 
 

@@ -38,11 +38,11 @@ Derivatives, grad p, the corrector's (i/2) Lap a source and the band
 projection are multipliers on the spectra, so no product makes a transform
 round trip of its own and no field is transformed again for its gradient.
 In a joint stage scnls.corrector._rhs forms the pair's products on the same
-transformed fields.  The physical v, S and a are made once per step, for the
-CFL speed, the per-step scalars, the finiteness check and the stored nodes;
-node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time stepping is
-classical RK4 at the CFL step, with an optional per-step CFL-adapted step
-for breakdown hunting.
+transformed fields.  Each step's CFL speed, scalars, finiteness check and
+stored node come from one grid pass of its state (_grid_pass: one inverse
+transform per kind), dropped before the next step; node 0 holds phi0 (and
+phi1 = 0, w = a1) as given.  Time stepping is classical RK4 at the CFL
+step, with an optional per-step CFL-adapted step for breakdown hunting.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import corrector
 from .errors import ConfigError, NumericalGuardError
-from .grid import Grid, node_index
+from .grid import SUPPORT_TAIL_THRESHOLD, Grid, node_index
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
@@ -62,6 +62,9 @@ CFL_NUMBER = 0.5
 MAX_STORED_BYTES = 2**31
 # adaptive runs stop once the step falls below DT_FLOOR_FACTOR * dt
 DT_FLOOR_FACTOR = 1e-6
+# blowup_monitor: breakdown once max|grad v| > BREAKDOWN_FACTOR * baseline
+BREAKDOWN_FACTOR = 10.0
+BASELINE_FLOOR = 1e-8  # the least baseline
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +221,15 @@ def _wave_speed(v, S, sigma: int) -> float:
     )
 
 
-def _v_scalars(v, grid: Grid) -> tuple[float, float, float]:
-    """(max |d_j v_i|, max |div v|, max |d_j div v|) via spectral
-    derivatives: one forward transform of v, one inverse call for grad v
-    and grad div v together."""
-    grad_h = grid.spectral_gradient(grid.fft(v))  # [j, i] = i xi_j v_i
-    grad_div_h = grid.spectral_gradient(np.trace(grad_h))
-    out = grid.ifft(np.concatenate([grad_h, grad_div_h[:, None]], axis=1)).real
-    grad_v = out[:, :-1]
-    return (float(np.max(np.abs(grad_v))),
-            float(np.max(np.abs(np.trace(grad_v)))),
-            float(np.max(np.abs(out[:, -1]))))
+def _grid_pass(y, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of the spectral state y on the grid, one inverse transform
+    per kind: real rows v (dim), grad v (dim*dim, row d_j v_i at dim*j + i),
+    grad div v (dim), phi (and phi1); complex rows S, a (and w)."""
+    jet = grid.spectral_jet(y[0])  # [v, d_1 v, ..., d_dim v]
+    real = grid.irfft(np.concatenate([
+        jet.reshape(-1, *y[0].shape[1:]),
+        grid.spectral_gradient(np.trace(jet[1:])), np.array(y[3:5])]))
+    return real, grid.ifft(np.array([y[1], y[2], *y[5:]]))
 
 
 def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
@@ -270,7 +271,9 @@ def evolve_limit(
     steps per each of the n_obs-1 uniform observation intervals, and only
     the n_obs observation times are stored (store_every is then that
     number); without it every store_every-th step is.  The per-step scalars
-    (grad_v_max, ...) cover every step either way.  Given a1, the run also
+    (grad_v_max, ...) cover every step either way; they, the finiteness
+    check and the stored node come from one grid pass of the step's state.
+    Given a1, the run also
     carries the corrector pair (phi1, w) from (0, a1): the trajectory
     stores it as its phi1 and w, and its states carry it (None without a1).
     Fields of init and a1 of shape (*batch, *grid.shape) are independent
@@ -316,17 +319,13 @@ def evolve_limit(
     if a1 is not None:
         y += (np.zeros(y[3].shape, complex), grid.fft(a1))
 
-    def physical(y):
-        """v, S and a on the grid."""
-        return (grid.irfft(y[0]), *grid.ifft(np.array(y[1:3])))
-
-    v, S, a = physical(y)
-
+    d = grid.dim
+    real, cplx = _grid_pass(y, grid)
     dx_min = min(grid.dx)
-    speed0 = _wave_speed(v, S, sigma)
-    dt_cfl0 = CFL_NUMBER * dx_min / max(speed0, 1e-12)
-    if not (math.isfinite(speed0) and dt_cfl0 > 0):
-        raise ConfigError("initial.a0", f"the initial wave speed {speed0:g} "
+    speed = _wave_speed(real[:d], cplx[0], sigma)
+    dt_cfl0 = CFL_NUMBER * dx_min / max(speed, 1e-12)
+    if not (math.isfinite(speed) and dt_cfl0 > 0):
+        raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
     if n_obs is not None and n_obs >= 2:
         delta = final_time / (n_obs - 1)
@@ -344,14 +343,14 @@ def evolve_limit(
     # this is a lower bound there, capped by max_steps
     nodes = 1 + math.ceil(min(n_steps, max_steps) / store_every)
     per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
-    stored = nodes * a.size * per_point
+    stored = nodes * a0.size * per_point
     if stored > MAX_STORED_BYTES:
         raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
                           f"bytes, over the budget of {MAX_STORED_BYTES}")
 
-    nodes0 = (v, S, a, phi0)
+    nodes0 = (real[:d], *cplx[:2], phi0)
     if a1 is not None:
-        nodes0 += (np.zeros(a.shape), a1)
+        nodes0 += (np.zeros(a0.shape), a1)
     # the stored nodes, one block per field written in place (no copy of
     # every node at the end): the node count is exact for fixed steps, and
     # the blocks double when an adaptive run outgrows it
@@ -371,16 +370,17 @@ def evolve_limit(
     grad_hist, div_hist, grad_div_hist = [], [], []
     press_hist, cfl_hist = [], []
 
-    def record_scalars(v_now, a_now, step_dt, speed):
-        gmax, dmax, gdmax = _v_scalars(v_now, grid)
-        grad_hist.append(gmax)
-        div_hist.append(dmax)
-        grad_div_hist.append(gdmax)
-        rho = np.abs(a_now) ** 2
+    def record_scalars(real, cplx, step_dt, speed):
+        grad_v = real[d:d + d * d].reshape(d, d, *real.shape[1:])
+        grad_hist.append(float(np.max(np.abs(grad_v))))
+        div_hist.append(float(np.max(np.abs(np.trace(grad_v)))))
+        grad_div_hist.append(float(np.max(np.abs(real[d + d * d:2 * d + d * d]))))
+        rho = np.abs(cplx[1]) ** 2
         press_hist.append(float(np.max(grid.integral(rho ** (sigma + 1)).real)))
         cfl_hist.append(step_dt * speed / dx_min)
 
-    record_scalars(v, a, dt, speed0)
+    record_scalars(real, cplx, dt, speed)
+    del real, cplx, nodes0  # no grid pass outlives its step
 
     def rhs(y, c):
         # looked up as a module attribute at every stage (and corrector._rhs
@@ -394,7 +394,6 @@ def evolve_limit(
     t = 0.0
     n = 0
     while n < max_steps and unfinished():
-        speed = _wave_speed(v, S, sigma)
         if adaptive:
             step_dt = min(CFL_NUMBER * dx_min / max(speed, 1e-12), dt,
                           final_time - t)
@@ -412,16 +411,18 @@ def evolve_limit(
         # a fixed step ends at n*dt, the last one at final_time exactly
         t = t + step_dt if adaptive else (n * dt if n < n_steps else final_time)
 
-        v, S, a = physical(y)  # for the speed, the scalars and the nodes
-        if not all(np.all(np.isfinite(f)) for f in (v, S, a, *y[3:])):
+        real, cplx = _grid_pass(y, grid)
+        if not (np.all(np.isfinite(real)) and np.all(np.isfinite(cplx))):
             status = "nonfinite"
             break
 
         step_times.append(t)
-        record_scalars(v, a, step_dt, speed)
+        record_scalars(real, cplx, step_dt, speed)
+        speed = _wave_speed(real[:d], cplx[0], sigma)
         if n % store_every == 0 or not unfinished():
-            store(t, (v, S, a, *map(grid.irfft, y[3:5]),
-                      *map(grid.ifft, y[5:])))
+            # v, S, a, phi (and phi1, w)
+            store(t, (real[:d], *cplx[:2], *real[2 * d + d * d:], *cplx[2:]))
+        del real, cplx
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
@@ -493,8 +494,7 @@ class EulerInvariants:
     support_ok: bool = field(default=True)
 
 
-def euler_invariants(state: LimitState, sigma: int,
-                     tail_threshold: float = 1e-10) -> EulerInvariants:
+def euler_invariants(state: LimitState, sigma: int) -> EulerInvariants:
     """Mass, energy, momentum, pseudo-conformal quantity, mass center,
     total pressure of a limit snapshot (defocusing sign conventions)."""
     grid = state.grid
@@ -514,7 +514,7 @@ def euler_invariants(state: LimitState, sigma: int,
     return EulerInvariants(
         time=t, mass=mass, energy=energy, momentum=momentum,
         pseudo_conformal=pc, center_of_mass=center, total_pressure=p_int,
-        boundary_tail=tail, support_ok=tail < tail_threshold,
+        boundary_tail=tail, support_ok=tail < SUPPORT_TAIL_THRESHOLD,
     )
 
 
@@ -537,11 +537,10 @@ class BlowupReport:
     envelope_ok: bool
 
 
-def blowup_monitor(traj: LimitTrajectory, factor: float = 10.0,
-                   baseline_floor: float = 1e-8) -> BlowupReport:
+def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     """Flag gradient blow-up along a trajectory.
 
-    Breakdown is declared when max|grad v| exceeds ``factor`` times a
+    Breakdown is declared when max|grad v| exceeds BREAKDOWN_FACTOR times a
     baseline built from the data's own characteristic-speed gradient scale
     (so data starting at rest is judged against its sound-speed slope, and a
     constant state never fires), or when the run itself stopped on
@@ -554,8 +553,8 @@ def blowup_monitor(traj: LimitTrajectory, factor: float = 10.0,
     ts = traj.step_times
     scale0 = characteristic_gradient_scale(
         traj.grid, traj.v[0], traj.S[0], traj.sigma)
-    baseline = max(float(g[0]), scale0, baseline_floor)
-    threshold = factor * baseline
+    baseline = max(float(g[0]), scale0, BASELINE_FLOOR)
+    threshold = BREAKDOWN_FACTOR * baseline
 
     t_est = None
     crossing = np.nonzero(g > threshold)[0]
@@ -636,8 +635,11 @@ def focusing_demo(
     share the fixed step dt and the cutoff, and a member that breaks the CFL
     bound or stops being finite truncates every run at the same time.
     Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
-    ConfigError with key focusing.wavenumbers), and the run must take a
-    step within the CFL bound (else focusing.dt).
+    ConfigError with key focusing.wavenumbers), and the run must cover the
+    window (else focusing.dt): a dt over the CFL bound stops it at once, and
+    ill-posed growth raises the wave speed until dt breaks the bound, so the
+    CLI defaults stop at t = 0.338 at N = 1024 (and at t = 0.364 at N = 512
+    with window 1.0).
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -666,9 +668,10 @@ def focusing_demo(
         pressure_sign=pressure_sign, strict=False, store_every=store,
         spectral_cutoff=spectral_cutoff,
     )
-    if len(traj.step_times) < 2:
-        raise ConfigError("focusing.dt", f"the run took no step of {dt} "
-                          f"(status {traj.status!r}: over the CFL bound)")
+    if traj.status != "completed":
+        raise ConfigError("focusing.dt", f"the run stopped at t={traj.step_times[-1]:.6g}"
+                          f" of the window {window} with status {traj.status!r};"
+                          " a shorter dt or window completes it")
     # W per (node, member), one node at a time; v_bg = 0
     w = np.array([np.sqrt(np.maximum(
         sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real

@@ -15,8 +15,9 @@ under it.  A scheme is a composition of Strang substeps with weights
 summing to one (SCHEMES): ``strang`` is the single substep, ``yoshida4``
 Yoshida's fourth-order triple jump h = (w1, 1 - 2*w1, w1)*dt with
 w1 = 1/(2 - 2^(1/3)).  Kinetic half steps of neighbouring substeps merge,
-also across steps inside an observation interval, so a yoshida4 step costs
-three nonlinear substeps and three FFT pairs.
+also across steps and observation times (a snapshot is the step's own
+spectrum times the last half step), so a yoshida4 step costs three
+nonlinear substeps and three FFT pairs.
 
 An order-p splitting error behaves like (dt/eps)^p * eps in the
 semiclassical regime, so steps linear in eps hold it at a fixed fraction of
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, NumericalGuardError
-from .grid import Grid, node_index
+from .grid import SUPPORT_TAIL_THRESHOLD, Grid, node_index
 from .presets import InitialData, snap_wavevector
 
 # substep weights of each composition of the Strang step
@@ -196,9 +197,9 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
     epsilon, step, step count and observation times, and so its own kick
     and phase multipliers.  Every member's observation times are checked
     before any member steps.  Sorted by substep count, the members still
-    running are a prefix u[:k] of the batch; each stores its snapshot and
-    checks it for non-finite values at its own observation times, and
-    retires after its last one.
+    running are a prefix u[:k] of the batch.  At its own observation times
+    a member checks and stores ifft(uh * last) of the substep's spectrum uh
+    and goes on with the merged kick; it retires after its last one.
     """
     obs_list = [np.asarray(obs, dtype=float) for obs in obs_list]
     steps = [_obs_step(obs, cfg) for obs, cfg in zip(obs_list, cfgs)]
@@ -221,7 +222,6 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
 
     halves = [[np.exp(-1j * cfgs[b].epsilon * cfgs[b].grid.k_squared
                       * (w * steps[b][1]) / 4.0) for w in weights] for b in order]
-    first = np.stack([h[0] for h in halves])
     last = np.stack([h[-1] for h in halves])
     # kick before substep j: the half steps of substeps j-1 and j merged
     # (kicks[0] joins the last substep of one step to the next step)
@@ -237,7 +237,7 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
 
     u = np.stack([np.asarray(u0s[b], dtype=complex) for b in order])
     states = [[_freeze(row.copy())] for row in u]
-    u = ifft(fft(u) * first)
+    u = ifft(fft(u) * np.stack([h[0] for h in halves]))
     k = len(order)
     for i in range(total[0]):
         # Keep this expression: numpy elides a temporary of 256 KiB or more
@@ -248,26 +248,17 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
         u = u * np.exp(phases[i % n_w][:k] * np.abs(u) ** (2 * sigma))
         uh = fft(u)
         at = bounds.get(i)
-        mult = kicks[(i + 1) % n_w][:k]
         if at:
-            mult = mult.copy()
-            mult[at] = last[at]
-        uh *= mult
-        u = ifft(uh)
-        if not at:
-            continue
-        for p in at:
-            if not np.all(np.isfinite(u[p].view(float))):
-                t = obs_list[order[p]][len(states[p])]
-                raise NumericalGuardError(
-                    f"non-finite wavefunction at t={t:.6g}; reduce dt0")
-            states[p].append(_freeze(u[p].copy()))
-        going = [p for p in at if total[p] > i + 1]
-        if going:
-            u[going] = ifft(fft(u[going]) * first[going])
-        while k and total[k - 1] <= i + 1:
-            k -= 1
-        u = u[:k]
+            # snapshots from the step's spectrum; the batch goes on below
+            for p, snap in zip(at, ifft(uh[at] * last[at])):
+                if not np.all(np.isfinite(snap.view(float))):
+                    t = obs_list[order[p]][len(states[p])]
+                    raise NumericalGuardError(
+                        f"non-finite wavefunction at t={t:.6g}; reduce dt0")
+                states[p].append(_freeze(snap))
+            while k and total[k - 1] <= i + 1:
+                k -= 1
+        u = ifft(uh[:k] * kicks[(i + 1) % n_w][:k])
 
     out: list = [None] * len(order)
     for p, b in enumerate(order):
@@ -367,7 +358,7 @@ class NLSInvariants:
 
 
 def nls_invariants(u: np.ndarray, t: float, grid: Grid, epsilon: float,
-                   sigma: int, tail_threshold: float = 1e-10) -> NLSInvariants:
+                   sigma: int) -> NLSInvariants:
     """Mass, energy, momentum, pseudo-conformal quantity, weighted center.
 
     energy = (1/2)||eps*grad u||_L2^2 + ||u||_{L^{2s+2}}^{2s+2}/(s+1);
@@ -391,5 +382,5 @@ def nls_invariants(u: np.ndarray, t: float, grid: Grid, epsilon: float,
     return NLSInvariants(
         time=t, mass=mass, energy=energy, momentum=momentum,
         pseudo_conformal=pc, weighted_mass_center=center,
-        boundary_tail=tail, support_ok=tail < tail_threshold,
+        boundary_tail=tail, support_ok=tail < SUPPORT_TAIL_THRESHOLD,
     )

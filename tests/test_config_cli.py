@@ -340,9 +340,11 @@ class TestCliCommands:
          "focusing.wavenumbers"),
         # the step is over the CFL bound at N = 512, so no step is taken
         ({"focusing": {"dt": 0.01}}, "focusing.dt"),
+        # the ill-posed growth stops the run at t = 0.364 of the window
+        ({"focusing": {"window": 1.0}}, "focusing.dt"),
     ])
     def test_unmeasurable_focusing_exit_2(self, tmp_path, doc, key):
-        # both used to write rows of zero rate and exit 0
+        # each used to write rows and exit 0
         bad = tmp_path / "focusing.json"
         bad.write_text(json.dumps(doc))
         proc = run_cli(["focusing-demo", str(bad), "--out", str(tmp_path / "o")],

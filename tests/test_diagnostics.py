@@ -239,11 +239,23 @@ class TestModulatedEnergy:
         for rec in recs:
             assert rec.modulated_energy <= me0 * np.exp(c_hat * rec.time) * (1 + 1e-9)
 
-    def test_gronwall_matches_node_scan(self, gaussian_data):
+    @pytest.mark.parametrize("case", ["1d", "2d-joint"])
+    def test_gronwall_matches_node_scan(self, gaussian_data, case):
         # without n_obs every step is a stored node, so the per-step scalars
-        # must reproduce the constant scanned off the stored velocity fields
-        g = gaussian_data.grid
-        ltraj = evolve_limit(gaussian_data, 2, 0.25)
+        # must reproduce the constant scanned off the stored velocity fields;
+        # the 2-D case checks the d x d layout of grad v on a non-square grid
+        data, a1 = gaussian_data, None
+        if case == "2d-joint":
+            g = Grid((32, 16), (10.0, 8.0))
+            x, y = g.coords
+            bump = np.exp(-(x**2 + 2 * y**2) / 2)
+            data = InitialData(grid=g, a0=bump * (1 + 0.2j * np.sin(x)),
+                               a1=(0.5 * bump).astype(complex),
+                               phi0_periodic=0.3 * bump * np.cos(x - y),
+                               phi0_wavevector=(0.0, 0.0))
+            a1 = data.a1
+        g = data.grid
+        ltraj = evolve_limit(data, 2, 0.25, a1=a1)
         scan = 0.0
         for v in ltraj.v:
             grad_v = [g.gradient(v[j]).real for j in range(g.dim)]

@@ -8,7 +8,7 @@ import pytest
 from scnls import Grid, limit
 from scnls.errors import ConfigError, NumericalGuardError
 from scnls.grid import CHUNK_POINTS
-from scnls.limit import (GrowthRow, _v_scalars, blowup_monitor,
+from scnls.limit import (GrowthRow, blowup_monitor,
                          characteristic_gradient_scale, euler_invariants,
                          evolve_limit, focusing_demo, power_consistency,
                          rk4_step)
@@ -230,8 +230,11 @@ class TestEvolve:
         assert traj.status == "completed"
         np.testing.assert_array_equal(traj.times, traj.step_times)
         assert traj.times.size > 1 + round(3.0 / traj.step_times[1])
+        # the scalar comes from the state's spectrum, the node from the grid
+        # pass of the same step: they agree to roundoff, not bit for bit
         for v, gmax in zip(traj.v, traj.grad_v_max):
-            assert np.max(np.abs(g.gradient(v).real)) == gmax
+            assert np.max(np.abs(g.gradient(v).real)) == pytest.approx(
+                gmax, rel=1e-12)
 
     def test_n_obs_stores_only_observation_times(self, gaussian_data):
         # a whole number of steps per observation interval; the stored
@@ -347,21 +350,37 @@ class TestSpectralStage:
         assert len(dy) == len(y)
         assert sum(calls.values()) <= 4, calls
 
-    def test_v_scalars_from_one_transform_pair(self, monkeypatch):
-        # grad v and grad div v come from one forward transform of v: the
-        # first two scalars keep the bits of Grid.gradient, the third agrees
-        # with the gradient of div v to roundoff
+    def test_one_grid_pass_per_step(self, monkeypatch):
+        # a 1-D joint step makes one call of each kind per stage (four
+        # stages) and, outside them, one irfftn call (v, grad v, grad div v,
+        # phi and phi1) and one ifftn call (S, a and w)
+        g = Grid(256, 16.0)
+        data = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
+                           a1=0.3 * gaussian(g, 1.2).astype(complex),
+                           phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        calls = count_calls(monkeypatch, ("fft", "ifft", "fftn", "ifftn",
+                                          "rfft", "irfft", "rfftn", "irfftn"))
+        per_run = []
+        for steps in (3, 5):
+            calls.clear()
+            traj = evolve_limit(data, 2, 0.01 * steps, dt=0.01, a1=data.a1)
+            assert len(traj.step_times) == steps + 1
+            per_run.append(+calls)
+        assert per_run[1] - per_run[0] == Counter(
+            {"rfftn": 8, "fftn": 8, "irfftn": 8 + 2, "ifftn": 8 + 2})
+
+        # the 2-D layout of the pass: v, d_j v_i, grad div v, phi, phi1 and
+        # S, a, w agree with the physical fields and Grid.gradient
         g = Grid((32, 16), (10.0, 8.0))
-        v = joint_state(g)[0]
+        state = joint_state(g)
+        real, cplx = limit._grid_pass(spectral(state, g), g)
+        v = state[0]
         grad_v = g.gradient(v).real
-        div_v = np.trace(grad_v)
-        old = (np.max(np.abs(grad_v)), np.max(np.abs(div_v)),
-               np.max(np.abs(g.gradient(div_v).real)))
-        calls = count_calls(monkeypatch, ("fftn", "ifftn"))
-        new = _v_scalars(v, g)
-        assert calls == {"fftn": 1, "ifftn": 1}
-        assert new[:2] == old[:2]
-        assert new[2] == pytest.approx(old[2], rel=1e-12)
+        want = np.concatenate([v, grad_v.reshape(4, *g.shape),
+                               g.gradient(np.trace(grad_v)).real, state[3:5]])
+        assert real.shape == want.shape
+        for got, ref in zip([*real, *cplx], [*want, *state[1:3], state[5]]):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRK4Step:
@@ -529,13 +548,13 @@ class TestBlowup:
     @pytest.mark.parametrize("shape, lengths", [(128, 10.0),
                                                 ((32, 16), (10.0, 8.0))])
     def test_gradient_scale_matches_v_scalars(self, shape, lengths):
-        # max|grad v| taken directly equals the first of _v_scalars
+        # max|grad v| + sqrt(sigma+1)*max|grad |S||, term by term
         g = Grid(shape, lengths)
         v = np.stack([np.sin(2 * np.pi * (j + 1) * c / g.lengths[j])
                       * np.exp(-c**2) for j, c in enumerate(g.coords)])
         S = (1.0 + 0.3 * np.exp(-sum(c**2 for c in g.coords))
              * (1 + 0.5j)).astype(complex)
-        old = (_v_scalars(v, g)[0] + math.sqrt(3)
+        old = (np.max(np.abs(g.gradient(v).real)) + math.sqrt(3)
                * float(np.max(np.abs(g.gradient(np.abs(S)).real))))
         assert characteristic_gradient_scale(g, v, S, 2) == old
 
@@ -640,6 +659,17 @@ class TestFocusingDemo:
         with pytest.raises(ConfigError) as err:
             focusing_demo(background, sigma=1, **kwargs)
         assert err.value.key == key
+
+    def test_run_stopped_inside_window_rejected(self, background):
+        # the ill-posed sigma = 2 growth raises the wave speed until the
+        # step crosses the CFL bound at t = 0.384: no rows from part of the
+        # window, while the default window completes
+        with pytest.raises(ConfigError) as err:
+            focusing_demo(background, [32], 2, pressure_sign=-1, window=0.5)
+        assert err.value.key == "focusing.dt"
+        assert "stopped at t=0.384 of the window 0.5 with status 'cfl'" \
+            in str(err.value)
+        assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
 
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)

@@ -539,8 +539,8 @@ class TestBatch:
                 <= 1e-12 * g.l2_norm(u0)
 
     def test_members_retire_after_their_last_step(self, monkeypatch):
-        # each member is transformed once at the start, once per substep and
-        # once more at each inner observation time, and no more
+        # each member is transformed once at the start and once per substep,
+        # and no more: a snapshot comes from its substep's own spectrum
         u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625), 0.05)
         obs = np.linspace(0.0, 0.05, 6)
         members = []
@@ -550,7 +550,7 @@ class TestBatch:
         trajs = evolve_nls_batch(u0s, cfgs, obs)
         substeps = [3 * round(0.05 / t.dt) for t in trajs]  # yoshida4
         check_substeps = [3 * round(0.05 / t.self_check_dt) for t in trajs]
-        assert sum(members) == sum(1 + n + 4 for n in substeps) \
+        assert sum(members) == sum(1 + n for n in substeps) \
             + sum(1 + n for n in check_substeps)
         assert members[0] == 6 and members[-1] == 1
 
