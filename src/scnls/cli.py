@@ -32,9 +32,8 @@ from .config import RunConfig, demo_options, parse_config
 from .corrector import evolve_corrector, tilde_amplitude
 from .errors import ConfigError, NumericalGuardError
 from .grid import Grid
-from .limit import (blowup_monitor, characteristic_gradient_scale,
-                    euler_invariants, evolve_limit, focusing_demo,
-                    power_consistency)
+from .limit import (blowup_monitor, breakdown_threshold, euler_invariants,
+                    evolve_limit, focusing_demo, power_consistency)
 from .nls import (SCHEME, NLSConfig, build_initial_data, evolve_nls,
                   nls_invariants)
 from .presets import InitialData, compact_bump, constant
@@ -252,12 +251,12 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
     for amp in opts["amplitudes"]:
         a0 = compact_bump(grid, radius=opts["radius"], amplitude=amp)
         data = _at_rest(grid, a0, f"compact_bump(amp={amp})")
-        scale = characteristic_gradient_scale(
+        # the run stops where the monitor declares breakdown
+        threshold = breakdown_threshold(
             grid, np.zeros((grid.dim, *grid.shape)), data.a0 ** cfg.sigma,
             cfg.sigma)
         traj = evolve_limit(data, cfg.sigma, opts["max_time"], adaptive=True,
-                            strict=False, store_every=50,
-                            grad_stop=40.0 * max(scale, 1e-8))
+                            strict=False, store_every=50, grad_stop=threshold)
         rep = blowup_monitor(traj)
         rows.append({
             "amplitude": amp,
@@ -293,7 +292,7 @@ def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
                     "constant-background")
     unstable, control = (
         focusing_demo(data, opts["wavenumbers"], cfg.sigma, pressure_sign=sign,
-                      delta=opts["delta"], window=opts["window"], dt=opts["dt"])
+                      delta=opts["delta"], window=opts["window"])
         for sign in (-1, 1))
     rows = [{
         "mode": u.mode, "xi": u.xi,

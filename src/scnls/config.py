@@ -14,12 +14,11 @@ Sections and keys (all optional unless noted):
     blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0),
               grid_length (grid.L): the breakdown command
     focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
-              dt (2e-3), rho0 (1.0): the frequency-growth command, which
-              exits 2 on a wavenumber above the 2/3 band (N // 3 on axis
-              0) and on a run that stops before the end of its window
-              (key focusing.dt; a shorter dt or window completes it): a
-              dt over the CFL bound, or ill-posed growth that raises the
-              wave speed past it, as the defaults do at N = 1024
+              rho0 (1.0): the frequency-growth command, stepped at its CFL
+              bound, which exits 2 on a wavenumber above the 2/3 band
+              (N // 3 on axis 0) and on a run that stops before the end of
+              its window (key focusing.window; a shorter window completes
+              it): ill-posed growth that raises the wave speed tenfold
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty
@@ -172,7 +171,7 @@ _DEMO = {
     "focusing": {"wavenumbers": (lambda v, key: _positive_list(v, key, _as_int),
                                  (4, 8, 16, 32)),
                  "delta": (_positive, 1e-7), "window": (_positive, 0.35),
-                 "dt": (_positive, 2e-3), "rho0": (_positive, 1.0)},
+                 "rho0": (_positive, 1.0)},
 }
 _KEYS = {
     "grid": {"dim", "N", "L"},

@@ -42,7 +42,7 @@ transformed fields.  Each step's CFL speed, scalars, finiteness check and
 stored node come from one grid pass of its state (_grid_pass: one inverse
 transform per kind), dropped before the next step; node 0 holds phi0 (and
 phi1 = 0, w = a1) as given.  Time stepping is classical RK4 at the CFL
-step, with an optional per-step CFL-adapted step for breakdown hunting.
+step, with an optional per-step CFL-adapted step for the instability demos.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ from .presets import InitialData
 CFL_NUMBER = 0.5
 # memory budget for the stored nodes of one trajectory, checked before the run
 MAX_STORED_BYTES = 2**31
-# adaptive runs stop once the step falls below DT_FLOOR_FACTOR * dt
-DT_FLOOR_FACTOR = 1e-6
-# blowup_monitor: breakdown once max|grad v| > BREAKDOWN_FACTOR * baseline
+# adaptive runs stop (dt_floor) once their CFL step is below this x the first
+DT_FLOOR_FACTOR = 0.1
+# breakdown once max|grad v| > BREAKDOWN_FACTOR * the data's gradient scale
 BREAKDOWN_FACTOR = 10.0
-BASELINE_FLOOR = 1e-8  # the least baseline
+BASELINE_FLOOR = 1e-8  # the least gradient scale
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,14 @@ def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
     return gv + math.sqrt(sigma + 1) * gc
 
 
+def breakdown_threshold(grid: Grid, v: np.ndarray, S: np.ndarray,
+                        sigma: int) -> float:
+    """The max |grad v| above which blowup_monitor declares breakdown: the
+    data's gradient scale (at least BASELINE_FLOOR) x BREAKDOWN_FACTOR."""
+    return BREAKDOWN_FACTOR * max(
+        characteristic_gradient_scale(grid, v, S, sigma), BASELINE_FLOOR)
+
+
 # ---------------------------------------------------------------------------
 # integrator
 
@@ -267,10 +275,11 @@ def evolve_limit(
     With dt=None the step is the initial CFL step
     dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)); the phase is
     integrated with the flow, so the step needs no further margin.  When
-    n_obs is given (fixed-step runs) the step is cut to a whole number of
-    steps per each of the n_obs-1 uniform observation intervals, and only
-    the n_obs observation times are stored (store_every is then that
-    number); without it every store_every-th step is.  The per-step scalars
+    n_obs is given the step is cut to a whole number of steps per each of
+    the n_obs-1 uniform observation intervals, and only the n_obs
+    observation times are stored: every that-many-th step of a fixed-step
+    run, the first step that reaches each time of an adaptive one; without
+    it every store_every-th step is.  The per-step scalars
     (grad_v_max, ...) cover every step either way; they, the finiteness
     check and the stored node come from one grid pass of the step's state.
     Given a1, the run also
@@ -281,9 +290,10 @@ def evolve_limit(
     the step, the status and the per-step scalars (each a max over the
     members): one member breaking the CFL bound or going non-finite stops
     them all.
-    adaptive=True re-derives dt from the pure CFL rule every step and is
-    meant for breakdown hunting; the trajectory then truncates instead of
-    raising when dt collapses or fields stop being finite (strict=False).
+    adaptive=True re-derives the step from the CFL rule every step, capped
+    at dt, for the instability demos; it stops with status "dt_floor" once
+    that step falls below DT_FLOOR_FACTOR times the first (strict=False
+    truncates the trajectory there instead of raising).
     A fixed-step run takes a step count set before it starts
     (ceil(final_time/dt), or the steps per observation interval times
     n_obs-1); step n ends at n*dt and the last one at final_time exactly.
@@ -327,8 +337,8 @@ def evolve_limit(
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
-    if n_obs is not None and n_obs >= 2:
-        delta = final_time / (n_obs - 1)
+    delta = final_time / (n_obs - 1) if (n_obs or 0) >= 2 else None
+    if delta is not None:  # the observation interval
         store_every = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
         dt = delta / store_every
         n_steps = store_every * (n_obs - 1)
@@ -338,7 +348,7 @@ def evolve_limit(
     else:
         n_steps = max(1, math.ceil(final_time / dt - 1e-9))
     dt = float(dt)
-    dt_floor = dt * DT_FLOOR_FACTOR
+    dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
     # v, S, a, phi (and phi1, w) per node; an adaptive step only shrinks, so
     # this is a lower bound there, capped by max_steps
     nodes = 1 + math.ceil(min(n_steps, max_steps) / store_every)
@@ -395,11 +405,11 @@ def evolve_limit(
     n = 0
     while n < max_steps and unfinished():
         if adaptive:
-            step_dt = min(CFL_NUMBER * dx_min / max(speed, 1e-12), dt,
-                          final_time - t)
-            if step_dt < dt_floor:
+            dt_cfl = CFL_NUMBER * dx_min / max(speed, 1e-12)
+            if dt_cfl < dt_floor:
                 status = "dt_floor"
                 break
+            step_dt = min(dt_cfl, dt, final_time - t)
         else:
             step_dt = min(dt, final_time - t)
             if step_dt * speed / dx_min > 2.0 * CFL_NUMBER:
@@ -419,7 +429,9 @@ def evolve_limit(
         step_times.append(t)
         record_scalars(real, cplx, step_dt, speed)
         speed = _wave_speed(real[:d], cplx[0], sigma)
-        if n % store_every == 0 or not unfinished():
+        # an adaptive run stores the first step reaching each observation time
+        if (t >= len(times) * delta - 1e-9 * dt if adaptive and delta
+                else n % store_every == 0) or not unfinished():
             # v, S, a, phi (and phi1, w)
             store(t, (real[:d], *cplx[:2], *real[2 * d + d * d:], *cplx[2:]))
         del real, cplx
@@ -528,7 +540,6 @@ class BlowupReport:
     t_estimate: float | None
     t_uncertainty: float
     threshold: float
-    baseline: float
     status: str
     times: np.ndarray
     max_grad_v_history: np.ndarray
@@ -540,8 +551,8 @@ class BlowupReport:
 def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     """Flag gradient blow-up along a trajectory.
 
-    Breakdown is declared when max|grad v| exceeds BREAKDOWN_FACTOR times a
-    baseline built from the data's own characteristic-speed gradient scale
+    Breakdown is declared when max|grad v| exceeds the breakdown_threshold
+    of node 0, built from the data's own characteristic-speed gradient scale
     (so data starting at rest is judged against its sound-speed slope, and a
     constant state never fires), or when the run itself stopped on
     non-finite values / a collapsed adaptive step.  The threshold is a
@@ -551,10 +562,7 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     """
     g = traj.grad_v_max
     ts = traj.step_times
-    scale0 = characteristic_gradient_scale(
-        traj.grid, traj.v[0], traj.S[0], traj.sigma)
-    baseline = max(float(g[0]), scale0, BASELINE_FLOOR)
-    threshold = BREAKDOWN_FACTOR * baseline
+    threshold = breakdown_threshold(traj.grid, traj.v[0], traj.S[0], traj.sigma)
 
     t_est = None
     crossing = np.nonzero(g > threshold)[0]
@@ -582,7 +590,6 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
         t_estimate=t_est,
         t_uncertainty=2.0 * spacing,
         threshold=threshold,
-        baseline=baseline,
         status=traj.status,
         times=ts,
         max_grad_v_history=g,
@@ -612,7 +619,6 @@ def focusing_demo(
     pressure_sign: int = -1,
     delta: float = 1e-7,
     window: float = 0.35,
-    dt: float = 2e-3,
     spectral_cutoff: int | None = None,
 ) -> list[GrowthRow]:
     """Short-time growth rates of sinusoidal perturbations per wavenumber.
@@ -627,19 +633,17 @@ def focusing_demo(
         W^2 = int ( sigma*rho0^(sigma-1) * drho^2 + rho0 * |dv|^2 ) dx,
 
     conserved by the linearized defocusing flow, exponentially growing in the
-    ill-posed sign.  The run stores W's inputs at about 36 nodes over the
-    window (every round(window/dt/35)-th step), and the rate is the
-    log-linear slope of W over the second half of them.  A spectral cutoff
-    (default 1.5x the largest mode) suppresses roundoff-seeded growth above
-    the probed band.  The runs are one batched evolve_limit call, so they
-    share the fixed step dt and the cutoff, and a member that breaks the CFL
-    bound or stops being finite truncates every run at the same time.
-    Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
-    ConfigError with key focusing.wavenumbers), and the run must cover the
-    window (else focusing.dt): a dt over the CFL bound stops it at once, and
-    ill-posed growth raises the wave speed until dt breaks the bound, so the
-    CLI defaults stop at t = 0.338 at N = 1024 (and at t = 0.364 at N = 512
-    with window 1.0).
+    ill-posed sign.  The runs are one batched adaptive evolve_limit call
+    (sharing the CFL step and the cutoff) that stores W's inputs at the
+    first step reaching each of 36 observation times over the window; the
+    rate is the log-linear slope of W over the second half of them.  A
+    spectral cutoff (default 1.5x the largest mode) suppresses
+    roundoff-seeded growth above the probed band.  Every mode must lie in
+    the 2/3 band of axis 0, |k| <= N // 3 (else ConfigError with key
+    focusing.wavenumbers), and the run must cover the window (else
+    focusing.window): ill-posed growth that raises the wave speed tenfold
+    stops it with status dt_floor (the CLI defaults with window 1.0 at
+    t = 0.394).
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -657,21 +661,20 @@ def focusing_demo(
                           f"the 2/3 band |k| <= {band} of axis 0")
     if spectral_cutoff is None:
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
-    store = max(1, int(round((window / dt) / 35)))
     rho_bg = np.abs(a0) ** 2
     rho0 = float(np.mean(rho_bg))
 
     xi = 2.0 * np.pi * np.array(ks) / grid.lengths[0]
     pert = delta * np.cos(xi.reshape((-1,) + (1,) * grid.dim) * grid.coords[0])
     traj = evolve_limit(
-        replace(init, a0=a0 + pert), sigma, window, dt=dt,
-        pressure_sign=pressure_sign, strict=False, store_every=store,
+        replace(init, a0=a0 + pert), sigma, window, n_obs=36,
+        pressure_sign=pressure_sign, adaptive=True, strict=False,
         spectral_cutoff=spectral_cutoff,
     )
     if traj.status != "completed":
-        raise ConfigError("focusing.dt", f"the run stopped at t={traj.step_times[-1]:.6g}"
+        raise ConfigError("focusing.window", f"the run stopped at t={traj.step_times[-1]:.6g}"
                           f" of the window {window} with status {traj.status!r};"
-                          " a shorter dt or window completes it")
+                          " a shorter window completes it")
     # W per (node, member), one node at a time; v_bg = 0
     w = np.array([np.sqrt(np.maximum(
         sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real
@@ -685,11 +688,10 @@ def focusing_demo(
             rows.append(GrowthRow(mode=k, xi=float(xi_k), rate=0.0,
                                   max_growth=0.0, w0=0.0))
             continue
-        tt = traj.times[half:]
-        ww = np.log(np.maximum(w_k[half:], 1e-300))
-        slope = float(np.polyfit(tt, ww, 1)[0]) if tt.size >= 2 else 0.0
+        slope = np.polyfit(traj.times[half:],
+                           np.log(np.maximum(w_k[half:], 1e-300)), 1)[0]
         rows.append(GrowthRow(
-            mode=k, xi=float(xi_k), rate=slope,
+            mode=k, xi=float(xi_k), rate=float(slope),
             max_growth=float(np.max(w_k) / w0), w0=float(w0),
         ))
     return rows

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from scnls import cli
 from scnls.config import parse_config
 from scnls.errors import ConfigError
+from scnls.limit import evolve_limit
 
 from conftest import hash_of_csv, hash_of_json, subprocess_env
 
@@ -338,13 +340,14 @@ class TestCliCommands:
         # with the perturbation projected away
         ({"grid": {"N": 64}, "focusing": {"wavenumbers": [4, 20, 21, 22]}},
          "focusing.wavenumbers"),
-        # the step is over the CFL bound at N = 512, so no step is taken
+        # the demo takes its step from the CFL rule: there is no dt
         ({"focusing": {"dt": 0.01}}, "focusing.dt"),
-        # the ill-posed growth stops the run at t = 0.364 of the window
-        ({"focusing": {"window": 1.0}}, "focusing.dt"),
+        # the ill-posed growth raises the wave speed tenfold at t = 0.394
+        # of the window, and the run stops with status dt_floor
+        ({"focusing": {"window": 1.0}}, "focusing.window"),
     ])
     def test_unmeasurable_focusing_exit_2(self, tmp_path, doc, key):
-        # each used to write rows and exit 0
+        # the band and window cases used to write rows and exit 0
         bad = tmp_path / "focusing.json"
         bad.write_text(json.dumps(doc))
         proc = run_cli(["focusing-demo", str(bad), "--out", str(tmp_path / "o")],
@@ -353,6 +356,8 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == key
+        if key == "focusing.window":
+            assert "status 'dt_floor'" in record["error"]["message"]
 
     @pytest.mark.parametrize("name,text", [
         ("missing.json", None),
@@ -459,6 +464,40 @@ class TestCliCommands:
         assert doc_out["breakdown_flag"] is True
         assert doc_out["monotone_in_amplitude"] is True
         assert all(np.isfinite(r["t_estimate"]) for r in doc_out["rows"])
+
+    def test_blowup_stops_at_the_monitors_crossing(self, tmp_path,
+                                                   monkeypatch):
+        # the sigma = 3 bumps at N = 512 cross the breakdown threshold but
+        # never 40x their gradient scale: each run stops at the step where
+        # blowup_monitor declares breakdown, not at max_time as "completed"
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(evolve_limit(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve_limit", recorded)
+        cli.cmd_blowup(parse_config('{"physics": {"sigma": 3}}'), tmp_path)
+        rows = json.loads((tmp_path / "blowup.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["grad_stop", "grad_stop"]
+        for row, traj in zip(rows, runs, strict=True):
+            assert row["t_estimate"] == traj.step_times[-1]
+
+    def test_focusing_defaults_complete_on_fine_grids(self, tmp_path):
+        # the demo steps at its CFL bound, so the default window completes
+        # at N = 1024, where a fixed step of 2e-3 stopped at t = 0.338; the
+        # rates are the linear ones, xi*sqrt(sigma*rho0^sigma)
+        path = tmp_path / "focusing.json"
+        path.write_text(json.dumps({"grid": {"N": 1024},
+                                    "output": {"directory": str(tmp_path / "o")}}))
+        proc = run_cli(["focusing-demo", str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        doc_out = json.loads((tmp_path / "o" / "focusing.json").read_text())
+        assert doc_out["rates_increase_with_wavenumber"] is True
+        for row in doc_out["rows"]:
+            assert row["rate_focusing"] == pytest.approx(
+                row["xi"] * math.sqrt(2.0), rel=0.02)
+            assert 0.8 <= row["max_growth_defocusing"] <= 1.2
 
     def test_focusing_command(self, tmp_path):
         doc = {

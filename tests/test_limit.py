@@ -236,6 +236,35 @@ class TestEvolve:
             assert np.max(np.abs(g.gradient(v).real)) == pytest.approx(
                 gmax, rel=1e-12)
 
+    def test_adaptive_short_last_remainder_completes(self):
+        # three steps of 0.3 leave a last step of 1e-8, far under
+        # DT_FLOOR_FACTOR * dt: the floor judges the CFL step (1.13 here),
+        # not the remainder to final_time, so the run completes
+        data = constant_state_data(Grid(16, 2 * np.pi), rho0=0.1)
+        traj = evolve_limit(data, 2, 0.9 + 1e-8, dt=0.3, adaptive=True,
+                            strict=False)
+        assert traj.status == "completed"
+        assert len(traj.step_times) == 5
+        assert np.diff(traj.step_times)[-1] < limit.DT_FLOOR_FACTOR * 0.3
+        assert traj.times[-1] == traj.step_times[-1]
+
+    def test_adaptive_n_obs_stores_first_step_at_each_time(self):
+        # the adaptive step shrinks as the bump steepens; a node is the
+        # first step that reaches each observation time, the last one
+        # final_time itself
+        g = Grid(128, 16.0)
+        data = InitialData(grid=g, a0=compact_bump(g, 3.0, 1.2).astype(complex),
+                           a1=np.zeros(g.shape, dtype=complex),
+                           phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        obs = np.linspace(0.0, 3.0, 7)
+        traj = evolve_limit(data, 2, 3.0, n_obs=7, adaptive=True, strict=False)
+        assert traj.status == "completed"
+        assert traj.times.size == obs.size
+        steps = traj.step_times
+        for t_obs, t_node in zip(obs, traj.times):
+            assert t_node == steps[np.searchsorted(steps, t_obs - 1e-12)]
+        assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
+
     def test_n_obs_stores_only_observation_times(self, gaussian_data):
         # a whole number of steps per observation interval; the stored
         # nodes are the observation times, with or without the corrector
@@ -599,17 +628,16 @@ class TestFocusingDemo:
         # the old reduction: the background evolved alongside the perturbed
         # run and subtracted node by node; at rest it stays bit-for-bit put
         # the defaults of focusing_demo; the cutoff is its default for k = 8
-        k, sigma, psign, delta, window, dt = 8, 1, -1, 1e-7, 0.35, 2e-3
+        k, sigma, psign, delta, window = 8, 1, -1, 1e-7, 0.35
         g = background.grid
-        store = int(round((window / dt) / 35))
 
         def run(a0):
             data = InitialData(grid=g, a0=a0, a1=background.a1,
                                phi0_periodic=background.phi0_periodic,
                                phi0_wavevector=background.phi0_wavevector)
-            return evolve_limit(data, sigma, window, dt=dt,
-                                pressure_sign=psign, strict=False,
-                                store_every=store, spectral_cutoff=16)
+            return evolve_limit(data, sigma, window, n_obs=36,
+                                pressure_sign=psign, adaptive=True,
+                                strict=False, spectral_cutoff=16)
 
         base = run(background.a0)
         xi = 2.0 * np.pi * k / g.lengths[0]
@@ -627,8 +655,9 @@ class TestFocusingDemo:
                                 np.log(np.maximum(w[half:], 1e-300)), 1)[0])
         ref = GrowthRow(mode=k, xi=xi, rate=rate,
                         max_growth=float(np.max(w) / w[0]), w0=float(w[0]))
+        np.testing.assert_array_equal(base.times, traj.times)
         assert focusing_demo(background, [k], sigma, pressure_sign=psign,
-                             delta=delta, window=window, dt=dt) == [ref]
+                             delta=delta, window=window) == [ref]
 
     def test_batched_rows_equal_single_runs(self, background):
         # one batched run for all wavenumbers gives the rows of one run per
@@ -652,23 +681,26 @@ class TestFocusingDemo:
     @pytest.mark.parametrize("kwargs,key", [
         # mode 86 lies above the 2/3 band N // 3 = 85: projected away at once
         ({"perturbation_wavenumbers": [4, 85, 86]}, "focusing.wavenumbers"),
-        # a step over the CFL bound: the run stops before its first step
-        ({"perturbation_wavenumbers": [4], "dt": 0.1}, "focusing.dt"),
+        # the ill-posed sigma = 2 growth leaves the linear regime long
+        # before the end of a window of 1.0
+        ({"perturbation_wavenumbers": [32], "sigma": 2, "window": 1.0},
+         "focusing.window"),
     ])
     def test_unmeasurable_run_rejected(self, background, kwargs, key):
         with pytest.raises(ConfigError) as err:
-            focusing_demo(background, sigma=1, **kwargs)
+            focusing_demo(background, **{"sigma": 1, **kwargs})
         assert err.value.key == key
 
     def test_run_stopped_inside_window_rejected(self, background):
-        # the ill-posed sigma = 2 growth raises the wave speed until the
-        # step crosses the CFL bound at t = 0.384: no rows from part of the
-        # window, while the default window completes
+        # the ill-posed sigma = 2 growth raises the wave speed until the CFL
+        # step falls below DT_FLOOR_FACTOR times the first one at
+        # t = 0.401: no rows from part of the window, while the default
+        # window completes
         with pytest.raises(ConfigError) as err:
             focusing_demo(background, [32], 2, pressure_sign=-1, window=0.5)
-        assert err.value.key == "focusing.dt"
-        assert "stopped at t=0.384 of the window 0.5 with status 'cfl'" \
-            in str(err.value)
+        assert err.value.key == "focusing.window"
+        assert "stopped at t=0.401225 of the window 0.5 with status " \
+            "'dt_floor'" in str(err.value)
         assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
 
     def test_zero_perturbation_zero_growth(self, background):
