@@ -256,7 +256,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
             grid, np.zeros((grid.dim, *grid.shape)), data.a0 ** cfg.sigma,
             cfg.sigma)
         traj = evolve_limit(data, cfg.sigma, opts["max_time"], adaptive=True,
-                            strict=False, store_every=50, grad_stop=threshold)
+                            strict=False, grad_stop=threshold)
         rep = blowup_monitor(traj)
         rows.append({
             "amplitude": amp,

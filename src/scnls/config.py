@@ -53,9 +53,9 @@ _FORMATS = {"csv", "json", "snapshots"}
 # (8*dim + 64).  The step-doubling guard's run keeps only its two end states,
 # which do not grow with observation_count.  The 168 keep the earlier margins
 # (a second wavefunction and a second limit node), so no configuration that
-# was refused is now accepted.  evolve_limit checks its own node count before
-# it runs: runs without observation times (blowup) store every few CFL steps,
-# so theirs grows with N.
+# was refused is now accepted.  evolve_limit checks its own nodes before it
+# runs: n_obs per batch member, so a batched run (focusing-demo, one member
+# per wavenumber) can exceed the budget where one run does not.
 MAX_GRID_POINTS = 2**20
 SNAPSHOT_BYTES_PER_POINT = 168
 

@@ -58,6 +58,8 @@ from .grid import SUPPORT_TAIL_THRESHOLD, Grid, node_index
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
+# a run stops with status "max_steps" after this many steps
+MAX_STEPS = 2_000_000
 # memory budget for the stored nodes of one trajectory, checked before the run
 MAX_STORED_BYTES = 2**31
 # adaptive runs stop (dt_floor) once their CFL step is below this x the first
@@ -260,52 +262,46 @@ def evolve_limit(
     sigma: int,
     final_time: float,
     dt: float | None = None,
-    n_obs: int | None = None,
+    n_obs: int = 2,
     pressure_sign: int = 1,
     adaptive: bool = False,
     strict: bool = True,
-    store_every: int = 1,
     spectral_cutoff: int | None = None,
     grad_stop: float | None = None,
-    max_steps: int = 2_000_000,
     a1: np.ndarray | None = None,
 ) -> LimitTrajectory:
     """Integrate the limit system up to final_time (or until breakdown).
 
-    With dt=None the step is the initial CFL step
-    dt <= CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)); the phase is
-    integrated with the flow, so the step needs no further margin.  When
-    n_obs is given the step is cut to a whole number of steps per each of
-    the n_obs-1 uniform observation intervals, and only the n_obs
-    observation times are stored: every that-many-th step of a fixed-step
-    run, the first step that reaches each time of an adaptive one; without
-    it every store_every-th step is.  The per-step scalars
-    (grad_v_max, ...) cover every step either way; they, the finiteness
-    check and the stored node come from one grid pass of the step's state.
-    Given a1, the run also
-    carries the corrector pair (phi1, w) from (0, a1): the trajectory
-    stores it as its phi1 and w, and its states carry it (None without a1).
-    Fields of init and a1 of shape (*batch, *grid.shape) are independent
-    runs integrated as one, stored with their batch axes.  The members share
-    the step, the status and the per-step scalars (each a max over the
-    members): one member breaking the CFL bound or going non-finite stops
-    them all.
-    adaptive=True re-derives the step from the CFL rule every step, capped
-    at dt, for the instability demos; it stops with status "dt_floor" once
-    that step falls below DT_FLOOR_FACTOR times the first (strict=False
-    truncates the trajectory there instead of raising).
-    A fixed-step run takes a step count set before it starts
-    (ceil(final_time/dt), or the steps per observation interval times
-    n_obs-1); step n ends at n*dt and the last one at final_time exactly.
-    An adaptive run stops when its summed steps reach final_time.  A run
-    that reaches max_steps first ends with status "max_steps", which raises
-    like every other early stop when strict.
-    Initial data without a finite wave speed, and a run whose stored nodes
-    (of every batch member) would exceed MAX_STORED_BYTES, raise ConfigError
-    before the run starts.
+    One step rule: each of the n_obs-1 uniform observation intervals of
+    [0, final_time] is cut into ceil(interval/dt) equal steps, dt the given
+    step or else the initial CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max
+    rho^sigma)) (the phase is integrated with the flow, so the step needs
+    no further margin).  A fixed-step run takes these steps, step n ending
+    at n*dt and the last at final_time exactly; adaptive=True re-derives
+    the step from the CFL rule every step, capped at that step and at the
+    time left, for the instability demos.  One node rule: a node is the
+    first step that reaches each observation time (n_obs = 2: the start and
+    the end), so a completed run stores exactly n_obs nodes and a stopped
+    one fewer.  The per-step scalars (grad_v_max, ...) cover every step;
+    they, the finiteness check and the stored node come from one grid pass
+    of the step's state.  Given a1, the run also carries the corrector pair
+    (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
+    its states carry it (None without a1).  Fields of init and a1 of shape
+    (*batch, *grid.shape) are independent runs integrated as one, stored
+    with their batch axes.  The members share the step, the status and the
+    per-step scalars (each a max over the members): one member breaking the
+    CFL bound or going non-finite stops them all.
+    An adaptive run stops with status "dt_floor" once its CFL step falls
+    below DT_FLOOR_FACTOR times the first, and any run with status
+    "max_steps" after MAX_STEPS steps; an early stop raises when strict
+    (strict=False truncates the trajectory there instead).  n_obs < 2,
+    initial data without a finite wave speed, and nodes (of every batch
+    member) over MAX_STORED_BYTES raise ConfigError before the run starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
+    if n_obs < 2:
+        raise ConfigError("time.observation_count", f"n_obs must be >= 2, got {n_obs}")
     grid = init.grid
     mask = grid.dealias_mask
     if spectral_cutoff is not None:
@@ -316,6 +312,12 @@ def evolve_limit(
         a1 = np.asarray(a1, dtype=complex)
         if a1.shape != a0.shape:
             raise ConfigError("initial.a1", "a1 shape does not match a0")
+    # v, S, a, phi (and phi1, w) per node
+    per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
+    stored = n_obs * a0.size * per_point
+    if stored > MAX_STORED_BYTES:
+        raise ConfigError("grid.N", f"{n_obs} stored nodes need {stored} "
+                          f"bytes, over the budget of {MAX_STORED_BYTES}")
 
     # the spectral RK4 state: v = grad phi0 + k (the linear part of phi0 is
     # the constant velocity k, size*k in the zero mode) and S, a projected
@@ -337,40 +339,21 @@ def evolve_limit(
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
-    delta = final_time / (n_obs - 1) if (n_obs or 0) >= 2 else None
-    if delta is not None:  # the observation interval
-        store_every = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
-        dt = delta / store_every
-        n_steps = store_every * (n_obs - 1)
-    elif dt is None:
-        n_steps = max(1, math.ceil(final_time / dt_cfl0))
-        dt = final_time / n_steps
-    else:
-        n_steps = max(1, math.ceil(final_time / dt - 1e-9))
-    dt = float(dt)
+    delta = final_time / (n_obs - 1)  # the observation interval
+    steps_per_obs = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
+    dt = delta / steps_per_obs
+    n_steps = steps_per_obs * (n_obs - 1)
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
-    # v, S, a, phi (and phi1, w) per node; an adaptive step only shrinks, so
-    # this is a lower bound there, capped by max_steps
-    nodes = 1 + math.ceil(min(n_steps, max_steps) / store_every)
-    per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
-    stored = nodes * a0.size * per_point
-    if stored > MAX_STORED_BYTES:
-        raise ConfigError("grid.N", f"{nodes} stored nodes need {stored} "
-                          f"bytes, over the budget of {MAX_STORED_BYTES}")
 
     nodes0 = (real[:d], *cplx[:2], phi0)
     if a1 is not None:
         nodes0 += (np.zeros(a0.shape), a1)
     # the stored nodes, one block per field written in place (no copy of
-    # every node at the end): the node count is exact for fixed steps, and
-    # the blocks double when an adaptive run outgrows it
-    fields = [np.empty((nodes, *f.shape), f.dtype) for f in nodes0]
+    # every node at the end)
+    fields = [np.empty((n_obs, *f.shape), f.dtype) for f in nodes0]
     times = []
 
     def store(t_now, y_now):
-        nonlocal fields
-        if len(times) == len(fields[0]):
-            fields = [np.concatenate([f, f]) for f in fields]
         for f, yi in zip(fields, y_now):
             f[len(times)] = yi
         times.append(t_now)
@@ -397,13 +380,13 @@ def evolve_limit(
         # inside it), so a wrapper installed on either one sees every call
         return _rhs(y, grid, sigma, pressure_sign, mask)
 
-    def unfinished() -> bool:
-        return t < final_time - 1e-12 if adaptive else n < n_steps
-
     status = "completed"
     t = 0.0
     n = 0
-    while n < max_steps and unfinished():
+    while len(times) < n_obs:
+        if n == MAX_STEPS:
+            status = "max_steps"
+            break
         if adaptive:
             dt_cfl = CFL_NUMBER * dx_min / max(speed, 1e-12)
             if dt_cfl < dt_floor:
@@ -429,17 +412,15 @@ def evolve_limit(
         step_times.append(t)
         record_scalars(real, cplx, step_dt, speed)
         speed = _wave_speed(real[:d], cplx[0], sigma)
-        # an adaptive run stores the first step reaching each observation time
-        if (t >= len(times) * delta - 1e-9 * dt if adaptive and delta
-                else n % store_every == 0) or not unfinished():
+        # the first step reaching the next observation time (the last is
+        # final_time itself, which the last step ends on)
+        if t >= min(len(times) * delta, final_time) - 1e-9 * dt:
             # v, S, a, phi (and phi1, w)
             store(t, (real[:d], *cplx[:2], *real[2 * d + d * d:], *cplx[2:]))
         del real, cplx
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
-    if status == "completed" and unfinished():
-        status = "max_steps"
 
     if status != "completed" and strict:
         raise NumericalGuardError(
@@ -640,10 +621,12 @@ def focusing_demo(
     spectral cutoff (default 1.5x the largest mode) suppresses
     roundoff-seeded growth above the probed band.  Every mode must lie in
     the 2/3 band of axis 0, |k| <= N // 3 (else ConfigError with key
-    focusing.wavenumbers), and the run must cover the window (else
-    focusing.window): ill-posed growth that raises the wave speed tenfold
-    stops it with status dt_floor (the CLI defaults with window 1.0 at
-    t = 0.394).
+    focusing.wavenumbers), and the run must cover the window and stay
+    linear (else focusing.window): ill-posed growth that raises the wave
+    speed tenfold stops it with status dt_floor (the CLI defaults with
+    window 1.0 at t = 0.394), and a completed run is refused once
+    max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1 with window
+    1.0), where the rates no longer measure the linear growth.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -675,6 +658,15 @@ def focusing_demo(
         raise ConfigError("focusing.window", f"the run stopped at t={traj.step_times[-1]:.6g}"
                           f" of the window {window} with status {traj.status!r};"
                           " a shorter window completes it")
+    # the rates are the linear ones only while the perturbation stays below
+    # the background on every stored node
+    gap = np.array([np.max(np.abs(a - a0)) for a in traj.a])
+    outside = np.nonzero(gap >= math.sqrt(rho0))[0]
+    if outside.size:
+        raise ConfigError("focusing.window", "the perturbation max|a - a_bg| "
+                          f"reaches |a_bg| at t={traj.times[outside[0]]:.6g} of "
+                          f"the window {window}, outside the linear regime; a "
+                          "shorter window keeps it inside")
     # W per (node, member), one node at a time; v_bg = 0
     w = np.array([np.sqrt(np.maximum(
         sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real

@@ -59,6 +59,8 @@ SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
 
 # most steps one run may take: a larger count is a step too small to finish
 MAX_NLS_STEPS = 10**7
+# the step-doubling guard's tolerance, in eps*||u0||_L2
+SELF_CHECK_FACTOR = 0.05
 # the wavefunction integrator of the sweep rows and the CLI runs, and the
 # exponent of their Strang step dt0*eps^DT_EXPONENT
 SCHEME = "yoshida4"
@@ -74,7 +76,6 @@ class NLSConfig:
     dt0: float = 0.01
     dt_override: float | None = None
     self_check: bool = True
-    self_check_factor: float = 0.05
     scheme: str = "strang"
 
     def __post_init__(self):
@@ -273,7 +274,7 @@ def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
 
 
 def _check_tolerance(cfg: NLSConfig, u0: np.ndarray) -> float:
-    return cfg.self_check_factor * cfg.epsilon * max(cfg.grid.l2_norm(u0), 1e-300)
+    return SELF_CHECK_FACTOR * cfg.epsilon * max(cfg.grid.l2_norm(u0), 1e-300)
 
 
 def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
@@ -287,7 +288,7 @@ def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
     the run takes n steps, one more member with the same scheme covers
     [0, T] in n // 2 steps (2*n when n <= 3, where no coarser step is left)
     and stores only its end state.  If the final states differ by more than
-    self_check_factor*eps*||u0|| in L2, the run's trajectory is flagged
+    SELF_CHECK_FACTOR*eps*||u0|| in L2, the run's trajectory is flagged
     (self_check_ok False); nothing is raised for it.
     """
     runs, members = [], []

@@ -307,12 +307,14 @@ class TestCliCommands:
 
     def test_limit_over_memory_budget_exit_2(self, tmp_path):
         # the config parses (20 snapshots of 65,536 points fit the budget),
-        # but the breakdown hunt stores every 50th of its CFL steps: 1,420
-        # nodes, 4.47 GB, refused before the run starts
+        # but the focusing run batches its 24 wavenumbers: 36 nodes x 24
+        # members x 48 B x 65,536 points, 2.7 GB, refused before the run
+        # starts
         bad = tmp_path / "big.json"
-        bad.write_text('{"grid": {"N": 65536}}')
-        proc = run_cli(["blowup", str(bad), "--out", str(tmp_path / "o")],
-                       tmp_path)
+        bad.write_text(json.dumps({"grid": {"N": 65536}, "focusing": {
+            "wavenumbers": list(range(1, 25))}}))
+        proc = run_cli(["focusing-demo", str(bad), "--out",
+                        str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 2, proc.stderr
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["key"] == "grid.N"
@@ -345,6 +347,11 @@ class TestCliCommands:
         # the ill-posed growth raises the wave speed tenfold at t = 0.394
         # of the window, and the run stops with status dt_floor
         ({"focusing": {"window": 1.0}}, "focusing.window"),
+        # the sigma = 1 run completes the window, but its perturbation
+        # outgrows the background, where rates 35.9, 28.0, 19.4, -29.1
+        # stood for the linear 4, 8, 16, 32
+        ({"physics": {"sigma": 1}, "focusing": {"window": 1.0}},
+         "focusing.window"),
     ])
     def test_unmeasurable_focusing_exit_2(self, tmp_path, doc, key):
         # the band and window cases used to write rows and exit 0
@@ -357,7 +364,10 @@ class TestCliCommands:
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == key
         if key == "focusing.window":
-            assert "status 'dt_floor'" in record["error"]["message"]
+            # the stopped sigma = 2 run names its status, the completed
+            # sigma = 1 run the background its perturbation reached
+            want = "|a_bg|" if "physics" in doc else "status 'dt_floor'"
+            assert want in record["error"]["message"]
 
     @pytest.mark.parametrize("name,text", [
         ("missing.json", None),

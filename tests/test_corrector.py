@@ -58,7 +58,7 @@ class TestSelfConvergence:
         traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
                             a1=gaussian_data.a1)
         fine = evolve_limit(gaussian_data, 2, 0.25, dt=traj.dt / 8,
-                            a1=gaussian_data.a1)
+                            n_obs=20, a1=gaussian_data.a1)
         corr = evolve_corrector(traj)
         ref = evolve_corrector(fine)
         nodes = [ref.index_at(t) for t in corr.times]

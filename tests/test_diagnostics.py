@@ -241,8 +241,9 @@ class TestModulatedEnergy:
 
     @pytest.mark.parametrize("case", ["1d", "2d-joint"])
     def test_gronwall_matches_node_scan(self, gaussian_data, case):
-        # without n_obs every step is a stored node, so the per-step scalars
-        # must reproduce the constant scanned off the stored velocity fields;
+        # one CFL step per observation interval stores every step, so the
+        # per-step scalars must reproduce the constant scanned off the
+        # stored velocity fields;
         # the 2-D case checks the d x d layout of grad v on a non-square grid
         data, a1 = gaussian_data, None
         if case == "2d-joint":
@@ -255,7 +256,8 @@ class TestModulatedEnergy:
                                phi0_wavevector=(0.0, 0.0))
             a1 = data.a1
         g = data.grid
-        ltraj = evolve_limit(data, 2, 0.25, a1=a1)
+        steps = len(evolve_limit(data, 2, 0.25, a1=a1).step_times) - 1
+        ltraj = evolve_limit(data, 2, 0.25, n_obs=steps + 1, a1=a1)
         scan = 0.0
         for v in ltraj.v:
             grad_v = [g.gradient(v[j]).real for j in range(g.dim)]

@@ -93,28 +93,27 @@ class TestEvolve:
         with pytest.raises(NumericalGuardError):
             evolve_limit(data, 2, 1.0, dt=0.9)
 
-    def test_max_steps_status(self, gaussian_data):
-        # a run cut by max_steps is not "completed": strict raises, and the
+    def test_max_steps_status(self, gaussian_data, monkeypatch):
+        # a run cut by MAX_STEPS is not "completed": strict raises, and the
         # lenient run reports the cut and ends before final_time
+        monkeypatch.setattr(limit, "MAX_STEPS", 3)
         with pytest.raises(NumericalGuardError, match="max_steps"):
-            evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, max_steps=3)
-        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, max_steps=3,
-                            strict=False)
+            evolve_limit(gaussian_data, 2, 0.05, dt=1e-3)
+        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, strict=False)
         assert traj.status == "max_steps"
         assert traj.times[-1] < 0.05
         assert len(traj.step_times) == 4
         assert blowup_monitor(traj).t_estimate == pytest.approx(traj.step_times[-1])
 
     def test_stored_nodes_over_budget(self):
-        # the CFL step shrinks with dx, so without n_obs the node count (one
-        # per step) grows with N: the default run on 65,536 points would
-        # store 3,549 nodes (11 GB) and is refused before anything is stored
+        # 2,001 nodes of 65,536 points would need 6.3 GB: the run is refused
+        # before anything is stored
         g = Grid(65536, 16.0)
         data = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
                            a1=np.zeros(g.shape, dtype=complex),
                            phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
         with pytest.raises(ConfigError) as err:
-            evolve_limit(data, 2, 0.25)
+            evolve_limit(data, 2, 0.25, n_obs=2001)
         assert err.value.key == "grid.N"
 
     def test_fixed_step_count_with_roundoff(self):
@@ -138,7 +137,7 @@ class TestEvolve:
         elif case == "n_obs":
             data, T = gaussian_data, 0.25
             traj = evolve_limit(data, 2, T, n_obs=20, a1=data.a1)
-        else:  # 0.003 does not divide 0.05: 17 steps, the last one shorter
+        else:  # 0.003 does not divide 0.05: 17 equal steps of 0.05/17
             data, T = gaussian_data, 0.05
             traj = evolve_limit(data, 2, T, dt=0.003)
         assert traj.times[-1] == T
@@ -213,45 +212,45 @@ class TestEvolve:
 
         monkeypatch.setattr("scnls.limit._rhs", no_stage)
         with pytest.raises(RuntimeError):  # the single run passes the check
-            evolve_limit(one, 2, 2.0, dt=1e-3)
+            evolve_limit(one, 2, 2.0, dt=1e-3, n_obs=2001)
         with pytest.raises(ConfigError) as err:
-            evolve_limit(batch, 2, 2.0, dt=1e-3)
+            evolve_limit(batch, 2, 2.0, dt=1e-3, n_obs=2001)
         assert err.value.key == "grid.N"
 
-    def test_adaptive_run_outgrowing_its_node_estimate(self):
-        # the adaptive step shrinks as the bump steepens, so the run takes
-        # more steps than its first step predicts and the node blocks grow;
-        # every stored node is still the state whose scalars its step recorded
-        g = Grid(128, 16.0)
-        data = InitialData(grid=g, a0=compact_bump(g, 3.0, 1.2).astype(complex),
-                           a1=np.zeros(g.shape, dtype=complex),
-                           phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
-        traj = evolve_limit(data, 2, 3.0, adaptive=True, strict=False)
-        assert traj.status == "completed"
-        np.testing.assert_array_equal(traj.times, traj.step_times)
-        assert traj.times.size > 1 + round(3.0 / traj.step_times[1])
-        # the scalar comes from the state's spectrum, the node from the grid
-        # pass of the same step: they agree to roundoff, not bit for bit
-        for v, gmax in zip(traj.v, traj.grad_v_max):
-            assert np.max(np.abs(g.gradient(v).real)) == pytest.approx(
-                gmax, rel=1e-12)
-
     def test_adaptive_short_last_remainder_completes(self):
-        # three steps of 0.3 leave a last step of 1e-8, far under
-        # DT_FLOOR_FACTOR * dt: the floor judges the CFL step (1.13 here),
-        # not the remainder to final_time, so the run completes
-        data = constant_state_data(Grid(16, 2 * np.pi), rho0=0.1)
-        traj = evolve_limit(data, 2, 0.9 + 1e-8, dt=0.3, adaptive=True,
-                            strict=False)
+        # the background's CFL step is 0.3 and the cap is final_time, so
+        # three CFL steps leave a last step of 1e-8, far under
+        # DT_FLOOR_FACTOR * 0.3: the floor judges the CFL step, not the
+        # remainder to final_time, so the run completes
+        rho0 = limit.CFL_NUMBER * (2 * np.pi / 16) / (0.3 * math.sqrt(3))
+        data = constant_state_data(Grid(16, 2 * np.pi), rho0=rho0)
+        T = 0.9 + 1e-8
+        traj = evolve_limit(data, 2, T, dt=T, adaptive=True, strict=False)
         assert traj.status == "completed"
         assert len(traj.step_times) == 5
+        np.testing.assert_allclose(np.diff(traj.step_times)[:3], 0.3,
+                                   rtol=1e-12)
         assert np.diff(traj.step_times)[-1] < limit.DT_FLOOR_FACTOR * 0.3
         assert traj.times[-1] == traj.step_times[-1]
+
+    def test_adaptive_roundoff_stores_n_obs_nodes(self):
+        # 620 adaptive steps of T/620 sum to 1.1e-12 short of T = 70.175;
+        # the last of them reaches the last observation time, so the run
+        # stores its 5 nodes and ends, with no sliver step and no node twice
+        g = Grid(16, 2 * np.pi)
+        traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
+                            n_obs=5, adaptive=True, strict=False)
+        assert traj.status == "completed"
+        assert len(traj.step_times) - 1 == 620
+        assert traj.times.size == 5
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
 
     def test_adaptive_n_obs_stores_first_step_at_each_time(self):
         # the adaptive step shrinks as the bump steepens; a node is the
         # first step that reaches each observation time, the last one
-        # final_time itself
+        # final_time itself, and it is the state whose scalars that step
+        # recorded
         g = Grid(128, 16.0)
         data = InitialData(grid=g, a0=compact_bump(g, 3.0, 1.2).astype(complex),
                            a1=np.zeros(g.shape, dtype=complex),
@@ -264,23 +263,47 @@ class TestEvolve:
         for t_obs, t_node in zip(obs, traj.times):
             assert t_node == steps[np.searchsorted(steps, t_obs - 1e-12)]
         assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
+        # the scalar comes from the state's spectrum, the node from the grid
+        # pass of the same step: they agree to roundoff, not bit for bit
+        nodes = np.searchsorted(steps, traj.times)
+        for v, gmax in zip(traj.v, traj.grad_v_max[nodes]):
+            assert np.max(np.abs(g.gradient(v).real)) == pytest.approx(
+                gmax, rel=1e-12)
 
-    def test_n_obs_stores_only_observation_times(self, gaussian_data):
-        # a whole number of steps per observation interval; the stored
-        # nodes are the observation times, with or without the corrector
-        obs = np.linspace(0.0, 0.25, 20)
+    @pytest.mark.parametrize("n_obs", [0, 1])
+    def test_n_obs_below_two_rejected(self, gaussian_data, n_obs):
+        # a run stores at least its start and its end
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(gaussian_data, 2, 0.25, n_obs=n_obs)
+        assert err.value.key == "time.observation_count"
+
+    @pytest.mark.parametrize("n_obs", [20, None], ids=["given", "default"])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_n_obs_stores_only_observation_times(self, gaussian_data,
+                                                 adaptive, n_obs):
+        # a whole number of steps per observation interval, n_obs = 2 (the
+        # start and the end) by default; the stored nodes are the first
+        # steps reaching the observation times, with or without the
+        # corrector, and a fixed step reaches each one exactly
+        obs = np.linspace(0.0, 0.25, n_obs or 2)
+        kw = {} if n_obs is None else {"n_obs": n_obs}
         for a1 in (None, gaussian_data.a1):
-            traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20, a1=a1)
-            np.testing.assert_allclose(traj.times, obs, rtol=0, atol=1e-12)
+            traj = evolve_limit(gaussian_data, 2, 0.25, adaptive=adaptive,
+                                a1=a1, **kw)
+            steps = traj.step_times
+            np.testing.assert_array_equal(
+                traj.times, steps[np.searchsorted(steps, obs - 1e-12)])
             fields = [traj.v, traj.S, traj.a, traj.phi]
             if a1 is not None:
                 fields += [traj.phi1, traj.w]
             assert all(f.shape[0] == obs.size for f in fields)
-            steps = len(traj.step_times) - 1
-            assert steps % (obs.size - 1) == 0
-            assert traj.dt * steps == pytest.approx(0.25)
             # the per-step scalars still cover every step
-            assert traj.grad_div_v_max.size == steps + 1
+            assert traj.grad_div_v_max.size == steps.size
+            if not adaptive:
+                np.testing.assert_allclose(traj.times, obs, rtol=0, atol=1e-12)
+                assert (steps.size - 1) % (obs.size - 1) == 0
+                assert traj.dt * (steps.size - 1) == pytest.approx(0.25)
 
 
 def oracle_rhs(state, grid, sigma, psign, mask):
@@ -548,8 +571,7 @@ class TestEulerInvariants:
 class TestBlowup:
     def test_constant_never_flags(self, grid_1d):
         data = constant_state_data(grid_1d, rho0=0.5)
-        traj = evolve_limit(data, 2, 4.0, adaptive=True, strict=False,
-                            store_every=20)
+        traj = evolve_limit(data, 2, 4.0, adaptive=True, strict=False)
         rep = blowup_monitor(traj)
         assert not rep.breakdown_flag
 
@@ -566,13 +588,31 @@ class TestBlowup:
             scale = characteristic_gradient_scale(
                 g, np.zeros((1, *g.shape)), a0**sigma, sigma)
             traj = evolve_limit(data, sigma, 20.0, adaptive=True, strict=False,
-                                store_every=50, grad_stop=40.0 * scale)
+                                grad_stop=40.0 * scale)
             rep = blowup_monitor(traj)
             assert rep.breakdown_flag
             assert rep.t_estimate is not None and rep.t_estimate < 20.0
             assert rep.envelope_ok
             t_flagged.append(rep.t_estimate)
         assert t_flagged[1] < t_flagged[0]  # doubling amplitude breaks earlier
+
+    def test_grad_stop_run_stores_node_0_only(self):
+        # the breakdown hunt stops at the monitor's crossing, long before
+        # its second observation time (the end): node 0, from which the
+        # monitor reads its threshold, is all it stores
+        g = Grid(256, 20.0)
+        a0 = compact_bump(g, radius=3.0, amplitude=1.0).astype(complex)
+        data = InitialData(grid=g, a0=a0, a1=np.zeros(g.shape, dtype=complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(0.0,))
+        threshold = limit.breakdown_threshold(g, np.zeros((1, *g.shape)),
+                                              a0, 1)
+        traj = evolve_limit(data, 1, 20.0, adaptive=True, strict=False,
+                            grad_stop=threshold)
+        assert traj.status == "grad_stop"
+        assert traj.times.tolist() == [0.0]
+        assert traj.v.shape[0] == traj.a.shape[0] == 1
+        assert blowup_monitor(traj).t_estimate == traj.step_times[-1]
 
     @pytest.mark.parametrize("shape, lengths", [(128, 10.0),
                                                 ((32, 16), (10.0, 8.0))])
@@ -684,6 +724,10 @@ class TestFocusingDemo:
         # the ill-posed sigma = 2 growth leaves the linear regime long
         # before the end of a window of 1.0
         ({"perturbation_wavenumbers": [32], "sigma": 2, "window": 1.0},
+         "focusing.window"),
+        # the sigma = 1 run completes a window of 1.0, but its perturbation
+        # outgrows the background (max|a - a_bg| reaches 2.3-2.8 |a_bg|)
+        ({"perturbation_wavenumbers": [4, 8, 16, 32], "window": 1.0},
          "focusing.window"),
     ])
     def test_unmeasurable_run_rejected(self, background, kwargs, key):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scnls import Grid
+from scnls import Grid, nls
 from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
 from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
@@ -156,12 +156,12 @@ class TestEvolve:
         assert np.allclose(traj.times, obs)
         assert len(traj.states) == 6
 
-    def test_self_check_guard_raises(self, gaussian_data):
+    def test_self_check_guard_raises(self, gaussian_data, monkeypatch):
+        monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", 1e-9)
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.5)
         cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                        dt_override=0.05, self_check=True,
-                        self_check_factor=1e-9)
+                        dt_override=0.05, self_check=True)
         with pytest.raises(NumericalGuardError):
             evolve_nls(u0, cfg)
 
@@ -461,11 +461,12 @@ class TestStepDoublingGuard:
         ratio = g.l2_norm(u2 - u1) / g.l2_norm(u1 - uh)
         assert 12.0 <= ratio <= 20.0
 
-    def test_failed_check_carries_trajectory(self, gaussian_data):
+    def test_failed_check_carries_trajectory(self, gaussian_data, monkeypatch):
+        monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", 1e-9)
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.5)
         cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                        dt_override=0.05, self_check_factor=1e-9)
+                        dt_override=0.05)
         with pytest.raises(NumericalGuardError) as info:
             evolve_nls(u0, cfg)
         traj = info.value.trajectory
@@ -554,20 +555,26 @@ class TestBatch:
             + sum(1 + n for n in check_substeps)
         assert members[0] == 6 and members[-1] == 1
 
-    def test_failed_check_flags_only_its_member(self, gaussian_data):
+    def test_failed_check_flags_only_its_member(self, gaussian_data,
+                                                monkeypatch):
+        # at a tolerance of 1e-9*eps*||u0|| the Gaussian's check fails, while
+        # a constant state's passes (the split step is exact on it up to
+        # roundoff); each member keeps the error and states of its own run
+        monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", 1e-9)
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.5)
-        strict = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                           dt_override=0.05, self_check_factor=1e-9)
-        sane = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                         dt_override=0.05)
-        flagged, passed = evolve_nls_batch([u0, u0], [strict, sane])
+        flat = np.full(g.shape, 0.8, dtype=complex)
+        cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
+                        dt_override=0.05)
+        flagged, passed = evolve_nls_batch([u0, flat], [cfg, cfg])
         assert not flagged.self_check_ok
         assert passed.self_check_ok
-        assert flagged.self_check_error == passed.self_check_error
-        with pytest.raises(NumericalGuardError):
-            evolve_nls(u0, strict)
-        assert np.array_equal(flagged.states[-1], evolve_nls(u0, sane).states[-1])
+        with pytest.raises(NumericalGuardError) as info:
+            evolve_nls(u0, cfg)
+        assert flagged.self_check_error == info.value.value
+        assert np.array_equal(flagged.states[-1],
+                              info.value.trajectory.states[-1])
+        assert passed.self_check_error == evolve_nls(flat, cfg).self_check_error
 
     def test_nonfinite_member_raises_with_own_time(self, grid_1d):
         # |u|^4 overflows at the first substep of the second member; its
