@@ -70,10 +70,6 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _obs_times(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.final_time, cfg.observation_count)
-
-
 # ---------------------------------------------------------------------------
 # runs shared by the commands
 
@@ -83,20 +79,9 @@ def _nls_run(cfg: RunConfig, data: InitialData) -> tuple:
     invariants of each of its snapshots."""
     ncfg = NLSConfig(grid=data.grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
                      final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
-    traj = evolve_nls(build_initial_data(data, cfg.epsilon), ncfg, _obs_times(cfg))
+    traj = evolve_nls(build_initial_data(data, cfg.epsilon), ncfg, cfg.observation_count)
     return traj, [nls_invariants(u, float(t), data.grid, cfg.epsilon, cfg.sigma)
                   for t, u in zip(traj.times, traj.states)]
-
-
-def _limit_states(cfg: RunConfig, traj) -> list:
-    """(time, state) of a limit run at each observation time."""
-    return [(float(t), traj.state_at(float(t))) for t in _obs_times(cfg)]
-
-
-def _euler_row(t: float, state, sigma: int) -> dict:
-    """The invariants of a limit state as a CSV row, at observation time t
-    (the node time state.time can differ from it in the last bit)."""
-    return {**vars(euler_invariants(state, sigma)), "time": t}
 
 
 def _at_rest(grid: Grid, a0, label: str) -> InitialData:
@@ -144,13 +129,13 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
                         n_obs=cfg.observation_count)
     rows, recs = [], []
     grad_phi_err = 0.0
-    for t, st in _limit_states(cfg, traj):
-        rows.append(_euler_row(t, st, cfg.sigma))
+    for st in map(traj.state, range(cfg.observation_count)):
+        rows.append(vars(euler_invariants(st, cfg.sigma)))
         k = np.reshape(st.phi_wavevector, (-1,) + (1,) * grid.dim)
         dphi = grid.gradient(st.phi_periodic).real + k
         grad_phi_err = max(grad_phi_err, *map(grid.l2_norm, dphi - st.v))
-        recs.append(("a", t, st.a, grid))
-        recs += [(f"v{j}", t, vj, grid) for j, vj in enumerate(st.v)]
+        recs.append(("a", st.time, st.a, grid))
+        recs += [(f"v{j}", st.time, vj, grid) for j, vj in enumerate(st.v)]
     if "csv" in cfg.formats:
         _write_csv(out / "euler_invariants.csv", rows, cfg)
     if "snapshots" in cfg.formats:
@@ -178,13 +163,13 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     phi1_max = 0.0
     modulus_gap = 0.0
     recs = []
-    for t, ls in _limit_states(cfg, traj):
+    for ls in map(traj.state, range(cfg.observation_count)):
         a_tilde = tilde_amplitude(ls)
         phi1_max = max(phi1_max, float(np.max(np.abs(ls.phi1))))
         modulus_gap = max(modulus_gap, float(np.max(
             np.abs(np.abs(a_tilde) - np.abs(ls.a)))))
-        recs += [("phi1", t, ls.phi1, grid), ("w", t, ls.w, grid),
-                 ("a_tilde", t, a_tilde, grid)]
+        recs += [("phi1", ls.time, ls.phi1, grid), ("w", ls.time, ls.w, grid),
+                 ("a_tilde", ls.time, a_tilde, grid)]
     if "snapshots" in cfg.formats:
         write_snapshots(out / "corrector.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
@@ -220,7 +205,8 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
     traj, invs = _nls_run(cfg, data)
     ltraj = evolve_limit(data, cfg.sigma, cfg.final_time,
                          n_obs=cfg.observation_count)
-    erows = [_euler_row(t, st, cfg.sigma) for t, st in _limit_states(cfg, ltraj)]
+    erows = [vars(euler_invariants(ltraj.state(i), cfg.sigma))
+             for i in range(cfg.observation_count)]
     n0, e0 = invs[0], erows[0]
     rows = [{
         "time": inv.time,

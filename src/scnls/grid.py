@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 
 # Largest batch, in grid points, that one transform call takes.  A call over
 # a batch that outgrows a core's cache costs more than one call per chunk:
@@ -50,12 +50,15 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def node_index(times: np.ndarray, t: float) -> int:
-    """Index of the stored time node equal to t (relative tolerance 1e-9)."""
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not a stored node")
-    return i
+def observation_steps(final_time: float, n_obs: int, dt: float) -> tuple[int, float]:
+    """Steps per observation interval and the step: each of the n_obs - 1
+    uniform intervals of [0, final_time] is cut into ceil(interval/dt)
+    equal steps, dt rounded down to divide it.  n_obs < 2 raises."""
+    if n_obs < 2:
+        raise ConfigError("time.observation_count", f"n_obs must be >= 2, got {n_obs}")
+    delta = final_time / (n_obs - 1)
+    m = max(1, math.ceil(delta / dt - 1e-9))
+    return m, delta / m
 
 
 class Grid:

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import corrector
 from .errors import ConfigError, NumericalGuardError
-from .grid import SUPPORT_TAIL_THRESHOLD, Grid, node_index
+from .grid import SUPPORT_TAIL_THRESHOLD, Grid, observation_steps
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
@@ -123,9 +123,6 @@ class LimitTrajectory:
     def phi_periodic(self) -> np.ndarray:
         return reconstruct_phase(self)
 
-    def index_at(self, t: float) -> int:
-        return node_index(self.times, t)
-
     def state(self, i: int) -> LimitState:
         return LimitState(
             grid=self.grid, time=float(self.times[i]), v=self.v[i],
@@ -135,9 +132,6 @@ class LimitTrajectory:
             phi1=None if self.phi1 is None else self.phi1[i],
             w=None if self.w is None else self.w[i],
         )
-
-    def state_at(self, t: float) -> LimitState:
-        return self.state(self.index_at(t))
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +266,29 @@ def evolve_limit(
 ) -> LimitTrajectory:
     """Integrate the limit system up to final_time (or until breakdown).
 
-    One step rule: each of the n_obs-1 uniform observation intervals of
-    [0, final_time] is cut into ceil(interval/dt) equal steps, dt the given
-    step or else the initial CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max
-    rho^sigma)) (the phase is integrated with the flow, so the step needs
-    no further margin).  A fixed-step run takes these steps, step n ending
-    at n*dt and the last at final_time exactly; adaptive=True re-derives
-    the step from the CFL rule every step, capped at that step and at the
-    time left, for the instability demos.  One node rule: a node is the
-    first step that reaches each observation time (n_obs = 2: the start and
-    the end), so a completed run stores exactly n_obs nodes and a stopped
-    one fewer.  The per-step scalars (grad_v_max, ...) cover every step;
-    they, the finiteness check and the stored node come from one grid pass
-    of the step's state.  Given a1, the run also carries the corrector pair
-    (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
-    its states carry it (None without a1).  Fields of init and a1 of shape
-    (*batch, *grid.shape) are independent runs integrated as one, stored
-    with their batch axes.  The members share the step, the status and the
-    per-step scalars (each a max over the members): one member breaking the
-    CFL bound or going non-finite stops them all.
-    An adaptive run stops with status "dt_floor" once its CFL step falls
+    One step rule, the NLS's (grid.observation_steps): each of the n_obs-1
+    uniform observation intervals of [0, final_time] is cut into
+    m = ceil(interval/dt) equal steps, dt the given step or else the initial
+    CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)) (the phase is
+    integrated with the flow, so the step needs no further margin).  A
+    fixed-step run takes these steps, step n ending at
+    (n // m)*interval + (n % m)*dt, so node i sits at
+    np.linspace(0, final_time, n_obs)[i], the time of snapshot i of
+    evolve_nls; adaptive=True re-derives the step from the CFL rule every
+    step, capped at that step and at the time left, for the instability
+    demos.  Either run's last step ends on final_time exactly.  One node
+    rule: a node is the first step that reaches each observation time, so a
+    completed run stores exactly n_obs nodes (default 2: the start and the
+    end) and a stopped one fewer.  The per-step scalars (grad_v_max, ...)
+    cover every step; they, the finiteness check and the stored node come
+    from one grid pass of the step's state.  Given a1, the run also carries
+    the corrector pair (phi1, w) from (0, a1): the trajectory stores it as
+    its phi1 and w, and its states carry it (None without a1).  Fields of
+    init and a1 of shape (*batch, *grid.shape) are independent runs
+    integrated as one, stored with their batch axes.  The members share the
+    step, the status and the per-step scalars (each a max over the
+    members): one member breaking the CFL bound or going non-finite stops
+    them all.  An adaptive run stops with status "dt_floor" once its CFL step falls
     below DT_FLOOR_FACTOR times the first, and any run with status
     "max_steps" after MAX_STEPS steps; an early stop raises when strict
     (strict=False truncates the trajectory there instead).  n_obs < 2,
@@ -339,10 +336,8 @@ def evolve_limit(
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
+    m, dt = observation_steps(final_time, n_obs, dt or dt_cfl0)
     delta = final_time / (n_obs - 1)  # the observation interval
-    steps_per_obs = max(1, math.ceil(delta / (dt or dt_cfl0) - 1e-9))
-    dt = delta / steps_per_obs
-    n_steps = steps_per_obs * (n_obs - 1)
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
 
     nodes0 = (real[:d], *cplx[:2], phi0)
@@ -394,15 +389,19 @@ def evolve_limit(
                 break
             step_dt = min(dt_cfl, dt, final_time - t)
         else:
-            step_dt = min(dt, final_time - t)
+            step_dt = dt
             if step_dt * speed / dx_min > 2.0 * CFL_NUMBER:
                 status = "cfl"
                 break
 
         y = rk4_step(rhs, y, step_dt)
         n += 1
-        # a fixed step ends at n*dt, the last one at final_time exactly
-        t = t + step_dt if adaptive else (n * dt if n < n_steps else final_time)
+        # a fixed step ends at (n // m)*delta + (n % m)*dt, so its nodes
+        # sit on np.linspace(0, final_time, n_obs); the step reaching
+        # final_time ends on it exactly
+        t = t + step_dt if adaptive else (n // m) * delta + (n % m) * dt
+        if t >= final_time - 1e-9 * dt:
+            t = final_time
 
         real, cplx = _grid_pass(y, grid)
         if not (np.all(np.isfinite(real)) and np.all(np.isfinite(cplx))):
@@ -412,9 +411,8 @@ def evolve_limit(
         step_times.append(t)
         record_scalars(real, cplx, step_dt, speed)
         speed = _wave_speed(real[:d], cplx[0], sigma)
-        # the first step reaching the next observation time (the last is
-        # final_time itself, which the last step ends on)
-        if t >= min(len(times) * delta, final_time) - 1e-9 * dt:
+        # the first step reaching the next observation time
+        if t >= len(times) * delta - 1e-9 * dt:
             # v, S, a, phi (and phi1, w)
             store(t, (real[:d], *cplx[:2], *real[2 * d + d * d:], *cplx[2:]))
         del real, cplx

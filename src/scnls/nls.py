@@ -32,9 +32,11 @@ step-doubling guard; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  For
 an order-p scheme the pair's difference is about 2^p - 1 times the run's own
 error, so a passed check bounds that error with margin.
 
+A run observed n_obs times stores snapshot i at np.linspace(0, T, n_obs)[i],
+node i of evolve_limit, with the limit's step rule (grid.observation_steps).
 One loop integrates a batch of runs (evolve_nls_batch): the members share
 the grid shape, sigma and scheme, and each keeps its own epsilon, step,
-step count and observation times.  Every transform acts on the whole batch
+step count and observation count.  Every transform acts on the whole batch
 of running members, and the step-doubling checks ride in the same batch, so
 an epsilon ladder pays the per-call overhead of a 1-D transform once per
 substep instead of once per run.  Each member's snapshots carry the bits of
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, NumericalGuardError
-from .grid import SUPPORT_TAIL_THRESHOLD, Grid, node_index
+from .grid import SUPPORT_TAIL_THRESHOLD, Grid, observation_steps
 from .presets import InitialData, snap_wavevector
 
 # substep weights of each composition of the Strang step
@@ -135,9 +137,6 @@ class NLSTrajectory:
     self_check_dt: float | None = None
     mass_history: np.ndarray | None = None
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[node_index(self.times, t)]
-
 
 def build_initial_data(data: InitialData, epsilon: float,
                        epsilon_ref: float | None = None) -> np.ndarray:
@@ -168,49 +167,34 @@ def build_initial_data(data: InitialData, epsilon: float,
     return amp * np.exp(1j * phase)
 
 
-def _split_obs_interval(delta: float, dt_raw: float) -> int:
-    return max(1, int(np.ceil(delta / dt_raw - 1e-12)))
-
-
-def _obs_step(obs: np.ndarray, cfg: NLSConfig) -> tuple[int, float]:
-    """Steps per observation interval and the step, cfg.dt_raw rounded down
-    to divide the interval, after checking that obs is uniformly spaced from
-    0 to cfg.final_time."""
-    if len(obs) < 2 or obs[0] != 0.0 or abs(obs[-1] - cfg.final_time) > 1e-12:
-        raise ConfigError("time.T", "observation times must span [0, final_time]")
-    deltas = np.diff(obs)
-    if np.any(np.abs(deltas - deltas[0]) > 1e-12 * np.maximum(1.0, np.abs(deltas))):
-        raise ConfigError("time.observation_count", "observation times must be uniform")
-    m = _split_obs_interval(float(deltas[0]), cfg.dt_raw)
-    return m, float(deltas[0]) / m
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     # snapshots are shared read-only
     arr.setflags(write=False)
     return arr
 
 
-def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
+def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
     """Integrate a batch of runs in one split-step loop; (states, dt) each.
 
     The members share the grid shape, sigma and scheme; each has its own
-    epsilon, step, step count and observation times, and so its own kick
-    and phase multipliers.  Every member's observation times are checked
-    before any member steps.  Sorted by substep count, the members still
-    running are a prefix u[:k] of the batch.  At its own observation times
-    a member checks and stores ifft(uh * last) of the substep's spectrum uh
-    and goes on with the merged kick; it retires after its last one.
+    epsilon, step, step count and observation count n_obs[b], and so its
+    own kick and phase multipliers.  Each member's step is its cfg.dt_raw
+    rounded down to divide its observation interval (grid.observation_steps),
+    and every member's count is checked before any member steps.  Sorted by
+    substep count, the members still running are a prefix u[:k] of the
+    batch.  At its own observation times a member checks and stores
+    ifft(uh * last) of the substep's spectrum uh and goes on with the merged
+    kick; it retires after its last one.
     """
-    obs_list = [np.asarray(obs, dtype=float) for obs in obs_list]
-    steps = [_obs_step(obs, cfg) for obs, cfg in zip(obs_list, cfgs)]
+    steps = [observation_steps(cfg.final_time, n, cfg.dt_raw)
+             for n, cfg in zip(n_obs, cfgs)]
     shape, sigma, scheme = cfgs[0].grid.shape, cfgs[0].sigma, cfgs[0].scheme
     if any((c.grid.shape, c.sigma, c.scheme) != (shape, sigma, scheme) for c in cfgs):
         raise ValueError("batch members must share grid shape, sigma and scheme")
     weights = SCHEMES[scheme]
     n_w = len(weights)
     n_sub = [m * n_w for m, _ in steps]  # substeps per observation interval
-    total = [n * (len(obs) - 1) for n, obs in zip(n_sub, obs_list)]
+    total = [n * (n_b - 1) for n, n_b in zip(n_sub, n_obs)]
     order = sorted(range(len(cfgs)), key=lambda b: -total[b])
     total = [total[b] for b in order]
     axes = tuple(range(1, len(shape) + 1))
@@ -233,7 +217,7 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
     # observation time after it
     bounds: dict[int, list[int]] = {}
     for p, b in enumerate(order):
-        for r in range(1, len(obs_list[b])):
+        for r in range(1, n_obs[b]):
             bounds.setdefault(r * n_sub[b] - 1, []).append(p)
 
     u = np.stack([np.asarray(u0s[b], dtype=complex) for b in order])
@@ -253,7 +237,8 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
             # snapshots from the step's spectrum; the batch goes on below
             for p, snap in zip(at, ifft(uh[at] * last[at])):
                 if not np.all(np.isfinite(snap.view(float))):
-                    t = obs_list[order[p]][len(states[p])]
+                    m, dt = steps[order[p]]
+                    t = len(states[p]) * m * dt
                     raise NumericalGuardError(
                         f"non-finite wavefunction at t={t:.6g}; reduce dt0")
                 states[p].append(_freeze(snap))
@@ -268,21 +253,21 @@ def _evolve_batch(u0s, cfgs, obs_list) -> list[tuple[list[np.ndarray], float]]:
 
 
 def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
-                obs_times: np.ndarray) -> tuple[list[np.ndarray], float]:
+                n_obs: int) -> tuple[list[np.ndarray], float]:
     """The one-member form of _evolve_batch (bench/layers.py traces it)."""
-    return _evolve_batch([u0], [cfg], [obs_times])[0]
+    return _evolve_batch([u0], [cfg], [n_obs])[0]
 
 
 def _check_tolerance(cfg: NLSConfig, u0: np.ndarray) -> float:
     return SELF_CHECK_FACTOR * cfg.epsilon * max(cfg.grid.l2_norm(u0), 1e-300)
 
 
-def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
+def evolve_nls_batch(u0s, cfgs, n_obs: int = 2) -> list[NLSTrajectory]:
     """Integrate several runs in one split-step loop, one trajectory each.
 
-    obs_times is shared by the runs and must be uniformly spaced, starting
-    at 0 and ending at each run's final_time (default: 0 and final_time
-    only); it is checked before any run steps.  Each run's step divides the
+    Each run is observed at np.linspace(0, final_time, n_obs) of its own
+    final_time (default: 0 and final_time), its trajectory's times; n_obs
+    < 2 raises ConfigError before any run steps.  Each run's step divides the
     observation interval, rounded down from its cfg.dt_raw.  Each run with
     self_check enabled brings its step-doubling check into the same loop: if
     the run takes n steps, one more member with the same scheme covers
@@ -296,26 +281,23 @@ def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
         u0 = np.asarray(u0)
         if u0.shape != cfg.grid.shape:
             raise GridMismatchError(f"u0 shape {u0.shape} != grid shape {cfg.grid.shape}")
-        obs = np.asarray([0.0, cfg.final_time] if obs_times is None else obs_times,
-                         dtype=float)
-        runs.append((u0, cfg, obs))
-        members.append((u0, cfg, obs))
+        runs.append((u0, cfg))
+        members.append((u0, cfg, n_obs))
         if cfg.self_check:
-            _, dt = _obs_step(obs, cfg)
-            t_end = float(obs[-1])
-            n = round(t_end / dt)
+            m, _ = observation_steps(cfg.final_time, n_obs, cfg.dt_raw)
+            n = m * (n_obs - 1)
             n_check = n // 2 if n >= 4 else 2 * n
-            members.append((u0, replace(cfg, dt_override=t_end / n_check,
-                                        self_check=False), np.array([0.0, t_end])))
+            members.append((u0, replace(cfg, dt_override=cfg.final_time / n_check,
+                                        self_check=False), 2))
 
     results = iter(_evolve_batch(*zip(*members)) if members else ())
     trajs = []
-    for u0, cfg, obs in runs:
+    for u0, cfg in runs:
         states, dt = next(results)
         grid = cfg.grid
         traj = NLSTrajectory(
             grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-            times=obs.copy(), states=states, dt=dt,
+            times=np.linspace(0.0, cfg.final_time, n_obs), states=states, dt=dt,
             mass_history=np.array([grid.l2_norm(s) for s in states]),
         )
         if cfg.self_check:
@@ -326,13 +308,13 @@ def evolve_nls_batch(u0s, cfgs, obs_times=None) -> list[NLSTrajectory]:
     return trajs
 
 
-def evolve_nls(u0: np.ndarray, cfg: NLSConfig, obs_times=None) -> NLSTrajectory:
-    """Integrate one run to final_time, returning snapshots at the
+def evolve_nls(u0: np.ndarray, cfg: NLSConfig, n_obs: int = 2) -> NLSTrajectory:
+    """Integrate one run to final_time, returning snapshots at the n_obs
     observation times: the one-run case of evolve_nls_batch.  A failed
     step-doubling check raises NumericalGuardError carrying the flagged
     trajectory.
     """
-    (traj,) = evolve_nls_batch([u0], [cfg], obs_times)
+    (traj,) = evolve_nls_batch([u0], [cfg], n_obs)
     if not traj.self_check_ok:
         err, tol = traj.self_check_error, _check_tolerance(cfg, np.asarray(u0))
         raise NumericalGuardError(

@@ -61,7 +61,7 @@ class TestSelfConvergence:
                             n_obs=20, a1=gaussian_data.a1)
         corr = evolve_corrector(traj)
         ref = evolve_corrector(fine)
-        nodes = [ref.index_at(t) for t in corr.times]
+        nodes = list(range(corr.times.size))  # node i is observation i
         np.testing.assert_allclose(ref.times[nodes], corr.times, atol=1e-12)
         pairs = list(enumerate(nodes))
         gap_p = max(g.l2_norm(corr.phi1[i] - ref.phi1[k]) for i, k in pairs)
@@ -90,15 +90,15 @@ class TestTildeAmplitude:
                             a1=np.zeros(gaussian_data.grid.shape, complex))
         corr = evolve_corrector(traj)
         # a1 = 0 and phi1(0) = 0: at t=0 the corrected amplitude equals a
-        til = tilde_amplitude(corr.state_at(0.0))
+        til = tilde_amplitude(corr.state(0))
         assert np.max(np.abs(til - traj.a[0])) == 0.0
 
     def test_modulus_preserved_pointwise(self, gaussian_data):
         traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=20,
                             a1=gaussian_data.a1)
         corr = evolve_corrector(traj)
-        for t in (0.0, 0.25):
-            ls = corr.state_at(t)
+        for i in (0, -1):
+            ls = corr.state(i)
             til = tilde_amplitude(ls)
             assert np.max(np.abs(np.abs(til) - np.abs(ls.a))) < 1e-14
 
@@ -107,11 +107,11 @@ class TestTildeAmplitude:
         # a run without a1 gives None for both, and no corrected amplitude
         traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3,
                             a1=gaussian_data.a1)
-        for i, t in enumerate(traj.times):
-            ls = traj.state_at(float(t))
+        for i in range(traj.times.size):
+            ls = traj.state(i)
             np.testing.assert_array_equal(ls.phi1, traj.phi1[i])
             np.testing.assert_array_equal(ls.w, traj.w[i])
-        bare = evolve_limit(gaussian_data, 2, 0.05, n_obs=3).state_at(0.05)
+        bare = evolve_limit(gaussian_data, 2, 0.05, n_obs=3).state(-1)
         assert bare.phi1 is None and bare.w is None
         with pytest.raises(ValueError):
             tilde_amplitude(bare)
@@ -128,7 +128,7 @@ class TestTildeAmplitude:
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                         self_check=False)
         u_T = evolve_nls(u0, cfg).states[-1]
-        ls = corr.state_at(T)
+        ls = corr.state(-1)
         til = tilde_amplitude(ls)
         carrier = np.exp(1j * ls.phi_total() / eps)
         err_two = g.l2_norm(u_T - til * carrier)

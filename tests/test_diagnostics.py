@@ -119,9 +119,9 @@ def sigma2_run(gaussian_data):
     u0 = build_initial_data(gaussian_data, eps)
     cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                     self_check=False)
-    traj = evolve_nls(u0, cfg, obs)
-    recs = [diagnostics_record(u, float(t), ltraj.state_at(float(t)), eps, sigma)
-            for t, u in zip(traj.times, traj.states)]
+    traj = evolve_nls(u0, cfg, n_obs)
+    recs = [diagnostics_record(u, float(t), ltraj.state(i), eps, sigma)
+            for i, (t, u) in enumerate(zip(traj.times, traj.states))]
     return g, ltraj, traj, recs, obs
 
 
@@ -143,11 +143,11 @@ class TestResidualTransport:
         ltraj.phi_periodic
         h = 0.01
         recs = []
-        for t in (0.0, h, 2 * h):
+        for i, t in enumerate((0.0, h, 2 * h)):
             u = A * np.exp(1j * (k * x - omega * t) / eps)
-            recs.append(diagnostics_record(u, t, ltraj.state_at(t), eps, sigma))
+            recs.append(diagnostics_record(u, t, ltraj.state(i), eps, sigma))
         res = residual_transport(recs[0], recs[1], recs[2],
-                                 ltraj.state_at(h), h, grid_1d)
+                                 ltraj.state(1), h, grid_1d)
         assert res < 1e-10
 
     def test_sigma2_refinement_order(self, sigma2_run):
@@ -155,9 +155,9 @@ class TestResidualTransport:
         h = float(obs[1] - obs[0])
         mid = 20
         r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2],
-                                  ltraj.state_at(float(obs[mid])), 2 * h, g)
+                                  ltraj.state(mid), 2 * h, g)
         r_h = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
-                                 ltraj.state_at(float(obs[mid])), h, g)
+                                 ltraj.state(mid), h, g)
         order = np.log2(r_2h / r_h)
         assert 1.5 <= order <= 2.5
 
@@ -173,24 +173,23 @@ class TestResidualTransport:
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                         self_check=False)
-        traj = evolve_nls(u0, cfg, obs)
-        recs = [diagnostics_record(u, float(t), ltraj.state_at(float(t)),
-                                   eps, sigma)
-                for t, u in zip(traj.times, traj.states)]
+        traj = evolve_nls(u0, cfg, obs.size)
+        recs = [diagnostics_record(u, float(t), ltraj.state(i), eps, sigma)
+                for i, (t, u) in enumerate(zip(traj.times, traj.states))]
         mid = 6
-        st = ltraj.state_at(float(obs[mid]))
+        st = ltraj.state(mid)
         res = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
                                  st, h, g)
 
-        def density_gap(rec):
-            rho_eps = np.abs(rec.a_eps) ** 2
-            rho = np.abs(ltraj.state_at(rec.time).a) ** 2
+        def density_gap(i):
+            rho_eps = np.abs(recs[i].a_eps) ** 2
+            rho = np.abs(ltraj.state(i).a) ** 2
             return rho_eps - rho
 
-        ddt = (density_gap(recs[mid + 1]) - density_gap(recs[mid - 1])) / (2 * h)
+        ddt = (density_gap(mid + 1) - density_gap(mid - 1)) / (2 * h)
         j_eps = np.stack([
             eps * np.imag(np.conj(recs[mid].a_eps) * recs[mid].psi_eps[0])])
-        flux = g.divergence(j_eps + density_gap(recs[mid]) * st.v).real
+        flux = g.divergence(j_eps + density_gap(mid) * st.v).real
         direct = g.l2_norm(ddt + flux)
         assert res == pytest.approx(direct, rel=1e-10)
 
@@ -204,7 +203,7 @@ class TestResidualTransport:
         h = float(obs[1] - obs[0])
         with pytest.raises(ValueError):
             residual_transport(recs[0], recs[1], recs[3],
-                               ltraj.state_at(float(obs[1])), h, g)
+                               ltraj.state(1), h, g)
 
 
 class TestModulatedEnergy:
@@ -220,7 +219,7 @@ class TestModulatedEnergy:
         ltraj = evolve_limit(data, 2, 0.02, n_obs=3)
         ltraj.phi_periodic
         u = np.full(grid_1d.shape, np.sqrt(rho0), complex)
-        rec = diagnostics_record(u, 0.0, ltraj.state_at(0.0), 0.25, 2)
+        rec = diagnostics_record(u, 0.0, ltraj.state(0), 0.25, 2)
         assert rec.modulated_energy == pytest.approx(rho0 * L, rel=1e-12)
 
     def test_matches_norm_sum(self, sigma2_run):
@@ -279,7 +278,7 @@ class TestDensityMetrics:
                            phi0_wavevector=(0.0,))
         ltraj = evolve_limit(data, 2, 0.02, n_obs=3)
         ltraj.phi_periodic
-        st = ltraj.state_at(0.0)
+        st = ltraj.state(0)
         u = np.full(grid_1d.shape, 0.8, complex)
         rec = diagnostics_record(u, 0.0, st, 0.25, 2)
         dm = density_metrics(rec, st, 2, 0.25)
@@ -294,7 +293,7 @@ class TestDensityMetrics:
         sigma, T = 2, 0.05
         ltraj = evolve_limit(gaussian_data, sigma, T, n_obs=3)
         ltraj.phi_periodic
-        st = ltraj.state_at(T)
+        st = ltraj.state(-1)
         out = {}
         for eps in (2.0**-3, 2.0**-5):
             u0 = build_initial_data(gaussian_data, eps)
@@ -315,7 +314,7 @@ class TestRecordInvariants:
         rec = recs[10]
         u = traj.states[10]
         assert np.max(np.abs(np.abs(rec.a_eps) - np.abs(u))) < 1e-13
-        r = diagnostics_record(u, rec.time, ltraj.state_at(rec.time),
+        r = diagnostics_record(u, rec.time, ltraj.state(10),
                                rec.epsilon, rec.sigma, sobolev_orders=(2.0,))
         assert 2.0 in r.sobolev["a_eps"]
         assert 1.0 in r.sobolev["q_eps"]

@@ -61,7 +61,7 @@ class TestEvolve:
         g = gaussian_data.grid
         sigma, T = 2, 0.1
         traj = evolve_limit(gaussian_data, sigma, T, n_obs=3)
-        rho_T = np.abs(traj.state_at(T).a) ** 2
+        rho_T = np.abs(traj.state(-1).a) ** 2
         gaps = []
         for eps in (1.0 / 16.0, 1.0 / 64.0):
             u0 = build_initial_data(gaussian_data, eps)
@@ -127,23 +127,29 @@ class TestEvolve:
         assert traj.times.size == 5
         assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
 
-    @pytest.mark.parametrize("case", ["reproducer", "n_obs", "dt"])
+    @pytest.mark.parametrize("case", ["reproducer", "n_obs", "dt",
+                                      "n_obs7", "n_obs11"])
     def test_fixed_step_times_exact(self, gaussian_data, case):
-        # step n ends at n*dt and the last step at final_time itself, not at
-        # the summed step times (70.17499999999886 for the reproducer)
+        # the nodes sit on the observation times np.linspace(0, T, n_obs)
+        # bit for bit, the last on T itself (not 70.17499999999886 for the
+        # reproducer), and every step is dt: no sliver before T.  At n_obs7
+        # and n_obs11, n*dt misses some observation times in the last bit.
+        n_obs = {"reproducer": 5, "n_obs": 20, "dt": 2,
+                 "n_obs7": 7, "n_obs11": 11}[case]
         if case == "reproducer":
             data, T = constant_state_data(Grid(16, 2 * np.pi), rho0=1.0), 70.175
-            traj = evolve_limit(data, 2, T, n_obs=5)
-        elif case == "n_obs":
-            data, T = gaussian_data, 0.25
-            traj = evolve_limit(data, 2, T, n_obs=20, a1=data.a1)
-        else:  # 0.003 does not divide 0.05: 17 equal steps of 0.05/17
+            traj = evolve_limit(data, 2, T, n_obs=n_obs)
+        elif case == "dt":  # 0.003 does not divide 0.05: 17 equal steps of 0.05/17
             data, T = gaussian_data, 0.05
             traj = evolve_limit(data, 2, T, dt=0.003)
-        assert traj.times[-1] == T
-        steps = traj.step_times
-        assert steps[-1] == T
-        np.testing.assert_array_equal(steps[:-1], np.arange(steps.size - 1) * traj.dt)
+        else:
+            data = gaussian_data
+            T = {"n_obs": 0.25, "n_obs7": 0.35, "n_obs11": 0.25}[case]
+            traj = evolve_limit(data, 2, T, n_obs=n_obs, a1=data.a1)
+        np.testing.assert_array_equal(traj.times, np.linspace(0.0, T, n_obs))
+        assert traj.step_times[-1] == T
+        np.testing.assert_allclose(np.diff(traj.step_times), traj.dt,
+                                   rtol=0, atol=1e-12 * T)
 
     def test_batch_equals_members(self, gaussian_data):
         # two initial data as one (2, N) batch: each member's fields and the
@@ -245,6 +251,16 @@ class TestEvolve:
         assert traj.times.size == 5
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
+
+    def test_adaptive_run_ends_at_final_time(self):
+        # the adaptive step that reaches T = 70.175 within roundoff ends on
+        # it exactly, and so does the last node
+        g = Grid(16, 2 * np.pi)
+        traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
+                            n_obs=5, adaptive=True, strict=False)
+        assert traj.status == "completed"
+        assert traj.times[-1] == 70.175
+        assert traj.step_times[-1] == 70.175
 
     def test_adaptive_n_obs_stores_first_step_at_each_time(self):
         # the adaptive step shrinks as the bump steepens; a node is the
@@ -469,7 +485,7 @@ class TestPhase:
         expected_per = -(0.5 * v0**2 + rho0**sigma) * t
         assert np.max(np.abs(traj.phi_periodic[-1] - expected_per)) < 1e-12
         assert traj.phi0_wavevector[0] == pytest.approx(v0)
-        state = traj.state_at(t)
+        state = traj.state(-1)
         lin = v0 * grid_1d.coords[0]
         assert np.max(np.abs(state.phi_total() - (lin + expected_per))) < 1e-12
 
@@ -528,7 +544,7 @@ class TestEulerInvariants:
         sigma = 2
         data = constant_state_data(grid_1d, rho0=rho0, v0=v0)
         traj = evolve_limit(data, sigma, 0.2, n_obs=3)
-        inv = euler_invariants(traj.state_at(0.0), sigma)
+        inv = euler_invariants(traj.state(0), sigma)
         assert inv.mass == pytest.approx(rho0 * L, rel=1e-12)
         assert inv.momentum[0] == pytest.approx(rho0 * v0 * L, rel=1e-12)
         expected_e = (0.5 * rho0 * v0**2 + rho0 ** (sigma + 1) / (sigma + 1)) * L
@@ -538,9 +554,9 @@ class TestEulerInvariants:
     def test_drifts_pre_breakdown(self, gaussian_data):
         sigma = 2
         traj = evolve_limit(gaussian_data, sigma, 0.25, n_obs=20)
-        inv0 = euler_invariants(traj.state_at(0.0), sigma)
-        for t in np.linspace(0.0, 0.25, 20)[::4]:
-            inv = euler_invariants(traj.state_at(float(t)), sigma)
+        inv0 = euler_invariants(traj.state(0), sigma)
+        for i in range(0, 20, 4):
+            inv = euler_invariants(traj.state(i), sigma)
             assert abs(inv.mass - inv0.mass) / inv0.mass < 1e-8
             assert abs(inv.energy - inv0.energy) / abs(inv0.energy) < 1e-8
             assert abs(inv.momentum[0] - inv0.momentum[0]) < 1e-8 * inv0.mass
@@ -551,8 +567,8 @@ class TestEulerInvariants:
         # sigma=2, n=1: source term vanishes; quantity stays constant
         sigma = 2
         traj = evolve_limit(gaussian_data, sigma, 0.25, n_obs=20)
-        pcs = [euler_invariants(traj.state_at(float(t)), sigma).pseudo_conformal
-               for t in np.linspace(0.0, 0.25, 20)[::4]]
+        pcs = [euler_invariants(traj.state(i), sigma).pseudo_conformal
+               for i in range(0, 20, 4)]
         assert max(abs(p - pcs[0]) for p in pcs) / abs(pcs[0]) < 1e-6
 
     def test_pseudo_conformal_source_rate(self, gaussian_data):
@@ -561,7 +577,7 @@ class TestEulerInvariants:
         traj = evolve_limit(gaussian_data, sigma, 0.2, n_obs=21)
         h = 0.01
         ts = np.linspace(0.0, 0.2, 21)
-        invs = [euler_invariants(traj.state_at(float(t)), sigma) for t in ts]
+        invs = [euler_invariants(traj.state(i), sigma) for i in range(ts.size)]
         i = 10
         dpc = (invs[i + 1].pseudo_conformal - invs[i - 1].pseudo_conformal) / (2 * h)
         expected = ts[i] * (2 - 1) / 2 * invs[i].total_pressure

@@ -6,6 +6,7 @@ import pytest
 from scnls import Grid, nls
 from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
+from scnls.limit import evolve_limit
 from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
                        evolve_nls, evolve_nls_batch, nls_invariants)
 from scnls.presets import InitialData, gaussian, snap_wavevector
@@ -152,7 +153,7 @@ class TestEvolve:
         cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.1,
                         self_check=False)
         obs = np.linspace(0.0, 0.1, 6)
-        traj = evolve_nls(u0, cfg, obs)
+        traj = evolve_nls(u0, cfg, 6)
         assert np.allclose(traj.times, obs)
         assert len(traj.states) == 6
 
@@ -271,9 +272,9 @@ class TestYoshida4:
         schemes = []
         raw = nls._evolve_batch
 
-        def spy(u0s, cfgs, obs_list):
+        def spy(u0s, cfgs, n_obs):
             schemes.extend(cfg.scheme for cfg in cfgs)
-            return raw(u0s, cfgs, obs_list)
+            return raw(u0s, cfgs, n_obs)
 
         monkeypatch.setattr(nls, "_evolve_batch", spy)
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,
@@ -324,8 +325,7 @@ class TestInvariants:
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.2,
                         dt_override=5e-4, self_check=False)
-        obs = np.linspace(0.0, 0.2, 5)
-        traj = evolve_nls(u0, cfg, obs)
+        traj = evolve_nls(u0, cfg, 5)
         invs = [nls_invariants(u, float(t), g, eps, sigma)
                 for t, u in zip(traj.times, traj.states)]
         e0 = invs[0]
@@ -344,8 +344,7 @@ class TestInvariants:
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.5,
                         dt_override=5e-4, self_check=False)
-        obs = np.linspace(0.0, 0.5, 6)
-        traj = evolve_nls(u0, cfg, obs)
+        traj = evolve_nls(u0, cfg, 6)
         pcs = [nls_invariants(u, float(t), g, eps, sigma).pseudo_conformal
                for t, u in zip(traj.times, traj.states)]
         drift = max(abs(p - pcs[0]) for p in pcs) / abs(pcs[0])
@@ -360,8 +359,7 @@ class TestInvariants:
         h = 0.01
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.2,
                         dt_override=2.5e-4, self_check=False)
-        obs = np.linspace(0.0, 0.2, 21)  # spacing h
-        traj = evolve_nls(u0, cfg, obs)
+        traj = evolve_nls(u0, cfg, 21)  # spacing h
         invs = [nls_invariants(u, float(t), g, eps, sigma)
                 for t, u in zip(traj.times, traj.states)]
         i = 10
@@ -403,16 +401,15 @@ class TestStepDoublingGuard:
         calls = []
         raw = nls._evolve_batch
 
-        def spy(u0s, cfgs, obs_list):
-            calls.extend((cfg.dt_override, np.array(obs))
-                         for cfg, obs in zip(cfgs, obs_list))
-            return raw(u0s, cfgs, obs_list)
+        def spy(u0s, cfgs, n_obs):
+            calls.extend(zip((cfg.dt_override for cfg in cfgs), n_obs))
+            return raw(u0s, cfgs, n_obs)
 
         monkeypatch.setattr(nls, "_evolve_batch", spy)
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=1.0, sigma=2,
                         final_time=self.T, scheme="yoshida4")
         u0 = build_initial_data(gaussian_data, 1.0)
-        traj = evolve_nls(u0, cfg, np.linspace(0.0, self.T, n + 1))
+        traj = evolve_nls(u0, cfg, n + 1)
         return traj, calls
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
@@ -421,11 +418,11 @@ class TestStepDoublingGuard:
         assert traj.dt == pytest.approx(self.T / n)
         assert len(calls) == 2
         assert calls[0][0] is None  # the reported run
-        check_dt, check_obs = calls[1]
+        check_dt, check_n_obs = calls[1]
         n_check = n // 2 if n >= 4 else 2 * n
         assert check_dt == self.T / n_check
         assert check_dt < self.T
-        assert np.array_equal(check_obs, [0.0, self.T])
+        assert check_n_obs == 2  # observed at 0 and T
         assert traj.self_check_dt == pytest.approx(check_dt)
         # never a rerun at the same step count
         assert traj.self_check_error > 0.0
@@ -433,13 +430,12 @@ class TestStepDoublingGuard:
 
     def test_reported_states_unchanged(self, gaussian_data):
         u0 = build_initial_data(gaussian_data, 0.25)
-        obs = np.linspace(0.0, 0.05, 6)
         checked = evolve_nls(u0, NLSConfig(
             grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
-            scheme="yoshida4"), obs)
+            scheme="yoshida4"), 6)
         plain = evolve_nls(u0, NLSConfig(
             grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
-            scheme="yoshida4", self_check=False), obs)
+            scheme="yoshida4", self_check=False), 6)
         assert checked.dt == plain.dt
         assert plain.self_check_dt is None
         assert checked.self_check_dt > checked.dt
@@ -494,16 +490,15 @@ class TestBatch:
         return u0s, cfgs
 
     @staticmethod
-    def lone_runs(u0s, cfgs, obs):
-        return [evolve_nls(u0, cfg, obs) for u0, cfg in zip(u0s, cfgs)]
+    def lone_runs(u0s, cfgs, n_obs):
+        return [evolve_nls(u0, cfg, n_obs) for u0, cfg in zip(u0s, cfgs)]
 
     @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
     def test_bitwise_lone_runs_1d(self, scheme):
         u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625, 0.03125),
                                 0.05, scheme=scheme)
-        obs = np.linspace(0.0, 0.05, 6)
-        batch = evolve_nls_batch(u0s, cfgs, obs)
-        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, obs)):
+        batch = evolve_nls_batch(u0s, cfgs, 6)
+        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, 6)):
             assert traj.dt == lone.dt
             assert traj.self_check_dt == lone.self_check_dt
             assert traj.self_check_error == lone.self_check_error
@@ -514,9 +509,8 @@ class TestBatch:
     def test_bitwise_lone_runs_128x128(self):
         # batch and lone runs both hold at least 256 KiB per array
         u0s, cfgs = self.ladder(Grid((128, 128), (12.0, 12.0)), (0.25, 0.125), 0.01)
-        obs = np.linspace(0.0, 0.01, 3)
-        batch = evolve_nls_batch(u0s, cfgs, obs)
-        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, obs)):
+        batch = evolve_nls_batch(u0s, cfgs, 3)
+        for traj, lone in zip(batch, self.lone_runs(u0s, cfgs, 3)):
             assert (traj.dt, traj.self_check_dt, traj.self_check_error) == \
                 (lone.dt, lone.self_check_dt, lone.self_check_error)
             for a, b in zip(traj.states, lone.states):
@@ -530,9 +524,8 @@ class TestBatch:
         # its roundoff is bounded relative to ||u0||, not to itself.
         g = Grid((64, 64), (12.0, 12.0))
         u0s, cfgs = self.ladder(g, (0.25, 0.125, 0.0625), 0.02)
-        obs = np.linspace(0.0, 0.02, 5)
-        batch = evolve_nls_batch(u0s, cfgs, obs)
-        for u0, traj, lone in zip(u0s, batch, self.lone_runs(u0s, cfgs, obs)):
+        batch = evolve_nls_batch(u0s, cfgs, 5)
+        for u0, traj, lone in zip(u0s, batch, self.lone_runs(u0s, cfgs, 5)):
             assert (traj.dt, traj.self_check_dt) == (lone.dt, lone.self_check_dt)
             for a, b in zip(traj.states, lone.states):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -543,12 +536,11 @@ class TestBatch:
         # each member is transformed once at the start and once per substep,
         # and no more: a snapshot comes from its substep's own spectrum
         u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625), 0.05)
-        obs = np.linspace(0.0, 0.05, 6)
         members = []
         fftn = np.fft.fftn
         monkeypatch.setattr(np.fft, "fftn",
                             lambda f, *a, **k: members.append(len(f)) or fftn(f, *a, **k))
-        trajs = evolve_nls_batch(u0s, cfgs, obs)
+        trajs = evolve_nls_batch(u0s, cfgs, 6)
         substeps = [3 * round(0.05 / t.dt) for t in trajs]  # yoshida4
         check_substeps = [3 * round(0.05 / t.self_check_dt) for t in trajs]
         assert sum(members) == sum(1 + n for n in substeps) \
@@ -585,35 +577,39 @@ class TestBatch:
                         dt_override=0.005, self_check=False)
         ok = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
         bad = np.full(grid_1d.shape, 1e80, dtype=complex)
-        obs4, obs3 = np.linspace(0.0, T, 5), np.linspace(0.0, T, 4)
         with np.errstate(all="ignore"), \
                 pytest.raises(NumericalGuardError, match=r"t=0\.0133333;"):
-            nls._evolve_batch([ok, bad], [cfg, cfg], [obs4, obs3])
-        states, _ = nls._evolve_raw(ok, cfg, obs4)
+            nls._evolve_batch([ok, bad], [cfg, cfg], [5, 4])
+        states, _ = nls._evolve_raw(ok, cfg, 5)
         assert len(states) == 5
 
     def test_observation_times_checked_before_any_transform(self, grid_1d,
+                                                            gaussian_data,
                                                             monkeypatch):
+        # both solvers refuse fewer than 2 observation times before any
+        # transform
         import scnls.nls as nls
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
                         dt_override=0.005, self_check=False)
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
-        uneven = np.array([0.0, 0.01, 0.02, 0.025, 0.04])
         with pytest.raises(ConfigError) as err:
-            nls._evolve_raw(u0, cfg, uneven)
+            nls._evolve_raw(u0, cfg, 1)
         assert err.value.key == "time.observation_count"
         with pytest.raises(ConfigError):
-            nls._evolve_batch([u0, u0], [cfg, cfg],
-                              [np.linspace(0.0, 0.04, 5), uneven])
-        with pytest.raises(ConfigError):
-            evolve_nls(u0, replace(cfg, self_check=True), uneven)
+            nls._evolve_batch([u0, u0], [cfg, cfg], [5, 1])
+        for run in (lambda: evolve_nls(u0, replace(cfg, self_check=True), 1),
+                    lambda: evolve_nls_batch([u0, u0], [cfg, cfg], 1),
+                    lambda: evolve_limit(gaussian_data, 2, 0.04, n_obs=1)):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert err.value.key == "time.observation_count"
         assert calls == []
-        nls._evolve_raw(u0, cfg, np.linspace(0.0, 0.04, 5))
+        nls._evolve_raw(u0, cfg, 5)
         assert calls  # the spies see the transforms
 
     def test_members_share_sigma_and_scheme(self, grid_1d):

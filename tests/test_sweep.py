@@ -1,10 +1,11 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scnls import Grid
+from scnls import Grid, nls
 from scnls.corrector import evolve_corrector, tilde_amplitude
 from scnls.config import SNAPSHOT_BYTES_PER_POINT, parse_config
 from scnls.errors import ConfigError
@@ -95,7 +96,6 @@ class TestRunSweep:
         # taken on the same (deterministic) trajectories
         plan, res = small_sweep
         data, grid = plan.initial, plan.initial.grid
-        obs = np.linspace(0.0, plan.final_time, plan.n_obs)
         limit_traj = evolve_corrector(evolve_limit(
             data, plan.sigma, plan.final_time, n_obs=plan.n_obs, a1=data.a1))
         p = sup_exponent(plan.sigma, grid.dim)
@@ -108,8 +108,8 @@ class TestRunSweep:
                                     epsilon_ref=max(plan.epsilon_list))
             errs = {"err_two_term_l2": [], "err_two_term_sup": [],
                     "err_one_term_l2": [], "err_one_term_sup": []}
-            for t, u in zip(obs, evolve_nls(u0, cfg, obs).states):
-                ls = limit_traj.state_at(t)
+            for i, u in enumerate(evolve_nls(u0, cfg, plan.n_obs).states):
+                ls = limit_traj.state(i)
                 carrier = np.exp(1j * ls.phi_total() / eps)
                 a_tilde = tilde_amplitude(ls)
                 for name, amp in (("two_term", a_tilde), ("one_term", ls.a)):
@@ -129,7 +129,6 @@ class TestRunSweep:
         # eighth of the step (measured: below 1e-5 of it on every rung)
         plan, res = small_sweep
         data, grid = plan.initial, plan.initial.grid
-        obs = np.linspace(0.0, plan.final_time, plan.n_obs)
         for row in res.rows:
             eps = row["epsilon"]
             cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
@@ -137,8 +136,8 @@ class TestRunSweep:
                             scheme=SCHEME)
             u0 = build_initial_data(data, eps,
                                     epsilon_ref=max(plan.epsilon_list))
-            run = evolve_nls(u0, cfg, obs)
-            ref = evolve_nls(u0, replace(cfg, dt_override=run.dt / 8), obs)
+            run = evolve_nls(u0, cfg, plan.n_obs)
+            ref = evolve_nls(u0, replace(cfg, dt_override=run.dt / 8), plan.n_obs)
             err = max(grid.l2_norm(u - v)
                       for u, v in zip(run.states, ref.states))
             assert err <= 1e-3 * row["err_two_term_l2"]
@@ -200,9 +199,9 @@ class TestGuardAndVariants:
         calls = []
         raw = nls._evolve_batch
 
-        def spy(u0s, cfgs, obs_list):
+        def spy(u0s, cfgs, n_obs):
             calls.extend(cfg.epsilon for cfg in cfgs)
-            return raw(u0s, cfgs, obs_list)
+            return raw(u0s, cfgs, n_obs)
 
         monkeypatch.setattr(nls, "_evolve_batch", spy)
         g = Grid(256, 16.0)
@@ -240,6 +239,78 @@ class TestGuardAndVariants:
         assert res.fits == {}
 
 
+class TestObservationPairing:
+    def test_nls_times_equal_limit_times(self, gaussian_data, monkeypatch):
+        # both solvers take the count: every wavefunction run's times are
+        # the limit run's node times bit for bit (T = 0.35 and 7 times,
+        # where n*dt misses np.linspace in the last bit)
+        import scnls.sweep as sweep
+        seen = {"nls": []}
+        batch, corrector = sweep.evolve_nls_batch, sweep.evolve_corrector
+
+        def spy_batch(*args):
+            seen["nls"] += batch(*args)
+            return seen["nls"][-len(args[0]):]
+
+        def spy_corrector(traj):
+            seen["limit"] = corrector(traj)
+            return seen["limit"]
+
+        monkeypatch.setattr(sweep, "evolve_nls_batch", spy_batch)
+        monkeypatch.setattr(sweep, "evolve_corrector", spy_corrector)
+        plan = SweepPlan(initial=gaussian_data, sigma=2,
+                         epsilon_list=(2.0**-2, 2.0**-3), final_time=0.35,
+                         n_obs=7, self_check=False)
+        run_sweep(plan)
+        times = seen["limit"].times
+        np.testing.assert_array_equal(times, np.linspace(0.0, 0.35, 7))
+        assert len(seen["nls"]) == 2
+        for traj in seen["nls"]:
+            np.testing.assert_array_equal(traj.times, times)
+
+
+class TestFitsSkipFlaggedRows:
+    """The rate fits take the rows that pass their step-doubling check."""
+
+    LADDER = (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)
+
+    def flag_one_row(self, data, monkeypatch):
+        # the check errors relative to eps*||u0||, the tolerance's scale;
+        # a factor between the largest two flags exactly one row
+        plan = SweepPlan(initial=data, sigma=2, epsilon_list=self.LADDER,
+                         final_time=0.05, n_obs=3)
+        rel = sorted(r["self_check_error"] / (r["epsilon"] * data.grid.l2_norm(
+            build_initial_data(data, r["epsilon"]))) for r in run_sweep(plan).rows)
+        assert rel[-2] < rel[-1]
+        monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", math.sqrt(rel[-2] * rel[-1]))
+        return plan
+
+    def test_fits_leave_out_the_flagged_row(self, gaussian_data, monkeypatch):
+        plan = self.flag_one_row(gaussian_data, monkeypatch)
+        res = run_sweep(plan)
+        passed = [r for r in res.rows if r["self_check_ok"]]
+        assert len(passed) == len(res.rows) - 1
+        assert set(res.fits) == {"two_term_l2", "two_term_sup", "one_term_l2",
+                                 "pos_gap_pow", "cur_l1"}
+        assert all(f.n == len(res.rows) - 1 for f in res.fits.values())
+        assert res.fits["two_term_l2"] == fit_rate(
+            (r["epsilon"], r["err_two_term_l2"]) for r in passed)
+
+    def test_fewer_than_three_passing_rows_no_fit(self, gaussian_data,
+                                                  monkeypatch):
+        plan = self.flag_one_row(gaussian_data, monkeypatch)
+        flagged = [r["epsilon"] for r in run_sweep(plan).rows
+                   if not r["self_check_ok"]]
+        # the flagged rung and two passing ones: two rows left to fit
+        ladder = sorted(flagged + [e for e in self.LADDER
+                                   if e not in flagged][:2], reverse=True)
+        res = run_sweep(replace(plan, epsilon_list=tuple(ladder)))
+        assert len(res.rows) == 3
+        assert sum(not r["self_check_ok"] for r in res.rows) == 1
+        assert res.fits == {}
+        assert '"fits": {}' in res.to_json()
+
+
 class TestRungGroups:
     """The sweep integrates whole rungs, a run and its step-doubling check,
     in one wavefunction batch per group."""
@@ -250,9 +321,9 @@ class TestRungGroups:
         calls = []
         raw = nls._evolve_batch
 
-        def spy(u0s, cfgs, obs_list):
+        def spy(u0s, cfgs, n_obs):
             calls.append([cfg.epsilon for cfg in cfgs])
-            return raw(u0s, cfgs, obs_list)
+            return raw(u0s, cfgs, n_obs)
 
         monkeypatch.setattr(nls, "_evolve_batch", spy)
         return run_sweep(plan), calls
