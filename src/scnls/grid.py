@@ -20,9 +20,10 @@ concurrent runs.
 
 Spectra are full (``fft``, complex fields) or rfftn half spectra (``rfft``,
 real fields, last axis N/2 + 1); the spectral multipliers (gradient, jet,
-Laplacian, projection) take either, told apart by the last axis.  A batch of
-more than CHUNK_POINTS points is transformed in chunks of whole fields, each
-member with the bits of its own call.
+Laplacian, projection) take either, told apart by the last axis.  A
+transform makes the one-axis calls of numpy.fft.fftn (ifftn, rfftn,
+irfftn), with their bits but not their n-d plumbing, in chunks of whole
+fields of at most CHUNK_POINTS points, each with the bits of its own call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 
-# Largest batch, in grid points, that one transform call takes.  A call over
-# a batch that outgrows a core's cache costs more than one call per chunk:
+# Largest batch, in grid points, that one transform's calls take.  A call
+# over a batch that outgrows a core's cache costs more than one per chunk:
 # on a 128x128 grid (numpy 2.4, one core of a 2-vCPU Xeon guest), 9 fields
 # took 4.8 ms in one ifftn against 3.0 ms in one call each, while a 2-field
 # call beat two calls (0.44 ms against 0.53).
@@ -172,34 +173,37 @@ class Grid:
 
     # -- transforms and calculus ------------------------------------------
 
-    def _transform(self, fn, f: np.ndarray, **kw) -> np.ndarray:
-        # fn over the grid axes, one call per chunk of whole fields of at
-        # most CHUNK_POINTS grid points, written into one output
+    def _transform(self, f: np.ndarray, fns, axes) -> np.ndarray:
+        # the one-axis transforms fns along axes in turn, the calls of one of
+        # numpy's n-d transforms in their order, per chunk of whole fields of
+        # at most CHUNK_POINTS grid points, written into one output
         f = np.asarray(f)
         per = max(1, CHUNK_POINTS // self.size)
         flat = f.reshape(-1, *f.shape[-self.dim:])
-        if len(flat) <= per:
-            return fn(f, axes=self._axes, **kw)
-        first = fn(flat[:per], axes=self._axes, **kw)
-        out = np.empty((len(flat), *first.shape[1:]), first.dtype)
-        out[:per] = first
-        for i in range(per, len(flat), per):
-            out[i:i + per] = fn(flat[i:i + per], axes=self._axes, **kw)
-        return out.reshape(*f.shape[:-self.dim], *out.shape[1:])
+        if len(flat) > per:
+            first = self._transform(flat[:per], fns, axes)
+            out = np.empty((len(flat), *first.shape[1:]), first.dtype)
+            out[:per] = first
+            for i in range(per, len(flat), per):
+                out[i:i + per] = self._transform(flat[i:i + per], fns, axes)
+            return out.reshape(*f.shape[:-self.dim], *out.shape[1:])
+        for fn, axis in zip(fns, axes):
+            f = fn(f, self.shape[axis], axis)
+        return f
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return self._transform(np.fft.fftn, f)
+        return self._transform(f, (np.fft.fft,) * self.dim, self._axes[::-1])
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return self._transform(np.fft.ifftn, fh)
+        return self._transform(fh, (np.fft.ifft,) * self.dim, self._axes[::-1])
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field, shape (*batch, *half_shape)."""
-        return self._transform(np.fft.rfftn, f)
+        return self._transform(f, (np.fft.rfft, np.fft.fft)[:self.dim], self._axes[::-1])
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Real field of a half spectrum."""
-        return self._transform(np.fft.irfftn, fh, s=self.shape)
+        return self._transform(fh, (np.fft.ifft, np.fft.irfft)[-self.dim:], self._axes)
 
     def spectral_gradient(self, fh: np.ndarray) -> np.ndarray:
         """i*xi_j * fh for a full or half spectrum fh, shape (dim, *fh.shape);

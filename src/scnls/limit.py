@@ -27,22 +27,22 @@ step.  Given the corrector's initial amplitude a1, the run carries the
 first-order corrector pair (phi1, w) of scnls.corrector as two more RK4
 components.
 
-The RK4 state is spectral: the real fields v and phi (and phi1) are rfftn
-half spectra, the complex S and a (and w) full spectra; v, S and a start
-inside the band (the 2/3 rule, narrowed by spectral_cutoff where one is
-given), phi0 and a1 start as given, and every derivative is projected.  A
-stage makes every field and derivative it needs on the grid with one
-batched inverse transform per kind (real or complex), forms the products
-there, and takes them back with one batched forward transform per kind.
-Derivatives, grad p, the corrector's (i/2) Lap a source and the band
-projection are multipliers on the spectra, so no product makes a transform
-round trip of its own and no field is transformed again for its gradient.
-In a joint stage scnls.corrector._rhs forms the pair's products on the same
-transformed fields.  Each step's CFL speed, scalars, finiteness check and
-stored node come from one grid pass of its state (_grid_pass: one inverse
-transform per kind), dropped before the next step; node 0 holds phi0 (and
-phi1 = 0, w = a1) as given.  Time stepping is classical RK4 at the CFL
-step, with an optional per-step CFL-adapted step for the instability demos.
+The RK4 state is two stacked spectral arrays: R, the rfftn half spectra of
+the real v_1..v_dim, phi (and phi1), and C, the full spectra of the complex
+S, a (and w); v, S and a start inside the band (the 2/3 rule, narrowed by
+spectral_cutoff where one is given), phi0 and a1 as given, and every
+derivative is projected.  A stage makes every field and derivative it needs
+on the grid with one batched inverse transform per kind (real or complex),
+forms the products there (scnls.corrector._rhs those of the pair), and takes
+them back with one batched forward transform per kind; derivatives, grad p,
+the corrector's (i/2) Lap a source and the band projections are multipliers
+on the spectra.  Each step ends with one grid pass of its state, whose two
+inverse transforms also make grad div v, phi (and phi1): the CFL speed,
+scalars, finiteness check and stored node read it, and the next step's
+stage 1 forms its products from it and drops it before its forward
+transforms.  Node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time
+stepping is classical RK4 at the CFL step, with an optional per-step
+CFL-adapted step for the instability demos.
 """
 
 from __future__ import annotations
@@ -138,70 +138,87 @@ class LimitTrajectory:
 # right-hand side
 
 
-def _rhs(y, grid: Grid, sigma: int, psign: int, mask: np.ndarray) -> tuple:
-    """Time derivatives of the spectral state y = (v, S, a, phi[, phi1, w])
-    at one RK4 stage: half spectra of the real fields v, phi (and phi1),
-    full spectra of the complex S, a (and w)."""
+def _rhs(y, grid: Grid, sigma: int, psign: int, mask: np.ndarray,
+         grid_pass: list | None = None) -> tuple:
+    """Time derivatives (dR, dC) of the spectral state y = (R, C) at one RK4
+    stage; the step's grid pass of y spares stage 1 its inverse transforms."""
     d = grid.dim
     # the stage's fields on the grid die with _products, so the forward
     # transforms run without them (the peak memory of a 2-D stage)
-    real, cplx, source_h = _products(y, grid, sigma, psign)
+    real, cplx, source_h = _products(y, grid, sigma, psign, grid_pass)
     # one forward transform per kind; grad p, the projections and the signs
     # are multipliers
     real_h = grid.rfft(real)
     cplx_h = grid.fft(cplx)
-    dy = (-grid.project(real_h[:d] + grid.spectral_gradient(real_h[d]), mask),
-          *-grid.project(cplx_h[:2], mask),
-          -grid.project(real_h[d + 1], mask))
-    if source_h is not None:
+    real_h[:d] += grid.spectral_gradient(real_h[-1])
+    dR, dC = grid.project(real_h[:-1], mask), grid.project(cplx_h, mask)
+    # the limit rows are -P f, negated after P (signed zeros included)
+    np.negative(dR[:d + 1], out=dR[:d + 1])
+    np.negative(dC[:2], out=dC[:2])
+    if source_h is not None:  # the corrector pair's rows, on the 2/3 band
         band = grid.dealias_mask
-        dy += (grid.project(real_h[-1], band),
-               grid.project(cplx_h[2] + source_h, band))
-    return dy
+        dR[-1] = grid.project(real_h[-2], band)
+        dC[2] = grid.project(cplx_h[2] + source_h, band)
+    return dR, dC
 
 
-def _products(y, grid: Grid, sigma: int, psign: int):
-    """The stage's fields on the grid, from one inverse transform per kind,
-    and the products of its right-hand sides, stacked per kind: the real
-    (v.grad) v, s*p, |v|^2/2 + s*p (and the phi1 part) and the complex S
-    and a parts (and the w part); with the corrector's spectral source, or
-    None without the pair."""
-    vh = y[0]
+def _products(y, grid: Grid, sigma: int, psign: int, grid_pass: list | None):
+    """The products of a stage's right-hand sides on its fields (the step's
+    grid pass, emptied so that they die here, or else _grid_fields of y),
+    stacked per kind: the real (v.grad) v, |v|^2/2 + s*p (and the phi1
+    part), s*p and the complex S and a parts (and the w part); with the
+    corrector's spectral source, or None without the pair."""
     d = grid.dim
-    pair = len(y) > 4  # the corrector pair rides along
-    # S, a (and w) with their gradients are complex; v and grad v (and
-    # grad phi1, Lap phi1) real
-    cplx = grid.ifft(grid.spectral_jet(np.array([y[1], y[2], *y[5:]])))
-    real = grid.spectral_jet(vh).reshape(-1, *vh.shape[1:])
-    if pair:
-        real = np.concatenate([real, grid.spectral_gradient(y[4]),
-                               grid.spectral_laplacian(y[4])[None]])
-    real = grid.irfft(real)
+    real, cplx = grid_pass or _grid_fields(y, grid)
+    if grid_pass:
+        grid_pass.clear()
     v, grad_v = real[:d], real[d:d + d * d].reshape(d, d, *real.shape[1:])
     Sa, grad_Sa = cplx[0, :2], cplx[1:, :2]
 
     div_v = grad_v.trace()  # grad_v[j, i] = d_j v_i
     sp = psign * np.abs(Sa[0]) ** 2
     real_terms = [(v[:, None] * grad_v).sum(0),   # (v.grad) v
-                  sp[None], (0.5 * (v**2).sum(0) + sp)[None]]
+                  (0.5 * (v**2).sum(0) + sp)[None]]
     # v.grad S + (sigma/2) S div v and v.grad a + (1/2) a div v
     rates = np.array([0.5 * sigma, 0.5]).reshape((2,) + (1,) * (Sa.ndim - 1))
     cplx_terms = (v[:, None] * grad_Sa).sum(0) + div_v * (rates * Sa)
     source_h = None
-    if pair:
+    if len(cplx[0]) > 2:  # the corrector pair rides along
+        n = d + d * d  # its rows grad phi1, Lap phi1
         dphi1, dw, source_h = corrector._rhs(
-            real[d + d * d:2 * d + d * d], real[-1], cplx[0, 2], cplx[1:, 2],
-            v, Sa[1], div_v, grad_Sa[:, 1], y[2], grid, sigma)
+            real[n:n + d], real[n + d], cplx[0, 2], cplx[1:, 2],
+            v, Sa[1], div_v, grad_Sa[:, 1], y[1][1], grid, sigma)
         real_terms.append(dphi1[None])
         cplx_terms = np.concatenate([cplx_terms, dw[None]])
-    return np.concatenate(real_terms), cplx_terms, source_h
+    return np.concatenate([*real_terms, sp[None]]), cplx_terms, source_h
 
 
-def rk4_step(rhs, y: tuple, dt: float) -> tuple:
+def _grid_fields(y, grid: Grid, step: bool = False) -> list:
+    """[real, cplx], the fields of the state y = (R, C) that a stage needs,
+    one inverse transform per kind: S, a (and w) with their gradients, and
+    the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1, Lap phi1),
+    then, in the step's grid pass (step=True), grad div v, phi (and phi1)."""
+    R, C = y
+    d = grid.dim
+    # complex first, and no spectral input outlives its call (2-D peak memory)
+    cplx = grid.ifft(grid.spectral_jet(C))
+    jet = grid.spectral_jet(R[:d])  # [v, d_1 v, ..., d_dim v]
+    rows = [jet.reshape(-1, *R.shape[1:])]
+    if len(R) > d + 1:
+        rows += [grid.spectral_gradient(R[-1]), grid.spectral_laplacian(R[-1:])]
+    if step:
+        rows += [grid.spectral_gradient(np.trace(jet[1:])), R[d:]]
+    real = np.concatenate(rows)
+    del rows, jet
+    return [grid.irfft(real), cplx]
+
+
+def rk4_step(rhs, y: tuple, dt: float, k1: tuple | None = None) -> tuple:
     """One classical RK4 step for a tuple of fields.  ``rhs(y, c)`` returns
-    the tuple of time derivatives at stage time t + c*dt, c in {0, 1/2, 1}."""
+    the tuple of time derivatives at stage time t + c*dt, c in {0, 1/2, 1};
+    k1, if given, is the caller's rhs(y, 0.0)."""
     h = 0.5 * dt
-    k1 = rhs(y, 0.0)
+    k1 = rhs(y, 0.0) if k1 is None else k1
     k2 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k1)), 0.5)
     k3 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k2)), 0.5)
     k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)), 1.0)
@@ -215,17 +232,6 @@ def _wave_speed(v, S, sigma: int) -> float:
     return float(np.max(np.abs(v))) + math.sqrt(
         (sigma + 1) * float(np.max(np.abs(S) ** 2))
     )
-
-
-def _grid_pass(y, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The fields of the spectral state y on the grid, one inverse transform
-    per kind: real rows v (dim), grad v (dim*dim, row d_j v_i at dim*j + i),
-    grad div v (dim), phi (and phi1); complex rows S, a (and w)."""
-    jet = grid.spectral_jet(y[0])  # [v, d_1 v, ..., d_dim v]
-    real = grid.irfft(np.concatenate([
-        jet.reshape(-1, *y[0].shape[1:]),
-        grid.spectral_gradient(np.trace(jet[1:])), np.array(y[3:5])]))
-    return real, grid.ifft(np.array([y[1], y[2], *y[5:]]))
 
 
 def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
@@ -281,19 +287,20 @@ def evolve_limit(
     completed run stores exactly n_obs nodes (default 2: the start and the
     end) and a stopped one fewer.  The per-step scalars (grad_v_max, ...)
     cover every step; they, the finiteness check and the stored node come
-    from one grid pass of the step's state.  Given a1, the run also carries
-    the corrector pair (phi1, w) from (0, a1): the trajectory stores it as
-    its phi1 and w, and its states carry it (None without a1).  Fields of
-    init and a1 of shape (*batch, *grid.shape) are independent runs
-    integrated as one, stored with their batch axes.  The members share the
-    step, the status and the per-step scalars (each a max over the
-    members): one member breaking the CFL bound or going non-finite stops
-    them all.  An adaptive run stops with status "dt_floor" once its CFL step falls
-    below DT_FLOOR_FACTOR times the first, and any run with status
-    "max_steps" after MAX_STEPS steps; an early stop raises when strict
-    (strict=False truncates the trajectory there instead).  n_obs < 2,
-    initial data without a finite wave speed, and nodes (of every batch
-    member) over MAX_STORED_BYTES raise ConfigError before the run starts.
+    from one grid pass of the step's state, which then feeds the next step's
+    first RK4 stage.  Given a1, the run also carries the corrector pair
+    (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
+    its states carry it (None without a1).  Fields of init and a1 of shape
+    (*batch, *grid.shape) are independent runs integrated as one, stored
+    with their batch axes.  The members share the step, the status and the
+    per-step scalars (each a max over the members): one member breaking the
+    CFL bound or going non-finite stops them all.  An adaptive run stops
+    with status "dt_floor" once its CFL step falls below DT_FLOOR_FACTOR
+    times the first, and any run with status "max_steps" after MAX_STEPS
+    steps; an early stop raises when strict (strict=False truncates the
+    trajectory there instead).  n_obs < 2, initial data without a finite
+    wave speed, and nodes (of every batch member) over MAX_STORED_BYTES
+    raise ConfigError before the run starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -323,15 +330,17 @@ def evolve_limit(
     v_h = grid.spectral_gradient(phi_h)
     v_h[(..., *(0,) * grid.dim)] += grid.size * np.reshape(
         init.phi0_wavevector, (grid.dim,) + (1,) * (a0.ndim - grid.dim))
-    y = (grid.project(v_h, mask),
-         *grid.project(grid.fft(np.array([a0**sigma, a0])), mask), phi_h)
+    y = (np.array([*grid.project(v_h, mask), phi_h]),
+         grid.project(grid.fft(np.array([a0**sigma, a0])), mask))
     if a1 is not None:
-        y += (np.zeros(y[3].shape, complex), grid.fft(a1))
+        y = (np.concatenate([y[0], np.zeros((1, *phi_h.shape), complex)]),
+             np.concatenate([y[1], grid.fft(a1[None])]))
 
     d = grid.dim
-    real, cplx = _grid_pass(y, grid)
+    real, cplx = grid_pass = _grid_fields(y, grid, step=True)
+    n_stage = len(real) - len(y[0])  # then grad div v, phi (and phi1)
     dx_min = min(grid.dx)
-    speed = _wave_speed(real[:d], cplx[0], sigma)
+    speed = _wave_speed(real[:d], cplx[0, 0], sigma)
     dt_cfl0 = CFL_NUMBER * dx_min / max(speed, 1e-12)
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
@@ -340,7 +349,7 @@ def evolve_limit(
     delta = final_time / (n_obs - 1)  # the observation interval
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
 
-    nodes0 = (real[:d], *cplx[:2], phi0)
+    nodes0 = (real[:d], *cplx[0, :2], phi0)
     if a1 is not None:
         nodes0 += (np.zeros(a0.shape), a1)
     # the stored nodes, one block per field written in place (no copy of
@@ -362,18 +371,18 @@ def evolve_limit(
         grad_v = real[d:d + d * d].reshape(d, d, *real.shape[1:])
         grad_hist.append(float(np.max(np.abs(grad_v))))
         div_hist.append(float(np.max(np.abs(np.trace(grad_v)))))
-        grad_div_hist.append(float(np.max(np.abs(real[d + d * d:2 * d + d * d]))))
-        rho = np.abs(cplx[1]) ** 2
+        grad_div_hist.append(float(np.max(np.abs(real[n_stage:n_stage + d]))))
+        rho = np.abs(cplx[0, 1]) ** 2
         press_hist.append(float(np.max(grid.integral(rho ** (sigma + 1)).real)))
         cfl_hist.append(step_dt * speed / dx_min)
 
     record_scalars(real, cplx, dt, speed)
-    del real, cplx, nodes0  # no grid pass outlives its step
+    del real, cplx, nodes0  # the pass lives on in grid_pass only
 
-    def rhs(y, c):
+    def rhs(y, c, grid_pass=None):
         # looked up as a module attribute at every stage (and corrector._rhs
         # inside it), so a wrapper installed on either one sees every call
-        return _rhs(y, grid, sigma, pressure_sign, mask)
+        return _rhs(y, grid, sigma, pressure_sign, mask, grid_pass)
 
     status = "completed"
     t = 0.0
@@ -394,7 +403,8 @@ def evolve_limit(
                 status = "cfl"
                 break
 
-        y = rk4_step(rhs, y, step_dt)
+        # stage 1 forms its products from the step's grid pass and drops it
+        y = rk4_step(rhs, y, step_dt, k1=rhs(y, 0.0, grid_pass))
         n += 1
         # a fixed step ends at (n // m)*delta + (n % m)*dt, so its nodes
         # sit on np.linspace(0, final_time, n_obs); the step reaching
@@ -403,18 +413,18 @@ def evolve_limit(
         if t >= final_time - 1e-9 * dt:
             t = final_time
 
-        real, cplx = _grid_pass(y, grid)
+        real, cplx = grid_pass = _grid_fields(y, grid, step=True)
         if not (np.all(np.isfinite(real)) and np.all(np.isfinite(cplx))):
             status = "nonfinite"
             break
 
         step_times.append(t)
         record_scalars(real, cplx, step_dt, speed)
-        speed = _wave_speed(real[:d], cplx[0], sigma)
+        speed = _wave_speed(real[:d], cplx[0, 0], sigma)
         # the first step reaching the next observation time
         if t >= len(times) * delta - 1e-9 * dt:
             # v, S, a, phi (and phi1, w)
-            store(t, (real[:d], *cplx[:2], *real[2 * d + d * d:], *cplx[2:]))
+            store(t, (real[:d], *cplx[0, :2], *real[n_stage + d:], *cplx[0, 2:]))
         del real, cplx
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"

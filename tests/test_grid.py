@@ -198,6 +198,32 @@ class TestHalfSpectra:
             assert bits(out[m]) == bits(op(field[m]))
 
 
+class TestOneAxisTransforms:
+    """Grid's transforms are numpy's one-axis transforms, one call per grid
+    axis, with the bits of numpy's n-d transforms over the grid axes."""
+
+    @pytest.mark.parametrize("shape,batch", [
+        ((64,), ()), ((32, 16), ()), ((64,), (3,)), ((32, 16), (2, 3)),
+        ((128, 64), (5,)),  # 5 fields pass CHUNK_POINTS: chunked
+    ], ids=["1d", "2d", "1d-batch", "2d-batch", "2d-chunked"])
+    def test_bitwise_numpy_nd(self, shape, batch):
+        g = Grid(shape, (4.0, 2.0)[: len(shape)])
+        axes = tuple(range(-g.dim, 0))
+        if len(shape) == 2 and batch == (5,):
+            assert 5 * g.size > CHUNK_POINTS >= g.size
+        rng = np.random.default_rng(33)
+        real = rng.standard_normal((*batch, *g.shape))
+        field = real + 1j * rng.standard_normal(real.shape)
+        half = np.fft.rfftn(real, axes=axes)
+        pairs = [(g.fft(field), np.fft.fftn(field, axes=axes)),
+                 (g.ifft(field), np.fft.ifftn(field, axes=axes)),
+                 (g.rfft(real), np.fft.rfftn(real, axes=axes)),
+                 (g.irfft(half), np.fft.irfftn(half, s=g.shape, axes=axes))]
+        for got, want in pairs:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert bits(got) == bits(want)
+
+
 class TestRoundTrip:
     def test_fft_round_trip(self, grid_1d):
         rng = np.random.default_rng(3)

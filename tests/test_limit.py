@@ -355,9 +355,6 @@ def oracle_rhs(state, grid, sigma, psign, mask):
     return out
 
 
-REAL_FIELDS = (True, False, False, True, True, False)  # v, S, a, phi, phi1, w
-
-
 def count_calls(monkeypatch, names) -> Counter:
     """Calls of each named numpy.fft function from here on."""
     calls = Counter()
@@ -369,9 +366,23 @@ def count_calls(monkeypatch, names) -> Counter:
     return calls
 
 
+ALL_FFTS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
+            "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft")
+
+
 def spectral(state, grid):
-    return tuple(grid.rfft(f) if real else grid.fft(f)
-                 for f, real in zip(state, REAL_FIELDS))
+    """The spectral RK4 state (R, C) of the fields (v, S, a, phi[, phi1,
+    w]): half spectra of v_1..v_dim, phi (and phi1), full spectra of S, a
+    (and w)."""
+    v, S, a, phi, *pair = state
+    return (grid.rfft(np.array([*v, phi, *pair[:1]])),
+            grid.fft(np.array([S, a, *pair[1:]])))
+
+
+def physical(dR, dC, grid):
+    """The fields [v, S, a, phi[, phi1, w]] of the spectral pair (dR, dC)."""
+    real, cplx = grid.irfft(dR), grid.ifft(dC)
+    return [real[:grid.dim], *cplx[:2], *real[grid.dim:], *cplx[2:]]
 
 
 def joint_state(grid, batch=()):
@@ -389,65 +400,97 @@ def joint_state(grid, batch=()):
     return v, a**2, a, phi, phi1, w
 
 
+STAGE_CASES = ["1d", "2d", "batch", "cutoff"]
+
+
+def stage_case(case, grid_2d):
+    """Grid, batch, mask and pressure sign of a stage test case."""
+    grid = grid_2d if case == "2d" else Grid(256, 16.0)
+    batch = (3,) if case == "batch" else ()
+    mask, psign = grid.dealias_mask, 1
+    if case == "cutoff":
+        mask, psign = mask & grid.mode_mask(20), -1
+    return grid, batch, mask, psign
+
+
 class TestSpectralStage:
-    @pytest.mark.parametrize("case", ["1d", "2d", "batch", "cutoff"])
+    @pytest.mark.parametrize("case", STAGE_CASES)
     def test_matches_physical_oracle(self, case):
-        grid = {"2d": Grid((32, 32), (10.0, 10.0))}.get(case, Grid(256, 16.0))
-        batch = (3,) if case == "batch" else ()
-        mask, psign = grid.dealias_mask, 1
-        if case == "cutoff":
-            mask, psign = mask & grid.mode_mask(20), -1
+        grid, batch, mask, psign = stage_case(case, Grid((32, 32), (10.0, 10.0)))
         state = joint_state(grid, batch)
         expected = oracle_rhs(state, grid, 2, psign, mask)
-        dy = limit._rhs(spectral(state, grid), grid, 2, psign, mask)
-        assert len(dy) == 6
-        for got_h, want, real in zip(dy, expected, REAL_FIELDS):
-            got = grid.irfft(got_h) if real else grid.ifft(got_h)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        y = spectral(state, grid)
+        dR, dC = limit._rhs(y, grid, 2, psign, mask)
+        assert (dR.shape, dC.shape) == (y[0].shape, y[1].shape)
+        got = physical(dR, dC, grid)
+        assert len(got) == 6
+        for got_f, want in zip(got, expected):
+            assert got_f.shape == want.shape
+            assert np.max(np.abs(got_f - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("joint", [True, False], ids=["joint", "limit"])
     def test_one_stage_takes_at_most_four_transforms(self, monkeypatch, joint):
         # one inverse and one forward call per kind, real and complex
         grid = Grid(512, 16.0)
-        y = spectral(joint_state(grid), grid)[: 6 if joint else 4]
-        calls = count_calls(monkeypatch, (
-            "fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
-            "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"))
-        dy = limit._rhs(y, grid, 2, 1, grid.dealias_mask)
-        assert len(dy) == len(y)
+        y = spectral(joint_state(grid)[: 6 if joint else 4], grid)
+        calls = count_calls(monkeypatch, ALL_FFTS)
+        dR, dC = limit._rhs(y, grid, 2, 1, grid.dealias_mask)
+        assert (dR.shape, dC.shape) == (y[0].shape, y[1].shape)
         assert sum(calls.values()) <= 4, calls
 
+    @pytest.mark.parametrize("joint", [True, False], ids=["joint", "limit"])
+    @pytest.mark.parametrize("case", STAGE_CASES)
+    def test_stage_one_from_grid_pass_is_bitwise(self, case, joint):
+        # a stage fed the step's grid pass of y equals one that transforms
+        # y afresh, bit for bit, and empties the pass it was fed
+        grid, batch, mask, psign = stage_case(case, Grid((32, 16), (10.0, 8.0)))
+        y = spectral(joint_state(grid, batch)[: 6 if joint else 4], grid)
+        grid_pass = limit._grid_fields(y, grid, step=True)
+        fed = limit._rhs(y, grid, 2, psign, mask, grid_pass)
+        assert grid_pass == []
+        fresh = limit._rhs(y, grid, 2, psign, mask)
+        for got, want in zip(fed, fresh):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
     def test_one_grid_pass_per_step(self, monkeypatch):
-        # a 1-D joint step makes one call of each kind per stage (four
-        # stages) and, outside them, one irfftn call (v, grad v, grad div v,
-        # phi and phi1) and one ifftn call (S, a and w)
+        # a 1-D joint step makes one forward call of each kind per stage
+        # (four stages), one inverse call of each kind in stages 2-4, and
+        # one grid pass of its new state (one irfft call: v, grad v,
+        # grad phi1, Lap phi1, grad div v, phi and phi1; one ifft call: S, a
+        # and w with their gradients), which feeds the next step's stage 1;
+        # no n-d transform at all
         g = Grid(256, 16.0)
         data = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
                            a1=0.3 * gaussian(g, 1.2).astype(complex),
                            phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
-        calls = count_calls(monkeypatch, ("fft", "ifft", "fftn", "ifftn",
-                                          "rfft", "irfft", "rfftn", "irfftn"))
+        calls = count_calls(monkeypatch, ALL_FFTS)
         per_run = []
         for steps in (3, 5):
             calls.clear()
             traj = evolve_limit(data, 2, 0.01 * steps, dt=0.01, a1=data.a1)
             assert len(traj.step_times) == steps + 1
             per_run.append(+calls)
+        assert set(per_run[0]) == set(per_run[1]) == {"rfft", "fft", "irfft", "ifft"}
         assert per_run[1] - per_run[0] == Counter(
-            {"rfftn": 8, "fftn": 8, "irfftn": 8 + 2, "ifftn": 8 + 2})
+            {"rfft": 2 * 4, "fft": 2 * 4, "irfft": 2 * 4, "ifft": 2 * 4})
 
-        # the 2-D layout of the pass: v, d_j v_i, grad div v, phi, phi1 and
-        # S, a, w agree with the physical fields and Grid.gradient
+        # the 2-D layout of the pass: v, d_j v_i, grad phi1, Lap phi1,
+        # grad div v, phi, phi1 and S, a, w with their gradients agree with
+        # the physical fields and Grid.gradient
         g = Grid((32, 16), (10.0, 8.0))
         state = joint_state(g)
-        real, cplx = limit._grid_pass(spectral(state, g), g)
-        v = state[0]
+        real, cplx = limit._grid_fields(spectral(state, g), g, step=True)
+        v, S, a, phi, phi1, w = state
         grad_v = g.gradient(v).real
         want = np.concatenate([v, grad_v.reshape(4, *g.shape),
-                               g.gradient(np.trace(grad_v)).real, state[3:5]])
+                               g.gradient(phi1).real, g.laplacian(phi1).real[None],
+                               g.gradient(np.trace(grad_v)).real, [phi, phi1]])
         assert real.shape == want.shape
-        for got, ref in zip([*real, *cplx], [*want, *state[1:3], state[5]]):
+        Saw = np.array([S, a, w])
+        assert cplx.shape == (3, 3, *g.shape)
+        for got, ref in zip([*real, *cplx.reshape(9, *g.shape)],
+                            [*want, *Saw, *g.gradient(Saw).reshape(6, *g.shape)]):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -467,6 +510,20 @@ class TestRK4Step:
                           (0.0, np.ones(2)), h)
         assert y == pytest.approx(((t0 + h) ** 4 - t0**4) / 4, rel=1e-14)
         np.testing.assert_array_equal(z, np.ones(2))
+
+    def test_given_first_stage_is_bitwise_the_same(self):
+        # the caller's k1 = rhs(y, 0.0), here a joint limit stage, gives the
+        # step's own bits
+        grid = Grid(256, 16.0)
+        y = spectral(joint_state(grid), grid)
+
+        def rhs(y, c):
+            return limit._rhs(y, grid, 2, 1, grid.dealias_mask)
+
+        given = rk4_step(rhs, y, 0.01, k1=rhs(y, 0.0))
+        for got, want in zip(given, rk4_step(rhs, y, 0.01)):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPhase:

@@ -587,10 +587,11 @@ class TestBatch:
                                                             gaussian_data,
                                                             monkeypatch):
         # both solvers refuse fewer than 2 observation times before any
-        # transform
+        # transform, n-d or one-axis
         import scnls.nls as nls
         calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn",
+                     "fft", "ifft", "rfft", "irfft"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
