@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 from . import artifacts
 from .errors import ConfigError
-from .grid import Grid
-from .limit import MAX_STORED_BYTES
+from .grid import MAX_STORED_BYTES, Grid
 from .nls import SCHEME, check_step_count, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
 
@@ -48,7 +47,7 @@ _FORMATS = {"csv", "json", "snapshots"}
 
 # memory budget, checked before anything is allocated: the grid size, and
 # observation_count x grid points x SNAPSHOT_BYTES_PER_POINT against
-# limit.MAX_STORED_BYTES, where the bytes one observation stores per point are
+# grid.MAX_STORED_BYTES, where the bytes one observation stores per point are
 # a wavefunction snapshot (16) and one joint limit + corrector node
 # (8*dim + 64).  The step-doubling guard's run keeps only its two end states,
 # which do not grow with observation_count.  The 168 keep the earlier margins

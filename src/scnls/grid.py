@@ -20,10 +20,14 @@ concurrent runs.
 
 Spectra are full (``fft``, complex fields) or rfftn half spectra (``rfft``,
 real fields, last axis N/2 + 1); the spectral multipliers (gradient, jet,
-Laplacian, projection) take either, told apart by the last axis.  A
-transform makes the one-axis calls of numpy.fft.fftn (ifftn, rfftn,
-irfftn), with their bits but not their n-d plumbing, in chunks of whole
-fields of at most CHUNK_POINTS points, each with the bits of its own call.
+Laplacian, projection) take either, told apart by the last axis.  Grid
+makes every transform of the package: the one-axis calls of numpy.fft.fftn
+(ifftn, rfftn, irfftn), with their bits but not their n-d plumbing, in
+chunks of whole fields of at most CHUNK_POINTS points, each with the bits of
+its own call.  A chunked transform returns an array of its own, not a view:
+numpy elides a temporary of 256 KiB or more only into an operand that owns
+its data, which fixes fft(u) * m as u_hat * m, and m * u_hat rounds
+differently in the last bit.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from .errors import ConfigError, GridMismatchError
 # On small grids the per-call overhead dominates instead: a 1-D batch of up
 # to 64 fields of 512 points is one call.
 CHUNK_POINTS = 2**15
+# memory budget for the stored observations of one run (limit nodes,
+# wavefunction snapshots), checked before the run
+MAX_STORED_BYTES = 2**31
 BOUNDARY_BAND_CELLS = 3  # the band of boundary_tail_fraction
 SUPPORT_TAIL_THRESHOLD = 1e-10  # the largest tail of support inside the cell
 
@@ -60,6 +67,15 @@ def observation_steps(final_time: float, n_obs: int, dt: float) -> tuple[int, fl
     delta = final_time / (n_obs - 1)
     m = max(1, math.ceil(delta / dt - 1e-9))
     return m, delta / m
+
+
+def check_stored_bytes(n_obs: int, points: int, per_point: int) -> None:
+    """Refuse (ConfigError grid.N) n_obs observations of points grid points,
+    per_point bytes each, over MAX_STORED_BYTES."""
+    stored = n_obs * points * per_point
+    if stored > MAX_STORED_BYTES:
+        raise ConfigError("grid.N", f"{n_obs} stored observations need {stored} "
+                          f"bytes, over the budget of {MAX_STORED_BYTES}")
 
 
 class Grid:
@@ -182,11 +198,12 @@ class Grid:
         flat = f.reshape(-1, *f.shape[-self.dim:])
         if len(flat) > per:
             first = self._transform(flat[:per], fns, axes)
-            out = np.empty((len(flat), *first.shape[1:]), first.dtype)
-            out[:per] = first
+            out = np.empty((*f.shape[:-self.dim], *first.shape[1:]), first.dtype)
+            rows = out.reshape(len(flat), *first.shape[1:])  # a view of out
+            rows[:per] = first
             for i in range(per, len(flat), per):
-                out[i:i + per] = self._transform(flat[i:i + per], fns, axes)
-            return out.reshape(*f.shape[:-self.dim], *out.shape[1:])
+                rows[i:i + per] = self._transform(flat[i:i + per], fns, axes)
+            return out
         for fn, axis in zip(fns, axes):
             f = fn(f, self.shape[axis], axis)
         return f

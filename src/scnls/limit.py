@@ -54,14 +54,13 @@ import numpy as np
 
 from . import corrector
 from .errors import ConfigError, NumericalGuardError
-from .grid import SUPPORT_TAIL_THRESHOLD, Grid, observation_steps
+from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
+                   observation_steps)
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
 # a run stops with status "max_steps" after this many steps
 MAX_STEPS = 2_000_000
-# memory budget for the stored nodes of one trajectory, checked before the run
-MAX_STORED_BYTES = 2**31
 # adaptive runs stop (dt_floor) once their CFL step is below this x the first
 DT_FLOOR_FACTOR = 0.1
 # breakdown once max|grad v| > BREAKDOWN_FACTOR * the data's gradient scale
@@ -299,8 +298,8 @@ def evolve_limit(
     times the first, and any run with status "max_steps" after MAX_STEPS
     steps; an early stop raises when strict (strict=False truncates the
     trajectory there instead).  n_obs < 2, initial data without a finite
-    wave speed, and nodes (of every batch member) over MAX_STORED_BYTES
-    raise ConfigError before the run starts.
+    wave speed, and nodes (of every batch member) over
+    grid.MAX_STORED_BYTES raise ConfigError before the run starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -318,10 +317,7 @@ def evolve_limit(
             raise ConfigError("initial.a1", "a1 shape does not match a0")
     # v, S, a, phi (and phi1, w) per node
     per_point = 8 * grid.dim + 40 + (24 if a1 is not None else 0)
-    stored = n_obs * a0.size * per_point
-    if stored > MAX_STORED_BYTES:
-        raise ConfigError("grid.N", f"{n_obs} stored nodes need {stored} "
-                          f"bytes, over the budget of {MAX_STORED_BYTES}")
+    check_stored_bytes(n_obs, a0.size, per_point)
 
     # the spectral RK4 state: v = grad phi0 + k (the linear part of phi0 is
     # the constant velocity k, size*k in the zero mode) and S, a projected
@@ -543,8 +539,8 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     Breakdown is declared when max|grad v| exceeds the breakdown_threshold
     of node 0, built from the data's own characteristic-speed gradient scale
     (so data starting at rest is judged against its sound-speed slope, and a
-    constant state never fires), or when the run itself stopped on
-    non-finite values / a collapsed adaptive step.  The threshold is a
+    constant state never fires), or when the run itself stopped early (any
+    status but "completed").  The threshold is a
     heuristic; reported times carry a +-2*spacing uncertainty band.  The
     total-pressure history is compared (in log space, while resolved) with
     its transport envelope P(0)*exp(sigma*int max|div v|).
@@ -558,8 +554,7 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     if crossing.size:
         i = int(crossing[0])
         t_est = float(ts[i])
-    elif traj.status in ("nonfinite", "dt_floor", "cfl", "grad_stop",
-                         "max_steps"):
+    elif traj.status != "completed":
         t_est = float(ts[-1])
 
     spacing = float(np.max(np.diff(ts))) if ts.size > 1 else 0.0

@@ -36,12 +36,13 @@ A run observed n_obs times stores snapshot i at np.linspace(0, T, n_obs)[i],
 node i of evolve_limit, with the limit's step rule (grid.observation_steps).
 One loop integrates a batch of runs (evolve_nls_batch): the members share
 the grid shape, sigma and scheme, and each keeps its own epsilon, step,
-step count and observation count.  Every transform acts on the whole batch
-of running members, and the step-doubling checks ride in the same batch, so
-an epsilon ladder pays the per-call overhead of a 1-D transform once per
-substep instead of once per run.  Each member's snapshots carry the bits of
-its lone run as long as the batch and the lone run fall on the same side of
-numpy's 256 KiB temporary-elision size (see _evolve_batch).
+step count and observation count.  Every transform is a Grid transform of
+the whole batch of running members, and the step-doubling checks ride in
+the same batch, so an epsilon ladder pays the per-call overhead of a 1-D
+transform once per substep instead of once per run.  Each member's
+snapshots carry the bits of its lone run as long as the batch and the lone
+run fall on the same side of numpy's 256 KiB temporary-elision size (see
+_evolve_batch).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, NumericalGuardError
-from .grid import SUPPORT_TAIL_THRESHOLD, Grid, observation_steps
+from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
+                   observation_steps)
 from .presets import InitialData, snap_wavevector
 
 # substep weights of each composition of the Strang step
@@ -179,31 +181,33 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
     The members share the grid shape, sigma and scheme; each has its own
     epsilon, step, step count and observation count n_obs[b], and so its
     own kick and phase multipliers.  Each member's step is its cfg.dt_raw
-    rounded down to divide its observation interval (grid.observation_steps),
-    and every member's count is checked before any member steps.  Sorted by
-    substep count, the members still running are a prefix u[:k] of the
-    batch.  At its own observation times a member checks and stores
-    ifft(uh * last) of the substep's spectrum uh and goes on with the merged
-    kick; it retires after its last one.
+    rounded down to divide its observation interval (grid.observation_steps).
+    Before any member steps, every member's step count must be at most
+    MAX_NLS_STEPS and its snapshots within grid.MAX_STORED_BYTES, or
+    ConfigError is raised.  The batch transforms through the first member's
+    Grid: a transform depends on the grid shape alone.  Sorted by substep
+    count, the members still running are a prefix u[:k] of the batch.  At
+    its own observation times a member checks and stores ifft(uh * last) of
+    the substep's spectrum uh and goes on with the merged kick; it retires
+    after its last one.
     """
     steps = [observation_steps(cfg.final_time, n, cfg.dt_raw)
              for n, cfg in zip(n_obs, cfgs)]
-    shape, sigma, scheme = cfgs[0].grid.shape, cfgs[0].sigma, cfgs[0].scheme
-    if any((c.grid.shape, c.sigma, c.scheme) != (shape, sigma, scheme) for c in cfgs):
+    grid, sigma, scheme = cfgs[0].grid, cfgs[0].sigma, cfgs[0].scheme
+    if any((c.grid.shape, c.sigma, c.scheme) != (grid.shape, sigma, scheme)
+           for c in cfgs):
         raise ValueError("batch members must share grid shape, sigma and scheme")
+    for (m, _), n in zip(steps, n_obs):
+        if m * (n - 1) > MAX_NLS_STEPS:
+            raise ConfigError("time.observation_count", f"{n} observations need "
+                              f"{m * (n - 1)} steps, more than {MAX_NLS_STEPS}")
+        check_stored_bytes(n, grid.size, 16)  # complex snapshots
     weights = SCHEMES[scheme]
     n_w = len(weights)
     n_sub = [m * n_w for m, _ in steps]  # substeps per observation interval
     total = [n * (n_b - 1) for n, n_b in zip(n_sub, n_obs)]
     order = sorted(range(len(cfgs)), key=lambda b: -total[b])
     total = [total[b] for b in order]
-    axes = tuple(range(1, len(shape) + 1))
-
-    def fft(f):  # s given, so numpy need not read it off f's shape
-        return np.fft.fftn(f, s=shape, axes=axes)
-
-    def ifft(f):
-        return np.fft.ifftn(f, s=shape, axes=axes)
 
     halves = [[np.exp(-1j * cfgs[b].epsilon * cfgs[b].grid.k_squared
                       * (w * steps[b][1]) / 4.0) for w in weights] for b in order]
@@ -212,7 +216,7 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
     # (kicks[0] joins the last substep of one step to the next step)
     kicks = [np.stack([h[j - 1] * h[j] for h in halves]) for j in range(n_w)]
     phases = [np.array([-1j * (w * steps[b][1]) / cfgs[b].epsilon for b in order]
-                       ).reshape((-1,) + (1,) * len(shape)) for w in weights]
+                       ).reshape((-1,) + (1,) * grid.dim) for w in weights]
     # substep index -> members (positions in the sorted batch) that reach an
     # observation time after it
     bounds: dict[int, list[int]] = {}
@@ -222,7 +226,7 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
 
     u = np.stack([np.asarray(u0s[b], dtype=complex) for b in order])
     states = [[_freeze(row.copy())] for row in u]
-    u = ifft(fft(u) * np.stack([h[0] for h in halves]))
+    u = grid.ifft(grid.fft(u) * np.stack([h[0] for h in halves]))
     k = len(order)
     for i in range(total[0]):
         # Keep this expression: numpy elides a temporary of 256 KiB or more
@@ -231,11 +235,11 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
         # those of its lone run only when the batch and the lone member fall
         # on the same side of that size.
         u = u * np.exp(phases[i % n_w][:k] * np.abs(u) ** (2 * sigma))
-        uh = fft(u)
+        uh = grid.fft(u)
         at = bounds.get(i)
         if at:
             # snapshots from the step's spectrum; the batch goes on below
-            for p, snap in zip(at, ifft(uh[at] * last[at])):
+            for p, snap in zip(at, grid.ifft(uh[at] * last[at])):
                 if not np.all(np.isfinite(snap.view(float))):
                     m, dt = steps[order[p]]
                     t = len(states[p]) * m * dt
@@ -244,7 +248,7 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
                 states[p].append(_freeze(snap))
             while k and total[k - 1] <= i + 1:
                 k -= 1
-        u = ifft(uh[:k] * kicks[(i + 1) % n_w][:k])
+        u = grid.ifft(uh[:k] * kicks[(i + 1) % n_w][:k])
 
     out: list = [None] * len(order)
     for p, b in enumerate(order):

@@ -115,6 +115,22 @@ def snap_wavevector(k, grid: Grid, epsilon: float) -> tuple[tuple[float, ...], t
     return snapped, modes
 
 
+def _neg_cos(grid: Grid, amplitude: float = 1.0):
+    return neg_cos_phase(grid, amplitude=float(amplitude)), (0.0,) * grid.dim
+
+
+def _bump_phase(grid: Grid, radius: float = 3.0, amplitude: float = 1.0):
+    return (np.real(compact_bump(grid, radius=float(radius), amplitude=float(amplitude))),
+            (0.0,) * grid.dim)
+
+
+def _linear_phase(grid: Grid, wavenumber=1.0):
+    k = np.atleast_1d(np.asarray(wavenumber, dtype=float))
+    if k.size == 1 and grid.dim > 1:
+        k = np.full(grid.dim, float(k[0]))
+    return np.zeros(grid.shape), tuple(float(v) for v in k)
+
+
 _AMPLITUDE_PRESETS = {
     "gaussian": gaussian,
     "compact_bump": compact_bump,
@@ -123,7 +139,13 @@ _AMPLITUDE_PRESETS = {
     "zero": zero,
 }
 
-_PHASE_PRESETS = {"zero", "neg_cos", "compact_bump", "linear"}
+# each returns (periodic part, wavevector)
+_PHASE_PRESETS = {
+    "zero": lambda grid: _linear_phase(grid, 0.0),
+    "neg_cos": _neg_cos,
+    "compact_bump": _bump_phase,
+    "linear": _linear_phase,
+}
 
 
 # what a preset function raises on parameter values it cannot use
@@ -159,62 +181,40 @@ def _finite(fld: np.ndarray, key: str, preset: str) -> np.ndarray:
     return fld
 
 
-def make_amplitude(grid: Grid, preset: str, params: dict, key: str) -> np.ndarray:
-    """Build a complex amplitude field from a config preset description."""
-    if not isinstance(preset, str) or preset not in _AMPLITUDE_PRESETS:
-        raise ConfigError(key, f"unknown amplitude preset {preset!r}; "
-                               f"choose from {sorted(_AMPLITUDE_PRESETS)}")
-    params = dict(params)
+def _build(grid: Grid, presets: dict, kind: str, preset: str, params: dict,
+           key: str, fold=dict):
+    """presets[preset](grid, **fold(params)); ConfigError(key) for a preset
+    or parameters it cannot use (non-finite results are the caller's)."""
+    if not isinstance(preset, str) or preset not in presets:
+        raise ConfigError(key, f"unknown {kind} preset {preset!r}; "
+                               f"choose from {sorted(presets)}")
     try:
         _check_params(grid, params, key, preset)
-        amp_re = params.pop("amplitude_re", None)
-        amp_im = params.pop("amplitude_im", None)
-        if amp_re is not None or amp_im is not None:
-            params["amplitude"] = complex(amp_re or 0.0, amp_im or 0.0)
-        with np.errstate(all="ignore"):  # non-finite fields are rejected below
-            fld = np.asarray(_AMPLITUDE_PRESETS[preset](grid, **params),
-                             dtype=complex)
+        with np.errstate(all="ignore"):
+            return presets[preset](grid, **fold(params))
     except _BAD_VALUE as exc:
         raise ConfigError(key, f"bad parameters for preset {preset!r}: {exc}") from exc
-    return _finite(fld, key, preset)
+
+
+def _fold_amplitude(params: dict) -> dict:
+    # amplitude_re/amplitude_im give one complex amplitude
+    params = dict(params)
+    amp_re = params.pop("amplitude_re", None)
+    amp_im = params.pop("amplitude_im", None)
+    if amp_re is not None or amp_im is not None:
+        params["amplitude"] = complex(amp_re or 0.0, amp_im or 0.0)
+    return params
+
+
+def make_amplitude(grid: Grid, preset: str, params: dict, key: str) -> np.ndarray:
+    """Build a complex amplitude field from a config preset description."""
+    fld = _build(grid, _AMPLITUDE_PRESETS, "amplitude", preset, params, key,
+                 _fold_amplitude)
+    return _finite(np.asarray(fld, dtype=complex), key, preset)
 
 
 def make_phase(grid: Grid, preset: str, params: dict, key: str):
     """Build (periodic part, wavevector) for a phi0 preset description."""
-    if not isinstance(preset, str) or preset not in _PHASE_PRESETS:
-        raise ConfigError(key, f"unknown phase preset {preset!r}; "
-                               f"choose from {sorted(_PHASE_PRESETS)}")
-    params = dict(params)
-    try:
-        _check_params(grid, params, key, preset)
-        with np.errstate(all="ignore"):  # non-finite fields are rejected below
-            per, kvec = _phase_fields(grid, preset, params)
-    except _BAD_VALUE as exc:
-        raise ConfigError(key, f"bad parameters for preset {preset!r}: {exc}") from exc
-    if params:
-        raise ConfigError(key, f"unknown parameters for preset {preset!r}: {sorted(params)}")
+    per, kvec = _build(grid, _PHASE_PRESETS, "phase", preset, params, key)
     _finite(np.asarray(kvec), key, preset)
     return _finite(per, key, preset), kvec
-
-
-def _phase_fields(grid: Grid, preset: str, params: dict):
-    """(periodic part, wavevector) of a phase preset; pops the parameters
-    it uses from params."""
-    if preset == "zero":
-        return np.zeros(grid.shape), (0.0,) * grid.dim
-    if preset == "neg_cos":
-        amp = float(params.pop("amplitude", 1.0))
-        return neg_cos_phase(grid, amplitude=amp), (0.0,) * grid.dim
-    if preset == "compact_bump":
-        per = np.real(compact_bump(
-            grid,
-            radius=float(params.pop("radius", 3.0)),
-            amplitude=float(params.pop("amplitude", 1.0)),
-        ))
-        return per, (0.0,) * grid.dim
-    # linear
-    k = params.pop("wavenumber", 1.0)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.size == 1 and grid.dim > 1:
-        k = np.full(grid.dim, float(k[0]))
-    return np.zeros(grid.shape), tuple(float(v) for v in k)

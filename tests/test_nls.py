@@ -537,9 +537,9 @@ class TestBatch:
         # and no more: a snapshot comes from its substep's own spectrum
         u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625), 0.05)
         members = []
-        fftn = np.fft.fftn
-        monkeypatch.setattr(np.fft, "fftn",
-                            lambda f, *a, **k: members.append(len(f)) or fftn(f, *a, **k))
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda f, *a, **k: members.append(len(f)) or fft(f, *a, **k))
         trajs = evolve_nls_batch(u0s, cfgs, 6)
         substeps = [3 * round(0.05 / t.dt) for t in trajs]  # yoshida4
         check_substeps = [3 * round(0.05 / t.self_check_dt) for t in trajs]
@@ -612,6 +612,41 @@ class TestBatch:
         assert calls == []
         nls._evolve_raw(u0, cfg, 5)
         assert calls  # the spies see the transforms
+
+    def test_step_cap_counts_observation_steps(self, grid_1d, monkeypatch):
+        # T/dt = 8 steps pass a cap of 10, but 21 observation times of 0.002
+        # take one step of 0.002 each, 20 in all: refused before any
+        # transform; 6 observation times take 2 steps each, 10 in all
+        monkeypatch.setattr(nls, "MAX_NLS_STEPS", 10)
+        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
+                        dt_override=0.005, self_check=False)
+        u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda *a, **k: calls.append(1) or fft(*a, **k))
+        with pytest.raises(ConfigError) as err:
+            evolve_nls(u0, cfg, 21)
+        assert err.value.key == "time.observation_count"
+        assert calls == []
+        assert len(evolve_nls(u0, cfg, 6).states) == 6
+
+    def test_snapshot_budget_as_limit_nodes(self, gaussian_data, monkeypatch):
+        # under a budget of 100,000 B, 41 snapshots of 512 points (335,872 B)
+        # are refused like the limit's 41 nodes, both with the key grid.N;
+        # 6 snapshots (49,152 B) fit
+        import scnls.grid
+        monkeypatch.setattr(scnls.grid, "MAX_STORED_BYTES", 100_000)
+        g = gaussian_data.grid
+        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.04,
+                        self_check=False)
+        u0 = build_initial_data(gaussian_data, 0.25)
+        for run in (lambda: evolve_nls(u0, cfg, 41),
+                    lambda: evolve_limit(gaussian_data, 2, 0.04, n_obs=41)):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert err.value.key == "grid.N"
+        assert len(evolve_nls(u0, cfg, 6).states) == 6
 
     def test_members_share_sigma_and_scheme(self, grid_1d):
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)

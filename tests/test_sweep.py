@@ -9,7 +9,8 @@ from scnls import Grid, nls
 from scnls.corrector import evolve_corrector, tilde_amplitude
 from scnls.config import SNAPSHOT_BYTES_PER_POINT, parse_config
 from scnls.errors import ConfigError
-from scnls.limit import MAX_STORED_BYTES, evolve_limit
+from scnls.grid import MAX_STORED_BYTES
+from scnls.limit import evolve_limit
 from scnls.nls import SCHEME, NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
 from scnls.sweep import (SweepPlan, fit_rate, rung_groups, run_sweep,
@@ -413,3 +414,38 @@ class TestMatchedPlaneWave:
             assert row["err_two_term_l2"] < 1e-9
             assert row["err_one_term_l2"] < 1e-9
             assert row["err_two_term_sup"] < 1e-9
+
+
+class TestOneTransformLayer:
+    def test_no_nd_numpy_transform(self, monkeypatch):
+        # Grid makes every transform of both solvers as numpy's one-axis
+        # calls: a 1-D and a 2-D sweep (limit, corrector, diagnostics and the
+        # split step with its checks) and a 128x128 split-step run with its
+        # check call no n-d transform of numpy.fft
+        called = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"numpy.fft.{name} called")
+            return call
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2",
+                     "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refuse(name))
+        for g in (Grid(128, 16.0), Grid((32, 32), (12.0, 12.0))):
+            r2 = sum(c**2 for c in g.coords)
+            data = InitialData(grid=g, a0=np.exp(-r2) * (1 + 0.2j * np.exp(-r2)),
+                               a1=(0.4 * np.exp(-r2 / 1.4)).astype(complex),
+                               phi0_periodic=np.zeros(g.shape),
+                               phi0_wavevector=(0.0,) * g.dim)
+            plan = SweepPlan(initial=data, sigma=2,
+                             epsilon_list=(0.25, 0.125, 0.0625),
+                             final_time=0.02, n_obs=3)
+            assert len(run_sweep(plan).rows) == 3
+        g = Grid((128, 128), (12.0, 12.0))
+        u0 = np.exp(-sum(c**2 for c in g.coords)).astype(complex)
+        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.01,
+                        scheme=SCHEME)
+        assert len(evolve_nls(u0, cfg, 3).states) == 3
+        assert called == []
