@@ -61,7 +61,9 @@ def _is_power_of_two(n: int) -> bool:
 def observation_steps(final_time: float, n_obs: int, dt: float) -> tuple[int, float]:
     """Steps per observation interval and the step: each of the n_obs - 1
     uniform intervals of [0, final_time] is cut into ceil(interval/dt)
-    equal steps, dt rounded down to divide it.  n_obs < 2 raises."""
+    equal steps, dt rounded down to divide it.  The split step cuts its
+    observation intervals so; the limit takes n_obs = 2, steps over the
+    whole horizon and interpolates its nodes.  n_obs < 2 raises."""
     if n_obs < 2:
         raise ConfigError("time.observation_count", f"n_obs must be >= 2, got {n_obs}")
     delta = final_time / (n_obs - 1)

@@ -42,7 +42,12 @@ scalars, finiteness check and stored node read it, and the next step's
 stage 1 forms its products from it and drops it before its forward
 transforms.  Node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time
 stepping is classical RK4 at the CFL step, with an optional per-step
-CFL-adapted step for the instability demos.
+CFL-adapted step for the instability demos; the observation times do not
+set the step.  A node inside a step is the step's dense output (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), the cubic Hermite interpolant of
+its end states and their derivatives (stage 1 of this step and the next):
+linear in stage derivatives, so grad phi = v holds on it to roundoff, and
+O(dt^4) accurate, RK4's order.
 """
 
 from __future__ import annotations
@@ -271,35 +276,38 @@ def evolve_limit(
 ) -> LimitTrajectory:
     """Integrate the limit system up to final_time (or until breakdown).
 
-    One step rule, the NLS's (grid.observation_steps): each of the n_obs-1
-    uniform observation intervals of [0, final_time] is cut into
-    m = ceil(interval/dt) equal steps, dt the given step or else the initial
-    CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)) (the phase is
-    integrated with the flow, so the step needs no further margin).  A
-    fixed-step run takes these steps, step n ending at
-    (n // m)*interval + (n % m)*dt, so node i sits at
-    np.linspace(0, final_time, n_obs)[i], the time of snapshot i of
-    evolve_nls; adaptive=True re-derives the step from the CFL rule every
-    step, capped at that step and at the time left, for the instability
-    demos.  Either run's last step ends on final_time exactly.  One node
-    rule: a node is the first step that reaches each observation time, so a
-    completed run stores exactly n_obs nodes (default 2: the start and the
-    end) and a stopped one fewer.  The per-step scalars (grad_v_max, ...)
-    cover every step; they, the finiteness check and the stored node come
-    from one grid pass of the step's state, which then feeds the next step's
+    One step rule (grid.observation_steps with n_obs = 2): ceil(final_time/dt)
+    equal steps over the whole horizon, dt the given step or else the
+    initial CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)) (the
+    phase is integrated with the flow, so the step needs no further
+    margin).  A fixed-step run takes these steps, the last ending on
+    final_time exactly; adaptive=True re-derives the step from the CFL rule
+    every step, capped at that step and at the time left, for the
+    instability demos.  Neither depends on n_obs.  One node rule: node i is
+    the state at np.linspace(0, final_time, n_obs)[i], the time of snapshot
+    i of evolve_nls: on a step's end that step's state, inside a step the
+    cubic Hermite interpolant of the spectral states and derivatives at its
+    ends (the end derivative is the next step's first RK4 stage, or one more
+    right-hand side after the last step).  A completed run stores exactly
+    n_obs nodes (default 2: the start and the end), a stopped one those up
+    to its last step.  The per-step scalars (grad_v_max, ...) cover every
+    step; they, the finiteness check and the nodes on step ends come from
+    one grid pass of the step's state, which then feeds the next step's
     first RK4 stage.  Given a1, the run also carries the corrector pair
     (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
     its states carry it (None without a1).  Fields of init and a1 of shape
     (*batch, *grid.shape) are independent runs integrated as one, stored
-    with their batch axes.  The members share the step, the status and the
-    per-step scalars (each a max over the members): one member breaking the
-    CFL bound or going non-finite stops them all.  An adaptive run stops
-    with status "dt_floor" once its CFL step falls below DT_FLOOR_FACTOR
-    times the first, and any run with status "max_steps" after MAX_STEPS
-    steps; an early stop raises when strict (strict=False truncates the
-    trajectory there instead).  n_obs < 2, initial data without a finite
-    wave speed, and nodes (of every batch member) over
-    grid.MAX_STORED_BYTES raise ConfigError before the run starts.
+    with their batch axes.  The members share the step, the
+    status and the per-step scalars (each a max over the members): one
+    member breaking the CFL bound or going non-finite stops them all.  A
+    fixed-step run stops with status "cfl" once its CFL number passes
+    2*CFL_NUMBER, an adaptive run with status "dt_floor" once its CFL step
+    falls below DT_FLOOR_FACTOR times the first, and any run with status
+    "max_steps" after MAX_STEPS steps; an early stop raises when strict
+    (strict=False truncates the trajectory there instead).  n_obs < 2,
+    initial data without a finite wave speed, and nodes (of every batch
+    member) over grid.MAX_STORED_BYTES raise ConfigError before the run
+    starts.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -341,9 +349,10 @@ def evolve_limit(
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
-    m, dt = observation_steps(final_time, n_obs, dt or dt_cfl0)
-    delta = final_time / (n_obs - 1)  # the observation interval
+    # one step rule for every run: m equal steps over the whole horizon
+    m, dt = observation_steps(final_time, 2, dt or dt_cfl0)
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
+    obs = np.linspace(0.0, final_time, n_obs)  # node i's time
 
     nodes0 = (real[:d], *cplx[0, :2], phi0)
     if a1 is not None:
@@ -351,14 +360,25 @@ def evolve_limit(
     # the stored nodes, one block per field written in place (no copy of
     # every node at the end)
     fields = [np.empty((n_obs, *f.shape), f.dtype) for f in nodes0]
-    times = []
 
-    def store(t_now, y_now):
-        for f, yi in zip(fields, y_now):
-            f[len(times)] = yi
-        times.append(t_now)
+    def store(i, node):
+        for f, x in zip(fields, node):
+            f[i] = x
 
-    store(0.0, nodes0)
+    def store_inside(y0, f0, t0, h, nodes, y1, f1):
+        # the cubic Hermite interpolant of the step from (y0, f0) at t0 to
+        # (y1, f1) at t0 + h, on the spectral state, as y0 plus increments
+        # (a state at rest stays put to the bit); one inverse transform per
+        # kind of it makes a node's v, phi (and phi1) and S, a (and w)
+        for i in nodes:
+            s = (obs[i] - t0) / h
+            c = (s * s * (3 - 2 * s), s * (1 - s) ** 2 * h, s * s * (s - 1) * h)
+            R, C = (a + c[0] * (p - a) + c[1] * b + c[2] * q
+                    for a, b, p, q in zip(y0, f0, y1, f1))
+            real, cplx = grid.irfft(R), grid.ifft(C)
+            store(i, (real[:d], *cplx[:2], *real[d:], *cplx[2:]))
+
+    store(0, nodes0)
     step_times = [0.0]
     grad_hist, div_hist, grad_div_hist = [], [], []
     press_hist, cfl_hist = [], []
@@ -383,7 +403,9 @@ def evolve_limit(
     status = "completed"
     t = 0.0
     n = 0
-    while len(times) < n_obs:
+    reached = 1  # nodes 0..reached-1 lie at or before t
+    inside = None  # the last step's nodes strictly inside it, and the step
+    while t < final_time:
         if n == MAX_STEPS:
             status = "max_steps"
             break
@@ -399,13 +421,17 @@ def evolve_limit(
                 status = "cfl"
                 break
 
-        # stage 1 forms its products from the step's grid pass and drops it
-        y = rk4_step(rhs, y, step_dt, k1=rhs(y, 0.0, grid_pass))
+        # stage 1 forms its products from the step's grid pass and drops
+        # it; it is also the end derivative of the last step's interpolant
+        y0, f0, t0 = y, rhs(y, 0.0, grid_pass), t
+        if inside:
+            store_inside(*inside, y0, f0)
+            inside = None
+        y = rk4_step(rhs, y0, step_dt, k1=f0)
         n += 1
-        # a fixed step ends at (n // m)*delta + (n % m)*dt, so its nodes
-        # sit on np.linspace(0, final_time, n_obs); the step reaching
-        # final_time ends on it exactly
-        t = t + step_dt if adaptive else (n // m) * delta + (n % m) * dt
+        # a fixed run takes m steps of dt and ends on final_time exactly;
+        # so does the adaptive step that reaches it within roundoff
+        t = t + step_dt if adaptive else (n * dt if n < m else final_time)
         if t >= final_time - 1e-9 * dt:
             t = final_time
 
@@ -417,30 +443,38 @@ def evolve_limit(
         step_times.append(t)
         record_scalars(real, cplx, step_dt, speed)
         speed = _wave_speed(real[:d], cplx[0, 0], sigma)
-        # the first step reaching the next observation time
-        if t >= len(times) * delta - 1e-9 * dt:
-            # v, S, a, phi (and phi1, w)
-            store(t, (real[:d], *cplx[0, :2], *real[n_stage + d:], *cplx[0, 2:]))
-        del real, cplx
+        # the nodes inside the step wait for the next stage 1; a node on
+        # its end is its grid pass: v, S, a, phi (and phi1, w)
+        first = reached
+        while reached < n_obs and obs[reached] < t:
+            reached += 1
+        if reached > first:
+            inside = (y0, f0, t0, step_dt, range(first, reached))
+        if reached < n_obs and obs[reached] == t:
+            store(reached, (real[:d], *cplx[0, :2], *real[n_stage + d:],
+                            *cplx[0, 2:]))
+            reached += 1
+        del real, cplx, y0, f0
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
-
     if status != "completed" and strict:
         raise NumericalGuardError(
             f"limit solver stopped at t={t:.6g} with status {status!r}"
         )
+    if inside:  # the last step's inner nodes take one more stage 1
+        store_inside(*inside, y, rhs(y, 0.0, grid_pass))
 
     def pack(seq) -> np.ndarray:
         out = np.asarray(seq)
         out.setflags(write=False)  # trajectories are shared read-only
         return out
 
-    v, S, a, phi, *corr = (pack(f[:len(times)]) for f in fields)
+    v, S, a, phi, *corr = (pack(f[:reached]) for f in fields)
     phi1, w = corr if corr else (None, None)
     return LimitTrajectory(
         grid=grid, sigma=sigma, pressure_sign=pressure_sign,
-        times=pack(times), v=v, S=S, a=a, phi=phi,
+        times=pack(obs[:reached]), v=v, S=S, a=a, phi=phi,
         phi0_wavevector=tuple(init.phi0_wavevector),
         dt=None if adaptive else dt, status=status,
         step_times=pack(step_times),
@@ -618,18 +652,17 @@ def focusing_demo(
 
     conserved by the linearized defocusing flow, exponentially growing in the
     ill-posed sign.  The runs are one batched adaptive evolve_limit call
-    (sharing the CFL step and the cutoff) that stores W's inputs at the
-    first step reaching each of 36 observation times over the window; the
-    rate is the log-linear slope of W over the second half of them.  A
-    spectral cutoff (default 1.5x the largest mode) suppresses
-    roundoff-seeded growth above the probed band.  Every mode must lie in
-    the 2/3 band of axis 0, |k| <= N // 3 (else ConfigError with key
-    focusing.wavenumbers), and the run must cover the window and stay
-    linear (else focusing.window): ill-posed growth that raises the wave
-    speed tenfold stops it with status dt_floor (the CLI defaults with
-    window 1.0 at t = 0.394), and a completed run is refused once
-    max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1 with window
-    1.0), where the rates no longer measure the linear growth.
+    (sharing the CFL step and the cutoff) that stores W's inputs at 36
+    observation times over the window; the rate is the log-linear slope of
+    W over the second half of them.  A spectral cutoff (default 1.5x the
+    largest mode) suppresses roundoff-seeded growth above the probed band.
+    Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
+    ConfigError with key focusing.wavenumbers), and the run must cover the
+    window and stay linear (else focusing.window): ill-posed growth that
+    raises the wave speed tenfold stops it with status dt_floor (the CLI
+    defaults with window 1.0 at t = 0.392), and a completed run is refused
+    once max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1 with
+    window 1.0), where the rates no longer measure the linear growth.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)

@@ -33,7 +33,9 @@ an order-p scheme the pair's difference is about 2^p - 1 times the run's own
 error, so a passed check bounds that error with margin.
 
 A run observed n_obs times stores snapshot i at np.linspace(0, T, n_obs)[i],
-node i of evolve_limit, with the limit's step rule (grid.observation_steps).
+the time of node i of evolve_limit, by taking a whole number of steps per
+observation interval (grid.observation_steps); the limit steps over the
+whole horizon instead and interpolates its nodes.
 One loop integrates a batch of runs (evolve_nls_batch): the members share
 the grid shape, sigma and scheme, and each keeps its own epsilon, step,
 step count and observation count.  Every transform is a Grid transform of

@@ -203,9 +203,9 @@ class TestCliCommands:
         assert summary["grad_phi_minus_v_l2_max"] < 1e-6
         assert summary["power_consistency_banded_max"] < 1e-8
         assert summary["status"] == "completed"
-        # the CFL step 0.0347 exceeds the observation interval 0.01, so the
-        # step is 0.01: 4 steps over T = 0.04, well inside the CFL bound
-        assert summary["steps"] == 4
+        # the CFL step 0.0347 alone sets the step, whatever the observation
+        # interval 0.01: 2 steps of 0.02 over T = 0.04, inside the CFL bound
+        assert summary["steps"] == 2
         assert summary["dt"] * summary["steps"] == pytest.approx(0.04)
         assert 0.0 < summary["cfl_max"] <= 0.5
 
@@ -215,10 +215,10 @@ class TestCliCommands:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert summary["corrected_modulus_gap_max"] < 1e-13
-        # the pair rides in the limit run: one joint step per observation
-        # interval, as in test_limit_and_report_artifacts
-        assert summary["steps"] == 4
-        assert summary["dt"] == pytest.approx(0.01)
+        # the pair rides in the limit run: the same 2 joint steps of 0.02
+        # as in test_limit_and_report_artifacts
+        assert summary["steps"] == 2
+        assert summary["dt"] == pytest.approx(0.02)
 
     @pytest.mark.parametrize("command", ["limit", "corrector"])
     def test_fixed_step_count(self, tmp_path, command):

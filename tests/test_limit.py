@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scnls import Grid, limit
+from scnls import Grid, limit, parse_config
+from scnls.corrector import tilde_amplitude
 from scnls.errors import ConfigError, NumericalGuardError
 from scnls.grid import CHUNK_POINTS
 from scnls.limit import (GrowthRow, blowup_monitor,
@@ -14,6 +16,7 @@ from scnls.limit import (GrowthRow, blowup_monitor,
                          rk4_step)
 from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData, compact_bump, gaussian
+from scnls.sweep import SweepPlan, run_sweep
 
 
 def constant_state_data(grid, rho0=0.64, v0=0.0):
@@ -132,24 +135,28 @@ class TestEvolve:
     def test_fixed_step_times_exact(self, gaussian_data, case):
         # the nodes sit on the observation times np.linspace(0, T, n_obs)
         # bit for bit, the last on T itself (not 70.17499999999886 for the
-        # reproducer), and every step is dt: no sliver before T.  At n_obs7
-        # and n_obs11, n*dt misses some observation times in the last bit.
+        # reproducer), and every step is dt: no sliver before T.  The steps
+        # are those of the n_obs = 2 run, whatever n_obs; at n_obs7 and
+        # n_obs11 the inner nodes fall inside steps.
         n_obs = {"reproducer": 5, "n_obs": 20, "dt": 2,
                  "n_obs7": 7, "n_obs11": 11}[case]
+        kw = {}
         if case == "reproducer":
             data, T = constant_state_data(Grid(16, 2 * np.pi), rho0=1.0), 70.175
-            traj = evolve_limit(data, 2, T, n_obs=n_obs)
         elif case == "dt":  # 0.003 does not divide 0.05: 17 equal steps of 0.05/17
-            data, T = gaussian_data, 0.05
-            traj = evolve_limit(data, 2, T, dt=0.003)
+            data, T, kw = gaussian_data, 0.05, {"dt": 0.003}
         else:
             data = gaussian_data
             T = {"n_obs": 0.25, "n_obs7": 0.35, "n_obs11": 0.25}[case]
-            traj = evolve_limit(data, 2, T, n_obs=n_obs, a1=data.a1)
+            kw = {"a1": data.a1}
+        traj = evolve_limit(data, 2, T, n_obs=n_obs, **kw)
         np.testing.assert_array_equal(traj.times, np.linspace(0.0, T, n_obs))
         assert traj.step_times[-1] == T
         np.testing.assert_allclose(np.diff(traj.step_times), traj.dt,
                                    rtol=0, atol=1e-12 * T)
+        two = evolve_limit(data, 2, T, n_obs=2, **kw)
+        np.testing.assert_array_equal(traj.step_times, two.step_times)
+        assert traj.dt == two.dt
 
     def test_batch_equals_members(self, gaussian_data):
         # two initial data as one (2, N) batch: each member's fields and the
@@ -262,29 +269,52 @@ class TestEvolve:
         assert traj.times[-1] == 70.175
         assert traj.step_times[-1] == 70.175
 
-    def test_adaptive_n_obs_stores_first_step_at_each_time(self):
-        # the adaptive step shrinks as the bump steepens; a node is the
-        # first step that reaches each observation time, the last one
-        # final_time itself, and it is the state whose scalars that step
-        # recorded
+    def test_adaptive_nodes_interpolated_at_observation_times(self,
+                                                              monkeypatch):
+        # the adaptive step shrinks as the bump steepens and ignores the
+        # nodes: the run takes the steps of its n_obs = 2 twin and ends on
+        # final_time, where its last node is that twin's end state bit for
+        # bit.  Every node sits on its observation time bit for bit and is
+        # the cubic Hermite interpolant, in the step's end states and their
+        # derivatives, of the step holding it
         g = Grid(128, 16.0)
         data = InitialData(grid=g, a0=compact_bump(g, 3.0, 1.2).astype(complex),
                            a1=np.zeros(g.shape, dtype=complex),
                            phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        ends = []  # the spectral state at every step's end, from its grid pass
+        grid_fields = limit._grid_fields
+
+        def spy(y, grid, step=False):
+            if step:
+                ends.append(y)
+            return grid_fields(y, grid, step)
+
+        monkeypatch.setattr(limit, "_grid_fields", spy)
         obs = np.linspace(0.0, 3.0, 7)
         traj = evolve_limit(data, 2, 3.0, n_obs=7, adaptive=True, strict=False)
+        monkeypatch.undo()
         assert traj.status == "completed"
-        assert traj.times.size == obs.size
+        np.testing.assert_array_equal(traj.times, obs)
         steps = traj.step_times
-        for t_obs, t_node in zip(obs, traj.times):
-            assert t_node == steps[np.searchsorted(steps, t_obs - 1e-12)]
-        assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
-        # the scalar comes from the state's spectrum, the node from the grid
-        # pass of the same step: they agree to roundoff, not bit for bit
-        nodes = np.searchsorted(steps, traj.times)
-        for v, gmax in zip(traj.v, traj.grad_v_max[nodes]):
-            assert np.max(np.abs(g.gradient(v).real)) == pytest.approx(
-                gmax, rel=1e-12)
+        assert len(ends) == steps.size and steps[-1] == 3.0
+        two = evolve_limit(data, 2, 3.0, adaptive=True, strict=False)
+        np.testing.assert_array_equal(steps, two.step_times)
+        for name in ("v", "S", "a", "phi"):
+            assert getattr(traj, name)[-1].tobytes() == getattr(two, name)[-1].tobytes()
+        for i in range(1, obs.size - 1):
+            n = int(np.searchsorted(steps, obs[i])) - 1  # the step holding node i
+            assert steps[n] < obs[i] < steps[n + 1]
+            h = steps[n + 1] - steps[n]
+            s = (obs[i] - steps[n]) / h
+            y0, y1 = ends[n], ends[n + 1]
+            f0, f1 = (limit._rhs(y, g, 2, 1, g.dealias_mask) for y in (y0, y1))
+            R, C = ((2 * s**3 - 3 * s**2 + 1) * a + (s**3 - 2 * s**2 + s) * h * b
+                    + (3 * s**2 - 2 * s**3) * p + (s**3 - s**2) * h * q
+                    for a, b, p, q in zip(y0, f0, y1, f1))
+            real, cplx = g.irfft(R), g.ifft(C)
+            for got, want in ((traj.v[i], real[:1]), (traj.phi[i], real[1]),
+                              (traj.S[i], cplx[0]), (traj.a[i], cplx[1])):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_obs", [0, 1])
     def test_n_obs_below_two_rejected(self, gaussian_data, n_obs):
@@ -298,28 +328,190 @@ class TestEvolve:
                              ids=["fixed", "adaptive"])
     def test_n_obs_stores_only_observation_times(self, gaussian_data,
                                                  adaptive, n_obs):
-        # a whole number of steps per observation interval, n_obs = 2 (the
-        # start and the end) by default; the stored nodes are the first
-        # steps reaching the observation times, with or without the
-        # corrector, and a fixed step reaches each one exactly
+        # n_obs = 2 (the start and the end) by default; the stored nodes
+        # are the observation times and nothing else, with or without the
+        # corrector; the steps do not depend on n_obs (a fixed run takes
+        # the same steps at 2, 11 and 20 nodes), and the per-step scalars
+        # still cover every step
         obs = np.linspace(0.0, 0.25, n_obs or 2)
         kw = {} if n_obs is None else {"n_obs": n_obs}
         for a1 in (None, gaussian_data.a1):
             traj = evolve_limit(gaussian_data, 2, 0.25, adaptive=adaptive,
                                 a1=a1, **kw)
-            steps = traj.step_times
-            np.testing.assert_array_equal(
-                traj.times, steps[np.searchsorted(steps, obs - 1e-12)])
+            np.testing.assert_array_equal(traj.times, obs)
             fields = [traj.v, traj.S, traj.a, traj.phi]
             if a1 is not None:
                 fields += [traj.phi1, traj.w]
             assert all(f.shape[0] == obs.size for f in fields)
-            # the per-step scalars still cover every step
+            steps = traj.step_times
+            assert steps[-1] == 0.25
             assert traj.grad_div_v_max.size == steps.size
+            for other in (2, 11, 20):
+                twin = evolve_limit(gaussian_data, 2, 0.25, adaptive=adaptive,
+                                    a1=a1, n_obs=other)
+                np.testing.assert_array_equal(twin.step_times, steps)
             if not adaptive:
-                np.testing.assert_allclose(traj.times, obs, rtol=0, atol=1e-12)
-                assert (steps.size - 1) % (obs.size - 1) == 0
                 assert traj.dt * (steps.size - 1) == pytest.approx(0.25)
+
+    def test_node_on_step_end_is_its_state(self, gaussian_data):
+        # node 1 of a run at dt = 0.0125 to T = 0.05 with 3 nodes falls on
+        # the end of step 2: it is the end state of the run that stops
+        # there, bit for bit, and so is the last node
+        kw = dict(dt=0.0125, a1=gaussian_data.a1)
+        traj = evolve_limit(gaussian_data, 2, 0.05, n_obs=3, **kw)
+        half = evolve_limit(gaussian_data, 2, 0.025, **kw)
+        assert traj.step_times[2] == traj.times[1] == half.step_times[-1]
+        for name in ("v", "S", "a", "phi", "phi1", "w"):
+            assert (getattr(traj, name)[1].tobytes()
+                    == getattr(half, name)[-1].tobytes())
+
+    def test_inner_node_converges_at_fourth_order(self, gaussian_data):
+        # the node at T/3 lies a third or two thirds into its step at each
+        # of dt = 2e-3, 1e-3 and 5e-4, never on a step end; the interpolant
+        # keeps RK4's order there (Richardson ratio 2^4 = 16, measured
+        # 16.06-16.08), as the step ends do in acceptance 03
+        g = gaussian_data.grid
+        runs = [evolve_limit(gaussian_data, 2, 0.1, dt=dt, n_obs=4,
+                             a1=gaussian_data.a1) for dt in (2e-3, 1e-3, 5e-4)]
+        for r in runs:
+            assert not np.any(r.step_times == r.times[1])
+        for name in ("a", "phi", "w"):
+            n1, n2, n4 = (getattr(r, name)[1] for r in runs)
+            assert 14.0 <= g.l2_norm(n1 - n2) / g.l2_norm(n2 - n4) <= 18.0
+
+    def test_fixed_step_stop_below_rk4_limit(self):
+        # a fixed-step run stops (status "cfl") once its CFL number passes
+        # 2*CFL_NUMBER = 1.0; that stop must lie below RK4's stability limit
+        # 2*sqrt(2) on the imaginary axis, reached in 1-D at the largest
+        # wavenumber of the 2/3 band: a CFL number of about 3*sqrt(2)/pi =
+        # 1.35
+        for n, length in ((512, 16.0), (64, 12.0), (128, 2 * np.pi)):
+            g = Grid(n, length)
+            k_max = np.max(np.abs(g.wavenumbers[0][g.dealias_mask]))
+            limit_cfl = 2 * math.sqrt(2) / (k_max * g.dx[0])
+            assert limit_cfl == pytest.approx(3 * math.sqrt(2) / math.pi, rel=0.02)
+            assert 2 * limit.CFL_NUMBER < limit_cfl
+
+
+def config_data(dim=1, n=512, length=16.0, sigma=2, T=0.25, n_obs=20,
+                width=1.0, amp_im=0.2, center=None, width1=1.2):
+    """(initial data, sigma, T, n_obs) of a CLI config with the README's
+    gaussian a0 and a1, made as the commands make it."""
+    at = {} if center is None else {"center": center}
+    cfg = parse_config(json.dumps({
+        "grid": {"dim": dim, "N": n, "L": length}, "physics": {"sigma": sigma},
+        "time": {"T": T, "observation_count": n_obs},
+        "initial": {"a0_preset": "gaussian",
+                    "a0_params": {"width": width, "amplitude_re": 1.0,
+                                  "amplitude_im": amp_im, **at},
+                    "a1_preset": "gaussian", "a1_params": {"width": width1, **at}}}))
+    return cfg.make_initial_data(), sigma, T, n_obs
+
+
+def sweep_2d_data(width=1.0, amp_im=0.2, center=(0.0, 0.0), a1_width2=1.4):
+    """(initial data, sigma, T, n_obs) of the 128x128 benchmark sweep."""
+    g = Grid((128, 128), (12.0, 12.0))
+    x, y = g.coords
+    r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+    bump = np.exp(-r2 / width**2)
+    return InitialData(grid=g, a0=bump * (1 + 1j * amp_im * bump),
+                       a1=(0.4 * np.exp(-r2 / a1_width2)).astype(complex),
+                       phi0_periodic=np.zeros(g.shape),
+                       phi0_wavevector=(0.0, 0.0)), 2, 0.05, 11
+
+
+# the fixed-step runs of the README config (its sigma = 1 and 3 twins and
+# its T = 0.35 twin with 7 observations), of the benchmark's configs (the
+# 1-D ones at the steepest corner of their seed jitter), of the CI's 64x64
+# sweep and of the acceptance fixtures (acceptance 07: T = 0.1 with 41
+# observations; acceptance 12: N = 256, T = 0.1)
+STEP_CONFIGS = {
+    "readme": lambda: config_data(),
+    "readme-sigma1": lambda: config_data(sigma=1),
+    "readme-sigma3": lambda: config_data(sigma=3),
+    "readme-obs7": lambda: config_data(T=0.35, n_obs=7),
+    "bench-1d-corner": lambda: config_data(width=0.95, amp_im=0.25, center=0.1,
+                                           width1=1.08),
+    "bench-2d": lambda: sweep_2d_data(),
+    "bench-2d-corner": lambda: sweep_2d_data(0.95, 0.25, (0.1, -0.1), 1.26),
+    "ci-64x64": lambda: config_data(dim=2, n=64, length=12.0, T=0.02, n_obs=5),
+    "acceptance-07-sigma1": lambda: config_data(sigma=1, T=0.1, n_obs=41),
+    "acceptance-07-sigma2": lambda: config_data(T=0.1, n_obs=41),
+    "acceptance-12": lambda: config_data(n=256, T=0.1, n_obs=8),
+}
+
+
+def budget_plan(dim):
+    """A small sweep plan, 1-D or 2-D, whose limit nodes mostly fall inside
+    steps: 6 steps of 1/60 for 6 nodes 0.02 apart (N = 256), and 2 steps of
+    0.03 for 5 nodes 0.015 apart (64x64)."""
+    if dim == 1:
+        g = Grid(256, 16.0)
+        a0 = gaussian(g, 1.0, 1.0) * (1 + 0.2j * gaussian(g, 1.0))
+        data = InitialData(grid=g, a0=a0, a1=(0.5 * gaussian(g, 1.2)).astype(complex),
+                           phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
+        return SweepPlan(initial=data, sigma=2, epsilon_list=(2.0**-3, 2.0**-4, 2.0**-5),
+                         final_time=0.1, n_obs=6, self_check=False)
+    g = Grid((64, 64), (12.0, 12.0))
+    r2 = sum(c**2 for c in g.coords)
+    bump = np.exp(-r2)
+    data = InitialData(grid=g, a0=bump * (1 + 0.2j * bump),
+                       a1=(0.4 * np.exp(-r2 / 1.4)).astype(complex),
+                       phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0, 0.0))
+    return SweepPlan(initial=data, sigma=2, epsilon_list=(0.25, 0.125, 0.0625),
+                     final_time=0.06, n_obs=5, self_check=False)
+
+
+class TestLargerStep:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nodes_within_budget(self, dim):
+        # every rung's limit error stays below 1e-3 of its two-term WKB
+        # error, on ||a_tilde - a_tilde_ref|| and on ||phi - phi_ref||/eps
+        # (the phase enters the WKB ansatz as exp(i phi/eps)), against a run
+        # at CFL 0.125 (measured: at most 0.056 of the budget in 1-D, 0.16
+        # in 2-D, both on the phase at the smallest eps)
+        plan = budget_plan(dim)
+        data, g = plan.initial, plan.initial.grid
+        rows = run_sweep(plan).rows
+        run = evolve_limit(data, 2, plan.final_time, n_obs=plan.n_obs, a1=data.a1)
+        assert len(set(run.times) - set(run.step_times)) >= 2  # inside steps
+        ref = evolve_limit(data, 2, plan.final_time, n_obs=plan.n_obs, a1=data.a1,
+                           dt=run.dt * 0.125 / run.cfl_numbers[0])
+        err_a = max(g.l2_norm(tilde_amplitude(run.state(i))
+                              - tilde_amplitude(ref.state(i)))
+                    for i in range(plan.n_obs))
+        err_phi = max(g.l2_norm(run.phi[i] - ref.phi[i]) for i in range(plan.n_obs))
+        for row in rows:
+            budget = 1e-3 * row["err_two_term_l2"]
+            assert err_a <= budget
+            assert err_phi / row["epsilon"] <= budget
+
+    @pytest.mark.parametrize("name", list(STEP_CONFIGS))
+    def test_configs_still_complete(self, name):
+        # the CFL step alone sets the step now, up to 5x the one that the
+        # observation interval cut it to; every fixed-step run that
+        # completed under that rule completes under this one, well inside
+        # the stop at 2*CFL_NUMBER = 1.0 (measured at most 0.56)
+        data, sigma, T, n_obs = STEP_CONFIGS[name]()
+        traj = evolve_limit(data, sigma, T, n_obs=n_obs, a1=data.a1)
+        assert traj.status == "completed"
+        assert traj.times.size == n_obs
+        assert np.max(traj.cfl_numbers) < 0.6 < 2 * limit.CFL_NUMBER
+
+    @pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
+    def test_focusing_demo_completes(self, dim, n):
+        # the demo's adaptive step is capped at its first CFL step, no
+        # longer at a third of its observation interval: the CLI default
+        # (N = 512) and the CI's 64x64 modes still complete the window
+        g = Grid(n, 2 * np.pi, dim=dim)
+        background = InitialData(grid=g, a0=np.ones(g.shape, dtype=complex),
+                                 a1=np.zeros(g.shape, dtype=complex),
+                                 phi0_periodic=np.zeros(g.shape),
+                                 phi0_wavevector=(0.0,) * dim)
+        modes = [4, 8, 16, 32] if dim == 1 else [2, 4, 8]
+        for psign in (-1, 1):
+            assert len(focusing_demo(background, modes, 2,
+                                     pressure_sign=psign)) == len(modes)
 
 
 def oracle_rhs(state, grid, sigma, psign, mask):
@@ -811,12 +1003,12 @@ class TestFocusingDemo:
     def test_run_stopped_inside_window_rejected(self, background):
         # the ill-posed sigma = 2 growth raises the wave speed until the CFL
         # step falls below DT_FLOOR_FACTOR times the first one at
-        # t = 0.401: no rows from part of the window, while the default
+        # t = 0.392: no rows from part of the window, while the default
         # window completes
         with pytest.raises(ConfigError) as err:
             focusing_demo(background, [32], 2, pressure_sign=-1, window=0.5)
         assert err.value.key == "focusing.window"
-        assert "stopped at t=0.401225 of the window 0.5 with status " \
+        assert "stopped at t=0.392006 of the window 0.5 with status " \
             "'dt_floor'" in str(err.value)
         assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
 
