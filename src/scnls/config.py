@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 
 from . import artifacts
 from .errors import ConfigError
-from .grid import MAX_STORED_BYTES, Grid
-from .nls import SCHEME, check_step_count, scheme_step
+from .grid import (MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT, Grid,
+                   observation_steps)
+from .nls import SCHEME, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -46,17 +47,11 @@ DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 _FORMATS = {"csv", "json", "snapshots"}
 
 # memory budget, checked before anything is allocated: the grid size, and
-# observation_count x grid points x SNAPSHOT_BYTES_PER_POINT against
-# grid.MAX_STORED_BYTES, where the bytes one observation stores per point are
-# a wavefunction snapshot (16) and one joint limit + corrector node
-# (8*dim + 64).  The step-doubling guard's run keeps only its two end states,
-# which do not grow with observation_count.  The 168 keep the earlier margins
-# (a second wavefunction and a second limit node), so no configuration that
-# was refused is now accepted.  evolve_limit checks its own nodes before it
-# runs: n_obs per batch member, so a batched run (focusing-demo, one member
-# per wavenumber) can exceed the budget where one run does not.
+# observation_count x grid points x grid.SNAPSHOT_BYTES_PER_POINT against
+# grid.MAX_STORED_BYTES.  evolve_limit checks its own nodes before it runs:
+# n_obs per batch member, so a batched run (focusing-demo, one member per
+# wavenumber) can exceed the budget where one run does not.
 MAX_GRID_POINTS = 2**20
-SNAPSHOT_BYTES_PER_POINT = 168
 
 
 @dataclass(frozen=True)
@@ -262,12 +257,12 @@ def parse_config(text: str) -> RunConfig:
     _need(stored <= MAX_STORED_BYTES, "time.observation_count",
           f"{n_obs} snapshots of {points} points need {stored} bytes, "
           f"over the budget of {MAX_STORED_BYTES}")
-    # fail fast on a wavefunction step too small to finish, at the commands'
-    # scheme and step law
+    # fail fast on a wavefunction run too long to finish, at the commands'
+    # scheme, step law and observation count
     for key, values in (("physics.epsilon", (epsilon,)),
                         ("physics.epsilon_list", eps_list)):
         for e in values:
-            check_step_count(final_time, scheme_step(SCHEME, dt0, e), key)
+            observation_steps(final_time, n_obs, scheme_step(SCHEME, dt0, e), key)
 
     ini = doc.get("initial", {})
     initial = {key: ini.get(key, getattr(default, key))

@@ -50,6 +50,16 @@ CHUNK_POINTS = 2**15
 # memory budget for the stored observations of one run (limit nodes,
 # wavefunction snapshots), checked before the run
 MAX_STORED_BYTES = 2**31
+# the bytes one observation of a CLI run stores per grid point, against
+# MAX_STORED_BYTES: a wavefunction snapshot (16) and one joint limit +
+# corrector node (8*dim + 64).  The step-doubling guard's run keeps only its
+# two end states, which do not grow with observation_count.  The 168 keep
+# the earlier margins (a second wavefunction and a second limit node), so
+# no configuration that was refused is now accepted.
+SNAPSHOT_BYTES_PER_POINT = 168
+# most steps one run of either solver may take: a larger count is a step too
+# small to finish, refused before the first step
+MAX_STEPS = 10**7
 BOUNDARY_BAND_CELLS = 3  # the band of boundary_tail_fraction
 SUPPORT_TAIL_THRESHOLD = 1e-10  # the largest tail of support inside the cell
 
@@ -58,16 +68,25 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def observation_steps(final_time: float, n_obs: int, dt: float) -> tuple[int, float]:
+def observation_steps(final_time: float, n_obs: int, dt: float,
+                      key: str) -> tuple[int, float]:
     """Steps per observation interval and the step: each of the n_obs - 1
     uniform intervals of [0, final_time] is cut into ceil(interval/dt)
     equal steps, dt rounded down to divide it.  The split step cuts its
     observation intervals so; the limit takes n_obs = 2, steps over the
-    whole horizon and interpolates its nodes.  n_obs < 2 raises."""
+    whole horizon and interpolates its nodes.  n_obs < 2 raises; so does,
+    with the caller's key, a dt that is not positive and finite or a run of
+    more than MAX_STEPS steps in all."""
     if n_obs < 2:
         raise ConfigError("time.observation_count", f"n_obs must be >= 2, got {n_obs}")
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(key, f"time step must be positive and finite, got {dt}")
     delta = final_time / (n_obs - 1)
-    m = max(1, math.ceil(delta / dt - 1e-9))
+    # clamped before math.ceil, which an infinite delta/dt overflows
+    m = max(1, math.ceil(min(MAX_STEPS + 1, delta / dt) - 1e-9))
+    if m * (n_obs - 1) > MAX_STEPS:
+        raise ConfigError(key, f"time step {dt:.3g} needs more than {MAX_STEPS} "
+                               f"steps to reach T={final_time:g}")
     return m, delta / m
 
 

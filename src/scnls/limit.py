@@ -64,8 +64,6 @@ from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
-# a run stops with status "max_steps" after this many steps
-MAX_STEPS = 2_000_000
 # adaptive runs stop (dt_floor) once their CFL step is below this x the first
 DT_FLOOR_FACTOR = 0.1
 # breakdown once max|grad v| > BREAKDOWN_FACTOR * the data's gradient scale
@@ -113,7 +111,7 @@ class LimitTrajectory:
     phi: np.ndarray                   # (nt, *shape), periodic phase part
     phi0_wavevector: tuple[float, ...]
     dt: float | None                  # uniform step, None if adapted
-    status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop|max_steps
+    status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop
     step_times: np.ndarray            # every accepted step
     grad_v_max: np.ndarray            # max |d_i v_j| per step
     div_v_max: np.ndarray             # max |div v| per step
@@ -280,15 +278,18 @@ def evolve_limit(
     equal steps over the whole horizon, dt the given step or else the
     initial CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)) (the
     phase is integrated with the flow, so the step needs no further
-    margin).  A fixed-step run takes these steps, the last ending on
-    final_time exactly; adaptive=True re-derives the step from the CFL rule
-    every step, capped at that step and at the time left, for the
-    instability demos.  Neither depends on n_obs.  One node rule: node i is
-    the state at np.linspace(0, final_time, n_obs)[i], the time of snapshot
-    i of evolve_nls: on a step's end that step's state, inside a step the
-    cubic Hermite interpolant of the spectral states and derivatives at its
-    ends (the end derivative is the next step's first RK4 stage, or one more
-    right-hand side after the last step).  A completed run stores exactly
+    margin).  A dt that is not positive and finite, or more than
+    grid.MAX_STEPS of these steps, raises ConfigError (time.T) before the
+    first step, in fixed and adaptive runs alike.  A fixed-step run takes
+    these steps, the last ending on final_time exactly; adaptive=True
+    re-derives the step from the CFL rule every step, capped at that step
+    and at the time left, for the instability demos.  Neither depends on
+    n_obs.  One node rule: node i is the state at np.linspace(0, final_time,
+    n_obs)[i], the time of snapshot i of evolve_nls: on a step's end that
+    step's state, inside a step the cubic Hermite interpolant of the
+    spectral states and derivatives at its ends (the end derivative is the
+    next step's first RK4 stage, or one more right-hand side after the last
+    step).  A completed run stores exactly
     n_obs nodes (default 2: the start and the end), a stopped one those up
     to its last step.  The per-step scalars (grad_v_max, ...) cover every
     step; they, the finiteness check and the nodes on step ends come from
@@ -302,9 +303,8 @@ def evolve_limit(
     member breaking the CFL bound or going non-finite stops them all.  A
     fixed-step run stops with status "cfl" once its CFL number passes
     2*CFL_NUMBER, an adaptive run with status "dt_floor" once its CFL step
-    falls below DT_FLOOR_FACTOR times the first, and any run with status
-    "max_steps" after MAX_STEPS steps; an early stop raises when strict
-    (strict=False truncates the trajectory there instead).  n_obs < 2,
+    falls below DT_FLOOR_FACTOR times the first; an early stop raises when
+    strict (strict=False truncates the trajectory there instead).  n_obs < 2,
     initial data without a finite wave speed, and nodes (of every batch
     member) over grid.MAX_STORED_BYTES raise ConfigError before the run
     starts.
@@ -350,7 +350,8 @@ def evolve_limit(
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
     # one step rule for every run: m equal steps over the whole horizon
-    m, dt = observation_steps(final_time, 2, dt or dt_cfl0)
+    m, dt = observation_steps(final_time, 2, dt_cfl0 if dt is None else dt,
+                              "time.T")
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
     obs = np.linspace(0.0, final_time, n_obs)  # node i's time
 
@@ -406,9 +407,6 @@ def evolve_limit(
     reached = 1  # nodes 0..reached-1 lie at or before t
     inside = None  # the last step's nodes strictly inside it, and the step
     while t < final_time:
-        if n == MAX_STEPS:
-            status = "max_steps"
-            break
         if adaptive:
             dt_cfl = CFL_NUMBER * dx_min / max(speed, 1e-12)
             if dt_cfl < dt_floor:
@@ -558,12 +556,7 @@ class BlowupReport:
     breakdown_flag: bool
     t_estimate: float | None
     t_uncertainty: float
-    threshold: float
     status: str
-    times: np.ndarray
-    max_grad_v_history: np.ndarray
-    pressure_history: np.ndarray
-    pressure_envelope: np.ndarray
     envelope_ok: bool
 
 
@@ -597,7 +590,6 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (traj.div_v_max[1:] + traj.div_v_max[:-1]) * np.diff(ts))])
     log_env = math.log(max(traj.total_pressure[0], 1e-300)) + traj.sigma * cum
-    envelope = np.exp(np.minimum(log_env, 700.0))
     resolved = ts <= (t_est if t_est is not None else ts[-1])
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(traj.total_pressure, 1e-300))
@@ -607,12 +599,7 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
         breakdown_flag=t_est is not None,
         t_estimate=t_est,
         t_uncertainty=2.0 * spacing,
-        threshold=threshold,
         status=traj.status,
-        times=ts,
-        max_grad_v_history=g,
-        pressure_history=traj.total_pressure,
-        pressure_envelope=envelope,
         envelope_ok=envelope_ok,
     )
 

@@ -35,11 +35,10 @@ import numpy as np
 from . import __version__
 from .artifacts import hashed_csv, hashed_json
 from .corrector import evolve_corrector, tilde_amplitude
-from .config import SNAPSHOT_BYTES_PER_POINT
 from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
 from .errors import ConfigError
-from .grid import CHUNK_POINTS, MAX_STORED_BYTES
+from .grid import CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT
 from .limit import LimitState, evolve_limit
 # evolve_nls stays bound here, unused, because bench/layers.py traces it
 from .nls import (DT_EXPONENT, SCHEME, NLSConfig, NLSTrajectory,  # noqa: F401

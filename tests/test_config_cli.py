@@ -319,6 +319,26 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["key"] == "grid.N"
 
+    def test_limit_over_step_budget_exit_2(self, tmp_path):
+        # the config parses (its wavefunction runs take 4,000,013 steps at
+        # most), but its limit run plans 23,057,061 CFL steps, over
+        # grid.MAX_STEPS: refused before the first step, not after hours
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({
+            "grid": {"N": 2048, "L": 16.0},
+            "physics": {"epsilon": 0.125, "epsilon_list": [1.0, 0.5, 0.25]},
+            "time": {"T": 50000.0, "observation_count": 20},
+            "initial": {"a0_preset": "gaussian",
+                        "a0_params": {"width": 1.0, "amplitude_re": 1.0,
+                                      "amplitude_im": 0.2}}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scnls", "limit", str(bad), "--out",
+             str(tmp_path / "o")], capture_output=True, text=True,
+            cwd=tmp_path, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["key"] == "time.T"
+
     @pytest.mark.parametrize("command,text", [
         ("limit", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
         ("corrector", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
@@ -344,7 +364,7 @@ class TestCliCommands:
          "focusing.wavenumbers"),
         # the demo takes its step from the CFL rule: there is no dt
         ({"focusing": {"dt": 0.01}}, "focusing.dt"),
-        # the ill-posed growth raises the wave speed tenfold at t = 0.394
+        # the ill-posed growth raises the wave speed tenfold at t = 0.392
         # of the window, and the run stops with status dt_floor
         ({"focusing": {"window": 1.0}}, "focusing.window"),
         # the sigma = 1 run completes the window, but its perturbation

@@ -30,6 +30,15 @@ def constant_state_data(grid, rho0=0.64, v0=0.0):
     )
 
 
+def spy_rhs(monkeypatch) -> list:
+    """One entry per limit._rhs call from here on."""
+    calls = []
+    rhs = limit._rhs
+    monkeypatch.setattr(limit, "_rhs",
+                        lambda *a, **k: calls.append(1) or rhs(*a, **k))
+    return calls
+
+
 class TestEvolve:
     def test_constant_state_stays_constant(self, grid_1d):
         data = constant_state_data(grid_1d, rho0=0.81)
@@ -96,17 +105,35 @@ class TestEvolve:
         with pytest.raises(NumericalGuardError):
             evolve_limit(data, 2, 1.0, dt=0.9)
 
-    def test_max_steps_status(self, gaussian_data, monkeypatch):
-        # a run cut by MAX_STEPS is not "completed": strict raises, and the
-        # lenient run reports the cut and ends before final_time
-        monkeypatch.setattr(limit, "MAX_STEPS", 3)
-        with pytest.raises(NumericalGuardError, match="max_steps"):
-            evolve_limit(gaussian_data, 2, 0.05, dt=1e-3)
-        traj = evolve_limit(gaussian_data, 2, 0.05, dt=1e-3, strict=False)
-        assert traj.status == "max_steps"
-        assert traj.times[-1] < 0.05
-        assert len(traj.step_times) == 4
-        assert blowup_monitor(traj).t_estimate == pytest.approx(traj.step_times[-1])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_over_budget_refused_before_any_rhs(self, monkeypatch, adaptive):
+        # T = 50000 at N = 2048 plans 23,057,061 CFL steps, over
+        # grid.MAX_STEPS: refused with key time.T before the first
+        # right-hand side, whether the run steps fixed or adaptively
+        cfg = parse_config(json.dumps({
+            "grid": {"N": 2048, "L": 16.0},
+            "physics": {"epsilon": 0.125, "epsilon_list": [1.0, 0.5, 0.25]},
+            "time": {"T": 50000.0, "observation_count": 20},
+            "initial": {"a0_preset": "gaussian",
+                        "a0_params": {"width": 1.0, "amplitude_re": 1.0,
+                                      "amplitude_im": 0.2}}}))
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(cfg.make_initial_data(), cfg.sigma, cfg.final_time,
+                         n_obs=cfg.observation_count, adaptive=adaptive)
+        assert err.value.key == "time.T"
+        assert calls == []
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_step_not_positive_finite_refused(self, monkeypatch, dt):
+        # a given dt of 0 is not "use the CFL step", and a negative one is
+        # not one step of T: they are refused before the first step
+        data, sigma, _, _ = config_data(n=128)
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(data, sigma, 0.001, dt=dt)
+        assert err.value.key == "time.T"
+        assert calls == []
 
     def test_stored_nodes_over_budget(self):
         # 2,001 nodes of 65,536 points would need 6.3 GB: the run is refused

@@ -1,13 +1,16 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import scnls.grid
 from scnls import Grid, nls
 from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
+from scnls.grid import MAX_STEPS, observation_steps
 from scnls.limit import evolve_limit
-from scnls.nls import (MAX_NLS_STEPS, NLSConfig, build_initial_data,
+from scnls.nls import (NLSConfig, build_initial_data,
                        evolve_nls, evolve_nls_batch, nls_invariants)
 from scnls.presets import InitialData, gaussian, snap_wavevector
 
@@ -301,10 +304,27 @@ class TestStepCount:
     def test_step_count_limit(self, grid_1d):
         T = 1.0
         NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
-                  dt_override=T / MAX_NLS_STEPS)
+                  dt_override=T / MAX_STEPS)
         with pytest.raises(ConfigError):
             NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
-                      dt_override=T / (2 * MAX_NLS_STEPS))
+                      dt_override=T / (2 * MAX_STEPS))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, 5e-324, math.nan, math.inf])
+    def test_budget_refuses_bad_step(self, dt):
+        # a subnormal step is refused like any step too small to finish,
+        # not by an OverflowError of math.ceil
+        with pytest.raises(ConfigError) as err:
+            observation_steps(1.0, 5, dt, "some.key")
+        assert err.value.key == "some.key"
+
+    def test_budget_counts_every_interval(self):
+        # T/dt = MAX_STEPS fits in one interval or in 4, but 3 intervals
+        # take ceil(3,333,333.3) = 3,333,334 steps each, 2 over the budget
+        dt = 1.0 / MAX_STEPS
+        assert observation_steps(1.0, 2, dt, "k")[0] == MAX_STEPS
+        assert observation_steps(1.0, 5, dt, "k")[0] == MAX_STEPS // 4
+        with pytest.raises(ConfigError):
+            observation_steps(1.0, 4, dt, "k")
 
 
 class TestInvariants:
@@ -617,7 +637,7 @@ class TestBatch:
         # T/dt = 8 steps pass a cap of 10, but 21 observation times of 0.002
         # take one step of 0.002 each, 20 in all: refused before any
         # transform; 6 observation times take 2 steps each, 10 in all
-        monkeypatch.setattr(nls, "MAX_NLS_STEPS", 10)
+        monkeypatch.setattr(scnls.grid, "MAX_STEPS", 10)
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
                         dt_override=0.005, self_check=False)
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)

@@ -7,9 +7,9 @@ import pytest
 
 from scnls import Grid, nls
 from scnls.corrector import evolve_corrector, tilde_amplitude
-from scnls.config import SNAPSHOT_BYTES_PER_POINT, parse_config
+from scnls.config import parse_config
 from scnls.errors import ConfigError
-from scnls.grid import MAX_STORED_BYTES
+from scnls.grid import MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT
 from scnls.limit import evolve_limit
 from scnls.nls import SCHEME, NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
