@@ -30,7 +30,7 @@ import numpy as np
 from .artifacts import hashed_csv, hashed_json
 from .config import RunConfig, demo_options, parse_config
 from .corrector import evolve_corrector, tilde_amplitude
-from .errors import ConfigError, NumericalGuardError
+from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import Grid
 from .limit import (blowup_monitor, breakdown_threshold, euler_invariants,
                     evolve_limit, focusing_demo, power_consistency)
@@ -231,8 +231,8 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> None:
     opts = demo_options(cfg.blowup, "blowup")
-    length = opts["grid_length"] or cfg.length[0]
-    grid = Grid(cfg.n, (length,) * cfg.dim, dim=cfg.dim)
+    side = opts["grid_length"]
+    grid = Grid(cfg.n, (side,) * cfg.dim if side else cfg.length, dim=cfg.dim)
     rows = []
     for amp in opts["amplitudes"]:
         a0 = compact_bump(grid, radius=opts["radius"], amplitude=amp)
@@ -241,26 +241,14 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
         threshold = breakdown_threshold(
             grid, np.zeros((grid.dim, *grid.shape)), data.a0 ** cfg.sigma,
             cfg.sigma)
-        traj = evolve_limit(data, cfg.sigma, opts["max_time"], adaptive=True,
-                            strict=False, grad_stop=threshold)
-        rep = blowup_monitor(traj)
-        rows.append({
-            "amplitude": amp,
-            "breakdown_flag": rep.breakdown_flag,
-            "t_estimate": rep.t_estimate,
-            "t_uncertainty": rep.t_uncertainty,
-            "status": rep.status,
-            "envelope_ok": rep.envelope_ok,
-        })
+        with rekeyed("time.T", "blowup.max_time"):
+            traj = evolve_limit(data, cfg.sigma, opts["max_time"],
+                                adaptive=True, grad_stop=threshold)
+        rows.append({"amplitude": amp, **vars(blowup_monitor(traj))})
 
-    def t_or_inf(row):
-        return row["t_estimate"] if row["t_estimate"] is not None else math.inf
-
-    monotone = all(
-        t_or_inf(rows[i + 1]) < t_or_inf(rows[i])
-        for i in range(len(rows) - 1)
-        if rows[i]["amplitude"] < rows[i + 1]["amplitude"]
-    )
+    t = [math.inf if r["t_estimate"] is None else r["t_estimate"] for r in rows]
+    monotone = all(t[i + 1] < t[i] for i in range(len(rows) - 1)
+                   if rows[i]["amplitude"] < rows[i + 1]["amplitude"])
     if "csv" in cfg.formats:
         _write_csv(out / "blowup.csv", rows, cfg)
     _write_json(out / "blowup.json", {

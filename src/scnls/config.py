@@ -12,13 +12,14 @@ Sections and keys (all optional unless noted):
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)
     blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0),
-              grid_length (grid.L): the breakdown command
+              grid_length (square side, else grid.L): the breakdown command
     focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
               rho0 (1.0): the frequency-growth command, stepped at its CFL
               bound, which exits 2 on a wavenumber above the 2/3 band
-              (N // 3 on axis 0) and on a run that stops before the end of
-              its window (key focusing.window; a shorter window completes
-              it): ill-posed growth that raises the wave speed tenfold
+              (N // 3 on axis 0) and on a window over grid.MAX_STEPS steps
+              or one the run stops before (key focusing.window; a shorter
+              window completes it): ill-posed growth raising the wave speed
+              tenfold stops it
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import corrector
-from .errors import ConfigError, NumericalGuardError
+from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
                    observation_steps)
 from .presets import InitialData
@@ -103,7 +103,6 @@ class LimitState:
 class LimitTrajectory:
     grid: Grid
     sigma: int
-    pressure_sign: int
     times: np.ndarray                 # times of stored field snapshots
     v: np.ndarray                     # (nt, dim, *shape); shape = (*batch, *grid.shape)
     S: np.ndarray                     # (nt, *shape)
@@ -111,7 +110,7 @@ class LimitTrajectory:
     phi: np.ndarray                   # (nt, *shape), periodic phase part
     phi0_wavevector: tuple[float, ...]
     dt: float | None                  # uniform step, None if adapted
-    status: str                       # completed|cfl|nonfinite|dt_floor|grad_stop
+    status: str                       # completed, or an adaptive stop: nonfinite|dt_floor|grad_stop
     step_times: np.ndarray            # every accepted step
     grad_v_max: np.ndarray            # max |d_i v_j| per step
     div_v_max: np.ndarray             # max |div v| per step
@@ -267,7 +266,6 @@ def evolve_limit(
     n_obs: int = 2,
     pressure_sign: int = 1,
     adaptive: bool = False,
-    strict: bool = True,
     spectral_cutoff: int | None = None,
     grad_stop: float | None = None,
     a1: np.ndarray | None = None,
@@ -301,10 +299,12 @@ def evolve_limit(
     with their batch axes.  The members share the step, the
     status and the per-step scalars (each a max over the members): one
     member breaking the CFL bound or going non-finite stops them all.  A
-    fixed-step run stops with status "cfl" once its CFL number passes
-    2*CFL_NUMBER, an adaptive run with status "dt_floor" once its CFL step
-    falls below DT_FLOOR_FACTOR times the first; an early stop raises when
-    strict (strict=False truncates the trajectory there instead).  n_obs < 2,
+    fixed-step run is expected to complete, so its stop raises
+    NumericalGuardError: status "cfl" once its CFL number passes
+    2*CFL_NUMBER, "nonfinite" or "grad_stop" (max|grad v| over grad_stop).
+    An adaptive run returns its trajectory up to the stop, with one of
+    those or "dt_floor" once its CFL step falls below DT_FLOOR_FACTOR times
+    the first.  n_obs < 2,
     initial data without a finite wave speed, and nodes (of every batch
     member) over grid.MAX_STORED_BYTES raise ConfigError before the run
     starts.
@@ -456,10 +456,9 @@ def evolve_limit(
         if grad_stop is not None and grad_hist[-1] > grad_stop:
             status = "grad_stop"
             break
-    if status != "completed" and strict:
+    if status != "completed" and not adaptive:
         raise NumericalGuardError(
-            f"limit solver stopped at t={t:.6g} with status {status!r}"
-        )
+            f"limit solver stopped at t={t:.6g} with status {status!r}")
     if inside:  # the last step's inner nodes take one more stage 1
         store_inside(*inside, y, rhs(y, 0.0, grid_pass))
 
@@ -471,8 +470,7 @@ def evolve_limit(
     v, S, a, phi, *corr = (pack(f[:reached]) for f in fields)
     phi1, w = corr if corr else (None, None)
     return LimitTrajectory(
-        grid=grid, sigma=sigma, pressure_sign=pressure_sign,
-        times=pack(obs[:reached]), v=v, S=S, a=a, phi=phi,
+        grid=grid, sigma=sigma, times=pack(obs[:reached]), v=v, S=S, a=a, phi=phi,
         phi0_wavevector=tuple(init.phi0_wavevector),
         dt=None if adaptive else dt, status=status,
         step_times=pack(step_times),
@@ -567,20 +565,17 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
     of node 0, built from the data's own characteristic-speed gradient scale
     (so data starting at rest is judged against its sound-speed slope, and a
     constant state never fires), or when the run itself stopped early (any
-    status but "completed").  The threshold is a
-    heuristic; reported times carry a +-2*spacing uncertainty band.  The
-    total-pressure history is compared (in log space, while resolved) with
+    status but "completed").  The threshold is a heuristic; reported times
+    carry a +-2*spacing uncertainty band.  The total-pressure history is compared (in log space, while resolved) with
     its transport envelope P(0)*exp(sigma*int max|div v|).
     """
-    g = traj.grad_v_max
     ts = traj.step_times
     threshold = breakdown_threshold(traj.grid, traj.v[0], traj.S[0], traj.sigma)
 
     t_est = None
-    crossing = np.nonzero(g > threshold)[0]
+    crossing = np.nonzero(traj.grad_v_max > threshold)[0]
     if crossing.size:
-        i = int(crossing[0])
-        t_est = float(ts[i])
+        t_est = float(ts[crossing[0]])
     elif traj.status != "completed":
         t_est = float(ts[-1])
 
@@ -644,12 +639,13 @@ def focusing_demo(
     W over the second half of them.  A spectral cutoff (default 1.5x the
     largest mode) suppresses roundoff-seeded growth above the probed band.
     Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
-    ConfigError with key focusing.wavenumbers), and the run must cover the
-    window and stay linear (else focusing.window): ill-posed growth that
-    raises the wave speed tenfold stops it with status dt_floor (the CLI
-    defaults with window 1.0 at t = 0.392), and a completed run is refused
-    once max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1 with
-    window 1.0), where the rates no longer measure the linear growth.
+    ConfigError with key focusing.wavenumbers), and the run must fit the
+    step budget (evolve_limit's time.T refusal), cover the window and stay
+    linear, else focusing.window: the adaptive run returns where ill-posed
+    growth that raises the wave speed tenfold stops it with status dt_floor
+    (the CLI defaults with window 1.0 at t = 0.392), and a completed run is
+    refused once max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1
+    with window 1.0), where the rates no longer measure the linear growth.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -672,11 +668,12 @@ def focusing_demo(
 
     xi = 2.0 * np.pi * np.array(ks) / grid.lengths[0]
     pert = delta * np.cos(xi.reshape((-1,) + (1,) * grid.dim) * grid.coords[0])
-    traj = evolve_limit(
-        replace(init, a0=a0 + pert), sigma, window, n_obs=36,
-        pressure_sign=pressure_sign, adaptive=True, strict=False,
-        spectral_cutoff=spectral_cutoff,
-    )
+    with rekeyed("time.T", "focusing.window"):
+        traj = evolve_limit(
+            replace(init, a0=a0 + pert), sigma, window, n_obs=36,
+            pressure_sign=pressure_sign, adaptive=True,
+            spectral_cutoff=spectral_cutoff,
+        )
     if traj.status != "completed":
         raise ConfigError("focusing.window", f"the run stopped at t={traj.step_times[-1]:.6g}"
                           f" of the window {window} with status {traj.status!r};"

@@ -281,7 +281,7 @@ def test_10_breakdown_demo():
             scale = characteristic_gradient_scale(
                 g, np.zeros((1, *g.shape)), a0**sigma, sigma)
             traj = evolve_limit(data, sigma, 20.0, adaptive=True,
-                                strict=False, grad_stop=40.0 * scale)
+                                grad_stop=40.0 * scale)
             rep = blowup_monitor(traj)
             ok = ok and rep.breakdown_flag and rep.t_estimate < 20.0
             t_flagged.append(rep.t_estimate)

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from scnls import cli
+from scnls import cli, limit
 from scnls.config import parse_config
 from scnls.errors import ConfigError
+from scnls.grid import MAX_STEPS
 from scnls.limit import evolve_limit
 
 from conftest import hash_of_csv, hash_of_json, subprocess_env
@@ -339,6 +340,31 @@ class TestCliCommands:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["key"] == "time.T"
 
+    @pytest.mark.parametrize("command,doc,key", [
+        # rho0 = 1e6 makes the CFL step 1.42e-8: the window of 0.35 needs
+        # more than grid.MAX_STEPS of them
+        ("focusing-demo", {"grid": {"N": 128}, "focusing": {"rho0": 1e6}},
+         "focusing.window"),
+        # the CFL step 0.0361 needs more than grid.MAX_STEPS to reach 1e8
+        ("blowup", {"blowup": {"max_time": 1e8}}, "blowup.max_time"),
+    ])
+    def test_demo_over_step_budget_names_its_key(self, tmp_path, monkeypatch,
+                                                 capsys, command, doc, key):
+        # the demos read no time.T: the limit run's refusal of their
+        # horizon comes under the key that sets it, before any step
+        calls = []
+        rhs = limit._rhs
+        monkeypatch.setattr(limit, "_rhs",
+                            lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["key"] == key
+        assert f"more than {MAX_STEPS} steps" in record["error"]["message"]
+        assert calls == []
+
     @pytest.mark.parametrize("command,text", [
         ("limit", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
         ("corrector", '{"initial": {"a0_params": {"amplitude_re": 1e200}}}'),
@@ -512,6 +538,21 @@ class TestCliCommands:
         assert [r["status"] for r in rows] == ["grad_stop", "grad_stop"]
         for row, traj in zip(rows, runs, strict=True):
             assert row["t_estimate"] == traj.step_times[-1]
+
+    def test_blowup_takes_per_axis_lengths(self, tmp_path, monkeypatch):
+        # without grid_length the breakdown hunt runs on the grid's own
+        # cell, 12 x 6 here, not a square on its first length
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(evolve_limit(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve_limit", recorded)
+        cli.cmd_blowup(parse_config(json.dumps({
+            "grid": {"dim": 2, "N": 64, "L": [12.0, 6.0]},
+            "blowup": {"amplitudes": [1.0], "radius": 2.0}})), tmp_path)
+        assert [traj.grid.lengths for traj in runs] == [(12.0, 6.0)]
 
     def test_focusing_defaults_complete_on_fine_grids(self, tmp_path):
         # the demo steps at its CFL bound, so the default window completes

@@ -101,9 +101,27 @@ class TestEvolve:
 
     def test_nonuniform_status_when_too_coarse(self, grid_1d):
         data = constant_state_data(grid_1d, rho0=4.0)
-        # dt far above the CFL bound: flagged, raises under strict
+        # dt far above the CFL bound: a fixed-step run's stop raises
         with pytest.raises(NumericalGuardError):
             evolve_limit(data, 2, 1.0, dt=0.9)
+
+    def test_stop_raises_fixed_and_returns_adaptive(self):
+        # the ill-posed sign grows the mode-8 perturbation of the focusing
+        # background until the wave speed outruns the step.  The adaptive
+        # run returns where its CFL step falls under the floor, with the
+        # nodes up to its last step; the same data at a fixed step raises
+        g = Grid(512, 2 * np.pi)
+        data = constant_state_data(g, rho0=1.0)
+        data = replace(data, a0=data.a0 + 1e-7 * np.cos(8 * g.coords[0]))
+        traj = evolve_limit(data, 2, 1.0, n_obs=11, pressure_sign=-1,
+                            adaptive=True)
+        assert traj.status == "dt_floor"
+        assert traj.step_times[-1] == pytest.approx(0.171, abs=1e-3)
+        np.testing.assert_array_equal(traj.times, [0.0, 0.1])
+        assert traj.v.shape[0] == traj.a.shape[0] == 2
+        with pytest.raises(NumericalGuardError,
+                           match=r"t=0\.164 with status 'cfl'"):
+            evolve_limit(data, 2, 1.0, dt=0.004, n_obs=11, pressure_sign=-1)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_over_budget_refused_before_any_rhs(self, monkeypatch, adaptive):
@@ -265,7 +283,7 @@ class TestEvolve:
         rho0 = limit.CFL_NUMBER * (2 * np.pi / 16) / (0.3 * math.sqrt(3))
         data = constant_state_data(Grid(16, 2 * np.pi), rho0=rho0)
         T = 0.9 + 1e-8
-        traj = evolve_limit(data, 2, T, dt=T, adaptive=True, strict=False)
+        traj = evolve_limit(data, 2, T, dt=T, adaptive=True)
         assert traj.status == "completed"
         assert len(traj.step_times) == 5
         np.testing.assert_allclose(np.diff(traj.step_times)[:3], 0.3,
@@ -279,7 +297,7 @@ class TestEvolve:
         # stores its 5 nodes and ends, with no sliver step and no node twice
         g = Grid(16, 2 * np.pi)
         traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
-                            n_obs=5, adaptive=True, strict=False)
+                            n_obs=5, adaptive=True)
         assert traj.status == "completed"
         assert len(traj.step_times) - 1 == 620
         assert traj.times.size == 5
@@ -291,7 +309,7 @@ class TestEvolve:
         # it exactly, and so does the last node
         g = Grid(16, 2 * np.pi)
         traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
-                            n_obs=5, adaptive=True, strict=False)
+                            n_obs=5, adaptive=True)
         assert traj.status == "completed"
         assert traj.times[-1] == 70.175
         assert traj.step_times[-1] == 70.175
@@ -318,13 +336,13 @@ class TestEvolve:
 
         monkeypatch.setattr(limit, "_grid_fields", spy)
         obs = np.linspace(0.0, 3.0, 7)
-        traj = evolve_limit(data, 2, 3.0, n_obs=7, adaptive=True, strict=False)
+        traj = evolve_limit(data, 2, 3.0, n_obs=7, adaptive=True)
         monkeypatch.undo()
         assert traj.status == "completed"
         np.testing.assert_array_equal(traj.times, obs)
         steps = traj.step_times
         assert len(ends) == steps.size and steps[-1] == 3.0
-        two = evolve_limit(data, 2, 3.0, adaptive=True, strict=False)
+        two = evolve_limit(data, 2, 3.0, adaptive=True)
         np.testing.assert_array_equal(steps, two.step_times)
         for name in ("v", "S", "a", "phi"):
             assert getattr(traj, name)[-1].tobytes() == getattr(two, name)[-1].tobytes()
@@ -863,7 +881,7 @@ class TestEulerInvariants:
 class TestBlowup:
     def test_constant_never_flags(self, grid_1d):
         data = constant_state_data(grid_1d, rho0=0.5)
-        traj = evolve_limit(data, 2, 4.0, adaptive=True, strict=False)
+        traj = evolve_limit(data, 2, 4.0, adaptive=True)
         rep = blowup_monitor(traj)
         assert not rep.breakdown_flag
 
@@ -879,7 +897,7 @@ class TestBlowup:
                                phi0_wavevector=(0.0,))
             scale = characteristic_gradient_scale(
                 g, np.zeros((1, *g.shape)), a0**sigma, sigma)
-            traj = evolve_limit(data, sigma, 20.0, adaptive=True, strict=False,
+            traj = evolve_limit(data, sigma, 20.0, adaptive=True,
                                 grad_stop=40.0 * scale)
             rep = blowup_monitor(traj)
             assert rep.breakdown_flag
@@ -899,7 +917,7 @@ class TestBlowup:
                            phi0_wavevector=(0.0,))
         threshold = limit.breakdown_threshold(g, np.zeros((1, *g.shape)),
                                               a0, 1)
-        traj = evolve_limit(data, 1, 20.0, adaptive=True, strict=False,
+        traj = evolve_limit(data, 1, 20.0, adaptive=True,
                             grad_stop=threshold)
         assert traj.status == "grad_stop"
         assert traj.times.tolist() == [0.0]
@@ -969,7 +987,7 @@ class TestFocusingDemo:
                                phi0_wavevector=background.phi0_wavevector)
             return evolve_limit(data, sigma, window, n_obs=36,
                                 pressure_sign=psign, adaptive=True,
-                                strict=False, spectral_cutoff=16)
+                                spectral_cutoff=16)
 
         base = run(background.a0)
         xi = 2.0 * np.pi * k / g.lengths[0]
