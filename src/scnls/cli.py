@@ -34,8 +34,8 @@ from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import Grid
 from .limit import (blowup_monitor, breakdown_threshold, euler_invariants,
                     evolve_limit, focusing_demo, power_consistency)
-from .nls import (SCHEME, NLSConfig, build_initial_data, evolve_nls,
-                  nls_invariants)
+from .nls import (SCHEME, SELF_CHECK_FACTOR, NLSConfig, build_initial_data,
+                  evolve_nls, nls_invariants)
 from .presets import InitialData, compact_bump, constant
 from .snapshots import write_snapshots
 from .sweep import SweepPlan, run_sweep
@@ -76,10 +76,16 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
 
 def _nls_run(cfg: RunConfig, data: InitialData) -> tuple:
     """The commands' wavefunction run over the observation times, and the
-    invariants of each of its snapshots."""
+    invariants of each of its snapshots.  A run that fails its step-doubling
+    check raises NumericalGuardError (exit 3) before any artifact."""
     ncfg = NLSConfig(grid=data.grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
                      final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
     traj = evolve_nls(build_initial_data(data, cfg.epsilon), ncfg, cfg.observation_count)
+    if not traj.self_check_ok:
+        raise NumericalGuardError(
+            "step-doubling self-check failed: |u_dt - u_2dt| = "
+            f"{traj.self_check_error:.3e} > {SELF_CHECK_FACTOR}*eps*||u0||; "
+            f"reduce dt0 (eps={cfg.epsilon}, dt={traj.dt:.3e})")
     return traj, [nls_invariants(u, float(t), data.grid, cfg.epsilon, cfg.sigma)
                   for t, u in zip(traj.times, traj.states)]
 
@@ -231,8 +237,7 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> None:
     opts = demo_options(cfg.blowup, "blowup")
-    side = opts["grid_length"]
-    grid = Grid(cfg.n, (side,) * cfg.dim if side else cfg.length, dim=cfg.dim)
+    grid = cfg.make_grid()
     rows = []
     for amp in opts["amplitudes"]:
         a0 = compact_bump(grid, radius=opts["radius"], amplitude=amp)

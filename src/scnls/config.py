@@ -11,15 +11,15 @@ Sections and keys (all optional unless noted):
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)
-    blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0),
-              grid_length (square side, else grid.L): the breakdown command
+    blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0): the
+              breakdown command, on the grid's own cell
     focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
               rho0 (1.0): the frequency-growth command, stepped at its CFL
               bound, which exits 2 on a wavenumber above the 2/3 band
-              (N // 3 on axis 0) and on a window over grid.MAX_STEPS steps
-              or one the run stops before (key focusing.window; a shorter
-              window completes it): ill-posed growth raising the wave speed
-              tenfold stops it
+              (N // 3 on axis 0) and, with key focusing.window, on a window
+              shorter than the background's first CFL step, over
+              grid.MAX_STEPS steps, or longer than the run lasts before
+              ill-posed growth raising the wave speed tenfold stops it
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty
@@ -157,12 +157,11 @@ def _positive_list(value, key: str, kind=_as_num) -> list:
     return [_positive(v, key, kind) for v in value]
 
 
-# demo sections: key -> (validator of its value, default); the blowup
-# grid_length None stands for grid.L
+# demo sections: key -> (validator of its value, default)
 _DEMO = {
     "blowup": {"max_time": (_positive, 20.0),
                "amplitudes": (_positive_list, (0.5, 1.0)),
-               "radius": (_positive, 3.0), "grid_length": (_positive, None)},
+               "radius": (_positive, 3.0)},
     "focusing": {"wavenumbers": (lambda v, key: _positive_list(v, key, _as_int),
                                  (4, 8, 16, 32)),
                  "delta": (_positive, 1e-7), "window": (_positive, 0.35),

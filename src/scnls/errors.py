@@ -35,14 +35,7 @@ class GridMismatchError(ScnlsError):
 
 
 class NumericalGuardError(ScnlsError):
-    """A solver self-check failed (non-finite values, CFL breach,
-    or a step-doubling convergence guard above tolerance).
-
-    ``trajectory`` is the flagged run when the check came after a complete
-    integration (the wavefunction's step-doubling guard), else None."""
-
-    def __init__(self, message: str, value: float | None = None,
-                 trajectory=None):
-        self.value = value
-        self.trajectory = trajectory
-        super().__init__(message)
+    """A run failed a numerical guard: a non-finite wavefunction, a
+    fixed-step limit run stopped before its end, or (raised by the CLI's
+    simulate and conserve only) a failed step-doubling check, which the
+    wavefunction solvers flag on the trajectory instead."""

@@ -639,13 +639,16 @@ def focusing_demo(
     W over the second half of them.  A spectral cutoff (default 1.5x the
     largest mode) suppresses roundoff-seeded growth above the probed band.
     Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
-    ConfigError with key focusing.wavenumbers), and the run must fit the
-    step budget (evolve_limit's time.T refusal), cover the window and stay
-    linear, else focusing.window: the adaptive run returns where ill-posed
-    growth that raises the wave speed tenfold stops it with status dt_floor
-    (the CLI defaults with window 1.0 at t = 0.392), and a completed run is
-    refused once max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1
-    with window 1.0), where the rates no longer measure the linear growth.
+    ConfigError with key focusing.wavenumbers).  The window must be at
+    least the background's first CFL step
+    CFL_NUMBER*min(dx)/sqrt((sigma+1)*rho0^sigma), checked before any step,
+    and the run must fit the step budget (evolve_limit's time.T refusal),
+    cover the window and stay linear, else focusing.window: the adaptive
+    run returns where ill-posed growth that raises the wave speed tenfold
+    stops it with status dt_floor (the CLI defaults with window 1.0 at
+    t = 0.392), and a completed run is refused once max|a - a_bg| reaches
+    |a_bg| on a stored node (sigma = 1 with window 1.0), where the rates no
+    longer measure the linear growth.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -665,6 +668,14 @@ def focusing_demo(
         spectral_cutoff = max(int(1.5 * max(ks)) + 2, max(ks) + 8)
     rho_bg = np.abs(a0) ** 2
     rho0 = float(np.mean(rho_bg))
+    # a window inside the first CFL step puts every node inside one step,
+    # where the log-linear fit of dense output measures no growth rate
+    dt_cfl = CFL_NUMBER * min(grid.dx) / max(
+        math.sqrt((sigma + 1) * rho0 ** sigma), 1e-12)
+    if window < dt_cfl:
+        raise ConfigError("focusing.window", f"the window {window:g} is "
+                          f"shorter than the background's first CFL step "
+                          f"{dt_cfl:.6g}, too short to fit a growth rate")
 
     xi = 2.0 * np.pi * np.array(ks) / grid.lengths[0]
     pert = delta * np.cos(xi.reshape((-1,) + (1,) * grid.dim) * grid.coords[0])

@@ -115,17 +115,6 @@ class SweepPlan:
             raise ConfigError("time.observation_count", "needs at least 3 snapshots")
 
 
-ROW_COLUMNS = (
-    "epsilon",
-    "err_two_term_l2", "err_two_term_sup",
-    "err_one_term_l2", "err_one_term_sup",
-    "a_eps_hk_max", "q_eps_hkm1_max",
-    "pos_gap_lsp1_max", "pos_gap_pow_max",
-    "cur_transport_lsp1_max", "cur_l1_max",
-    "mod_energy_0", "mod_energy_max",
-    "envelope_ok", "self_check_error", "self_check_ok",
-)
-
 # the per-snapshot lists a row carries into the JSON report
 SERIES_KEYS = ("time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
                "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")
@@ -155,11 +144,14 @@ class SweepResult:
         return hashed_json(payload)
 
     def to_csv(self) -> str:
+        """The rows as a CSV table whose columns are the keys of rows[0], in
+        order, without the JSON-only series."""
+        columns = [key for key in self.rows[0] if key != "series"]
         return hashed_csv([
-            "# epsilon-sweep result; columns: " + ",".join(ROW_COLUMNS),
+            "# epsilon-sweep result; columns: " + ",".join(columns),
             "# config: " + json.dumps(self.plan_echo, sort_keys=True,
                                       separators=(",", ":")),
-        ], ROW_COLUMNS, self.rows)
+        ], columns, self.rows)
 
 
 def rung_groups(n_rungs: int, points: int, n_obs: int,
@@ -216,11 +208,13 @@ def _sweep_row(traj: NLSTrajectory,
     me0 = table["mod_energy"][0]
     envelope_ok = all(me <= me0 * math.exp(c_hat * t) * (1.0 + 1e-9)
                       for t, me in zip(table["time"], table["mod_energy"]))
-    # the error columns keep their names, the other maxima gain "_max"
+    # the error columns keep their names, the other maxima gain "_max"; the
+    # dict's order is the CSV's
     row = {key if key.startswith("err_") else key + "_max": max(vals)
-           for key, vals in table.items() if key != "time"}
+           for key, vals in table.items() if key not in ("time", "mod_energy")}
     return {
-        "epsilon": eps, **row, "mod_energy_0": me0,
+        "epsilon": eps, **row,
+        "mod_energy_0": me0, "mod_energy_max": max(table["mod_energy"]),
         "envelope_ok": envelope_ok,
         "self_check_error": (-1.0 if traj.self_check_error is None
                              else float(traj.self_check_error)),

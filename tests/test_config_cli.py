@@ -39,10 +39,15 @@ MALFORMED = [
     ('{"physics": {"epsilon": 1e-300}}', "physics.epsilon", "simulate"),
     ('{"initial": {"a0_params": {"center": [0, NaN]}}}', "initial.a0_preset",
      "simulate"),
+    # a non-finite width would give a constant amplitude, not an error
+    ('{"initial": {"a0_params": {"width": Infinity}}}', "initial.a0_preset",
+     "simulate"),
     # over the memory budget: rejected before anything is allocated
     ('{"time": {"observation_count": 1000000000}}', "time.observation_count",
      "simulate"),
     ('{"grid": {"dim": 2, "N": 1048576}}', "grid.N", "simulate"),
+    # the breakdown hunt runs on the grid's own cell: no second way to set it
+    ('{"blowup": {"grid_length": 16.0}}', "blowup.grid_length", "blowup"),
 ]
 
 # the column header of each command's CSV table; the commands take the
@@ -64,6 +69,16 @@ CSV_COLUMNS = {
                       "max_growth_focusing,rate_defocusing,"
                       "max_growth_defocusing"),
 }
+
+
+# the sweep table's column header (its 4th line, after the comment, config
+# and content-hash lines): the keys of its row records, less the JSON-only
+# series
+SWEEP_COLUMNS = ("epsilon,err_two_term_l2,err_two_term_sup,err_one_term_l2,"
+                 "err_one_term_sup,a_eps_hk_max,q_eps_hkm1_max,pos_gap_lsp1_max,"
+                 "pos_gap_pow_max,cur_transport_lsp1_max,cur_l1_max,"
+                 "mod_energy_0,mod_energy_max,envelope_ok,self_check_error,"
+                 "self_check_ok")
 
 
 class TestParseConfig:
@@ -265,7 +280,9 @@ class TestCliCommands:
         path, out = tiny_config
         proc = run_cli(["sweep", str(path)], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (out / "sweep.csv").exists()
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "# epsilon-sweep result; columns: " + SWEEP_COLUMNS
+        assert lines[3] == SWEEP_COLUMNS
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["rows"]) == 3
         rep = run_cli(["report", str(out)], tmp_path)
@@ -398,6 +415,10 @@ class TestCliCommands:
         # stood for the linear 4, 8, 16, 32
         ({"physics": {"sigma": 1}, "focusing": {"window": 1.0}},
          "focusing.window"),
+        # windows far inside the first CFL step (3.5e-3 at N = 512): one
+        # failed the rate fit with exit 4, the other fitted rates of -1e85
+        ({"focusing": {"window": 1e-300}}, "focusing.window"),
+        ({"focusing": {"window": 1e-100}}, "focusing.window"),
     ])
     def test_unmeasurable_focusing_exit_2(self, tmp_path, doc, key):
         # the band and window cases used to write rows and exit 0
@@ -410,9 +431,11 @@ class TestCliCommands:
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == key
         if key == "focusing.window":
+            # a window inside the first CFL step is refused before the run,
             # the stopped sigma = 2 run names its status, the completed
             # sigma = 1 run the background its perturbation reached
-            want = "|a_bg|" if "physics" in doc else "status 'dt_floor'"
+            want = ("first CFL step" if doc["focusing"]["window"] < 1e-3
+                    else "|a_bg|" if "physics" in doc else "status 'dt_floor'")
             assert want in record["error"]["message"]
 
     @pytest.mark.parametrize("name,text", [
@@ -436,8 +459,11 @@ class TestCliCommands:
         proc = run_cli(["simulate", str(tmp_path / "nope.json")], tmp_path)
         assert proc.returncode == 2, proc.stderr
 
-    def test_guard_failure_exit_3(self, tmp_path):
-        # a deliberately huge base step trips the step-doubling guard
+    @pytest.mark.parametrize("command", ["simulate", "conserve"])
+    def test_guard_failure_exit_3(self, tmp_path, command):
+        # a deliberately huge base step trips the step-doubling guard: the
+        # solver flags the run, and the command turns the flag into exit 3
+        # before it writes any artifact
         doc = {
             "grid": {"N": 64, "L": 16.0},
             "physics": {"sigma": 2, "epsilon": 1.0},
@@ -448,10 +474,15 @@ class TestCliCommands:
         }
         path = tmp_path / "guard.json"
         path.write_text(json.dumps(doc))
-        proc = run_cli(["simulate", str(path)], tmp_path)
+        proc = run_cli([command, str(path)], tmp_path)
         assert proc.returncode == 3, proc.stderr
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"]["kind"] == "numerical_guard"
+        message = record["error"]["message"]
+        assert "step-doubling self-check failed" in message
+        assert "eps=1.0" in message and "dt=" in message
+        assert sorted(p.name for p in (tmp_path / "out3").iterdir()) == \
+            ["effective_config.json"]
 
     def test_step_past_final_time_runs(self, tmp_path):
         # the Strang-equivalent step dt0*eps = 0.00125 exceeds T; the
@@ -540,8 +571,8 @@ class TestCliCommands:
             assert row["t_estimate"] == traj.step_times[-1]
 
     def test_blowup_takes_per_axis_lengths(self, tmp_path, monkeypatch):
-        # without grid_length the breakdown hunt runs on the grid's own
-        # cell, 12 x 6 here, not a square on its first length
+        # the breakdown hunt runs on the grid's own cell, 12 x 6 here, not
+        # a square on its first length
         runs = []
 
         def recorded(*args, **kwargs):

@@ -153,6 +153,15 @@ class TestEvolve:
         assert err.value.key == "time.T"
         assert calls == []
 
+    def test_a1_shape_mismatch_refused(self, gaussian_data, monkeypatch):
+        # the corrector's a1 must match a0 (with its batch axes), checked
+        # before the first step
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(gaussian_data, 2, 0.01, a1=gaussian_data.a1[::2])
+        assert err.value.key == "initial.a1"
+        assert calls == []
+
     def test_stored_nodes_over_budget(self):
         # 2,001 nodes of 65,536 points would need 6.3 GB: the run is refused
         # before anything is stored
@@ -1056,6 +1065,19 @@ class TestFocusingDemo:
         assert "stopped at t=0.392006 of the window 0.5 with status " \
             "'dt_floor'" in str(err.value)
         assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
+
+    @pytest.mark.parametrize("window", [1e-300, 1e-100, 8.6e-3])
+    def test_window_inside_first_cfl_step_rejected(self, background,
+                                                   monkeypatch, window):
+        # the background's first CFL step at sigma = 1 is
+        # 0.5*(2*pi/256)/sqrt(2) = 8.68e-3: a shorter window puts all 36
+        # nodes inside one step, and is refused before any step
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            focusing_demo(background, [4], 1, window=window)
+        assert err.value.key == "focusing.window"
+        assert "first CFL step 0.00867" in str(err.value)
+        assert calls == []
 
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)
