@@ -14,12 +14,14 @@ Sections and keys (all optional unless noted):
     blowup:   max_time (20.0), amplitudes ([0.5, 1.0]), radius (3.0): the
               breakdown command, on the grid's own cell
     focusing: wavenumbers ([4, 8, 16, 32]), delta (1e-7), window (0.35),
-              rho0 (1.0): the frequency-growth command, stepped at its CFL
-              bound, which exits 2 on a wavenumber above the 2/3 band
+              rho0 (1.0): the frequency-growth command, stepped at its
+              adaptive CFL bound (limit.ADAPTIVE_CFL per dimension, as is
+              blowup), which exits 2 on a wavenumber above the 2/3 band
               (N // 3 on axis 0) and, with key focusing.window, on a window
-              shorter than the background's first CFL step, over
-              grid.MAX_STEPS steps, or longer than the run lasts before
-              ill-posed growth raising the wave speed tenfold stops it
+              shorter than the background's first such step (7.1e-3 at the
+              defaults), over grid.MAX_STEPS steps, or longer than the run
+              lasts before ill-posed growth raising the wave speed tenfold
+              stops it
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty

@@ -42,12 +42,12 @@ scalars, finiteness check and stored node read it, and the next step's
 stage 1 forms its products from it and drops it before its forward
 transforms.  Node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time
 stepping is classical RK4 at the CFL step, with an optional per-step
-CFL-adapted step for the instability demos; the observation times do not
-set the step.  A node inside a step is the step's dense output (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6), the cubic Hermite interpolant of
-its end states and their derivatives (stage 1 of this step and the next):
-linear in stage derivatives, so grad phi = v holds on it to roundoff, and
-O(dt^4) accurate, RK4's order.
+CFL-adapted step at ADAPTIVE_CFL for the instability demos; the
+observation times do not set the step.  A node inside a step is the
+step's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6), the
+cubic Hermite interpolant of its end states and their derivatives (stage
+1 of this step and the next): linear in stage derivatives, so grad phi = v
+holds on it to roundoff, and O(dt^4) accurate, RK4's order.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
 from .presets import InitialData
 
 CFL_NUMBER = 0.5
+# the adaptive runs' CFL number (cfl_step): their step is set for accuracy,
+# not for CFL_NUMBER's margin, and stays inside RK4's stability limit
+ADAPTIVE_CFL = 1.0
 # adaptive runs stop (dt_floor) once their CFL step is below this x the first
 DT_FLOOR_FACTOR = 0.1
 # breakdown once max|grad v| > BREAKDOWN_FACTOR * the data's gradient scale
@@ -235,6 +238,17 @@ def _wave_speed(v, S, sigma: int) -> float:
     )
 
 
+def cfl_step(grid: Grid, speed: float, adaptive: bool = False) -> float:
+    """The CFL step at the wave speed max|v| + c_s: CFL_NUMBER*min(dx)/speed,
+    or ADAPTIVE_CFL/dim*min(dx)/speed for an adaptive run.  On the 2/3 band
+    |k_i| <= (2*pi/3)/dx_i, so the symbol |v.k| + c_s|k| is at most
+    dim*speed*(2*pi/3)/min(dx), and the adaptive step times it at most
+    ADAPTIVE_CFL*2*pi/3 = 2.09 in any dimension: inside RK4's imaginary-axis
+    limit 2*sqrt(2), which a 1-D CFL number of 3*sqrt(2)/pi = 1.35 reaches."""
+    cfl = ADAPTIVE_CFL / grid.dim if adaptive else CFL_NUMBER
+    return cfl * min(grid.dx) / max(speed, 1e-12)
+
+
 def characteristic_gradient_scale(grid: Grid, v: np.ndarray, S: np.ndarray,
                                   sigma: int) -> float:
     """max |grad v| + sqrt(sigma+1)*max |grad |S||: the slope scale of the
@@ -274,20 +288,22 @@ def evolve_limit(
 
     One step rule (grid.observation_steps with n_obs = 2): ceil(final_time/dt)
     equal steps over the whole horizon, dt the given step or else the
-    initial CFL step CFL*dx/(max|v| + sqrt((sigma+1)*max rho^sigma)) (the
-    phase is integrated with the flow, so the step needs no further
-    margin).  A dt that is not positive and finite, or more than
+    initial cfl_step: CFL_NUMBER*min(dx)/speed, speed = max|v| +
+    sqrt((sigma+1)*max rho^sigma) (the phase is integrated with the flow,
+    so the step needs no further margin), or ADAPTIVE_CFL/dim*min(dx)/speed
+    with adaptive=True.  A dt that is not positive and finite, or more than
     grid.MAX_STEPS of these steps, raises ConfigError (time.T) before the
     first step, in fixed and adaptive runs alike.  A fixed-step run takes
-    these steps, the last ending on final_time exactly; adaptive=True
-    re-derives the step from the CFL rule every step, capped at that step
-    and at the time left, for the instability demos.  Neither depends on
-    n_obs.  One node rule: node i is the state at np.linspace(0, final_time,
-    n_obs)[i], the time of snapshot i of evolve_nls: on a step's end that
-    step's state, inside a step the cubic Hermite interpolant of the
-    spectral states and derivatives at its ends (the end derivative is the
-    next step's first RK4 stage, or one more right-hand side after the last
-    step).  A completed run stores exactly
+    these steps, the last ending on final_time exactly; adaptive=True, for
+    the instability demos, re-derives its cfl_step every step, capped at
+    the first one and at the time left: set for accuracy, it stays inside
+    RK4's stability limit in any dimension (cfl_step).  Neither depends on
+    n_obs.  One node rule: node i is the state at np.linspace(0,
+    final_time, n_obs)[i], the time of snapshot i of evolve_nls: on a
+    step's end that step's state, inside a step the cubic Hermite
+    interpolant of the spectral states and derivatives at its ends (the
+    end derivative is the next step's first RK4 stage, or one more
+    right-hand side after the last step).  A completed run stores exactly
     n_obs nodes (default 2: the start and the end), a stopped one those up
     to its last step.  The per-step scalars (grad_v_max, ...) cover every
     step; they, the finiteness check and the nodes on step ends come from
@@ -345,7 +361,7 @@ def evolve_limit(
     n_stage = len(real) - len(y[0])  # then grad div v, phi (and phi1)
     dx_min = min(grid.dx)
     speed = _wave_speed(real[:d], cplx[0, 0], sigma)
-    dt_cfl0 = CFL_NUMBER * dx_min / max(speed, 1e-12)
+    dt_cfl0 = cfl_step(grid, speed, adaptive)
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
                           "gives no positive CFL step")
@@ -408,7 +424,7 @@ def evolve_limit(
     inside = None  # the last step's nodes strictly inside it, and the step
     while t < final_time:
         if adaptive:
-            dt_cfl = CFL_NUMBER * dx_min / max(speed, 1e-12)
+            dt_cfl = cfl_step(grid, speed, adaptive)
             if dt_cfl < dt_floor:
                 status = "dt_floor"
                 break
@@ -634,21 +650,22 @@ def focusing_demo(
 
     conserved by the linearized defocusing flow, exponentially growing in the
     ill-posed sign.  The runs are one batched adaptive evolve_limit call
-    (sharing the CFL step and the cutoff) that stores W's inputs at 36
-    observation times over the window; the rate is the log-linear slope of
-    W over the second half of them.  A spectral cutoff (default 1.5x the
-    largest mode) suppresses roundoff-seeded growth above the probed band.
-    Every mode must lie in the 2/3 band of axis 0, |k| <= N // 3 (else
-    ConfigError with key focusing.wavenumbers).  The window must be at
-    least the background's first CFL step
-    CFL_NUMBER*min(dx)/sqrt((sigma+1)*rho0^sigma), checked before any step,
-    and the run must fit the step budget (evolve_limit's time.T refusal),
-    cover the window and stay linear, else focusing.window: the adaptive
-    run returns where ill-posed growth that raises the wave speed tenfold
-    stops it with status dt_floor (the CLI defaults with window 1.0 at
-    t = 0.392), and a completed run is refused once max|a - a_bg| reaches
-    |a_bg| on a stored node (sigma = 1 with window 1.0), where the rates no
-    longer measure the linear growth.
+    (sharing the adaptive CFL step and the cutoff) that stores W's inputs
+    at 36 observation times over the window; the rate is the log-linear
+    slope of W over the second half of them.  A spectral cutoff (default
+    1.5x the largest mode) suppresses roundoff-seeded growth above the
+    probed band.  Every mode must lie in the 2/3 band of axis 0,
+    |k| <= N // 3 (else ConfigError with key focusing.wavenumbers).  The
+    window must be at least the background's first adaptive CFL step, the
+    one evolve_limit takes, ADAPTIVE_CFL/dim*min(dx)/sqrt((sigma+1)*rho0^sigma)
+    (cfl_step), checked before any step, and the run must fit the step
+    budget (evolve_limit's time.T refusal), cover the window and stay
+    linear, else focusing.window: the adaptive run returns where ill-posed
+    growth that raises the wave speed tenfold stops it with status dt_floor
+    (the CLI defaults with window 1.0 at t = 0.392, N = 256 with sigma = 2
+    and window 0.5 at t = 0.393), and a completed run is refused once
+    max|a - a_bg| reaches |a_bg| on a stored node (sigma = 1 with window
+    1.0), where the rates no longer measure the linear growth.
     """
     grid = init.grid
     a0 = np.asarray(init.a0)
@@ -670,8 +687,8 @@ def focusing_demo(
     rho0 = float(np.mean(rho_bg))
     # a window inside the first CFL step puts every node inside one step,
     # where the log-linear fit of dense output measures no growth rate
-    dt_cfl = CFL_NUMBER * min(grid.dx) / max(
-        math.sqrt((sigma + 1) * rho0 ** sigma), 1e-12)
+    dt_cfl = cfl_step(grid, math.sqrt((sigma + 1) * rho0 ** sigma),
+                      adaptive=True)
     if window < dt_cfl:
         raise ConfigError("focusing.window", f"the window {window:g} is "
                           f"shorter than the background's first CFL step "

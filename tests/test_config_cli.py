@@ -407,7 +407,7 @@ class TestCliCommands:
          "focusing.wavenumbers"),
         # the demo takes its step from the CFL rule: there is no dt
         ({"focusing": {"dt": 0.01}}, "focusing.dt"),
-        # the ill-posed growth raises the wave speed tenfold at t = 0.392
+        # the ill-posed growth raises the wave speed tenfold at t = 0.3920
         # of the window, and the run stops with status dt_floor
         ({"focusing": {"window": 1.0}}, "focusing.window"),
         # the sigma = 1 run completes the window, but its perturbation
@@ -415,8 +415,9 @@ class TestCliCommands:
         # stood for the linear 4, 8, 16, 32
         ({"physics": {"sigma": 1}, "focusing": {"window": 1.0}},
          "focusing.window"),
-        # windows far inside the first CFL step (3.5e-3 at N = 512): one
-        # failed the rate fit with exit 4, the other fitted rates of -1e85
+        # windows far inside the first adaptive CFL step (7.1e-3 at
+        # N = 512): one failed the rate fit with exit 4, the other fitted
+        # rates of -1e85
         ({"focusing": {"window": 1e-300}}, "focusing.window"),
         ({"focusing": {"window": 1e-100}}, "focusing.window"),
     ])

@@ -116,7 +116,7 @@ class TestEvolve:
         traj = evolve_limit(data, 2, 1.0, n_obs=11, pressure_sign=-1,
                             adaptive=True)
         assert traj.status == "dt_floor"
-        assert traj.step_times[-1] == pytest.approx(0.171, abs=1e-3)
+        assert traj.step_times[-1] == pytest.approx(0.1735, abs=5e-4)
         np.testing.assert_array_equal(traj.times, [0.0, 0.1])
         assert traj.v.shape[0] == traj.a.shape[0] == 2
         with pytest.raises(NumericalGuardError,
@@ -285,11 +285,11 @@ class TestEvolve:
         assert err.value.key == "grid.N"
 
     def test_adaptive_short_last_remainder_completes(self):
-        # the background's CFL step is 0.3 and the cap is final_time, so
-        # three CFL steps leave a last step of 1e-8, far under
-        # DT_FLOOR_FACTOR * 0.3: the floor judges the CFL step, not the
-        # remainder to final_time, so the run completes
-        rho0 = limit.CFL_NUMBER * (2 * np.pi / 16) / (0.3 * math.sqrt(3))
+        # the background's adaptive CFL step ADAPTIVE_CFL*dx/(sqrt(3)*rho0)
+        # is 0.3 and the cap is final_time, so three CFL steps leave a last
+        # step of 1e-8, far under DT_FLOOR_FACTOR * 0.3: the floor judges
+        # the CFL step, not the remainder to final_time, so the run completes
+        rho0 = limit.ADAPTIVE_CFL * (2 * np.pi / 16) / (0.3 * math.sqrt(3))
         data = constant_state_data(Grid(16, 2 * np.pi), rho0=rho0)
         T = 0.9 + 1e-8
         traj = evolve_limit(data, 2, T, dt=T, adaptive=True)
@@ -301,14 +301,18 @@ class TestEvolve:
         assert traj.times[-1] == traj.step_times[-1]
 
     def test_adaptive_roundoff_stores_n_obs_nodes(self):
-        # 620 adaptive steps of T/620 sum to 1.1e-12 short of T = 70.175;
+        # 310 adaptive steps of T/310 sum to 1.4e-13 short of T = 70.175;
         # the last of them reaches the last observation time, so the run
         # stores its 5 nodes and ends, with no sliver step and no node twice
+        t = 0.0
+        for _ in range(310):
+            t += 70.175 / 310
+        assert 0 < 70.175 - t < 1e-12
         g = Grid(16, 2 * np.pi)
         traj = evolve_limit(constant_state_data(g, rho0=1.0), 2, 70.175,
                             n_obs=5, adaptive=True)
         assert traj.status == "completed"
-        assert len(traj.step_times) - 1 == 620
+        assert len(traj.step_times) - 1 == 310
         assert traj.times.size == 5
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] == pytest.approx(70.175, rel=1e-12)
@@ -438,13 +442,15 @@ class TestEvolve:
         # 2*CFL_NUMBER = 1.0; that stop must lie below RK4's stability limit
         # 2*sqrt(2) on the imaginary axis, reached in 1-D at the largest
         # wavenumber of the 2/3 band: a CFL number of about 3*sqrt(2)/pi =
-        # 1.35
+        # 1.35.  So must ADAPTIVE_CFL, the adaptive runs' CFL number in 1-D
+        # (ADAPTIVE_CFL/dim in dim dimensions, TestAdaptiveStep)
         for n, length in ((512, 16.0), (64, 12.0), (128, 2 * np.pi)):
             g = Grid(n, length)
             k_max = np.max(np.abs(g.wavenumbers[0][g.dealias_mask]))
             limit_cfl = 2 * math.sqrt(2) / (k_max * g.dx[0])
             assert limit_cfl == pytest.approx(3 * math.sqrt(2) / math.pi, rel=0.02)
             assert 2 * limit.CFL_NUMBER < limit_cfl
+            assert limit.ADAPTIVE_CFL < limit_cfl
 
 
 def config_data(dim=1, n=512, length=16.0, sigma=2, T=0.25, n_obs=20,
@@ -887,6 +893,18 @@ class TestEulerInvariants:
         assert dpc == pytest.approx(expected, rel=5e-3)
 
 
+def blowup_run(grid, sigma=2):
+    """The adaptive breakdown hunt of the blowup command on grid, for its
+    amplitude-1.0 bump."""
+    a0 = compact_bump(grid, radius=3.0, amplitude=1.0).astype(complex)
+    data = InitialData(grid=grid, a0=a0, a1=np.zeros(grid.shape, dtype=complex),
+                       phi0_periodic=np.zeros(grid.shape),
+                       phi0_wavevector=(0.0,) * grid.dim)
+    threshold = limit.breakdown_threshold(
+        grid, np.zeros((grid.dim, *grid.shape)), a0**sigma, sigma)
+    return evolve_limit(data, sigma, 20.0, adaptive=True, grad_stop=threshold)
+
+
 class TestBlowup:
     def test_constant_never_flags(self, grid_1d):
         data = constant_state_data(grid_1d, rho0=0.5)
@@ -919,15 +937,7 @@ class TestBlowup:
         # the breakdown hunt stops at the monitor's crossing, long before
         # its second observation time (the end): node 0, from which the
         # monitor reads its threshold, is all it stores
-        g = Grid(256, 20.0)
-        a0 = compact_bump(g, radius=3.0, amplitude=1.0).astype(complex)
-        data = InitialData(grid=g, a0=a0, a1=np.zeros(g.shape, dtype=complex),
-                           phi0_periodic=np.zeros(g.shape),
-                           phi0_wavevector=(0.0,))
-        threshold = limit.breakdown_threshold(g, np.zeros((1, *g.shape)),
-                                              a0, 1)
-        traj = evolve_limit(data, 1, 20.0, adaptive=True,
-                            grad_stop=threshold)
+        traj = blowup_run(Grid(256, 20.0), sigma=1)
         assert traj.status == "grad_stop"
         assert traj.times.tolist() == [0.0]
         assert traj.v.shape[0] == traj.a.shape[0] == 1
@@ -1057,29 +1067,72 @@ class TestFocusingDemo:
     def test_run_stopped_inside_window_rejected(self, background):
         # the ill-posed sigma = 2 growth raises the wave speed until the CFL
         # step falls below DT_FLOOR_FACTOR times the first one at
-        # t = 0.392: no rows from part of the window, while the default
+        # t = 0.393: no rows from part of the window, while the default
         # window completes
         with pytest.raises(ConfigError) as err:
             focusing_demo(background, [32], 2, pressure_sign=-1, window=0.5)
         assert err.value.key == "focusing.window"
-        assert "stopped at t=0.392006 of the window 0.5 with status " \
+        assert "stopped at t=0.39338 of the window 0.5 with status " \
             "'dt_floor'" in str(err.value)
         assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
 
-    @pytest.mark.parametrize("window", [1e-300, 1e-100, 8.6e-3])
+    @pytest.mark.parametrize("window", [1e-300, 1e-100, 8.6e-3, 0.012])
     def test_window_inside_first_cfl_step_rejected(self, background,
                                                    monkeypatch, window):
-        # the background's first CFL step at sigma = 1 is
-        # 0.5*(2*pi/256)/sqrt(2) = 8.68e-3: a shorter window puts all 36
-        # nodes inside one step, and is refused before any step
+        # the background's first adaptive CFL step at sigma = 1 is
+        # ADAPTIVE_CFL*(2*pi/256)/sqrt(2) = 0.0174: a shorter window puts
+        # all 36 nodes inside one step, and is refused before any step.
+        # 0.012 lies above the step at CFL_NUMBER (8.68e-3) but inside the
+        # first step that the adaptive run takes
         calls = spy_rhs(monkeypatch)
         with pytest.raises(ConfigError) as err:
             focusing_demo(background, [4], 1, window=window)
         assert err.value.key == "focusing.window"
-        assert "first CFL step 0.00867" in str(err.value)
+        assert "first CFL step 0.017355" in str(err.value)
         assert calls == []
+        assert window < evolve_limit(background, 1, 1.0,
+                                     adaptive=True).step_times[1]
 
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)
         assert rows[0].rate == 0.0
         assert rows[0].max_growth == 0.0
+
+
+class TestAdaptiveStep:
+    @pytest.mark.parametrize("shape, lengths", [(256, 16.0),
+                                                ((32, 32), (12.0, 12.0)),
+                                                ((32, 16), (12.0, 6.0))])
+    def test_cfl_numbers_at_adaptive_bound(self, shape, lengths):
+        # an adaptive step is ADAPTIVE_CFL/dim*min(dx)/speed: every step's
+        # CFL number stays at most ADAPTIVE_CFL/dim (0.5 in 2-D, the
+        # fixed-step CFL_NUMBER), and the hunt steps at that bound
+        g = Grid(shape, lengths)
+        traj = blowup_run(g)
+        assert traj.status == "grad_stop"
+        bound = limit.ADAPTIVE_CFL / g.dim
+        assert np.max(traj.cfl_numbers) <= bound * (1 + 1e-12)
+        assert np.max(traj.cfl_numbers) == pytest.approx(bound, rel=1e-12)
+
+    def test_accuracy_against_finer_step(self, monkeypatch):
+        # the blowup time and the focusing rates at ADAPTIVE_CFL against a
+        # reference at 0.125, as the commands make them: the blowup hunt
+        # at N = 256 (t_estimate 1.7725 against 1.7661, 0.36%) and the
+        # focusing-demo defaults (N = 512, sigma = 2, modes 4, 8, 16, 32;
+        # at most 5.9e-4 relative, mode 8: 11.3323 against 11.3390)
+        g = Grid(512, 2 * np.pi)
+        background = InitialData(grid=g, a0=np.ones(g.shape, dtype=complex),
+                                 a1=np.zeros(g.shape, dtype=complex),
+                                 phi0_periodic=np.zeros(g.shape),
+                                 phi0_wavevector=(0.0,))
+
+        def measure():
+            t = blowup_monitor(blowup_run(Grid(256, 16.0)))
+            rows = focusing_demo(background, [4, 8, 16, 32], 2)
+            return t.t_estimate, [r.rate for r in rows]
+
+        t_run, rates = measure()
+        monkeypatch.setattr(limit, "ADAPTIVE_CFL", 0.125)
+        t_ref, rates_ref = measure()
+        assert t_run == pytest.approx(t_ref, rel=1e-2)
+        assert rates == pytest.approx(rates_ref, rel=1e-3)
