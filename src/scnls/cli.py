@@ -139,7 +139,7 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
         rows.append(vars(euler_invariants(st, cfg.sigma)))
         k = np.reshape(st.phi_wavevector, (-1,) + (1,) * grid.dim)
         dphi = grid.gradient(st.phi_periodic).real + k
-        grad_phi_err = max(grad_phi_err, *map(grid.l2_norm, dphi - st.v))
+        grad_phi_err = max(grad_phi_err, float(np.max(grid.l2_norm(dphi - st.v))))
         recs.append(("a", st.time, st.a, grid))
         recs += [(f"v{j}", st.time, vj, grid) for j, vj in enumerate(st.v)]
     if "csv" in cfg.formats:
@@ -166,16 +166,12 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     traj = evolve_corrector(evolve_limit(
         data, cfg.sigma, cfg.final_time, n_obs=cfg.observation_count,
         a1=data.a1))
-    phi1_max = 0.0
-    modulus_gap = 0.0
-    recs = []
-    for ls in map(traj.state, range(cfg.observation_count)):
-        a_tilde = tilde_amplitude(ls)
-        phi1_max = max(phi1_max, float(np.max(np.abs(ls.phi1))))
-        modulus_gap = max(modulus_gap, float(np.max(
-            np.abs(np.abs(a_tilde) - np.abs(ls.a)))))
-        recs += [("phi1", ls.time, ls.phi1, grid), ("w", ls.time, ls.w, grid),
-                 ("a_tilde", ls.time, a_tilde, grid)]
+    nodes = traj.state(slice(None))
+    a_tilde = tilde_amplitude(nodes)
+    phi1_max = float(np.max(np.abs(nodes.phi1)))
+    modulus_gap = float(np.max(np.abs(np.abs(a_tilde) - np.abs(nodes.a))))
+    recs = [(name, t, f[i], grid) for i, t in enumerate(traj.times.tolist())
+            for name, f in (("phi1", nodes.phi1), ("w", nodes.w), ("a_tilde", a_tilde))]
     if "snapshots" in cfg.formats:
         write_snapshots(out / "corrector.snap", recs,
                         extra={"config_hash": cfg.content_hash()})
@@ -405,6 +401,3 @@ def _emit_error(kind: str, exc: Exception) -> None:
         record["error"]["key"] = exc.key
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

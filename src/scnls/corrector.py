@@ -60,4 +60,5 @@ def tilde_amplitude(limit_state) -> np.ndarray:
     if limit_state.phi1 is None:
         raise ValueError("the limit state carries no corrector: "
                          "pass a1 to evolve_limit")
-    return limit_state.a * np.exp(1j * limit_state.phi1)
+    # np.multiply, as diagnostics.modulate
+    return np.multiply(limit_state.a, np.exp(1j * limit_state.phi1))

@@ -19,17 +19,20 @@ Everything is read off a_eps (one forward transform per record), so no
 record keeps u or its gradient: since |exp(i*phi/eps)| = 1, the WKB error
 ||u - b*exp(i*phi/eps)|| of an amplitude b equals ||a_eps - b||, and the
 current Im(eps*conj(u) grad u) is |a_eps|^2 grad phi + Im(eps*conj(a_eps)
-grad a_eps).
+grad a_eps).  A record may take a stack of snapshots with the limit state
+stacked alike (LimitTrajectory.state of a slice); its values are then per
+snapshot, each the bits of that snapshot's own record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import Grid
+from .grid import Grid, per_value
 from .limit import LimitState, LimitTrajectory
 from .sigma_algebra import b_sigma, g_sigma
 
@@ -42,10 +45,12 @@ def modulate(u: np.ndarray, phi_total: np.ndarray, epsilon: float,
     linear part built from a lattice-snapped wavevector, so that the factor
     is grid-periodic).  |result| = |u| pointwise.
     """
-    u = np.asarray(u)
-    if u.shape != grid.shape or np.asarray(phi_total).shape != grid.shape:
+    u, phi_total = np.asarray(u), np.asarray(phi_total)
+    if u.shape[-grid.dim:] != grid.shape or phi_total.shape != u.shape:
         raise GridMismatchError("wavefunction/phase shape does not match grid")
-    return u * np.exp(-1j * np.asarray(phi_total) / epsilon)
+    # not u * exp(...): numpy elides a temporary of 256 KiB or more into
+    # exp(...) * u, which rounds differently, so a stack would lose the bits
+    return np.multiply(u, np.exp(-1j * phi_total / epsilon))
 
 
 def q_g_fields(a_eps: np.ndarray, a: np.ndarray, epsilon: float,
@@ -66,17 +71,17 @@ class DiagnosticsRecord:
     amplitude a_eps and the limit state alone.  The transport residual
     spans three records and is computed by residual_transport."""
 
-    time: float
+    time: float | np.ndarray
     epsilon: float
     sigma: int
     a_eps: np.ndarray                    # filtered amplitude
     psi_eps: np.ndarray                  # grad a_eps, shape (dim, *shape)
     q_eps: np.ndarray
     sobolev: dict = field(default_factory=dict)   # {"a_eps": {s: norm}, ...}
-    modulated_energy: float = 0.0
+    modulated_energy: float | np.ndarray = 0.0
 
 
-def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
+def diagnostics_record(u: np.ndarray, t: float | np.ndarray, limit_state: LimitState,
                        epsilon: float, sigma: int,
                        sobolev_orders: tuple[float, ...] = ()) -> DiagnosticsRecord:
     if epsilon <= 0:
@@ -99,10 +104,13 @@ def diagnostics_record(u: np.ndarray, t: float, limit_state: LimitState,
     return rec
 
 
-def modulated_energy(record: DiagnosticsRecord, grid: Grid) -> float:
+def modulated_energy(record: DiagnosticsRecord, grid: Grid) -> np.ndarray | float:
     """int (|a_eps|^2 + |grad a_eps|^2 + |q_eps|^2); nonnegative."""
-    return float(grid.l2_norm(record.a_eps) ** 2 + grid.l2_norm(record.q_eps) ** 2
-                 + grid.l2_norm(record.psi_eps) ** 2)
+    # one sum over grad a_eps's components and grid axes, as one field's norm
+    psi2 = np.sum(np.abs(record.psi_eps) ** 2, axis=(0, *range(-grid.dim, 0)))
+    return per_value(lambda a, q, p2: a ** 2 + q ** 2 + math.sqrt(p2) ** 2,
+                     grid.l2_norm(record.a_eps), grid.l2_norm(record.q_eps),
+                     psi2 * grid.cell_volume)
 
 
 def gronwall_constant(limit_traj: LimitTrajectory) -> float:
@@ -144,9 +152,9 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
 
 @dataclass(frozen=True)
 class DensityMetrics:
-    pos_err_lsp1: float          # || |a_eps|^2 - |a|^2 ||_{L^{s+1}}
-    cur_err_transport: float     # || (|a_eps|^2-|a|^2) grad phi ||_{L^{s+1}}
-    cur_err_l1: float            # || Im(eps conj(a_eps) grad a_eps) ||_{L^1}
+    pos_err_lsp1: float | np.ndarray       # || |a_eps|^2 - |a|^2 ||_{L^{s+1}}
+    cur_err_transport: float | np.ndarray  # || (|a_eps|^2-|a|^2) grad phi ||_{L^{s+1}}
+    cur_err_l1: float | np.ndarray         # || Im(eps conj(a_eps) grad a_eps) ||_{L^1}
 
 
 def density_metrics(record: DiagnosticsRecord, limit_state: LimitState,

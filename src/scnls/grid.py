@@ -14,9 +14,10 @@ calculus and integrals act on the trailing ``dim`` axes, any leading axes are
 a batch of independent members, and the results are bitwise those of one call
 per member.  Vector fields stack the components first, shape
 ``(dim, *batch, *grid.shape)``, so ``v[j]`` is component j of every member.
-The norms reduce over all axes.  Grid objects are immutable after
-construction and all operations are pure, so they are safe to share across
-concurrent runs.
+The norms reduce like the integrals, to one value per leading index (a
+Python float for a single field), each the bits of its own call.  Grid
+objects are immutable after construction and all operations are pure, so
+they are safe to share across concurrent runs.
 
 Spectra are full (``fft``, complex fields) or rfftn half spectra (``rfft``,
 real fields, last axis N/2 + 1); the spectral multipliers (gradient, jet,
@@ -97,6 +98,16 @@ def check_stored_bytes(n_obs: int, points: int, per_point: int) -> None:
     if stored > MAX_STORED_BYTES:
         raise ConfigError("grid.N", f"{n_obs} stored observations need {stored} "
                           f"bytes, over the budget of {MAX_STORED_BYTES}")
+
+
+def per_value(fn, *values) -> np.ndarray | float:
+    """fn of each value of same-shaped arrays in Python float arithmetic (a
+    float for 0-d values): Python's ** is libm's pow, which rounds unlike
+    numpy's array power, so a batch keeps the bits of one call per field."""
+    if np.ndim(values[0]) == 0:
+        return fn(*map(float, values))
+    out = list(map(fn, *(np.ravel(v).tolist() for v in values)))
+    return np.array(out).reshape(np.shape(values[0]))
 
 
 class Grid:
@@ -311,10 +322,12 @@ class Grid:
         """Quadrature over the cell: one value per leading index of f."""
         return np.sum(f, axis=self._axes) * self.cell_volume
 
-    def l2_norm(self, f: np.ndarray) -> float:
-        return math.sqrt(float(np.sum(np.abs(f) ** 2)) * self.cell_volume)
+    def l2_norm(self, f: np.ndarray) -> np.ndarray | float:
+        total = np.sum(np.abs(self._check(f)) ** 2, axis=self._axes)
+        return per_value(math.sqrt, total * self.cell_volume)
 
-    def sobolev_norm(self, f: np.ndarray, s: float, space: str = "physical") -> float:
+    def sobolev_norm(self, f: np.ndarray, s: float,
+                     space: str = "physical") -> np.ndarray | float:
         """H^s norm via (1+|xi|^2)^s Parseval weights; s=0 equals l2_norm."""
         if s < 0:
             raise ValueError(f"Sobolev order must be >= 0, got {s}")
@@ -326,17 +339,18 @@ class Grid:
             raise ValueError(f"unknown space {space!r}")
         weight = (1.0 + self.k_squared) ** s
         # Parseval: sum_x |f|^2 dV = sum_k |fh|^2 dV / size
-        total = float(np.sum(weight * np.abs(fh) ** 2)) * self.cell_volume / self.size
-        return math.sqrt(total)
+        total = np.sum(weight * np.abs(fh) ** 2, axis=self._axes)
+        return per_value(math.sqrt, total * self.cell_volume / self.size)
 
-    def lebesgue_norm(self, f: np.ndarray, p: float) -> float:
+    def lebesgue_norm(self, f: np.ndarray, p: float) -> np.ndarray | float:
         """Quadrature L^p norm; p = inf is the grid maximum of |f|."""
         f = self._check(f)
-        if p == np.inf or p == math.inf:
-            return float(np.max(np.abs(f)))
+        if p == math.inf:
+            return per_value(float, np.max(np.abs(f), axis=self._axes))
         if p < 1:
             raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-        return float(np.sum(np.abs(f) ** p) * self.cell_volume) ** (1.0 / p)
+        total = np.sum(np.abs(f) ** p, axis=self._axes) * self.cell_volume
+        return per_value(lambda x: x ** (1.0 / p), total)
 
     def boundary_tail_fraction(self, f: np.ndarray) -> float:
         """Mass fraction of |f|^2 within BOUNDARY_BAND_CELLS of the edge.
@@ -352,21 +366,6 @@ class Grid:
         band = np.ones(self.shape, dtype=bool)  # all but the interior box
         band[(slice(BOUNDARY_BAND_CELLS, -BOUNDARY_BAND_CELLS),) * self.dim] = False
         return float(np.sum(w[band])) / total
-
-    # ----------------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.shape == other.shape
-            and self.lengths == other.lengths
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.lengths))
-
-    def __repr__(self) -> str:
-        return f"Grid(n={self.shape}, length={self.lengths})"
 
     def descriptor(self) -> dict:
         """JSON-ready grid descriptor used in snapshot headers and reports."""

@@ -80,10 +80,10 @@ BASELINE_FLOOR = 1e-8  # the least gradient scale
 
 @dataclass(frozen=True)
 class LimitState:
-    """One snapshot of the limit flow."""
+    """One snapshot of the limit flow, or a stack of them on leading axes."""
 
     grid: Grid
-    time: float
+    time: float | np.ndarray
     v: np.ndarray           # (dim, *shape), real
     S: np.ndarray           # a^sigma, complex
     a: np.ndarray           # complex
@@ -127,9 +127,12 @@ class LimitTrajectory:
     def phi_periodic(self) -> np.ndarray:
         return reconstruct_phase(self)
 
-    def state(self, i: int) -> LimitState:
+    def state(self, i: int | slice) -> LimitState:
+        """Node i, or a slice's nodes stacked, v as (dim, nodes, *shape)."""
+        stack = isinstance(i, slice)
         return LimitState(
-            grid=self.grid, time=float(self.times[i]), v=self.v[i],
+            grid=self.grid, time=self.times[i] if stack else float(self.times[i]),
+            v=np.moveaxis(self.v[i], 0, 1) if stack else self.v[i],
             S=self.S[i], a=self.a[i],
             phi_periodic=self.phi_periodic[i],
             phi_wavevector=self.phi0_wavevector,
@@ -708,18 +711,17 @@ def focusing_demo(
                           " a shorter window completes it")
     # the rates are the linear ones only while the perturbation stays below
     # the background on every stored node
-    gap = np.array([np.max(np.abs(a - a0)) for a in traj.a])
+    gap = np.max(grid.lebesgue_norm(traj.a - a0, math.inf), axis=1)
     outside = np.nonzero(gap >= math.sqrt(rho0))[0]
     if outside.size:
         raise ConfigError("focusing.window", "the perturbation max|a - a_bg| "
                           f"reaches |a_bg| at t={traj.times[outside[0]]:.6g} of "
                           f"the window {window}, outside the linear regime; a "
                           "shorter window keeps it inside")
-    # W per (node, member), one node at a time; v_bg = 0
-    w = np.array([np.sqrt(np.maximum(
-        sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(a) ** 2 - rho_bg) ** 2).real
-        + rho0 * grid.integral(np.sum(v**2, axis=0)).real, 0.0))
-        for a, v in zip(traj.a, traj.v)])
+    # W per (node, member); v_bg = 0
+    w = np.sqrt(np.maximum(
+        sigma * rho0 ** (sigma - 1) * grid.integral((np.abs(traj.a) ** 2 - rho_bg) ** 2).real
+        + rho0 * grid.integral(np.sum(traj.v**2, axis=1)).real, 0.0))
     half = traj.times.size // 2
     rows = []
     for k, xi_k, w_k in zip(ks, xi, w.T):

@@ -2,14 +2,15 @@
 
 One sweep runs one joint limit + corrector integration (evolve_limit with a1,
 stored at the observation times only) and, for each epsilon in a strictly
-decreasing ladder, a wavefunction integration with per-snapshot modulation
-diagnostics, then reduces everything into a per-epsilon row table.  Both
-solvers take the count n_obs of observation times, so limit node i and
+decreasing ladder, a wavefunction integration with modulation diagnostics
+at every snapshot, then reduces everything into a per-epsilon row table.
+Both solvers take the count n_obs of observation times, so limit node i and
 wavefunction snapshot i are observation i, paired by index.  The
 wavefunction runs and their step-doubling checks go through
 evolve_nls_batch, a group of whole rungs per call (rung_groups: the whole
-default 1-D ladder in one call, one rung per call on 128x128).  The row
-table holds:
+default 1-D ladder in one call, one rung per call on 128x128).  A rung's
+diagnostics take stacks of its observation times, in chunks whose
+gradients hold at most CHUNK_POINTS points.  The row table holds:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
@@ -38,7 +39,8 @@ from .corrector import evolve_corrector, tilde_amplitude
 from .diagnostics import (density_metrics, diagnostics_record,
                           gronwall_constant)
 from .errors import ConfigError
-from .grid import CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT
+from .grid import (CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT,
+                   per_value)
 from .limit import LimitState, evolve_limit
 # evolve_nls stays bound here, unused, because bench/layers.py traces it
 from .nls import (DT_EXPONENT, SCHEME, NLSConfig, NLSTrajectory,  # noqa: F401
@@ -174,22 +176,22 @@ def rung_groups(n_rungs: int, points: int, n_obs: int,
 
 
 def _sweep_row(traj: NLSTrajectory,
-               limit_states: list[tuple[LimitState, np.ndarray]],
+               limit_chunks: list[tuple[slice, LimitState, np.ndarray]],
                c_hat: float, k: int, sup_p: float) -> dict:
-    """One ladder rung from its wavefunction run; limit_states holds
-    (limit state, a_tilde) per observation time, shared by every rung."""
+    """One ladder rung from its wavefunction run; limit_chunks holds (nodes,
+    their stacked limit state, a_tilde) per chunk, shared by every rung."""
     grid = traj.grid
     eps, sigma = traj.epsilon, traj.sigma
-    snapshots = []
-    for t, u, (ls, a_tilde) in zip(traj.times, traj.states, limit_states):
-        rec = diagnostics_record(u, float(t), ls, eps, sigma,
-                                 sobolev_orders=(float(k),))
+    chunks = []
+    for nodes, ls, a_tilde in limit_chunks:
+        rec = diagnostics_record(np.stack(traj.states[nodes]), traj.times[nodes],
+                                 ls, eps, sigma, sobolev_orders=(float(k),))
         # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
         diff2 = rec.a_eps - a_tilde
         diff1 = rec.a_eps - ls.a
         dm = density_metrics(rec, ls, sigma, eps)
-        snapshots.append({
-            "time": float(t),
+        chunks.append({
+            "time": traj.times[nodes],
             "err_two_term_l2": grid.l2_norm(diff2),
             "err_two_term_sup": grid.lebesgue_norm(diff2, sup_p),
             "err_one_term_l2": grid.l2_norm(diff1),
@@ -197,14 +199,14 @@ def _sweep_row(traj: NLSTrajectory,
             "a_eps_hk": rec.sobolev["a_eps"][float(k)],
             "q_eps_hkm1": rec.sobolev["q_eps"][float(k) - 1],
             "pos_gap_lsp1": dm.pos_err_lsp1,
-            "pos_gap_pow": dm.pos_err_lsp1 ** (sigma + 1),
+            "pos_gap_pow": per_value(lambda x: x ** (sigma + 1), dm.pos_err_lsp1),
             "cur_transport_lsp1": dm.cur_err_transport,
             "cur_l1": dm.cur_err_l1,
             "mod_energy": rec.modulated_energy,
         })
     # one list per quantity over the observation times; a row column is the
     # max of its list
-    table = {key: [snap[key] for snap in snapshots] for key in snapshots[0]}
+    table = {key: np.concatenate([c[key] for c in chunks]).tolist() for key in chunks[0]}
     me0 = table["mod_energy"][0]
     envelope_ok = all(me <= me0 * math.exp(c_hat * t) * (1.0 + 1e-9)
                       for t, me in zip(table["time"], table["mod_energy"]))
@@ -238,8 +240,14 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
     limit_traj = evolve_corrector(evolve_limit(
         initial, sigma, plan.final_time, n_obs=plan.n_obs, a1=initial.a1))
-    limit_states = [(ls, tilde_amplitude(ls))
-                    for ls in map(limit_traj.state, range(plan.n_obs))]
+    # the nodes in chunks whose gradients hold at most CHUNK_POINTS points: a
+    # whole 1-D headline rung, one node at 128x128 (where 2 nodes took 4.4 MB
+    # more memory, and 11 nodes 1.5x the time of one at a time)
+    per = max(1, CHUNK_POINTS // (grid.dim * grid.size))
+    limit_chunks = []
+    for nodes in (slice(i, i + per) for i in range(0, plan.n_obs, per)):
+        ls = limit_traj.state(nodes)
+        limit_chunks.append((nodes, ls, tilde_amplitude(ls)))
     c_hat = gronwall_constant(limit_traj)
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
@@ -256,7 +264,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                           final_time=plan.final_time, dt0=plan.dt0,
                           self_check=plan.self_check, scheme=SCHEME)
                 for eps in ladder]
-        rows += [_sweep_row(traj, limit_states, c_hat, k, sup_p)
+        rows += [_sweep_row(traj, limit_chunks, c_hat, k, sup_p)
                  for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
 
     # the fits take the rows that pass their step-doubling check (all of

@@ -160,6 +160,47 @@ class TestParseConfig:
         assert g.dim == 2
 
 
+class TestPresets:
+    """The plane_wave amplitude and the compact_bump phase, built as a
+    config builds them."""
+
+    @staticmethod
+    def initial(grid: dict, initial: dict):
+        return parse_config(json.dumps({"grid": grid, "initial": initial})
+                            ).make_initial_data()
+
+    @pytest.mark.parametrize("grid, mode, modes", [
+        ({"N": 64, "L": 8.0}, 3, (3,)),
+        ({"dim": 2, "N": [32, 16], "L": [8.0, 4.0]}, [2, -1], (2, -1)),
+        ({"dim": 2, "N": 32, "L": 8.0}, 3, (3, 3)),  # one mode, both axes
+    ], ids=["1d", "2d", "2d-scalar-mode"])
+    def test_plane_wave_amplitude(self, grid, mode, modes):
+        data = self.initial(grid, {"a0_preset": "plane_wave", "a0_params": {
+            "mode": mode, "amplitude_re": 0.6, "amplitude_im": 0.8}})
+        g = data.grid
+        np.testing.assert_allclose(np.abs(data.a0), abs(0.6 + 0.8j), rtol=1e-14)
+        # one lattice mode per axis carries the whole field
+        spectrum = np.abs(g.fft(data.a0)) / g.size
+        peak = tuple(m % n for m, n in zip(modes, g.shape))
+        assert spectrum[peak] == pytest.approx(abs(0.6 + 0.8j), rel=1e-12)
+        spectrum[peak] = 0.0
+        assert np.max(spectrum) < 1e-12
+
+    @pytest.mark.parametrize("grid", [{"N": 64, "L": 8.0},
+                                      {"dim": 2, "N": 32, "L": 8.0}],
+                             ids=["1d", "2d"])
+    def test_compact_bump_phase(self, grid):
+        data = self.initial(grid, {"phi0_preset": "compact_bump",
+                                   "phi0_params": {"radius": 2.0, "amplitude": 0.5}})
+        g, phi = data.grid, data.phi0_periodic
+        assert np.isrealobj(phi)
+        r = np.sqrt(np.sum(g.coords**2, axis=0))
+        assert np.all(phi[r >= 2.0] == 0.0)
+        assert np.all(phi[r < 2.0] > 0.0)
+        assert np.max(phi) == 0.5  # the peak, at the grid point x = 0
+        assert data.phi0_wavevector == (0.0,) * g.dim
+
+
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "scnls", *args],
@@ -617,6 +658,24 @@ class TestCliCommands:
         assert doc_out["rates_increase_with_wavenumber"] is True
         for row in doc_out["rows"]:
             assert 0.8 <= row["max_growth_defocusing"] <= 1.2
+
+    def test_seed_echoed_only(self, tiny_config, tmp_path):
+        # --seed goes into the effective config and the summary's config,
+        # and so into config_hash; nothing computed changes
+        path, _ = tiny_config
+        summaries = {}
+        for seed, args in ((None, []), (7, ["--seed", "7"])):
+            out = tmp_path / f"seed-{seed}"
+            assert cli.main(["limit", str(path), "--out", str(out), *args]) == 0
+            echoed = json.loads((out / "effective_config.json").read_text())
+            assert echoed["seed"] == seed
+            summaries[seed] = json.loads((out / "summary.json").read_text())
+        plain, seeded = summaries[None], summaries[7]
+        assert seeded["config"] == {**plain["config"], "seed": 7}
+        assert seeded["config_hash"] != plain["config_hash"]
+        hashed = ("config", "config_hash", "content_hash")
+        assert ({k: v for k, v in seeded.items() if k not in hashed}
+                == {k: v for k, v in plain.items() if k not in hashed})
 
     def test_effective_config_written(self, tiny_config, tmp_path):
         path, out = tiny_config

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scnls import Grid
 from scnls.diagnostics import (density_metrics, diagnostics_record,
                                gronwall_constant, modulate, modulated_energy,
                                q_g_fields, residual_transport)
+from scnls.corrector import tilde_amplitude
 from scnls.errors import GridMismatchError
 from scnls.limit import evolve_limit
 from scnls.nls import NLSConfig, build_initial_data, evolve_nls
@@ -306,6 +309,62 @@ class TestDensityMetrics:
         ratio_cur = out[2.0**-3].cur_err_l1 / out[2.0**-5].cur_err_l1
         assert ratio_pos > 2.0   # at least first order over a 4x epsilon drop
         assert 2.0 < ratio_cur < 8.0
+
+
+def assert_stack_matches_records(ltraj, traj, eps, sigma):
+    """A record of every snapshot at once holds, per snapshot, the bits of
+    that snapshot's own record, and so do its energy and density gaps."""
+    def bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    nodes = ltraj.state(slice(None))
+    stack = diagnostics_record(np.stack(traj.states), traj.times, nodes, eps,
+                               sigma, sobolev_orders=(2.0,))
+    gaps = density_metrics(stack, nodes, sigma, eps)
+    if ltraj.phi1 is not None:
+        a_tilde = tilde_amplitude(nodes)
+    for i, u in enumerate(traj.states):
+        st = ltraj.state(i)
+        rec = diagnostics_record(u, float(traj.times[i]), st, eps, sigma,
+                                 sobolev_orders=(2.0,))
+        assert bits(stack.a_eps[i]) == bits(rec.a_eps)
+        assert bits(stack.psi_eps[:, i]) == bits(rec.psi_eps)
+        assert bits(stack.q_eps[i]) == bits(rec.q_eps)
+        for name, norms in rec.sobolev.items():
+            for s, value in norms.items():
+                assert stack.sobolev[name][s][i] == value
+        assert stack.modulated_energy[i] == rec.modulated_energy
+        one = density_metrics(rec, st, sigma, eps)
+        for f in fields(one):
+            assert getattr(gaps, f.name)[i] == getattr(one, f.name)
+        if ltraj.phi1 is not None:
+            assert bits(a_tilde[i]) == bits(tilde_amplitude(st))
+
+
+class TestStackedRecord:
+    """A stack of snapshots is one record: the sweep takes its diagnostics
+    so, and its rows keep the bits of one record per snapshot."""
+
+    def test_1d_run(self, sigma2_run):
+        # 41 snapshots of 512 points: a 328 KiB stack, over numpy's 256 KiB
+        # temporary-elision size, where one snapshot is far under it
+        g, ltraj, traj, recs, obs = sigma2_run
+        assert_stack_matches_records(ltraj, traj, traj.epsilon, traj.sigma)
+
+    def test_2d_joint_run(self):
+        # 5 nodes of 64x64 (a 320 KiB stack) with the corrector pair
+        g = Grid((64, 64), (12.0, 12.0))
+        x, y = g.coords
+        bump = np.exp(-(x**2 + y**2))
+        data = InitialData(grid=g, a0=bump * (1 + 0.2j), a1=(0.4 * bump).astype(complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(0.0, 0.0))
+        eps, T = 0.125, 0.02
+        ltraj = evolve_limit(data, 2, T, n_obs=5, a1=data.a1)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=T,
+                        self_check=False)
+        traj = evolve_nls(build_initial_data(data, eps), cfg, 5)
+        assert_stack_matches_records(ltraj, traj, eps, 2)
 
 
 class TestRecordInvariants:

@@ -98,7 +98,13 @@ BATCH_OPS = {
     "dealias": lambda g, f: g.dealias(f),
     "spectral_derivative": lambda g, f: g.spectral_derivative(f, g.dim - 1),
     "integral": lambda g, f: g.integral(f),
+    "l2_norm": lambda g, f: g.l2_norm(f),
+    "lebesgue_norm_1": lambda g, f: g.lebesgue_norm(f, 1),
+    "lebesgue_norm_3": lambda g, f: g.lebesgue_norm(f, 3),
+    "lebesgue_norm_inf": lambda g, f: g.lebesgue_norm(f, np.inf),
+    "sobolev_norm": lambda g, f: g.sobolev_norm(f, 1.5),
 }
+NORMS = {name for name in BATCH_OPS if "norm" in name}
 
 
 def bits(a):
@@ -107,8 +113,9 @@ def bits(a):
 
 @pytest.mark.parametrize("shape", [(64,), (32, 16)], ids=["1d", "2d"])
 class TestBatchAxes:
-    """Leading axes are a batch: every transform-based operation equals the
-    stack of its per-member results bit for bit."""
+    """Leading axes are a batch: every transform-based operation and every
+    norm equals the stack of its per-member results bit for bit, and a norm
+    of a single field is a Python float."""
 
     @pytest.fixture
     def grid_and_fields(self, shape):
@@ -127,7 +134,10 @@ class TestBatchAxes:
             out = op(g, field)
             for idx in np.ndindex(field.shape[: field.ndim - g.dim]):
                 member = out[(slice(None),) * lead + idx]
-                assert bits(member) == bits(op(g, field[idx]))
+                single = op(g, field[idx])
+                assert bits(member) == bits(single)
+                if name in NORMS:
+                    assert type(single) is float
 
     def test_divergence_batch_equals_members(self, grid_and_fields):
         g, _, vec = grid_and_fields

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scnls import Grid, limit, parse_config
+from scnls import Grid, cli, limit, parse_config
 from scnls.corrector import tilde_amplitude
 from scnls.errors import ConfigError, NumericalGuardError
 from scnls.grid import CHUNK_POINTS
@@ -451,6 +451,59 @@ class TestEvolve:
             assert limit_cfl == pytest.approx(3 * math.sqrt(2) / math.pi, rel=0.02)
             assert 2 * limit.CFL_NUMBER < limit_cfl
             assert limit.ADAPTIVE_CFL < limit_cfl
+
+
+def nan_at_stage(monkeypatch, stage: int) -> list:
+    """limit._rhs whose call number `stage` (from 0) returns NaN rows; one
+    entry per call."""
+    calls = []
+    rhs = limit._rhs
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        dR, dC = rhs(*args, **kwargs)
+        if len(calls) == stage + 1:
+            dR = np.full_like(dR, np.nan)
+        return dR, dC
+
+    monkeypatch.setattr(limit, "_rhs", spy)
+    return calls
+
+
+class TestNonfiniteStop:
+    """A step whose new state is not finite stops the run with status
+    'nonfinite': a fixed-step run raises there, an adaptive one returns."""
+
+    STAGE = 5  # stage 2 of the second step; calls 0-3 are the first step's
+
+    def test_fixed_step_raises(self, gaussian_data, monkeypatch):
+        calls = nan_at_stage(monkeypatch, self.STAGE)
+        with pytest.raises(NumericalGuardError, match="status 'nonfinite'"):
+            evolve_limit(gaussian_data, 2, 0.25, n_obs=5)
+        assert len(calls) == 8  # no stage after the second step
+
+    def test_adaptive_returns(self, gaussian_data, monkeypatch):
+        calls = nan_at_stage(monkeypatch, self.STAGE)
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=5, adaptive=True)
+        assert traj.status == "nonfinite"
+        assert len(calls) == 8
+        assert len(traj.step_times) == 2  # t = 0 and the first step
+        assert np.all(np.isfinite(traj.a)) and np.all(np.isfinite(traj.v))
+
+    def test_cli_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the limit command runs at a fixed step: exit 3, a numerical_guard
+        # record on stderr, and no summary
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "grid": {"N": 128, "L": 16.0},
+            "time": {"T": 0.04, "observation_count": 5}}))
+        out = tmp_path / "out"
+        nan_at_stage(monkeypatch, self.STAGE)
+        assert cli.main(["limit", str(path), "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "numerical_guard"
+        assert "status 'nonfinite'" in record["error"]["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
 
 
 def config_data(dim=1, n=512, length=16.0, sigma=2, T=0.25, n_obs=20,

@@ -149,6 +149,44 @@ class TestRunSweep:
         assert res.to_csv() == res_b.to_csv()
         assert res.to_json() == res_b.to_json()
 
+    @staticmethod
+    def spy_records(monkeypatch) -> list:
+        """The shape of the snapshot stack of each diagnostics_record call
+        the sweep makes from here on."""
+        import scnls.sweep as sweep
+        stacks = []
+        record = sweep.diagnostics_record
+
+        def spy(u, *args, **kwargs):
+            stacks.append(np.shape(u))
+            return record(u, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "diagnostics_record", spy)
+        return stacks
+
+    def test_one_record_call_per_rung(self, gaussian_data, monkeypatch):
+        # a 1-D rung's observation times fit one chunk: each rung takes its
+        # diagnostics in one call, on the stack of all its snapshots
+        stacks = self.spy_records(monkeypatch)
+        plan = SweepPlan(initial=gaussian_data, sigma=2,
+                         epsilon_list=(2.0**-2, 2.0**-3, 2.0**-4),
+                         final_time=0.05, n_obs=5)
+        run_sweep(plan)
+        assert stacks == [(5, *gaussian_data.grid.shape)] * 3
+
+    def test_chunked_rows_equal_unchunked(self, small_sweep, monkeypatch):
+        # a chunk bound of 4 nodes cuts each rung's 6 observation times into
+        # chunks of 4 and 2; the artifacts keep every byte
+        import scnls.sweep as sweep
+        plan, res = small_sweep
+        grid = plan.initial.grid
+        monkeypatch.setattr(sweep, "CHUNK_POINTS", 4 * grid.dim * grid.size)
+        stacks = self.spy_records(monkeypatch)
+        chunked = run_sweep(plan)
+        assert [s[0] for s in stacks] == [4, 2] * len(plan.epsilon_list)
+        assert chunked.to_csv() == res.to_csv()
+        assert chunked.to_json() == res.to_json()
+
     def test_csv_structure(self, small_sweep):
         _, res = small_sweep
         lines = res.to_csv().splitlines()
