@@ -27,7 +27,7 @@ snapshot, each the bits of that snapshot's own record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,29 +77,28 @@ class DiagnosticsRecord:
     a_eps: np.ndarray                    # filtered amplitude
     psi_eps: np.ndarray                  # grad a_eps, shape (dim, *shape)
     q_eps: np.ndarray
-    sobolev: dict = field(default_factory=dict)   # {"a_eps": {s: norm}, ...}
+    a_eps_hk: float | np.ndarray         # ||a_eps||_{H^k}
+    q_eps_hkm1: float | np.ndarray       # ||q_eps||_{H^(k-1)}
     modulated_energy: float | np.ndarray = 0.0
 
 
-def diagnostics_record(u: np.ndarray, t: float | np.ndarray, limit_state: LimitState,
-                       epsilon: float, sigma: int,
-                       sobolev_orders: tuple[float, ...] = ()) -> DiagnosticsRecord:
+def diagnostics_record(u: np.ndarray, limit_state: LimitState, epsilon: float,
+                       sigma: int, k: int) -> DiagnosticsRecord:
+    """The record of the wavefunction u (or a stack of snapshots) against
+    the limit state at its time, limit_state.time, with the uniform-bound
+    norms ||a_eps||_{H^k} and ||q_eps||_{H^(k-1)} of the order k >= 1."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     grid = limit_state.grid
     a_eps = modulate(u, limit_state.phi_total(), epsilon, grid)
-    a_eps_h = grid.fft(a_eps)  # for grad a_eps and its H^s norms
+    a_eps_h = grid.fft(a_eps)  # for grad a_eps and its H^k norm
     psi = grid.ifft(grid.spectral_gradient(a_eps_h))
     q = b_sigma(np.abs(a_eps) ** 2, np.abs(limit_state.a) ** 2, sigma) / epsilon
-    sob: dict = {"a_eps": {}, "q_eps": {}}
-    for s in sobolev_orders:
-        sob["a_eps"][s] = grid.sobolev_norm(a_eps_h, s, space="spectral")
-        if s >= 1:
-            sob["q_eps"][s - 1] = grid.sobolev_norm(q, s - 1)
     rec = DiagnosticsRecord(
-        time=t, epsilon=epsilon, sigma=sigma, a_eps=a_eps, psi_eps=psi,
-        q_eps=q, sobolev=sob,
-    )
+        time=limit_state.time, epsilon=epsilon, sigma=sigma, a_eps=a_eps,
+        psi_eps=psi, q_eps=q,
+        a_eps_hk=grid.sobolev_norm(a_eps_h, k, space="spectral"),
+        q_eps_hkm1=grid.sobolev_norm(q, k - 1))
     rec.modulated_energy = modulated_energy(rec, grid)
     return rec
 

@@ -75,11 +75,13 @@ def observation_steps(final_time: float, n_obs: int, dt: float,
     uniform intervals of [0, final_time] is cut into ceil(interval/dt)
     equal steps, dt rounded down to divide it.  The split step cuts its
     observation intervals so; the limit takes n_obs = 2, steps over the
-    whole horizon and interpolates its nodes.  n_obs < 2 raises; so does,
-    with the caller's key, a dt that is not positive and finite or a run of
-    more than MAX_STEPS steps in all."""
+    whole horizon and interpolates its nodes.  n_obs < 2 and a final_time
+    that is not positive (key time.T) raise; so does, with the caller's
+    key, a dt that is not positive and finite or over MAX_STEPS steps."""
     if n_obs < 2:
         raise ConfigError("time.observation_count", f"n_obs must be >= 2, got {n_obs}")
+    if not final_time > 0.0:
+        raise ConfigError("time.T", f"final_time must be positive, got {final_time}")
     if not 0.0 < dt < math.inf:
         raise ConfigError(key, f"time step must be positive and finite, got {dt}")
     delta = final_time / (n_obs - 1)

@@ -92,10 +92,6 @@ class LimitState:
     phi1: np.ndarray | None = None  # corrector pair, if the run carried it
     w: np.ndarray | None = None
 
-    @property
-    def rho(self) -> np.ndarray:
-        return np.abs(self.a) ** 2
-
     def phi_total(self) -> np.ndarray:
         """Phase samples including the linear (non-periodic) part."""
         k = np.reshape(self.phi_wavevector, (-1,) + (1,) * self.grid.dim)
@@ -220,15 +216,14 @@ def _grid_fields(y, grid: Grid, step: bool = False) -> list:
     return [grid.irfft(real), cplx]
 
 
-def rk4_step(rhs, y: tuple, dt: float, k1: tuple | None = None) -> tuple:
-    """One classical RK4 step for a tuple of fields.  ``rhs(y, c)`` returns
-    the tuple of time derivatives at stage time t + c*dt, c in {0, 1/2, 1};
-    k1, if given, is the caller's rhs(y, 0.0)."""
+def rk4_step(rhs, y: tuple, dt: float, k1: tuple) -> tuple:
+    """One classical RK4 step of the autonomous system y' = rhs(y) for a
+    tuple of fields; k1 is the caller's rhs(y), the first stage (evolve_limit
+    makes it from the step's grid pass)."""
     h = 0.5 * dt
-    k1 = rhs(y, 0.0) if k1 is None else k1
-    k2 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k1)), 0.5)
-    k3 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k2)), 0.5)
-    k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)), 1.0)
+    k2 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k1)))
+    k3 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k2)))
+    k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
     w = dt / 6.0
     return tuple(yi + w * (a + 2 * b + 2 * c + d)
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
@@ -294,39 +289,38 @@ def evolve_limit(
     initial cfl_step: CFL_NUMBER*min(dx)/speed, speed = max|v| +
     sqrt((sigma+1)*max rho^sigma) (the phase is integrated with the flow,
     so the step needs no further margin), or ADAPTIVE_CFL/dim*min(dx)/speed
-    with adaptive=True.  A dt that is not positive and finite, or more than
-    grid.MAX_STEPS of these steps, raises ConfigError (time.T) before the
-    first step, in fixed and adaptive runs alike.  A fixed-step run takes
-    these steps, the last ending on final_time exactly; adaptive=True, for
-    the instability demos, re-derives its cfl_step every step, capped at
-    the first one and at the time left: set for accuracy, it stays inside
-    RK4's stability limit in any dimension (cfl_step).  Neither depends on
-    n_obs.  One node rule: node i is the state at np.linspace(0,
-    final_time, n_obs)[i], the time of snapshot i of evolve_nls: on a
-    step's end that step's state, inside a step the cubic Hermite
-    interpolant of the spectral states and derivatives at its ends (the
-    end derivative is the next step's first RK4 stage, or one more
-    right-hand side after the last step).  A completed run stores exactly
-    n_obs nodes (default 2: the start and the end), a stopped one those up
-    to its last step.  The per-step scalars (grad_v_max, ...) cover every
-    step; they, the finiteness check and the nodes on step ends come from
-    one grid pass of the step's state, which then feeds the next step's
-    first RK4 stage.  Given a1, the run also carries the corrector pair
-    (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
-    its states carry it (None without a1).  Fields of init and a1 of shape
-    (*batch, *grid.shape) are independent runs integrated as one, stored
-    with their batch axes.  The members share the step, the
-    status and the per-step scalars (each a max over the members): one
-    member breaking the CFL bound or going non-finite stops them all.  A
-    fixed-step run is expected to complete, so its stop raises
-    NumericalGuardError: status "cfl" once its CFL number passes
-    2*CFL_NUMBER, "nonfinite" or "grad_stop" (max|grad v| over grad_stop).
-    An adaptive run returns its trajectory up to the stop, with one of
-    those or "dt_floor" once its CFL step falls below DT_FLOOR_FACTOR times
-    the first.  n_obs < 2,
-    initial data without a finite wave speed, and nodes (of every batch
-    member) over grid.MAX_STORED_BYTES raise ConfigError before the run
-    starts.
+    with adaptive=True.  A fixed-step run takes these steps, the last
+    ending on final_time exactly; adaptive=True, for the instability demos,
+    re-derives its cfl_step every step, capped at the first one and at the
+    time left: set for accuracy, it stays inside RK4's stability limit in
+    any dimension (cfl_step).  Neither depends on n_obs.  One node rule:
+    node i is the state at np.linspace(0, final_time, n_obs)[i], the time
+    of snapshot i of evolve_nls: on a step's end that step's state, inside
+    a step the cubic Hermite interpolant of the spectral states and
+    derivatives at its ends (the end derivative is the next step's first
+    RK4 stage, or one more right-hand side after the last step).  A
+    completed run stores exactly n_obs nodes (default 2: the start and the
+    end), a stopped one those up to its last step.  The per-step scalars
+    (grad_v_max, ...) cover every step; they, the finiteness check and the
+    nodes on step ends come from one grid pass of the step's state, which
+    then feeds the next step's first RK4 stage.  Given a1, the run also
+    carries the corrector pair (phi1, w) from (0, a1): the trajectory
+    stores it as its phi1 and w, and its states carry it (None without
+    a1).  Fields of init and a1 of shape (*batch, *grid.shape) are
+    independent runs integrated as one, stored with their batch axes.  The
+    members share the step, the status and the per-step scalars (each a
+    max over the members): one member breaking the CFL bound or going
+    non-finite stops them all.  A fixed-step run is expected to complete,
+    so its stop raises NumericalGuardError: status "cfl" once its CFL
+    number passes 2*CFL_NUMBER = 1.0 or, in 2-D, RK4's own limit
+    3*sqrt(2)/(pi*dim) = 0.675 (cfl_step), "nonfinite" or "grad_stop"
+    (max|grad v| over grad_stop).  An adaptive run returns its trajectory
+    up to the stop, with one of those or "dt_floor" once its CFL step falls
+    below DT_FLOOR_FACTOR times the first.  Before the first step, fixed or
+    adaptive, ConfigError refuses sigma < 1, n_obs < 2, nodes (of every
+    batch member) over grid.MAX_STORED_BYTES, initial data without a
+    finite wave speed, and (key time.T) a final_time that is not positive,
+    a dt that is not positive and finite or more than grid.MAX_STEPS steps.
     """
     if sigma < 1:
         raise ConfigError("physics.sigma", f"sigma must be >= 1, got {sigma}")
@@ -372,6 +366,8 @@ def evolve_limit(
     m, dt = observation_steps(final_time, 2, dt_cfl0 if dt is None else dt,
                               "time.T")
     dt_floor = DT_FLOOR_FACTOR * min(dt, dt_cfl0)
+    # a fixed-step run's stop: 2*CFL_NUMBER, or RK4's own limit where lower
+    cfl_stop = min(2.0 * CFL_NUMBER, 3.0 * math.sqrt(2.0) / (math.pi * d))
     obs = np.linspace(0.0, final_time, n_obs)  # node i's time
 
     nodes0 = (real[:d], *cplx[0, :2], phi0)
@@ -415,7 +411,7 @@ def evolve_limit(
     record_scalars(real, cplx, dt, speed)
     del real, cplx, nodes0  # the pass lives on in grid_pass only
 
-    def rhs(y, c, grid_pass=None):
+    def rhs(y, grid_pass=None):
         # looked up as a module attribute at every stage (and corrector._rhs
         # inside it), so a wrapper installed on either one sees every call
         return _rhs(y, grid, sigma, pressure_sign, mask, grid_pass)
@@ -434,17 +430,17 @@ def evolve_limit(
             step_dt = min(dt_cfl, dt, final_time - t)
         else:
             step_dt = dt
-            if step_dt * speed / dx_min > 2.0 * CFL_NUMBER:
+            if step_dt * speed / dx_min > cfl_stop:
                 status = "cfl"
                 break
 
         # stage 1 forms its products from the step's grid pass and drops
         # it; it is also the end derivative of the last step's interpolant
-        y0, f0, t0 = y, rhs(y, 0.0, grid_pass), t
+        y0, f0, t0 = y, rhs(y, grid_pass), t
         if inside:
             store_inside(*inside, y0, f0)
             inside = None
-        y = rk4_step(rhs, y0, step_dt, k1=f0)
+        y = rk4_step(rhs, y0, step_dt, f0)
         n += 1
         # a fixed run takes m steps of dt and ends on final_time exactly;
         # so does the adaptive step that reaches it within roundoff
@@ -479,7 +475,7 @@ def evolve_limit(
         raise NumericalGuardError(
             f"limit solver stopped at t={t:.6g} with status {status!r}")
     if inside:  # the last step's inner nodes take one more stage 1
-        store_inside(*inside, y, rhs(y, 0.0, grid_pass))
+        store_inside(*inside, y, rhs(y, grid_pass))
 
     def pack(seq) -> np.ndarray:
         out = np.asarray(seq)
@@ -544,7 +540,7 @@ def euler_invariants(state: LimitState, sigma: int) -> EulerInvariants:
     """Mass, energy, momentum, pseudo-conformal quantity, mass center,
     total pressure of a limit snapshot (defocusing sign conventions)."""
     grid = state.grid
-    rho = state.rho
+    rho = np.abs(state.a) ** 2
     t = state.time
     v = state.v
     v2 = np.sum(v**2, axis=0)

@@ -73,6 +73,10 @@ DT_EXPONENT = 1.0
 
 @dataclass(frozen=True)
 class NLSConfig:
+    """One wavefunction run's settings, checked when made: ConfigError for
+    a dt0 or dt_override not positive and finite (time.dt0, before any
+    step is derived from it) or a final_time not positive (time.T)."""
+
     grid: Grid
     epsilon: float
     sigma: int
@@ -90,15 +94,16 @@ class NLSConfig:
             raise ConfigError("physics.epsilon", f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.sigma < 1:
             raise ConfigError("physics.sigma", f"sigma must be >= 1, got {self.sigma}")
-        if self.final_time <= 0:
-            raise ConfigError("time.T", "final_time must be positive")
+        for step in (self.dt0, self.dt_override):
+            if step is not None and not 0.0 < step < math.inf:
+                raise ConfigError("time.dt0", f"time step must be positive and finite, got {step}")
+        observation_steps(self.final_time, 2, self.dt_raw, "physics.epsilon")
         # an explicit step, and the strang law step, must be shorter than
         # the horizon; the longer yoshida4 law step is cut to the
         # observation interval
         if ((self.dt_override is not None or self.scheme == "strang")
                 and self.dt_raw >= self.final_time):
             raise ConfigError("time.dt0", "time step must be smaller than final_time")
-        observation_steps(self.final_time, 2, self.dt_raw, "physics.epsilon")
 
     @property
     def dt_raw(self) -> float:

@@ -153,9 +153,7 @@ _BAD_VALUE = (TypeError, ValueError, IndexError, ArithmeticError)
 
 
 def _numbers(value):
-    """Every number in a parameter value, through nested lists and dicts."""
-    if isinstance(value, dict):
-        value = list(value.values())
+    """Every number in a parameter value, through nested lists."""
     if isinstance(value, (list, tuple)):
         for v in value:
             yield from _numbers(v)

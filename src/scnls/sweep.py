@@ -184,8 +184,7 @@ def _sweep_row(traj: NLSTrajectory,
     eps, sigma = traj.epsilon, traj.sigma
     chunks = []
     for nodes, ls, a_tilde in limit_chunks:
-        rec = diagnostics_record(np.stack(traj.states[nodes]), traj.times[nodes],
-                                 ls, eps, sigma, sobolev_orders=(float(k),))
+        rec = diagnostics_record(np.stack(traj.states[nodes]), ls, eps, sigma, k)
         # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
         diff2 = rec.a_eps - a_tilde
         diff1 = rec.a_eps - ls.a
@@ -196,8 +195,8 @@ def _sweep_row(traj: NLSTrajectory,
             "err_two_term_sup": grid.lebesgue_norm(diff2, sup_p),
             "err_one_term_l2": grid.l2_norm(diff1),
             "err_one_term_sup": grid.lebesgue_norm(diff1, sup_p),
-            "a_eps_hk": rec.sobolev["a_eps"][float(k)],
-            "q_eps_hkm1": rec.sobolev["q_eps"][float(k) - 1],
+            "a_eps_hk": rec.a_eps_hk,
+            "q_eps_hkm1": rec.q_eps_hkm1,
             "pos_gap_lsp1": dm.pos_err_lsp1,
             "pos_gap_pow": per_value(lambda x: x ** (sigma + 1), dm.pos_err_lsp1),
             "cur_transport_lsp1": dm.cur_err_transport,

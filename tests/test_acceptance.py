@@ -217,8 +217,8 @@ def test_07_transport_identity(acceptance_data):
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=t_end,
                         self_check=False)
         traj = evolve_nls(u0, cfg, n_obs)
-        recs = [diagnostics_record(u, float(t), ltraj.state(i), eps, sigma)
-                for i, (t, u) in enumerate(zip(traj.times, traj.states))]
+        recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+                for i, u in enumerate(traj.states)]
         st = ltraj.state(mid)
         r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2],
                                   st, 2 * h, g)

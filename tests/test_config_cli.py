@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from scnls import cli, limit
+from scnls import Grid, cli, limit
 from scnls.config import parse_config
 from scnls.errors import ConfigError
 from scnls.grid import MAX_STEPS
 from scnls.limit import evolve_limit
+from scnls.presets import InitialData
 
 from conftest import hash_of_csv, hash_of_json, subprocess_env
 
@@ -48,6 +49,14 @@ MALFORMED = [
     ('{"grid": {"dim": 2, "N": 1048576}}', "grid.N", "simulate"),
     # the breakdown hunt runs on the grid's own cell: no second way to set it
     ('{"blowup": {"grid_length": 16.0}}', "blowup.grid_length", "blowup"),
+    # an integer too large for a float is no finite number (not exit 4)
+    ('{"time": {"T": 1' + '0' * 400 + '}}', "time.T", "simulate"),
+    # no preset takes a mapping: refused by the preset itself
+    ('{"initial": {"a0_params": {"center": {"x": NaN}}}}', "initial.a0_preset",
+     "simulate"),
+    ('{"initial": {"a0_params": {"width": {"x": 1.0}}}}', "initial.a0_preset",
+     "simulate"),
+    ('{"seed": "x"}', "seed", "simulate"),
 ]
 
 # the column header of each command's CSV table; the commands take the
@@ -152,6 +161,13 @@ class TestParseConfig:
             parse_config(text)
         assert err.value.key == key
 
+    def test_document_seed(self):
+        # the document's own seed key, as --seed gives it: echoed only
+        cfg = parse_config('{"seed": 7}')
+        assert cfg.seed == 7
+        assert cfg.effective()["seed"] == 7
+        assert parse_config("{}").seed is None
+
     def test_2d_axis_lists(self):
         cfg = parse_config('{"grid": {"dim": 2, "N": [32, 64], "L": [4.0, 8.0]}}')
         assert cfg.n == (32, 64)
@@ -199,6 +215,25 @@ class TestPresets:
         assert np.all(phi[r < 2.0] > 0.0)
         assert np.max(phi) == 0.5  # the peak, at the grid point x = 0
         assert data.phi0_wavevector == (0.0,) * g.dim
+
+    @pytest.mark.parametrize("change, key", [
+        ({"a0": np.zeros(32, complex)}, "initial.a0"),
+        ({"a1": np.zeros((2, 32), complex)}, "initial.a1"),
+        ({"phi0_periodic": np.zeros(16)}, "initial.phi0_periodic"),
+        ({"phi0_periodic": np.zeros(64, complex)}, "initial.phi0"),
+        ({"phi0_wavevector": (0.0, 0.0)}, "initial.phi0"),
+    ])
+    def test_initial_data_checked(self, change, key):
+        # fields end in the grid shape (leading batch axes allowed), the
+        # phase is real, and the wavevector has one component per axis
+        g = Grid(64, 8.0)
+        fields = {"a0": np.ones(g.shape, complex),
+                  "a1": np.zeros((3, *g.shape), complex),
+                  "phi0_periodic": np.zeros(g.shape), "phi0_wavevector": (0.0,)}
+        InitialData(grid=g, **fields)
+        with pytest.raises(ConfigError) as err:
+            InitialData(grid=g, **{**fields, **change})
+        assert err.value.key == key
 
 
 def run_cli(args, cwd):
@@ -343,6 +378,80 @@ class TestCliCommands:
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "# columns: " + columns
         assert lines[3] == columns
+
+    # the files each command writes with no output format asked for
+    BARE_FILES = {
+        "simulate": ["effective_config.json", "summary.json"],
+        "limit": ["effective_config.json", "summary.json"],
+        "corrector": ["effective_config.json", "summary.json"],
+        "sweep": ["effective_config.json"],
+        "conserve": ["effective_config.json", "summary.json"],
+        "blowup": ["blowup.json", "effective_config.json"],
+        "focusing-demo": ["effective_config.json", "focusing.json"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(BARE_FILES))
+    def test_no_formats_no_tables(self, tiny_config, tmp_path, command):
+        # "formats": [] asks for no CSV table, no sweep report and no
+        # snapshots; the summaries and demo reports are always written
+        path, _ = tiny_config
+        doc = json.loads(path.read_text())
+        doc["output"]["formats"] = []
+        doc["blowup"] = {"max_time": 1.0, "amplitudes": [0.5]}
+        doc["focusing"] = {"wavenumbers": [2], "window": 0.05}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "bare"
+        assert cli.main([command, str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == self.BARE_FILES[command]
+
+    def test_simulate_zero_data(self, tmp_path):
+        # u0 = 0 stays 0: the step-doubling check passes at error 0, the
+        # drifts are 0 and the support tail of no mass is 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "grid": {"N": 64, "L": 16.0},
+            "time": {"T": 0.04, "observation_count": 3},
+            "initial": {"a0_preset": "zero"}}))
+        out = tmp_path / "zero"
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["self_check_ok"] is True
+        assert summary["self_check_error"] == 0.0
+        assert summary["mass_drift_rel"] == summary["energy_drift_rel"] == 0.0
+        lines = (out / "invariants.csv").read_text().splitlines()
+        columns = lines[3].split(",")
+        for row in lines[4:]:
+            cells = dict(zip(columns, row.split(",")))
+            assert float(cells["boundary_tail"]) == 0.0
+            assert cells["support_ok"] == "true"
+
+    def test_sweep_shared_phase_ratio_exit_2(self, tmp_path, capsys):
+        # a linear phase is snapped once, at the largest epsilon, for the
+        # whole ladder: 0.3/0.2 is no integer ratio
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({
+            "grid": {"N": 64, "L": 16.0},
+            "physics": {"epsilon_list": [0.3, 0.2, 0.1]},
+            "time": {"T": 0.04, "observation_count": 3},
+            "initial": {"phi0_preset": "linear"}}))
+        out = tmp_path / "linear"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["key"] == "physics.epsilon_list"
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
+
+    def test_report_without_rows(self, tmp_path, capsys):
+        # a sweep report with no rows prints its header and fits, and no
+        # empty table
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "plan": {"sigma": 2, "final_time": 0.1}, "k_order": 2, "rows": [],
+            "fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0}}}))
+        assert cli.main(["report", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("sweep report: sigma=2")
+        assert lines[1].startswith("k_order=2")
+        assert lines[2:] == ["fit two_term_l2: slope=1.0000 r2=1.00000"]
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

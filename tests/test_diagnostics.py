@@ -123,8 +123,8 @@ def sigma2_run(gaussian_data):
     cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                     self_check=False)
     traj = evolve_nls(u0, cfg, n_obs)
-    recs = [diagnostics_record(u, float(t), ltraj.state(i), eps, sigma)
-            for i, (t, u) in enumerate(zip(traj.times, traj.states))]
+    recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+            for i, u in enumerate(traj.states)]
     return g, ltraj, traj, recs, obs
 
 
@@ -148,7 +148,7 @@ class TestResidualTransport:
         recs = []
         for i, t in enumerate((0.0, h, 2 * h)):
             u = A * np.exp(1j * (k * x - omega * t) / eps)
-            recs.append(diagnostics_record(u, t, ltraj.state(i), eps, sigma))
+            recs.append(diagnostics_record(u, ltraj.state(i), eps, sigma, 2))
         res = residual_transport(recs[0], recs[1], recs[2],
                                  ltraj.state(1), h, grid_1d)
         assert res < 1e-10
@@ -177,8 +177,8 @@ class TestResidualTransport:
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                         self_check=False)
         traj = evolve_nls(u0, cfg, obs.size)
-        recs = [diagnostics_record(u, float(t), ltraj.state(i), eps, sigma)
-                for i, (t, u) in enumerate(zip(traj.times, traj.states))]
+        recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+                for i, u in enumerate(traj.states)]
         mid = 6
         st = ltraj.state(mid)
         res = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
@@ -222,7 +222,7 @@ class TestModulatedEnergy:
         ltraj = evolve_limit(data, 2, 0.02, n_obs=3)
         ltraj.phi_periodic
         u = np.full(grid_1d.shape, np.sqrt(rho0), complex)
-        rec = diagnostics_record(u, 0.0, ltraj.state(0), 0.25, 2)
+        rec = diagnostics_record(u, ltraj.state(0), 0.25, 2, 2)
         assert rec.modulated_energy == pytest.approx(rho0 * L, rel=1e-12)
 
     def test_matches_norm_sum(self, sigma2_run):
@@ -283,7 +283,7 @@ class TestDensityMetrics:
         ltraj.phi_periodic
         st = ltraj.state(0)
         u = np.full(grid_1d.shape, 0.8, complex)
-        rec = diagnostics_record(u, 0.0, st, 0.25, 2)
+        rec = diagnostics_record(u, st, 0.25, 2, 2)
         dm = density_metrics(rec, st, 2, 0.25)
         assert dm.pos_err_lsp1 == 0.0
         assert dm.cur_err_transport == 0.0
@@ -303,7 +303,7 @@ class TestDensityMetrics:
             cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
                             self_check=False)
             u = evolve_nls(u0, cfg).states[-1]
-            rec = diagnostics_record(u, T, st, eps, sigma)
+            rec = diagnostics_record(u, st, eps, sigma, 2)
             out[eps] = density_metrics(rec, st, sigma, eps)
         ratio_pos = out[2.0**-3].pos_err_lsp1 / out[2.0**-5].pos_err_lsp1
         ratio_cur = out[2.0**-3].cur_err_l1 / out[2.0**-5].cur_err_l1
@@ -318,21 +318,19 @@ def assert_stack_matches_records(ltraj, traj, eps, sigma):
         return np.ascontiguousarray(a).tobytes()
 
     nodes = ltraj.state(slice(None))
-    stack = diagnostics_record(np.stack(traj.states), traj.times, nodes, eps,
-                               sigma, sobolev_orders=(2.0,))
+    stack = diagnostics_record(np.stack(traj.states), nodes, eps, sigma, 2)
     gaps = density_metrics(stack, nodes, sigma, eps)
     if ltraj.phi1 is not None:
         a_tilde = tilde_amplitude(nodes)
     for i, u in enumerate(traj.states):
         st = ltraj.state(i)
-        rec = diagnostics_record(u, float(traj.times[i]), st, eps, sigma,
-                                 sobolev_orders=(2.0,))
+        rec = diagnostics_record(u, st, eps, sigma, 2)
         assert bits(stack.a_eps[i]) == bits(rec.a_eps)
         assert bits(stack.psi_eps[:, i]) == bits(rec.psi_eps)
         assert bits(stack.q_eps[i]) == bits(rec.q_eps)
-        for name, norms in rec.sobolev.items():
-            for s, value in norms.items():
-                assert stack.sobolev[name][s][i] == value
+        assert stack.time[i] == rec.time
+        assert stack.a_eps_hk[i] == rec.a_eps_hk
+        assert stack.q_eps_hkm1[i] == rec.q_eps_hkm1
         assert stack.modulated_energy[i] == rec.modulated_energy
         one = density_metrics(rec, st, sigma, eps)
         for f in fields(one):
@@ -373,8 +371,17 @@ class TestRecordInvariants:
         rec = recs[10]
         u = traj.states[10]
         assert np.max(np.abs(np.abs(rec.a_eps) - np.abs(u))) < 1e-13
-        r = diagnostics_record(u, rec.time, ltraj.state(10),
-                               rec.epsilon, rec.sigma, sobolev_orders=(2.0,))
-        assert 2.0 in r.sobolev["a_eps"]
-        assert 1.0 in r.sobolev["q_eps"]
-        assert r.sobolev["a_eps"][2.0] >= g.l2_norm(r.a_eps) * (1 - 1e-12)
+        # the record's time is its limit node's, that of snapshot 10 to the bit
+        assert rec.time == ltraj.times[10] == traj.times[10]
+        assert rec.a_eps_hk == g.sobolev_norm(rec.a_eps, 2.0)
+        assert rec.q_eps_hkm1 == g.sobolev_norm(rec.q_eps, 1.0)
+        assert rec.a_eps_hk >= g.l2_norm(rec.a_eps) * (1 - 1e-12)
+
+    def test_epsilon_not_positive_refused(self, sigma2_run):
+        g, ltraj, traj, recs, obs = sigma2_run
+        u, st = traj.states[0], ltraj.state(0)
+        for eps in (0.0, -0.25):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                diagnostics_record(u, st, eps, 2, 2)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                q_g_fields(u, st.a, eps, 2)

@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Grid((16, 16, 16), 1.0, dim=3)
 
+    @pytest.mark.parametrize("n, length, dim", [
+        ((16, 16), 1.0, 1), (16, (1.0, 2.0), 1), (16, (1.0, 2.0, 3.0), 2)])
+    def test_rejects_axes_not_matching_dim(self, n, length, dim):
+        with pytest.raises(ValueError, match="n/length do not match dim"):
+            Grid(n, length, dim=dim)
+
     def test_2d_tensor_product(self):
         g = Grid((32, 16), (2.0, 4.0))
         assert g.dim == 2
@@ -88,6 +94,14 @@ class TestDerivative:
         div = g.divergence(vec)
         expected = np.cos(x) * np.cos(2 * y) - 4 * np.sin(x) * np.sin(2 * y)
         assert np.max(np.abs(div.real - expected)) < 1e-11
+
+    @pytest.mark.parametrize("shape", [(32, 32), (3, 32, 32), (1, 2, 32, 32)])
+    def test_divergence_needs_dim_components(self, shape):
+        # a scalar field, or a stack whose first axis is not the dim
+        # components, is no vector field
+        g = Grid((32, 32), 2 * np.pi)
+        with pytest.raises(GridMismatchError, match="does not start with dim 2"):
+            g.divergence(np.zeros(shape))
 
 
 BATCH_OPS = {
@@ -296,6 +310,10 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             grid_1d.sobolev_norm(np.zeros(grid_1d.shape), -1.0)
 
+    def test_unknown_space_rejected(self, grid_1d):
+        with pytest.raises(ValueError, match="unknown space 'fourier'"):
+            grid_1d.sobolev_norm(np.zeros(grid_1d.shape), 1.0, space="fourier")
+
 
 class TestLebesgueNorm:
     def test_constant(self, grid_1d):
@@ -358,3 +376,7 @@ class TestBoundaryTail:
         f = np.zeros(grid_wide.shape)
         f[0] = 1.0
         assert grid_wide.boundary_tail_fraction(f) == pytest.approx(1.0)
+
+    def test_zero_field_has_no_tail(self, grid_wide):
+        # no mass, no tail: 0.0, not 0/0 (the invariants of zero data)
+        assert grid_wide.boundary_tail_fraction(np.zeros(grid_wide.shape)) == 0.0

@@ -153,6 +153,24 @@ class TestEvolve:
         assert err.value.key == "time.T"
         assert calls == []
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+    def test_horizon_not_positive_refused(self, monkeypatch, T, adaptive):
+        # unrefused, a horizon of 0 "completes" with 1 of its 5 nodes and a
+        # step of 0 (-1 with T = -1): grid.observation_steps refuses it with
+        # key time.T before the first step
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(constant_state_data(Grid(64, 16.0)), 2, T, n_obs=5,
+                         adaptive=adaptive)
+        assert err.value.key == "time.T"
+        assert calls == []
+
+    def test_sigma_below_one_refused(self, grid_1d):
+        with pytest.raises(ConfigError) as err:
+            evolve_limit(constant_state_data(grid_1d), 0, 0.1)
+        assert err.value.key == "physics.sigma"
+
     def test_a1_shape_mismatch_refused(self, gaussian_data, monkeypatch):
         # the corrector's a1 must match a0 (with its batch axes), checked
         # before the first step
@@ -438,8 +456,9 @@ class TestEvolve:
             assert 14.0 <= g.l2_norm(n1 - n2) / g.l2_norm(n2 - n4) <= 18.0
 
     def test_fixed_step_stop_below_rk4_limit(self):
-        # a fixed-step run stops (status "cfl") once its CFL number passes
-        # 2*CFL_NUMBER = 1.0; that stop must lie below RK4's stability limit
+        # a 1-D fixed-step run stops (status "cfl") once its CFL number
+        # passes 2*CFL_NUMBER = 1.0 (TestFixedStepCflStop has the 2-D
+        # stop); that stop must lie below RK4's stability limit
         # 2*sqrt(2) on the imaginary axis, reached in 1-D at the largest
         # wavenumber of the 2/3 band: a CFL number of about 3*sqrt(2)/pi =
         # 1.35.  So must ADAPTIVE_CFL, the adaptive runs' CFL number in 1-D
@@ -451,6 +470,50 @@ class TestEvolve:
             assert limit_cfl == pytest.approx(3 * math.sqrt(2) / math.pi, rel=0.02)
             assert 2 * limit.CFL_NUMBER < limit_cfl
             assert limit.ADAPTIVE_CFL < limit_cfl
+
+
+class TestFixedStepCflStop:
+    """A fixed-step run stops (status 'cfl') once its CFL number passes
+    min(2*CFL_NUMBER, 3*sqrt(2)/(pi*dim)): 1.0 in 1-D, and 0.675 in 2-D,
+    where the symbol bound of cfl_step, dim*(2*pi/3)/min(dx) x speed, times
+    the step reaches RK4's imaginary-axis limit 2*sqrt(2)."""
+
+    @staticmethod
+    def drifting_data(dim):
+        # |a| = 0.1 moving at velocity (1, ..., 1) plus band-limited noise of
+        # size 1e-6 on a 32-point torus, and the step per unit CFL number
+        g = Grid((32,) * dim, (2 * np.pi,) * dim)
+        rng = np.random.default_rng(0)
+        noise = g.dealias(rng.standard_normal(g.shape)
+                          + 1j * rng.standard_normal(g.shape))
+        a0 = 0.1 + 1e-6 * noise / np.max(np.abs(noise))
+        data = InitialData(grid=g, a0=a0, a1=np.zeros(g.shape, complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(1.0,) * dim)
+        speed = 1.0 + math.sqrt(3.0) * float(np.max(np.abs(a0))) ** 2
+        return data, min(g.dx) / speed
+
+    @pytest.mark.parametrize("dim, cfl", [(1, 0.99), (2, 0.5), (2, 0.6)])
+    def test_below_the_stop_completes(self, dim, cfl):
+        data, dt_per_cfl = self.drifting_data(dim)
+        dt = cfl * dt_per_cfl
+        traj = evolve_limit(data, 2, 12 * dt, dt=dt)
+        assert traj.status == "completed"
+        assert len(traj.step_times) == 13
+        assert np.max(traj.cfl_numbers) == pytest.approx(cfl, rel=1e-5)
+        # the noise stays put: max|grad v| from 0 to about 2e-7
+        assert np.max(traj.grad_v_max) < 1e-6
+
+    @pytest.mark.parametrize("dim, cfl", [(1, 1.01), (2, 0.7), (2, 0.9)])
+    def test_above_the_stop_raises_at_first_step(self, dim, cfl, monkeypatch):
+        # past RK4's limit the band's noise grows: at CFL 0.9 in 2-D, 12
+        # steps take max|grad v| from 0 to 0.106 (against 2.4e-7 at 0.6)
+        data, dt_per_cfl = self.drifting_data(dim)
+        dt = cfl * dt_per_cfl
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(NumericalGuardError, match=r"t=0 with status 'cfl'"):
+            evolve_limit(data, 2, 12 * dt, dt=dt)
+        assert calls == []
 
 
 def nan_at_stage(monkeypatch, stage: int) -> list:
@@ -489,6 +552,18 @@ class TestNonfiniteStop:
         assert len(calls) == 8
         assert len(traj.step_times) == 2  # t = 0 and the first step
         assert np.all(np.isfinite(traj.a)) and np.all(np.isfinite(traj.v))
+
+    def test_monitor_dates_the_stop(self, gaussian_data, monkeypatch):
+        # the run stops below the breakdown threshold: blowup_monitor still
+        # flags breakdown, at the run's last step
+        nan_at_stage(monkeypatch, self.STAGE)
+        traj = evolve_limit(gaussian_data, 2, 0.25, n_obs=5, adaptive=True)
+        threshold = limit.breakdown_threshold(traj.grid, traj.v[0], traj.S[0], 2)
+        assert np.all(traj.grad_v_max <= threshold)
+        report = blowup_monitor(traj)
+        assert report.breakdown_flag
+        assert report.status == "nonfinite"
+        assert report.t_estimate == traj.step_times[-1] > 0.0
 
     def test_cli_limit_exit_3(self, tmp_path, monkeypatch, capsys):
         # the limit command runs at a fixed step: exit 3, a numerical_guard
@@ -803,32 +878,10 @@ class TestRK4Step:
     def test_taylor_polynomial_of_linear_growth(self):
         # y' = y: one RK4 step is the degree-4 Taylor polynomial of exp(h)
         h = 0.1
-        (y,) = rk4_step(lambda y, c: (y[0],), (np.array([1.0]),), h)
+        y0 = (np.array([1.0]),)
+        (y,) = rk4_step(lambda y: (y[0],), y0, h, y0)
         assert y[0] == pytest.approx(1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24,
                                      rel=1e-15)
-
-    def test_stage_fractions_integrate_cubic_exactly(self):
-        # y' = (t0 + c*h)^3 with y untouched: RK4 reduces to Simpson's rule,
-        # exact for cubics, so the stage fraction c must be passed through
-        t0, h = 0.3, 0.2
-        (y, z) = rk4_step(lambda y, c: ((t0 + c * h) ** 3, 0.0 * y[1]),
-                          (0.0, np.ones(2)), h)
-        assert y == pytest.approx(((t0 + h) ** 4 - t0**4) / 4, rel=1e-14)
-        np.testing.assert_array_equal(z, np.ones(2))
-
-    def test_given_first_stage_is_bitwise_the_same(self):
-        # the caller's k1 = rhs(y, 0.0), here a joint limit stage, gives the
-        # step's own bits
-        grid = Grid(256, 16.0)
-        y = spectral(joint_state(grid), grid)
-
-        def rhs(y, c):
-            return limit._rhs(y, grid, 2, 1, grid.dealias_mask)
-
-        given = rk4_step(rhs, y, 0.01, k1=rhs(y, 0.0))
-        for got, want in zip(given, rk4_step(rhs, y, 0.01)):
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()
 
 
 class TestPhase:
@@ -996,6 +1049,21 @@ class TestBlowup:
         assert traj.v.shape[0] == traj.a.shape[0] == 1
         assert blowup_monitor(traj).t_estimate == traj.step_times[-1]
 
+    @pytest.mark.parametrize("max_time", [0.0, -1.0])
+    def test_horizon_refused_under_its_key(self, max_time, monkeypatch,
+                                           tmp_path):
+        # past the config's own check (bypassed here), evolve_limit's
+        # refusal of the horizon reaches the blowup command as
+        # blowup.max_time, before any step
+        cfg = parse_config(json.dumps({"grid": {"N": 64, "L": 16.0}}))
+        monkeypatch.setattr(cli, "demo_options", lambda values, section: {
+            "max_time": max_time, "amplitudes": [0.5], "radius": 3.0})
+        calls = spy_rhs(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            cli.cmd_blowup(cfg, tmp_path)
+        assert err.value.key == "blowup.max_time"
+        assert calls == []
+
     @pytest.mark.parametrize("shape, lengths", [(128, 10.0),
                                                 ((32, 16), (10.0, 8.0))])
     def test_gradient_scale_matches_v_scalars(self, shape, lengths):
@@ -1129,7 +1197,7 @@ class TestFocusingDemo:
             "'dt_floor'" in str(err.value)
         assert len(focusing_demo(background, [32], 2, pressure_sign=-1)) == 1
 
-    @pytest.mark.parametrize("window", [1e-300, 1e-100, 8.6e-3, 0.012])
+    @pytest.mark.parametrize("window", [-1.0, 0.0, 1e-300, 1e-100, 8.6e-3, 0.012])
     def test_window_inside_first_cfl_step_rejected(self, background,
                                                    monkeypatch, window):
         # the background's first adaptive CFL step at sigma = 1 is
@@ -1145,6 +1213,11 @@ class TestFocusingDemo:
         assert calls == []
         assert window < evolve_limit(background, 1, 1.0,
                                      adaptive=True).step_times[1]
+
+    def test_no_wavenumbers_no_rows(self, background, monkeypatch):
+        calls = spy_rhs(monkeypatch)
+        assert focusing_demo(background, [], 1) == []
+        assert calls == []
 
     def test_zero_perturbation_zero_growth(self, background):
         rows = focusing_demo(background, [4], 1, pressure_sign=-1, delta=0.0)

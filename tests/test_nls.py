@@ -68,6 +68,16 @@ class TestBuildInitialData:
         with pytest.raises(ConfigError):
             build_initial_data(gaussian_data, 1.5)
 
+    def test_shared_phase_needs_integer_ratio(self):
+        # one snap of the linear phase at epsilon_ref serves a ladder member
+        # only if epsilon_ref/epsilon is an integer: 0.3/0.2 is not
+        g = Grid(128, 2 * np.pi)
+        data, _ = make_plane_wave_data(g, 1.0, 0.6, 0.3)
+        build_initial_data(data, 0.1, epsilon_ref=0.3)
+        with pytest.raises(ConfigError) as err:
+            build_initial_data(data, 0.2, epsilon_ref=0.3)
+        assert err.value.key == "physics.epsilon_list"
+
 
 class TestEvolve:
     def test_plane_wave_exact(self):
@@ -291,6 +301,46 @@ class TestYoshida4:
         with pytest.raises(ConfigError):
             NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.1,
                       scheme="rk4")
+
+
+class TestConfigChecks:
+    """NLSConfig refuses a run it cannot take when it is made, naming the
+    config key at fault."""
+
+    @staticmethod
+    def key_of(grid, **kwargs):
+        with pytest.raises(ConfigError) as err:
+            NLSConfig(grid=grid, **{"epsilon": 0.5, "sigma": 2,
+                                    "final_time": 0.25, **kwargs})
+        return err.value.key
+
+    @pytest.mark.parametrize("eps", [0.0, -0.125, 1.5, math.nan])
+    def test_epsilon_outside_unit_interval(self, grid_1d, eps):
+        assert self.key_of(grid_1d, epsilon=eps) == "physics.epsilon"
+
+    def test_sigma_below_one(self, grid_1d):
+        assert self.key_of(grid_1d, sigma=0) == "physics.sigma"
+
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+    def test_horizon_not_positive(self, grid_1d, scheme, T):
+        assert self.key_of(grid_1d, final_time=T, scheme=scheme) == "time.T"
+
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    @pytest.mark.parametrize("name", ["dt0", "dt_override"])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_step_not_positive_finite(self, grid_1d, scheme, name, dt):
+        # refused before the step is derived from it, where yoshida4 at
+        # dt0 = -0.01 would raise ValueError (math domain error), and a
+        # dt0 of 0 or NaN would be refused under physics.epsilon
+        assert self.key_of(grid_1d, scheme=scheme, **{name: dt}) == "time.dt0"
+
+    def test_observation_steps_refuse_horizon_as_time_T(self):
+        # whatever key the caller passes for the step
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError) as err:
+                observation_steps(T, 5, 0.01, "physics.epsilon")
+            assert err.value.key == "time.T"
 
 
 class TestStepCount:

@@ -66,6 +66,13 @@ class TestPlanValidation:
             SweepPlan(initial=gaussian_data, sigma=2,
                       epsilon_list=(2.0, 1.0), final_time=0.1)
 
+    @pytest.mark.parametrize("n_obs", [2, 1])
+    def test_rejects_fewer_than_three_observations(self, gaussian_data, n_obs):
+        with pytest.raises(ConfigError) as err:
+            SweepPlan(initial=gaussian_data, sigma=2, epsilon_list=(0.25,),
+                      final_time=0.1, n_obs=n_obs)
+        assert err.value.key == "time.observation_count"
+
 
 @pytest.fixture(scope="module")
 def small_sweep(gaussian_data):
