@@ -11,9 +11,11 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical-guard failure, 4 internal
 error.  On failure a machine-readable JSON error record goes to stderr.
-Artifacts land in output.directory (override with --out) and embed the
-effective config plus a content hash.  --seed is echoed into artifacts only;
-the pipeline is deterministic.
+Artifacts land in output.directory (override with --out), each command's
+through one writer, _write: JSON summaries always, with the effective config
+and its hash, CSV tables with the csv format, snapshots with snapshots, the
+sweep report with json.  --seed is echoed into artifacts only; the pipeline
+is deterministic.
 """
 
 from __future__ import annotations
@@ -47,20 +49,39 @@ EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_INTERNAL = 0, 2, 3, 4
 # artifact helpers
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.effective()
-    payload["config_hash"] = cfg.content_hash()
-    path.write_text(hashed_json(payload) + "\n")
+# the format that gates each kind of table or snapshot file
+_FORMAT_OF = {".csv": "csv", ".json": "json", ".snap": "snapshots"}
 
 
-def _write_csv(path: Path, rows: list[dict], cfg: RunConfig) -> None:
-    """rows as a CSV table whose columns are the keys of rows[0], in order."""
-    columns = tuple(rows[0])
-    path.write_text(hashed_csv([
-        "# columns: " + ",".join(columns),
-        "# config_hash: " + cfg.content_hash(),
-    ], columns, rows))
+def _write(out: Path, cfg: RunConfig, artifacts: dict) -> None:
+    """Write {file name: artifact} into out.  A dict is a JSON summary,
+    always written; anything else only with the format its suffix names: a
+    str as it stands, a list of row dicts as a CSV table (the columns are
+    the keys of the first row), a (times, {name: stack}) pair as snapshots,
+    time-major, the fields in the order given."""
+    config_hash = cfg.content_hash()
+    for name, art in artifacts.items():
+        path = out / name
+        if isinstance(art, dict):
+            path.write_text(hashed_json({**art, "config": cfg.effective(),
+                                         "config_hash": config_hash}) + "\n")
+        elif _FORMAT_OF[path.suffix] not in cfg.formats:
+            continue
+        elif isinstance(art, str):
+            path.write_text(art)
+        elif path.suffix == ".csv":
+            columns = tuple(art[0])
+            path.write_text(hashed_csv([
+                "# columns: " + ",".join(columns),
+                "# config_hash: " + config_hash,
+            ], columns, art))
+        else:
+            times, fields = art
+            grid = cfg.make_grid()
+            write_snapshots(path, [(f, t, stack[i], grid)
+                                   for i, t in enumerate(times.tolist())
+                                   for f, stack in fields.items()],
+                            extra={"config_hash": config_hash})
 
 
 def _outdir(cfg: RunConfig, override: str | None) -> Path:
@@ -109,13 +130,6 @@ def _drift(x, x0, floor: float = 1e-300) -> float:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     traj, invs = _nls_run(cfg, cfg.make_initial_data())
-    if "csv" in cfg.formats:
-        _write_csv(out / "invariants.csv", [vars(inv) for inv in invs], cfg)
-    if "snapshots" in cfg.formats:
-        write_snapshots(out / "wavefunction.snap",
-                        [("u", float(t), u, traj.grid)
-                         for t, u in zip(traj.times, traj.states)],
-                        extra={"config_hash": cfg.content_hash()})
     summary = {
         "command": "simulate",
         "epsilon": cfg.epsilon, "sigma": cfg.sigma, "dt": traj.dt,
@@ -126,43 +140,38 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         "self_check_dt": traj.self_check_dt,
         "self_check_ok": traj.self_check_ok,
     }
-    _write_json(out / "summary.json", summary, cfg)
+    _write(out, cfg, {"invariants.csv": [vars(inv) for inv in invs],
+                      "wavefunction.snap": (traj.times, {"u": traj.states}),
+                      "summary.json": summary})
 
 
 def cmd_limit(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
     traj = evolve_limit(cfg.make_initial_data(grid), cfg.sigma, cfg.final_time,
                         n_obs=cfg.observation_count)
-    rows, recs = [], []
-    grad_phi_err = 0.0
-    for st in map(traj.state, range(cfg.observation_count)):
-        rows.append(vars(euler_invariants(st, cfg.sigma)))
-        k = np.reshape(st.phi_wavevector, (-1,) + (1,) * grid.dim)
-        dphi = grid.gradient(st.phi_periodic).real + k
-        grad_phi_err = max(grad_phi_err, float(np.max(grid.l2_norm(dphi - st.v))))
-        recs.append(("a", st.time, st.a, grid))
-        recs += [(f"v{j}", st.time, vj, grid) for j, vj in enumerate(st.v)]
-    if "csv" in cfg.formats:
-        _write_csv(out / "euler_invariants.csv", rows, cfg)
-    if "snapshots" in cfg.formats:
-        write_snapshots(out / "limit.snap", recs,
-                        extra={"config_hash": cfg.content_hash()})
+    rows = [vars(euler_invariants(traj.state(i), cfg.sigma))
+            for i in range(cfg.observation_count)]
+    nodes = traj.state(slice(None))
+    k = np.reshape(nodes.phi_wavevector, (-1,) + (1,) * (grid.dim + 1))
+    dphi = grid.gradient(nodes.phi_periodic).real + k
     summary = {
         "command": "limit", "sigma": cfg.sigma, "dt": traj.dt,
         "steps": len(traj.step_times) - 1,
         "cfl_max": float(np.max(traj.cfl_numbers)),
         "status": traj.status,
-        "grad_phi_minus_v_l2_max": grad_phi_err,
+        "grad_phi_minus_v_l2_max": float(np.max(grid.l2_norm(dphi - nodes.v))),
         "power_consistency_banded_max": power_consistency(traj, banded=True),
         "power_consistency_raw_max": power_consistency(traj, banded=False),
         "mass_drift_rel": _drift(rows[-1]["mass"], rows[0]["mass"]),
     }
-    _write_json(out / "summary.json", summary, cfg)
+    fields = {"a": nodes.a, **{f"v{j}": vj for j, vj in enumerate(nodes.v)}}
+    _write(out, cfg, {"euler_invariants.csv": rows,
+                      "limit.snap": (traj.times, fields),
+                      "summary.json": summary})
 
 
 def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     data = cfg.make_initial_data()
-    grid = data.grid
     traj = evolve_corrector(evolve_limit(
         data, cfg.sigma, cfg.final_time, n_obs=cfg.observation_count,
         a1=data.a1))
@@ -170,11 +179,6 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
     a_tilde = tilde_amplitude(nodes)
     phi1_max = float(np.max(np.abs(nodes.phi1)))
     modulus_gap = float(np.max(np.abs(np.abs(a_tilde) - np.abs(nodes.a))))
-    recs = [(name, t, f[i], grid) for i, t in enumerate(traj.times.tolist())
-            for name, f in (("phi1", nodes.phi1), ("w", nodes.w), ("a_tilde", a_tilde))]
-    if "snapshots" in cfg.formats:
-        write_snapshots(out / "corrector.snap", recs,
-                        extra={"config_hash": cfg.content_hash()})
     a0, a1 = data.a0, data.a1
     real_data_case = bool(
         np.max(np.abs(a0.imag)) < 1e-14 and np.max(np.abs(a1.real)) < 1e-14)
@@ -186,7 +190,10 @@ def cmd_corrector(cfg: RunConfig, out: Path) -> None:
         "real_data_case": real_data_case,
         "phi1_vanishes": phi1_max < 1e-9,
     }
-    _write_json(out / "summary.json", summary, cfg)
+    _write(out, cfg, {
+        "corrector.snap": (traj.times, {"phi1": nodes.phi1, "w": nodes.w,
+                                        "a_tilde": a_tilde}),
+        "summary.json": summary})
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> None:
@@ -196,10 +203,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
                      n_obs=cfg.observation_count, dt0=cfg.dt0,
                      config_echo=cfg.effective())
     result = run_sweep(plan)
-    if "csv" in cfg.formats:
-        (out / "sweep.csv").write_text(result.to_csv())
-    if "json" in cfg.formats:
-        (out / "report.json").write_text(result.to_json() + "\n")
+    _write(out, cfg, {"sweep.csv": result.to_csv(),
+                      "report.json": result.to_json() + "\n"})
 
 
 def cmd_conserve(cfg: RunConfig, out: Path) -> None:
@@ -222,13 +227,11 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
         "euler_pseudo_conformal": e["pseudo_conformal"],
         "total_pressure": e["total_pressure"],
     } for inv, e in zip(invs, erows)]
-    if "csv" in cfg.formats:
-        _write_csv(out / "conservation.csv", rows, cfg)
     summary = {"command": "conserve", "dt": traj.dt, "scheme": SCHEME}
     for name in ("nls_mass", "nls_energy", "nls_momentum", "euler_mass",
                  "euler_energy", "euler_momentum"):
         summary[f"max_{name}_drift"] = max(r[f"{name}_drift"] for r in rows)
-    _write_json(out / "summary.json", summary, cfg)
+    _write(out, cfg, {"conservation.csv": rows, "summary.json": summary})
 
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> None:
@@ -250,14 +253,12 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
     t = [math.inf if r["t_estimate"] is None else r["t_estimate"] for r in rows]
     monotone = all(t[i + 1] < t[i] for i in range(len(rows) - 1)
                    if rows[i]["amplitude"] < rows[i + 1]["amplitude"])
-    if "csv" in cfg.formats:
-        _write_csv(out / "blowup.csv", rows, cfg)
-    _write_json(out / "blowup.json", {
+    _write(out, cfg, {"blowup.csv": rows, "blowup.json": {
         "command": "blowup", "sigma": cfg.sigma, "rows": rows,
         "monotone_in_amplitude": monotone,
         "breakdown_flag": all(r["breakdown_flag"] for r in rows),
-        "t_estimate": rows[0]["t_estimate"] if rows else None,
-    }, cfg)
+        "t_estimate": rows[0]["t_estimate"],
+    }})
 
 
 def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
@@ -274,14 +275,12 @@ def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
         "rate_focusing": u.rate, "max_growth_focusing": u.max_growth,
         "rate_defocusing": c.rate, "max_growth_defocusing": c.max_growth,
     } for u, c in zip(unstable, control)]
-    if "csv" in cfg.formats:
-        _write_csv(out / "focusing.csv", rows, cfg)
     increasing = all(rows[i + 1]["rate_focusing"] > rows[i]["rate_focusing"]
                      for i in range(len(rows) - 1))
-    _write_json(out / "focusing.json", {
+    _write(out, cfg, {"focusing.csv": rows, "focusing.json": {
         "command": "focusing-demo", "sigma": cfg.sigma, "rows": rows,
         "rates_increase_with_wavenumber": increasing,
-    }, cfg)
+    }})
 
 
 _REPORT_COLUMNS = ("epsilon", "err_two_term_l2", "err_one_term_l2",

@@ -223,24 +223,24 @@ class Grid:
 
     # -- transforms and calculus ------------------------------------------
 
-    def _transform(self, f: np.ndarray, fns, axes) -> np.ndarray:
+    def _transform(self, f: np.ndarray, fns, axes, shape=None,
+                   dtype=complex) -> np.ndarray:
         # the one-axis transforms fns along axes in turn, the calls of one of
         # numpy's n-d transforms in their order, per chunk of whole fields of
-        # at most CHUNK_POINTS grid points, written into one output
+        # at most CHUNK_POINTS grid points; each chunk's last call writes its
+        # rows of the one output, of grid shape `shape` (default: the grid's)
         f = np.asarray(f)
+        shape = shape or self.shape
+        out = np.empty((*f.shape[:-self.dim], *shape), dtype)
+        rows = out.reshape(-1, *shape)  # a view of out
+        flat = f.reshape(len(rows), *f.shape[-self.dim:])
         per = max(1, CHUNK_POINTS // self.size)
-        flat = f.reshape(-1, *f.shape[-self.dim:])
-        if len(flat) > per:
-            first = self._transform(flat[:per], fns, axes)
-            out = np.empty((*f.shape[:-self.dim], *first.shape[1:]), first.dtype)
-            rows = out.reshape(len(flat), *first.shape[1:])  # a view of out
-            rows[:per] = first
-            for i in range(per, len(flat), per):
-                rows[i:i + per] = self._transform(flat[i:i + per], fns, axes)
-            return out
-        for fn, axis in zip(fns, axes):
-            f = fn(f, self.shape[axis], axis)
-        return f
+        for i in range(0, len(flat), per):
+            chunk = flat[i:i + per]
+            for fn, axis in zip(fns[:-1], axes[:-1]):
+                chunk = fn(chunk, self.shape[axis], axis)
+            fns[-1](chunk, self.shape[axes[-1]], axes[-1], out=rows[i:i + per])
+        return out
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         return self._transform(f, (np.fft.fft,) * self.dim, self._axes[::-1])
@@ -250,11 +250,13 @@ class Grid:
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field, shape (*batch, *half_shape)."""
-        return self._transform(f, (np.fft.rfft, np.fft.fft)[:self.dim], self._axes[::-1])
+        return self._transform(f, (np.fft.rfft, np.fft.fft)[:self.dim], self._axes[::-1],
+                               self.half_shape)
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Real field of a half spectrum."""
-        return self._transform(fh, (np.fft.ifft, np.fft.irfft)[-self.dim:], self._axes)
+        return self._transform(fh, (np.fft.ifft, np.fft.irfft)[-self.dim:], self._axes,
+                               dtype=float)
 
     def spectral_gradient(self, fh: np.ndarray) -> np.ndarray:
         """i*xi_j * fh for a full or half spectrum fh, shape (dim, *fh.shape);

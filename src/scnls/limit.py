@@ -722,7 +722,7 @@ def focusing_demo(
     rows = []
     for k, xi_k, w_k in zip(ks, xi, w.T):
         w0 = w_k[0]
-        if w0 == 0.0 or np.all(w_k <= 0):
+        if w0 == 0.0:
             rows.append(GrowthRow(mode=k, xi=float(xi_k), rate=0.0,
                                   max_growth=0.0, w0=0.0))
             continue

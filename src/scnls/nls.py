@@ -128,7 +128,7 @@ class NLSTrajectory:
     epsilon: float
     sigma: int
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray  # (n_obs, *grid.shape), read-only
     dt: float
     self_check_error: float | None = None
     self_check_ok: bool = True
@@ -165,14 +165,9 @@ def build_initial_data(data: InitialData, epsilon: float,
     return amp * np.exp(1j * phase)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # snapshots are shared read-only
-    arr.setflags(write=False)
-    return arr
-
-
-def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
-    """Integrate a batch of runs in one split-step loop; (states, dt) each.
+def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[np.ndarray, float]]:
+    """Integrate a batch of runs in one split-step loop; (states, dt) each,
+    states one read-only (n_obs[b], *grid.shape) block of snapshots.
 
     The members share the grid shape, sigma and scheme; each has its own
     epsilon, step, step count and observation count n_obs[b], and so its
@@ -219,7 +214,9 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
             bounds.setdefault(r * n_sub[b] - 1, []).append(p)
 
     u = np.stack([np.asarray(u0s[b], dtype=complex) for b in order])
-    states = [[_freeze(row.copy())] for row in u]
+    states = [np.empty((n_obs[b], *grid.shape), complex) for b in order]
+    for block, row in zip(states, u):
+        block[0] = row
     u = grid.ifft(grid.fft(u) * np.stack([h[0] for h in halves]))
     k = len(order)
     for i in range(total[0]):
@@ -234,24 +231,25 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[list[np.ndarray], float]]:
         if at:
             # snapshots from the step's spectrum; the batch goes on below
             for p, snap in zip(at, grid.ifft(uh[at] * last[at])):
+                r = (i + 1) // n_sub[order[p]]  # the observation index
                 if not np.all(np.isfinite(snap.view(float))):
                     m, dt = steps[order[p]]
-                    t = len(states[p]) * m * dt
                     raise NumericalGuardError(
-                        f"non-finite wavefunction at t={t:.6g}; reduce dt0")
-                states[p].append(_freeze(snap))
+                        f"non-finite wavefunction at t={r * m * dt:.6g}; reduce dt0")
+                states[p][r] = snap
             while k and total[k - 1] <= i + 1:
                 k -= 1
         u = grid.ifft(uh[:k] * kicks[(i + 1) % n_w][:k])
 
     out: list = [None] * len(order)
     for p, b in enumerate(order):
+        states[p].setflags(write=False)  # snapshots are shared read-only
         out[b] = (states[p], steps[b][1])
     return out
 
 
 def _evolve_raw(u0: np.ndarray, cfg: NLSConfig,
-                n_obs: int) -> tuple[list[np.ndarray], float]:
+                n_obs: int) -> tuple[np.ndarray, float]:
     """The one-member form of _evolve_batch (bench/layers.py traces it)."""
     return _evolve_batch([u0], [cfg], [n_obs])[0]
 
@@ -293,7 +291,7 @@ def evolve_nls_batch(u0s, cfgs, n_obs: int = 2) -> list[NLSTrajectory]:
         traj = NLSTrajectory(
             grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
             times=np.linspace(0.0, cfg.final_time, n_obs), states=states, dt=dt,
-            mass_history=np.array([grid.l2_norm(s) for s in states]),
+            mass_history=grid.l2_norm(states),
         )
         if cfg.self_check:
             check_states, traj.self_check_dt = next(results)

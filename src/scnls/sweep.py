@@ -184,7 +184,7 @@ def _sweep_row(traj: NLSTrajectory,
     eps, sigma = traj.epsilon, traj.sigma
     chunks = []
     for nodes, ls, a_tilde in limit_chunks:
-        rec = diagnostics_record(np.stack(traj.states[nodes]), ls, eps, sigma, k)
+        rec = diagnostics_record(traj.states[nodes], ls, eps, sigma, k)
         # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
         diff2 = rec.a_eps - a_tilde
         diff1 = rec.a_eps - ls.a

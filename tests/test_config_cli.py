@@ -379,7 +379,8 @@ class TestCliCommands:
         assert lines[0] == "# columns: " + columns
         assert lines[3] == columns
 
-    # the files each command writes with no output format asked for
+    # the files each command writes with no output format asked for: the
+    # summaries and demo reports, always written
     BARE_FILES = {
         "simulate": ["effective_config.json", "summary.json"],
         "limit": ["effective_config.json", "summary.json"],
@@ -389,20 +390,43 @@ class TestCliCommands:
         "blowup": ["blowup.json", "effective_config.json"],
         "focusing-demo": ["effective_config.json", "focusing.json"],
     }
+    # the file each format alone adds to them: a CSV table with csv, the
+    # sweep report with json, the snapshots with snapshots; none elsewhere
+    FORMAT_FILES = {
+        "simulate": {"csv": "invariants.csv", "snapshots": "wavefunction.snap"},
+        "limit": {"csv": "euler_invariants.csv", "snapshots": "limit.snap"},
+        "corrector": {"snapshots": "corrector.snap"},
+        "sweep": {"csv": "sweep.csv", "json": "report.json"},
+        "conserve": {"csv": "conservation.csv"},
+        "blowup": {"csv": "blowup.csv"},
+        "focusing-demo": {"csv": "focusing.csv"},
+    }
 
-    @pytest.mark.parametrize("command", sorted(BARE_FILES))
-    def test_no_formats_no_tables(self, tiny_config, tmp_path, command):
-        # "formats": [] asks for no CSV table, no sweep report and no
-        # snapshots; the summaries and demo reports are always written
+    @staticmethod
+    def _files(tiny_config, tmp_path, command, formats) -> list[str]:
         path, _ = tiny_config
         doc = json.loads(path.read_text())
-        doc["output"]["formats"] = []
+        doc["output"]["formats"] = formats
         doc["blowup"] = {"max_time": 1.0, "amplitudes": [0.5]}
         doc["focusing"] = {"wavenumbers": [2], "window": 0.05}
         path.write_text(json.dumps(doc))
         out = tmp_path / "bare"
         assert cli.main([command, str(path), "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == self.BARE_FILES[command]
+        return sorted(p.name for p in out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(BARE_FILES))
+    def test_no_formats_no_tables(self, tiny_config, tmp_path, command):
+        # "formats": [] asks for no CSV table, no sweep report and no
+        # snapshots
+        assert self._files(tiny_config, tmp_path, command, []) \
+            == self.BARE_FILES[command]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "snapshots"])
+    @pytest.mark.parametrize("command", sorted(BARE_FILES))
+    def test_one_format_file_set(self, tiny_config, tmp_path, command, fmt):
+        added = self.FORMAT_FILES[command].get(fmt)
+        expected = sorted(self.BARE_FILES[command] + ([added] if added else []))
+        assert self._files(tiny_config, tmp_path, command, [fmt]) == expected
 
     def test_simulate_zero_data(self, tmp_path):
         # u0 = 0 stays 0: the step-doubling check passes at error 0, the
