@@ -6,7 +6,7 @@ Sections and keys (all optional unless noted):
     physics:  sigma (int, 1..6), epsilon (in (0,1]) or epsilon_list
               (strictly decreasing, in (0,1])
     time:     T (> 0), dt0 (> 0; Strang step dt0*eps, yoshida4 step
-              sqrt(dt0)*eps, splitting error about dt0^2*eps for both),
+              sqrt(dt0)*eps; errors as measured in the nls docstring),
               observation_count (int >= 3)
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, cis
 
 
 def _rhs(grad_phi1, lap_phi1, w, grad_w, v, a, div_v, grad_a, a_h,
@@ -61,4 +61,4 @@ def tilde_amplitude(limit_state) -> np.ndarray:
         raise ValueError("the limit state carries no corrector: "
                          "pass a1 to evolve_limit")
     # np.multiply, as diagnostics.modulate
-    return np.multiply(limit_state.a, np.exp(1j * limit_state.phi1))
+    return np.multiply(limit_state.a, cis(limit_state.phi1))

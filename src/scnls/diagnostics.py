@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import Grid, per_value
+from .grid import Grid, cis, per_value
 from .limit import LimitState, LimitTrajectory
 from .sigma_algebra import b_sigma, g_sigma
 
@@ -48,9 +48,9 @@ def modulate(u: np.ndarray, phi_total: np.ndarray, epsilon: float,
     u, phi_total = np.asarray(u), np.asarray(phi_total)
     if u.shape[-grid.dim:] != grid.shape or phi_total.shape != u.shape:
         raise GridMismatchError("wavefunction/phase shape does not match grid")
-    # not u * exp(...): numpy elides a temporary of 256 KiB or more into
-    # exp(...) * u, which rounds differently, so a stack would lose the bits
-    return np.multiply(u, np.exp(-1j * phi_total / epsilon))
+    # not u * cis(...): numpy elides a temporary of 256 KiB or more into
+    # cis(...) * u, which rounds differently, so a stack would lose the bits
+    return np.multiply(u, cis(-phi_total / epsilon))
 
 
 def q_g_fields(a_eps: np.ndarray, a: np.ndarray, epsilon: float,

@@ -112,6 +112,17 @@ def per_value(fn, *values) -> np.ndarray | float:
     return np.array(out).reshape(np.shape(values[0]))
 
 
+def cis(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^(i*theta) of a real array: cos(theta) written into out.real and
+    sin(theta) into out.imag (a new complex array when out is None), with
+    no complex exp and no temporary."""
+    if out is None:
+        out = np.empty(np.shape(theta), complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 class Grid:
     """Uniform periodic grid on a 1-D or 2-D torus."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid
+from .grid import Grid, cis
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def plane_wave(grid: Grid, mode=1, amplitude: complex = 1.0) -> np.ndarray:
     phase = np.zeros(grid.shape)
     for j in range(grid.dim):
         phase = phase + (2.0 * np.pi * modes[j] / grid.lengths[j]) * grid.coords[j]
-    return amplitude * np.exp(1j * phase)
+    return amplitude * cis(phase)
 
 
 def constant(grid: Grid, value: complex = 1.0) -> np.ndarray:

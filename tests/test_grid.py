@@ -3,7 +3,7 @@ import pytest
 
 from scnls import Grid
 from scnls.errors import GridMismatchError
-from scnls.grid import CHUNK_POINTS
+from scnls.grid import CHUNK_POINTS, cis
 
 
 def l2_quadrature(grid, f):
@@ -250,6 +250,26 @@ class TestOneAxisTransforms:
         for got, want in pairs:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert bits(got) == bits(want)
+
+
+class TestCis:
+    """cis(theta) is e^(i*theta) of a real array, written as cos and sin."""
+
+    theta = np.random.default_rng(5).uniform(-60.0, 60.0, (3, 16, 32))
+
+    def test_matches_complex_exp(self):
+        got = cis(self.theta)
+        assert got.shape == self.theta.shape and got.dtype == complex
+        assert np.max(np.abs(got - np.exp(1j * self.theta))) < 1e-15
+
+    def test_unimodular(self):
+        assert np.max(np.abs(np.abs(cis(self.theta)) - 1.0)) < 1e-15
+
+    def test_fills_out(self):
+        out = np.full(self.theta.shape, np.nan, complex)
+        assert cis(self.theta, out) is out
+        assert np.array_equal(out.real, np.cos(self.theta))
+        assert np.array_equal(out.imag, np.sin(self.theta))
 
 
 class TestRoundTrip:
