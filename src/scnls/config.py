@@ -6,8 +6,9 @@ Sections and keys (all optional unless noted):
     physics:  sigma (int, 1..6), epsilon (in (0,1]) or epsilon_list
               (strictly decreasing, in (0,1])
     time:     T (> 0), dt0 (> 0; Strang step dt0*eps, yoshida4 step
-              sqrt(dt0)*eps; errors as measured in the nls docstring),
-              observation_count (int >= 3)
+              sqrt(dt0*eps) capped for stability and at least
+              sqrt(dt0)*eps, nls.scheme_step; errors as measured in the
+              nls docstring), observation_count (int >= 3)
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
     output:   directory, formats (subset of csv, json, snapshots)
@@ -261,10 +262,12 @@ def parse_config(text: str) -> RunConfig:
           f"over the budget of {MAX_STORED_BYTES}")
     # fail fast on a wavefunction run too long to finish, at the commands'
     # scheme, step law and observation count
+    dx = min(li / ni for li, ni in zip(length, n))
     for key, values in (("physics.epsilon", (epsilon,)),
                         ("physics.epsilon_list", eps_list)):
         for e in values:
-            observation_steps(final_time, n_obs, scheme_step(SCHEME, dt0, e), key)
+            observation_steps(final_time, n_obs,
+                              scheme_step(SCHEME, dt0, e, dx), key)
 
     ini = doc.get("initial", {})
     initial = {key: ini.get(key, getattr(default, key))

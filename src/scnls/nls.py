@@ -22,20 +22,28 @@ also across steps and observation times (a snapshot is the step's own
 spectrum times the last half step), so a yoshida4 step costs three
 nonlinear substeps and three FFT pairs.
 
-An order-p splitting error behaves like (dt/eps)^p * eps in the
-semiclassical regime, so steps linear in eps hold it at a fixed fraction of
-eps over an epsilon ladder (Bao, Jin & Markowich, J. Comput. Phys. 175,
-2002).  The Strang step is dt_s = dt0 * eps; yoshida4 takes the step
-sqrt(dt_s * eps) = sqrt(dt0) * eps, for which (dt/eps)^4 = (dt_s/eps)^2.
-Measured on the headline ladder (N = 512, T = 0.25, dt0 = 0.01; L2 error,
-max over 20 snapshots, against a run at an eighth of the step), yoshida4's
-error is 3.0e-7, 5.6e-8, 1.0e-8, 1.6e-9 and 2.4e-10 for eps = 1/8 ...
-1/128: 40 to 3,300 times under dt0^2 * eps.  Every run can verify itself
-by step doubling: one more integration with the same scheme at about 2*dt
-over the whole horizon, whose final state must agree with the run's (the
-step-doubling guard; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  For
-an order-p scheme the pair's difference is about 2^p - 1 times the run's own
-error, so a passed check bounds that error with margin.
+The Strang step is dt_s = dt0 * eps.  yoshida4's measured error scales
+like h^4/eps, so its accuracy law h = sqrt(dt0*eps) keeps the error
+proportional to eps, like the WKB error it must stay under (Bao, Jin &
+Markowich, J. Comput. Phys. 175, 2002, on meshing strategies).  A substep above about 2*dx^2/(pi*eps) is unstable
+(Weideman & Herbst, SIAM J. Numer. Anal. 23, 1986), so the law is capped
+where the step-doubling check's substeps would pass half that bound, and
+it never drops below the former law sqrt(dt0)*eps (scheme_step).  On the
+headline ladder (N = 512, T = 0.25, dt0 = 0.01) yoshida4 steps at 0.0066,
+0.0044, 0.0026, 0.0044 and 0.0066 for eps = 1/8 ... 1/128: the floor on
+the three coarse rungs, the cap at 1/64 and the accuracy law at 1/128, each
+cut to divide the observation interval.  Its L2 error there, max over the
+20 snapshots against a run at an eighth of the step, is 3.0e-7, 5.6e-8,
+1.0e-8, 1.3e-7 and 1.2e-6, at most 8.2% (at eps = 1/128) of 1e-3 of the
+rung's two-term WKB error; the check errors are 4.5e-6, 9.1e-7, 1.6e-7,
+2.1e-6 and 1.8e-5, at most 4.0% of the guard's tolerance.
+
+Every run can verify itself by step doubling: one more integration with the
+same scheme at about 2*dt over the whole horizon, whose final state must
+agree with the run's (the step-doubling guard; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4).  For an order-p scheme the pair's difference is
+about 2^p - 1 times the run's own error, so a passed check bounds that
+error with margin.
 
 A run observed n_obs times stores snapshot i at np.linspace(0, T, n_obs)[i],
 the time of node i of evolve_limit, by taking a whole number of steps per
@@ -110,19 +118,43 @@ class NLSConfig:
 
     @property
     def dt_raw(self) -> float:
-        """The step requested of the scheme: dt_override, or the step whose
-        splitting error matches the Strang step's."""
+        """The step requested of the scheme: dt_override, or its law step on
+        this grid (scheme_step)."""
         if self.dt_override is not None:
             return self.dt_override
-        return scheme_step(self.scheme, self.dt0, self.epsilon)
+        return scheme_step(self.scheme, self.dt0, self.epsilon,
+                           min(self.grid.dx))
 
 
-def scheme_step(scheme: str, dt0: float, epsilon: float) -> float:
-    """The step of ``scheme`` at epsilon: the Strang step
-    dt_s = dt0*eps^DT_EXPONENT, and for yoshida4 the step with the same
-    splitting error, sqrt(dt_s*eps): (dt/eps)^4 = (dt_s/eps)^2."""
+def scheme_step(scheme: str, dt0: float, epsilon: float, dx: float) -> float:
+    """The law step of ``scheme`` at epsilon on a grid of smallest spacing dx.
+
+    Strang steps at dt_s = dt0*eps^DT_EXPONENT.  A composition with largest
+    |substep weight| w steps at
+
+        h = max(sqrt(dt_s*eps), min(sqrt(dt0*eps), B/(4*w))),
+        B = 2*dx^2/(pi*eps).
+
+    sqrt(dt0*eps) is the accuracy law: the error, which scales like
+    h^4/eps, then stays proportional to eps, like the WKB error it must stay
+    under.  A substep above B is unstable (Weideman & Herbst), and the
+    step-doubling check steps at about 2*h, so the cap B/(4*w) keeps its
+    substeps under B/2; the margin is measured (with B/(2*w) the N = 1024
+    headline sweep flags its eps = 1/128 row).  The floor
+    sqrt(dt_s*eps) = sqrt(dt0)*eps, the former law, whose fourth-order
+    error matches the Strang step's ((h/eps)^4 = (dt_s/eps)^2), keeps every
+    run at most as many steps as that law took.  On the headline ladder
+    (N = 512, dt0 = 0.01, eps = 1/8 ... 1/128) the run errors are 3.0e-7,
+    5.6e-8, 1.0e-8, 1.3e-7 and 1.2e-6 and the check errors 4.5e-6,
+    9.1e-7, 1.6e-7, 2.1e-6 and 1.8e-5 (module docstring).
+    """
     dt_strang = dt0 * epsilon**DT_EXPONENT
-    return dt_strang if scheme == "strang" else math.sqrt(dt_strang * epsilon)
+    if scheme == "strang":
+        return dt_strang
+    w = max(abs(x) for x in SCHEMES[scheme])
+    cap = 2.0 * dx**2 / (math.pi * epsilon) / (4.0 * w)
+    return max(math.sqrt(dt_strang * epsilon),
+               min(math.sqrt(dt0 * epsilon), cap))
 
 
 @dataclass

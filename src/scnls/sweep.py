@@ -18,7 +18,8 @@ gradients hold at most CHUNK_POINTS points.  The row table holds:
   ||a_eps - a|| and ||a_eps - a_tilde|| of the filtered amplitude;
 * uniformity norms max_t ||a_eps||_{H^k}, max_t ||q_eps||_{H^(k-1)} with
   k = 2 (sigma <= 2, 1-D), k = 1 (sigma = 2, higher dim), k = sigma otherwise;
-* density-gap metrics and the modulated-energy envelope check.
+* density-gap metrics and the modulated-energy envelope check;
+* the run's step, its step-doubling check's step and the check's outcome.
 
 Log-log least squares (fit_rate) turns error columns into convergence rates,
 over the rows that pass their step-doubling check (at least 3 of them).
@@ -217,6 +218,11 @@ def _sweep_row(traj: NLSTrajectory,
         "epsilon": eps, **row,
         "mod_energy_0": me0, "mod_energy_max": max(table["mod_energy"]),
         "envelope_ok": envelope_ok,
+        # the steps of the run and of its check (-1.0 without a check, as
+        # the check error): the law step is not one formula in eps
+        "nls_dt": float(traj.dt),
+        "self_check_dt": (-1.0 if traj.self_check_dt is None
+                          else float(traj.self_check_dt)),
         "self_check_error": (-1.0 if traj.self_check_error is None
                              else float(traj.self_check_error)),
         "self_check_ok": bool(traj.self_check_ok),

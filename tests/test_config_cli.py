@@ -86,8 +86,8 @@ CSV_COLUMNS = {
 SWEEP_COLUMNS = ("epsilon,err_two_term_l2,err_two_term_sup,err_one_term_l2,"
                  "err_one_term_sup,a_eps_hk_max,q_eps_hkm1_max,pos_gap_lsp1_max,"
                  "pos_gap_pow_max,cur_transport_lsp1_max,cur_l1_max,"
-                 "mod_energy_0,mod_energy_max,envelope_ok,self_check_error,"
-                 "self_check_ok")
+                 "mod_energy_0,mod_energy_max,envelope_ok,nls_dt,"
+                 "self_check_dt,self_check_error,self_check_ok")
 
 
 class TestParseConfig:
@@ -348,7 +348,7 @@ class TestCliCommands:
             echo = doc["plan"] if command == "sweep" else doc
             assert echo["scheme"] == "yoshida4"
             if command != "sweep":
-                # the step sqrt(0.01) * 0.25 = 0.025 exceeds the
+                # the step, at least sqrt(0.01) * 0.25 = 0.025, exceeds the
                 # observation interval 0.01 (Strang would take 0.0025)
                 assert doc["dt"] == pytest.approx(0.01)
 

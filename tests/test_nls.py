@@ -249,14 +249,33 @@ class TestYoshida4:
                            dt0=dt0)
         assert strang.dt_raw == dt0 * eps
 
-    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    @pytest.mark.parametrize("scheme", ["strang"])
     def test_step_linear_in_epsilon(self, grid_1d, scheme):
-        # dt/eps is one constant over the default ladder: sqrt(dt0) for
-        # yoshida4, dt0 for Strang
+        # dt/eps is one constant over the default ladder: dt0 for Strang
         ratios = [NLSConfig(grid=grid_1d, epsilon=eps, sigma=2,
                             final_time=0.25, scheme=scheme).dt_raw / eps
                   for eps in DEFAULT_EPSILON_LADDER]
         assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
+
+    def test_step_law(self, grid_wide):
+        # on the default ladder and grid (N = 512, L = 16) the yoshida4 step
+        # is never below sqrt(dt0)*eps nor above sqrt(dt0*eps), and where it
+        # is longer than that floor, the check's substeps of about 2*h*w stay
+        # under half the stability bound B = 2*dx^2/(pi*eps)
+        dt0 = 0.01
+        w = max(abs(x) for x in nls.SCHEMES["yoshida4"])
+        dx = min(grid_wide.dx)
+        longer = []
+        for eps in DEFAULT_EPSILON_LADDER:
+            h = NLSConfig(grid=grid_wide, epsilon=eps, sigma=2, final_time=0.25,
+                          dt0=dt0, scheme="yoshida4").dt_raw
+            floor = math.sqrt(dt0) * eps
+            assert floor * (1 - 1e-12) <= h <= math.sqrt(dt0 * eps)
+            if h > floor * (1 + 1e-12):
+                longer.append(eps)
+                assert 2 * h * w <= dx**2 / (math.pi * eps)
+        # the cap binds at eps = 1/64, the accuracy law at eps = 1/128
+        assert longer == [2.0**-6, 2.0**-7]
 
     def test_step_longer_than_final_time(self, gaussian_data):
         # the Strang step 0.01 fits T = 0.04; the sqrt step 0.1 does not and

@@ -217,6 +217,63 @@ class TestRunSweep:
         assert doc["k_order"] == 2
 
 
+def headline_sweep(n: int):
+    """(plan, result) of the README config's sweep at N = n: the five-rung
+    ladder 1/8 ... 1/128, T = 0.25, 20 observations, the check on."""
+    cfg = parse_config(json.dumps({
+        "grid": {"N": n, "L": 16.0},
+        "physics": {"sigma": 2},
+        "time": {"T": 0.25, "dt0": 0.01, "observation_count": 20},
+        "initial": {"a0_preset": "gaussian",
+                    "a0_params": {"width": 1.0, "amplitude_re": 1.0,
+                                  "amplitude_im": 0.2},
+                    "a1_preset": "gaussian", "a1_params": {"width": 1.2}}}))
+    plan = SweepPlan(initial=cfg.make_initial_data(), sigma=cfg.sigma,
+                     epsilon_list=cfg.epsilon_list, final_time=cfg.final_time,
+                     n_obs=cfg.observation_count, dt0=cfg.dt0)
+    return plan, run_sweep(plan)
+
+
+@pytest.fixture(scope="module")
+def headline_512():
+    return headline_sweep(512)
+
+
+class TestHeadlineLadder:
+    def test_nls_error_within_budget(self, headline_512):
+        # the law step keeps each rung's wavefunction error below 1e-3 of
+        # its two-term WKB error on the headline ladder, against a yoshida4
+        # reference at an eighth of the step (measured: at most 8.2% of it,
+        # at eps = 1/128)
+        plan, res = headline_512
+        data, grid = plan.initial, plan.initial.grid
+        cfgs = [NLSConfig(grid=grid, epsilon=row["epsilon"], sigma=plan.sigma,
+                          final_time=plan.final_time, self_check=False,
+                          scheme=SCHEME) for row in res.rows]
+        refs = [replace(cfg, dt_override=row["nls_dt"] / 8)
+                for cfg, row in zip(cfgs, res.rows)]
+        u0s = [build_initial_data(data, cfg.epsilon,
+                                  epsilon_ref=max(plan.epsilon_list))
+               for cfg in cfgs]
+        trajs = nls.evolve_nls_batch(u0s * 2, cfgs + refs, plan.n_obs)
+        for row, run, ref in zip(res.rows, trajs, trajs[len(cfgs):]):
+            assert run.dt == row["nls_dt"]
+            err = max(grid.l2_norm(u - v)
+                      for u, v in zip(run.states, ref.states))
+            assert err <= 1e-3 * row["err_two_term_l2"]
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_every_row_passes_its_check(self, headline_512, n):
+        # the law's cap keeps the check runs' substeps under half the
+        # stability bound: a cap twice as long flags eps = 1/128 at N = 1024
+        _, res = headline_512 if n == 512 else headline_sweep(n)
+        assert all(row["self_check_ok"] for row in res.rows)
+        assert res.fits["two_term_l2"].n == 5
+        # every row states its steps: the check's is about twice the run's
+        for row in res.rows:
+            assert 1.9 <= row["self_check_dt"] / row["nls_dt"] <= 2.5
+
+
 class TestGuardAndVariants:
     def test_failed_self_check_flags_row_and_continues(self):
         # large-amplitude data at a deliberately huge base step trips the
