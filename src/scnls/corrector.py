@@ -15,34 +15,41 @@ is then homogeneous in (phi1, Re(conj(a) w))).
 The pair is integrated inside the limit run, as two more components of its
 spectral RK4 state (scnls.limit.evolve_limit with a1: phi1 as an rfftn half
 spectrum, w as a full spectrum).  At every stage the limit right-hand side
-transforms grad phi1 and Lap phi1 to the grid with its real fields, and w
-and grad w with its complex ones; this module's right-hand side forms the
-pair's products there, from those and the stage's v, a, div v and grad a,
-and adds the linear source (i/2) Lap a as a multiplier on the spectrum of
-a.  The limit stage takes the products back in its own forward transforms
-and projects the pair's derivatives onto the 2/3 band.  The limit trajectory
-stores the pair as its phi1 and w on its nodes, and its states carry them;
-this module adds no container of its own.
+transforms grad phi1 and Lap phi1 to the grid with its real fields, and w and
+grad w with its complex ones; this module's right-hand side forms the pair's
+products there, in the limit stage's workspace, from those and the stage's
+v, a, div v and grad a, and makes the linear source (i/2) Lap a a multiplier
+on the spectrum of a.  The limit stage takes the products back in its own
+forward transforms and projects the pair's derivatives onto the 2/3 band.
+The limit trajectory stores the pair as its phi1 and w on its nodes, and its
+states carry them; this module adds no container of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, cis
+from .grid import cis
 
 
-def _rhs(grad_phi1, lap_phi1, w, grad_w, v, a, div_v, grad_a, a_h,
-         grid: Grid, sigma: int):
-    """The pair's time derivatives at one joint stage: d_t phi1 and the
-    product part of d_t w on the grid, and the spectrum of the linear
-    source (i/2) Lap a (a_h is the spectrum of a)."""
-    abs_pow = np.abs(a) ** (2 * sigma - 2)
-    dphi1 = -(np.sum(v * grad_phi1, axis=0)
-              + 2.0 * sigma * np.real(np.conj(a) * w) * abs_pow)
-    dw = -(np.sum(v * grad_w, axis=0) + np.sum(grad_phi1 * grad_a, axis=0)
-           + 0.5 * w * div_v + 0.5 * a * lap_phi1)
-    return dphi1, dw, 0.5j * grid.spectral_laplacian(a_h)
+def _rhs(grad_phi1, lap_phi1, fields, v, div_v, rated, a_h, ws, sigma: int):
+    """The pair's part of a joint stage in the limit workspace ws, summed
+    over j as sum(0) adds: d_t phi1 into ws.pr[-2], the product part of d_t
+    w into ws.pc[2] (v.grad w on entry), from S, a, w with gradients (fields)
+    and rated = (sigma/2 S, a/2, w/2); returns the spectrum of (i/2) Lap a."""
+    (a, w), grad_a, dphi1, dw = fields[0, 1:], fields[1:, 1], ws.pr[-2], ws.pc[2]
+    np.multiply(v[0], grad_phi1[0], out=dphi1)
+    term = grad_phi1[0] * grad_a[0]  # grad phi1 . grad a, then each term of dw
+    for j in range(1, len(v)):
+        dphi1 += v[j] * grad_phi1[j]
+        term += grad_phi1[j] * grad_a[j]
+    dw += term
+    dphi1 += 2.0 * sigma * (np.conj(a) * w).real * np.abs(a) ** (2 * sigma - 2)
+    np.negative(dphi1, out=dphi1)
+    dw += np.multiply(rated[2], div_v, out=term)
+    dw += np.multiply(rated[1], lap_phi1, out=term)
+    np.negative(dw, out=dw)
+    return 0.5j * (ws.lap_c * a_h)
 
 
 def evolve_corrector(limit_traj):

@@ -243,14 +243,16 @@ class Grid:
         f = np.asarray(f)
         shape = shape or self.shape
         out = np.empty((*f.shape[:-self.dim], *shape), dtype)
-        rows = out.reshape(-1, *shape)  # a view of out
-        flat = f.reshape(len(rows), *f.shape[-self.dim:])
         per = max(1, CHUNK_POINTS // self.size)
-        for i in range(0, len(flat), per):
-            chunk = flat[i:i + per]
+        if f.size <= per * self.size:  # one chunk: the batch as it is
+            chunks = [(f, out)]
+        else:  # views of out's rows
+            rows, flat = out.reshape(-1, *shape), f.reshape(-1, *f.shape[-self.dim:])
+            chunks = ((flat[i:i + per], rows[i:i + per]) for i in range(0, len(flat), per))
+        for chunk, part in chunks:
             for fn, axis in zip(fns[:-1], axes[:-1]):
                 chunk = fn(chunk, self.shape[axis], axis)
-            fns[-1](chunk, self.shape[axes[-1]], axes[-1], out=rows[i:i + per])
+            fns[-1](chunk, self.shape[axes[-1]], axes[-1], out=part)
         return out
 
     def fft(self, f: np.ndarray) -> np.ndarray:
@@ -272,21 +274,19 @@ class Grid:
     def spectral_gradient(self, fh: np.ndarray) -> np.ndarray:
         """i*xi_j * fh for a full or half spectrum fh, shape (dim, *fh.shape);
         the lone Nyquist mode is zeroed."""
-        return self._stacked(self._deriv_multipliers, fh) * fh
-
-    def spectral_jet(self, fh: np.ndarray) -> np.ndarray:
-        """fh and its gradient, [fh, i*xi_1 fh, ..., i*xi_dim fh], shape
-        (1 + dim, *fh.shape)."""
-        return self._stacked(self._jet_multipliers, fh) * fh
-
-    def _stacked(self, m: np.ndarray, fh: np.ndarray) -> np.ndarray:
-        # a stack of multipliers (k, *shape), shaped to broadcast over fh
-        m = self._matching(m, fh)
-        return m.reshape((len(m), *(1,) * (fh.ndim - self.dim), *m.shape[1:]))
+        return self.multiplier("gradient", fh) * fh
 
     def spectral_laplacian(self, fh: np.ndarray) -> np.ndarray:
         """-|xi|^2 * fh for a full or half spectrum fh."""
-        return self._matching(self._neg_k_squared, fh) * fh
+        return self.multiplier("laplacian", fh) * fh
+
+    def multiplier(self, kind: str, fh: np.ndarray) -> np.ndarray:
+        """The multiplier m of spectral_<kind> ("gradient", "laplacian") or of the jet
+        [fh, i*xi_1 fh, ...] ("jet") shaped to broadcast over fh: m * fh is that result."""
+        if kind == "laplacian":
+            return self._matching(self._neg_k_squared, fh)
+        m = self._matching(self._jet_multipliers if kind == "jet" else self._deriv_multipliers, fh)
+        return m.reshape((len(m), *(1,) * (fh.ndim - self.dim), *m.shape[1:]))
 
     def project(self, fh: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """fh restricted to the modes of a grid-shaped mask."""
@@ -317,7 +317,7 @@ class Grid:
             raise GridMismatchError(
                 f"vector field shape {vec.shape} does not start with dim {self.dim}"
             )
-        mults = self._stacked(self._deriv_multipliers, vec[0])
+        mults = self.multiplier("gradient", vec[0])
         return np.sum(self.ifft(mults * self.fft(vec)), axis=0)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -335,7 +335,7 @@ class Grid:
 
     def integral(self, f: np.ndarray) -> np.ndarray | complex | float:
         """Quadrature over the cell: one value per leading index of f."""
-        return np.sum(f, axis=self._axes) * self.cell_volume
+        return np.add.reduce(f, axis=self._axes) * self.cell_volume
 
     def l2_norm(self, f: np.ndarray) -> np.ndarray | float:
         total = np.sum(np.abs(self._check(f)) ** 2, axis=self._axes)

@@ -31,15 +31,16 @@ The RK4 state is two stacked spectral arrays: R, the rfftn half spectra of
 the real v_1..v_dim, phi (and phi1), and C, the full spectra of the complex
 S, a (and w); v, S and a start inside the band (the 2/3 rule, narrowed by
 spectral_cutoff where one is given), phi0 and a1 as given, and every
-derivative is projected.  A stage makes every field and derivative it needs
-on the grid with one batched inverse transform per kind (real or complex),
-forms the products there (scnls.corrector._rhs those of the pair), and takes
-them back with one batched forward transform per kind; derivatives, grad p,
-the corrector's (i/2) Lap a source and the band projections are multipliers
-on the spectra.  Each step ends with one grid pass of its state, whose two
-inverse transforms also make grad div v, phi (and phi1): the CFL speed,
-scalars, finiteness check and stored node read it, and the next step's
-stage 1 forms its products from it and drops it before its forward
+derivative is projected.  In the buffers of a run's workspace a stage forms
+its jets, takes them to the grid with one batched inverse transform per kind
+(real or complex), forms the products there (scnls.corrector._rhs those of
+the pair) and takes them back with one batched forward transform per kind;
+derivatives, grad p, the corrector's (i/2) Lap a source and the signed band
+projections are multipliers, and RK4 sums the fresh derivatives in place.
+Each step ends with one grid pass of its state, whose two inverse transforms
+also make grad div v, phi (and phi1): one pass of reductions gives its CFL
+speed, scalars and finiteness check, the stored node reads it, and the next
+step's stage 1 forms its products from it and drops it before its forward
 transforms.  Node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time
 stepping is classical RK4 at the CFL step, with an optional per-step
 CFL-adapted step at ADAPTIVE_CFL for the instability demos; the
@@ -141,99 +142,129 @@ class LimitTrajectory:
 # right-hand side
 
 
+class _Workspace:
+    """A run's stage buffers, made once from its state y = (R, C): one block holds in turn
+    the complex jet, the real jet, the products and rated fields (2-D peak memory)."""
+
+    def __init__(self, y, grid: Grid, sigma: int, mask: np.ndarray):
+        R, C = y
+        d, pair = grid.dim, len(R) - grid.dim - 1
+        self.n = d + d * d + (d + 1) * pair  # a stage's real jet rows
+        n_pr = (d + 2 + pair) * C[0].size // 2  # the real products, as complex
+        block = np.empty(max((1 + d) * C.size, (self.n + len(R)) * R[0].size,
+                             2 * C.size + n_pr), complex)
+        self.jc = block[:(1 + d) * C.size].reshape(1 + d, *C.shape)
+        self.jr = block[:(self.n + len(R)) * R[0].size].reshape(-1, *R.shape[1:])
+        self.jv = self.jr[:d + d * d].reshape(1 + d, d, *R.shape[1:])  # [v, d_j v]
+        self.pc, self.rated = (block[i:i + C.size].reshape(C.shape)
+                               for i in (0, C.size + n_pr))
+        self.pr = block[C.size:C.size + n_pr].view(float).reshape(-1, *C.shape[1:])
+        m = grid.multiplier
+        self.jet_c, self.jet_r, self.lap_c = m("jet", C), m("jet", R[:d]), m("laplacian", C[0])
+        self.grad, self.lap = m("gradient", R[0]), m("laplacian", R[0])
+        # the rates of S, a (and w) in d_t f + v.grad f + rate f div v
+        self.rates = np.reshape([0.5 * sigma, 0.5, 0.5][:len(C)], (-1, *(1,) * (C.ndim - 1))) + 0j
+        # one signed multiplier per kind: -1 on mask for the limit rows (the
+        # last 2 of C), 1 on the 2/3 band for the pair's
+        rows = [(-1, mask)] * (d + 1) + [(1, grid.dealias_mask)] * pair
+        self.signed = [np.reshape([grid.project(np.full(f.shape[-d:], s, complex), keep)
+                                   for s, keep in rows[len(rows) - len(f):]],
+                                  (len(f), *(1,) * (f.ndim - 1 - d), *f.shape[-d:]))
+                       for f in (R, C)]
+
+
 def _rhs(y, grid: Grid, sigma: int, psign: int, mask: np.ndarray,
-         grid_pass: list | None = None) -> tuple:
+         grid_pass: list | None = None, ws: _Workspace | None = None) -> tuple:
     """Time derivatives (dR, dC) of the spectral state y = (R, C) at one RK4
-    stage; the step's grid pass of y spares stage 1 its inverse transforms."""
-    d = grid.dim
-    # the stage's fields on the grid die with _products, so the forward
-    # transforms run without them (the peak memory of a 2-D stage)
-    real, cplx, source_h = _products(y, grid, sigma, psign, grid_pass)
-    # one forward transform per kind; grad p, the projections and the signs
-    # are multipliers
-    real_h = grid.rfft(real)
-    cplx_h = grid.fft(cplx)
-    real_h[:d] += grid.spectral_gradient(real_h[-1])
-    dR, dC = grid.project(real_h[:-1], mask), grid.project(cplx_h, mask)
-    # the limit rows are -P f, negated after P (signed zeros included)
-    np.negative(dR[:d + 1], out=dR[:d + 1])
-    np.negative(dC[:2], out=dC[:2])
-    if source_h is not None:  # the corrector pair's rows, on the 2/3 band
-        band = grid.dealias_mask
-        dR[-1] = grid.project(real_h[-2], band)
-        dC[2] = grid.project(cplx_h[2] + source_h, band)
-    return dR, dC
+    stage, fresh arrays; a run's stages share its workspace ws (else the call
+    makes one); the step's grid pass of y spares stage 1 its inverse ones."""
+    ws = ws or _Workspace(y, grid, sigma, mask)
+    # the fields die with _products: no forward transform runs next to them
+    source_h = _products(y, grid, sigma, psign, grid_pass, ws)
+    real_h, cplx_h = grid.rfft(ws.pr), grid.fft(ws.pc)
+    # grad p, the pair's source and the signed projections are multipliers
+    v_h = real_h[:grid.dim]
+    np.add(v_h, np.multiply(ws.grad, real_h[-1]), out=v_h)
+    if source_h is not None:
+        cplx_h[2] += source_h
+    return np.multiply(ws.signed[0], real_h[:-1]), np.multiply(ws.signed[1], cplx_h)
 
 
-def _products(y, grid: Grid, sigma: int, psign: int, grid_pass: list | None):
-    """The products of a stage's right-hand sides on its fields (the step's
-    grid pass, emptied so that they die here, or else _grid_fields of y),
-    stacked per kind: the real (v.grad) v, |v|^2/2 + s*p (and the phi1
-    part), s*p and the complex S and a parts (and the w part); with the
-    corrector's spectral source, or None without the pair."""
+def _products(y, grid: Grid, sigma: int, psign: int,
+              grid_pass: list | None, ws: _Workspace):
+    """A stage's products on its fields (the step's grid pass, emptied so they
+    die here, or _grid_fields of y), summed over j as sum(0) adds: into ws.pr
+    the real (v.grad) v, |v|^2/2 + s*p (and the phi1 part), s*p, into ws.pc
+    the complex S, a (and w) parts; returns the pair's source spectrum."""
     d = grid.dim
-    real, cplx = grid_pass or _grid_fields(y, grid)
+    real, cplx = grid_pass or _grid_fields(y, grid, ws=ws)
     if grid_pass:
         grid_pass.clear()
-    v, grad_v = real[:d], real[d:d + d * d].reshape(d, d, *real.shape[1:])
-    Sa, grad_Sa = cplx[0, :2], cplx[1:, :2]
+    v, pr, pc = real[:d], ws.pr, ws.pc
+    div_v = sum(real[2 * d + 1:d + d * d:d + 1], real[d])  # d_j v_i at d + d*j + i
+    sp = np.square(np.abs(cplx[0, 0]), out=pr[-1])  # |S|^2, then s*|S|^2
+    if psign < 0:
+        np.negative(sp, out=sp)
+    v2 = np.square(v)
+    np.add(np.multiply(0.5, sum(v2[1:], v2[0]), out=pr[d]), sp, out=pr[d])
+    # (v.grad) v and v.grad f for f = S, a (and w), then + rate f div v
+    np.multiply(v[0], real[d:d + d], out=pr[:d])
+    np.multiply(v[0], cplx[1], out=pc)
+    for j in range(1, d):
+        pr[:d] += v[j] * real[d + d * j:d + d * j + d]
+        pc += v[j] * cplx[1 + j]
+    rated = np.multiply(ws.rates, cplx[0], out=ws.rated)
+    np.add(pc[:2], np.multiply(div_v, rated[:2]), out=pc[:2])
+    if len(pc) > 2:  # the corrector pair rides along: grad phi1, Lap phi1
+        n = d + d * d
+        return corrector._rhs(real[n:n + d], real[n + d], cplx, v, div_v,
+                              rated, y[1][1], ws, sigma)
+    return None
 
-    div_v = grad_v.trace()  # grad_v[j, i] = d_j v_i
-    sp = psign * np.abs(Sa[0]) ** 2
-    real_terms = [(v[:, None] * grad_v).sum(0),   # (v.grad) v
-                  (0.5 * (v**2).sum(0) + sp)[None]]
-    # v.grad S + (sigma/2) S div v and v.grad a + (1/2) a div v
-    rates = np.array([0.5 * sigma, 0.5]).reshape((2,) + (1,) * (Sa.ndim - 1))
-    cplx_terms = (v[:, None] * grad_Sa).sum(0) + div_v * (rates * Sa)
-    source_h = None
-    if len(cplx[0]) > 2:  # the corrector pair rides along
-        n = d + d * d  # its rows grad phi1, Lap phi1
-        dphi1, dw, source_h = corrector._rhs(
-            real[n:n + d], real[n + d], cplx[0, 2], cplx[1:, 2],
-            v, Sa[1], div_v, grad_Sa[:, 1], y[1][1], grid, sigma)
-        real_terms.append(dphi1[None])
-        cplx_terms = np.concatenate([cplx_terms, dw[None]])
-    return np.concatenate([*real_terms, sp[None]]), cplx_terms, source_h
 
-
-def _grid_fields(y, grid: Grid, step: bool = False) -> list:
-    """[real, cplx], the fields of the state y = (R, C) that a stage needs,
-    one inverse transform per kind: S, a (and w) with their gradients, and
-    the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1, Lap phi1),
-    then, in the step's grid pass (step=True), grad div v, phi (and phi1)."""
+def _grid_fields(y, grid: Grid, step: bool = False,
+                 ws: _Workspace | None = None) -> list:
+    """[real, cplx], the fields of y = (R, C) a stage needs, one inverse transform
+    per kind of jets in the workspace ws (its own without): S, a (and w) with their
+    gradients, and the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1,
+    Lap phi1), then, in the step's grid pass (step=True), grad div v, phi (and phi1)."""
     R, C = y
-    d = grid.dim
-    # complex first, and no spectral input outlives its call (2-D peak memory)
-    cplx = grid.ifft(grid.spectral_jet(C))
-    jet = grid.spectral_jet(R[:d])  # [v, d_1 v, ..., d_dim v]
-    rows = [jet.reshape(-1, *R.shape[1:])]
+    ws = ws or _Workspace(y, grid, 1, grid.dealias_mask)  # sigma, mask unused
+    d, n, jr = grid.dim, ws.n, ws.jr
+    # complex first: the real jet takes the complex jet's place
+    cplx = grid.ifft(np.multiply(ws.jet_c, C, out=ws.jc))
+    np.multiply(ws.jet_r, R[:d], out=ws.jv)
     if len(R) > d + 1:
-        rows += [grid.spectral_gradient(R[-1]), grid.spectral_laplacian(R[-1:])]
+        np.multiply(ws.grad, R[-1], out=jr[n - d - 1:n - 1])
+        np.multiply(ws.lap, R[-1], out=jr[n - 1])
     if step:
-        rows += [grid.spectral_gradient(np.trace(jet[1:])), R[d:]]
-    real = np.concatenate(rows)
-    del rows, jet
-    return [grid.irfft(real), cplx]
+        diag = [ws.jv[1 + j, j] for j in range(d)]  # d_j v_j
+        np.multiply(ws.grad, sum(diag[1:], diag[0]), out=jr[n:n + d])
+        jr[n + d:] = R[d:]
+    return [grid.irfft(jr if step else jr[:n]), cplx]
 
 
 def rk4_step(rhs, y: tuple, dt: float, k1: tuple) -> tuple:
-    """One classical RK4 step of the autonomous system y' = rhs(y) for a
-    tuple of fields; k1 is the caller's rhs(y), the first stage (evolve_limit
-    makes it from the step's grid pass)."""
-    h = 0.5 * dt
-    k2 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k1)))
-    k3 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k2)))
-    k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
-    w = dt / 6.0
-    return tuple(yi + w * (a + 2 * b + 2 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    """One classical RK4 step of the autonomous system y' = rhs(y) for a tuple of
+    fields; k1 is the caller's rhs(y), the first stage (evolve_limit makes it from the
+    step's grid pass); rhs returns fresh arrays.  y + dt/6*(k1 + 2 k2 + 2 k3 + k4) sums in
+    that order in k2's arrays, then k4's input: a stage runs next to y, k1, the sum, its input."""
+    def shifted(k, c):  # y + c*k, fresh
+        return tuple(np.add(yi, t, out=t) for yi, t in zip(y, (c * ki for ki in k)))
 
-
-def _wave_speed(v, S, sigma: int) -> float:
-    # pressure scale p(rho) = rho^(sigma+1): dP/drho = (sigma+1) rho^sigma
-    return float(np.max(np.abs(v))) + math.sqrt(
-        (sigma + 1) * float(np.max(np.abs(S) ** 2))
-    )
+    # 0-d arrays of the fields' type: the values of Python scalars, cheaper
+    h, full, two, sixth = (np.array(c, np.result_type(*y)) for c in (0.5 * dt, dt, 2, dt / 6))
+    total = rhs(shifted(k1, h))
+    k3 = rhs(shifted(total, h))
+    y4 = shifted(k3, full)
+    for s, a, c in zip(total, k1, k3):
+        np.add(np.multiply(two, s, out=s), a, out=s)
+        s += np.multiply(two, c, out=c)
+    del k3, c
+    for s, d, yi, out in zip(total, rhs(y4), y, y4):  # y4 takes the new state
+        s += d
+        np.add(yi, np.multiply(sixth, s, out=s), out=out)
+    return y4
 
 
 def cfl_step(grid: Grid, speed: float, adaptive: bool = False) -> float:
@@ -354,10 +385,26 @@ def evolve_limit(
              np.concatenate([y[1], grid.fft(a1[None])]))
 
     d = grid.dim
-    real, cplx = grid_pass = _grid_fields(y, grid, step=True)
-    n_stage = len(real) - len(y[0])  # then grad div v, phi (and phi1)
+    ws = _Workspace(y, grid, sigma, mask)
+    real, cplx = grid_pass = _grid_fields(y, grid, step=True, ws=ws)
+    n_stage, axes = ws.n, tuple(range(1, real.ndim))  # then grad div v, phi (and phi1)
     dx_min = min(grid.dx)
-    speed = _wave_speed(real[:d], cplx[0, 0], sigma)
+
+    def scan(real, cplx, top=np.maximum.reduce, low=np.minimum.reduce):
+        # one pass of reductions, no temporary of the grid pass's size: all
+        # finite?, max|v| + sqrt((sigma+1)*max|S|^2) and the step's scalars
+        rows = np.maximum(top(real, axis=axes), -low(real, axis=axes)).tolist()
+        ends = [f(cplx.view(float), axis=None) for f in (top, low)]
+        abs_Sa = np.abs(cplx[0, :2])
+        s = float(top(abs_Sa[0], axis=None))
+        div_v = sum(real[2 * d + 1:d + d * d:d + 1], real[d])
+        return (all(map(math.isfinite, rows + ends)),
+                max(rows[:d]) + math.sqrt((sigma + 1) * (s * s)),
+                (max(rows[d:d + d * d]), float(top(np.abs(div_v), axis=None)),
+                 max(rows[n_stage:n_stage + d]),
+                 float(top(grid.integral((abs_Sa[1] ** 2) ** (sigma + 1)), axis=None))))
+
+    _, speed, scalars = scan(real, cplx)
     dt_cfl0 = cfl_step(grid, speed, adaptive)
     if not (math.isfinite(speed) and dt_cfl0 > 0):
         raise ConfigError("initial.a0", f"the initial wave speed {speed:g} "
@@ -395,26 +442,14 @@ def evolve_limit(
             store(i, (real[:d], *cplx[:2], *real[d:], *cplx[2:]))
 
     store(0, nodes0)
-    step_times = [0.0]
-    grad_hist, div_hist, grad_div_hist = [], [], []
-    press_hist, cfl_hist = [], []
-
-    def record_scalars(real, cplx, step_dt, speed):
-        grad_v = real[d:d + d * d].reshape(d, d, *real.shape[1:])
-        grad_hist.append(float(np.max(np.abs(grad_v))))
-        div_hist.append(float(np.max(np.abs(np.trace(grad_v)))))
-        grad_div_hist.append(float(np.max(np.abs(real[n_stage:n_stage + d]))))
-        rho = np.abs(cplx[0, 1]) ** 2
-        press_hist.append(float(np.max(grid.integral(rho ** (sigma + 1)).real)))
-        cfl_hist.append(step_dt * speed / dx_min)
-
-    record_scalars(real, cplx, dt, speed)
+    # per step: time, max|grad v|, max|div v|, max|grad div v|, pressure, CFL
+    history = [(0.0, *scalars, dt * speed / dx_min)]
     del real, cplx, nodes0  # the pass lives on in grid_pass only
 
     def rhs(y, grid_pass=None):
         # looked up as a module attribute at every stage (and corrector._rhs
         # inside it), so a wrapper installed on either one sees every call
-        return _rhs(y, grid, sigma, pressure_sign, mask, grid_pass)
+        return _rhs(y, grid, sigma, pressure_sign, mask, grid_pass, ws)
 
     status = "completed"
     t = 0.0
@@ -448,14 +483,14 @@ def evolve_limit(
         if t >= final_time - 1e-9 * dt:
             t = final_time
 
-        real, cplx = grid_pass = _grid_fields(y, grid, step=True)
-        if not (np.all(np.isfinite(real)) and np.all(np.isfinite(cplx))):
+        real, cplx = grid_pass = _grid_fields(y, grid, step=True, ws=ws)
+        finite, new_speed, step_scalars = scan(real, cplx)
+        if not finite:
             status = "nonfinite"
             break
 
-        step_times.append(t)
-        record_scalars(real, cplx, step_dt, speed)
-        speed = _wave_speed(real[:d], cplx[0, 0], sigma)
+        history.append((t, *step_scalars, step_dt * speed / dx_min))
+        speed = new_speed
         # the nodes inside the step wait for the next stage 1; a node on
         # its end is its grid pass: v, S, a, phi (and phi1, w)
         first = reached
@@ -468,14 +503,15 @@ def evolve_limit(
                             *cplx[0, 2:]))
             reached += 1
         del real, cplx, y0, f0
-        if grad_stop is not None and grad_hist[-1] > grad_stop:
+        if grad_stop is not None and history[-1][1] > grad_stop:
             status = "grad_stop"
             break
     if status != "completed" and not adaptive:
         raise NumericalGuardError(
             f"limit solver stopped at t={t:.6g} with status {status!r}")
-    if inside:  # the last step's inner nodes take one more stage 1
-        store_inside(*inside, y, rhs(y, grid_pass))
+    if inside:  # one more stage 1; the workspace goes before the last nodes (peak memory)
+        f1, ws = rhs(y, grid_pass), None
+        store_inside(*inside, y, f1)
 
     def pack(seq) -> np.ndarray:
         out = np.asarray(seq)
@@ -488,12 +524,8 @@ def evolve_limit(
         grid=grid, sigma=sigma, times=pack(obs[:reached]), v=v, S=S, a=a, phi=phi,
         phi0_wavevector=tuple(init.phi0_wavevector),
         dt=None if adaptive else dt, status=status,
-        step_times=pack(step_times),
-        grad_v_max=pack(grad_hist),
-        div_v_max=pack(div_hist),
-        grad_div_v_max=pack(grad_div_hist),
-        total_pressure=pack(press_hist),
-        cfl_numbers=pack(cfl_hist),
+        **dict(zip(("step_times", "grad_v_max", "div_v_max", "grad_div_v_max",
+                    "total_pressure", "cfl_numbers"), map(pack, zip(*history)))),
         phi1=phi1, w=w,
     )
 

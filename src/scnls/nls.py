@@ -270,6 +270,7 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[np.ndarray, float]]:
                     raise NumericalGuardError(
                         f"non-finite wavefunction at t={r * m * dt:.6g}; reduce dt0")
                 states[p][r] = snap
+            del snap  # a row of the observation's ifft block, which it keeps
             while k and total[k - 1] <= i + 1:
                 k -= 1
         uh = uh[:k]

@@ -201,7 +201,7 @@ class TestHalfSpectra:
         for op, expected in pairs:
             assert np.max(np.abs(g.irfft(op(fh)) - expected)) < 1e-12 * scale
             assert np.max(np.abs(g.ifft(op(full)) - expected)) < 1e-12 * scale
-        jet = g.spectral_jet(fh)
+        jet = g.multiplier("jet", fh) * fh
         assert jet.shape == (1 + g.dim, *fh.shape)
         np.testing.assert_array_equal(jet[0], fh)
         np.testing.assert_array_equal(jet[1:], g.spectral_gradient(fh))

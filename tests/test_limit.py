@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -360,10 +361,10 @@ class TestEvolve:
         ends = []  # the spectral state at every step's end, from its grid pass
         grid_fields = limit._grid_fields
 
-        def spy(y, grid, step=False):
+        def spy(y, grid, step=False, ws=None):
             if step:
                 ends.append(y)
-            return grid_fields(y, grid, step)
+            return grid_fields(y, grid, step, ws)
 
         monkeypatch.setattr(limit, "_grid_fields", spy)
         obs = np.linspace(0.0, 3.0, 7)
@@ -817,6 +818,58 @@ class TestSpectralStage:
         dR, dC = limit._rhs(y, grid, 2, 1, grid.dealias_mask)
         assert (dR.shape, dC.shape) == (y[0].shape, y[1].shape)
         assert sum(calls.values()) <= 4, calls
+
+    @pytest.mark.parametrize("joint, bound", [(True, 63), (False, 61)],
+                             ids=["joint", "limit"])
+    def test_one_stage_makes_few_calls(self, joint, bound):
+        # the Python and C calls of one 1-D stage at N = 512 with its run's
+        # workspace, as sys.setprofile sees them: the four transforms make
+        # most of them.  Calls of numpy ufuncs are not seen, so the stage's
+        # time is measured outside Tier-1
+        grid = Grid(512, 16.0)
+        y = spectral(joint_state(grid)[: 6 if joint else 4], grid)
+        ws = limit._Workspace(y, grid, 2, grid.dealias_mask)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" or (event == "c_call" and arg is not sys.setprofile):
+                calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            limit._rhs(y, grid, 2, 1, grid.dealias_mask, None, ws)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= bound
+
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_stages_own_their_arrays(self, case):
+        # rk4_step with the real _rhs and one workspace, in 1-D and in a
+        # chunked 2-D joint case: k1 is unchanged after k2-k4, no stage
+        # writes into its input, and no derivative shares memory with the
+        # workspace (a reused buffer that aliased a stage result would
+        # change the step silently)
+        grid = Grid(512, 16.0) if case == "1d" else Grid((128, 64), (12.0, 12.0))
+        assert case == "1d" or 9 * grid.size > CHUNK_POINTS
+        mask = grid.dealias_mask
+        y = spectral(joint_state(grid), grid)
+        ws = limit._Workspace(y, grid, 2, mask)
+        buffers = [b for b in (*vars(ws).values(), *ws.signed)
+                   if isinstance(b, np.ndarray)]
+
+        def rhs(state):
+            before = [f.tobytes() for f in state]
+            k = limit._rhs(state, grid, 2, 1, mask, None, ws)
+            assert [f.tobytes() for f in state] == before
+            assert not any(np.shares_memory(f, b) for f in k for b in buffers)
+            return k
+
+        k1 = rhs(y)
+        k1_bytes, y_bytes = [f.tobytes() for f in k1], [f.tobytes() for f in y]
+        out = limit.rk4_step(rhs, y, 1e-3, k1)
+        assert [f.tobytes() for f in k1] == k1_bytes
+        assert [f.tobytes() for f in y] == y_bytes
+        assert not any(np.shares_memory(f, b) for f in out for b in buffers)
 
     @pytest.mark.parametrize("joint", [True, False], ids=["joint", "limit"])
     @pytest.mark.parametrize("case", STAGE_CASES)
