@@ -315,8 +315,9 @@ def _load_report(path_arg: str) -> dict:
     need(isinstance(fits, dict), "fits is not an object")
     for name, fit in fits.items():
         need(isinstance(fit, dict) and all(
-            isinstance(fit.get(k), (int, float)) for k in ("slope", "r2")),
-            f"fit {name} lacks a numeric slope and r2")
+            isinstance(fit.get(k), (int, float)) for k in ("slope", "r2"))
+            and type(fit.get("n")) is int,
+            f"fit {name} lacks a numeric slope and r2 or an integer n")
     return doc
 
 
@@ -336,7 +337,7 @@ def cmd_report(path_arg: str) -> None:
                 for c in _REPORT_COLUMNS))
     for name, fit in sorted(doc.get("fits", {}).items()):
         tag = " (noisy)" if fit.get("noisy") else ""
-        print(f"fit {name}: slope={fit['slope']:.4f} r2={fit['r2']:.5f}{tag}")
+        print(f"fit {name}: slope={fit['slope']:.4f} r2={fit['r2']:.5f} n={fit['n']}{tag}")
 
 
 # ---------------------------------------------------------------------------

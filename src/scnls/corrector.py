@@ -20,7 +20,8 @@ grad w with its complex ones; this module's right-hand side forms the pair's
 products there, in the limit stage's workspace, from those and the stage's
 v, a, div v and grad a, and makes the linear source (i/2) Lap a a multiplier
 on the spectrum of a.  The limit stage takes the products back in its own
-forward transforms and projects the pair's derivatives onto the 2/3 band.
+forward transforms, subtracts the source and, as for its own rows, takes -P
+of them, P the projection onto the 2/3 band.
 The limit trajectory stores the pair as its phi1 and w on its nodes, and its
 states carry them; this module adds no container of its own.
 """
@@ -32,11 +33,12 @@ import numpy as np
 from .grid import cis
 
 
-def _rhs(grad_phi1, lap_phi1, fields, v, div_v, rated, a_h, ws, sigma: int):
-    """The pair's part of a joint stage in the limit workspace ws, summed
-    over j as sum(0) adds: d_t phi1 into ws.pr[-2], the product part of d_t
-    w into ws.pc[2] (v.grad w on entry), from S, a, w with gradients (fields)
-    and rated = (sigma/2 S, a/2, w/2); returns the spectrum of (i/2) Lap a."""
+def _rhs(grad_phi1, lap_phi1, fields, v, div_v, rated, a_h, ws):
+    """The pair's products in a joint stage, in the limit workspace ws, summed
+    over j as sum(0) adds: those of d_t phi1 into ws.pr[-2], those of d_t w
+    into ws.pc[2] (v.grad w on entry), from S, a, w with gradients (fields)
+    and rated = (sigma/2 S, a/2, w/2); returns the spectrum of the source
+    (i/2) Lap a, which the limit stage subtracts before its -P."""
     (a, w), grad_a, dphi1, dw = fields[0, 1:], fields[1:, 1], ws.pr[-2], ws.pc[2]
     np.multiply(v[0], grad_phi1[0], out=dphi1)
     term = grad_phi1[0] * grad_a[0]  # grad phi1 . grad a, then each term of dw
@@ -44,11 +46,9 @@ def _rhs(grad_phi1, lap_phi1, fields, v, div_v, rated, a_h, ws, sigma: int):
         dphi1 += v[j] * grad_phi1[j]
         term += grad_phi1[j] * grad_a[j]
     dw += term
-    dphi1 += 2.0 * sigma * (np.conj(a) * w).real * np.abs(a) ** (2 * sigma - 2)
-    np.negative(dphi1, out=dphi1)
+    dphi1 += 2.0 * ws.sigma * (np.conj(a) * w).real * np.abs(a) ** (2 * ws.sigma - 2)
     dw += np.multiply(rated[2], div_v, out=term)
     dw += np.multiply(rated[1], lap_phi1, out=term)
-    np.negative(dw, out=dw)
     return 0.5j * (ws.lap_c * a_h)
 
 

@@ -35,8 +35,9 @@ derivative is projected.  In the buffers of a run's workspace a stage forms
 its jets, takes them to the grid with one batched inverse transform per kind
 (real or complex), forms the products there (scnls.corrector._rhs those of
 the pair) and takes them back with one batched forward transform per kind;
-derivatives, grad p, the corrector's (i/2) Lap a source and the signed band
-projections are multipliers, and RK4 sums the fresh derivatives in place.
+derivatives, grad p, the corrector's (i/2) Lap a source and -P, minus the
+band projection (every derivative row is -P of its products), are
+multipliers, and RK4 sums the fresh derivatives in place.
 Each step ends with one grid pass of its state, whose two inverse transforms
 also make grad div v, phi (and phi1): one pass of reductions gives its CFL
 speed, scalars and finiteness check, the stored node reads it, and the next
@@ -143,11 +144,13 @@ class LimitTrajectory:
 
 
 class _Workspace:
-    """A run's stage buffers, made once from its state y = (R, C): one block holds in turn
-    the complex jet, the real jet, the products and rated fields (2-D peak memory)."""
+    """A run's stage constants (grid, sigma, pressure sign psign) and buffers, made once from its
+    state y = (R, C): one block holds in turn the complex jet, the real jet, the products and
+    rated fields (2-D peak memory)."""
 
-    def __init__(self, y, grid: Grid, sigma: int, mask: np.ndarray):
+    def __init__(self, y, grid: Grid, sigma: int, psign: int, mask: np.ndarray):
         R, C = y
+        self.grid, self.sigma, self.psign = grid, sigma, psign
         d, pair = grid.dim, len(R) - grid.dim - 1
         self.n = d + d * d + (d + 1) * pair  # a stage's real jet rows
         n_pr = (d + 2 + pair) * C[0].size // 2  # the real products, as complex
@@ -164,46 +167,44 @@ class _Workspace:
         self.grad, self.lap = m("gradient", R[0]), m("laplacian", R[0])
         # the rates of S, a (and w) in d_t f + v.grad f + rate f div v
         self.rates = np.reshape([0.5 * sigma, 0.5, 0.5][:len(C)], (-1, *(1,) * (C.ndim - 1))) + 0j
-        # one signed multiplier per kind: -1 on mask for the limit rows (the
-        # last 2 of C), 1 on the 2/3 band for the pair's
-        rows = [(-1, mask)] * (d + 1) + [(1, grid.dealias_mask)] * pair
-        self.signed = [np.reshape([grid.project(np.full(f.shape[-d:], s, complex), keep)
-                                   for s, keep in rows[len(rows) - len(f):]],
+        # one multiplier -P per kind, a row's derivative being -P of its products: P
+        # onto mask for the limit rows (the last 2 of C), onto the 2/3 band for the pair's
+        bands = [mask] * (d + 1) + [grid.dealias_mask] * pair
+        self.signed = [np.reshape([grid.project(np.full(f.shape[-d:], -1, complex), keep)
+                                   for keep in bands[len(bands) - len(f):]],
                                   (len(f), *(1,) * (f.ndim - 1 - d), *f.shape[-d:]))
                        for f in (R, C)]
 
 
-def _rhs(y, grid: Grid, sigma: int, psign: int, mask: np.ndarray,
-         grid_pass: list | None = None, ws: _Workspace | None = None) -> tuple:
+def _rhs(y, ws: _Workspace, grid_pass: list | None = None) -> tuple:
     """Time derivatives (dR, dC) of the spectral state y = (R, C) at one RK4
-    stage, fresh arrays; a run's stages share its workspace ws (else the call
-    makes one); the step's grid pass of y spares stage 1 its inverse ones."""
-    ws = ws or _Workspace(y, grid, sigma, mask)
+    stage, fresh arrays, in the run's workspace ws; the step's grid pass of y
+    spares stage 1 its inverse transforms."""
+    grid = ws.grid
     # the fields die with _products: no forward transform runs next to them
-    source_h = _products(y, grid, sigma, psign, grid_pass, ws)
+    source_h = _products(y, ws, grid_pass)
     real_h, cplx_h = grid.rfft(ws.pr), grid.fft(ws.pc)
-    # grad p, the pair's source and the signed projections are multipliers
+    # grad p, the pair's source and -P are multipliers
     v_h = real_h[:grid.dim]
     np.add(v_h, np.multiply(ws.grad, real_h[-1]), out=v_h)
     if source_h is not None:
-        cplx_h[2] += source_h
+        cplx_h[2] -= source_h
     return np.multiply(ws.signed[0], real_h[:-1]), np.multiply(ws.signed[1], cplx_h)
 
 
-def _products(y, grid: Grid, sigma: int, psign: int,
-              grid_pass: list | None, ws: _Workspace):
+def _products(y, ws: _Workspace, grid_pass: list | None):
     """A stage's products on its fields (the step's grid pass, emptied so they
     die here, or _grid_fields of y), summed over j as sum(0) adds: into ws.pr
     the real (v.grad) v, |v|^2/2 + s*p (and the phi1 part), s*p, into ws.pc
     the complex S, a (and w) parts; returns the pair's source spectrum."""
-    d = grid.dim
-    real, cplx = grid_pass or _grid_fields(y, grid, ws=ws)
+    d = ws.grid.dim
+    real, cplx = grid_pass or _grid_fields(y, ws)
     if grid_pass:
         grid_pass.clear()
     v, pr, pc = real[:d], ws.pr, ws.pc
     div_v = sum(real[2 * d + 1:d + d * d:d + 1], real[d])  # d_j v_i at d + d*j + i
     sp = np.square(np.abs(cplx[0, 0]), out=pr[-1])  # |S|^2, then s*|S|^2
-    if psign < 0:
+    if ws.psign < 0:
         np.negative(sp, out=sp)
     v2 = np.square(v)
     np.add(np.multiply(0.5, sum(v2[1:], v2[0]), out=pr[d]), sp, out=pr[d])
@@ -218,19 +219,17 @@ def _products(y, grid: Grid, sigma: int, psign: int,
     if len(pc) > 2:  # the corrector pair rides along: grad phi1, Lap phi1
         n = d + d * d
         return corrector._rhs(real[n:n + d], real[n + d], cplx, v, div_v,
-                              rated, y[1][1], ws, sigma)
+                              rated, y[1][1], ws)
     return None
 
 
-def _grid_fields(y, grid: Grid, step: bool = False,
-                 ws: _Workspace | None = None) -> list:
+def _grid_fields(y, ws: _Workspace, step: bool = False) -> list:
     """[real, cplx], the fields of y = (R, C) a stage needs, one inverse transform
-    per kind of jets in the workspace ws (its own without): S, a (and w) with their
-    gradients, and the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1,
-    Lap phi1), then, in the step's grid pass (step=True), grad div v, phi (and phi1)."""
+    per kind of jets in the workspace ws: S, a (and w) with their gradients, and
+    the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1, Lap phi1), then,
+    in the step's grid pass (step=True), grad div v, phi (and phi1)."""
     R, C = y
-    ws = ws or _Workspace(y, grid, 1, grid.dealias_mask)  # sigma, mask unused
-    d, n, jr = grid.dim, ws.n, ws.jr
+    grid, d, n, jr = ws.grid, ws.grid.dim, ws.n, ws.jr
     # complex first: the real jet takes the complex jet's place
     cplx = grid.ifft(np.multiply(ws.jet_c, C, out=ws.jc))
     np.multiply(ws.jet_r, R[:d], out=ws.jv)
@@ -385,8 +384,8 @@ def evolve_limit(
              np.concatenate([y[1], grid.fft(a1[None])]))
 
     d = grid.dim
-    ws = _Workspace(y, grid, sigma, mask)
-    real, cplx = grid_pass = _grid_fields(y, grid, step=True, ws=ws)
+    ws = _Workspace(y, grid, sigma, pressure_sign, mask)
+    real, cplx = grid_pass = _grid_fields(y, ws, step=True)
     n_stage, axes = ws.n, tuple(range(1, real.ndim))  # then grad div v, phi (and phi1)
     dx_min = min(grid.dx)
 
@@ -449,7 +448,7 @@ def evolve_limit(
     def rhs(y, grid_pass=None):
         # looked up as a module attribute at every stage (and corrector._rhs
         # inside it), so a wrapper installed on either one sees every call
-        return _rhs(y, grid, sigma, pressure_sign, mask, grid_pass, ws)
+        return _rhs(y, ws, grid_pass)
 
     status = "completed"
     t = 0.0
@@ -483,7 +482,7 @@ def evolve_limit(
         if t >= final_time - 1e-9 * dt:
             t = final_time
 
-        real, cplx = grid_pass = _grid_fields(y, grid, step=True, ws=ws)
+        real, cplx = grid_pass = _grid_fields(y, ws, step=True)
         finite, new_speed, step_scalars = scan(real, cplx)
         if not finite:
             status = "nonfinite"

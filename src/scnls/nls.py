@@ -76,10 +76,8 @@ SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
 
 # the step-doubling guard's tolerance, in eps*||u0||_L2
 SELF_CHECK_FACTOR = 0.05
-# the wavefunction integrator of the sweep rows and the CLI runs, and the
-# exponent of their Strang step dt0*eps^DT_EXPONENT
+# the wavefunction integrator of the sweep rows and the CLI runs
 SCHEME = "yoshida4"
-DT_EXPONENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class NLSConfig:
 def scheme_step(scheme: str, dt0: float, epsilon: float, dx: float) -> float:
     """The law step of ``scheme`` at epsilon on a grid of smallest spacing dx.
 
-    Strang steps at dt_s = dt0*eps^DT_EXPONENT.  A composition with largest
+    Strang steps at dt_s = dt0*eps.  A composition with largest
     |substep weight| w steps at
 
         h = max(sqrt(dt_s*eps), min(sqrt(dt0*eps), B/(4*w))),
@@ -148,7 +146,7 @@ def scheme_step(scheme: str, dt0: float, epsilon: float, dx: float) -> float:
     5.6e-8, 1.0e-8, 1.3e-7 and 1.2e-6 and the check errors 4.5e-6,
     9.1e-7, 1.6e-7, 2.1e-6 and 1.8e-5 (module docstring).
     """
-    dt_strang = dt0 * epsilon**DT_EXPONENT
+    dt_strang = dt0 * epsilon
     if scheme == "strang":
         return dt_strang
     w = max(abs(x) for x in SCHEMES[scheme])

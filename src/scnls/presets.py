@@ -54,9 +54,9 @@ class InitialData:
 
 
 def _radial2(grid: Grid, center) -> np.ndarray:
-    c = np.zeros(grid.dim) if center is None else np.atleast_1d(np.asarray(center, dtype=float))
-    x = grid.coords
-    return sum((x[i] - c[i]) ** 2 for i in range(grid.dim))
+    # one center value serves every axis, as plane_wave's mode does
+    c = np.broadcast_to(np.asarray(0.0 if center is None else center, dtype=float), grid.dim)
+    return sum((x - ci) ** 2 for x, ci in zip(grid.coords, c))
 
 
 def gaussian(grid: Grid, width: float = 1.0, amplitude: complex = 1.0, center=None) -> np.ndarray:

@@ -44,8 +44,8 @@ from .grid import (CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT,
                    per_value)
 from .limit import LimitState, evolve_limit
 # evolve_nls stays bound here, unused, because bench/layers.py traces it
-from .nls import (DT_EXPONENT, SCHEME, NLSConfig, NLSTrajectory,  # noqa: F401
-                  build_initial_data, evolve_nls, evolve_nls_batch)
+from .nls import (SCHEME, NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
+                  evolve_nls, evolve_nls_batch)
 from .presets import InitialData, snap_wavevector
 
 
@@ -105,7 +105,6 @@ class SweepPlan:
     final_time: float
     n_obs: int = 20
     dt0: float = 0.01
-    self_check: bool = True
     config_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -157,11 +156,10 @@ class SweepResult:
         ], columns, self.rows)
 
 
-def rung_groups(n_rungs: int, points: int, n_obs: int,
-                self_check: bool) -> list[range]:
+def rung_groups(n_rungs: int, points: int, n_obs: int) -> list[range]:
     """Consecutive ladder rungs integrated in one wavefunction batch.
 
-    A rung is its run plus, with self_check, its step-doubling check.  A
+    A rung is its run plus its step-doubling check, two members.  A
     group holds at most CHUNK_POINTS grid points, for peak memory: the Grid
     transforms go in chunks of that size anyway, but a group's arrays grow
     with it (one group for a three-rung 128x128 ladder with 11 observations
@@ -170,8 +168,7 @@ def rung_groups(n_rungs: int, points: int, n_obs: int,
     one run, n_obs * points * SNAPSHOT_BYTES_PER_POINT <= MAX_STORED_BYTES,
     allows.
     """
-    members = 2 if self_check else 1
-    per = max(1, min(CHUNK_POINTS // (members * points),
+    per = max(1, min(CHUNK_POINTS // (2 * points),
                      MAX_STORED_BYTES // (n_obs * points * SNAPSHOT_BYTES_PER_POINT)))
     return [range(i, min(i + per, n_rungs)) for i in range(0, n_rungs, per)]
 
@@ -218,13 +215,11 @@ def _sweep_row(traj: NLSTrajectory,
         "epsilon": eps, **row,
         "mod_energy_0": me0, "mod_energy_max": max(table["mod_energy"]),
         "envelope_ok": envelope_ok,
-        # the steps of the run and of its check (-1.0 without a check, as
-        # the check error): the law step is not one formula in eps
+        # the steps of the run and of its check: the law step is not one
+        # formula in eps
         "nls_dt": float(traj.dt),
-        "self_check_dt": (-1.0 if traj.self_check_dt is None
-                          else float(traj.self_check_dt)),
-        "self_check_error": (-1.0 if traj.self_check_error is None
-                             else float(traj.self_check_error)),
+        "self_check_dt": float(traj.self_check_dt),
+        "self_check_error": float(traj.self_check_error),
         "self_check_ok": bool(traj.self_check_ok),
         "series": {key: table[key] for key in SERIES_KEYS},  # JSON only
     }
@@ -260,20 +255,17 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     # the rungs of a group integrate as one batch; a failed step-doubling
     # check flags its row and the sweep goes on
     rows = []
-    for group in rung_groups(len(plan.epsilon_list), grid.size, plan.n_obs,
-                             plan.self_check):
+    for group in rung_groups(len(plan.epsilon_list), grid.size, plan.n_obs):
         ladder = [plan.epsilon_list[i] for i in group]
         u0s = [build_initial_data(initial, eps, epsilon_ref=eps_ref)
                for eps in ladder]
         cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
-                          final_time=plan.final_time, dt0=plan.dt0,
-                          self_check=plan.self_check, scheme=SCHEME)
+                          final_time=plan.final_time, dt0=plan.dt0, scheme=SCHEME)
                 for eps in ladder]
         rows += [_sweep_row(traj, limit_chunks, c_hat, k, sup_p)
                  for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
 
-    # the fits take the rows that pass their step-doubling check (all of
-    # them without the check), at least 3
+    # the fits take the rows that pass their step-doubling check, at least 3
     fits: dict[str, FitResult] = {}
     passed = [r for r in rows if r["self_check_ok"]]
 
@@ -295,9 +287,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "final_time": plan.final_time,
         "n_obs": plan.n_obs,
         "dt0": plan.dt0,
-        "dt_exponent": DT_EXPONENT,
         "scheme": SCHEME,
-        "self_check": plan.self_check,
         "initial_label": initial.label,
         "config": plan.config_echo,
     }

@@ -202,6 +202,18 @@ class TestPresets:
         spectrum[peak] = 0.0
         assert np.max(spectrum) < 1e-12
 
+    @pytest.mark.parametrize("preset", ["gaussian", "compact_bump"])
+    def test_scalar_center_serves_every_axis(self, preset):
+        # in 2-D one center value is the center on both axes, as one
+        # plane_wave mode is the mode on both
+        grid = {"dim": 2, "N": 32, "L": 12.0}
+        one, both = (self.initial(grid, {"a0_preset": preset,
+                                         "a0_params": {"center": center}}).a0
+                     for center in (0.5, [0.5, 0.5]))
+        assert one.tobytes() == both.tobytes()
+        assert np.argmax(np.abs(one)) != np.argmax(np.abs(self.initial(
+            grid, {"a0_preset": preset}).a0))  # moved off the origin
+
     @pytest.mark.parametrize("grid", [{"N": 64, "L": 8.0},
                                       {"dim": 2, "N": 32, "L": 8.0}],
                              ids=["1d", "2d"])
@@ -364,6 +376,12 @@ class TestCliCommands:
         rep = run_cli(["report", str(out)], tmp_path)
         assert rep.returncode == 0, rep.stderr
         assert "fit two_term_l2" in rep.stdout
+        # each fit line ends in its row count, as the report holds it
+        fit_lines = [ln for ln in rep.stdout.splitlines() if ln.startswith("fit ")]
+        assert fit_lines and len(fit_lines) == len(doc["fits"])
+        for line in fit_lines:
+            name = line.split(":")[0].removeprefix("fit ")
+            assert line.split()[4:5] == [f"n={doc['fits'][name]['n']}"]
 
     @pytest.mark.parametrize("command", sorted(CSV_COLUMNS))
     def test_csv_columns(self, tiny_config, tmp_path, command):
@@ -470,12 +488,12 @@ class TestCliCommands:
         path = tmp_path / "report.json"
         path.write_text(json.dumps({
             "plan": {"sigma": 2, "final_time": 0.1}, "k_order": 2, "rows": [],
-            "fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0}}}))
+            "fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0, "n": 3}}}))
         assert cli.main(["report", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("sweep report: sigma=2")
         assert lines[1].startswith("k_order=2")
-        assert lines[2:] == ["fit two_term_l2: slope=1.0000 r2=1.00000"]
+        assert lines[2:] == ["fit two_term_l2: slope=1.0000 r2=1.00000 n=3"]
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -618,6 +636,7 @@ class TestCliCommands:
         ("text.json", "not json"),
         ("list.json", "[1, 2]"),
         ("row.json", '{"rows": [{"epsilon": 0.125}]}'),
+        ("fit.json", '{"fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0}}}'),
     ])
     def test_bad_report_exit_2(self, tmp_path, name, text):
         path = tmp_path / name

@@ -361,10 +361,10 @@ class TestEvolve:
         ends = []  # the spectral state at every step's end, from its grid pass
         grid_fields = limit._grid_fields
 
-        def spy(y, grid, step=False, ws=None):
+        def spy(y, ws, step=False):
             if step:
                 ends.append(y)
-            return grid_fields(y, grid, step, ws)
+            return grid_fields(y, ws, step)
 
         monkeypatch.setattr(limit, "_grid_fields", spy)
         obs = np.linspace(0.0, 3.0, 7)
@@ -384,7 +384,7 @@ class TestEvolve:
             h = steps[n + 1] - steps[n]
             s = (obs[i] - steps[n]) / h
             y0, y1 = ends[n], ends[n + 1]
-            f0, f1 = (limit._rhs(y, g, 2, 1, g.dealias_mask) for y in (y0, y1))
+            f0, f1 = (stage(y, g) for y in (y0, y1))
             R, C = ((2 * s**3 - 3 * s**2 + 1) * a + (s**3 - 2 * s**2 + s) * h * b
                     + (3 * s**2 - 2 * s**3) * p + (s**3 - s**2) * h * q
                     for a, b, p, q in zip(y0, f0, y1, f1))
@@ -640,7 +640,7 @@ def budget_plan(dim):
         data = InitialData(grid=g, a0=a0, a1=(0.5 * gaussian(g, 1.2)).astype(complex),
                            phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0,))
         return SweepPlan(initial=data, sigma=2, epsilon_list=(2.0**-3, 2.0**-4, 2.0**-5),
-                         final_time=0.1, n_obs=6, self_check=False)
+                         final_time=0.1, n_obs=6)
     g = Grid((64, 64), (12.0, 12.0))
     r2 = sum(c**2 for c in g.coords)
     bump = np.exp(-r2)
@@ -648,7 +648,7 @@ def budget_plan(dim):
                        a1=(0.4 * np.exp(-r2 / 1.4)).astype(complex),
                        phi0_periodic=np.zeros(g.shape), phi0_wavevector=(0.0, 0.0))
     return SweepPlan(initial=data, sigma=2, epsilon_list=(0.25, 0.125, 0.0625),
-                     final_time=0.06, n_obs=5, self_check=False)
+                     final_time=0.06, n_obs=5)
 
 
 class TestLargerStep:
@@ -760,6 +760,13 @@ def spectral(state, grid):
             grid.fft(np.array([S, a, *pair[1:]])))
 
 
+def stage(y, grid, psign=1, mask=None):
+    """limit._rhs of y at sigma = 2 in a workspace made as evolve_limit makes
+    it (mask: the 2/3 band by default)."""
+    mask = grid.dealias_mask if mask is None else mask
+    return limit._rhs(y, limit._Workspace(y, grid, 2, psign, mask))
+
+
 def physical(dR, dC, grid):
     """The fields [v, S, a, phi[, phi1, w]] of the spectral pair (dR, dC)."""
     real, cplx = grid.irfft(dR), grid.ifft(dC)
@@ -801,7 +808,7 @@ class TestSpectralStage:
         state = joint_state(grid, batch)
         expected = oracle_rhs(state, grid, 2, psign, mask)
         y = spectral(state, grid)
-        dR, dC = limit._rhs(y, grid, 2, psign, mask)
+        dR, dC = stage(y, grid, psign, mask)
         assert (dR.shape, dC.shape) == (y[0].shape, y[1].shape)
         got = physical(dR, dC, grid)
         assert len(got) == 6
@@ -814,8 +821,9 @@ class TestSpectralStage:
         # one inverse and one forward call per kind, real and complex
         grid = Grid(512, 16.0)
         y = spectral(joint_state(grid)[: 6 if joint else 4], grid)
+        ws = limit._Workspace(y, grid, 2, 1, grid.dealias_mask)
         calls = count_calls(monkeypatch, ALL_FFTS)
-        dR, dC = limit._rhs(y, grid, 2, 1, grid.dealias_mask)
+        dR, dC = limit._rhs(y, ws)
         assert (dR.shape, dC.shape) == (y[0].shape, y[1].shape)
         assert sum(calls.values()) <= 4, calls
 
@@ -828,7 +836,7 @@ class TestSpectralStage:
         # time is measured outside Tier-1
         grid = Grid(512, 16.0)
         y = spectral(joint_state(grid)[: 6 if joint else 4], grid)
-        ws = limit._Workspace(y, grid, 2, grid.dealias_mask)
+        ws = limit._Workspace(y, grid, 2, 1, grid.dealias_mask)
         calls = []
 
         def profile(frame, event, arg):
@@ -837,7 +845,7 @@ class TestSpectralStage:
 
         sys.setprofile(profile)
         try:
-            limit._rhs(y, grid, 2, 1, grid.dealias_mask, None, ws)
+            limit._rhs(y, ws)
         finally:
             sys.setprofile(None)
         assert len(calls) <= bound
@@ -853,13 +861,13 @@ class TestSpectralStage:
         assert case == "1d" or 9 * grid.size > CHUNK_POINTS
         mask = grid.dealias_mask
         y = spectral(joint_state(grid), grid)
-        ws = limit._Workspace(y, grid, 2, mask)
+        ws = limit._Workspace(y, grid, 2, 1, mask)
         buffers = [b for b in (*vars(ws).values(), *ws.signed)
                    if isinstance(b, np.ndarray)]
 
         def rhs(state):
             before = [f.tobytes() for f in state]
-            k = limit._rhs(state, grid, 2, 1, mask, None, ws)
+            k = limit._rhs(state, ws)
             assert [f.tobytes() for f in state] == before
             assert not any(np.shares_memory(f, b) for f in k for b in buffers)
             return k
@@ -878,10 +886,11 @@ class TestSpectralStage:
         # y afresh, bit for bit, and empties the pass it was fed
         grid, batch, mask, psign = stage_case(case, Grid((32, 16), (10.0, 8.0)))
         y = spectral(joint_state(grid, batch)[: 6 if joint else 4], grid)
-        grid_pass = limit._grid_fields(y, grid, step=True)
-        fed = limit._rhs(y, grid, 2, psign, mask, grid_pass)
+        ws = limit._Workspace(y, grid, 2, psign, mask)
+        grid_pass = limit._grid_fields(y, ws, step=True)
+        fed = limit._rhs(y, ws, grid_pass)
         assert grid_pass == []
-        fresh = limit._rhs(y, grid, 2, psign, mask)
+        fresh = limit._rhs(y, ws)
         for got, want in zip(fed, fresh):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
@@ -913,7 +922,9 @@ class TestSpectralStage:
         # the physical fields and Grid.gradient
         g = Grid((32, 16), (10.0, 8.0))
         state = joint_state(g)
-        real, cplx = limit._grid_fields(spectral(state, g), g, step=True)
+        y = spectral(state, g)
+        real, cplx = limit._grid_fields(y, limit._Workspace(y, g, 2, 1, g.dealias_mask),
+                                        step=True)
         v, S, a, phi, phi1, w = state
         grad_v = g.gradient(v).real
         want = np.concatenate([v, grad_v.reshape(4, *g.shape),

@@ -78,7 +78,7 @@ class TestPlanValidation:
 def small_sweep(gaussian_data):
     plan = SweepPlan(initial=gaussian_data, sigma=2,
                      epsilon_list=(2.0**-3, 2.0**-4, 2.0**-5),
-                     final_time=0.1, n_obs=6, self_check=False)
+                     final_time=0.1, n_obs=6)
     return plan, run_sweep(plan)
 
 
@@ -216,6 +216,17 @@ class TestRunSweep:
         assert "two_term_l2" in doc["fits"]
         assert doc["k_order"] == 2
 
+    def test_plan_echo_keys(self, small_sweep):
+        # the plan echo of report.json and of sweep.csv's line 2 holds the
+        # settings a sweep has, and no constant of the package
+        _, res = small_sweep
+        keys = sorted(["grid", "sigma", "epsilon_list", "final_time", "n_obs",
+                       "dt0", "scheme", "initial_label", "config"])
+        assert sorted(res.plan_echo) == keys
+        assert sorted(json.loads(res.to_json())["plan"]) == keys
+        line = res.to_csv().splitlines()[1]
+        assert sorted(json.loads(line.removeprefix("# config: "))) == keys
+
 
 def headline_sweep(n: int):
     """(plan, result) of the README config's sweep at N = n: the five-rung
@@ -287,7 +298,7 @@ class TestGuardAndVariants:
                            phi0_wavevector=(0.0,))
         plan = SweepPlan(initial=data, sigma=2,
                          epsilon_list=(0.25, 0.125), final_time=0.05,
-                         n_obs=3, dt0=0.16, self_check=True)
+                         n_obs=3, dt0=0.16)
         res = run_sweep(plan)
         assert len(res.rows) == 2
         assert any(not r["self_check_ok"] for r in res.rows)
@@ -315,7 +326,7 @@ class TestGuardAndVariants:
                            phi0_wavevector=(0.0,))
         plan = SweepPlan(initial=data, sigma=2,
                          epsilon_list=(0.25, 0.125), final_time=0.05,
-                         n_obs=3, dt0=0.16, self_check=True)
+                         n_obs=3, dt0=0.16)
         res = run_sweep(plan)
         assert any(not r["self_check_ok"] for r in res.rows)
         assert calls == [0.25, 0.25, 0.125, 0.125]
@@ -325,7 +336,7 @@ class TestGuardAndVariants:
         # uniformity reported at the k=2 choice
         plan = SweepPlan(initial=gaussian_data, sigma=1,
                          epsilon_list=(2.0**-3, 2.0**-4, 2.0**-5),
-                         final_time=0.1, n_obs=5, self_check=False)
+                         final_time=0.1, n_obs=5)
         res = run_sweep(plan)
         assert res.k_order == 2
         fit = res.fits["two_term_l2"]
@@ -335,8 +346,7 @@ class TestGuardAndVariants:
 
     def test_single_epsilon_plan_no_fits(self, gaussian_data):
         plan = SweepPlan(initial=gaussian_data, sigma=2,
-                         epsilon_list=(0.25,), final_time=0.05, n_obs=3,
-                         self_check=False)
+                         epsilon_list=(0.25,), final_time=0.05, n_obs=3)
         res = run_sweep(plan)
         assert len(res.rows) == 1
         assert res.fits == {}
@@ -363,7 +373,7 @@ class TestObservationPairing:
         monkeypatch.setattr(sweep, "evolve_corrector", spy_corrector)
         plan = SweepPlan(initial=gaussian_data, sigma=2,
                          epsilon_list=(2.0**-2, 2.0**-3), final_time=0.35,
-                         n_obs=7, self_check=False)
+                         n_obs=7)
         run_sweep(plan)
         times = seen["limit"].times
         np.testing.assert_array_equal(times, np.linspace(0.0, 0.35, 7))
@@ -454,12 +464,10 @@ class TestRungGroups:
         assert len(res.rows) == 2
 
     def test_group_sizes(self):
-        assert rung_groups(5, 512, 20, True) == [range(5)]
-        assert rung_groups(3, 128 * 128, 11, True) == [range(0, 1), range(1, 2),
-                                                      range(2, 3)]
-        # without checks a rung is one member
-        assert rung_groups(3, 128 * 128, 11, False) == [range(0, 2), range(2, 3)]
-        assert rung_groups(3, 64 * 64, 5, True) == [range(3)]
+        assert rung_groups(5, 512, 20) == [range(5)]
+        assert rung_groups(3, 128 * 128, 11) == [range(0, 1), range(1, 2),
+                                                range(2, 3)]
+        assert rung_groups(3, 64 * 64, 5) == [range(3)]
 
     def test_groups_within_snapshot_budget(self):
         # a long ladder on a 16-point grid: the transform bound alone would
@@ -470,7 +478,7 @@ class TestRungGroups:
             "physics": {"sigma": 2, "epsilon_list": ladder},
             "time": {"T": 0.25, "observation_count": 150_000}}))
         n_obs = cfg.observation_count
-        groups = rung_groups(len(cfg.epsilon_list), 16, n_obs, True)
+        groups = rung_groups(len(cfg.epsilon_list), 16, n_obs)
         assert [i for group in groups for i in group] == list(range(40))
         assert len(groups) > 1
         for group in groups:
@@ -490,7 +498,7 @@ class TestTwoDimensions:
                            phi0_wavevector=(0.0, 0.0))
         plan = SweepPlan(initial=data, sigma=2,
                          epsilon_list=(0.25, 0.125, 0.0625),
-                         final_time=0.04, n_obs=3, self_check=False)
+                         final_time=0.04, n_obs=3)
         res = run_sweep(plan)
         assert res.k_order == 1
         assert res.sup_p == 6.0
@@ -510,7 +518,7 @@ class TestMatchedPlaneWave:
                            phi0_wavevector=(1.0,), label="plane-wave")
         plan = SweepPlan(initial=data, sigma=2,
                          epsilon_list=(0.5, 0.25, 0.125), final_time=0.05,
-                         n_obs=4, self_check=False)
+                         n_obs=4)
         res = run_sweep(plan)
         for row in res.rows:
             assert row["err_two_term_l2"] < 1e-9
