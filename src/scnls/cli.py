@@ -315,7 +315,7 @@ def _load_report(path_arg: str) -> dict:
     need(isinstance(fits, dict), "fits is not an object")
     for name, fit in fits.items():
         need(isinstance(fit, dict) and all(
-            isinstance(fit.get(k), (int, float)) for k in ("slope", "r2"))
+            type(fit.get(k)) in (int, float) for k in ("slope", "r2"))
             and type(fit.get("n")) is int,
             f"fit {name} lacks a numeric slope and r2 or an integer n")
     return doc
@@ -374,10 +374,11 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(args.path)
             return EXIT_OK
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError("<document>", f"config file not found: {cfg_path}")
-        cfg = parse_config(cfg_path.read_text())
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError("<document>", f"cannot read {args.config}: {exc}") from exc
+        cfg = parse_config(text)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         out = _outdir(cfg, args.out)

@@ -39,11 +39,12 @@ derivatives, grad p, the corrector's (i/2) Lap a source and -P, minus the
 band projection (every derivative row is -P of its products), are
 multipliers, and RK4 sums the fresh derivatives in place.
 Each step ends with one grid pass of its state, whose two inverse transforms
-also make grad div v, phi (and phi1): one pass of reductions gives its CFL
-speed, scalars and finiteness check, the stored node reads it, and the next
-step's stage 1 forms its products from it and drops it before its forward
-transforms.  Node 0 holds phi0 (and phi1 = 0, w = a1) as given.  Time
-stepping is classical RK4 at the CFL step, with an optional per-step
+also make grad div v: one pass of reductions gives its CFL speed, scalars
+and finiteness check, and the next step's stage 1 forms its products from it
+and drops it before its forward transforms.  A stored node is one inverse
+transform per kind of a spectral state, the step's own on its end and the
+interpolant inside it; node 0 holds phi0 (and phi1 = 0, w = a1) as given.
+Time stepping is classical RK4 at the CFL step, with an optional per-step
 CFL-adapted step at ADAPTIVE_CFL for the instability demos; the
 observation times do not set the step.  A node inside a step is the
 step's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6), the
@@ -154,10 +155,10 @@ class _Workspace:
         d, pair = grid.dim, len(R) - grid.dim - 1
         self.n = d + d * d + (d + 1) * pair  # a stage's real jet rows
         n_pr = (d + 2 + pair) * C[0].size // 2  # the real products, as complex
-        block = np.empty(max((1 + d) * C.size, (self.n + len(R)) * R[0].size,
+        block = np.empty(max((1 + d) * C.size, (self.n + d) * R[0].size,
                              2 * C.size + n_pr), complex)
         self.jc = block[:(1 + d) * C.size].reshape(1 + d, *C.shape)
-        self.jr = block[:(self.n + len(R)) * R[0].size].reshape(-1, *R.shape[1:])
+        self.jr = block[:(self.n + d) * R[0].size].reshape(-1, *R.shape[1:])
         self.jv = self.jr[:d + d * d].reshape(1 + d, d, *R.shape[1:])  # [v, d_j v]
         self.pc, self.rated = (block[i:i + C.size].reshape(C.shape)
                                for i in (0, C.size + n_pr))
@@ -227,7 +228,7 @@ def _grid_fields(y, ws: _Workspace, step: bool = False) -> list:
     """[real, cplx], the fields of y = (R, C) a stage needs, one inverse transform
     per kind of jets in the workspace ws: S, a (and w) with their gradients, and
     the rows v, grad v (row d_j v_i at dim*j + i) (and grad phi1, Lap phi1), then,
-    in the step's grid pass (step=True), grad div v, phi (and phi1)."""
+    in the step's grid pass (step=True), grad div v."""
     R, C = y
     grid, d, n, jr = ws.grid, ws.grid.dim, ws.n, ws.jr
     # complex first: the real jet takes the complex jet's place
@@ -238,8 +239,7 @@ def _grid_fields(y, ws: _Workspace, step: bool = False) -> list:
         np.multiply(ws.lap, R[-1], out=jr[n - 1])
     if step:
         diag = [ws.jv[1 + j, j] for j in range(d)]  # d_j v_j
-        np.multiply(ws.grad, sum(diag[1:], diag[0]), out=jr[n:n + d])
-        jr[n + d:] = R[d:]
+        np.multiply(ws.grad, sum(diag[1:], diag[0]), out=jr[n:])
     return [grid.irfft(jr if step else jr[:n]), cplx]
 
 
@@ -331,25 +331,24 @@ def evolve_limit(
     RK4 stage, or one more right-hand side after the last step).  A
     completed run stores exactly n_obs nodes (default 2: the start and the
     end), a stopped one those up to its last step.  The per-step scalars
-    (grad_v_max, ...) cover every step; they, the finiteness check and the
-    nodes on step ends come from one grid pass of the step's state, which
-    then feeds the next step's first RK4 stage.  Given a1, the run also
-    carries the corrector pair (phi1, w) from (0, a1): the trajectory
-    stores it as its phi1 and w, and its states carry it (None without
-    a1).  Fields of init and a1 of shape (*batch, *grid.shape) are
-    independent runs integrated as one, stored with their batch axes.  The
-    members share the step, the status and the per-step scalars (each a
-    max over the members): one member breaking the CFL bound or going
-    non-finite stops them all.  A fixed-step run is expected to complete,
-    so its stop raises NumericalGuardError: status "cfl" once its CFL
-    number passes 2*CFL_NUMBER = 1.0 or, in 2-D, RK4's own limit
-    3*sqrt(2)/(pi*dim) = 0.675 (cfl_step), "nonfinite" or "grad_stop"
-    (max|grad v| over grad_stop).  An adaptive run returns its trajectory
-    up to the stop, with one of those or "dt_floor" once its CFL step falls
-    below DT_FLOOR_FACTOR times the first.  Before the first step, fixed or
-    adaptive, ConfigError refuses sigma < 1, n_obs < 2, nodes (of every
-    batch member) over grid.MAX_STORED_BYTES, initial data without a
-    finite wave speed, and (key time.T) a final_time that is not positive,
+    (grad_v_max, ...) cover every step; they and the finiteness check come
+    from one grid pass of the step's state, which then feeds the next step's
+    first RK4 stage.  Given a1, the run also carries the corrector pair
+    (phi1, w) from (0, a1): the trajectory stores it as its phi1 and w, and
+    its states carry it (None without a1).  Fields of init and a1 of shape
+    (*batch, *grid.shape) are independent runs integrated as one, stored
+    with their batch axes.  The members share the step, the status and the
+    per-step scalars (each a max over the members): one member breaking the
+    CFL bound or going non-finite stops them all.  A fixed-step run is
+    expected to complete, so its stop raises NumericalGuardError: status
+    "cfl" once its CFL number passes 2*CFL_NUMBER = 1.0 or, in 2-D, RK4's
+    own limit 3*sqrt(2)/(pi*dim) = 0.675 (cfl_step), "nonfinite" or
+    "grad_stop" (max|grad v| over grad_stop).  An adaptive run returns its
+    trajectory up to the stop, with one of those or "dt_floor" once its CFL
+    step falls below DT_FLOOR_FACTOR times the first.  Before the first
+    step, fixed or adaptive, ConfigError refuses sigma < 1, n_obs < 2, nodes
+    (of every batch member) over grid.MAX_STORED_BYTES, initial data without
+    a finite wave speed, and (key time.T) a final_time that is not positive,
     a dt that is not positive and finite or more than grid.MAX_STEPS steps.
     """
     if sigma < 1:
@@ -386,7 +385,7 @@ def evolve_limit(
     d = grid.dim
     ws = _Workspace(y, grid, sigma, pressure_sign, mask)
     real, cplx = grid_pass = _grid_fields(y, ws, step=True)
-    n_stage, axes = ws.n, tuple(range(1, real.ndim))  # then grad div v, phi (and phi1)
+    n_stage, axes = ws.n, tuple(range(1, real.ndim))  # then grad div v
     dx_min = min(grid.dx)
 
     def scan(real, cplx, top=np.maximum.reduce, low=np.minimum.reduce):
@@ -427,18 +426,21 @@ def evolve_limit(
         for f, x in zip(fields, node):
             f[i] = x
 
+    def store_spectral(i, y):
+        # one inverse transform per kind of the spectral state y makes
+        # node i's v, phi (and phi1) and S, a (and w)
+        real, cplx = grid.irfft(y[0]), grid.ifft(y[1])
+        store(i, (real[:d], *cplx[:2], *real[d:], *cplx[2:]))
+
     def store_inside(y0, f0, t0, h, nodes, y1, f1):
         # the cubic Hermite interpolant of the step from (y0, f0) at t0 to
         # (y1, f1) at t0 + h, on the spectral state, as y0 plus increments
-        # (a state at rest stays put to the bit); one inverse transform per
-        # kind of it makes a node's v, phi (and phi1) and S, a (and w)
+        # (a state at rest stays put to the bit)
         for i in nodes:
             s = (obs[i] - t0) / h
             c = (s * s * (3 - 2 * s), s * (1 - s) ** 2 * h, s * s * (s - 1) * h)
-            R, C = (a + c[0] * (p - a) + c[1] * b + c[2] * q
-                    for a, b, p, q in zip(y0, f0, y1, f1))
-            real, cplx = grid.irfft(R), grid.ifft(C)
-            store(i, (real[:d], *cplx[:2], *real[d:], *cplx[2:]))
+            store_spectral(i, [a + c[0] * (p - a) + c[1] * b + c[2] * q
+                               for a, b, p, q in zip(y0, f0, y1, f1)])
 
     store(0, nodes0)
     # per step: time, max|grad v|, max|div v|, max|grad div v|, pressure, CFL
@@ -491,15 +493,14 @@ def evolve_limit(
         history.append((t, *step_scalars, step_dt * speed / dx_min))
         speed = new_speed
         # the nodes inside the step wait for the next stage 1; a node on
-        # its end is its grid pass: v, S, a, phi (and phi1, w)
+        # its end is made from the step's state
         first = reached
         while reached < n_obs and obs[reached] < t:
             reached += 1
         if reached > first:
             inside = (y0, f0, t0, step_dt, range(first, reached))
         if reached < n_obs and obs[reached] == t:
-            store(reached, (real[:d], *cplx[0, :2], *real[n_stage + d:],
-                            *cplx[0, 2:]))
+            store_spectral(reached, y)
             reached += 1
         del real, cplx, y0, f0
         if grad_stop is not None and history[-1][1] > grad_stop:

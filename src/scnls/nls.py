@@ -38,7 +38,7 @@ cut to divide the observation interval.  Its L2 error there, max over the
 rung's two-term WKB error; the check errors are 4.5e-6, 9.1e-7, 1.6e-7,
 2.1e-6 and 1.8e-5, at most 4.0% of the guard's tolerance.
 
-Every run can verify itself by step doubling: one more integration with the
+Every run verifies itself by step doubling: one more integration with the
 same scheme at about 2*dt over the whole horizon, whose final state must
 agree with the run's (the step-doubling guard; Hairer, Norsett & Wanner,
 Solving ODEs I, II.4).  For an order-p scheme the pair's difference is
@@ -92,7 +92,6 @@ class NLSConfig:
     final_time: float
     dt0: float = 0.01
     dt_override: float | None = None
-    self_check: bool = True
     scheme: str = "strang"
 
     def __post_init__(self):
@@ -163,10 +162,10 @@ class NLSTrajectory:
     times: np.ndarray
     states: np.ndarray  # (n_obs, *grid.shape), read-only
     dt: float
-    self_check_error: float | None = None
-    self_check_ok: bool = True
-    self_check_dt: float | None = None
-    mass_history: np.ndarray | None = None
+    self_check_error: float
+    self_check_ok: bool
+    self_check_dt: float
+    mass_history: np.ndarray
 
 
 def build_initial_data(data: InitialData, epsilon: float,
@@ -294,45 +293,40 @@ def evolve_nls_batch(u0s, cfgs, n_obs: int = 2) -> list[NLSTrajectory]:
     Each run is observed at np.linspace(0, final_time, n_obs) of its own
     final_time (default: 0 and final_time), its trajectory's times; n_obs
     < 2 raises ConfigError before any run steps.  Each run's step divides the
-    observation interval, rounded down from its cfg.dt_raw.  Each run with
-    self_check enabled brings its step-doubling check into the same loop: if
-    the run takes n steps, one more member with the same scheme covers
-    [0, T] in n // 2 steps (2*n when n <= 3, where no coarser step is left)
-    and stores only its end state.  If the final states differ by more than
-    SELF_CHECK_FACTOR*eps*||u0|| in L2, the run's trajectory is flagged
-    (self_check_ok False); nothing is raised for it.
+    observation interval, rounded down from its cfg.dt_raw.  Each run brings
+    its step-doubling check into the same loop: if the run takes n steps, one
+    more member with the same scheme covers [0, T] in n // 2 steps (2*n when
+    n <= 3, where no coarser step is left) and stores only its end state.
+    If the final states differ by more than SELF_CHECK_FACTOR*eps*||u0|| in
+    L2, the run's trajectory is flagged (self_check_ok False); nothing is
+    raised for it.
     """
-    runs, members = [], []
+    members = []
     for u0, cfg in zip(u0s, cfgs):
         u0 = np.asarray(u0)
         if u0.shape != cfg.grid.shape:
             raise GridMismatchError(f"u0 shape {u0.shape} != grid shape {cfg.grid.shape}")
-        runs.append((u0, cfg))
-        members.append((u0, cfg, n_obs))
-        if cfg.self_check:
-            m, _ = observation_steps(cfg.final_time, n_obs, cfg.dt_raw,
-                                     "time.observation_count")
-            n = m * (n_obs - 1)
-            n_check = n // 2 if n >= 4 else 2 * n
-            members.append((u0, replace(cfg, dt_override=cfg.final_time / n_check,
-                                        self_check=False), 2))
+        m, _ = observation_steps(cfg.final_time, n_obs, cfg.dt_raw,
+                                 "time.observation_count")
+        n = m * (n_obs - 1)
+        n_check = n // 2 if n >= 4 else 2 * n
+        members += [(u0, cfg, n_obs),
+                    (u0, replace(cfg, dt_override=cfg.final_time / n_check), 2)]
 
-    results = iter(_evolve_batch(*zip(*members)) if members else ())
+    results = _evolve_batch(*zip(*members)) if members else []
     trajs = []
-    for u0, cfg in runs:
-        states, dt = next(results)
+    for (u0, cfg, _), (states, dt), (check, check_dt) in zip(
+            members[::2], results[::2], results[1::2]):
         grid = cfg.grid
-        traj = NLSTrajectory(
+        error = grid.l2_norm(states[-1] - check[-1])
+        trajs.append(NLSTrajectory(
             grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
             times=np.linspace(0.0, cfg.final_time, n_obs), states=states, dt=dt,
-            mass_history=grid.l2_norm(states),
-        )
-        if cfg.self_check:
-            check_states, traj.self_check_dt = next(results)
-            traj.self_check_error = grid.l2_norm(states[-1] - check_states[-1])
-            traj.self_check_ok = traj.self_check_error <= (
-                SELF_CHECK_FACTOR * cfg.epsilon * max(grid.l2_norm(u0), 1e-300))
-        trajs.append(traj)
+            self_check_error=error,
+            self_check_ok=error <= (SELF_CHECK_FACTOR * cfg.epsilon
+                                    * max(grid.l2_norm(u0), 1e-300)),
+            self_check_dt=check_dt, mass_history=grid.l2_norm(states),
+        ))
     return trajs
 
 

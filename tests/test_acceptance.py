@@ -101,7 +101,7 @@ def test_02_nls_solver(acceptance_data):
                      phi0_periodic=np.zeros(g.shape), phi0_wavevector=ksnap)
     u0 = build_initial_data(pw, eps)
     cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=t_end,
-                    dt_override=1e-5, self_check=False)
+                    dt_override=1e-5)
     traj = evolve_nls(u0, cfg)
     omega = ksnap[0] ** 2 / 2 + amp ** (2 * sigma)
     exact = amp * np.exp(1j * (ksnap[0] * g.axes[0] - omega * t_end) / eps)
@@ -111,7 +111,7 @@ def test_02_nls_solver(acceptance_data):
     gw = acceptance_data.grid
     u0g = build_initial_data(acceptance_data, 0.125)
     cfg_m = NLSConfig(grid=gw, epsilon=0.125, sigma=2, final_time=0.1,
-                      dt_override=1e-4, self_check=False)
+                      dt_override=1e-4)
     mh = evolve_nls(u0g, cfg_m).mass_history
     mass_drift = abs(mh[-1] - mh[0]) / mh[0]
 
@@ -120,7 +120,7 @@ def test_02_nls_solver(acceptance_data):
 
     def drift(dt):
         c = NLSConfig(grid=gw, epsilon=0.5, sigma=2, final_time=0.2,
-                      dt_override=dt, self_check=False)
+                      dt_override=dt)
         tr = evolve_nls(u0e, c)
         e0 = nls_invariants(tr.states[0], 0.0, gw, 0.5, 2).energy
         e1 = nls_invariants(tr.states[-1], 0.2, gw, 0.5, 2).energy
@@ -214,8 +214,7 @@ def test_07_transport_identity(acceptance_data):
         ltraj.phi_periodic
         eps = 2.0**-4
         u0 = build_initial_data(acceptance_data, eps)
-        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=t_end,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=t_end)
         traj = evolve_nls(u0, cfg, n_obs)
         recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
                 for i, u in enumerate(traj.states)]

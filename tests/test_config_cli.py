@@ -637,6 +637,7 @@ class TestCliCommands:
         ("list.json", "[1, 2]"),
         ("row.json", '{"rows": [{"epsilon": 0.125}]}'),
         ("fit.json", '{"fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0}}}'),
+        ("bool.json", '{"fits": {"two_term_l2": {"slope": true, "r2": false, "n": 3}}}'),
     ])
     def test_bad_report_exit_2(self, tmp_path, name, text):
         path = tmp_path / name
@@ -649,9 +650,20 @@ class TestCliCommands:
         assert record["error"]["kind"] == "config"
         assert record["error"]["key"] == "<report>"
 
-    def test_missing_file_exit_2(self, tmp_path):
-        proc = run_cli(["simulate", str(tmp_path / "nope.json")], tmp_path)
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_missing_file_exit_2(self, tmp_path, kind):
+        # a config that cannot be read as text is a config error, not an
+        # internal one
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"grid": "\xff\xfe"}')
+        proc = run_cli(["simulate", str(path)], tmp_path)
         assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["key"] == "<document>"
 
     @pytest.mark.parametrize("command", ["simulate", "conserve"])
     def test_guard_failure_exit_3(self, tmp_path, command):

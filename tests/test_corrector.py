@@ -125,8 +125,7 @@ class TestTildeAmplitude:
                             a1=gaussian_data.a1)
         corr = evolve_corrector(traj)
         u0 = build_initial_data(gaussian_data, eps)
-        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
         u_T = evolve_nls(u0, cfg).states[-1]
         ls = corr.state(-1)
         til = tilde_amplitude(ls)

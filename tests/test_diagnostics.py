@@ -120,8 +120,7 @@ def sigma2_run(gaussian_data):
     ltraj = evolve_limit(gaussian_data, sigma, T, n_obs=n_obs)
     ltraj.phi_periodic
     u0 = build_initial_data(gaussian_data, eps)
-    cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                    self_check=False)
+    cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
     traj = evolve_nls(u0, cfg, n_obs)
     recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
             for i, u in enumerate(traj.states)]
@@ -174,8 +173,7 @@ class TestResidualTransport:
         ltraj = evolve_limit(gaussian_data, sigma, T, n_obs=13)
         ltraj.phi_periodic
         u0 = build_initial_data(gaussian_data, eps)
-        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
         traj = evolve_nls(u0, cfg, obs.size)
         recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
                 for i, u in enumerate(traj.states)]
@@ -300,8 +298,7 @@ class TestDensityMetrics:
         out = {}
         for eps in (2.0**-3, 2.0**-5):
             u0 = build_initial_data(gaussian_data, eps)
-            cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                            self_check=False)
+            cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
             u = evolve_nls(u0, cfg).states[-1]
             rec = diagnostics_record(u, st, eps, sigma, 2)
             out[eps] = density_metrics(rec, st, sigma, eps)
@@ -359,8 +356,7 @@ class TestStackedRecord:
                            phi0_wavevector=(0.0, 0.0))
         eps, T = 0.125, 0.02
         ltraj = evolve_limit(data, 2, T, n_obs=5, a1=data.a1)
-        cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=T,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=T)
         traj = evolve_nls(build_initial_data(data, eps), cfg, 5)
         assert_stack_matches_records(ltraj, traj, eps, 2)
 

@@ -78,8 +78,7 @@ class TestEvolve:
         gaps = []
         for eps in (1.0 / 16.0, 1.0 / 64.0):
             u0 = build_initial_data(gaussian_data, eps)
-            cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                            self_check=False)
+            cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
             u_T = evolve_nls(u0, cfg).states[-1]
             gaps.append(g.lebesgue_norm(np.abs(u_T) ** 2 - rho_T, sigma + 1))
         assert gaps[1] < gaps[0]
@@ -899,9 +898,9 @@ class TestSpectralStage:
         # a 1-D joint step makes one forward call of each kind per stage
         # (four stages), one inverse call of each kind in stages 2-4, and
         # one grid pass of its new state (one irfft call: v, grad v,
-        # grad phi1, Lap phi1, grad div v, phi and phi1; one ifft call: S, a
-        # and w with their gradients), which feeds the next step's stage 1;
-        # no n-d transform at all
+        # grad phi1, Lap phi1 and grad div v; one ifft call: S, a and w with
+        # their gradients), which feeds the next step's stage 1; no n-d
+        # transform at all
         g = Grid(256, 16.0)
         data = InitialData(grid=g, a0=gaussian(g, 1.0).astype(complex),
                            a1=0.3 * gaussian(g, 1.2).astype(complex),
@@ -918,18 +917,18 @@ class TestSpectralStage:
             {"rfft": 2 * 4, "fft": 2 * 4, "irfft": 2 * 4, "ifft": 2 * 4})
 
         # the 2-D layout of the pass: v, d_j v_i, grad phi1, Lap phi1,
-        # grad div v, phi, phi1 and S, a, w with their gradients agree with
-        # the physical fields and Grid.gradient
+        # grad div v and S, a, w with their gradients agree with the
+        # physical fields and Grid.gradient
         g = Grid((32, 16), (10.0, 8.0))
         state = joint_state(g)
         y = spectral(state, g)
         real, cplx = limit._grid_fields(y, limit._Workspace(y, g, 2, 1, g.dealias_mask),
                                         step=True)
-        v, S, a, phi, phi1, w = state
+        v, S, a, _, phi1, w = state
         grad_v = g.gradient(v).real
         want = np.concatenate([v, grad_v.reshape(4, *g.shape),
                                g.gradient(phi1).real, g.laplacian(phi1).real[None],
-                               g.gradient(np.trace(grad_v)).real, [phi, phi1]])
+                               g.gradient(np.trace(grad_v)).real])
         assert real.shape == want.shape
         Saw = np.array([S, a, w])
         assert cplx.shape == (3, 3, *g.shape)

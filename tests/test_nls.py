@@ -87,7 +87,7 @@ class TestEvolve:
         data, k = make_plane_wave_data(g, A, 0.5, eps)
         u0 = build_initial_data(data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                        dt_override=1e-5, self_check=False)
+                        dt_override=1e-5)
         traj = evolve_nls(u0, cfg)
         omega = k**2 / 2 + A ** (2 * sigma)
         exact = A * np.exp(1j * (k * g.axes[0] - omega * T) / eps)
@@ -95,7 +95,7 @@ class TestEvolve:
 
     def test_zero_stays_zero(self, grid_1d):
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=1, final_time=0.1,
-                        dt_override=1e-3, self_check=False)
+                        dt_override=1e-3)
         traj = evolve_nls(np.zeros(grid_1d.shape, complex), cfg)
         assert np.max(np.abs(traj.states[-1])) == 0.0
 
@@ -107,7 +107,7 @@ class TestEvolve:
 
         def final(dt):
             cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=0.2,
-                            dt_override=dt, self_check=False)
+                            dt_override=dt)
             return evolve_nls(u0, cfg).states[-1]
 
         f1, f2, f4 = final(2e-3), final(1e-3), final(5e-4)
@@ -123,7 +123,7 @@ class TestEvolve:
 
         def drift(dt):
             cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                            dt_override=dt, self_check=False)
+                            dt_override=dt)
             traj = evolve_nls(u0, cfg)
             e0 = nls_invariants(traj.states[0], 0.0, g, eps, sigma).energy
             eT = nls_invariants(traj.states[-1], T, g, eps, sigma).energy
@@ -136,7 +136,7 @@ class TestEvolve:
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.125)
         cfg = NLSConfig(grid=g, epsilon=0.125, sigma=2, final_time=0.1,
-                        dt_override=1e-4, self_check=False)
+                        dt_override=1e-4)
         traj = evolve_nls(u0, cfg)  # exactly 1000 steps
         m = traj.mass_history
         assert abs(m[-1] - m[0]) / m[0] < 1e-12
@@ -146,7 +146,7 @@ class TestEvolve:
         u0 = build_initial_data(gaussian_data, 0.25)
         theta = 0.7
         cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.05,
-                        dt_override=1e-3, self_check=False)
+                        dt_override=1e-3)
         t1 = evolve_nls(u0, cfg).states[-1]
         t2 = evolve_nls(np.exp(1j * theta) * u0, cfg).states[-1]
         assert np.max(np.abs(t2 - np.exp(1j * theta) * t1)) < 1e-12
@@ -155,7 +155,7 @@ class TestEvolve:
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.25)
         cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.05,
-                        dt_override=1e-3, self_check=False)
+                        dt_override=1e-3)
         t1 = evolve_nls(u0, cfg).states[-1]
         t2 = evolve_nls(np.roll(u0, 1), cfg).states[-1]
         assert np.max(np.abs(t2 - np.roll(t1, 1))) < 1e-12 * np.max(np.abs(t1))
@@ -163,8 +163,7 @@ class TestEvolve:
     def test_observation_snapshots(self, gaussian_data):
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.25)
-        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.1,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.1)
         obs = np.linspace(0.0, 0.1, 6)
         traj = evolve_nls(u0, cfg, 6)
         assert np.allclose(traj.times, obs)
@@ -176,7 +175,7 @@ class TestEvolve:
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.5)
         cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                        dt_override=0.05, self_check=True)
+                        dt_override=0.05)
         traj = evolve_nls(u0, cfg)
         assert not traj.self_check_ok
         assert traj.self_check_error > 1e-9 * 0.5 * g.l2_norm(u0)
@@ -191,7 +190,7 @@ class TestEvolve:
 
     def test_grid_mismatch(self, gaussian_data):
         cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,
-                        final_time=0.05, self_check=False)
+                        final_time=0.05)
         with pytest.raises(GridMismatchError):
             evolve_nls(np.zeros(17, complex), cfg)
 
@@ -209,7 +208,7 @@ class TestYoshida4:
 
         def final(dt):
             cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=0.2,
-                            dt_override=dt, self_check=False, scheme="yoshida4")
+                            dt_override=dt, scheme="yoshida4")
             return evolve_nls(u0, cfg).states[-1]
 
         f1, f2, f4 = final(1e-2), final(5e-3), final(2.5e-3)
@@ -224,7 +223,7 @@ class TestYoshida4:
         data, k = make_plane_wave_data(g, A, 0.5, eps)
         u0 = build_initial_data(data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T,
-                        self_check=False, scheme="yoshida4")
+                        scheme="yoshida4")
         traj = evolve_nls(u0, cfg)
         omega = k**2 / 2 + A ** (2 * sigma)
         exact = A * np.exp(1j * (k * g.axes[0] - omega * T) / eps)
@@ -234,7 +233,7 @@ class TestYoshida4:
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.125)
         cfg = NLSConfig(grid=g, epsilon=0.125, sigma=2, final_time=0.1,
-                        dt_override=1e-4, self_check=False, scheme="yoshida4")
+                        dt_override=1e-4, scheme="yoshida4")
         traj = evolve_nls(u0, cfg)  # exactly 1000 steps, 3000 substeps
         m = traj.mass_history
         assert abs(m[-1] - m[0]) / m[0] < 1e-12
@@ -416,7 +415,7 @@ class TestInvariants:
         eps, sigma = 0.25, 2
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.2,
-                        dt_override=5e-4, self_check=False)
+                        dt_override=5e-4)
         traj = evolve_nls(u0, cfg, 5)
         invs = [nls_invariants(u, float(t), g, eps, sigma)
                 for t, u in zip(traj.times, traj.states)]
@@ -435,7 +434,7 @@ class TestInvariants:
         eps, sigma = 0.5, 2
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.5,
-                        dt_override=5e-4, self_check=False)
+                        dt_override=5e-4)
         traj = evolve_nls(u0, cfg, 6)
         pcs = [nls_invariants(u, float(t), g, eps, sigma).pseudo_conformal
                for t, u in zip(traj.times, traj.states)]
@@ -450,7 +449,7 @@ class TestInvariants:
         u0 = build_initial_data(gaussian_data, eps)
         h = 0.01
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=0.2,
-                        dt_override=2.5e-4, self_check=False)
+                        dt_override=2.5e-4)
         traj = evolve_nls(u0, cfg, 21)  # spacing h
         invs = [nls_invariants(u, float(t), g, eps, sigma)
                 for t, u in zip(traj.times, traj.states)]
@@ -472,7 +471,7 @@ class TestInvariants:
         x, y = g.coords
         u0 = np.exp(-(x**2 + y**2)).astype(complex)
         cfg = NLSConfig(grid=g, epsilon=0.5, sigma=1, final_time=0.02,
-                        dt_override=1e-3, self_check=False)
+                        dt_override=1e-3)
         traj = evolve_nls(u0, cfg)
         inv0 = nls_invariants(traj.states[0], 0.0, g, 0.5, 1)
         invT = nls_invariants(traj.states[-1], 0.02, g, 0.5, 1)
@@ -521,18 +520,17 @@ class TestStepDoublingGuard:
         assert traj.self_check_ok
 
     def test_reported_states_unchanged(self, gaussian_data):
+        # the check member changes no bit of the run: its states are those
+        # of the lone member without a check
         u0 = build_initial_data(gaussian_data, 0.25)
-        checked = evolve_nls(u0, NLSConfig(
-            grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
-            scheme="yoshida4"), 6)
-        plain = evolve_nls(u0, NLSConfig(
-            grid=gaussian_data.grid, epsilon=0.25, sigma=2, final_time=0.05,
-            scheme="yoshida4", self_check=False), 6)
-        assert checked.dt == plain.dt
-        assert plain.self_check_dt is None
+        cfg = NLSConfig(grid=gaussian_data.grid, epsilon=0.25, sigma=2,
+                        final_time=0.05, scheme="yoshida4")
+        checked = evolve_nls(u0, cfg, 6)
+        states, dt = nls._evolve_raw(u0, cfg, 6)
+        assert checked.dt == dt
         assert checked.self_check_dt > checked.dt
-        assert len(checked.states) == len(plain.states)
-        for a, b in zip(checked.states, plain.states):
+        assert len(checked.states) == len(states) == 6
+        for a, b in zip(checked.states, states):
             assert np.array_equal(a, b)
 
     def test_doubled_pair_is_16x_the_halved_pair(self, gaussian_data):
@@ -542,7 +540,7 @@ class TestStepDoublingGuard:
 
         def final(dt):
             cfg = NLSConfig(grid=g, epsilon=0.5, sigma=2, final_time=0.2,
-                            dt_override=dt, self_check=False, scheme="yoshida4")
+                            dt_override=dt, scheme="yoshida4")
             return evolve_nls(u0, cfg).states[-1]
 
         u2, u1, uh = final(1e-2), final(5e-3), final(2.5e-3)
@@ -551,7 +549,7 @@ class TestStepDoublingGuard:
 
     def test_failed_check_returns_trajectory(self, gaussian_data, monkeypatch):
         # the flagged run is the one-member batch's, and its states are
-        # those of the run without the check
+        # those of the lone member without a check
         monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", 1e-9)
         g = gaussian_data.grid
         u0 = build_initial_data(gaussian_data, 0.5)
@@ -561,10 +559,8 @@ class TestStepDoublingGuard:
         (batched,) = evolve_nls_batch([u0], [cfg])
         assert not traj.self_check_ok and not batched.self_check_ok
         assert traj.self_check_error == batched.self_check_error
-        plain = evolve_nls(u0, replace(cfg, self_check=False))
-        assert plain.self_check_ok and plain.self_check_error is None
-        for a, b, c in zip(traj.states, batched.states, plain.states,
-                           strict=True):
+        states, _ = nls._evolve_raw(u0, cfg, 2)
+        for a, b, c in zip(traj.states, batched.states, states, strict=True):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
@@ -573,13 +569,13 @@ class TestBatch:
     one split-step loop; each member gets the trajectory of its lone run."""
 
     @staticmethod
-    def ladder(grid, ladder, T, self_check=True, scheme="yoshida4"):
+    def ladder(grid, ladder, T, scheme="yoshida4"):
         x = grid.coords
         r2 = sum(c**2 for c in x)
         a = np.exp(-r2) * (1 + 0.2j * np.exp(-r2))
         u0s = [a * np.exp(0.3j * np.exp(-r2) / eps) for eps in ladder]
         cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=2, final_time=T,
-                          self_check=self_check, scheme=scheme)
+                          scheme=scheme)
                 for eps in ladder]
         return u0s, cfgs
 
@@ -664,7 +660,7 @@ class TestBatch:
         import scnls.nls as nls
         T = 0.04
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=T,
-                        dt_override=0.005, self_check=False)
+                        dt_override=0.005)
         ok = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
         bad = np.full(grid_1d.shape, 1e80, dtype=complex)
         with np.errstate(all="ignore"), \
@@ -686,14 +682,14 @@ class TestBatch:
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
-                        dt_override=0.005, self_check=False)
+                        dt_override=0.005)
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
         with pytest.raises(ConfigError) as err:
             nls._evolve_raw(u0, cfg, 1)
         assert err.value.key == "time.observation_count"
         with pytest.raises(ConfigError):
             nls._evolve_batch([u0, u0], [cfg, cfg], [5, 1])
-        for run in (lambda: evolve_nls(u0, replace(cfg, self_check=True), 1),
+        for run in (lambda: evolve_nls(u0, cfg, 1),
                     lambda: evolve_nls_batch([u0, u0], [cfg, cfg], 1),
                     lambda: evolve_limit(gaussian_data, 2, 0.04, n_obs=1)):
             with pytest.raises(ConfigError) as err:
@@ -709,7 +705,7 @@ class TestBatch:
         # transform; 6 observation times take 2 steps each, 10 in all
         monkeypatch.setattr(scnls.grid, "MAX_STEPS", 10)
         cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
-                        dt_override=0.005, self_check=False)
+                        dt_override=0.005)
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
         calls = []
         fft = np.fft.fft
@@ -728,8 +724,7 @@ class TestBatch:
         import scnls.grid
         monkeypatch.setattr(scnls.grid, "MAX_STORED_BYTES", 100_000)
         g = gaussian_data.grid
-        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.04,
-                        self_check=False)
+        cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.04)
         u0 = build_initial_data(gaussian_data, 0.25)
         for run in (lambda: evolve_nls(u0, cfg, 41),
                     lambda: evolve_limit(gaussian_data, 2, 0.04, n_obs=41)):
@@ -740,8 +735,7 @@ class TestBatch:
 
     def test_members_share_sigma_and_scheme(self, grid_1d):
         u0 = np.exp(-grid_1d.axes[0] ** 2).astype(complex)
-        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04,
-                        self_check=False)
+        cfg = NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.04)
         for other in (replace(cfg, sigma=1), replace(cfg, scheme="yoshida4")):
             with pytest.raises(ValueError):
                 evolve_nls_batch([u0, u0], [cfg, other])

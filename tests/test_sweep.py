@@ -110,8 +110,7 @@ class TestRunSweep:
         for row in res.rows:
             eps = row["epsilon"]
             cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
-                            final_time=plan.final_time, self_check=False,
-                            scheme=SCHEME)
+                            final_time=plan.final_time, scheme=SCHEME)
             u0 = build_initial_data(data, eps,
                                     epsilon_ref=max(plan.epsilon_list))
             errs = {"err_two_term_l2": [], "err_two_term_sup": [],
@@ -140,8 +139,7 @@ class TestRunSweep:
         for row in res.rows:
             eps = row["epsilon"]
             cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
-                            final_time=plan.final_time, self_check=False,
-                            scheme=SCHEME)
+                            final_time=plan.final_time, scheme=SCHEME)
             u0 = build_initial_data(data, eps,
                                     epsilon_ref=max(plan.epsilon_list))
             run = evolve_nls(u0, cfg, plan.n_obs)
@@ -259,8 +257,8 @@ class TestHeadlineLadder:
         plan, res = headline_512
         data, grid = plan.initial, plan.initial.grid
         cfgs = [NLSConfig(grid=grid, epsilon=row["epsilon"], sigma=plan.sigma,
-                          final_time=plan.final_time, self_check=False,
-                          scheme=SCHEME) for row in res.rows]
+                          final_time=plan.final_time, scheme=SCHEME)
+                for row in res.rows]
         refs = [replace(cfg, dt_override=row["nls_dt"] / 8)
                 for cfg, row in zip(cfgs, res.rows)]
         u0s = [build_initial_data(data, cfg.epsilon,
