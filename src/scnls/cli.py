@@ -36,8 +36,8 @@ from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import Grid
 from .limit import (blowup_monitor, breakdown_threshold, euler_invariants,
                     evolve_limit, focusing_demo, power_consistency)
-from .nls import (SCHEME, SELF_CHECK_FACTOR, NLSConfig, build_initial_data,
-                  evolve_nls, nls_invariants)
+from .nls import (SELF_CHECK_FACTOR, NLSConfig, build_initial_data,
+                  evolve_nls, nls_invariants, pick_scheme)
 from .presets import InitialData, compact_bump, constant
 from .snapshots import write_snapshots
 from .sweep import SweepPlan, run_sweep
@@ -96,19 +96,23 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
 
 
 def _nls_run(cfg: RunConfig, data: InitialData) -> tuple:
-    """The commands' wavefunction run over the observation times, and the
-    invariants of each of its snapshots.  A run that fails its step-doubling
-    check raises NumericalGuardError (exit 3) before any artifact."""
+    """The commands' wavefunction run over the observation times, its
+    composition (nls.pick_scheme), and the invariants of each of its
+    snapshots.  A run that fails its step-doubling check raises
+    NumericalGuardError (exit 3) before any artifact."""
+    scheme = pick_scheme(cfg.dt0, cfg.epsilon, min(data.grid.dx),
+                         cfg.final_time, cfg.observation_count)
     ncfg = NLSConfig(grid=data.grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=SCHEME)
+                     final_time=cfg.final_time, dt0=cfg.dt0, scheme=scheme)
     traj = evolve_nls(build_initial_data(data, cfg.epsilon), ncfg, cfg.observation_count)
     if not traj.self_check_ok:
         raise NumericalGuardError(
             "step-doubling self-check failed: |u_dt - u_2dt| = "
             f"{traj.self_check_error:.3e} > {SELF_CHECK_FACTOR}*eps*||u0||; "
-            f"reduce dt0 (eps={cfg.epsilon}, dt={traj.dt:.3e})")
-    return traj, [nls_invariants(u, float(t), data.grid, cfg.epsilon, cfg.sigma)
-                  for t, u in zip(traj.times, traj.states)]
+            f"reduce dt0 (eps={cfg.epsilon}, {scheme}, dt={traj.dt:.3e})")
+    return traj, scheme, [nls_invariants(u, float(t), data.grid, cfg.epsilon,
+                                         cfg.sigma)
+                          for t, u in zip(traj.times, traj.states)]
 
 
 def _at_rest(grid: Grid, a0, label: str) -> InitialData:
@@ -129,11 +133,11 @@ def _drift(x, x0, floor: float = 1e-300) -> float:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    traj, invs = _nls_run(cfg, cfg.make_initial_data())
+    traj, scheme, invs = _nls_run(cfg, cfg.make_initial_data())
     summary = {
         "command": "simulate",
         "epsilon": cfg.epsilon, "sigma": cfg.sigma, "dt": traj.dt,
-        "scheme": SCHEME,
+        "scheme": scheme,
         "mass_drift_rel": _drift(invs[-1].mass, invs[0].mass),
         "energy_drift_rel": _drift(invs[-1].energy, invs[0].energy),
         "self_check_error": traj.self_check_error,
@@ -209,7 +213,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
 
 def cmd_conserve(cfg: RunConfig, out: Path) -> None:
     data = cfg.make_initial_data()
-    traj, invs = _nls_run(cfg, data)
+    traj, scheme, invs = _nls_run(cfg, data)
     ltraj = evolve_limit(data, cfg.sigma, cfg.final_time,
                          n_obs=cfg.observation_count)
     erows = [vars(euler_invariants(ltraj.state(i), cfg.sigma))
@@ -227,7 +231,7 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
         "euler_pseudo_conformal": e["pseudo_conformal"],
         "total_pressure": e["total_pressure"],
     } for inv, e in zip(invs, erows)]
-    summary = {"command": "conserve", "dt": traj.dt, "scheme": SCHEME}
+    summary = {"command": "conserve", "dt": traj.dt, "scheme": scheme}
     for name in ("nls_mass", "nls_energy", "nls_momentum", "euler_mass",
                  "euler_energy", "euler_momentum"):
         summary[f"max_{name}_drift"] = max(r[f"{name}_drift"] for r in rows)
@@ -318,6 +322,13 @@ def _load_report(path_arg: str) -> dict:
             type(fit.get(k)) in (int, float) for k in ("slope", "r2"))
             and type(fit.get("n")) is int,
             f"fit {name} lacks a numeric slope and r2 or an integer n")
+        eps = fit.get("epsilon_list", [])
+        need(isinstance(eps, list) and all(type(e) in (int, float) for e in eps),
+             f"fit {name}: epsilon_list is not a list of numbers")
+    left_out = doc.get("fits_left_out", {})
+    need(isinstance(left_out, dict)
+         and all(isinstance(why, str) for why in left_out.values()),
+         "fits_left_out is not an object of reasons")
     return doc
 
 
@@ -337,7 +348,11 @@ def cmd_report(path_arg: str) -> None:
                 for c in _REPORT_COLUMNS))
     for name, fit in sorted(doc.get("fits", {}).items()):
         tag = " (noisy)" if fit.get("noisy") else ""
+        if "epsilon_list" in fit:
+            tag += " on eps " + ", ".join(f"{e:g}" for e in fit["epsilon_list"])
         print(f"fit {name}: slope={fit['slope']:.4f} r2={fit['r2']:.5f} n={fit['n']}{tag}")
+    for name, why in sorted(doc.get("fits_left_out", {}).items()):
+        print(f"no fit {name}: {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ Sections and keys (all optional unless noted):
     grid:     dim (1|2), N (power of two >= 16, per axis), L (> 0, per axis)
     physics:  sigma (int, 1..6), epsilon (in (0,1]) or epsilon_list
               (strictly decreasing, in (0,1])
-    time:     T (> 0), dt0 (> 0; Strang step dt0*eps, yoshida4 step
-              sqrt(dt0*eps) capped for stability and at least
-              sqrt(dt0)*eps, nls.scheme_step; errors as measured in the
+    time:     T (> 0), dt0 (> 0; Strang step dt0*eps, a fourth-order
+              composition's step c*sqrt(dt0*eps) capped for stability and
+              at least c*sqrt(dt0)*eps, nls.scheme_step, the composition
+              chosen per run by nls.pick_scheme; errors as measured in the
               nls docstring), observation_count (int >= 3)
     initial:  a0_preset/a0_params, a1_preset/a1_params,
               phi0_preset/phi0_params (presets module)
@@ -43,7 +44,7 @@ from . import artifacts
 from .errors import ConfigError
 from .grid import (MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT, Grid,
                    observation_steps)
-from .nls import SCHEME, scheme_step
+from .nls import pick_scheme, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -261,13 +262,14 @@ def parse_config(text: str) -> RunConfig:
           f"{n_obs} snapshots of {points} points need {stored} bytes, "
           f"over the budget of {MAX_STORED_BYTES}")
     # fail fast on a wavefunction run too long to finish, at the commands'
-    # scheme, step law and observation count
+    # composition, step law and observation count
     dx = min(li / ni for li, ni in zip(length, n))
     for key, values in (("physics.epsilon", (epsilon,)),
                         ("physics.epsilon_list", eps_list)):
         for e in values:
+            scheme = pick_scheme(dt0, e, dx, final_time, n_obs)
             observation_steps(final_time, n_obs,
-                              scheme_step(SCHEME, dt0, e, dx), key)
+                              scheme_step(scheme, dt0, e, dx), key)
 
     ini = doc.get("initial", {})
     initial = {key: ini.get(key, getattr(default, key))

@@ -17,26 +17,44 @@ roundoff; the nonlinear step is exact because |u| is invariant under it.
 A scheme is a composition of Strang substeps with weights summing to one
 (SCHEMES): ``strang`` is the single substep, ``yoshida4`` Yoshida's
 fourth-order triple jump h = (w1, 1 - 2*w1, w1)*dt with
-w1 = 1/(2 - 2^(1/3)).  Kinetic half steps of neighbouring substeps merge,
-also across steps and observation times (a snapshot is the step's own
-spectrum times the last half step), so a yoshida4 step costs three
-nonlinear substeps and three FFT pairs.
+w1 = 1/(2 - 2^(1/3)), and ``suzuki4`` Suzuki's fourth-order fractal
+composition h = (p, p, 1 - 4*p, p, p)*dt with p = 1/(4 - 4^(1/3))
+(Phys. Lett. A 146, 1990).  Kinetic half steps of neighbouring substeps
+merge, also across steps and observation times (a snapshot is the step's
+own spectrum times the last half step), so a yoshida4 step costs three
+nonlinear substeps and three FFT pairs, a suzuki4 step five.
 
-The Strang step is dt_s = dt0 * eps.  yoshida4's measured error scales
-like h^4/eps, so its accuracy law h = sqrt(dt0*eps) keeps the error
-proportional to eps, like the WKB error it must stay under (Bao, Jin &
-Markowich, J. Comput. Phys. 175, 2002, on meshing strategies).  A substep above about 2*dx^2/(pi*eps) is unstable
-(Weideman & Herbst, SIAM J. Numer. Anal. 23, 1986), so the law is capped
-where the step-doubling check's substeps would pass half that bound, and
-it never drops below the former law sqrt(dt0)*eps (scheme_step).  On the
-headline ladder (N = 512, T = 0.25, dt0 = 0.01) yoshida4 steps at 0.0066,
-0.0044, 0.0026, 0.0044 and 0.0066 for eps = 1/8 ... 1/128: the floor on
-the three coarse rungs, the cap at 1/64 and the accuracy law at 1/128, each
-cut to divide the observation interval.  Its L2 error there, max over the
-20 snapshots against a run at an eighth of the step, is 3.0e-7, 5.6e-8,
-1.0e-8, 1.3e-7 and 1.2e-6, at most 8.2% (at eps = 1/128) of 1e-3 of the
-rung's two-term WKB error; the check errors are 4.5e-6, 9.1e-7, 1.6e-7,
-2.1e-6 and 1.8e-5, at most 4.0% of the guard's tolerance.
+The Strang step is dt_s = dt0 * eps.  A fourth-order composition's
+measured error scales like h^4/eps, so its accuracy law h = c*sqrt(dt0*eps)
+keeps the error proportional to eps, like the WKB error it must stay under
+(Bao, Jin & Markowich, J. Comput. Phys. 175, 2002, on meshing strategies).
+A substep above about 2*dx^2/(pi*eps) is unstable (Weideman & Herbst, SIAM
+J. Numer. Anal. 23, 1986), so the law is capped where the step-doubling
+check's substeps would pass half that bound, and it never drops below the
+former law c*sqrt(dt0)*eps (scheme_step).  suzuki4's largest |weight|,
+0.658 against yoshida4's 1.70, makes its cap 2.6 times longer, and its
+error constant is smaller, so its law takes c = 1.664 where yoshida4's
+takes 1 (LAW_CONSTANTS).  McLachlan's optimized five-stage composition
+(SIAM J. Sci. Comput. 16, 1995) has largest |weight| 0.81, so its cap is
+shorter, and is not offered.  Each run takes the composition pick_scheme
+gives it: the one whose check stays under the bound in the fewest substeps
+per observation interval, else the one with the shorter largest substep.
+
+On the headline ladder (N = 512, T = 0.25, dt0 = 0.01) every rung takes
+suzuki4, at steps 0.0132, 0.0066, 0.0066, 0.0132 and 0.0132 for
+eps = 1/8 ... 1/128 (the floor on the two coarse rungs, the cap at 1/32
+and 1/64, the accuracy law at 1/128, each cut to divide the observation
+interval): 990 substeps with the checks, where yoshida4 took 1,278.  Its
+L2 error there, max over the 20 snapshots against a run at an eighth of
+the step, is 1.9e-7, 1.3e-8, 1.9e-8, 5.1e-7 and 9.4e-7, at most 6.4% (at
+eps = 1/128) of 1e-3 of the rung's two-term WKB error (yoshida4: 8.2%);
+the check errors are 2.2e-6, 1.2e-7, 1.7e-7, 6.1e-6 and 1.1e-5, at most
+2.5% of the guard's tolerance.  Every rung passes its check at N = 1024
+and 2048 too (check errors at most 2.2e-6 and 2.5e-6); at N = 4096 the
+floor lies above the cap on the eps = 1/64 and 1/128 rungs, whose checks
+fail (ROADMAP item 13).  On the 2-D sweeps every step is cut to one per
+observation interval either way, and every rung takes yoshida4's three
+substeps.
 
 Every run verifies itself by step doubling: one more integration with the
 same scheme at about 2*dt over the whole horizon, whose final state must
@@ -72,12 +90,15 @@ from .presets import InitialData, snap_wavevector
 
 # substep weights of each composition of the Strang step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
+_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1),
+           "suzuki4": (_P, _P, 1.0 - 4.0 * _P, _P, _P)}
+# the accuracy constant c of each fourth-order composition's law step
+# (scheme_step), and so the compositions pick_scheme chooses from
+LAW_CONSTANTS = {"yoshida4": 1.0, "suzuki4": 1.664}
 
 # the step-doubling guard's tolerance, in eps*||u0||_L2
 SELF_CHECK_FACTOR = 0.05
-# the wavefunction integrator of the sweep rows and the CLI runs
-SCHEME = "yoshida4"
 
 
 @dataclass(frozen=True)
@@ -107,8 +128,8 @@ class NLSConfig:
                 raise ConfigError("time.dt0", f"time step must be positive and finite, got {step}")
         observation_steps(self.final_time, 2, self.dt_raw, "physics.epsilon")
         # an explicit step, and the strang law step, must be shorter than
-        # the horizon; the longer yoshida4 law step is cut to the
-        # observation interval
+        # the horizon; the longer law step of a fourth-order composition is
+        # cut to the observation interval
         if ((self.dt_override is not None or self.scheme == "strang")
                 and self.dt_raw >= self.final_time):
             raise ConfigError("time.dt0", "time step must be smaller than final_time")
@@ -126,32 +147,79 @@ class NLSConfig:
 def scheme_step(scheme: str, dt0: float, epsilon: float, dx: float) -> float:
     """The law step of ``scheme`` at epsilon on a grid of smallest spacing dx.
 
-    Strang steps at dt_s = dt0*eps.  A composition with largest
-    |substep weight| w steps at
+    Strang steps at dt_s = dt0*eps.  A fourth-order composition with
+    accuracy constant c (LAW_CONSTANTS) and largest |substep weight| w
+    steps at
 
-        h = max(sqrt(dt_s*eps), min(sqrt(dt0*eps), B/(4*w))),
+        h = max(c*sqrt(dt_s*eps), min(c*sqrt(dt0*eps), B/(4*w))),
         B = 2*dx^2/(pi*eps).
 
-    sqrt(dt0*eps) is the accuracy law: the error, which scales like
+    c*sqrt(dt0*eps) is the accuracy law: the error, which scales like
     h^4/eps, then stays proportional to eps, like the WKB error it must stay
-    under.  A substep above B is unstable (Weideman & Herbst), and the
-    step-doubling check steps at about 2*h, so the cap B/(4*w) keeps its
-    substeps under B/2; the margin is measured (with B/(2*w) the N = 1024
-    headline sweep flags its eps = 1/128 row).  The floor
-    sqrt(dt_s*eps) = sqrt(dt0)*eps, the former law, whose fourth-order
-    error matches the Strang step's ((h/eps)^4 = (dt_s/eps)^2), keeps every
-    run at most as many steps as that law took.  On the headline ladder
-    (N = 512, dt0 = 0.01, eps = 1/8 ... 1/128) the run errors are 3.0e-7,
-    5.6e-8, 1.0e-8, 1.3e-7 and 1.2e-6 and the check errors 4.5e-6,
-    9.1e-7, 1.6e-7, 2.1e-6 and 1.8e-5 (module docstring).
+    under; c is 1 for yoshida4 and 1.664 for suzuki4, whose error constant
+    is smaller (measured, module docstring).  A substep above B is unstable
+    (Weideman & Herbst), and the step-doubling check steps at about 2*h, so
+    the cap B/(4*w) keeps its substeps under B/2; the margin is measured
+    (with B/(2*w) the N = 1024 headline sweep flags its eps = 1/128 row
+    under yoshida4).  The floor c*sqrt(dt_s*eps) = c*sqrt(dt0)*eps, the
+    former law, whose fourth-order error matches the Strang step's
+    ((h/eps)^4 = (dt_s/eps)^2), keeps every run at most as many steps as
+    that law took.
     """
     dt_strang = dt0 * epsilon
     if scheme == "strang":
         return dt_strang
+    c = LAW_CONSTANTS[scheme]
     w = max(abs(x) for x in SCHEMES[scheme])
-    cap = 2.0 * dx**2 / (math.pi * epsilon) / (4.0 * w)
-    return max(math.sqrt(dt_strang * epsilon),
-               min(math.sqrt(dt0 * epsilon), cap))
+    # dx * dx, not dx**2, which raises OverflowError on a cell of 1e156
+    cap = 2.0 * (dx * dx) / (math.pi * epsilon) / (4.0 * w)
+    return max(c * math.sqrt(dt_strang * epsilon),
+               min(c * math.sqrt(dt0 * epsilon), cap))
+
+
+def _check_steps(n: int) -> int:
+    """The step count of the step-doubling check of a run of n steps: n // 2,
+    or 2*n when n <= 3, where no coarser step is left."""
+    return n // 2 if n >= 4 else 2 * n
+
+
+def pick_scheme(dt0: float, epsilon: float, dx: float, final_time: float,
+                n_obs: int) -> str:
+    """The fourth-order composition of a wavefunction run at epsilon, observed
+    n_obs times over [0, final_time] on a grid of smallest spacing dx.
+
+    Each composition in LAW_CONSTANTS steps at its law step (scheme_step),
+    rounded down to divide the observation interval.  Among those whose
+    step-doubling check keeps its largest substep w*T/_check_steps(n) under
+    the stability bound B = 2*dx^2/(pi*eps), the one with the fewest
+    substeps per observation interval wins; if neither does, the one with
+    the shorter largest substep w*h.  On the headline ladders (N = 512 ...
+    2048, T = 0.25, 20 observations) that is suzuki4 on every rung, whose
+    largest weight 0.658 against yoshida4's 1.70 lets it step 2.6x longer
+    under the cap; on the 2-D sweeps, where every step is already cut to one
+    per observation interval, yoshida4's three substeps beat suzuki4's
+    five.  A dt0 that is not positive and finite raises ConfigError
+    (time.dt0); a composition whose run would exceed grid.MAX_STEPS ranks
+    last, and the run's own step count check refuses it.
+    """
+    if not 0.0 < dt0 < math.inf:
+        raise ConfigError("time.dt0", f"time step must be positive and finite, got {dt0}")
+    bound = 2.0 * (dx * dx) / (math.pi * epsilon)
+
+    def rank(scheme):
+        weights = SCHEMES[scheme]
+        w = max(abs(x) for x in weights)
+        try:
+            m, dt = observation_steps(final_time, n_obs,
+                                      scheme_step(scheme, dt0, epsilon, dx),
+                                      "physics.epsilon")
+        except ConfigError:
+            return (2, 0.0)
+        check_dt = final_time / _check_steps(m * (n_obs - 1))
+        if w * check_dt < bound:
+            return (0, m * len(weights))
+        return (1, w * dt)
+    return min(LAW_CONSTANTS, key=rank)
 
 
 @dataclass
@@ -308,8 +376,7 @@ def evolve_nls_batch(u0s, cfgs, n_obs: int = 2) -> list[NLSTrajectory]:
             raise GridMismatchError(f"u0 shape {u0.shape} != grid shape {cfg.grid.shape}")
         m, _ = observation_steps(cfg.final_time, n_obs, cfg.dt_raw,
                                  "time.observation_count")
-        n = m * (n_obs - 1)
-        n_check = n // 2 if n >= 4 else 2 * n
+        n_check = _check_steps(m * (n_obs - 1))
         members += [(u0, cfg, n_obs),
                     (u0, replace(cfg, dt_override=cfg.final_time / n_check), 2)]
 

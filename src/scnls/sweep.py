@@ -7,8 +7,9 @@ at every snapshot, then reduces everything into a per-epsilon row table.
 Both solvers take the count n_obs of observation times, so limit node i and
 wavefunction snapshot i are observation i, paired by index.  The
 wavefunction runs and their step-doubling checks go through
-evolve_nls_batch, a group of whole rungs per call (rung_groups: the whole
-default 1-D ladder in one call, one rung per call on 128x128).  A rung's
+evolve_nls_batch, a group of whole rungs of one composition per call
+(rung_groups, split where nls.pick_scheme changes: the whole default 1-D
+ladder in one call, one rung per call on 128x128).  A rung's
 diagnostics take stacks of its observation times, in chunks whose
 gradients hold at most CHUNK_POINTS points.  The row table holds:
 
@@ -19,15 +20,19 @@ gradients hold at most CHUNK_POINTS points.  The row table holds:
 * uniformity norms max_t ||a_eps||_{H^k}, max_t ||q_eps||_{H^(k-1)} with
   k = 2 (sigma <= 2, 1-D), k = 1 (sigma = 2, higher dim), k = sigma otherwise;
 * density-gap metrics and the modulated-energy envelope check;
-* the run's step, its step-doubling check's step and the check's outcome.
+* the run's composition (nls.pick_scheme) and step, its step-doubling
+  check's step and the check's outcome.
 
 Log-log least squares (fit_rate) turns error columns into convergence rates,
-over the rows that pass their step-doubling check (at least 3 of them).
+over the rows that pass their step-doubling check (at least 3 of them).  The
+JSON report names the epsilons of each fit's rows, and each fit it leaves
+out with the reason.
 The pipeline is deterministic: identical plans give byte-identical CSV/JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -44,8 +49,8 @@ from .grid import (CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT,
                    per_value)
 from .limit import LimitState, evolve_limit
 # evolve_nls stays bound here, unused, because bench/layers.py traces it
-from .nls import (SCHEME, NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
-                  evolve_nls, evolve_nls_batch)
+from .nls import (NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
+                  evolve_nls, evolve_nls_batch, pick_scheme)
 from .presets import InitialData, snap_wavevector
 
 
@@ -117,6 +122,28 @@ class SweepPlan:
             raise ConfigError("time.observation_count", "needs at least 3 snapshots")
 
 
+# the rate fits of a sweep: fit name -> the row column it fits
+FIT_COLUMNS = {"two_term_l2": "err_two_term_l2",
+               "two_term_sup": "err_two_term_sup",
+               "one_term_l2": "err_one_term_l2",
+               "pos_gap_pow": "pos_gap_pow_max",
+               "cur_l1": "cur_l1_max"}
+
+
+def _fit_points(rows: list[dict], column: str) -> tuple[list, str]:
+    """The (epsilon, value) points a rate fit of column takes, the rows that
+    pass their step-doubling check, and why the fit is left out ('' when it
+    is not): fewer than 3 such rows, or a value that is not positive."""
+    points = [(r["epsilon"], r[column]) for r in rows if r["self_check_ok"]]
+    if len(points) < 3:
+        return points, (f"{len(points)} of {len(rows)} rows pass their "
+                        "checks; a fit needs 3")
+    bad = sum(v <= 0 for _, v in points)
+    if bad:
+        return points, f"{bad} of {len(points)} passing rows are not positive"
+    return points, ""
+
+
 # the per-snapshot lists a row carries into the JSON report
 SERIES_KEYS = ("time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
                "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")
@@ -133,14 +160,25 @@ class SweepResult:
     environment: dict
 
     def to_json(self) -> str:
+        """The report: each fit with the epsilons of the rows it took, and
+        each fit left out under fits_left_out with its reason."""
+        fits, left_out = {}, {}
+        for name, column in FIT_COLUMNS.items():
+            points, why = _fit_points(self.rows, column)
+            if name in self.fits:
+                f = self.fits[name]
+                fits[name] = vars(f) | {"noisy": f.noisy,
+                                        "epsilon_list": [e for e, _ in points]}
+            else:
+                left_out[name] = why
         payload = {
             "plan": self.plan_echo,
             "k_order": self.k_order,
             "sup_p": "inf" if self.sup_p == math.inf else self.sup_p,
             "gronwall_constant": self.gronwall_c,
             "rows": self.rows,
-            "fits": {name: vars(f) | {"noisy": f.noisy}
-                     for name, f in self.fits.items()},
+            "fits": fits,
+            "fits_left_out": left_out,
             "environment": self.environment,
         }
         return hashed_json(payload)
@@ -157,7 +195,8 @@ class SweepResult:
 
 
 def rung_groups(n_rungs: int, points: int, n_obs: int) -> list[range]:
-    """Consecutive ladder rungs integrated in one wavefunction batch.
+    """Consecutive ladder rungs integrated in one wavefunction batch (which
+    run_sweep splits further where the rungs' composition changes).
 
     A rung is its run plus its step-doubling check, two members.  A
     group holds at most CHUNK_POINTS grid points, for peak memory: the Grid
@@ -173,11 +212,12 @@ def rung_groups(n_rungs: int, points: int, n_obs: int) -> list[range]:
     return [range(i, min(i + per, n_rungs)) for i in range(0, n_rungs, per)]
 
 
-def _sweep_row(traj: NLSTrajectory,
+def _sweep_row(traj: NLSTrajectory, scheme: str,
                limit_chunks: list[tuple[slice, LimitState, np.ndarray]],
                c_hat: float, k: int, sup_p: float) -> dict:
-    """One ladder rung from its wavefunction run; limit_chunks holds (nodes,
-    their stacked limit state, a_tilde) per chunk, shared by every rung."""
+    """One ladder rung from its wavefunction run, integrated with scheme;
+    limit_chunks holds (nodes, their stacked limit state, a_tilde) per
+    chunk, shared by every rung."""
     grid = traj.grid
     eps, sigma = traj.epsilon, traj.sigma
     chunks = []
@@ -215,8 +255,9 @@ def _sweep_row(traj: NLSTrajectory,
         "epsilon": eps, **row,
         "mod_energy_0": me0, "mod_energy_max": max(table["mod_energy"]),
         "envelope_ok": envelope_ok,
-        # the steps of the run and of its check: the law step is not one
-        # formula in eps
+        # the composition and the steps of the run and of its check: the
+        # law step is not one formula in eps
+        "scheme": scheme,
         "nls_dt": float(traj.dt),
         "self_check_dt": float(traj.self_check_dt),
         "self_check_error": float(traj.self_check_error),
@@ -252,33 +293,29 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
 
-    # the rungs of a group integrate as one batch; a failed step-doubling
-    # check flags its row and the sweep goes on
+    # each rung's composition; the rungs of a group that share one
+    # integrate as one batch (a batch steps one weight tuple), and a failed
+    # step-doubling check flags its row and the sweep goes on
+    schemes = [pick_scheme(plan.dt0, eps, min(grid.dx), plan.final_time,
+                           plan.n_obs) for eps in plan.epsilon_list]
     rows = []
     for group in rung_groups(len(plan.epsilon_list), grid.size, plan.n_obs):
-        ladder = [plan.epsilon_list[i] for i in group]
-        u0s = [build_initial_data(initial, eps, epsilon_ref=eps_ref)
-               for eps in ladder]
-        cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
-                          final_time=plan.final_time, dt0=plan.dt0, scheme=SCHEME)
-                for eps in ladder]
-        rows += [_sweep_row(traj, limit_chunks, c_hat, k, sup_p)
-                 for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
+        for scheme, rungs in itertools.groupby(group, key=lambda i: schemes[i]):
+            ladder = [plan.epsilon_list[i] for i in rungs]
+            u0s = [build_initial_data(initial, eps, epsilon_ref=eps_ref)
+                   for eps in ladder]
+            cfgs = [NLSConfig(grid=grid, epsilon=eps, sigma=sigma,
+                              final_time=plan.final_time, dt0=plan.dt0,
+                              scheme=scheme)
+                    for eps in ladder]
+            rows += [_sweep_row(traj, scheme, limit_chunks, c_hat, k, sup_p)
+                     for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
 
-    # the fits take the rows that pass their step-doubling check, at least 3
-    fits: dict[str, FitResult] = {}
-    passed = [r for r in rows if r["self_check_ok"]]
-
-    def add_fit(name: str, col: str):
-        points = [(r["epsilon"], r[col]) for r in passed]
-        if all(v > 0 for _, v in points) and len(points) >= 3:
+    fits = {}
+    for name, column in FIT_COLUMNS.items():
+        points, why = _fit_points(rows, column)
+        if not why:
             fits[name] = fit_rate(points)
-
-    add_fit("two_term_l2", "err_two_term_l2")
-    add_fit("two_term_sup", "err_two_term_sup")
-    add_fit("one_term_l2", "err_one_term_l2")
-    add_fit("pos_gap_pow", "pos_gap_pow_max")
-    add_fit("cur_l1", "cur_l1_max")
 
     plan_echo = {
         "grid": grid.descriptor(),
@@ -287,7 +324,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "final_time": plan.final_time,
         "n_obs": plan.n_obs,
         "dt0": plan.dt0,
-        "scheme": SCHEME,
         "initial_label": initial.label,
         "config": plan.config_echo,
     }

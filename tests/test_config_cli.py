@@ -86,7 +86,7 @@ CSV_COLUMNS = {
 SWEEP_COLUMNS = ("epsilon,err_two_term_l2,err_two_term_sup,err_one_term_l2,"
                  "err_one_term_sup,a_eps_hk_max,q_eps_hkm1_max,pos_gap_lsp1_max,"
                  "pos_gap_pow_max,cur_transport_lsp1_max,cur_l1_max,"
-                 "mod_energy_0,mod_energy_max,envelope_ok,nls_dt,"
+                 "mod_energy_0,mod_energy_max,envelope_ok,scheme,nls_dt,"
                  "self_check_dt,self_check_error,self_check_ok")
 
 
@@ -99,6 +99,13 @@ class TestParseConfig:
         assert cfg.dt0 == 0.01
         assert cfg.observation_count == 20
         assert cfg.sigma == 2 and cfg.epsilon == 0.125
+
+    def test_huge_cell_parses(self):
+        # the step law's stability bound squares dx = L/N: on a cell of
+        # 6.9e156 that overflows a float, which dx**2 raised as
+        # OverflowError (found by test_config_fuzz), and is inf now
+        cfg = parse_config('{"grid": {"L": 6.86479766013061e+156}}')
+        assert cfg.length == (6.86479766013061e+156,)
 
     def test_sigma_zero_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -348,8 +355,10 @@ class TestCliCommands:
         assert summary["max_euler_mass_drift"] < 1e-8
 
     def test_artifacts_name_scheme(self, tiny_config):
-        # in-process: the wavefunction runs of the commands use yoshida4
-        # at the order-matched step, and their artifacts say so
+        # in-process: each wavefunction run of the commands takes the
+        # composition nls.pick_scheme gives it, and its artifact says so: on
+        # this grid suzuki4 at eps = 0.5, where no check stays under the
+        # stability bound, and yoshida4's three substeps below, where both do
         from scnls.cli import main
         path, out = tiny_config
         for command, artifact in (("simulate", "summary.json"),
@@ -357,9 +366,12 @@ class TestCliCommands:
                                   ("sweep", "report.json")):
             assert main([command, str(path), "--out", str(out / command)]) == 0
             doc = json.loads((out / command / artifact).read_text())
-            echo = doc["plan"] if command == "sweep" else doc
-            assert echo["scheme"] == "yoshida4"
-            if command != "sweep":
+            if command == "sweep":
+                assert "scheme" not in doc["plan"]
+                assert [row["scheme"] for row in doc["rows"]] == [
+                    "suzuki4", "yoshida4", "yoshida4"]
+            else:
+                assert doc["scheme"] == "yoshida4"
                 # the step, at least sqrt(0.01) * 0.25 = 0.025, exceeds the
                 # observation interval 0.01 (Strang would take 0.0025)
                 assert doc["dt"] == pytest.approx(0.01)
@@ -638,6 +650,9 @@ class TestCliCommands:
         ("row.json", '{"rows": [{"epsilon": 0.125}]}'),
         ("fit.json", '{"fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0}}}'),
         ("bool.json", '{"fits": {"two_term_l2": {"slope": true, "r2": false, "n": 3}}}'),
+        ("eps.json", '{"fits": {"two_term_l2": {"slope": 1.0, "r2": 1.0, "n": 3, '
+                     '"epsilon_list": "0.5"}}}'),
+        ("why.json", '{"fits_left_out": {"two_term_l2": 2}}'),
     ])
     def test_bad_report_exit_2(self, tmp_path, name, text):
         path = tmp_path / name
@@ -689,6 +704,59 @@ class TestCliCommands:
         assert "eps=1.0" in message and "dt=" in message
         assert sorted(p.name for p in (tmp_path / "out3").iterdir()) == \
             ["effective_config.json"]
+
+    def test_refined_grid_simulate_passes(self, tmp_path):
+        # the README config at N = 2048 and eps = 1/32, where yoshida4's
+        # check stepped past the stability bound and simulate exited 3
+        # (|u_dt - u_2dt| = 1.5): suzuki4's run passes its check
+        from scnls.cli import main
+        doc = {
+            "grid": {"dim": 1, "N": 2048, "L": 16.0},
+            "physics": {"sigma": 2, "epsilon": 0.03125},
+            "time": {"T": 0.25, "dt0": 0.01, "observation_count": 20},
+            "initial": {"a0_preset": "gaussian",
+                        "a0_params": {"width": 1.0, "amplitude_re": 1.0,
+                                      "amplitude_im": 0.2},
+                        "a1_preset": "gaussian", "a1_params": {"width": 1.2},
+                        "phi0_preset": "zero"},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["json"]},
+        }
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["scheme"] == "suzuki4"
+        assert summary["self_check_ok"]
+        assert summary["self_check_error"] < 1e-5
+
+    def test_report_names_fit_rows_and_left_out_fits(self, tiny_config,
+                                                      monkeypatch, capsys):
+        # every fit records the epsilons of its rows, and a fit left out
+        # its reason; a sweep whose rows are all flagged (at a tolerance
+        # of 0) still exits 0, and scnls report prints both records
+        from scnls import cli, nls
+        path, out = tiny_config
+        assert cli.main(["sweep", str(path), "--out", str(out / "ok")]) == 0
+        monkeypatch.setattr(nls, "SELF_CHECK_FACTOR", 0.0)
+        assert cli.main(["sweep", str(path), "--out", str(out / "flagged")]) == 0
+        ok = json.loads((out / "ok" / "report.json").read_text())
+        flagged = json.loads((out / "flagged" / "report.json").read_text())
+        assert ok["fits_left_out"] == {} and flagged["fits"] == {}
+        why = "0 of 3 rows pass their checks; a fit needs 3"
+        assert flagged["fits_left_out"] == dict.fromkeys(ok["fits"], why)
+        assert all(fit["epsilon_list"] == [0.5, 0.25, 0.125]
+                   for fit in ok["fits"].values())
+        capsys.readouterr()
+        assert cli.main(["report", str(out / "ok")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "fit two_term_l2:" in "\n".join(lines)
+        assert all(ln.endswith(" on eps 0.5, 0.25, 0.125")
+                   for ln in lines if ln.startswith("fit "))
+        assert cli.main(["report", str(out / "flagged")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(ln.startswith("fit ") for ln in lines)
+        assert f"no fit two_term_l2: {why}" in lines
 
     def test_step_past_final_time_runs(self, tmp_path):
         # the Strang-equivalent step dt0*eps = 0.00125 exceeds T; the

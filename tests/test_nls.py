@@ -10,8 +10,8 @@ from scnls.config import DEFAULT_EPSILON_LADDER
 from scnls.errors import ConfigError, GridMismatchError, NumericalGuardError
 from scnls.grid import MAX_STEPS, observation_steps
 from scnls.limit import evolve_limit
-from scnls.nls import (NLSConfig, build_initial_data,
-                       evolve_nls, evolve_nls_batch, nls_invariants)
+from scnls.nls import (NLSConfig, build_initial_data, evolve_nls,
+                       evolve_nls_batch, nls_invariants, pick_scheme)
 from scnls.presets import InitialData, gaussian, snap_wavevector
 
 
@@ -200,6 +200,9 @@ class TestEvolve:
 
 
 class TestYoshida4:
+    """The fourth-order compositions of the Strang step: yoshida4 and, where
+    named, suzuki4."""
+
     def test_richardson_fourth_order(self, gaussian_data):
         # fourth-order composition: halving dt shrinks the defect ~16x
         g = gaussian_data.grid
@@ -247,6 +250,37 @@ class TestYoshida4:
         strang = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
                            dt0=dt0)
         assert strang.dt_raw == dt0 * eps
+        # suzuki4's floor is its accuracy constant times the same step
+        suzuki = NLSConfig(grid=grid_1d, epsilon=eps, sigma=2, final_time=0.25,
+                           dt0=dt0, scheme="suzuki4")
+        assert suzuki.dt_raw == 1.664 * np.sqrt(dt0 * eps * eps)
+
+    def test_suzuki4_richardson_fourth_order(self, gaussian_data):
+        # Suzuki's five-stage composition is fourth order too: halving dt
+        # shrinks the defect ~16x
+        g = gaussian_data.grid
+        eps = 0.5
+        u0 = build_initial_data(gaussian_data, eps)
+
+        def final(dt):
+            cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=0.2,
+                            dt_override=dt, scheme="suzuki4")
+            return evolve_nls(u0, cfg).states[-1]
+
+        f1, f2, f4 = final(1e-2), final(5e-3), final(2.5e-3)
+        ratio = g.l2_norm(f1 - f2) / g.l2_norm(f2 - f4)
+        assert 12.0 <= ratio <= 20.0
+
+    def test_suzuki4_weights(self):
+        # (p, p, 1 - 4p, p, p), p = 1/(4 - 4^(1/3)): the weights sum to one
+        # and their cubes to zero (the fourth-order condition), and the
+        # largest |weight| is 0.658 against yoshida4's 1.70
+        w = nls.SCHEMES["suzuki4"]
+        assert len(w) == 5 and w == w[::-1]
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(x**3 for x in w) == pytest.approx(0.0, abs=1e-15)
+        assert max(map(abs, w)) == pytest.approx(0.65796, abs=1e-5)
+        assert max(map(abs, nls.SCHEMES["yoshida4"])) == pytest.approx(1.70241, abs=1e-5)
 
     @pytest.mark.parametrize("scheme", ["strang"])
     def test_step_linear_in_epsilon(self, grid_1d, scheme):
@@ -257,24 +291,30 @@ class TestYoshida4:
         assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
     def test_step_law(self, grid_wide):
-        # on the default ladder and grid (N = 512, L = 16) the yoshida4 step
-        # is never below sqrt(dt0)*eps nor above sqrt(dt0*eps), and where it
-        # is longer than that floor, the check's substeps of about 2*h*w stay
-        # under half the stability bound B = 2*dx^2/(pi*eps)
+        # on the default ladder and grid (N = 512, L = 16) a composition's
+        # step with accuracy constant c is never below c*sqrt(dt0)*eps nor
+        # above c*sqrt(dt0*eps), and where it is longer than that floor, the
+        # check's substeps of about 2*h*w stay under half the stability
+        # bound B = 2*dx^2/(pi*eps)
+        assert nls.LAW_CONSTANTS == {"yoshida4": 1.0, "suzuki4": 1.664}
         dt0 = 0.01
-        w = max(abs(x) for x in nls.SCHEMES["yoshida4"])
         dx = min(grid_wide.dx)
-        longer = []
-        for eps in DEFAULT_EPSILON_LADDER:
-            h = NLSConfig(grid=grid_wide, epsilon=eps, sigma=2, final_time=0.25,
-                          dt0=dt0, scheme="yoshida4").dt_raw
-            floor = math.sqrt(dt0) * eps
-            assert floor * (1 - 1e-12) <= h <= math.sqrt(dt0 * eps)
-            if h > floor * (1 + 1e-12):
-                longer.append(eps)
-                assert 2 * h * w <= dx**2 / (math.pi * eps)
-        # the cap binds at eps = 1/64, the accuracy law at eps = 1/128
-        assert longer == [2.0**-6, 2.0**-7]
+        for scheme, c, binds in (
+                # the cap binds at eps = 1/64, the accuracy law at 1/128
+                ("yoshida4", 1.0, [2.0**-6, 2.0**-7]),
+                # the cap binds at eps = 1/32 and 1/64, the law at 1/128
+                ("suzuki4", 1.664, [2.0**-5, 2.0**-6, 2.0**-7])):
+            w = max(abs(x) for x in nls.SCHEMES[scheme])
+            longer = []
+            for eps in DEFAULT_EPSILON_LADDER:
+                h = NLSConfig(grid=grid_wide, epsilon=eps, sigma=2,
+                              final_time=0.25, dt0=dt0, scheme=scheme).dt_raw
+                floor = c * math.sqrt(dt0) * eps
+                assert floor * (1 - 1e-12) <= h <= c * math.sqrt(dt0 * eps)
+                if h > floor * (1 + 1e-12):
+                    longer.append(eps)
+                    assert 2 * h * w <= dx**2 / (math.pi * eps) * (1 + 1e-12)
+            assert longer == binds
 
     def test_step_longer_than_final_time(self, gaussian_data):
         # the Strang step 0.01 fits T = 0.04; the sqrt step 0.1 does not and
@@ -320,6 +360,68 @@ class TestYoshida4:
         with pytest.raises(ConfigError):
             NLSConfig(grid=grid_1d, epsilon=0.5, sigma=2, final_time=0.1,
                       scheme="rk4")
+
+
+class TestPickScheme:
+    """Each wavefunction run takes the fourth-order composition whose
+    step-doubling check stays under the stability bound in the fewest
+    substeps per observation interval, else the shorter largest substep."""
+
+    HEADLINE = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_headline_ladder_picks_suzuki4(self, n):
+        # the README config: N points on L = 16, T = 0.25, 20 observations
+        assert [pick_scheme(0.01, eps, 16.0 / n, 0.25, 20)
+                for eps in self.HEADLINE] == ["suzuki4"] * 5
+
+    @pytest.mark.parametrize("dx, T, n_obs", [
+        (12.0 / 128, 0.05, 11),  # the bench's sweep-2d
+        (12.0 / 64, 0.02, 5),    # CI's small 2-D config
+        (6.0 / 64, 0.02, 5),     # its 12 x 6 twin
+        (12.0 / 128, 0.02, 11),  # its 128 x 128 twin
+    ])
+    def test_2d_configs_keep_yoshida4(self, dx, T, n_obs):
+        # one step per observation interval either way: three substeps
+        # beat five
+        assert [pick_scheme(0.01, eps, dx, T, n_obs)
+                for eps in (0.25, 0.125, 0.0625)] == ["yoshida4"] * 3
+
+    def test_rule(self):
+        # the headline's eps = 1/8 and 1/128 rungs at N = 512, by hand
+        dx, T, n_obs = 16.0 / 512, 0.25, 20
+
+        def run(scheme, eps):
+            """(substeps per interval, the check's largest substep, the
+            run's largest substep) over the stability bound's scale."""
+            w = nls.SCHEMES[scheme]
+            m, dt = observation_steps(
+                T, n_obs, nls.scheme_step(scheme, 0.01, eps, dx), "x")
+            n = m * (n_obs - 1)
+            check = T / (n // 2 if n >= 4 else 2 * n)
+            bound = 2 * dx**2 / (math.pi * eps)
+            return (m * len(w), max(map(abs, w)) * check / bound,
+                    max(map(abs, w)) * dt / bound)
+
+        # eps = 1/128: both checks stay under the bound; suzuki4 takes one
+        # step of five substeps per interval, yoshida4 two of three
+        y, s = run("yoshida4", 2.0**-7), run("suzuki4", 2.0**-7)
+        assert y[1] < 1 and s[1] < 1 and (y[0], s[0]) == (6, 5)
+        assert pick_scheme(0.01, 2.0**-7, dx, T, n_obs) == "suzuki4"
+        # eps = 1/8: neither check does; suzuki4's largest substep is the
+        # shorter
+        y, s = run("yoshida4", 2.0**-3), run("suzuki4", 2.0**-3)
+        assert y[1] > 1 and s[1] > 1 and s[2] < y[2]
+        assert pick_scheme(0.01, 2.0**-3, dx, T, n_obs) == "suzuki4"
+        # over T = 0.008 either law step is cut to one step: three
+        # substeps beat five
+        assert pick_scheme(0.01, 2.0**-7, dx, 0.008, 2) == "yoshida4"
+
+    @pytest.mark.parametrize("dt0", [0.0, -0.01, math.nan, math.inf])
+    def test_step_not_positive_finite(self, dt0):
+        with pytest.raises(ConfigError) as err:
+            pick_scheme(dt0, 0.125, 16.0 / 512, 0.25, 20)
+        assert err.value.key == "time.dt0"
 
 
 class TestConfigChecks:
@@ -583,7 +685,7 @@ class TestBatch:
     def lone_runs(u0s, cfgs, n_obs):
         return [evolve_nls(u0, cfg, n_obs) for u0, cfg in zip(u0s, cfgs)]
 
-    @pytest.mark.parametrize("scheme", ["strang", "yoshida4"])
+    @pytest.mark.parametrize("scheme", ["strang", "yoshida4", "suzuki4"])
     def test_bitwise_lone_runs_1d(self, scheme):
         u0s, cfgs = self.ladder(Grid(512, 16.0), (0.25, 0.125, 0.0625, 0.03125),
                                 0.05, scheme=scheme)

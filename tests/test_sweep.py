@@ -11,7 +11,7 @@ from scnls.config import parse_config
 from scnls.errors import ConfigError
 from scnls.grid import MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT
 from scnls.limit import evolve_limit
-from scnls.nls import SCHEME, NLSConfig, build_initial_data, evolve_nls
+from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
 from scnls.sweep import (SweepPlan, fit_rate, rung_groups, run_sweep,
                          sobolev_index, sup_exponent)
@@ -110,7 +110,7 @@ class TestRunSweep:
         for row in res.rows:
             eps = row["epsilon"]
             cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
-                            final_time=plan.final_time, scheme=SCHEME)
+                            final_time=plan.final_time, scheme=row["scheme"])
             u0 = build_initial_data(data, eps,
                                     epsilon_ref=max(plan.epsilon_list))
             errs = {"err_two_term_l2": [], "err_two_term_sup": [],
@@ -139,7 +139,7 @@ class TestRunSweep:
         for row in res.rows:
             eps = row["epsilon"]
             cfg = NLSConfig(grid=grid, epsilon=eps, sigma=plan.sigma,
-                            final_time=plan.final_time, scheme=SCHEME)
+                            final_time=plan.final_time, scheme=row["scheme"])
             u0 = build_initial_data(data, eps,
                                     epsilon_ref=max(plan.epsilon_list))
             run = evolve_nls(u0, cfg, plan.n_obs)
@@ -219,7 +219,7 @@ class TestRunSweep:
         # settings a sweep has, and no constant of the package
         _, res = small_sweep
         keys = sorted(["grid", "sigma", "epsilon_list", "final_time", "n_obs",
-                       "dt0", "scheme", "initial_label", "config"])
+                       "dt0", "initial_label", "config"])
         assert sorted(res.plan_echo) == keys
         assert sorted(json.loads(res.to_json())["plan"]) == keys
         line = res.to_csv().splitlines()[1]
@@ -257,7 +257,7 @@ class TestHeadlineLadder:
         plan, res = headline_512
         data, grid = plan.initial, plan.initial.grid
         cfgs = [NLSConfig(grid=grid, epsilon=row["epsilon"], sigma=plan.sigma,
-                          final_time=plan.final_time, scheme=SCHEME)
+                          final_time=plan.final_time, scheme=row["scheme"])
                 for row in res.rows]
         refs = [replace(cfg, dt_override=row["nls_dt"] / 8)
                 for cfg, row in zip(cfgs, res.rows)]
@@ -271,13 +271,19 @@ class TestHeadlineLadder:
                       for u, v in zip(run.states, ref.states))
             assert err <= 1e-3 * row["err_two_term_l2"]
 
-    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
     def test_every_row_passes_its_check(self, headline_512, n):
         # the law's cap keeps the check runs' substeps under half the
         # stability bound: a cap twice as long flags eps = 1/128 at N = 1024
+        # under yoshida4, and at N = 2048 yoshida4's floor put its eps = 1/32
+        # and 1/64 checks over the bound (check errors 1.55 and 0.70), where
+        # suzuki4's 2.6x longer cap passes every rung
         _, res = headline_512 if n == 512 else headline_sweep(n)
         assert all(row["self_check_ok"] for row in res.rows)
+        assert [row["scheme"] for row in res.rows] == ["suzuki4"] * 5
         assert res.fits["two_term_l2"].n == 5
+        assert abs(res.fits["two_term_l2"].slope
+                   - headline_512[1].fits["two_term_l2"].slope) < 5e-3
         # every row states its steps: the check's is about twice the run's
         for row in res.rows:
             assert 1.9 <= row["self_check_dt"] / row["nls_dt"] <= 2.5
@@ -286,8 +292,9 @@ class TestHeadlineLadder:
 class TestGuardAndVariants:
     def test_failed_self_check_flags_row_and_continues(self):
         # large-amplitude data at a deliberately huge base step trips the
-        # step-doubling guard; the sweep must keep the row, mark it, and
-        # still fill the error columns from the run the check flagged
+        # step-doubling guard (over T = 0.2: at T = 0.05 suzuki4's checks
+        # pass); the sweep must keep the row, mark it, and still fill the
+        # error columns from the run the check flagged
         g = Grid(256, 16.0)
         a0 = (2.5 * np.exp(-(g.axes[0] / 1.5) ** 2)).astype(complex)
         data = InitialData(grid=g, a0=a0,
@@ -295,7 +302,7 @@ class TestGuardAndVariants:
                            phi0_periodic=np.zeros(g.shape),
                            phi0_wavevector=(0.0,))
         plan = SweepPlan(initial=data, sigma=2,
-                         epsilon_list=(0.25, 0.125), final_time=0.05,
+                         epsilon_list=(0.25, 0.125), final_time=0.2,
                          n_obs=3, dt0=0.16)
         res = run_sweep(plan)
         assert len(res.rows) == 2
@@ -323,7 +330,7 @@ class TestGuardAndVariants:
                            phi0_periodic=np.zeros(g.shape),
                            phi0_wavevector=(0.0,))
         plan = SweepPlan(initial=data, sigma=2,
-                         epsilon_list=(0.25, 0.125), final_time=0.05,
+                         epsilon_list=(0.25, 0.125), final_time=0.2,
                          n_obs=3, dt0=0.16)
         res = run_sweep(plan)
         assert any(not r["self_check_ok"] for r in res.rows)
@@ -407,6 +414,48 @@ class TestFitsSkipFlaggedRows:
         assert res.fits["two_term_l2"] == fit_rate(
             (r["epsilon"], r["err_two_term_l2"]) for r in passed)
 
+    def test_report_names_each_fits_rows(self, gaussian_data, monkeypatch):
+        # the JSON report gives each fit the epsilons of the rows it took:
+        # every rung but the flagged one
+        plan = self.flag_one_row(gaussian_data, monkeypatch)
+        res = run_sweep(plan)
+        passed = [r["epsilon"] for r in res.rows if r["self_check_ok"]]
+        assert len(passed) == len(self.LADDER) - 1
+        doc = json.loads(res.to_json())
+        assert set(doc["fits"]) == set(res.fits)
+        for name, fit in doc["fits"].items():
+            assert fit["epsilon_list"] == passed
+            assert fit["n"] == len(passed)
+        assert doc["fits_left_out"] == {}
+
+    def test_left_out_fits_say_why(self, gaussian_data, monkeypatch):
+        # a flagged rung and two passing ones: every fit is left out, and
+        # the report says so with the count of passing rows
+        plan = self.flag_one_row(gaussian_data, monkeypatch)
+        flagged = [r["epsilon"] for r in run_sweep(plan).rows
+                   if not r["self_check_ok"]]
+        ladder = sorted(flagged + [e for e in self.LADDER
+                                   if e not in flagged][:2], reverse=True)
+        doc = json.loads(run_sweep(
+            replace(plan, epsilon_list=tuple(ladder))).to_json())
+        assert doc["fits"] == {}
+        assert doc["fits_left_out"] == {
+            name: "2 of 3 rows pass their checks; a fit needs 3"
+            for name in ("two_term_l2", "two_term_sup", "one_term_l2",
+                         "pos_gap_pow", "cur_l1")}
+
+    def test_non_positive_values_leave_their_fit_out(self):
+        # a log-log fit needs positive values: a zero among the passing
+        # rows leaves the fit out and says how many; a flagged row's value
+        # is not counted
+        from scnls.sweep import _fit_points
+        rows = [{"epsilon": e, "self_check_ok": ok, "cur_l1_max": v}
+                for e, ok, v in ((0.5, True, 1e-3), (0.25, True, 0.0),
+                                 (0.125, True, 2e-4), (0.0625, False, -1.0))]
+        points, why = _fit_points(rows, "cur_l1_max")
+        assert points == [(0.5, 1e-3), (0.25, 0.0), (0.125, 2e-4)]
+        assert why == "1 of 3 passing rows are not positive"
+
     def test_fewer_than_three_passing_rows_no_fit(self, gaussian_data,
                                                   monkeypatch):
         plan = self.flag_one_row(gaussian_data, monkeypatch)
@@ -460,6 +509,43 @@ class TestRungGroups:
         res, calls = self.spied_sweep(monkeypatch, plan)
         assert calls == [[0.25, 0.25], [0.125, 0.125]]
         assert len(res.rows) == 2
+
+    def test_mixed_compositions_split_their_group(self, monkeypatch):
+        # on 128 points over T = 0.04 with 5 observations the eps = 0.5 rung
+        # takes suzuki4 (no check stays under the stability bound) and the
+        # two below yoshida4 (one step of three substeps per interval): the
+        # one group of three rungs goes as two batches, and every member
+        # keeps the bits of its lone run
+        import scnls.sweep as sweep
+        g = Grid(128, 16.0)
+        r2 = g.coords[0] ** 2
+        data = InitialData(grid=g, a0=np.exp(-r2) * (1 + 0.2j * np.exp(-r2)),
+                           a1=(0.4 * np.exp(-r2 / 1.4)).astype(complex),
+                           phi0_periodic=np.zeros(g.shape),
+                           phi0_wavevector=(0.0,))
+        ladder = (0.5, 0.25, 0.125)
+        plan = SweepPlan(initial=data, sigma=2, epsilon_list=ladder,
+                         final_time=0.04, n_obs=5)
+        assert rung_groups(3, 128, 5) == [range(3)]
+        batches, batch = [], sweep.evolve_nls_batch
+
+        def spy(u0s, cfgs, n_obs):
+            trajs = batch(u0s, cfgs, n_obs)
+            batches.append([(cfg, traj) for cfg, traj in zip(cfgs, trajs)])
+            return trajs
+
+        monkeypatch.setattr(sweep, "evolve_nls_batch", spy)
+        res = run_sweep(plan)
+        assert [[cfg.scheme for cfg, _ in b] for b in batches] == [
+            ["suzuki4"], ["yoshida4", "yoshida4"]]
+        assert [r["scheme"] for r in res.rows] == ["suzuki4", "yoshida4",
+                                                   "yoshida4"]
+        for cfg, traj in (member for b in batches for member in b):
+            lone = evolve_nls(build_initial_data(data, cfg.epsilon), cfg, 5)
+            assert (traj.dt, traj.self_check_error) == (
+                lone.dt, lone.self_check_error)
+            for a, b in zip(traj.states, lone.states):
+                assert np.array_equal(a, b)
 
     def test_group_sizes(self):
         assert rung_groups(5, 512, 20) == [range(5)]
@@ -554,6 +640,6 @@ class TestOneTransformLayer:
         g = Grid((128, 128), (12.0, 12.0))
         u0 = np.exp(-sum(c**2 for c in g.coords)).astype(complex)
         cfg = NLSConfig(grid=g, epsilon=0.25, sigma=2, final_time=0.01,
-                        scheme=SCHEME)
+                        scheme="yoshida4")
         assert len(evolve_nls(u0, cfg, 3).states) == 3
         assert called == []
