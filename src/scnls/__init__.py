@@ -15,7 +15,7 @@ from .limit import (BlowupReport, EulerInvariants, LimitState, LimitTrajectory,
 from .corrector import evolve_corrector, tilde_amplitude
 from .diagnostics import (DensityMetrics, DiagnosticsRecord, density_metrics,
                           diagnostics_record, gronwall_constant, modulate,
-                          modulated_energy, q_g_fields, residual_transport)
+                          q_g_fields, residual_transport)
 from .sweep import FitResult, SweepPlan, SweepResult, fit_rate, run_sweep
 from .config import RunConfig, parse_config
 
@@ -30,8 +30,7 @@ __all__ = [
     "reconstruct_phase",
     "evolve_corrector", "tilde_amplitude",
     "DensityMetrics", "DiagnosticsRecord", "density_metrics", "diagnostics_record",
-    "gronwall_constant", "modulate", "modulated_energy", "q_g_fields",
-    "residual_transport",
+    "gronwall_constant", "modulate", "q_g_fields", "residual_transport",
     "FitResult", "SweepPlan", "SweepResult", "fit_rate", "run_sweep",
     "RunConfig", "parse_config",
 ]

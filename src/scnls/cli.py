@@ -153,7 +153,7 @@ def cmd_limit(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
     traj = evolve_limit(cfg.make_initial_data(grid), cfg.sigma, cfg.final_time,
                         n_obs=cfg.observation_count)
-    rows = [vars(euler_invariants(traj.state(i), cfg.sigma))
+    rows = [vars(euler_invariants(traj.state(i)))
             for i in range(cfg.observation_count)]
     nodes = traj.state(slice(None))
     k = np.reshape(nodes.phi_wavevector, (-1,) + (1,) * (grid.dim + 1))
@@ -216,7 +216,7 @@ def cmd_conserve(cfg: RunConfig, out: Path) -> None:
     traj, scheme, invs = _nls_run(cfg, data)
     ltraj = evolve_limit(data, cfg.sigma, cfg.final_time,
                          n_obs=cfg.observation_count)
-    erows = [vars(euler_invariants(ltraj.state(i), cfg.sigma))
+    erows = [vars(euler_invariants(ltraj.state(i)))
              for i in range(cfg.observation_count)]
     n0, e0 = invs[0], erows[0]
     rows = [{
@@ -267,7 +267,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
 
 def cmd_focusing_demo(cfg: RunConfig, out: Path) -> None:
     opts = demo_options(cfg.focusing, "focusing")
-    grid = Grid(cfg.n, (2.0 * math.pi,) * cfg.dim, dim=cfg.dim)
+    grid = Grid(cfg.n, 2.0 * math.pi)
     data = _at_rest(grid, constant(grid, math.sqrt(opts["rho0"])),
                     "constant-background")
     unstable, control = (

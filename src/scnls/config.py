@@ -85,7 +85,7 @@ class RunConfig:
     # -- builders ----------------------------------------------------------
 
     def make_grid(self) -> Grid:
-        return Grid(self.n, self.length, dim=self.dim)
+        return Grid(self.n, self.length)
 
     def make_initial_data(self, grid: Grid | None = None) -> InitialData:
         grid = grid or self.make_grid()
@@ -304,6 +304,6 @@ def parse_config(text: str) -> RunConfig:
         focusing=dict(doc.get("focusing", {})), seed=seed,
     )
     # fail fast on bad presets/params
-    cfg.make_initial_data(Grid((16,) * dim, length, dim=dim))
+    cfg.make_initial_data(Grid((16,) * dim, length))
     return cfg
 

@@ -9,7 +9,8 @@ removed).  From it:
 * the transport residual of beta_eps = eps*q_eps,
       d_t beta + eps*g*div Im(conj(a_eps) grad a_eps)
                + v.grad beta + (s+1)/2 * beta * div v,
-  over three snapshots (central time difference; g_eps formed there);
+  over three equally spaced records (central difference over their
+  times; g_eps formed at the middle one);
 * the local energy density e_eps = |a_eps|^2 + |grad a_eps|^2 + |q_eps|^2,
   whose integral obeys a Gronwall envelope with a constant measured from the
   limit solution;
@@ -19,9 +20,12 @@ Everything is read off a_eps (one forward transform per record), so no
 record keeps u or its gradient: since |exp(i*phi/eps)| = 1, the WKB error
 ||u - b*exp(i*phi/eps)|| of an amplitude b equals ||a_eps - b||, and the
 current Im(eps*conj(u) grad u) is |a_eps|^2 grad phi + Im(eps*conj(a_eps)
-grad a_eps).  A record may take a stack of snapshots with the limit state
-stacked alike (LimitTrajectory.state of a slice); its values are then per
-snapshot, each the bits of that snapshot's own record.
+grad a_eps).  sigma, the grid and the Sobolev order k of the uniform bounds
+(sobolev_index) come from the limit state; a record is complete when it is
+built and carries its eps and sigma to the calls that read it.  A record
+may take a stack of snapshots with the limit state stacked alike
+(LimitTrajectory.state of a slice); its values are then per snapshot, each
+the bits of that snapshot's own record.
 """
 
 from __future__ import annotations
@@ -65,7 +69,17 @@ def q_g_fields(a_eps: np.ndarray, a: np.ndarray, epsilon: float,
     return beta / epsilon, g
 
 
-@dataclass
+def sobolev_index(sigma: int, dim: int) -> int:
+    """Order k of the uniform bound: 2 for sigma<=2 in 1-D (free choice for
+    sigma=1, forced for sigma=2), 1 for sigma=2 in dim>=2, sigma otherwise."""
+    if sigma >= 3:
+        return sigma
+    if sigma == 2 and dim >= 2:
+        return 1
+    return 2
+
+
+@dataclass(frozen=True)
 class DiagnosticsRecord:
     """Per-snapshot modulation diagnostics, built from the filtered
     amplitude a_eps and the limit state alone.  The transport residual
@@ -79,37 +93,38 @@ class DiagnosticsRecord:
     q_eps: np.ndarray
     a_eps_hk: float | np.ndarray         # ||a_eps||_{H^k}
     q_eps_hkm1: float | np.ndarray       # ||q_eps||_{H^(k-1)}
-    modulated_energy: float | np.ndarray = 0.0
+    modulated_energy: float | np.ndarray  # int |a_eps|^2 + |grad a_eps|^2 + |q_eps|^2
 
 
-def diagnostics_record(u: np.ndarray, limit_state: LimitState, epsilon: float,
-                       sigma: int, k: int) -> DiagnosticsRecord:
+def diagnostics_record(u: np.ndarray, limit_state: LimitState,
+                       epsilon: float) -> DiagnosticsRecord:
     """The record of the wavefunction u (or a stack of snapshots) against
     the limit state at its time, limit_state.time, with the uniform-bound
-    norms ||a_eps||_{H^k} and ||q_eps||_{H^(k-1)} of the order k >= 1."""
+    norms ||a_eps||_{H^k} and ||q_eps||_{H^(k-1)} of the order
+    k = sobolev_index(sigma, dim) of the limit run."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    grid = limit_state.grid
+    grid, sigma = limit_state.grid, limit_state.sigma
+    k = sobolev_index(sigma, grid.dim)
     a_eps = modulate(u, limit_state.phi_total(), epsilon, grid)
     a_eps_h = grid.fft(a_eps)  # for grad a_eps and its H^k norm
     psi = grid.ifft(grid.spectral_gradient(a_eps_h))
     q = b_sigma(np.abs(a_eps) ** 2, np.abs(limit_state.a) ** 2, sigma) / epsilon
-    rec = DiagnosticsRecord(
+    return DiagnosticsRecord(
         time=limit_state.time, epsilon=epsilon, sigma=sigma, a_eps=a_eps,
         psi_eps=psi, q_eps=q,
         a_eps_hk=grid.sobolev_norm(a_eps_h, k, space="spectral"),
-        q_eps_hkm1=grid.sobolev_norm(q, k - 1))
-    rec.modulated_energy = modulated_energy(rec, grid)
-    return rec
+        q_eps_hkm1=grid.sobolev_norm(q, k - 1),
+        modulated_energy=_modulated_energy(a_eps, psi, q, grid))
 
 
-def modulated_energy(record: DiagnosticsRecord, grid: Grid) -> np.ndarray | float:
+def _modulated_energy(a_eps: np.ndarray, psi: np.ndarray, q: np.ndarray,
+                      grid: Grid) -> np.ndarray | float:
     """int (|a_eps|^2 + |grad a_eps|^2 + |q_eps|^2); nonnegative."""
     # one sum over grad a_eps's components and grid axes, as one field's norm
-    psi2 = np.sum(np.abs(record.psi_eps) ** 2, axis=(0, *range(-grid.dim, 0)))
+    psi2 = np.sum(np.abs(psi) ** 2, axis=(0, *range(-grid.dim, 0)))
     return per_value(lambda a, q, p2: a ** 2 + q ** 2 + math.sqrt(p2) ** 2,
-                     grid.l2_norm(record.a_eps), grid.l2_norm(record.q_eps),
-                     psi2 * grid.cell_volume)
+                     grid.l2_norm(a_eps), grid.l2_norm(q), psi2 * grid.cell_volume)
 
 
 def gronwall_constant(limit_traj: LimitTrajectory) -> float:
@@ -122,24 +137,24 @@ def gronwall_constant(limit_traj: LimitTrajectory) -> float:
 
 
 def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
-                       rec_next: DiagnosticsRecord, limit_state: LimitState,
-                       dt: float, grid: Grid) -> float:
+                       rec_next: DiagnosticsRecord, limit_state: LimitState) -> float:
     """L2 norm of the beta = eps*q_eps transport residual at rec_mid.
 
-    Uses a central difference (t-dt, t, t+dt) for d_t beta; the snapshots
-    must be equally spaced.  Converges at the combined central-difference +
-    solver order as dt -> 0; identically zero (to roundoff) for matched
-    plane-wave data where beta vanishes.
+    Uses a central difference over the records' times t-h, t, t+h for
+    d_t beta; they must be in time order and equally spaced.  Converges at
+    the combined central-difference + solver order as h -> 0; identically
+    zero (to roundoff) for matched plane-wave data where beta vanishes.
     """
     h1 = rec_mid.time - rec_prev.time
     h2 = rec_next.time - rec_mid.time
-    if abs(h1 - dt) > 1e-9 * max(dt, 1.0) or abs(h2 - dt) > 1e-9 * max(dt, 1.0):
-        raise ValueError("snapshots must be equally spaced by dt")
+    if not h1 > 0 or abs(h2 - h1) > 1e-9 * max(h1, 1.0):
+        raise ValueError("snapshots must be in time order and equally spaced")
+    grid = limit_state.grid
     sigma = rec_mid.sigma
     eps = rec_mid.epsilon
     beta = [r.epsilon * r.q_eps for r in (rec_prev, rec_mid, rec_next)]
     g = g_sigma(np.abs(rec_mid.a_eps) ** 2, np.abs(limit_state.a) ** 2, sigma)
-    dbeta_dt = (beta[2] - beta[0]) / (2.0 * dt)
+    dbeta_dt = (beta[2] - beta[0]) / (rec_next.time - rec_prev.time)
     flux = grid.divergence(np.imag(np.conj(rec_mid.a_eps) * rec_mid.psi_eps)).real
     v = limit_state.v
     adv = np.sum(v * grid.gradient(beta[1]).real, axis=0)
@@ -156,10 +171,10 @@ class DensityMetrics:
     cur_err_l1: float | np.ndarray         # || Im(eps conj(a_eps) grad a_eps) ||_{L^1}
 
 
-def density_metrics(record: DiagnosticsRecord, limit_state: LimitState,
-                    sigma: int, epsilon: float) -> DensityMetrics:
+def density_metrics(record: DiagnosticsRecord,
+                    limit_state: LimitState) -> DensityMetrics:
     """Position/current density gaps in the norms where they converge."""
-    grid = limit_state.grid
+    grid, sigma, epsilon = limit_state.grid, record.sigma, record.epsilon
     gap = np.abs(record.a_eps) ** 2 - np.abs(limit_state.a) ** 2
     p = sigma + 1
     pos = grid.lebesgue_norm(gap, p)

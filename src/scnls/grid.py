@@ -124,20 +124,20 @@ def cis(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class Grid:
-    """Uniform periodic grid on a 1-D or 2-D torus."""
+    """Uniform periodic grid on a 1-D or 2-D torus: n points per axis (an
+    int for 1-D), length one float for every axis or one per axis."""
 
-    def __init__(self, n, length, dim: int | None = None):
-        if dim is None:
-            dim = len(n) if isinstance(n, (tuple, list)) else 1
+    def __init__(self, n, length):
+        shape = tuple(n) if isinstance(n, (tuple, list)) else (int(n),)
+        dim = len(shape)
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
-        shape = tuple(n) if isinstance(n, (tuple, list)) else (int(n),) * dim
         lengths = (
             tuple(float(l) for l in length)
             if isinstance(length, (tuple, list))
             else (float(length),) * dim
         )
-        if len(shape) != dim or len(lengths) != dim:
+        if len(lengths) != dim:
             raise ValueError("n/length do not match dim")
         for ni in shape:
             if not _is_power_of_two(ni) or ni < 16:

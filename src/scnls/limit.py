@@ -86,6 +86,7 @@ class LimitState:
     """One snapshot of the limit flow, or a stack of them on leading axes."""
 
     grid: Grid
+    sigma: int
     time: float | np.ndarray
     v: np.ndarray           # (dim, *shape), real
     S: np.ndarray           # a^sigma, complex
@@ -130,7 +131,8 @@ class LimitTrajectory:
         """Node i, or a slice's nodes stacked, v as (dim, nodes, *shape)."""
         stack = isinstance(i, slice)
         return LimitState(
-            grid=self.grid, time=self.times[i] if stack else float(self.times[i]),
+            grid=self.grid, sigma=self.sigma,
+            time=self.times[i] if stack else float(self.times[i]),
             v=np.moveaxis(self.v[i], 0, 1) if stack else self.v[i],
             S=self.S[i], a=self.a[i],
             phi_periodic=self.phi_periodic[i],
@@ -568,10 +570,10 @@ class EulerInvariants:
     support_ok: bool = field(default=True)
 
 
-def euler_invariants(state: LimitState, sigma: int) -> EulerInvariants:
+def euler_invariants(state: LimitState) -> EulerInvariants:
     """Mass, energy, momentum, pseudo-conformal quantity, mass center,
     total pressure of a limit snapshot (defocusing sign conventions)."""
-    grid = state.grid
+    grid, sigma = state.grid, state.sigma
     rho = np.abs(state.a) ** 2
     t = state.time
     v = state.v

@@ -24,37 +24,12 @@ merge, also across steps and observation times (a snapshot is the step's
 own spectrum times the last half step), so a yoshida4 step costs three
 nonlinear substeps and three FFT pairs, a suzuki4 step five.
 
-The Strang step is dt_s = dt0 * eps.  A fourth-order composition's
-measured error scales like h^4/eps, so its accuracy law h = c*sqrt(dt0*eps)
-keeps the error proportional to eps, like the WKB error it must stay under
-(Bao, Jin & Markowich, J. Comput. Phys. 175, 2002, on meshing strategies).
-A substep above about 2*dx^2/(pi*eps) is unstable (Weideman & Herbst, SIAM
-J. Numer. Anal. 23, 1986), so the law is capped where the step-doubling
-check's substeps would pass half that bound, and it never drops below the
-former law c*sqrt(dt0)*eps (scheme_step).  suzuki4's largest |weight|,
-0.658 against yoshida4's 1.70, makes its cap 2.6 times longer, and its
-error constant is smaller, so its law takes c = 1.664 where yoshida4's
-takes 1 (LAW_CONSTANTS).  McLachlan's optimized five-stage composition
-(SIAM J. Sci. Comput. 16, 1995) has largest |weight| 0.81, so its cap is
-shorter, and is not offered.  Each run takes the composition pick_scheme
-gives it: the one whose check stays under the bound in the fewest substeps
-per observation interval, else the one with the shorter largest substep.
-
-On the headline ladder (N = 512, T = 0.25, dt0 = 0.01) every rung takes
-suzuki4, at steps 0.0132, 0.0066, 0.0066, 0.0132 and 0.0132 for
-eps = 1/8 ... 1/128 (the floor on the two coarse rungs, the cap at 1/32
-and 1/64, the accuracy law at 1/128, each cut to divide the observation
-interval): 990 substeps with the checks, where yoshida4 took 1,278.  Its
-L2 error there, max over the 20 snapshots against a run at an eighth of
-the step, is 1.9e-7, 1.3e-8, 1.9e-8, 5.1e-7 and 9.4e-7, at most 6.4% (at
-eps = 1/128) of 1e-3 of the rung's two-term WKB error (yoshida4: 8.2%);
-the check errors are 2.2e-6, 1.2e-7, 1.7e-7, 6.1e-6 and 1.1e-5, at most
-2.5% of the guard's tolerance.  Every rung passes its check at N = 1024
-and 2048 too (check errors at most 2.2e-6 and 2.5e-6); at N = 4096 the
-floor lies above the cap on the eps = 1/64 and 1/128 rungs, whose checks
-fail (ROADMAP item 13).  On the 2-D sweeps every step is cut to one per
-observation interval either way, and every rung takes yoshida4's three
-substeps.
+Each run steps at its scheme's law step (scheme_step: the accuracy law,
+its stability cap and its floor) and takes the fourth-order composition
+that pick_scheme gives it.  McLachlan's optimized five-stage composition
+(SIAM J. Sci. Comput. 16, 1995) has largest |weight| 0.81, over suzuki4's
+0.658, so its cap is shorter, and it is not offered.  The steps and
+errors these give on the headline ladders are in README.
 
 Every run verifies itself by step doubling: one more integration with the
 same scheme at about 2*dt over the whole horizon, whose final state must
@@ -156,15 +131,15 @@ def scheme_step(scheme: str, dt0: float, epsilon: float, dx: float) -> float:
 
     c*sqrt(dt0*eps) is the accuracy law: the error, which scales like
     h^4/eps, then stays proportional to eps, like the WKB error it must stay
-    under; c is 1 for yoshida4 and 1.664 for suzuki4, whose error constant
-    is smaller (measured, module docstring).  A substep above B is unstable
-    (Weideman & Herbst), and the step-doubling check steps at about 2*h, so
-    the cap B/(4*w) keeps its substeps under B/2; the margin is measured
-    (with B/(2*w) the N = 1024 headline sweep flags its eps = 1/128 row
-    under yoshida4).  The floor c*sqrt(dt_s*eps) = c*sqrt(dt0)*eps, the
-    former law, whose fourth-order error matches the Strang step's
-    ((h/eps)^4 = (dt_s/eps)^2), keeps every run at most as many steps as
-    that law took.
+    under (Bao, Jin & Markowich, J. Comput. Phys. 175, 2002, on meshing
+    strategies); c is 1 for yoshida4 and 1.664 for suzuki4, whose measured
+    error constant is smaller.  A substep above B is unstable (Weideman &
+    Herbst, SIAM J. Numer. Anal. 23, 1986), and the step-doubling check
+    steps at about 2*h, so the cap B/(4*w) keeps its substeps under B/2, a
+    margin that the headline sweeps need (B/(2*w) flags a row).  The floor
+    c*sqrt(dt_s*eps) = c*sqrt(dt0)*eps, the former law, whose fourth-order
+    error matches the Strang step's ((h/eps)^4 = (dt_s/eps)^2), keeps every
+    run at most as many steps as that law took.
     """
     dt_strang = dt0 * epsilon
     if scheme == "strang":
@@ -193,11 +168,9 @@ def pick_scheme(dt0: float, epsilon: float, dx: float, final_time: float,
     step-doubling check keeps its largest substep w*T/_check_steps(n) under
     the stability bound B = 2*dx^2/(pi*eps), the one with the fewest
     substeps per observation interval wins; if neither does, the one with
-    the shorter largest substep w*h.  On the headline ladders (N = 512 ...
-    2048, T = 0.25, 20 observations) that is suzuki4 on every rung, whose
-    largest weight 0.658 against yoshida4's 1.70 lets it step 2.6x longer
-    under the cap; on the 2-D sweeps, where every step is already cut to one
-    per observation interval, yoshida4's three substeps beat suzuki4's
+    the shorter largest substep w*h.  suzuki4's smaller largest weight lets
+    it step longer under the cap; where every step is cut to one per
+    observation interval anyway, yoshida4's three substeps beat suzuki4's
     five.  A dt0 that is not positive and finite raises ConfigError
     (time.dt0); a composition whose run would exceed grid.MAX_STEPS ranks
     last, and the run's own step count check refuses it.

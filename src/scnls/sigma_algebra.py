@@ -102,12 +102,12 @@ def g_sigma(r1, r2, sigma: int):
     return out if out.ndim else out[()]
 
 
-def c_sigma_bound(sigma: int, resolution: float = 1e-5) -> float:
+def c_sigma_bound(sigma: int) -> float:
     """Largest C with Q >= C*(r1^(sigma-1) + r2^(sigma-1)) for r1, r2 >= 0.
 
     Both sides are homogeneous of degree sigma-1, so it suffices to minimize
-    the ratio on the segment r1 + r2 = 1.  Grid minimization at the given
-    resolution with one local refinement pass.
+    the ratio on the segment r1 + r2 = 1.  Grid minimization at spacing
+    1e-5 with one local refinement pass.
     """
     sigma = _validate_sigma(sigma)
     if sigma == 1:
@@ -117,7 +117,7 @@ def c_sigma_bound(sigma: int, resolution: float = 1e-5) -> float:
         r1, r2 = 1.0 - t, t
         return q_sigma(r1, r2, sigma) / (r1 ** (sigma - 1) + r2 ** (sigma - 1))
 
-    t = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+    t = np.linspace(0.0, 1.0, 100001)
     vals = ratio(t)
     i = int(np.argmin(vals))
     lo = t[max(i - 1, 0)]

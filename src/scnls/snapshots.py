@@ -21,19 +21,14 @@ _LAYOUT_REAL = "float64-le"
 
 def append_snapshot(fh, name: str, time: float, field: np.ndarray,
                     grid: Grid, extra: dict | None = None) -> None:
-    field = np.ascontiguousarray(field)
     complex_field = np.iscomplexobj(field)
-    if complex_field:
-        buf = np.empty(2 * field.size, dtype="<f8")
-        buf[0::2] = field.real.ravel()
-        buf[1::2] = field.imag.ravel()
-    else:
-        buf = field.astype("<f8").ravel()
+    # "<c16" is the interleaved re/im float64 layout
+    buf = np.asarray(field).astype("<c16" if complex_field else "<f8")
     header = {
         "name": name,
         "time": float(time),
         "grid": grid.descriptor(),
-        "count": int(field.size),
+        "count": int(buf.size),
         "layout": _LAYOUT_COMPLEX if complex_field else _LAYOUT_REAL,
     }
     if extra:
@@ -51,7 +46,7 @@ def write_snapshots(path, records, extra: dict | None = None) -> None:
 
 
 def read_snapshots(path) -> list[tuple[dict, np.ndarray]]:
-    """Read back all (header, field) records; complex layout is reassembled."""
+    """Read back all (header, field) records, each field a writable array."""
     out = []
     with open(path, "rb") as fh:
         while True:
@@ -60,11 +55,8 @@ def read_snapshots(path) -> list[tuple[dict, np.ndarray]]:
                 break
             header = json.loads(line.decode())
             count = header["count"]
-            if header["layout"] == _LAYOUT_COMPLEX:
-                raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-                fld = raw[0::2] + 1j * raw[1::2]
-            else:
-                fld = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-            fld = fld.reshape(tuple(header["grid"]["n"]))
+            dtype = "<c16" if header["layout"] == _LAYOUT_COMPLEX else "<f8"
+            fld = np.frombuffer(fh.read(np.dtype(dtype).itemsize * count),
+                                dtype).reshape(tuple(header["grid"]["n"])).copy()
             out.append((header, fld))
     return out

@@ -43,7 +43,7 @@ from . import __version__
 from .artifacts import hashed_csv, hashed_json
 from .corrector import evolve_corrector, tilde_amplitude
 from .diagnostics import (density_metrics, diagnostics_record,
-                          gronwall_constant)
+                          gronwall_constant, sobolev_index)
 from .errors import ConfigError
 from .grid import (CHUNK_POINTS, MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT,
                    per_value)
@@ -52,16 +52,6 @@ from .limit import LimitState, evolve_limit
 from .nls import (NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
                   evolve_nls, evolve_nls_batch, pick_scheme)
 from .presets import InitialData, snap_wavevector
-
-
-def sobolev_index(sigma: int, dim: int) -> int:
-    """Order k of the uniform bound: 2 for sigma<=2 in 1-D (free choice for
-    sigma=1, forced for sigma=2), 1 for sigma=2 in dim>=2, sigma otherwise."""
-    if sigma >= 3:
-        return sigma
-    if sigma == 2 and dim >= 2:
-        return 1
-    return 2
 
 
 def sup_exponent(sigma: int, dim: int) -> float:
@@ -157,7 +147,6 @@ class SweepResult:
     gronwall_c: float
     sup_p: float
     k_order: int
-    environment: dict
 
     def to_json(self) -> str:
         """The report: each fit with the epsilons of the rows it took, and
@@ -179,7 +168,8 @@ class SweepResult:
             "rows": self.rows,
             "fits": fits,
             "fits_left_out": left_out,
-            "environment": self.environment,
+            "environment": {"package": "scnls", "version": __version__,
+                            "numpy": np.__version__},
         }
         return hashed_json(payload)
 
@@ -212,9 +202,19 @@ def rung_groups(n_rungs: int, points: int, n_obs: int) -> list[range]:
     return [range(i, min(i + per, n_rungs)) for i in range(0, n_rungs, per)]
 
 
+def _envelope(me0: float, c_hat: float, t: float) -> float:
+    """The modulated-energy bound me0 * e^(c_hat t) with a 1e-9 margin;
+    infinite where the exponential overflows a float, save for me0 = 0,
+    whose bound stays 0."""
+    try:
+        return me0 * math.exp(c_hat * t) * (1.0 + 1e-9)
+    except OverflowError:
+        return math.inf if me0 > 0 else me0
+
+
 def _sweep_row(traj: NLSTrajectory, scheme: str,
                limit_chunks: list[tuple[slice, LimitState, np.ndarray]],
-               c_hat: float, k: int, sup_p: float) -> dict:
+               c_hat: float, sup_p: float) -> dict:
     """One ladder rung from its wavefunction run, integrated with scheme;
     limit_chunks holds (nodes, their stacked limit state, a_tilde) per
     chunk, shared by every rung."""
@@ -222,11 +222,11 @@ def _sweep_row(traj: NLSTrajectory, scheme: str,
     eps, sigma = traj.epsilon, traj.sigma
     chunks = []
     for nodes, ls, a_tilde in limit_chunks:
-        rec = diagnostics_record(traj.states[nodes], ls, eps, sigma, k)
+        rec = diagnostics_record(traj.states[nodes], ls, eps)
         # |e^{i phi/eps}| = 1, so ||u - b e^{i phi/eps}|| = ||a_eps - b||
         diff2 = rec.a_eps - a_tilde
         diff1 = rec.a_eps - ls.a
-        dm = density_metrics(rec, ls, sigma, eps)
+        dm = density_metrics(rec, ls)
         chunks.append({
             "time": traj.times[nodes],
             "err_two_term_l2": grid.l2_norm(diff2),
@@ -245,7 +245,7 @@ def _sweep_row(traj: NLSTrajectory, scheme: str,
     # max of its list
     table = {key: np.concatenate([c[key] for c in chunks]).tolist() for key in chunks[0]}
     me0 = table["mod_energy"][0]
-    envelope_ok = all(me <= me0 * math.exp(c_hat * t) * (1.0 + 1e-9)
+    envelope_ok = all(me <= _envelope(me0, c_hat, t)
                       for t, me in zip(table["time"], table["mod_energy"]))
     # the error columns keep their names, the other maxima gain "_max"; the
     # dict's order is the CSV's
@@ -290,7 +290,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         ls = limit_traj.state(nodes)
         limit_chunks.append((nodes, ls, tilde_amplitude(ls)))
     c_hat = gronwall_constant(limit_traj)
-    k = sobolev_index(sigma, grid.dim)
     sup_p = sup_exponent(sigma, grid.dim)
 
     # each rung's composition; the rungs of a group that share one
@@ -308,7 +307,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                               final_time=plan.final_time, dt0=plan.dt0,
                               scheme=scheme)
                     for eps in ladder]
-            rows += [_sweep_row(traj, scheme, limit_chunks, c_hat, k, sup_p)
+            rows += [_sweep_row(traj, scheme, limit_chunks, c_hat, sup_p)
                      for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
 
     fits = {}
@@ -327,7 +326,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "initial_label": initial.label,
         "config": plan.config_echo,
     }
-    env = {"package": "scnls", "version": __version__, "numpy": np.__version__}
     return SweepResult(plan_echo=plan_echo, rows=rows, fits=fits,
-                       gronwall_c=c_hat, sup_p=sup_p, k_order=k,
-                       environment=env)
+                       gronwall_c=c_hat, sup_p=sup_p,
+                       k_order=sobolev_index(sigma, grid.dim))

@@ -145,10 +145,10 @@ def test_03_limit_solver(acceptance_data):
 
     traj = evolve_limit(acceptance_data, sigma, 0.25, n_obs=20)
     power_gap = power_consistency(traj, banded=True)
-    inv0 = euler_invariants(traj.state(0), sigma)
+    inv0 = euler_invariants(traj.state(0))
     drift = 0.0
     for i in range(0, 20, 3):
-        inv = euler_invariants(traj.state(i), sigma)
+        inv = euler_invariants(traj.state(i))
         drift = max(drift,
                     abs(inv.mass - inv0.mass) / inv0.mass,
                     abs(inv.energy - inv0.energy) / abs(inv0.energy),
@@ -216,13 +216,11 @@ def test_07_transport_identity(acceptance_data):
         u0 = build_initial_data(acceptance_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=t_end)
         traj = evolve_nls(u0, cfg, n_obs)
-        recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+        recs = [diagnostics_record(u, ltraj.state(i), eps)
                 for i, u in enumerate(traj.states)]
         st = ltraj.state(mid)
-        r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2],
-                                  st, 2 * h, g)
-        r_h = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
-                                 st, h, g)
+        r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2], st)
+        r_h = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1], st)
         orders[sigma] = float(np.log2(r_2h / r_h))
         if sigma == 1:
             def gap(i):

@@ -12,6 +12,7 @@ from scnls.errors import ConfigError
 from scnls.grid import MAX_STEPS
 from scnls.limit import evolve_limit
 from scnls.presets import InitialData
+from scnls.sweep import FIT_COLUMNS
 
 from conftest import hash_of_csv, hash_of_json, subprocess_env
 
@@ -704,6 +705,29 @@ class TestCliCommands:
         assert "eps=1.0" in message and "dt=" in message
         assert sorted(p.name for p in (tmp_path / "out3").iterdir()) == \
             ["effective_config.json"]
+
+    def test_overflowing_envelope_sweep_completes(self, tmp_path):
+        # the limit run's Gronwall constant (about 2.9e3) makes e^(C t)
+        # overflow a float at t = 0.25: an infinite envelope bound, which
+        # every row keeps, where math.exp raised (exit 4, no report)
+        doc = {
+            "grid": {"N": 256, "L": 16.0},
+            "physics": {"sigma": 2, "epsilon_list": [0.25, 0.125]},
+            "time": {"T": 0.5, "dt0": 0.16, "observation_count": 3},
+            "initial": {"a0_preset": "gaussian",
+                        "a0_params": {"width": 1.5, "amplitude_re": 2.5}},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        path = tmp_path / "envelope.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["sweep", str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["gronwall_constant"] * 0.25 > math.log(sys.float_info.max)
+        assert [r["envelope_ok"] for r in report["rows"]] == [True, True]
+        assert [r["self_check_ok"] for r in report["rows"]] == [False, False]
+        assert report["fits"] == {}
+        assert sorted(report["fits_left_out"]) == sorted(FIT_COLUMNS)
 
     def test_refined_grid_simulate_passes(self, tmp_path):
         # the README config at N = 2048 and eps = 1/32, where yoshida4's

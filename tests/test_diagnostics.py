@@ -5,8 +5,8 @@ import pytest
 
 from scnls import Grid
 from scnls.diagnostics import (density_metrics, diagnostics_record,
-                               gronwall_constant, modulate, modulated_energy,
-                               q_g_fields, residual_transport)
+                               gronwall_constant, modulate, q_g_fields,
+                               residual_transport)
 from scnls.corrector import tilde_amplitude
 from scnls.errors import GridMismatchError
 from scnls.limit import evolve_limit
@@ -122,7 +122,7 @@ def sigma2_run(gaussian_data):
     u0 = build_initial_data(gaussian_data, eps)
     cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
     traj = evolve_nls(u0, cfg, n_obs)
-    recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+    recs = [diagnostics_record(u, ltraj.state(i), eps)
             for i, u in enumerate(traj.states)]
     return g, ltraj, traj, recs, obs
 
@@ -147,19 +147,17 @@ class TestResidualTransport:
         recs = []
         for i, t in enumerate((0.0, h, 2 * h)):
             u = A * np.exp(1j * (k * x - omega * t) / eps)
-            recs.append(diagnostics_record(u, ltraj.state(i), eps, sigma, 2))
-        res = residual_transport(recs[0], recs[1], recs[2],
-                                 ltraj.state(1), h, grid_1d)
+            recs.append(diagnostics_record(u, ltraj.state(i), eps))
+        res = residual_transport(recs[0], recs[1], recs[2], ltraj.state(1))
         assert res < 1e-10
 
     def test_sigma2_refinement_order(self, sigma2_run):
         g, ltraj, traj, recs, obs = sigma2_run
-        h = float(obs[1] - obs[0])
         mid = 20
         r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2],
-                                  ltraj.state(mid), 2 * h, g)
+                                  ltraj.state(mid))
         r_h = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
-                                 ltraj.state(mid), h, g)
+                                 ltraj.state(mid))
         order = np.log2(r_2h / r_h)
         assert 1.5 <= order <= 2.5
 
@@ -175,12 +173,11 @@ class TestResidualTransport:
         u0 = build_initial_data(gaussian_data, eps)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
         traj = evolve_nls(u0, cfg, obs.size)
-        recs = [diagnostics_record(u, ltraj.state(i), eps, sigma, 2)
+        recs = [diagnostics_record(u, ltraj.state(i), eps)
                 for i, u in enumerate(traj.states)]
         mid = 6
         st = ltraj.state(mid)
-        res = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1],
-                                 st, h, g)
+        res = residual_transport(recs[mid - 1], recs[mid], recs[mid + 1], st)
 
         def density_gap(i):
             rho_eps = np.abs(recs[i].a_eps) ** 2
@@ -195,16 +192,21 @@ class TestResidualTransport:
         assert res == pytest.approx(direct, rel=1e-10)
 
         # refinement ratio ~4 (pure central-difference error)
-        r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2],
-                                  st, 2 * h, g)
+        r_2h = residual_transport(recs[mid - 2], recs[mid], recs[mid + 2], st)
         assert 3.0 <= r_2h / res <= 5.0
 
     def test_unequal_spacing_rejected(self, sigma2_run):
         g, ltraj, traj, recs, obs = sigma2_run
-        h = float(obs[1] - obs[0])
-        with pytest.raises(ValueError):
-            residual_transport(recs[0], recs[1], recs[3],
-                               ltraj.state(1), h, g)
+        with pytest.raises(ValueError, match="equally spaced"):
+            residual_transport(recs[0], recs[1], recs[3], ltraj.state(1))
+
+    @pytest.mark.parametrize("nodes", [(2, 1, 0), (1, 1, 1)])
+    def test_records_out_of_time_order_rejected(self, sigma2_run, nodes):
+        # the step is read off the records' times, so a reversed or
+        # repeated triple has no positive step
+        g, ltraj, traj, recs, obs = sigma2_run
+        with pytest.raises(ValueError, match="in time order"):
+            residual_transport(*(recs[i] for i in nodes), ltraj.state(1))
 
 
 class TestModulatedEnergy:
@@ -220,7 +222,7 @@ class TestModulatedEnergy:
         ltraj = evolve_limit(data, 2, 0.02, n_obs=3)
         ltraj.phi_periodic
         u = np.full(grid_1d.shape, np.sqrt(rho0), complex)
-        rec = diagnostics_record(u, ltraj.state(0), 0.25, 2, 2)
+        rec = diagnostics_record(u, ltraj.state(0), 0.25)
         assert rec.modulated_energy == pytest.approx(rho0 * L, rel=1e-12)
 
     def test_matches_norm_sum(self, sigma2_run):
@@ -229,7 +231,7 @@ class TestModulatedEnergy:
         expected = (g.l2_norm(rec.a_eps) ** 2
                     + g.l2_norm(rec.psi_eps[0]) ** 2
                     + g.l2_norm(rec.q_eps) ** 2)
-        assert modulated_energy(rec, g) == pytest.approx(expected, rel=1e-13)
+        assert rec.modulated_energy == pytest.approx(expected, rel=1e-13)
 
     def test_gronwall_envelope_along_run(self, sigma2_run):
         g, ltraj, traj, recs, obs = sigma2_run
@@ -281,8 +283,8 @@ class TestDensityMetrics:
         ltraj.phi_periodic
         st = ltraj.state(0)
         u = np.full(grid_1d.shape, 0.8, complex)
-        rec = diagnostics_record(u, st, 0.25, 2, 2)
-        dm = density_metrics(rec, st, 2, 0.25)
+        rec = diagnostics_record(u, st, 0.25)
+        dm = density_metrics(rec, st)
         assert dm.pos_err_lsp1 == 0.0
         assert dm.cur_err_transport == 0.0
         assert dm.cur_err_l1 < 1e-12
@@ -300,28 +302,28 @@ class TestDensityMetrics:
             u0 = build_initial_data(gaussian_data, eps)
             cfg = NLSConfig(grid=g, epsilon=eps, sigma=sigma, final_time=T)
             u = evolve_nls(u0, cfg).states[-1]
-            rec = diagnostics_record(u, st, eps, sigma, 2)
-            out[eps] = density_metrics(rec, st, sigma, eps)
+            rec = diagnostics_record(u, st, eps)
+            out[eps] = density_metrics(rec, st)
         ratio_pos = out[2.0**-3].pos_err_lsp1 / out[2.0**-5].pos_err_lsp1
         ratio_cur = out[2.0**-3].cur_err_l1 / out[2.0**-5].cur_err_l1
         assert ratio_pos > 2.0   # at least first order over a 4x epsilon drop
         assert 2.0 < ratio_cur < 8.0
 
 
-def assert_stack_matches_records(ltraj, traj, eps, sigma):
+def assert_stack_matches_records(ltraj, traj, eps):
     """A record of every snapshot at once holds, per snapshot, the bits of
     that snapshot's own record, and so do its energy and density gaps."""
     def bits(a):
         return np.ascontiguousarray(a).tobytes()
 
     nodes = ltraj.state(slice(None))
-    stack = diagnostics_record(np.stack(traj.states), nodes, eps, sigma, 2)
-    gaps = density_metrics(stack, nodes, sigma, eps)
+    stack = diagnostics_record(np.stack(traj.states), nodes, eps)
+    gaps = density_metrics(stack, nodes)
     if ltraj.phi1 is not None:
         a_tilde = tilde_amplitude(nodes)
     for i, u in enumerate(traj.states):
         st = ltraj.state(i)
-        rec = diagnostics_record(u, st, eps, sigma, 2)
+        rec = diagnostics_record(u, st, eps)
         assert bits(stack.a_eps[i]) == bits(rec.a_eps)
         assert bits(stack.psi_eps[:, i]) == bits(rec.psi_eps)
         assert bits(stack.q_eps[i]) == bits(rec.q_eps)
@@ -329,7 +331,7 @@ def assert_stack_matches_records(ltraj, traj, eps, sigma):
         assert stack.a_eps_hk[i] == rec.a_eps_hk
         assert stack.q_eps_hkm1[i] == rec.q_eps_hkm1
         assert stack.modulated_energy[i] == rec.modulated_energy
-        one = density_metrics(rec, st, sigma, eps)
+        one = density_metrics(rec, st)
         for f in fields(one):
             assert getattr(gaps, f.name)[i] == getattr(one, f.name)
         if ltraj.phi1 is not None:
@@ -344,7 +346,7 @@ class TestStackedRecord:
         # 41 snapshots of 512 points: a 328 KiB stack, over numpy's 256 KiB
         # temporary-elision size, where one snapshot is far under it
         g, ltraj, traj, recs, obs = sigma2_run
-        assert_stack_matches_records(ltraj, traj, traj.epsilon, traj.sigma)
+        assert_stack_matches_records(ltraj, traj, traj.epsilon)
 
     def test_2d_joint_run(self):
         # 5 nodes of 64x64 (a 320 KiB stack) with the corrector pair
@@ -358,7 +360,7 @@ class TestStackedRecord:
         ltraj = evolve_limit(data, 2, T, n_obs=5, a1=data.a1)
         cfg = NLSConfig(grid=g, epsilon=eps, sigma=2, final_time=T)
         traj = evolve_nls(build_initial_data(data, eps), cfg, 5)
-        assert_stack_matches_records(ltraj, traj, eps, 2)
+        assert_stack_matches_records(ltraj, traj, eps)
 
 
 class TestRecordInvariants:
@@ -373,11 +375,30 @@ class TestRecordInvariants:
         assert rec.q_eps_hkm1 == g.sobolev_norm(rec.q_eps, 1.0)
         assert rec.a_eps_hk >= g.l2_norm(rec.a_eps) * (1 - 1e-12)
 
+    def test_order_from_sigma_and_dim(self, gaussian_data):
+        # k = sobolev_index(sigma, dim) of the limit state: 1 for sigma = 2
+        # in 2-D, sigma for sigma >= 3
+        g2 = Grid((32, 32), (10.0, 10.0))
+        x, y = g2.coords
+        bump = np.exp(-(x**2 + y**2))
+        data2 = InitialData(grid=g2, a0=bump.astype(complex),
+                            a1=np.zeros(g2.shape, complex),
+                            phi0_periodic=np.zeros(g2.shape),
+                            phi0_wavevector=(0.0, 0.0))
+        for data, sigma, k in ((data2, 2, 1), (gaussian_data, 3, 3)):
+            st = evolve_limit(data, sigma, 0.01, n_obs=2).state(-1)
+            assert st.sigma == sigma
+            u = build_initial_data(data, 0.25) * 1.01
+            rec = diagnostics_record(u, st, 0.25)
+            assert rec.sigma == sigma
+            assert rec.a_eps_hk == data.grid.sobolev_norm(rec.a_eps, k)
+            assert rec.q_eps_hkm1 == data.grid.sobolev_norm(rec.q_eps, k - 1)
+
     def test_epsilon_not_positive_refused(self, sigma2_run):
         g, ltraj, traj, recs, obs = sigma2_run
         u, st = traj.states[0], ltraj.state(0)
         for eps in (0.0, -0.25):
             with pytest.raises(ValueError, match="epsilon must be positive"):
-                diagnostics_record(u, st, eps, 2, 2)
+                diagnostics_record(u, st, eps)
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 q_g_fields(u, st.a, eps, 2)

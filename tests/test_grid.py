@@ -26,13 +26,24 @@ class TestConstruction:
 
     def test_rejects_dim_3(self):
         with pytest.raises(ValueError):
-            Grid((16, 16, 16), 1.0, dim=3)
+            Grid((16, 16, 16), 1.0)
 
-    @pytest.mark.parametrize("n, length, dim", [
-        ((16, 16), 1.0, 1), (16, (1.0, 2.0), 1), (16, (1.0, 2.0, 3.0), 2)])
-    def test_rejects_axes_not_matching_dim(self, n, length, dim):
+    @pytest.mark.parametrize("n, length", [
+        (16, (1.0, 2.0)), (16, (1.0, 2.0, 3.0)), ((16, 16), (1.0, 2.0, 3.0))])
+    def test_rejects_axes_not_matching_dim(self, n, length):
         with pytest.raises(ValueError, match="n/length do not match dim"):
-            Grid(n, length, dim=dim)
+            Grid(n, length)
+
+    @pytest.mark.parametrize("n, length, shape, lengths", [
+        (16, 2.0, (16,), (2.0,)), ((16,), (2.0,), (16,), (2.0,)),
+        ((32, 16), 2.0, (32, 16), (2.0, 2.0))])
+    def test_dim_from_n(self, n, length, shape, lengths):
+        # an int is one axis, a tuple one entry per axis; a single length
+        # serves every axis
+        g = Grid(n, length)
+        assert (g.dim, g.shape, g.lengths) == (len(shape), shape, lengths)
+        with pytest.raises(TypeError):
+            Grid(n, length, dim=len(shape))
 
     def test_2d_tensor_product(self):
         g = Grid((32, 16), (2.0, 4.0))

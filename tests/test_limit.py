@@ -691,7 +691,7 @@ class TestLargerStep:
         # the demo's adaptive step is capped at its first CFL step, no
         # longer at a third of its observation interval: the CLI default
         # (N = 512) and the CI's 64x64 modes still complete the window
-        g = Grid(n, 2 * np.pi, dim=dim)
+        g = Grid((n,) * dim, 2 * np.pi)
         background = InitialData(grid=g, a0=np.ones(g.shape, dtype=complex),
                                  a1=np.zeros(g.shape, dtype=complex),
                                  phi0_periodic=np.zeros(g.shape),
@@ -1022,19 +1022,29 @@ class TestEulerInvariants:
         sigma = 2
         data = constant_state_data(grid_1d, rho0=rho0, v0=v0)
         traj = evolve_limit(data, sigma, 0.2, n_obs=3)
-        inv = euler_invariants(traj.state(0), sigma)
+        inv = euler_invariants(traj.state(0))
         assert inv.mass == pytest.approx(rho0 * L, rel=1e-12)
         assert inv.momentum[0] == pytest.approx(rho0 * v0 * L, rel=1e-12)
         expected_e = (0.5 * rho0 * v0**2 + rho0 ** (sigma + 1) / (sigma + 1)) * L
         assert inv.energy == pytest.approx(expected_e, rel=1e-12)
         assert inv.total_pressure == pytest.approx(rho0 ** (sigma + 1) * L, rel=1e-12)
 
+    def test_sigma_from_the_state(self, grid_1d):
+        # the pressure exponent is the run's: rho0^(sigma+1) L for sigma = 3
+        L, rho0 = grid_1d.lengths[0], 0.36
+        traj = evolve_limit(constant_state_data(grid_1d, rho0=rho0), 3, 0.2, n_obs=3)
+        state = traj.state(0)
+        assert state.sigma == traj.sigma == 3
+        inv = euler_invariants(state)
+        assert inv.total_pressure == pytest.approx(rho0 ** 4 * L, rel=1e-12)
+        assert inv.energy == pytest.approx(rho0 ** 4 / 4 * L, rel=1e-12)
+
     def test_drifts_pre_breakdown(self, gaussian_data):
         sigma = 2
         traj = evolve_limit(gaussian_data, sigma, 0.25, n_obs=20)
-        inv0 = euler_invariants(traj.state(0), sigma)
+        inv0 = euler_invariants(traj.state(0))
         for i in range(0, 20, 4):
-            inv = euler_invariants(traj.state(i), sigma)
+            inv = euler_invariants(traj.state(i))
             assert abs(inv.mass - inv0.mass) / inv0.mass < 1e-8
             assert abs(inv.energy - inv0.energy) / abs(inv0.energy) < 1e-8
             assert abs(inv.momentum[0] - inv0.momentum[0]) < 1e-8 * inv0.mass
@@ -1045,7 +1055,7 @@ class TestEulerInvariants:
         # sigma=2, n=1: source term vanishes; quantity stays constant
         sigma = 2
         traj = evolve_limit(gaussian_data, sigma, 0.25, n_obs=20)
-        pcs = [euler_invariants(traj.state(i), sigma).pseudo_conformal
+        pcs = [euler_invariants(traj.state(i)).pseudo_conformal
                for i in range(0, 20, 4)]
         assert max(abs(p - pcs[0]) for p in pcs) / abs(pcs[0]) < 1e-6
 
@@ -1055,7 +1065,7 @@ class TestEulerInvariants:
         traj = evolve_limit(gaussian_data, sigma, 0.2, n_obs=21)
         h = 0.01
         ts = np.linspace(0.0, 0.2, 21)
-        invs = [euler_invariants(traj.state(i), sigma) for i in range(ts.size)]
+        invs = [euler_invariants(traj.state(i)) for i in range(ts.size)]
         i = 10
         dpc = (invs[i + 1].pseudo_conformal - invs[i - 1].pseudo_conformal) / (2 * h)
         expected = ts[i] * (2 - 1) / 2 * invs[i].total_pressure

@@ -5,16 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scnls import Grid, nls
+from scnls import Grid, nls, sweep
 from scnls.corrector import evolve_corrector, tilde_amplitude
 from scnls.config import parse_config
+from scnls.diagnostics import sobolev_index
 from scnls.errors import ConfigError
 from scnls.grid import MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT
 from scnls.limit import evolve_limit
 from scnls.nls import NLSConfig, build_initial_data, evolve_nls
 from scnls.presets import InitialData
-from scnls.sweep import (SweepPlan, fit_rate, rung_groups, run_sweep,
-                         sobolev_index, sup_exponent)
+from scnls.sweep import SweepPlan, fit_rate, rung_groups, run_sweep, sup_exponent
 
 from conftest import hash_of_csv, hash_of_json
 
@@ -48,6 +48,14 @@ class TestIndexRules:
         assert sobolev_index(2, 2) == 1
         assert sobolev_index(3, 1) == 3
         assert sobolev_index(4, 1) == 4
+
+    def test_envelope_overflow(self):
+        # e^(C t) past a float's range is an infinite bound, except for a
+        # zero initial energy, whose bound stays 0 (never 0 * inf = NaN);
+        # a bound in range keeps its bits
+        assert sweep._envelope(1e-300, 1e4, 1.0) == math.inf
+        assert sweep._envelope(0.0, 1e4, 1.0) == 0.0
+        assert sweep._envelope(2.0, 3.0, 0.5) == 2.0 * math.exp(1.5) * (1.0 + 1e-9)
 
     def test_sup_exponent(self):
         assert sup_exponent(2, 1) == np.inf
@@ -158,7 +166,6 @@ class TestRunSweep:
     def spy_records(monkeypatch) -> list:
         """The shape of the snapshot stack of each diagnostics_record call
         the sweep makes from here on."""
-        import scnls.sweep as sweep
         stacks = []
         record = sweep.diagnostics_record
 
@@ -182,7 +189,6 @@ class TestRunSweep:
     def test_chunked_rows_equal_unchunked(self, small_sweep, monkeypatch):
         # a chunk bound of 4 nodes cuts each rung's 6 observation times into
         # chunks of 4 and 2; the artifacts keep every byte
-        import scnls.sweep as sweep
         plan, res = small_sweep
         grid = plan.initial.grid
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 4 * grid.dim * grid.size)
@@ -362,7 +368,6 @@ class TestObservationPairing:
         # both solvers take the count: every wavefunction run's times are
         # the limit run's node times bit for bit (T = 0.35 and 7 times,
         # where n*dt misses np.linspace in the last bit)
-        import scnls.sweep as sweep
         seen = {"nls": []}
         batch, corrector = sweep.evolve_nls_batch, sweep.evolve_corrector
 
@@ -516,7 +521,6 @@ class TestRungGroups:
         # two below yoshida4 (one step of three substeps per interval): the
         # one group of three rungs goes as two batches, and every member
         # keeps the bits of its lone run
-        import scnls.sweep as sweep
         g = Grid(128, 16.0)
         r2 = g.coords[0] ** 2
         data = InitialData(grid=g, a0=np.exp(-r2) * (1 + 0.2j * np.exp(-r2)),
