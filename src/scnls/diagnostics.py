@@ -70,8 +70,9 @@ def q_g_fields(a_eps: np.ndarray, a: np.ndarray, epsilon: float,
 
 
 def sobolev_index(sigma: int, dim: int) -> int:
-    """Order k of the uniform bound: 2 for sigma<=2 in 1-D (free choice for
-    sigma=1, forced for sigma=2), 1 for sigma=2 in dim>=2, sigma otherwise."""
+    """Order k of the uniform bound: 2 for sigma=1 in any dimension (a free
+    choice) and for sigma=2 in 1-D (forced), 1 for sigma=2 in dim>=2, and
+    sigma for sigma>=3."""
     if sigma >= 3:
         return sigma
     if sigma == 2 and dim >= 2:
@@ -141,14 +142,17 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
     """L2 norm of the beta = eps*q_eps transport residual at rec_mid.
 
     Uses a central difference over the records' times t-h, t, t+h for
-    d_t beta; they must be in time order and equally spaced.  Converges at
-    the combined central-difference + solver order as h -> 0; identically
-    zero (to roundoff) for matched plane-wave data where beta vanishes.
+    d_t beta; they must be in time order, equally spaced and of one epsilon
+    and sigma.  Converges at the combined central-difference + solver order
+    as h -> 0; identically zero (to roundoff) for matched plane-wave data
+    where beta vanishes.
     """
     h1 = rec_mid.time - rec_prev.time
     h2 = rec_next.time - rec_mid.time
     if not h1 > 0 or abs(h2 - h1) > 1e-9 * max(h1, 1.0):
         raise ValueError("snapshots must be in time order and equally spaced")
+    if len({(r.epsilon, r.sigma) for r in (rec_prev, rec_mid, rec_next)}) > 1:
+        raise ValueError("records must share one epsilon and sigma")
     grid = limit_state.grid
     sigma = rec_mid.sigma
     eps = rec_mid.epsilon

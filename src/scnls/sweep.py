@@ -18,7 +18,8 @@ gradients hold at most CHUNK_POINTS points.  The row table holds:
   (L^6 instead of L^inf when sigma = 2 in dimension >= 2), taken as
   ||a_eps - a|| and ||a_eps - a_tilde|| of the filtered amplitude;
 * uniformity norms max_t ||a_eps||_{H^k}, max_t ||q_eps||_{H^(k-1)} with
-  k = 2 (sigma <= 2, 1-D), k = 1 (sigma = 2, higher dim), k = sigma otherwise;
+  k = 2 (sigma = 1 in any dimension, sigma = 2 in 1-D), k = 1 (sigma = 2,
+  higher dim), k = sigma (sigma >= 3);
 * density-gap metrics and the modulated-energy envelope check;
 * the run's composition (nls.pick_scheme) and step, its step-doubling
   check's step and the check's outcome.
@@ -104,7 +105,9 @@ class SweepPlan:
 
     def __post_init__(self):
         eps = self.epsilon_list
-        if len(eps) < 1 or any(not 0 < e <= 1 for e in eps):
+        if not eps:
+            raise ConfigError("physics.epsilon_list", "must be a non-empty list")
+        if any(not 0 < e <= 1 for e in eps):
             raise ConfigError("physics.epsilon_list", "values must lie in (0, 1]")
         if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise ConfigError("physics.epsilon_list", "must be strictly decreasing")

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -207,6 +207,15 @@ class TestResidualTransport:
         g, ltraj, traj, recs, obs = sigma2_run
         with pytest.raises(ValueError, match="in time order"):
             residual_transport(*(recs[i] for i in nodes), ltraj.state(1))
+
+    @pytest.mark.parametrize("field", ["epsilon", "sigma"])
+    def test_records_of_other_runs_rejected(self, sigma2_run, field):
+        # a record of another epsilon or sigma at the right time is a
+        # triple of two runs, not a difference quotient of one
+        g, ltraj, traj, recs, obs = sigma2_run
+        other = replace(recs[2], **{field: 2 * getattr(recs[2], field)})
+        with pytest.raises(ValueError, match="one epsilon and sigma"):
+            residual_transport(recs[0], recs[1], other, ltraj.state(1))
 
 
 class TestModulatedEnergy:

@@ -44,6 +44,7 @@ class TestFitRate:
 class TestIndexRules:
     def test_sobolev_index(self):
         assert sobolev_index(1, 1) == 2
+        assert sobolev_index(1, 2) == 2
         assert sobolev_index(2, 1) == 2
         assert sobolev_index(2, 2) == 1
         assert sobolev_index(3, 1) == 3
@@ -73,6 +74,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             SweepPlan(initial=gaussian_data, sigma=2,
                       epsilon_list=(2.0, 1.0), final_time=0.1)
+
+    def test_rejects_empty_ladder(self, gaussian_data):
+        with pytest.raises(ConfigError, match="non-empty") as err:
+            SweepPlan(initial=gaussian_data, sigma=2, epsilon_list=(),
+                      final_time=0.1)
+        assert err.value.key == "physics.epsilon_list"
 
     @pytest.mark.parametrize("n_obs", [2, 1])
     def test_rejects_fewer_than_three_observations(self, gaussian_data, n_obs):
