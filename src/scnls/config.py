@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import artifacts
 from .errors import ConfigError
@@ -46,6 +46,7 @@ from .grid import (MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT, Grid,
                    observation_steps)
 from .nls import pick_scheme, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
+from .records import Record, frozen_record
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
@@ -59,8 +60,10 @@ _FORMATS = {"csv", "json", "snapshots"}
 MAX_GRID_POINTS = 2**20
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@frozen_record
+class RunConfig(Record):
+    """One parsed config document: grid, physics, time, initial data, output."""
+
     dim: int = 1
     n: tuple[int, ...] = (512,)
     length: tuple[float, ...] = (16.0,)

@@ -31,13 +31,13 @@ the bits of that snapshot's own record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError
 from .grid import Grid, cis, per_value
 from .limit import LimitState, LimitTrajectory
+from .records import Record, frozen_record
 from .sigma_algebra import b_sigma, g_sigma
 
 
@@ -80,8 +80,8 @@ def sobolev_index(sigma: int, dim: int) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+@frozen_record
+class DiagnosticsRecord(Record):
     """Per-snapshot modulation diagnostics, built from the filtered
     amplitude a_eps and the limit state alone.  The transport residual
     spans three records and is computed by residual_transport."""
@@ -168,8 +168,10 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
     return grid.l2_norm(resid)
 
 
-@dataclass(frozen=True)
-class DensityMetrics:
+@frozen_record
+class DensityMetrics(Record):
+    """Position and current density gaps of one snapshot (density_metrics)."""
+
     pos_err_lsp1: float | np.ndarray       # || |a_eps|^2 - |a|^2 ||_{L^{s+1}}
     cur_err_transport: float | np.ndarray  # || (|a_eps|^2-|a|^2) grad phi ||_{L^{s+1}}
     cur_err_l1: float | np.ndarray         # || Im(eps conj(a_eps) grad a_eps) ||_{L^1}

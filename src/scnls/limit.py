@@ -56,7 +56,7 @@ holds on it to roundoff, and O(dt^4) accurate, RK4's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
                    observation_steps)
 from .presets import InitialData
+from .records import Record, frozen_record
 
 CFL_NUMBER = 0.5
 # the adaptive runs' CFL number (cfl_step): their step is set for accuracy,
@@ -81,8 +82,8 @@ BASELINE_FLOOR = 1e-8  # the least gradient scale
 # state containers
 
 
-@dataclass(frozen=True)
-class LimitState:
+@frozen_record
+class LimitState(Record):
     """One snapshot of the limit flow, or a stack of them on leading axes."""
 
     grid: Grid
@@ -102,8 +103,10 @@ class LimitState:
         return self.phi_periodic + np.sum(k * self.grid.coords, axis=0)
 
 
-@dataclass
-class LimitTrajectory:
+@frozen_record
+class LimitTrajectory(Record):
+    """One limit run (or a batch): its stored snapshots and per-step monitors."""
+
     grid: Grid
     sigma: int
     times: np.ndarray                 # times of stored field snapshots
@@ -557,8 +560,10 @@ def reconstruct_phase(traj: LimitTrajectory) -> np.ndarray:
 # conserved functionals
 
 
-@dataclass(frozen=True)
-class EulerInvariants:
+@frozen_record
+class EulerInvariants(Record):
+    """Conserved functionals of one limit snapshot (euler_invariants)."""
+
     time: float
     mass: float
     energy: float
@@ -598,8 +603,10 @@ def euler_invariants(state: LimitState) -> EulerInvariants:
 # breakdown monitor
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+@frozen_record
+class BlowupReport(Record):
+    """Whether and when a limit run's gradients break down (blowup_monitor)."""
+
     breakdown_flag: bool
     t_estimate: float | None
     t_uncertainty: float
@@ -652,8 +659,10 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
 # frequency-growth demo (ill-posed sign)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+@frozen_record
+class GrowthRow(Record):
+    """The growth rate of one perturbation wavenumber (focusing_demo)."""
+
     mode: int
     xi: float
     rate: float

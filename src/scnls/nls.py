@@ -54,7 +54,7 @@ snapshots carry the bits of its lone run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .errors import ConfigError, GridMismatchError, NumericalGuardError
 from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes, cis,
                    observation_steps)
 from .presets import InitialData, snap_wavevector
+from .records import Record, frozen_record
 
 # substep weights of each composition of the Strang step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -76,8 +77,8 @@ LAW_CONSTANTS = {"yoshida4": 1.0, "suzuki4": 1.664}
 SELF_CHECK_FACTOR = 0.05
 
 
-@dataclass(frozen=True)
-class NLSConfig:
+@frozen_record
+class NLSConfig(Record):
     """One wavefunction run's settings, checked when made: ConfigError for
     a dt0 or dt_override not positive and finite (time.dt0, before any
     step is derived from it) or a final_time not positive (time.T)."""
@@ -195,8 +196,10 @@ def pick_scheme(dt0: float, epsilon: float, dx: float, final_time: float,
     return min(LAW_CONSTANTS, key=rank)
 
 
-@dataclass
-class NLSTrajectory:
+@frozen_record
+class NLSTrajectory(Record):
+    """One wavefunction run: its stored snapshots, step and step-doubling check."""
+
     grid: Grid
     epsilon: float
     sigma: int
@@ -380,8 +383,8 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, n_obs: int = 2) -> NLSTrajectory:
     return evolve_nls_batch([u0], [cfg], n_obs)[0]
 
 
-@dataclass(frozen=True)
-class NLSInvariants:
+@frozen_record
+class NLSInvariants(Record):
     """Conserved/evolving functionals of one snapshot; x-weighted entries are
     meaningful only when boundary_tail is small (support inside the cell)."""
 

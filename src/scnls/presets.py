@@ -17,16 +17,16 @@ spectral lattice 2*pi*Z/L, which makes exp(i*k.x/epsilon) grid-periodic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid, cis
+from .records import Record, frozen_record
 
 
-@dataclass(frozen=True)
-class InitialData:
+@frozen_record
+class InitialData(Record):
     """Amplitudes and phase for one run: u(0) = (a0 + eps*a1) e^{i phi0/eps}.
 
     phi0 = phi0_wavevector . x + phi0_periodic; phi0_wavevector is snapped

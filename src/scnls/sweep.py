@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .limit import LimitState, evolve_limit
 from .nls import (NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
                   evolve_nls, evolve_nls_batch, pick_scheme)
 from .presets import InitialData, snap_wavevector
+from .records import Record, frozen_record
 
 
 def sup_exponent(sigma: int, dim: int) -> float:
@@ -61,8 +62,10 @@ def sup_exponent(sigma: int, dim: int) -> float:
     return 6.0 if (sigma == 2 and dim >= 2) else math.inf
 
 
-@dataclass(frozen=True)
-class FitResult:
+@frozen_record
+class FitResult(Record):
+    """A least-squares rate fit of log(err) against log(eps) (fit_rate)."""
+
     slope: float
     intercept: float
     r2: float
@@ -93,8 +96,10 @@ def fit_rate(points) -> FitResult:
                      r2=r2, n=len(pts))
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+@frozen_record
+class SweepPlan(Record):
+    """An epsilon-ladder sweep's initial data, ladder, horizon and step settings."""
+
     initial: InitialData
     sigma: int
     epsilon_list: tuple[float, ...]
@@ -142,8 +147,10 @@ SERIES_KEYS = ("time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
                "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")
 
 
-@dataclass
-class SweepResult:
+@frozen_record
+class SweepResult(Record):
+    """A sweep's rows, rate fits and Gronwall constant; to_json is its report."""
+
     plan_echo: dict
     rows: list[dict]
     fits: dict[str, FitResult]

@@ -1,5 +1,6 @@
 """tools/ci_summary.py: the config documents, the artifact differ and
-exit-code table, the unreached-line count, and the subcommands ci.yml calls."""
+exit-code table, the unreached-line count, the import-time parser, and the
+subcommands ci.yml calls."""
 import importlib.util
 import json
 import os
@@ -107,3 +108,18 @@ def test_unreached_lines(tmp_path):
         "unreached src lines under Tier-1: 2 of 5",
         "- src/scnls/a.py:3 `y = 2`",
         "- src/scnls/b.py:2 `return 1`"]
+
+
+def test_importtime_self():
+    text = """\
+import time: self [us] | cumulative | imported package
+import time:       120 |        120 |   _io
+import time:      2000 |       5000 | numpy
+import time:       310 |        410 |     scnls.errors
+import time:        95 |         95 |       scnlsx
+import time:      1500 |       9000 | scnls
+Traceback (most recent call last):
+import time: 12 | 12 | scnls.cli
+"""
+    assert ci_summary.importtime_self(text) == {
+        "scnls.errors": 310, "scnls": 1500, "scnls.cli": 12}

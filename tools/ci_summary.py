@@ -1,6 +1,6 @@
 """The job-summary lines of CI's informational steps, one subcommand each.
 
-    python tools/ci_summary.py {accuracy,fft-calls,demos,unreached,compare} WORK
+    python tools/ci_summary.py {accuracy,fft-calls,demos,unreached,compare,imports} WORK
 
 A subcommand prints its summary lines to stdout; the scnls runs it makes
 print to stderr.  It writes the config documents into the work directory
@@ -9,6 +9,7 @@ WORK, and every artifact, trace and parent tree under it.  `accuracy` and
 the package at the working tree and at its parent commit, HEAD~1.
 """
 import collections
+import compileall
 import contextlib
 import copy
 import csv
@@ -381,8 +382,52 @@ def compare(work: Path) -> int:
     return 0
 
 
+IMPORT_LAUNCHES = 10
+
+
+def importtime_self(text: str) -> dict[str, int]:
+    """The self time in microseconds of each scnls module that the
+    `python -X importtime` report `text` names."""
+    out = {}
+    for line in text.splitlines():
+        parts = line.removeprefix("import time:").split("|")
+        if len(parts) == 3 and parts[0].strip().isdigit():
+            name = parts[2].strip()
+            if name == "scnls" or name.startswith("scnls."):
+                out[name] = int(parts[0])
+    return out
+
+
+def imports(work: Path) -> int:
+    # fresh launches of the compiled tree: the time of `import scnls.cli`
+    # after numpy, which the bench's set-up pays, and each scnls module's
+    # self time under -X importtime (which slows what it times), both the
+    # least over the launches
+    compileall.compile_dir(SRC / "scnls", quiet=1)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    timed = ("import time, numpy; t = time.perf_counter(); import scnls.cli; "
+             "print(time.perf_counter() - t)")
+    best, selfs = math.inf, {}
+    for _ in range(IMPORT_LAUNCHES):
+        run = subprocess.run([sys.executable, "-c", timed], env=env,
+                             capture_output=True, text=True, check=True)
+        best = min(best, float(run.stdout))
+        run = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                              "import numpy, scnls.cli"], env=env,
+                             capture_output=True, text=True, check=True)
+        for name, us in importtime_self(run.stderr).items():
+            selfs[name] = min(us, selfs.get(name, us))
+    print(f"import scnls.cli after import numpy: {best * 1e3:.1f} ms "
+          f"(least of {IMPORT_LAUNCHES} launches)")
+    print(f"scnls module self times under -X importtime (least of {IMPORT_LAUNCHES}), "
+          f"{sum(selfs.values()) / 1e3:.1f} ms in all: "
+          + ", ".join(f"{n} {us / 1e3:.2f} ms"
+                      for n, us in sorted(selfs.items(), key=lambda kv: -kv[1])))
+    return 0
+
+
 SUBCOMMANDS = {"accuracy": accuracy, "fft-calls": fft_calls, "demos": demos,
-               "unreached": unreached, "compare": compare}
+               "unreached": unreached, "compare": compare, "imports": imports}
 
 if __name__ == "__main__":
     if len(sys.argv) != 3 or sys.argv[1] not in SUBCOMMANDS:
