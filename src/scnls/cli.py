@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -370,7 +371,8 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache  # one parser per process, however often main runs
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scnls",
         description="semiclassical NLS / hydrodynamic-limit workbench")
@@ -383,8 +385,11 @@ def main(argv=None) -> int:
                         help="echoed into artifacts (pipeline is deterministic)")
     rp = sub.add_parser("report")
     rp.add_argument("path", help="report.json or a sweep output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "report":
             cmd_report(args.path)

@@ -23,7 +23,9 @@ on the spectrum of a.  The limit stage takes the products back in its own
 forward transforms, subtracts the source and, as for its own rows, takes -P
 of them, P the projection onto the 2/3 band.
 The limit trajectory stores the pair as its phi1 and w on its nodes, and its
-states carry them; this module adds no container of its own.
+states carry them; this module adds no container of its own.  The sweep reads
+the pair once per node, to form a_tilde: it keeps a_tilde, not the pair,
+through its wavefunction runs.
 """
 
 from __future__ import annotations

@@ -187,13 +187,8 @@ class Grid:
 
     @cached_property
     def _deriv_multipliers(self) -> np.ndarray:
-        # i*xi per axis with the asymmetric Nyquist mode removed, (dim, *shape)
-        xi = self.wavenumbers.copy()
-        for axis, n in enumerate(self.shape):
-            nyq = [axis] + [slice(None)] * self.dim
-            nyq[1 + axis] = n // 2
-            xi[tuple(nyq)] = 0.0
-        return 1j * xi
+        # i*xi per axis, (dim, *shape): rows 1.. of the jet's, not a copy
+        return self._jet_multipliers[1:]
 
     @cached_property
     def half_shape(self) -> tuple[int, ...]:
@@ -212,8 +207,13 @@ class Grid:
 
     @cached_property
     def _jet_multipliers(self) -> np.ndarray:
-        # 1 and i*xi per axis, (1 + dim, *shape)
-        return np.concatenate([np.ones((1, *self.shape)), self._deriv_multipliers])
+        # 1 and i*xi per axis without the asymmetric Nyquist mode, (1 + dim, *shape)
+        xi = self.wavenumbers.copy()
+        for axis, n in enumerate(self.shape):
+            nyq = [axis] + [slice(None)] * self.dim
+            nyq[1 + axis] = n // 2
+            xi[tuple(nyq)] = 0.0
+        return np.concatenate([np.ones((1, *self.shape)), 1j * xi])
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

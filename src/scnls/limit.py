@@ -386,6 +386,7 @@ def evolve_limit(
     if a1 is not None:
         y = (np.concatenate([y[0], np.zeros((1, *phi_h.shape), complex)]),
              np.concatenate([y[1], grid.fft(a1[None])]))
+    del phi_h, v_h  # set-up temporaries, not kept through the run
 
     d = grid.dim
     ws = _Workspace(y, grid, sigma, pressure_sign, mask)

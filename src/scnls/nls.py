@@ -53,6 +53,7 @@ snapshots carry the bits of its lone run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import field, replace
 
@@ -274,6 +275,7 @@ def _evolve_batch(u0s, cfgs, n_obs) -> list[tuple[np.ndarray, float]]:
     order = sorted(range(len(cfgs)), key=lambda b: -total[b])
     total = [total[b] for b in order]
 
+    @functools.cache  # once per weight: the compositions are symmetric
     def kinetic(w):  # exp(-i*eps*|xi|^2*w*dt/4) of every member
         return cis(np.stack([-cfgs[b].epsilon * cfgs[b].grid.k_squared
                              * (w * steps[b][1]) / 4.0 for b in order]))

@@ -11,7 +11,9 @@ evolve_nls_batch, a group of whole rungs of one composition per call
 (rung_groups, split where nls.pick_scheme changes: the whole default 1-D
 ladder in one call, one rung per call on 128x128).  A rung's
 diagnostics take stacks of its observation times, in chunks whose
-gradients hold at most CHUNK_POINTS points.  The row table holds:
+gradients hold at most CHUNK_POINTS points.  Each chunk's a_tilde is formed
+before the wavefunction runs; from then on the sweep keeps a_tilde, not the
+corrector pair, nor the joint limit trajectory.  The row table holds:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
@@ -298,8 +300,10 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     limit_chunks = []
     for nodes in (slice(i, i + per) for i in range(0, plan.n_obs, per)):
         ls = limit_traj.state(nodes)
-        limit_chunks.append((nodes, ls, tilde_amplitude(ls)))
+        # the rows read a_tilde, never the pair (phi1, w): the state drops it
+        limit_chunks.append((nodes, replace(ls, phi1=None, w=None), tilde_amplitude(ls)))
     c_hat = gronwall_constant(limit_traj)
+    del limit_traj, ls  # the pair's node blocks go before the first batch
     sup_p = sup_exponent(sigma, grid.dim)
 
     # each rung's composition; the rungs of a group that share one

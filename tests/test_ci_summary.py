@@ -1,10 +1,12 @@
 """tools/ci_summary.py: the config documents, the artifact differ and
-exit-code table, the unreached-line count, the import-time parser, and the
-subcommands ci.yml calls."""
+exit-code table, the unreached-line count, the import-time parser, the
+peak-memory line, and the subcommands ci.yml calls."""
 import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,8 @@ def test_twins_copy_their_base():
     assert configs["headline"]["output"]["formats"] == ["csv", "json"]
     assert configs["sweep128"]["grid"] == {"dim": 2, "N": 128, "L": 12.0}
     assert configs["sweep2d"]["grid"]["N"] == 64
+    assert configs["sweep128-obs41"]["grid"] == configs["sweep128"]["grid"]
+    assert configs["sweep128-obs41"]["time"]["observation_count"] == 41
     assert {r[2] for r in ci_summary.RUNS} <= set(configs) | {"directory"}
 
 
@@ -123,3 +127,19 @@ import time: 12 | 12 | scnls.cli
 """
     assert ci_summary.importtime_self(text) == {
         "scnls.errors": 310, "scnls": 1500, "scnls.cli": 12}
+
+
+def test_peak_rss():
+    # the last stdout line of a PEAK_CHILD run; ru_maxrss is in KiB
+    assert ci_summary.peak_rss("exit 0 ru_maxrss_kib 62500\n") == (0, 64.0)
+    assert ci_summary.peak_rss("a line\nexit 3 ru_maxrss_kib 1000\n") == (3, 1.024)
+
+
+def test_peak_child_line(tmp_path):
+    # a CLI run in a PEAK_CHILD process: report on a missing path exits 2,
+    # and the last stdout line names that code and a positive peak
+    run = subprocess.run([sys.executable, "-c", ci_summary.PEAK_CHILD, "report",
+                          str(tmp_path / "missing")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ci_summary.SRC)})
+    code, mb = ci_summary.peak_rss(run.stdout)
+    assert code == 2 and mb > 1.0

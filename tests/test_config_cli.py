@@ -508,6 +508,24 @@ class TestCliCommands:
         assert lines[1].startswith("k_order=2")
         assert lines[2:] == ["fit two_term_l2: slope=1.0000 r2=1.00000 n=3"]
 
+    def test_usage_error_exit_2(self, capsys):
+        # one parser per process: every call gives argparse's usage error
+        # with exit 2, the same text each time
+        assert cli._parser() is cli._parser()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweeep", "config.json"])
+            assert exc.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: scnls [-h]")
+        assert "invalid choice: 'sweeep'" in texts[0]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: config" in capsys.readouterr().err
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"physics": {"sigma": 0}}')

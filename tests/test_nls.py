@@ -282,6 +282,29 @@ class TestYoshida4:
         assert max(map(abs, w)) == pytest.approx(0.65796, abs=1e-5)
         assert max(map(abs, nls.SCHEMES["yoshida4"])) == pytest.approx(1.70241, abs=1e-5)
 
+    @pytest.mark.parametrize("scheme", ["yoshida4", "suzuki4"])
+    def test_kinetic_tables_once_per_weight(self, gaussian_data, monkeypatch, scheme):
+        # the compositions are symmetric, so the weights of the first and
+        # last half steps and the merged kicks repeat: 3 distinct of 5
+        # tables for yoshida4 and of 7 for suzuki4, each one grid.cis per
+        # batch (the nonlinear rotations write into a buffer, out=)
+        tables = []
+        cis = nls.cis
+
+        def spy(theta, out=None):
+            if out is None:
+                tables.append(np.shape(theta))
+            return cis(theta, out)
+
+        u0s = [build_initial_data(gaussian_data, eps) for eps in (0.25, 0.125)]
+        cfgs = [NLSConfig(grid=gaussian_data.grid, epsilon=eps, sigma=2,
+                          final_time=0.05, scheme=scheme) for eps in (0.25, 0.125)]
+        monkeypatch.setattr(nls, "cis", spy)
+        trajs = evolve_nls_batch(u0s, cfgs, 3)
+        # one table per weight for the whole batch: two runs, two checks
+        assert tables == [(4, *gaussian_data.grid.shape)] * 3
+        assert all(t.self_check_ok for t in trajs)
+
     @pytest.mark.parametrize("scheme", ["strang"])
     def test_step_linear_in_epsilon(self, grid_1d, scheme):
         # dt/eps is one constant over the default ladder: dt0 for Strang

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -397,6 +398,37 @@ class TestObservationPairing:
         assert len(seen["nls"]) == 2
         for traj in seen["nls"]:
             np.testing.assert_array_equal(traj.times, times)
+
+
+class TestRelease:
+    def test_pair_freed_before_wavefunction_runs(self, gaussian_data, monkeypatch):
+        # the rows read a_tilde, never the corrector pair: the joint limit
+        # trajectory and the pair's node blocks are gone before the first
+        # wavefunction batch
+        refs, alive = [], []
+        limit, batch = sweep.evolve_limit, sweep.evolve_nls_batch
+
+        def spy_limit(*args, **kwargs):
+            traj = limit(*args, **kwargs)
+            refs.extend(weakref.ref(x) for x in (traj, traj.phi1.base, traj.w.base))
+            return traj
+
+        def spy_batch(*args):
+            alive.append([r() is not None for r in refs])
+            return batch(*args)
+
+        monkeypatch.setattr(sweep, "evolve_limit", spy_limit)
+        monkeypatch.setattr(sweep, "evolve_nls_batch", spy_batch)
+        plan = SweepPlan(initial=gaussian_data, sigma=2,
+                         epsilon_list=(2.0**-2, 2.0**-3), final_time=0.05, n_obs=3)
+        run_sweep(plan)
+        assert alive == [[False] * 3]
+
+    @pytest.mark.parametrize("n", [64, (32, 16)])
+    def test_derivative_multipliers_share_the_jets(self, n):
+        grid = Grid(n, 8.0)
+        assert np.shares_memory(grid._deriv_multipliers, grid._jet_multipliers)
+        np.testing.assert_array_equal(grid._jet_multipliers[0], 1.0)
 
 
 class TestFitsSkipFlaggedRows:

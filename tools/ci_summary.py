@@ -1,6 +1,6 @@
 """The job-summary lines of CI's informational steps, one subcommand each.
 
-    python tools/ci_summary.py {accuracy,fft-calls,demos,unreached,compare,imports} WORK
+    python tools/ci_summary.py {accuracy,fft-calls,demos,unreached,compare,imports,memory} WORK
 
 A subcommand prints its summary lines to stdout; the scnls runs it makes
 print to stderr.  It writes the config documents into the work directory
@@ -77,6 +77,8 @@ CONFIGS = {
     # the size of the bench's sweep-2d, whose sweep rows go in chunks of 2
     # nodes (the other sweeps' rows take one chunk per rung)
     "sweep128": twin(SWEEP2D, grid={"N": 128}, time={"observation_count": 11}),
+    # the same sweep with 41 nodes, where the limit nodes' share of memory grows
+    "sweep128-obs41": twin(SWEEP2D, grid={"N": 128}, time={"observation_count": 41}),
     # the config of test_guard_failure_exit_3: simulate and conserve exit 3
     "guard": {"grid": {"N": 64, "L": 16.0}, "physics": {"sigma": 2, "epsilon": 1.0},
               "time": {"T": 1.0, "dt0": 0.25, "observation_count": 3},
@@ -426,8 +428,43 @@ def imports(work: Path) -> int:
     return 0
 
 
+# a fresh process's CLI run, whose stdout goes to stderr, then its exit code
+# and its peak resident set (ru_maxrss, KiB on Linux) on the last stdout line
+PEAK_CHILD = """\
+import contextlib, resource, sys
+from scnls.cli import main
+with contextlib.redirect_stdout(sys.stderr):
+    code = main(sys.argv[1:])
+print("exit", code, "ru_maxrss_kib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_rss(stdout: str) -> tuple[int, float]:
+    """The exit code and the peak resident set in MB (10^6 bytes, as the
+    bench's peak_rss_mb) that the last line of a PEAK_CHILD run names."""
+    _, code, _, kib = stdout.splitlines()[-1].split()
+    return int(code), int(kib) * 1024 / 1e6
+
+
+def memory(work: Path) -> int:
+    # each sweep in a fresh process, so no run's peak hides another's; the
+    # 41-node twin shows how the peak grows with the limit nodes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for cfg in ("sweep128", "sweep128-obs41"):
+        sys.stderr.flush()
+        run = subprocess.run([sys.executable, "-c", PEAK_CHILD, "sweep", work / f"{cfg}.json",
+                              "--out", work / f"memory-{cfg}"], env=env,
+                             stdout=subprocess.PIPE, stderr=sys.stderr, text=True)
+        code, mb = peak_rss(run.stdout)
+        n_obs = CONFIGS[cfg]["time"]["observation_count"]
+        print(f"peak RSS of `scnls sweep` on {cfg}.json (128x128, {n_obs} "
+              f"observation times), fresh process: {mb:.2f} MB (exit {code})")
+    return 0
+
+
 SUBCOMMANDS = {"accuracy": accuracy, "fft-calls": fft_calls, "demos": demos,
-               "unreached": unreached, "compare": compare, "imports": imports}
+               "unreached": unreached, "compare": compare, "imports": imports,
+               "memory": memory}
 
 if __name__ == "__main__":
     if len(sys.argv) != 3 or sys.argv[1] not in SUBCOMMANDS:
