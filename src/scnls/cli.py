@@ -39,7 +39,7 @@ from .limit import (blowup_monitor, breakdown_threshold, euler_invariants,
                     evolve_limit, focusing_demo, power_consistency)
 from .nls import (SELF_CHECK_FACTOR, NLSConfig, build_initial_data,
                   evolve_nls, nls_invariants, pick_scheme)
-from .presets import InitialData, compact_bump, constant
+from .presets import InitialData, constant, make_amplitude
 from .snapshots import write_snapshots
 from .sweep import SweepPlan, run_sweep
 
@@ -244,7 +244,8 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> None:
     grid = cfg.make_grid()
     rows = []
     for amp in opts["amplitudes"]:
-        a0 = compact_bump(grid, radius=opts["radius"], amplitude=amp)
+        a0 = make_amplitude(grid, "compact_bump", {"radius": opts["radius"], "amplitude": amp},
+                            "blowup.radius")
         data = _at_rest(grid, a0, f"compact_bump(amp={amp})")
         # the run stops where the monitor declares breakdown
         threshold = breakdown_threshold(

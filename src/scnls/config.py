@@ -27,11 +27,12 @@ Sections and keys (all optional unless noted):
     seed:     echoed into artifacts; the pipeline itself is deterministic
 
 Demo values are positive numbers (amplitudes and wavenumbers non-empty
-lists of them, wavenumbers integers).  Unknown sections or keys are
-rejected, naming the offending key, and so is a run whose grid or stored
-snapshots exceed the memory budget below.  The parsed config serializes
-back to a canonical document (parse -> serialize -> parse is the
-identity), and every artifact embeds the effective config.
+lists of them, wavenumbers integers) whose radius**2 and (sigma + 1) *
+rho0**sigma are finite floats.  Unknown sections or keys are rejected,
+naming the offending key, and so is a run whose grid or stored snapshots
+exceed the memory budget below.  The parsed config serializes back to a
+canonical document (parse -> serialize -> parse is the identity), and
+every artifact embeds the effective config.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .grid import (MAX_STORED_BYTES, SNAPSHOT_BYTES_PER_POINT, Grid,
                    observation_steps)
 from .nls import pick_scheme, scheme_step
 from .presets import InitialData, make_amplitude, make_phase
-from .records import Record, frozen_record
+from .records import Record
+from .sweep import check_ladder
 
 DEFAULT_EPSILON_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
@@ -60,11 +62,9 @@ _FORMATS = {"csv", "json", "snapshots"}
 MAX_GRID_POINTS = 2**20
 
 
-@frozen_record
 class RunConfig(Record):
     """One parsed config document: grid, physics, time, initial data, output."""
 
-    dim: int = 1
     n: tuple[int, ...] = (512,)
     length: tuple[float, ...] = (16.0,)
     sigma: int = 2
@@ -84,6 +84,10 @@ class RunConfig(Record):
     blowup: dict = field(default_factory=dict)
     focusing: dict = field(default_factory=dict)
     seed: int | None = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.n)
 
     # -- builders ----------------------------------------------------------
 
@@ -241,14 +245,9 @@ def parse_config(text: str) -> RunConfig:
           f"must be in (0, 1], got {epsilon}")
     if "epsilon_list" in p:
         raw = p["epsilon_list"]
-        _need(isinstance(raw, list) and raw, "physics.epsilon_list",
-              "must be a non-empty list")
+        _need(isinstance(raw, list), "physics.epsilon_list", "must be a non-empty list")
         eps_list = tuple(_as_num(v, "physics.epsilon_list") for v in raw)
-        for e in eps_list:
-            _need(0.0 < e <= 1.0, "physics.epsilon_list",
-                  f"values must be in (0, 1], got {e}")
-        _need(all(eps_list[i + 1] < eps_list[i] for i in range(len(eps_list) - 1)),
-              "physics.epsilon_list", "must be strictly decreasing")
+        check_ladder(eps_list)
     else:
         eps_list = default.epsilon_list
 
@@ -293,14 +292,23 @@ def parse_config(text: str) -> RunConfig:
     bad = set(formats) - _FORMATS
     _need(not bad, "output.formats", f"unknown formats: {sorted(bad)}")
 
-    for section in _DEMO:
-        demo_options(doc.get(section, {}), section)
+    demo = {section: demo_options(doc.get(section, {}), section) for section in _DEMO}
+    # fail fast on demo values whose fields overflow a float: the blowup
+    # bump's radius**2, the focusing background's squared wave speed
+    make_amplitude(Grid((16,) * dim, length), "compact_bump",
+                   {"radius": demo["blowup"]["radius"]}, "blowup.radius")
+    try:
+        speed2 = (sigma + 1) * demo["focusing"]["rho0"] ** sigma
+    except OverflowError:
+        speed2 = math.inf
+    _need(speed2 < math.inf, "focusing.rho0",
+          f"the background's wave speed overflows a float at sigma {sigma}")
     seed = doc.get("seed")
     if seed is not None:
         seed = _as_int(seed, "seed")
 
     cfg = RunConfig(
-        dim=dim, n=n, length=length, sigma=sigma, epsilon=epsilon,
+        n=n, length=length, sigma=sigma, epsilon=epsilon,
         epsilon_list=eps_list, final_time=final_time, dt0=dt0,
         observation_count=n_obs, **initial, directory=directory,
         formats=formats, blowup=dict(doc.get("blowup", {})),

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .grid import Grid, cis, per_value
 from .limit import LimitState, LimitTrajectory
-from .records import Record, frozen_record
+from .records import Record
 from .sigma_algebra import b_sigma, g_sigma
 
 
@@ -80,7 +80,6 @@ def sobolev_index(sigma: int, dim: int) -> int:
     return 2
 
 
-@frozen_record
 class DiagnosticsRecord(Record):
     """Per-snapshot modulation diagnostics, built from the filtered
     amplitude a_eps and the limit state alone.  The transport residual
@@ -168,7 +167,6 @@ def residual_transport(rec_prev: DiagnosticsRecord, rec_mid: DiagnosticsRecord,
     return grid.l2_norm(resid)
 
 
-@frozen_record
 class DensityMetrics(Record):
     """Position and current density gaps of one snapshot (density_metrics)."""
 

@@ -276,13 +276,10 @@ class Grid:
         the lone Nyquist mode is zeroed."""
         return self.multiplier("gradient", fh) * fh
 
-    def spectral_laplacian(self, fh: np.ndarray) -> np.ndarray:
-        """-|xi|^2 * fh for a full or half spectrum fh."""
-        return self.multiplier("laplacian", fh) * fh
-
     def multiplier(self, kind: str, fh: np.ndarray) -> np.ndarray:
-        """The multiplier m of spectral_<kind> ("gradient", "laplacian") or of the jet
-        [fh, i*xi_1 fh, ...] ("jet") shaped to broadcast over fh: m * fh is that result."""
+        """The multiplier m of the gradient ("gradient", i*xi_j, as spectral_gradient), of the
+        Laplacian ("laplacian", -|xi|^2) or of the jet [fh, i*xi_1 fh, ...] ("jet"), shaped to
+        broadcast over fh: m * fh is that result."""
         if kind == "laplacian":
             return self._matching(self._neg_k_squared, fh)
         m = self._matching(self._jet_multipliers if kind == "jet" else self._deriv_multipliers, fh)
@@ -300,12 +297,6 @@ class Grid:
             )
         return f
 
-    def spectral_derivative(self, f: np.ndarray, axis: int = 0) -> np.ndarray:
-        """d/dx_axis by multiplication with i*xi in spectral space."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        return self.ifft(self._deriv_multipliers[axis] * self.fft(self._check(f)))
-
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """All first derivatives, shape (dim, *f.shape)."""
         return self.ifft(self.spectral_gradient(self.fft(self._check(f))))
@@ -322,7 +313,8 @@ class Grid:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Second-derivative multiplier -|xi|^2 (Nyquist included: even order)."""
-        return self.ifft(self.spectral_laplacian(self.fft(self._check(f))))
+        fh = self.fft(self._check(f))
+        return self.ifft(self.multiplier("laplacian", fh) * fh)
 
     def dealias(self, f: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Project onto ``mask``, by default the 2/3 band (use on

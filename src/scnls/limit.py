@@ -65,7 +65,7 @@ from .errors import ConfigError, NumericalGuardError, rekeyed
 from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes,
                    observation_steps)
 from .presets import InitialData
-from .records import Record, frozen_record
+from .records import Record
 
 CFL_NUMBER = 0.5
 # the adaptive runs' CFL number (cfl_step): their step is set for accuracy,
@@ -82,15 +82,14 @@ BASELINE_FLOOR = 1e-8  # the least gradient scale
 # state containers
 
 
-@frozen_record
 class LimitState(Record):
-    """One snapshot of the limit flow, or a stack of them on leading axes."""
+    """One snapshot of the limit flow, or a stack of them on leading axes
+    (S = a^sigma, which no reader of a state needs, stays on the trajectory)."""
 
     grid: Grid
     sigma: int
     time: float | np.ndarray
     v: np.ndarray           # (dim, *shape), real
-    S: np.ndarray           # a^sigma, complex
     a: np.ndarray           # complex
     phi_periodic: np.ndarray
     phi_wavevector: tuple[float, ...]
@@ -103,7 +102,6 @@ class LimitState(Record):
         return self.phi_periodic + np.sum(k * self.grid.coords, axis=0)
 
 
-@frozen_record
 class LimitTrajectory(Record):
     """One limit run (or a batch): its stored snapshots and per-step monitors."""
 
@@ -137,7 +135,7 @@ class LimitTrajectory(Record):
             grid=self.grid, sigma=self.sigma,
             time=self.times[i] if stack else float(self.times[i]),
             v=np.moveaxis(self.v[i], 0, 1) if stack else self.v[i],
-            S=self.S[i], a=self.a[i],
+            a=self.a[i],
             phi_periodic=self.phi_periodic[i],
             phi_wavevector=self.phi0_wavevector,
             phi1=None if self.phi1 is None else self.phi1[i],
@@ -561,7 +559,6 @@ def reconstruct_phase(traj: LimitTrajectory) -> np.ndarray:
 # conserved functionals
 
 
-@frozen_record
 class EulerInvariants(Record):
     """Conserved functionals of one limit snapshot (euler_invariants)."""
 
@@ -604,7 +601,6 @@ def euler_invariants(state: LimitState) -> EulerInvariants:
 # breakdown monitor
 
 
-@frozen_record
 class BlowupReport(Record):
     """Whether and when a limit run's gradients break down (blowup_monitor)."""
 
@@ -660,7 +656,6 @@ def blowup_monitor(traj: LimitTrajectory) -> BlowupReport:
 # frequency-growth demo (ill-posed sign)
 
 
-@frozen_record
 class GrowthRow(Record):
     """The growth rate of one perturbation wavenumber (focusing_demo)."""
 

@@ -63,7 +63,7 @@ from .errors import ConfigError, GridMismatchError, NumericalGuardError
 from .grid import (SUPPORT_TAIL_THRESHOLD, Grid, check_stored_bytes, cis,
                    observation_steps)
 from .presets import InitialData, snap_wavevector
-from .records import Record, frozen_record
+from .records import Record
 
 # substep weights of each composition of the Strang step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -78,7 +78,6 @@ LAW_CONSTANTS = {"yoshida4": 1.0, "suzuki4": 1.664}
 SELF_CHECK_FACTOR = 0.05
 
 
-@frozen_record
 class NLSConfig(Record):
     """One wavefunction run's settings, checked when made: ConfigError for
     a dt0 or dt_override not positive and finite (time.dt0, before any
@@ -197,7 +196,6 @@ def pick_scheme(dt0: float, epsilon: float, dx: float, final_time: float,
     return min(LAW_CONSTANTS, key=rank)
 
 
-@frozen_record
 class NLSTrajectory(Record):
     """One wavefunction run: its stored snapshots, step and step-doubling check."""
 
@@ -208,9 +206,18 @@ class NLSTrajectory(Record):
     states: np.ndarray  # (n_obs, *grid.shape), read-only
     dt: float
     self_check_error: float
-    self_check_ok: bool
     self_check_dt: float
-    mass_history: np.ndarray
+
+    @property
+    def self_check_ok(self) -> bool:
+        """The check's error is at most SELF_CHECK_FACTOR*eps*||u0||_L2."""
+        return self.self_check_error <= (SELF_CHECK_FACTOR * self.epsilon
+                                         * max(self.grid.l2_norm(self.states[0]), 1e-300))
+
+    @property
+    def mass_history(self) -> np.ndarray:
+        """||u||_L2 of each snapshot."""
+        return self.grid.l2_norm(self.states)
 
 
 def build_initial_data(data: InitialData, epsilon: float,
@@ -359,20 +366,12 @@ def evolve_nls_batch(u0s, cfgs, n_obs: int = 2) -> list[NLSTrajectory]:
                     (u0, replace(cfg, dt_override=cfg.final_time / n_check), 2)]
 
     results = _evolve_batch(*zip(*members)) if members else []
-    trajs = []
-    for (u0, cfg, _), (states, dt), (check, check_dt) in zip(
-            members[::2], results[::2], results[1::2]):
-        grid = cfg.grid
-        error = grid.l2_norm(states[-1] - check[-1])
-        trajs.append(NLSTrajectory(
-            grid=grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
-            times=np.linspace(0.0, cfg.final_time, n_obs), states=states, dt=dt,
-            self_check_error=error,
-            self_check_ok=error <= (SELF_CHECK_FACTOR * cfg.epsilon
-                                    * max(grid.l2_norm(u0), 1e-300)),
-            self_check_dt=check_dt, mass_history=grid.l2_norm(states),
-        ))
-    return trajs
+    return [NLSTrajectory(
+        grid=cfg.grid, epsilon=cfg.epsilon, sigma=cfg.sigma,
+        times=np.linspace(0.0, cfg.final_time, n_obs), states=states, dt=dt,
+        self_check_error=cfg.grid.l2_norm(states[-1] - check[-1]), self_check_dt=check_dt,
+    ) for (_, cfg, _), (states, dt), (check, check_dt) in zip(
+        members[::2], results[::2], results[1::2])]
 
 
 def evolve_nls(u0: np.ndarray, cfg: NLSConfig, n_obs: int = 2) -> NLSTrajectory:
@@ -385,7 +384,6 @@ def evolve_nls(u0: np.ndarray, cfg: NLSConfig, n_obs: int = 2) -> NLSTrajectory:
     return evolve_nls_batch([u0], [cfg], n_obs)[0]
 
 
-@frozen_record
 class NLSInvariants(Record):
     """Conserved/evolving functionals of one snapshot; x-weighted entries are
     meaningful only when boundary_tail is small (support inside the cell)."""

@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid, cis
-from .records import Record, frozen_record
+from .records import Record
 
 
-@frozen_record
 class InitialData(Record):
     """Amplitudes and phase for one run: u(0) = (a0 + eps*a1) e^{i phi0/eps}.
 

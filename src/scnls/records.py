@@ -5,10 +5,20 @@ from inspect import Parameter, Signature
 
 
 class Record:
-    """Base of the records, each ``@frozen_record class Name(Record)``: it takes
-    its fields by position or name, then runs ``__post_init__``; it is frozen;
-    it compares, hashes and prints as a frozen dataclass, which compiles its
-    methods for each class at import (half of the package's import time)."""
+    """Base of the records, each ``class Name(Record)``: a dataclass without
+    generated methods (a frozen dataclass compiles them for each class at
+    import), with the signature a generated __init__ would have.  It takes
+    its fields by position or name, then runs ``__post_init__``; it is
+    frozen; it compares, hashes and prints as a frozen dataclass."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(init=False, repr=False, eq=False)(cls)
+        cls.__signature__ = Signature([
+            Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=(
+                _HAS_DEFAULT_FACTORY if f.default_factory is not MISSING
+                else Parameter.empty if f.default is MISSING else f.default))
+            for f in fields(cls)], return_annotation=None)
 
     def __init__(self, *args, **kwargs):
         own = fields(self)
@@ -40,15 +50,3 @@ class Record:
     def __repr__(self):
         body = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{self.__class__.__qualname__}({body})"
-
-
-def frozen_record(cls: type) -> type:
-    """The Record subclass cls as a dataclass, with the signature that a
-    generated __init__ would have (a default_factory's default: <factory>)."""
-    cls = dataclass(init=False, repr=False, eq=False)(cls)
-    cls.__signature__ = Signature([
-        Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=(
-            _HAS_DEFAULT_FACTORY if f.default_factory is not MISSING
-            else Parameter.empty if f.default is MISSING else f.default))
-        for f in fields(cls)], return_annotation=None)
-    return cls

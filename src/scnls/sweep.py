@@ -12,8 +12,9 @@ evolve_nls_batch, a group of whole rungs of one composition per call
 ladder in one call, one rung per call on 128x128).  A rung's
 diagnostics take stacks of its observation times, in chunks whose
 gradients hold at most CHUNK_POINTS points.  Each chunk's a_tilde is formed
-before the wavefunction runs; from then on the sweep keeps a_tilde, not the
-corrector pair, nor the joint limit trajectory.  The row table holds:
+before the wavefunction runs; from then on the sweep keeps a_tilde and the
+chunk's a, phi and v, not the corrector pair, S nor the joint limit
+trajectory.  The row table holds:
 
 * one-term / two-term WKB errors  ||u - a e^{i phi/eps}||,
   ||u - a_tilde e^{i phi/eps}|| in sup-over-snapshots L2 and L^inf
@@ -26,10 +27,11 @@ corrector pair, nor the joint limit trajectory.  The row table holds:
 * the run's composition (nls.pick_scheme) and step, its step-doubling
   check's step and the check's outcome.
 
-Log-log least squares (fit_rate) turns error columns into convergence rates,
-over the rows that pass their step-doubling check (at least 3 of them).  The
-JSON report names the epsilons of each fit's rows, and each fit it leaves
-out with the reason.
+Log-log least squares (fit_rate) turns error columns into convergence rates
+over the rows that pass their step-doubling check (at least 3 of them); a
+SweepResult reads its fits off its rows, k and the norm exponent off its
+plan echo.  The JSON report names the epsilons of each fit's rows, and
+each fit it leaves out with the reason.
 The pipeline is deterministic: identical plans give byte-identical CSV/JSON.
 """
 
@@ -55,7 +57,7 @@ from .limit import LimitState, evolve_limit
 from .nls import (NLSConfig, NLSTrajectory, build_initial_data,  # noqa: F401
                   evolve_nls, evolve_nls_batch, pick_scheme)
 from .presets import InitialData, snap_wavevector
-from .records import Record, frozen_record
+from .records import Record
 
 
 def sup_exponent(sigma: int, dim: int) -> float:
@@ -64,7 +66,18 @@ def sup_exponent(sigma: int, dim: int) -> float:
     return 6.0 if (sigma == 2 and dim >= 2) else math.inf
 
 
-@frozen_record
+def check_ladder(eps) -> None:
+    """ConfigError (physics.epsilon_list) unless the epsilon ladder eps is
+    non-empty, in (0, 1] and strictly decreasing."""
+    if not eps:
+        raise ConfigError("physics.epsilon_list", "must be a non-empty list")
+    for e in eps:
+        if not 0.0 < e <= 1.0:
+            raise ConfigError("physics.epsilon_list", f"values must be in (0, 1], got {e}")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("physics.epsilon_list", "must be strictly decreasing")
+
+
 class FitResult(Record):
     """A least-squares rate fit of log(err) against log(eps) (fit_rate)."""
 
@@ -98,7 +111,6 @@ def fit_rate(points) -> FitResult:
                      r2=r2, n=len(pts))
 
 
-@frozen_record
 class SweepPlan(Record):
     """An epsilon-ladder sweep's initial data, ladder, horizon and step settings."""
 
@@ -111,13 +123,7 @@ class SweepPlan(Record):
     config_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        eps = self.epsilon_list
-        if not eps:
-            raise ConfigError("physics.epsilon_list", "must be a non-empty list")
-        if any(not 0 < e <= 1 for e in eps):
-            raise ConfigError("physics.epsilon_list", "values must lie in (0, 1]")
-        if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise ConfigError("physics.epsilon_list", "must be strictly decreasing")
+        check_ladder(self.epsilon_list)
         if self.n_obs < 3:
             raise ConfigError("time.observation_count", "needs at least 3 snapshots")
 
@@ -149,16 +155,27 @@ SERIES_KEYS = ("time", "err_two_term_l2", "err_one_term_l2", "a_eps_hk",
                "q_eps_hkm1", "pos_gap_lsp1", "cur_l1", "mod_energy")
 
 
-@frozen_record
 class SweepResult(Record):
-    """A sweep's rows, rate fits and Gronwall constant; to_json is its report."""
+    """A sweep's plan echo, rows and Gronwall constant; its rate fits, error
+    exponent and Sobolev order follow from them, and to_json is its report."""
 
     plan_echo: dict
     rows: list[dict]
-    fits: dict[str, FitResult]
     gronwall_c: float
-    sup_p: float
-    k_order: int
+
+    @property
+    def fits(self) -> dict[str, FitResult]:
+        """The rate fit of each FIT_COLUMNS column that is not left out."""
+        return {name: fit_rate(points) for name, column in FIT_COLUMNS.items()
+                for points, why in [_fit_points(self.rows, column)] if not why}
+
+    @property
+    def sup_p(self) -> float:
+        return sup_exponent(self.plan_echo["sigma"], self.plan_echo["grid"]["dim"])
+
+    @property
+    def k_order(self) -> int:
+        return sobolev_index(self.plan_echo["sigma"], self.plan_echo["grid"]["dim"])
 
     def to_json(self) -> str:
         """The report: each fit with the epsilons of the rows it took, and
@@ -166,12 +183,12 @@ class SweepResult(Record):
         fits, left_out = {}, {}
         for name, column in FIT_COLUMNS.items():
             points, why = _fit_points(self.rows, column)
-            if name in self.fits:
-                f = self.fits[name]
-                fits[name] = vars(f) | {"noisy": f.noisy,
-                                        "epsilon_list": [e for e, _ in points]}
-            else:
+            if why:
                 left_out[name] = why
+                continue
+            f = fit_rate(points)
+            fits[name] = vars(f) | {"noisy": f.noisy,
+                                    "epsilon_list": [e for e, _ in points]}
         payload = {
             "plan": self.plan_echo,
             "k_order": self.k_order,
@@ -280,8 +297,8 @@ def _sweep_row(traj: NLSTrajectory, scheme: str,
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Execute the sweep: one shared joint limit + corrector run, one
-    wavefunction run per epsilon (batched by rung_groups), diagnostics, and
-    rate fits."""
+    wavefunction run per epsilon (batched by rung_groups) and diagnostics,
+    into the rows whose rate fits the result reads off them."""
     grid = plan.initial.grid
     sigma = plan.sigma
     eps_ref = max(plan.epsilon_list)
@@ -303,7 +320,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         # the rows read a_tilde, never the pair (phi1, w): the state drops it
         limit_chunks.append((nodes, replace(ls, phi1=None, w=None), tilde_amplitude(ls)))
     c_hat = gronwall_constant(limit_traj)
-    del limit_traj, ls  # the pair's node blocks go before the first batch
+    del limit_traj, ls  # the pair's and S's node blocks go before the first batch
     sup_p = sup_exponent(sigma, grid.dim)
 
     # each rung's composition; the rungs of a group that share one
@@ -324,12 +341,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             rows += [_sweep_row(traj, scheme, limit_chunks, c_hat, sup_p)
                      for traj in evolve_nls_batch(u0s, cfgs, plan.n_obs)]
 
-    fits = {}
-    for name, column in FIT_COLUMNS.items():
-        points, why = _fit_points(rows, column)
-        if not why:
-            fits[name] = fit_rate(points)
-
     plan_echo = {
         "grid": grid.descriptor(),
         "sigma": sigma,
@@ -340,6 +351,4 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "initial_label": initial.label,
         "config": plan.config_echo,
     }
-    return SweepResult(plan_echo=plan_echo, rows=rows, fits=fits,
-                       gronwall_c=c_hat, sup_p=sup_p,
-                       k_order=sobolev_index(sigma, grid.dim))
+    return SweepResult(plan_echo=plan_echo, rows=rows, gronwall_c=c_hat)

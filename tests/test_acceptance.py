@@ -155,7 +155,7 @@ def test_03_limit_solver(acceptance_data):
                     abs(inv.momentum[0] - inv0.momentum[0]) / inv0.mass)
     phi = traj.phi_periodic
     phase_err = max(
-        g.l2_norm(g.spectral_derivative(phi[i], 0).real - traj.v[i][0])
+        g.l2_norm(g.gradient(phi[i])[0].real - traj.v[i][0])
         for i in range(0, traj.times.size, 8))
     ok = (14.0 <= ratio <= 18.0 and power_gap < 1e-8
           and drift < 1e-8 and phase_err < 1e-6)

@@ -22,7 +22,7 @@ def settable_values() -> int:
 
 
 def test_public_settable_values():
-    assert settable_values() == 194
+    assert settable_values() == 187
 
 
 def test_config_keys():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scnls import Grid, cli, limit
-from scnls.config import parse_config
+from scnls.config import RunConfig, parse_config
 from scnls.errors import ConfigError
 from scnls.grid import MAX_STEPS
 from scnls.limit import evolve_limit
@@ -58,6 +58,10 @@ MALFORMED = [
     ('{"initial": {"a0_params": {"width": {"x": 1.0}}}}', "initial.a0_preset",
      "simulate"),
     ('{"seed": "x"}', "seed", "simulate"),
+    # a demo field that would overflow a float: the bump's radius**2 and the
+    # background's rho0**sigma (not exit 4)
+    ('{"blowup": {"radius": 1e300}}', "blowup.radius", "blowup"),
+    ('{"focusing": {"rho0": 1e200}}', "focusing.rho0", "focusing-demo"),
 ]
 
 # the column header of each command's CSV table; the commands take the
@@ -162,6 +166,13 @@ class TestParseConfig:
         again = parse_config(cfg.serialize())
         assert again == cfg
         assert again.content_hash() == cfg.content_hash()
+
+    def test_dimension_read_off_the_points(self):
+        # a record built without a document echoes the dimension of its
+        # point counts, and its document parses back to it
+        cfg = RunConfig(n=(64, 64), length=(8.0, 8.0))
+        assert cfg.effective()["grid"]["dim"] == 2
+        assert parse_config(cfg.serialize()) == cfg
 
     @pytest.mark.parametrize("text,key,_command", MALFORMED)
     def test_malformed_value_rejected(self, text, key, _command):

@@ -96,7 +96,7 @@ class TestEvolve:
         traj = evolve_limit(data, 2, 0.05, n_obs=3)
         for i in (0, traj.times.size - 1):
             v = traj.v[i]
-            curl = g.spectral_derivative(v[1], 0) - g.spectral_derivative(v[0], 1)
+            curl = g.gradient(v[1])[0] - g.gradient(v[0])[1]
             assert g.l2_norm(curl.real) < 1e-8
 
     def test_nonuniform_status_when_too_coarse(self, grid_1d):
@@ -973,7 +973,7 @@ class TestPhase:
         phi = traj.phi_periodic
         worst = 0.0
         for i in range(0, traj.times.size, 8):
-            dphi = g.spectral_derivative(phi[i], 0).real
+            dphi = g.gradient(phi[i])[0].real
             worst = max(worst, g.l2_norm(dphi - traj.v[i][0]))
         assert worst < 1e-6
 
@@ -1009,7 +1009,7 @@ def phase_defect(traj) -> float:
     """max over stored nodes and axes of ||d_j phi + k_j - v_j||_L2."""
     g = traj.grid
     return max(
-        g.l2_norm(g.spectral_derivative(traj.phi_periodic[i], j).real
+        g.l2_norm(g.gradient(traj.phi_periodic[i])[j].real
                   + traj.phi0_wavevector[j] - traj.v[i][j])
         for i in range(traj.times.size) for j in range(g.dim))
 

@@ -82,6 +82,17 @@ class TestPlanValidation:
                       final_time=0.1)
         assert err.value.key == "physics.epsilon_list"
 
+    def test_ladder_rules_as_the_config_states_them(self, gaussian_data):
+        # one check: a plan refuses an empty, out-of-range or increasing
+        # ladder with the config's key and message
+        for ladder in ((), (2.0, 1.0), (0.125, 0.25)):
+            with pytest.raises(ConfigError) as plan_err:
+                SweepPlan(initial=gaussian_data, sigma=2, epsilon_list=ladder,
+                          final_time=0.1)
+            with pytest.raises(ConfigError) as config_err:
+                parse_config(json.dumps({"physics": {"epsilon_list": list(ladder)}}))
+            assert str(plan_err.value) == str(config_err.value)
+
     @pytest.mark.parametrize("n_obs", [2, 1])
     def test_rejects_fewer_than_three_observations(self, gaussian_data, n_obs):
         with pytest.raises(ConfigError) as err:
@@ -402,15 +413,16 @@ class TestObservationPairing:
 
 class TestRelease:
     def test_pair_freed_before_wavefunction_runs(self, gaussian_data, monkeypatch):
-        # the rows read a_tilde, never the corrector pair: the joint limit
-        # trajectory and the pair's node blocks are gone before the first
-        # wavefunction batch
+        # the rows read a_tilde, never the corrector pair nor S = a^sigma:
+        # the joint limit trajectory and the node blocks of the pair and of
+        # S are gone before the first wavefunction batch
         refs, alive = [], []
         limit, batch = sweep.evolve_limit, sweep.evolve_nls_batch
 
         def spy_limit(*args, **kwargs):
             traj = limit(*args, **kwargs)
-            refs.extend(weakref.ref(x) for x in (traj, traj.phi1.base, traj.w.base))
+            refs.extend(weakref.ref(x) for x in (traj, traj.phi1.base, traj.w.base,
+                                                  traj.S.base))
             return traj
 
         def spy_batch(*args):
@@ -422,13 +434,26 @@ class TestRelease:
         plan = SweepPlan(initial=gaussian_data, sigma=2,
                          epsilon_list=(2.0**-2, 2.0**-3), final_time=0.05, n_obs=3)
         run_sweep(plan)
-        assert alive == [[False] * 3]
+        assert alive == [[False] * 4]
 
     @pytest.mark.parametrize("n", [64, (32, 16)])
     def test_derivative_multipliers_share_the_jets(self, n):
         grid = Grid(n, 8.0)
         assert np.shares_memory(grid._deriv_multipliers, grid._jet_multipliers)
         np.testing.assert_array_equal(grid._jet_multipliers[0], 1.0)
+
+
+def test_each_fit_takes_its_points_once(gaussian_data, monkeypatch):
+    # the fits are read off the rows: run_sweep fits nothing, and the
+    # report takes each fit's points once
+    calls = []
+    fit_points = sweep._fit_points
+    monkeypatch.setattr(sweep, "_fit_points",
+                        lambda *args: calls.append(args) or fit_points(*args))
+    plan = SweepPlan(initial=gaussian_data, sigma=2,
+                     epsilon_list=(2.0**-2, 2.0**-3, 2.0**-4), final_time=0.05, n_obs=3)
+    run_sweep(plan).to_json()
+    assert len(calls) == len(sweep.FIT_COLUMNS) == 5
 
 
 class TestFitsSkipFlaggedRows:

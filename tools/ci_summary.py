@@ -88,6 +88,10 @@ CONFIGS = {
                  "physics": {"sigma": 2, "epsilon_list": [0.25, 0.125]},
                  "time": {"T": 0.5, "dt0": 0.16, "observation_count": 3},
                  "initial": {"a0_preset": "gaussian", "a0_params": {"width": 1.5, "amplitude_re": 2.5}}},
+    # demo values whose fields overflow a float: the bump's radius**2 and
+    # the background's rho0**sigma
+    "blowup-radius": {"blowup": {"radius": 1e300}},
+    "focusing-rho0": {"focusing": {"rho0": 1e200}},
 }
 
 # compare's runs at both trees: (name, command, config); the config
@@ -101,6 +105,8 @@ RUNS = ([(cmd, cmd, "artifacts") for cmd in ("simulate", "limit", "corrector", "
         + [(f"rect2d-{cmd}", cmd, "rect2d") for cmd in ("limit", "blowup")]
         + [("sweep-128", "sweep", "sweep128"), ("guard-simulate", "simulate", "guard"),
            ("guard-conserve", "conserve", "guard"), ("sweep-envelope", "sweep", "envelope"),
+           ("blowup-radius", "blowup", "blowup-radius"),
+           ("focusing-rho0", "focusing-demo", "focusing-rho0"),
            ("simulate-directory", "simulate", "directory")])
 LEGEND = """\
 artifacts vs parent, headline config (sweep-2d: the small 2-D sweep;
@@ -111,6 +117,8 @@ rect2d-limit, rect2d-blowup: those commands on the 2-D config with L = [12.0, 6.
 sweep-128: the sweep on the 2-D config at N = 128 with 11 observation times;
 guard-simulate, guard-conserve: those commands on a config whose step-doubling check fails;
 sweep-envelope: the sweep on a config whose energy envelope overflows a float;
+blowup-radius: blowup with radius 1e300, whose square overflows a float;
+focusing-rho0: focusing-demo with rho0 1e200, whose rho0**sigma overflows a float;
 simulate-directory: simulate given a directory as its config;
 report: the report command's stdout on the headline sweep)."""
 
